@@ -163,6 +163,7 @@ private:
   static std::vector<Frame> take_due(std::vector<Frame>& q,
                                      std::uint64_t cycle) {
     std::vector<Frame> due_now;
+    if (q.empty()) return due_now;  // most NICs on most cycles
     std::size_t kept = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (q[i].due_cycle <= cycle) {

@@ -6,7 +6,6 @@
 #include <exception>
 
 #include "xtsoc/hwsim/pool.hpp"
-#include "xtsoc/mem/mem.hpp"
 
 namespace xtsoc::cosim {
 
@@ -153,30 +152,13 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
   if (windowed) {
     for (auto& hw : hw_domains_) hw->set_windowed(true);
     sw_->set_windowed(true);
-    // Useful parallelism is bounded by the wider fan-out of the two
-    // phases: phase A runs domains + software, phase B runs one replay
-    // shard per hardware domain. Spawning more workers than that only
-    // buys handshake overhead (a 2x2 mesh at threads=4 measured SLOWER
-    // than serial before this cap).
+    // Useful parallelism is bounded by phase A's fan-out: hardware domains
+    // plus software. Spawning more workers than that only buys handshake
+    // overhead (a 2x2 mesh at threads=4 measured SLOWER than serial before
+    // this cap).
     const int useful = static_cast<int>(hw_domains_.size()) + 1;
     const int workers = std::min(config_.threads, useful);
-    if (workers > 1) {
-      pool_ = std::make_unique<hwsim::WorkerPool>(workers);
-      // Shard the phase-B replay by tile. With a single hardware domain
-      // there is nothing to shard — the serial replay is the same work
-      // without the pool dispatch.
-      if (hw_domains_.size() > 1) {
-        std::vector<hwsim::ShardPlan> plans;
-        plans.reserve(hw_domains_.size());
-        for (auto& hw : hw_domains_) {
-          hwsim::ShardPlan plan;
-          plan.processes.push_back(hw->process_id());
-          plan.wires = hw->kernel_wires();
-          plans.push_back(std::move(plan));
-        }
-        sim_->set_replay_shards(clk_, std::move(plans));
-      }
-    }
+    if (workers > 1) pool_ = std::make_unique<hwsim::WorkerPool>(workers);
   }
 }
 
@@ -241,14 +223,14 @@ void CoSimulation::inject(const runtime::InstanceHandle& target,
 
 void CoSimulation::mem_tick(std::uint64_t cycle) {
   // All channels are FabricChannels here: mem_ only exists in fabric mode.
-  std::vector<mem::System::Incoming> delivered;
+  mem_delivered_.clear();
   for (auto& ch : channels_) {
     auto* fc = static_cast<FabricChannel*>(ch.get());
     for (Frame& f : fc->take_coherence(cycle)) {
-      delivered.push_back({fc->tile(), f.opcode, std::move(f.payload)});
+      mem_delivered_.push_back({fc->tile(), f.opcode, std::move(f.payload)});
     }
   }
-  mem_->tick(cycle, delivered);
+  mem_->tick(cycle, mem_delivered_);
 }
 
 void CoSimulation::one_cycle() {
@@ -358,11 +340,10 @@ void CoSimulation::run_window(std::uint64_t w) {
   phase_seconds_.phase_a += lap();
   OBS_SPAN_AT(obs_, obs_track_, "phaseB", base + 1);
 
-  // Phase B: the kernel replays the w edges — sharded by tile on the pool
-  // when the partition allows it, serially otherwise; byte-identical
-  // either way. Around each edge the master performs the lockstep
-  // interleaving: fabric tick before, outbox flushes (domain order, then
-  // software) and the cycle hook after.
+  // Phase B: the kernel replays the w edges serially. Around each edge the
+  // master performs the lockstep interleaving: fabric tick before, outbox
+  // flushes (domain order, then software), memory timing and the cycle hook
+  // after.
   for (auto& hw : hw_domains_) hw->begin_replay();
 
   // Batch the boundary exchanges: instead of asking every domain at every
@@ -400,11 +381,7 @@ void CoSimulation::run_window(std::uint64_t w) {
     if (mem_) mem_tick(cycle_);
     if (cycle_hook_) cycle_hook_(cycle_);
   };
-  if (pool_ && sim_->has_replay_shards()) {
-    sim_->run_cycles_sharded(clk_, w, *pool_, before_edge, after_edge);
-  } else {
-    sim_->run_cycles(clk_, w, before_edge, after_edge);
-  }
+  sim_->run_cycles(clk_, w, before_edge, after_edge);
   phase_seconds_.phase_b += lap();
 }
 

@@ -36,20 +36,16 @@
 //                      state: frames come from the inbox, outbound frames
 //                      are staged cycle-stamped in an outbox, and kernel
 //                      wire writes are staged per edge;
-//   phase B (sharded)  the hwsim kernel replays the W edges. With more
-//                      than one hardware domain the replay itself shards
-//                      by tile (Simulator::run_cycles_sharded): each
-//                      domain's clocked process and alive/busy wires form
-//                      one shard, all shards replay their W edges
-//                      concurrently on the same pool, and a serial spine
-//                      merges the commits in (cycle, tile index,
-//                      intra-tile order) — the total order the serial
-//                      kernel produces — while ticking the fabric before
+//   phase B (serial)   the hwsim kernel replays the W edges through
+//                      Simulator::run_cycles, ticking the fabric before
 //                      each edge and flushing due outboxes (domain order,
-//                      then software) after it.
+//                      then software), the memory timing layer and the
+//                      cycle hook after it. Each domain re-issues only the
+//                      wire writes that change a value; the rest would
+//                      commit nothing, so the replay stays byte-identical.
 //
-// One pool handshake per window — per phase — instead of one per delta
-// cycle is the entire performance story; the deterministic merge is the
+// One pool handshake per window instead of one per delta cycle is the
+// entire performance story; replaying the edges in lockstep order is the
 // entire determinism story: traces, VCD, SimStats, Bus/FabricStats are
 // byte-identical to the serial master at every window size and thread
 // count. When L == 1 (zero-latency bus, or `window = 1`) the master is the
@@ -70,14 +66,11 @@
 #include "xtsoc/cosim/channel.hpp"
 #include "xtsoc/cosim/hwdomain.hpp"
 #include "xtsoc/cosim/swdomain.hpp"
+#include "xtsoc/mem/mem.hpp"
 #include "xtsoc/noc/fabric.hpp"
 
 namespace xtsoc::hwsim {
 class WorkerPool;
-}
-
-namespace xtsoc::mem {
-class System;
 }
 
 namespace xtsoc::cosim {
@@ -269,17 +262,18 @@ private:
   std::uint64_t cycle_ = 0;
   int lookahead_ = 1;
   int window_ = 1;
-  /// Window-level worker pool (windowed mode, threads > 1), shared by
-  /// phase A (domains) and phase B (replay shards). Capped at the useful
-  /// parallelism — domains + 1 — so extra threads never buy handshake
-  /// overhead. In lockstep the kernel owns the pool instead; the two are
-  /// never both active.
+  /// Window-level worker pool (windowed mode, threads > 1) running phase A.
+  /// Capped at the useful parallelism — domains + 1 — so extra threads
+  /// never buy handshake overhead. In lockstep the kernel owns the pool
+  /// instead; the two are never both active.
   std::unique_ptr<hwsim::WorkerPool> pool_;
   /// Per-window flush schedule: (cycle, domain tag) entries, one per
   /// distinct cycle a domain staged sends at, sorted by (cycle, tag). Tags
   /// 0..hw_domains-1 are the hardware domains, hw_domains is software —
   /// ascending tag order IS the serial flush order. Reused scratch.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> flush_sched_;
+  /// Coherence frames collected by mem_tick for one cycle. Reused scratch.
+  std::vector<mem::System::Incoming> mem_delivered_;
   PhaseSeconds phase_seconds_;
 
   // Observability (null members when no registry is attached).

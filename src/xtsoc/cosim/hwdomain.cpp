@@ -45,19 +45,30 @@ HwDomain::HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
       busy_wires_[cm.cls.value()] = sim.wire(1, 0, "hw." + name + ".busy");
     }
   }
-  process_ = sim.on_posedge(clk, [this](hwsim::Simulator&) { on_clock(); });
+  sim.on_posedge(clk, [this](hwsim::Simulator&) { on_clock(); });
 }
 
-std::vector<HwSignalId> HwDomain::kernel_wires() const {
-  std::vector<HwSignalId> out;
-  out.reserve(owned_.size() * 2);
-  for (ClassId cls : owned_) {
-    if (alive_wires_[cls.value()].is_valid()) {
-      out.push_back(alive_wires_[cls.value()]);
-      out.push_back(busy_wires_[cls.value()]);
-    }
+void HwDomain::set_windowed(bool on) {
+  windowed_ = on;
+  seed_staged();
+}
+
+void HwDomain::seed_staged() {
+  last_staged_.resize(2 * owned_.size());
+  for (std::size_t i = 0; i < owned_.size(); ++i) {
+    const ClassId cls = owned_[i];
+    last_staged_[2 * i] = sim_->read(alive_wires_[cls.value()]);
+    last_staged_[2 * i + 1] = sim_->read(busy_wires_[cls.value()]);
   }
-  return out;
+}
+
+void HwDomain::stage(std::size_t slot, HwSignalId w, std::uint64_t value) {
+  // This domain is the only writer of its wires, so the last value staged
+  // is what the kernel holds by the time this edge replays: re-issuing it
+  // would commit nothing, trigger nothing and leave every stat unchanged.
+  if (last_staged_[slot] == value) return;
+  last_staged_[slot] = value;
+  edge_writes_[window_edge_].push_back({w, value});
 }
 
 void HwDomain::pending_send_cycles(
@@ -83,11 +94,11 @@ HwSignalId HwDomain::busy_wire(ClassId cls) const {
 
 void HwDomain::on_clock() {
   if (windowed_) {
-    // Boundary replay: the per-cycle work already ran in run_window(); this
-    // edge's kernel writes were staged then. Re-issuing them through the
-    // real nba_write path, in staging order, makes the kernel see exactly
-    // the writes — and therefore produce exactly the deltas, commits and
-    // waveform bytes — that lockstep execution would have.
+    // Phase-B replay: the per-cycle work already ran in run_window(); this
+    // edge's value-changing kernel writes were staged then. Re-issuing them
+    // through the real nba_write path, in staging order, makes the kernel
+    // produce exactly the deltas, commits and waveform bytes that lockstep
+    // execution would have (the writes lockstep adds change nothing).
     const std::vector<KernelWrite>& writes = edge_writes_[replay_edge_++];
     for (const KernelWrite& kw : writes) sim_->nba_write(kw.w, kw.value);
     return;
@@ -154,19 +165,19 @@ void HwDomain::step_cycle() {
   }
 
   // Update the observability wires (visible to VCD like any RTL signal).
-  // In a window the writes are staged for the boundary replay instead of
-  // hitting the kernel now — the kernel is busy replaying an earlier window
-  // (or idle), not this cycle.
-  for (ClassId cls : owned_) {
+  // In a window the writes that change a value are staged for the phase-B
+  // replay instead of hitting the kernel now: the kernel reaches this
+  // cycle only in phase B.
+  for (std::size_t i = 0; i < owned_.size(); ++i) {
+    const ClassId cls = owned_[i];
     std::uint64_t alive = exec_.database().live_count(cls);
     bool busy = false;
     for (const runtime::InstanceHandle& h : served_) {
       if (h.cls == cls) busy = true;
     }
     if (windowed_) {
-      std::vector<KernelWrite>& writes = edge_writes_[window_edge_];
-      writes.push_back({alive_wires_[cls.value()], alive});
-      writes.push_back({busy_wires_[cls.value()], busy ? 1u : 0u});
+      stage(2 * i, alive_wires_[cls.value()], alive);
+      stage(2 * i + 1, busy_wires_[cls.value()], busy ? 1 : 0);
     } else {
       sim_->nba_write(alive_wires_[cls.value()], alive);
       sim_->nba_write(busy_wires_[cls.value()], busy ? 1 : 0);
@@ -249,6 +260,7 @@ void HwDomain::load_state(snap::Reader& r) {
   edge_writes_.clear();
   window_edge_ = 0;
   replay_edge_ = 0;
+  seed_staged();
 }
 
 }  // namespace xtsoc::cosim

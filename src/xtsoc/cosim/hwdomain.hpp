@@ -30,10 +30,11 @@
 //   * windowed (window = L > 1): the per-cycle body runs OUTSIDE the
 //     kernel, on a worker thread, for L consecutive cycles (run_window).
 //     Frames come from a pre-filled inbox instead of the shared channel,
-//     and kernel wire writes are staged per edge. The kernel's clocked
-//     process then merely REPLAYS the staged writes edge by edge
-//     (serially, at the window boundary), so SimStats, VCD and wire
-//     history stay byte-identical to lockstep.
+//     and kernel wire writes are staged per edge — only those that change
+//     a value, since this domain is the sole writer of its wires and an
+//     unchanged write commits nothing. The kernel's clocked process then
+//     merely REPLAYS the staged writes edge by edge (serially, in phase B),
+//     so SimStats, VCD and wire history stay byte-identical to lockstep.
 //
 // This is the executable twin of the VHDL text emitted by
 // codegen::generate_vhdl — same partition, same interface, same queueing.
@@ -84,8 +85,8 @@ public:
   // --- windowed execution (CoSimulation only) --------------------------------
 
   /// Switch the clocked process to replay mode: per-cycle work happens in
-  /// run_window(); on_clock only replays staged kernel writes.
-  void set_windowed(bool on) { windowed_ = on; }
+  /// run_window(); on_clock only replays staged kernel writes. Serial.
+  void set_windowed(bool on);
 
   /// Window boundary, serial: move every channel frame deliverable at or
   /// before `through_cycle` (the window's last cycle) into the inbox.
@@ -99,7 +100,7 @@ public:
   /// are staged cycle-stamped in the outbox.
   void run_window(std::uint64_t n);
 
-  /// Arm the boundary replay: the next `n` on_clock firings replay the
+  /// Arm the phase-B replay: the next `n` on_clock firings replay the
   /// staged writes of edges 0..n-1 in order.
   void begin_replay() { replay_edge_ = 0; }
 
@@ -115,14 +116,6 @@ public:
   void pending_send_cycles(
       std::uint32_t tag,
       std::vector<std::pair<std::uint64_t, std::uint32_t>>& out) const;
-
-  /// The kernel process driving this domain — exactly one clocked process
-  /// per domain, which is what makes the domain a replay shard.
-  ProcessId process_id() const { return process_; }
-
-  /// Every kernel wire this domain writes (the alive/busy pair per owned
-  /// hardware class): the wire-ownership set of this domain's replay shard.
-  std::vector<HwSignalId> kernel_wires() const;
 
   /// Observability wires created in the hwsim netlist, one pair per owned
   /// hardware class: `hw.<class>.alive` (live instance count, 16 bits) and
@@ -157,13 +150,19 @@ private:
   /// The per-cycle body shared by both modes: advance, latch due frames,
   /// dispatch one signal per instance, update observability wires.
   void step_cycle();
+  /// Windowed: stage `value` for wire `w` on the current edge unless it
+  /// equals the last value staged for that wire (`slot` into last_staged_).
+  void stage(std::size_t slot, HwSignalId w, std::uint64_t value);
+  /// Set last_staged_ to the kernel's current wire values. Serial only:
+  /// on entering windowed mode and after load_state (the master restores
+  /// the kernel before the domains) — workers never read the kernel.
+  void seed_staged();
 
   const mapping::MappedSystem* sys_;
   hwsim::Simulator* sim_;
   Channel* channel_;
   std::vector<ClassId> owned_;
   std::vector<char> owned_mask_;  // indexed by ClassId
-  ProcessId process_;             // this domain's clocked kernel process
   runtime::Executor exec_;
   std::uint64_t cycle_ = 0;
   /// Per-class clock divider from the clockDomain mark (index: ClassId).
@@ -187,6 +186,9 @@ private:
   std::vector<Frame> inbox_;  ///< due frames for the current window, in order
   /// Kernel writes staged per window edge; [k] holds edge k's writes.
   std::vector<std::vector<KernelWrite>> edge_writes_;
+  /// Last value staged per observability wire: [2i] alive, [2i+1] busy of
+  /// owned_[i]. Equal to the kernel's value once earlier edges replayed.
+  std::vector<std::uint64_t> last_staged_;
   std::size_t window_edge_ = 0;  ///< edge being executed by run_window
   std::size_t replay_edge_ = 0;  ///< edge being replayed by on_clock
 };

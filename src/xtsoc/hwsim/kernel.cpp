@@ -10,8 +10,6 @@ namespace xtsoc::hwsim {
 
 thread_local Simulator* Simulator::tls_sim_ = nullptr;
 thread_local Simulator::EvalSlot* Simulator::tls_slot_ = nullptr;
-thread_local Simulator* Simulator::tls_shard_sim_ = nullptr;
-thread_local Simulator::ReplayShard* Simulator::tls_shard_ = nullptr;
 
 Simulator::Simulator() = default;
 
@@ -81,13 +79,6 @@ void Simulator::add_clock(HwSignalId w, std::uint64_t half_period) {
 }
 
 std::uint64_t Simulator::read(HwSignalId w) const {
-  if (tls_shard_sim_ == this) {
-    // Sharded replay on a worker: the shard's own wires reflect its
-    // committed edges, every other wire is frozen at the window-boundary
-    // snapshot (legal within the lookahead bound — see run_cycles_sharded).
-    state(w);  // keep the invalid-id diagnostic of the serial path
-    return tls_shard_->values[w.value()];
-  }
   return state(w).value;
 }
 
@@ -101,20 +92,6 @@ void Simulator::apply_nba(HwSignalId w, std::uint64_t value) {
 }
 
 void Simulator::nba_write(HwSignalId w, std::uint64_t value) {
-  if (tls_shard_sim_ == this) {
-    // Sharded replay in flight on this thread: stage into the shard's
-    // buffer. Writing a wire another shard owns would race with that
-    // shard's snapshot, so it is a hard error, not a merge case.
-    const WireState& s = state(w);
-    ReplayShard& sh = *tls_shard_;
-    if (shard_of_wire_[w.value()] != sh.index) {
-      throw SimError("sharded replay: process of shard " +
-                     std::to_string(sh.index) + " wrote wire '" + s.name +
-                     "' it does not own");
-    }
-    sh.staged.push_back({w, value & s.mask});
-    return;
-  }
   if (tls_sim_ == this) {
     // Parallel batch evaluation in flight on this thread: stage into the
     // process's slot; the caller merges slots in batch order afterwards.
@@ -302,221 +279,6 @@ void Simulator::run_cycles(HwSignalId clock, std::uint64_t cycles,
     if (before_edge) before_edge(k);
     const std::uint64_t start = posedge_count(clock);
     while (posedge_count(clock) < start + 1) advance(half);
-    if (after_edge) after_edge(k);
-  }
-}
-
-void Simulator::set_replay_shards(HwSignalId clock,
-                                  std::vector<ShardPlan> shards) {
-  shards_.clear();
-  shard_of_wire_.assign(wires_.size(), -1);
-  replay_clock_ = HwSignalId::invalid();
-  if (shards.empty()) return;
-  const WireState& ck = state(clock);
-  if (!ck.sensitive.empty()) {
-    throw SimError("sharded replay: the clock has combinational listeners");
-  }
-  if (clocks_.size() != 1 || clocks_.front().w != clock) {
-    throw SimError(
-        "sharded replay requires exactly one clock generator, driving the "
-        "replay clock");
-  }
-  std::vector<char> covered(processes_.size(), 0);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    for (ProcessId p : shards[s].processes) {
-      if (!p.is_valid() || p.value() >= processes_.size()) {
-        throw SimError("sharded replay: invalid process id in shard plan");
-      }
-      const Process& proc = processes_[p.value()];
-      if (!proc.clocked || proc.clock != clock) {
-        throw SimError(
-            "sharded replay: shard process is not clocked on the replay "
-            "clock");
-      }
-      if (covered[p.value()] != 0) {
-        throw SimError("sharded replay: process assigned to two shards");
-      }
-      covered[p.value()] = 1;
-    }
-    for (HwSignalId w : shards[s].wires) {
-      const WireState& ws = state(w);
-      if (w == clock) {
-        throw SimError("sharded replay: the clock cannot be shard-owned");
-      }
-      if (!ws.sensitive.empty() || !ws.clocked.empty()) {
-        throw SimError("sharded replay: shard wire '" + ws.name +
-                       "' has listeners — a commit could leave the shard");
-      }
-      if (shard_of_wire_[w.value()] != -1) {
-        throw SimError("sharded replay: wire '" + ws.name +
-                       "' owned by two shards");
-      }
-      shard_of_wire_[w.value()] = static_cast<int>(s);
-    }
-  }
-  // Exact cover: replay runs ONLY shard processes, so a stray process
-  // (combinational, or clocked on another wire) would silently never run.
-  for (std::size_t i = 0; i < processes_.size(); ++i) {
-    if (covered[i] == 0) {
-      throw SimError("sharded replay: process not assigned to any shard");
-    }
-  }
-  shards_.reserve(shards.size());
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    ReplayShard sh;
-    sh.index = static_cast<int>(s);
-    sh.plan = std::move(shards[s]);
-    if (obs_ != nullptr) {
-      sh.track = obs_->track("kernel/shard" + std::to_string(s));
-    }
-    shards_.push_back(std::move(sh));
-  }
-  replay_clock_ = clock;
-}
-
-void Simulator::run_shard(ReplayShard& sh, std::uint64_t cycles) {
-  OBS_SPAN(obs_, sh.track, "replay");
-  // Window-boundary snapshot. Reading wires_[i].value here is race-free:
-  // every write to it happens on the spine, before the pool dispatched
-  // this job or after it joined.
-  sh.values.resize(wires_.size());
-  for (std::size_t i = 0; i < wires_.size(); ++i) {
-    sh.values[i] = wires_[i].value;
-  }
-  if (sh.seen.size() < wires_.size()) {
-    sh.seen.resize(wires_.size(), 0);
-    sh.pending.resize(wires_.size(), 0);
-  }
-  sh.changes.clear();
-  sh.edge_end.clear();
-  sh.error = nullptr;
-  tls_shard_sim_ = this;
-  tls_shard_ = &sh;
-  for (std::uint64_t k = 0; k < cycles; ++k) {
-    sh.staged.clear();
-    for (ProcessId p : sh.plan.processes) {
-      try {
-        processes_[p.value()].fn(*this);
-      } catch (...) {
-        // Keep the writes staged so far: like the serial batch, processes
-        // ahead of the faulting one have made their progress.
-        sh.error = std::current_exception();
-        sh.error_edge = k;
-        break;
-      }
-    }
-    // Fold the edge: first write of a wire fixes its commit position, the
-    // last write wins — the same outcome the serial commit list produces.
-    ++sh.fold_epoch;
-    const std::size_t first = sh.changes.size();
-    for (const StagedWrite& sw : sh.staged) {
-      const std::size_t idx = sw.w.value();
-      if (sh.seen[idx] != sh.fold_epoch) {
-        sh.seen[idx] = sh.fold_epoch;
-        sh.changes.push_back({sw.w, sw.value});
-      }
-      sh.pending[idx] = sw.value;
-    }
-    for (std::size_t i = first; i < sh.changes.size(); ++i) {
-      const std::size_t idx = sh.changes[i].w.value();
-      sh.changes[i].value = sh.pending[idx];
-      sh.values[idx] = sh.pending[idx];
-    }
-    sh.edge_end.push_back(sh.changes.size());
-    if (sh.error) break;
-  }
-  tls_shard_ = nullptr;
-  tls_shard_sim_ = nullptr;
-}
-
-void Simulator::run_cycles_sharded(
-    HwSignalId clock, std::uint64_t cycles, WorkerPool& pool,
-    const std::function<void(std::uint64_t)>& before_edge,
-    const std::function<void(std::uint64_t)>& after_edge) {
-  if (shards_.empty() || clock != replay_clock_ || !runnable_.empty() ||
-      !nba_pending_.empty()) {
-    // Not at a shardable quiet point (or not sharded at all): the serial
-    // form is byte-identical by contract, just slower.
-    run_cycles(clock, cycles, before_edge, after_edge);
-    return;
-  }
-  if (cycles == 0) return;
-  // The serial path's first advance() would run the initial settle; with
-  // nothing runnable that is a no-op, but the flag is checkpointed state
-  // and must flip exactly like the serial kernel's.
-  initial_settle_done_ = true;
-
-  // Parallel stage: all shards replay all edges concurrently. Each shard
-  // touches only its own ReplayShard state and its private snapshot; the
-  // pool's fork/join handshake publishes the results to the spine.
-  {
-    OBS_SPAN(obs_, obs_track_, "sharded_replay");
-    std::atomic<std::size_t> cursor{0};
-    const std::size_t n = shards_.size();
-    pool.run([this, &cursor, n, cycles] {
-      for (;;) {
-        std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) break;
-        run_shard(shards_[i], cycles);
-      }
-    });
-  }
-
-  // Serial spine: replay the clock toggles and merge each edge's commits
-  // in (shard index, intra-shard first-write order) — shard s's process
-  // registered before shard s+1's, so this is exactly the commit order the
-  // serial batch would have produced. Every stat/counter mutation below
-  // mirrors one the serial advance()/settle() pair performs for the same
-  // edge; the wire ownership rules make any interleaving difference
-  // unobservable (disjoint wires, no listeners).
-  ClockGen& gen = clocks_.front();
-  WireState& ck = state(clock);
-  const std::size_t nprocs = ck.clocked.size();
-  for (std::uint64_t k = 0; k < cycles; ++k) {
-    if (before_edge) before_edge(k);
-    if (ck.value == 1) {  // falling toggle (steady state enters clock-high)
-      now_ = gen.next_toggle;
-      ck.value = 0;
-      ++stats_.wire_commits;
-      gen.next_toggle = now_ + gen.half_period;
-    }
-    now_ = gen.next_toggle;  // rising toggle
-    ck.value = 1;
-    ++stats_.wire_commits;
-    ++ck.posedges;
-    gen.next_toggle = now_ + gen.half_period;
-    bool edge_failed = false;
-    if (nprocs > 0) {
-      // The one delta the serial settle() runs for this edge.
-      ++stats_.delta_cycles;
-      OBS_COUNT(c_delta_cycles_);
-      stats_.process_activations += nprocs;
-      OBS_COUNT_N(c_activations_, nprocs);
-      for (ReplayShard& sh : shards_) {
-        if (k >= sh.edge_end.size()) continue;  // shard stopped on error
-        const std::size_t begin = k == 0 ? 0 : sh.edge_end[k - 1];
-        for (std::size_t i = begin; i < sh.edge_end[k]; ++i) {
-          WireState& ws = state(sh.changes[i].w);
-          const std::uint64_t old = ws.value;
-          ws.value = sh.changes[i].value;
-          if (ws.value != old) {
-            ++stats_.wire_commits;
-            if (ws.width == 1 && old == 0 && ws.value == 1) ++ws.posedges;
-          }
-        }
-        if (sh.error && sh.error_edge == k) {
-          // Mirror the parallel batch's fault behaviour: commits of shards
-          // ahead of the faulting one stand, later shards' are discarded.
-          edge_failed = true;
-          break;
-        }
-      }
-    }
-    if (edge_failed) {
-      for (ReplayShard& sh : shards_) {
-        if (sh.error && sh.error_edge <= k) std::rethrow_exception(sh.error);
-      }
-    }
     if (after_edge) after_edge(k);
   }
 }

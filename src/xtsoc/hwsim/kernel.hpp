@@ -28,16 +28,12 @@
 // nba_write, and touch only state no other process shares (no poke, no
 // netlist mutation, no cross-process shared mutable state).
 //
-// Sharded window replay (set_replay_shards + run_cycles_sharded): the
-// second, coarser level of parallelism, used by the windowed co-simulation.
-// When the netlist partitions cleanly — every process clocked on one
-// clock, every written wire owned by exactly one shard, no listeners on
-// the owned wires — all shards evaluate their W edges concurrently on a
-// worker pool, each against a private window-boundary snapshot of the
-// wire values, and a serial spine then merges the per-edge commits in
-// (edge, shard index, intra-shard order). That is the same total order
-// the serial kernel produces, so stats, posedge counters, wire history
-// and checkpoints stay byte-identical at any shard/thread count.
+// Window replay: the windowed co-simulation runs each domain's per-cycle
+// body off the kernel and stages the wire writes that change a value; the
+// kernel then replays the window serially through run_cycles with
+// before/after-edge callbacks. A write that leaves a wire unchanged commits
+// nothing and triggers no process, so skipping it is unobservable: the
+// replay is byte-identical to lockstep.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +54,7 @@ class Reader;
 
 namespace xtsoc::hwsim {
 
-class WorkerPool;  // pool.hpp — shared with the cosim window scheduler
+class WorkerPool;  // pool.hpp
 
 /// Thrown on kernel-level faults: unstable combinational loop, bad wire id.
 class SimError : public std::runtime_error {
@@ -70,17 +66,6 @@ struct SimStats {
   std::uint64_t delta_cycles = 0;
   std::uint64_t process_activations = 0;
   std::uint64_t wire_commits = 0;
-};
-
-/// One shard of a sharded window replay: a slice of the netlist owned by
-/// one worker. `processes` are clocked processes of the replay clock,
-/// evaluated in this order every edge; `wires` are the wires those
-/// processes write — exclusive property of this shard for the whole
-/// window, and required to have no combinational or clocked listeners
-/// (so a commit can never schedule work outside the shard).
-struct ShardPlan {
-  std::vector<ProcessId> processes;
-  std::vector<HwSignalId> wires;
 };
 
 struct SimConfig {
@@ -163,33 +148,6 @@ public:
                   const std::function<void(std::uint64_t)>& before_edge,
                   const std::function<void(std::uint64_t)>& after_edge);
 
-  /// Install (or, with an empty vector, remove) the shard partition for
-  /// run_cycles_sharded. Validates the structural preconditions and throws
-  /// SimError on any violation: every process must be clocked on `clock`
-  /// and belong to exactly one shard; shard wires must be pairwise
-  /// disjoint, must not be the clock, and must have no sensitive or
-  /// clocked listeners; exactly one clock generator may exist and it must
-  /// drive `clock`. Call after the netlist is fully elaborated.
-  void set_replay_shards(HwSignalId clock, std::vector<ShardPlan> shards);
-  bool has_replay_shards() const { return !shards_.empty(); }
-
-  /// Sharded form of the windowed run_cycles: evaluates every shard's
-  /// processes for all `cycles` edges concurrently on `pool`, then merges
-  /// the per-edge commits serially in (edge, shard index, intra-shard
-  /// first-write order) while running `before_edge`/`after_edge` around
-  /// each edge. During shard evaluation a process reads its own shard's
-  /// wires as of the previous edge and every other wire as of the window
-  /// boundary — the conservative-lookahead legality argument is the
-  /// caller's (a window never exceeds the interconnect lookahead L), the
-  /// byte-identity to run_cycles(clock, cycles, before, after) is this
-  /// kernel's. A write to a wire the process's shard does not own throws
-  /// SimError. Falls back to the serial form when no shards are installed
-  /// or the kernel is not at a quiet point.
-  void run_cycles_sharded(HwSignalId clock, std::uint64_t cycles,
-                          WorkerPool& pool,
-                          const std::function<void(std::uint64_t)>& before_edge,
-                          const std::function<void(std::uint64_t)>& after_edge);
-
   std::uint64_t now() const { return now_; }
   std::uint64_t posedge_count(HwSignalId clock) const;
   const SimStats& stats() const { return stats_; }
@@ -243,35 +201,6 @@ private:
     std::exception_ptr error;
   };
 
-  /// One folded commit of a sharded window replay: wire + final (last
-  /// write wins) value, recorded in first-write order per edge.
-  struct ShardChange {
-    HwSignalId w;
-    std::uint64_t value;
-  };
-
-  /// Runtime state of one replay shard. The worker that evaluates the
-  /// shard owns everything here for the duration of run_cycles_sharded's
-  /// parallel stage; the serial spine reads it afterwards (the pool's
-  /// fork/join handshake provides the happens-before edges both ways).
-  struct ReplayShard {
-    int index = 0;
-    ShardPlan plan;
-    obs::TrackId track;  ///< per-shard span attribution ("kernel/shardN")
-    /// Private window-boundary snapshot of every wire value; entries for
-    /// shard-owned wires advance as the shard commits its own edges, all
-    /// others stay frozen for the whole window.
-    std::vector<std::uint64_t> values;
-    std::vector<StagedWrite> staged;    ///< current edge's raw writes
-    std::vector<ShardChange> changes;   ///< folded commits, all edges flat
-    std::vector<std::size_t> edge_end;  ///< changes.size() after edge k
-    std::vector<std::uint64_t> seen;    ///< per-wire fold stamps
-    std::uint64_t fold_epoch = 0;
-    std::vector<std::uint64_t> pending;  ///< per-wire last staged value
-    std::exception_ptr error;
-    std::uint64_t error_edge = 0;
-  };
-
   WireState& state(HwSignalId w);
   const WireState& state(HwSignalId w) const;
   void mark_changed(HwSignalId w, std::uint64_t old_value);
@@ -279,10 +208,6 @@ private:
   /// the commit list. Also the replay step of the parallel merge.
   void apply_nba(HwSignalId w, std::uint64_t value);
   void eval_batch_parallel();
-  /// Evaluate one shard's processes for `cycles` edges against its private
-  /// snapshot, folding each edge's writes into a commit list (worker side
-  /// of run_cycles_sharded).
-  void run_shard(ReplayShard& shard, std::uint64_t cycles);
 
   SimConfig config_;
   std::unique_ptr<WorkerPool> pool_;
@@ -310,20 +235,10 @@ private:
   std::vector<HwSignalId> commit_buf_;     ///< pending writes being committed
   std::vector<EvalSlot> slots_;            ///< parallel staging, per batch slot
 
-  // Sharded window replay (empty/invalid unless set_replay_shards ran).
-  HwSignalId replay_clock_ = HwSignalId::invalid();
-  std::vector<ReplayShard> shards_;
-  std::vector<int> shard_of_wire_;  ///< wire index -> owning shard, -1 none
-
   /// Set while THIS simulator evaluates a batch in parallel on the current
   /// thread; routes nba_write into the active slot.
   static thread_local Simulator* tls_sim_;
   static thread_local EvalSlot* tls_slot_;
-  /// Set while THIS simulator evaluates a replay shard on the current
-  /// thread; routes nba_write into the shard's staging buffer and read()
-  /// onto the shard's snapshot.
-  static thread_local Simulator* tls_shard_sim_;
-  static thread_local ReplayShard* tls_shard_;
 };
 
 }  // namespace xtsoc::hwsim

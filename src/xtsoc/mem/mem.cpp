@@ -77,8 +77,11 @@ void System::write(int tag, std::uint64_t cycle, std::int64_t addr,
 void System::append_visible(std::uint64_t horizon) {
   // Collect every buffered store that becomes visible within the horizon,
   // across all domains, and append them to the log in the one global order
-  // that every threads x window configuration agrees on.
-  std::vector<std::pair<int, StoreRec>> batch;
+  // that every threads x window configuration agrees on. (tag, seq) is
+  // unique per store, so the sort key is total and an unstable sort gives
+  // that same order without a temporary buffer.
+  std::vector<std::pair<int, StoreRec>>& batch = visible_batch_;
+  batch.clear();
   for (int tag = 0; tag < static_cast<int>(domains_.size()); ++tag) {
     auto& buf = domains_[static_cast<std::size_t>(tag)].store_buf;
     std::size_t n = 0;
@@ -86,13 +89,12 @@ void System::append_visible(std::uint64_t horizon) {
     for (std::size_t i = 0; i < n; ++i) batch.emplace_back(tag, buf[i]);
     buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(n));
   }
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const auto& a, const auto& b) {
-                     if (a.second.vis != b.second.vis)
-                       return a.second.vis < b.second.vis;
-                     if (a.first != b.first) return a.first < b.first;
-                     return a.second.seq < b.second.seq;
-                   });
+  if (batch.empty()) return;
+  std::sort(batch.begin(), batch.end(), [](const auto& a, const auto& b) {
+    if (a.second.vis != b.second.vis) return a.second.vis < b.second.vis;
+    if (a.first != b.first) return a.first < b.first;
+    return a.second.seq < b.second.seq;
+  });
   for (const auto& [tag, s] : batch) {
     log_[s.addr].push_back(Version{s.value, s.vis, tag, s.seq});
   }

@@ -38,6 +38,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "xtsoc/mem/wire.hpp"
@@ -265,6 +266,8 @@ private:
 
   std::vector<Domain> domains_;              // by tag
   std::vector<std::unique_ptr<Port>> ports_; // by tag
+  /// append_visible's (tag, store) batch. Reused scratch.
+  std::vector<std::pair<int, StoreRec>> visible_batch_;
   std::map<int, int> tag_of_tile_;
 
   std::map<std::int64_t, std::vector<Version>> log_;  ///< addr -> versions

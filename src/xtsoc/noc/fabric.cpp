@@ -429,11 +429,8 @@ void Fabric::tick(std::uint64_t cycle) {
   //    FIFOs and credit counters); freed buffer slots are returned as
   //    credits only after every router has moved, so the order routers are
   //    visited in cannot change the outcome.
-  struct CreditReturn {
-    int router;
-    Port input;  ///< the input FIFO a flit left
-  };
-  std::vector<CreditReturn> returns;
+  std::vector<CreditReturn>& returns = credit_returns_;
+  returns.clear();
   for (int t = 0; t < tiles(); ++t) {
     Router& r = routers_[static_cast<std::size_t>(t)];
     // Idle-router fast path. On a big mesh most routers hold no flits on
@@ -551,18 +548,21 @@ void Fabric::tick(std::uint64_t cycle) {
 std::vector<Delivery> Fabric::pop_due(int tile, std::uint64_t cycle) {
   check_tile(tile, "pop_due");
   Nic& nic = nics_[static_cast<std::size_t>(tile)];
-  // Deliveries may carry heterogeneous generate-delays, so scan everything
-  // but keep the survivors' relative order (same contract as Bus::pop_due).
   std::vector<Delivery> due;
-  std::vector<Delivery> keep;
-  for (Delivery& d : nic.ready) {
-    if (d.due_cycle <= cycle) {
-      due.push_back(std::move(d));
+  if (nic.ready.empty()) return due;  // the common case: nothing arrived
+  // Deliveries may carry heterogeneous generate-delays, so scan everything
+  // but keep the survivors' relative order (same contract as Bus::pop_due),
+  // compacting them in place.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < nic.ready.size(); ++i) {
+    if (nic.ready[i].due_cycle <= cycle) {
+      due.push_back(std::move(nic.ready[i]));
     } else {
-      keep.push_back(std::move(d));
+      if (kept != i) nic.ready[kept] = std::move(nic.ready[i]);
+      ++kept;
     }
   }
-  nic.ready.swap(keep);
+  nic.ready.resize(kept);
   return due;
 }
 

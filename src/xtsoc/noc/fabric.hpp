@@ -237,6 +237,12 @@ private:
     std::uint32_t frame_id = 0;
   };
 
+  /// A freed input-FIFO slot whose credit returns at the end of the tick.
+  struct CreditReturn {
+    int router;
+    Port input;  ///< the input FIFO a flit left
+  };
+
   /// A flit in flight on a link, due to enter `router`'s `port` FIFO.
   struct Arrival {
     std::uint64_t cycle;
@@ -279,6 +285,7 @@ private:
   /// Directed links, plus (tile, dir) -> index into links_.
   std::vector<LinkStats> links_;
   std::vector<int> link_index_;  ///< [tile * kPortCount + dir], -1 if edge
+  std::vector<CreditReturn> credit_returns_;  ///< tick() scratch, reused
 
   // Fault state. fault_armed_ is the one test the hot path pays when no
   // NoC fault rate is configured.

@@ -95,18 +95,17 @@ bool Server::acquire_executor() {
   std::unique_lock<std::mutex> lk(exec_mu_, std::try_to_lock);
   if (lk.owns_lock()) {
     lk.release();  // handed to release_executor()
-    return true;
-  }
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    if (exec_waiters_ >= config_.max_queue) return false;
-    ++exec_waiters_;
-  }
-  exec_mu_.lock();
-  {
+  } else {
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      if (exec_waiters_ >= config_.max_queue) return false;
+      ++exec_waiters_;
+    }
+    exec_mu_.lock();
     std::lock_guard<std::mutex> g(mu_);
     --exec_waiters_;
   }
+  if (admission_hook_) admission_hook_();
   return true;
 }
 

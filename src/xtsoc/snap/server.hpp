@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -111,6 +112,14 @@ public:
   /// True once a "shutdown" request was accepted (the daemon's exit cue).
   bool shutdown_requested() const;
 
+  /// Test hook: runs on a request's thread right after it is admitted to
+  /// the executor, before any work. A hook that blocks keeps the executor
+  /// held, so a test can meet a busy server without racing threads. Set it
+  /// before requests start; empty (default) does nothing.
+  void set_admission_hook(std::function<void()> hook) {
+    admission_hook_ = std::move(hook);
+  }
+
   ServerStatsSnapshot stats() const;
   /// The "server" obs report section: config + the counters above.
   obs::JsonValue stats_json() const;
@@ -146,6 +155,7 @@ private:
 
   std::mutex exec_mu_;  ///< serializes pool use across sessions
   int exec_waiters_ = 0;
+  std::function<void()> admission_hook_;
   std::unique_ptr<hwsim::WorkerPool> pool_;
 
   // Listener state.

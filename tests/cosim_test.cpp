@@ -790,18 +790,16 @@ TEST(CoSimWindowed, RunOvershootsQuiescenceByLessThanOneWindow) {
   EXPECT_LT(windowed, exact + 8);  // overshoot < one full window
 }
 
-// --- sharded replay determinism ------------------------------------------------
+// --- windowed mesh grids -----------------------------------------------------
 //
-// With a worker pool and more than one hardware domain, phase B of a
-// window no longer replays the staged kernel writes serially: the kernel
-// replays per-tile shards concurrently (Simulator::run_cycles_sharded) and
-// the serial spine merges them edge by edge at the window boundary. The
-// grids below drive a generic W x H mesh — one self-ticking FSM per
-// hardware tile, the software CPU on tile 0 — through threads {1,2,8} x
-// window {1,2,auto=L} x faults {off,on} and require every observable byte
-// (traces, VCD, cycle count, SimStats, fabric and fault statistics, final
-// attributes) to equal the serial lockstep baseline. 97 total cycles in
-// chunks of 61+36, so no chunk is a multiple of any window size.
+// Phase A runs every tile's domain on the pool; phase B replays only the
+// kernel writes that change a wire. The grids below drive a generic W x H
+// mesh — one self-ticking FSM per hardware tile, the software CPU on
+// tile 0 — through threads {1,2,8} x window {1,2,auto=L} x faults {off,on}
+// and require every observable byte (traces, VCD, cycle count, SimStats,
+// fabric and fault statistics, final attributes) to equal the serial
+// lockstep baseline. 97 total cycles in chunks of 61+36, so no chunk is a
+// multiple of any window size.
 
 std::unique_ptr<xtuml::Domain> make_grid_domain(int nodes) {
   using xtuml::DataType;
@@ -861,13 +859,12 @@ fault::FaultSpec grid_noisy_spec() {
 }
 
 /// WindowedRun plus the fault layer's own statistics rendered to text.
-struct ShardedRun {
+struct GridRun {
   WindowedRun w;
   std::string fault_stats;
-  bool sharded = false;  ///< the kernel actually had replay shards set
 };
 
-ShardedRun run_grid_mesh(MappedFixture& fx, int nodes, int threads,
+GridRun run_grid_mesh(MappedFixture& fx, int nodes, int threads,
                          int window, bool faults) {
   fault::Plan plan(faults ? grid_noisy_spec() : fault::FaultSpec{});
   CoSimConfig cfg;
@@ -890,7 +887,7 @@ ShardedRun run_grid_mesh(MappedFixture& fx, int nodes, int threads,
   cosim.run_cycles(61);
   cosim.run_cycles(36);
 
-  ShardedRun r;
+  GridRun r;
   for (const auto& hw : cosim.hw_domains()) {
     r.w.base.hw_traces += hw->executor().trace().to_string();
   }
@@ -915,11 +912,10 @@ ShardedRun run_grid_mesh(MappedFixture& fx, int nodes, int threads,
                   std::to_string(fs.frames_lost);
   r.w.lookahead = cosim.lookahead();
   r.w.window = cosim.window();
-  r.sharded = cosim.hw_sim().has_replay_shards();
   return r;
 }
 
-void expect_sharded_identical(const ShardedRun& par, const ShardedRun& serial) {
+void expect_grid_identical(const GridRun& par, const GridRun& serial) {
   EXPECT_EQ(par.w.base.hw_traces, serial.w.base.hw_traces);
   EXPECT_EQ(par.w.base.sw_trace, serial.w.base.sw_trace);
   EXPECT_EQ(par.w.base.vcd, serial.w.base.vcd);
@@ -935,14 +931,13 @@ void expect_sharded_identical(const ShardedRun& par, const ShardedRun& serial) {
   EXPECT_EQ(par.fault_stats, serial.fault_stats);
 }
 
-void run_sharded_grid(int width, int height) {
+void run_windowed_grid(int width, int height) {
   const int nodes = width * height - 1;
   MappedFixture fx(make_grid_domain(nodes), grid_mesh_marks(width, height));
   for (bool faults : {false, true}) {
-    ShardedRun serial = run_grid_mesh(fx, nodes, /*threads=*/1, /*window=*/1,
+    GridRun serial = run_grid_mesh(fx, nodes, /*threads=*/1, /*window=*/1,
                                       faults);
     EXPECT_EQ(serial.w.lookahead, 4);
-    EXPECT_FALSE(serial.sharded);
     EXPECT_FALSE(serial.w.base.hw_traces.empty());
     for (int threads : {1, 2, 8}) {
       for (int window : {1, 2, 0}) {
@@ -952,20 +947,17 @@ void run_sharded_grid(int width, int height) {
                      " threads=" + std::to_string(threads) +
                      " window=" + std::to_string(window) +
                      " faults=" + (faults ? "on" : "off"));
-        ShardedRun par = run_grid_mesh(fx, nodes, threads, window, faults);
+        GridRun par = run_grid_mesh(fx, nodes, threads, window, faults);
         EXPECT_EQ(par.w.window, window == 0 ? 4 : window);
-        // The cells this grid exists for: pool + multiple tiles + window
-        // means the kernel replay really ran sharded.
-        EXPECT_EQ(par.sharded, threads > 1 && par.w.window > 1 && nodes > 1);
-        expect_sharded_identical(par, serial);
+        expect_grid_identical(par, serial);
       }
     }
   }
 }
 
-TEST(CoSimSharded, Mesh2x2ByteIdenticalGrid) { run_sharded_grid(2, 2); }
+TEST(CoSimWindowed, Mesh2x2ByteIdenticalGrid) { run_windowed_grid(2, 2); }
 
-TEST(CoSimSharded, Mesh8x8ByteIdenticalGrid) { run_sharded_grid(8, 8); }
+TEST(CoSimWindowed, Mesh8x8ByteIdenticalGrid) { run_windowed_grid(8, 8); }
 
 }  // namespace
 }  // namespace xtsoc::cosim

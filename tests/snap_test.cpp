@@ -4,7 +4,7 @@
 //   * the determinism grid: save at cycle N, restore into a FRESH
 //     elaboration, continue to M — traces, VCD, stats and report() are
 //     byte-identical to the uninterrupted run, at threads 1/2/8 x window
-//     0/1/L x faults on/off;
+//     0/1/L x faults on/off, plus a windowed 8x8 mesh saved mid-window;
 //   * a snapshot is config-portable: saved under one (threads, window)
 //     configuration, it restores under any other and still reproduces the
 //     serial run byte for byte;
@@ -50,15 +50,14 @@ using xtuml::ScalarValue;
 
 // --- workload ------------------------------------------------------------------
 
-/// A self-sustaining 2x2-mesh ring: three hardware nodes ping-ponging
-/// forever (each tick re-arms itself), so there is traffic in flight at
-/// every candidate checkpoint cycle.
-std::unique_ptr<xtuml::Domain> make_ring_domain() {
+/// A self-sustaining ring of hardware nodes ping-ponging forever (each
+/// tick re-arms itself), so there is traffic in flight at every candidate
+/// checkpoint cycle. The stock ring has three nodes on a 2x2 mesh.
+std::unique_ptr<xtuml::Domain> make_ring_domain(int nodes = 3) {
   xtuml::DomainBuilder b("Ring");
-  constexpr int kNodes = 3;
-  for (int i = 0; i < kNodes; ++i) b.cls("Node" + std::to_string(i));
-  for (int i = 0; i < kNodes; ++i) {
-    std::string peer = "Node" + std::to_string((i + 1) % kNodes);
+  for (int i = 0; i < nodes; ++i) b.cls("Node" + std::to_string(i));
+  for (int i = 0; i < nodes; ++i) {
+    std::string peer = "Node" + std::to_string((i + 1) % nodes);
     b.edit("Node" + std::to_string(i))
         .attr("acc", DataType::kInt)
         .attr("pings", DataType::kInt)
@@ -98,19 +97,41 @@ marks::MarkSet ring_marks() {
   return m;
 }
 
+/// The ring on a full 8x8 mesh: 63 nodes, one per tile after the CPU's,
+/// with a 4-cycle link so the window opens to L = 4. Every odd node runs at
+/// half rate (clockDomain 2), so its busy wire toggles every cycle and a
+/// stale changed-only replay shows in the VCD and in wire_commits.
+marks::MarkSet mesh8x8_marks() {
+  marks::MarkSet m;
+  for (int i = 0; i < 63; ++i) {
+    std::string cls = "Node" + std::to_string(i);
+    m.mark_hardware(cls);
+    m.set_class_mark(cls, marks::kTileX,
+                     ScalarValue(std::int64_t{(i + 1) % 8}));
+    m.set_class_mark(cls, marks::kTileY,
+                     ScalarValue(std::int64_t{(i + 1) / 8}));
+    if (i % 2 == 1) {
+      m.set_class_mark(cls, marks::kClockDomain, ScalarValue(std::int64_t{2}));
+    }
+  }
+  m.set_domain_mark(marks::kMeshWidth, ScalarValue(std::int64_t{8}));
+  m.set_domain_mark(marks::kMeshHeight, ScalarValue(std::int64_t{8}));
+  m.set_domain_mark(marks::kLinkLatency, ScalarValue(std::int64_t{4}));
+  return m;
+}
+
 /// Create the ring population and kick every node once.
-void boot_ring(CoSimulation& cs) {
-  constexpr int kNodes = 3;
+void boot_ring(CoSimulation& cs, int nodes = 3) {
   std::vector<runtime::InstanceHandle> h;
-  for (int i = 0; i < kNodes; ++i) {
+  for (int i = 0; i < nodes; ++i) {
     h.push_back(cs.create("Node" + std::to_string(i)));
   }
-  for (int i = 0; i < kNodes; ++i) {
+  for (int i = 0; i < nodes; ++i) {
     // peer is the third declared attribute (acc, pings, peer).
     cs.executor_of(h[static_cast<std::size_t>(i)].cls)
         .database()
         .set_attr(h[static_cast<std::size_t>(i)], AttributeId(2),
-                  Value(h[static_cast<std::size_t>((i + 1) % kNodes)]));
+                  Value(h[static_cast<std::size_t>((i + 1) % nodes)]));
     cs.inject(h[static_cast<std::size_t>(i)], "tick");
   }
 }
@@ -164,12 +185,23 @@ void expect_identical(const Tail& a, const Tail& b, const std::string& what) {
 constexpr std::uint64_t kSaveAt = 300;
 constexpr std::uint64_t kContinue = 400;
 
+/// The grid's workloads: the stock 2x2 ring, or the windowed 8x8 mesh
+/// saved at cycle 62 — inside a window of L = 4 — and continued 36 cycles.
+enum class Shape { kRing2x2, kMesh8x8 };
+
 /// One grid cell: straight-through vs save-at-N + restore-into-fresh.
-void grid_case(int threads, int window, bool faults) {
+void grid_case(int threads, int window, bool faults,
+               Shape shape = Shape::kRing2x2) {
+  const bool mesh = shape == Shape::kMesh8x8;
   const std::string what = "threads=" + std::to_string(threads) +
                            " window=" + std::to_string(window) +
-                           " faults=" + (faults ? "on" : "off");
-  MappedFixture fx(make_ring_domain(), ring_marks());
+                           " faults=" + (faults ? "on" : "off") +
+                           (mesh ? " mesh=8x8" : "");
+  const int nodes = mesh ? 63 : 3;
+  const std::uint64_t save_at = mesh ? 62 : kSaveAt;
+  const std::uint64_t more = mesh ? 36 : kContinue;
+  MappedFixture fx(make_ring_domain(nodes),
+                   mesh ? mesh8x8_marks() : ring_marks());
   CoSimConfig cfg;
   cfg.threads = threads;
   cfg.window = window;
@@ -177,20 +209,20 @@ void grid_case(int threads, int window, bool faults) {
   fault::Plan plan_a(faults ? noisy_spec() : fault::FaultSpec{});
   cfg.fault = faults ? &plan_a : nullptr;
   CoSimulation a(*fx.system, cfg);
-  boot_ring(a);
-  a.run_cycles(kSaveAt);
+  boot_ring(a, nodes);
+  a.run_cycles(save_at);
   const std::vector<std::uint8_t> bytes = save(a, cfg.fault, nullptr);
-  Tail ta = run_tail(a, kContinue);
+  Tail ta = run_tail(a, more);
 
   fault::Plan plan_b(faults ? noisy_spec() : fault::FaultSpec{});
   cfg.fault = faults ? &plan_b : nullptr;
   CoSimulation b(*fx.system, cfg);  // fresh elaboration, no boot: state loads
   const SnapshotInfo info =
       restore(b, bytes.data(), bytes.size(), cfg.fault, nullptr);
-  EXPECT_EQ(info.cycle, kSaveAt) << what;
+  EXPECT_EQ(info.cycle, save_at) << what;
   EXPECT_EQ(info.version, kSnapVersion) << what;
   EXPECT_EQ(info.has_fault_streams, faults) << what;
-  Tail tb = run_tail(b, kContinue);
+  Tail tb = run_tail(b, more);
 
   expect_identical(ta, tb, what);
 }
@@ -211,6 +243,13 @@ TEST(SnapGrid, FaultsThreads2Window0) { grid_case(2, 0, true); }
 TEST(SnapGrid, FaultsThreads2WindowL) { grid_case(2, 4, true); }
 TEST(SnapGrid, FaultsThreads8Window1) { grid_case(8, 1, true); }
 TEST(SnapGrid, FaultsThreads8WindowL) { grid_case(8, 4, true); }
+// The windowed replay re-issues only wire writes that change a value, so
+// a restore must re-seed each domain's last-staged values from the
+// restored kernel; a stale seed drops a busy 1 -> 0 write on cycle 63,
+// which the VCD and the report's SimStats::wire_commits both show.
+TEST(SnapGrid, Mesh8x8Threads2WindowL) {
+  grid_case(2, 4, false, Shape::kMesh8x8);
+}
 
 // A snapshot is engine-portable: the saved bytes record model state, not
 // execution machinery, so a run saved under the bytecode VM restores into
@@ -313,25 +352,24 @@ TEST(SnapGrid, SnapshotPortsAcrossConfigurations) {
   }
 }
 
-// The reverse port: saved under the sharded parallel scheduler (threads=8,
-// window=auto, so phase B replays per-tile kernel shards concurrently),
-// restored serial and at another thread count. The kernel's shard
-// structure is construction-time configuration, not snapshot state — the
-// 'H' section layout is identical either way — so a sharded run's
-// snapshot must be interchangeable with a serial one, byte for byte.
-TEST(SnapGrid, ShardedSnapshotPortsAcrossThreadCounts) {
+// The reverse port: saved under the parallel windowed scheduler
+// (threads=8, window=auto), restored serial and at another thread count.
+// The schedule is construction-time configuration, not snapshot state, so
+// a parallel run's snapshot must be interchangeable with a serial one,
+// byte for byte.
+TEST(SnapGrid, WindowedSnapshotPortsAcrossThreadCounts) {
   // The stock ring has a 1-cycle link (lookahead 1, forced lockstep); give
-  // it a 4-cycle link so window=0 really opens a window and shards.
+  // it a 4-cycle link so window=0 really opens a window.
   marks::MarkSet m = ring_marks();
   m.set_domain_mark(marks::kLinkLatency, ScalarValue(std::int64_t{4}));
   MappedFixture fx(make_ring_domain(), std::move(m));
   fault::Plan plan_a(noisy_spec());
-  CoSimConfig sharded;
-  sharded.threads = 8;
-  sharded.window = 0;
-  sharded.fault = &plan_a;
-  CoSimulation a(*fx.system, sharded);
-  EXPECT_TRUE(a.hw_sim().has_replay_shards());
+  CoSimConfig windowed;
+  windowed.threads = 8;
+  windowed.window = 0;
+  windowed.fault = &plan_a;
+  CoSimulation a(*fx.system, windowed);
+  EXPECT_EQ(a.window(), 4);
   boot_ring(a);
   a.run_cycles(kSaveAt);
   const std::vector<std::uint8_t> bytes = save(a, &plan_a, nullptr);

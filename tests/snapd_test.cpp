@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -290,30 +291,40 @@ TEST(SnapServer, BoundedQueueRejectsWhenBusy) {
   Server server(cfg);
   load_ring(server);
 
-  std::atomic<bool> done{false};
-  std::thread long_request([&] {
-    // A fat cold campaign holds the executor for a while.
-    obs::JsonValue r = req({{"op", "campaign"},
-                            {"model", "ring"},
-                            {"faults", faults_text()},
-                            {"runs", 8},
-                            {"run_cycles", 4000}});
-    server.handle_request(r, "worker");
-    done.store(true);
-  });
-  bool saw_busy = false;
-  while (!done.load()) {
-    obs::JsonValue r = server.handle_request(
-        req({{"op", "run"}, {"model", "ring"}, {"cycles", 1}}), "prober");
-    if (!ok(r) && error_of(r).find("busy") != std::string::npos) {
-      saw_busy = true;
-      break;
+  // The campaign holds the executor inside the admission hook until the
+  // probe has been answered, so the probe meets a busy server whichever
+  // thread the scheduler happens to run first.
+  std::promise<void> admitted;
+  std::future<void> campaign_admitted = admitted.get_future();
+  std::promise<void> probed;
+  std::shared_future<void> probe_answered = probed.get_future().share();
+  std::atomic<int> admissions{0};
+  server.set_admission_hook([&] {
+    if (admissions.fetch_add(1) == 0) {
+      admitted.set_value();
+      probe_answered.wait();
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  });
+  obs::JsonValue campaign;
+  std::thread long_request([&] {
+    campaign = server.handle_request(req({{"op", "campaign"},
+                                          {"model", "ring"},
+                                          {"faults", faults_text()},
+                                          {"runs", 2},
+                                          {"run_cycles", 64}}),
+                                     "worker");
+  });
+  campaign_admitted.wait();
+  obs::JsonValue probe = server.handle_request(
+      req({{"op", "run"}, {"model", "ring"}, {"cycles", 1}}), "prober");
+  probed.set_value();
   long_request.join();
-  EXPECT_TRUE(saw_busy);
+
+  const bool saw_busy =
+      !ok(probe) && error_of(probe).find("busy") != std::string::npos;
+  EXPECT_TRUE(saw_busy) << probe.dump(2);
   EXPECT_GE(server.stats().rejected_busy, 1u);
+  EXPECT_TRUE(ok(campaign)) << error_of(campaign);
 }
 
 // --- stats section -------------------------------------------------------------
