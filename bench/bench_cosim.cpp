@@ -21,6 +21,7 @@
 
 #include "bench_json.hpp"
 #include "models.hpp"
+#include "overhead.hpp"
 #include "xtsoc/hwsim/components.hpp"
 #include "xtsoc/jit/jit.hpp"
 #include "xtsoc/obs/registry.hpp"
@@ -343,55 +344,34 @@ void emit_json() {
     // Observability residue. With no registry every probe is a dead null
     // test; with a registry attached but tracing off, counters count and
     // spans skip. The CI benchmarks job gates obs_disabled_overhead_pct
-    // <= 2 — a sub-2% contract, which is BELOW the bias a single heap
-    // layout can introduce: one long-lived measurement once reported the
-    // counted cosim 6% FASTER than the bare one, purely from allocation
-    // order. So the measurement repeats over kRounds rounds, each round
-    // constructing all three cosims FRESH in a rotated order (layout luck
-    // lands on a different side every round), timing tightly alternating
-    // 500-cycle slices and keeping each side's minimum (the robust
-    // estimator for "the cost of the code itself"). The reported overhead
-    // is the MEDIAN across rounds, which a single lucky/unlucky layout
-    // cannot move.
+    // <= 2; bench/overhead.hpp explains how the probe stays below that.
     constexpr int kNodes = 4 * 4 - 1;
-    constexpr int kRounds = 5;
-    constexpr int kSlices = 12;
-    std::vector<double> disabled_pct, tracing_pct;
-    for (int round = 0; round < kRounds; ++round) {
-      obs::Registry counting;
-      obs::Registry tracing;
-      tracing.enable_tracing();
-      obs::Registry* regs[3] = {nullptr, &counting, &tracing};
-      std::unique_ptr<core::Project> proj[3];
-      std::unique_ptr<cosim::CoSimulation> cs[3];
-      for (int j = 0; j < 3; ++j) {
-        const int which = (round + j) % 3;  // rotate construction order
-        proj[which] =
-            bench::make_project(make_mesh_soc(kNodes), mesh_marks(4, 4));
-        cs[which] = make_mesh_cosim(*proj[which], kNodes, 1, regs[which]);
-      }
-      for (auto& c : cs) c->run_cycles(200);  // warm-up
-      auto slice = [](cosim::CoSimulation& c) {
-        bench::Timer t;
-        c.run_cycles(500);
-        return t.seconds();
-      };
-      double best[3] = {1e9, 1e9, 1e9};
-      for (int s = 0; s < kSlices; ++s) {
-        for (int j = 0; j < 3; ++j) best[j] = std::min(best[j], slice(*cs[j]));
-      }
-      disabled_pct.push_back((best[1] / best[0] - 1.0) * 100.0);
-      tracing_pct.push_back((best[2] / best[0] - 1.0) * 100.0);
-    }
-    auto median = [](std::vector<double>& v) {
-      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-      return v[v.size() / 2];
+    auto variant = [](bool attach, bool trace) {
+      return bench::OverheadVariant{[attach, trace] {
+        struct Probe {
+          obs::Registry reg;
+          std::unique_ptr<core::Project> proj;
+          std::unique_ptr<cosim::CoSimulation> cs;
+        };
+        auto p = std::make_shared<Probe>();
+        if (trace) p->reg.enable_tracing();
+        p->proj = bench::make_project(make_mesh_soc(kNodes), mesh_marks(4, 4));
+        p->cs = make_mesh_cosim(*p->proj, kNodes, 1,
+                                attach ? &p->reg : nullptr);
+        p->cs->run_cycles(200);  // warm-up
+        return std::function<void()>([p] { p->cs->run_cycles(500); });
+      }};
     };
-    report.add("obs_disabled_overhead_pct",
-               std::max(0.0, median(disabled_pct)), "%",
+    const std::vector<bench::Overhead> o = bench::measure_overhead(
+        {variant(false, false), variant(true, false), variant(true, true)});
+    report.add("obs_disabled_overhead_pct", o[0].pct, "%",
                "mesh=4x4,threads=1,registry attached vs absent");
-    report.add("obs_tracing_overhead_pct", std::max(0.0, median(tracing_pct)),
-               "%", "mesh=4x4,threads=1,tracing on vs registry absent");
+    report.add("obs_disabled_noise_pct", o[0].noise_pct, "%",
+               "mesh=4x4,threads=1,across-round spread");
+    report.add("obs_tracing_overhead_pct", o[1].pct, "%",
+               "mesh=4x4,threads=1,tracing on vs registry absent");
+    report.add("obs_tracing_noise_pct", o[1].noise_pct, "%",
+               "mesh=4x4,threads=1,across-round spread");
   }
   {
     // End-to-end engine rows: the same 4x4 mesh with actions run by the

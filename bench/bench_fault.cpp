@@ -21,6 +21,7 @@
 
 #include "bench_json.hpp"
 #include "models.hpp"
+#include "overhead.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
 #include "xtsoc/fault/campaign.hpp"
@@ -123,38 +124,35 @@ void emit_json() {
   bench::JsonReport report("fault");
   constexpr int kNodes = 4 * 4 - 1;
   {
-    // Alternating best-of-30 slices, as in bench_cosim's obs overhead
-    // measurement: min-time is the robust estimator for the cost of the
-    // code itself, and alternation spreads scheduler noise evenly.
-    fault::FaultSpec zero;  // attached but all-zero: the disabled path
-    fault::Plan zero_plan(zero);
-    fault::Plan armed_plan(armed_spec());
-    auto p_bare = bench::make_project(make_mesh_soc(kNodes), mesh_marks(4, 4));
-    auto p_zero = bench::make_project(make_mesh_soc(kNodes), mesh_marks(4, 4));
-    auto p_armed = bench::make_project(make_mesh_soc(kNodes), mesh_marks(4, 4));
-    auto cs_bare = make_mesh_cosim(*p_bare, kNodes, nullptr);
-    auto cs_zero = make_mesh_cosim(*p_zero, kNodes, &zero_plan);
-    auto cs_armed = make_mesh_cosim(*p_armed, kNodes, &armed_plan);
-    for (auto* cs : {cs_bare.get(), cs_zero.get(), cs_armed.get()}) {
-      cs->run_cycles(200);  // warm-up
-    }
-    auto slice = [](cosim::CoSimulation& cs) {
-      bench::Timer t;
-      cs.run_cycles(1000);
-      return t.seconds();
+    // Same probe method as bench_cosim's obs residue (bench/overhead.hpp):
+    // fresh cosims per round in rotated construction order, alternating
+    // best-of-N slices, the median across rounds.
+    auto variant = [](fault::FaultSpec spec, bool attach) {
+      return bench::OverheadVariant{[spec, attach] {
+        struct Probe {
+          fault::Plan plan;
+          std::unique_ptr<core::Project> proj;
+          std::unique_ptr<cosim::CoSimulation> cs;
+        };
+        auto p = std::shared_ptr<Probe>(new Probe{fault::Plan(spec), {}, {}});
+        p->proj = bench::make_project(make_mesh_soc(kNodes), mesh_marks(4, 4));
+        p->cs = make_mesh_cosim(*p->proj, kNodes, attach ? &p->plan : nullptr);
+        p->cs->run_cycles(200);  // warm-up
+        return std::function<void()>([p] { p->cs->run_cycles(500); });
+      }};
     };
-    double bare = 1e9, zero_t = 1e9, armed = 1e9;
-    for (int s = 0; s < 40; ++s) {
-      bare = std::min(bare, slice(*cs_bare));
-      zero_t = std::min(zero_t, slice(*cs_zero));
-      armed = std::min(armed, slice(*cs_armed));
-    }
-    report.add("fault_disabled_overhead_pct",
-               std::max(0.0, (zero_t / bare - 1.0) * 100.0), "%",
+    fault::FaultSpec zero;  // attached but all-zero: the disabled path
+    const std::vector<bench::Overhead> o = bench::measure_overhead(
+        {variant(zero, false), variant(zero, true),
+         variant(armed_spec(), true)});
+    report.add("fault_disabled_overhead_pct", o[0].pct, "%",
                "mesh=4x4,zero-rate plan attached vs no plan");
-    report.add("fault_armed_overhead_pct",
-               std::max(0.0, (armed / bare - 1.0) * 100.0), "%",
+    report.add("fault_disabled_noise_pct", o[0].noise_pct, "%",
+               "mesh=4x4,across-round spread");
+    report.add("fault_armed_overhead_pct", o[1].pct, "%",
                "mesh=4x4,drop+corrupt at 1% vs no plan");
+    report.add("fault_armed_noise_pct", o[1].noise_pct, "%",
+               "mesh=4x4,across-round spread");
   }
   {
     // Campaign fan-out throughput: 16 seeds over the 4x4 mesh workload.

@@ -1,6 +1,6 @@
 // xtsoc::snap — what a checkpoint buys.
 //
-// Two claims are gated here (the acceptance numbers of the snap/xtsocd
+// Two claims are gated here (the acceptance numbers of the snap
 // subsystem):
 //   * restore is cheap: snap_restore_latency_ms is the cost of
 //     re-elaborating + load_state, the per-seed price a warm campaign

@@ -20,10 +20,10 @@ inline constexpr std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 /// xorshift64* stream: the per-site generator of fault::Plan, exposed here
-/// so snapshot self-checks and xtsocd seed derivation draw from the same
-/// sequence. State must never be zero (xorshift's one fixed point); seed()
-/// forces the low bit, and the resumable raw state is readable/settable so
-/// a checkpoint can persist a stream mid-sequence.
+/// so the NoC traffic generators draw from the same sequence. State must
+/// never be zero (xorshift's one fixed point); seed() forces the low bit,
+/// and the resumable raw state is readable/settable so a checkpoint can
+/// persist a stream mid-sequence.
 class Xorshift64Star {
 public:
   Xorshift64Star() = default;

@@ -12,23 +12,24 @@ namespace xtsoc::cosim {
 CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     : sys_(&sys), config_(config) {
   // Derive the execution window from the static interconnect lookahead.
-  // W > 1 moves the parallelism up a level: domains run whole windows
-  // concurrently, so the kernel itself stays serial and replays at the
-  // boundary. W == 1 is the per-cycle lockstep master with the kernel's
-  // own delta-level parallelism (the only level that exists at L == 1).
+  // Any parallel run goes through the window path, which runs whole
+  // domains concurrently and replays them on the serial kernel at the
+  // boundary. A window of one cycle is always sound (the lookahead is never
+  // below 1), so threads > 1 takes that path even when W == 1. Only a
+  // serial run at W == 1 uses the exact per-cycle lockstep loop, the
+  // reference every parallel run is checked against.
   lookahead_ = sys.lookahead();
   window_ = config_.window == 0 ? lookahead_
                                 : std::min(config_.window, lookahead_);
   if (window_ < 1) window_ = 1;
-  const bool windowed = window_ > 1;
+  windowed_ = window_ > 1 || config_.threads > 1;
 
   // Claim the master's timeline lane first so the exported trace reads
   // top-to-bottom: cosim, kernel, then the domains and the mesh.
   obs_ = config_.obs;
   if (obs_ != nullptr) obs_track_ = obs_->track("cosim");
 
-  sim_ = std::make_unique<hwsim::Simulator>(
-      hwsim::SimConfig{windowed ? 1 : config_.threads, config_.obs});
+  sim_ = std::make_unique<hwsim::Simulator>(config_.obs);
   clk_ = sim_->wire(1, 0, "clk");
   sim_->add_clock(clk_, /*half_period=*/1);
 
@@ -149,7 +150,7 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     bus_->connect(hw_digest, sw_digest);
   }
 
-  if (windowed) {
+  if (windowed_) {
     for (auto& hw : hw_domains_) hw->set_windowed(true);
     sw_->set_windowed(true);
     // Useful parallelism is bounded by phase A's fan-out: hardware domains
@@ -158,7 +159,10 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     // this cap).
     const int useful = static_cast<int>(hw_domains_.size()) + 1;
     const int workers = std::min(config_.threads, useful);
-    if (workers > 1) pool_ = std::make_unique<hwsim::WorkerPool>(workers);
+    if (workers > 1) {
+      pool_ = std::make_unique<hwsim::WorkerPool>(workers);
+      phase_a_errors_.resize(hw_domains_.size() + 1);
+    }
   }
 }
 
@@ -245,10 +249,8 @@ void CoSimulation::one_cycle() {
   // cycle become visible to the NICs the domains poll below.
   if (fabric_) fabric_->tick(cycle_);
   // Hardware next: each clocked HwDomain process fires on the rising edge.
-  // Domains defer their outbound frames while the edge evaluates (they may
-  // run concurrently; the interconnect is shared), then the frames enter
-  // the interconnect here, serially, in domain order — the same total order
-  // the serial kernel produced when domains sent inline.
+  // Domains defer their outbound frames while the edge evaluates, then the
+  // frames enter the interconnect here in domain order.
   sim_->run_cycles(clk_, 1);
   for (auto& hw : hw_domains_) hw->flush_outbox();
   // Then software gets its per-cycle budget: at most `sw_steps_per_cycle`
@@ -315,7 +317,6 @@ void CoSimulation::run_window(std::uint64_t w) {
     }
   };
   if (pool_) {
-    std::vector<std::exception_ptr> errors(jobs);
     std::atomic<std::size_t> cursor{0};
     pool_->run([&] {
       for (;;) {
@@ -324,15 +325,18 @@ void CoSimulation::run_window(std::uint64_t w) {
         try {
           run_domain(i);
         } catch (...) {
-          errors[i] = std::current_exception();
+          phase_a_errors_[i] = std::current_exception();
         }
       }
     });
     // Deterministic fault report: the lowest-index domain's error, like the
-    // serial master would have hit first.
-    for (std::exception_ptr& e : errors) {
-      if (e) std::rethrow_exception(e);
+    // serial master would have hit first. The slots are cleared for reuse.
+    std::exception_ptr first;
+    for (std::exception_ptr& e : phase_a_errors_) {
+      if (e && !first) first = e;
+      e = nullptr;
     }
+    if (first) std::rethrow_exception(first);
   } else {
     for (std::size_t i = 0; i < jobs; ++i) run_domain(i);
   }
@@ -398,7 +402,7 @@ bool CoSimulation::quiescent() const {
 
 std::uint64_t CoSimulation::run(std::uint64_t max_cycles) {
   std::uint64_t n = 0;
-  if (window_ > 1) {
+  if (windowed_) {
     while (n < max_cycles && !quiescent()) {
       const std::uint64_t w =
           std::min<std::uint64_t>(static_cast<std::uint64_t>(window_),
@@ -416,7 +420,7 @@ std::uint64_t CoSimulation::run(std::uint64_t max_cycles) {
 }
 
 void CoSimulation::run_cycles(std::uint64_t cycles) {
-  if (window_ > 1) {
+  if (windowed_) {
     std::uint64_t done = 0;
     while (done < cycles) {
       const std::uint64_t w = std::min<std::uint64_t>(

@@ -26,7 +26,8 @@
 // domain before cycle c + L — so the master may run every domain L cycles
 // ahead without hearing from the others (Chandy–Misra–Bryant conservative
 // lookahead, derived from the marks instead of negotiated at runtime).
-// When L > 1 the master executes in windows of W = min(window, L) cycles:
+// The master executes in windows of W = min(window, L) cycles whenever
+// W > 1 or threads > 1 (a window of one cycle is always sound):
 //
 //   boundary (serial)  every domain pulls the frames due inside the coming
 //                      window from the shared interconnect into a private
@@ -44,13 +45,12 @@
 //                      wire writes that change a value; the rest would
 //                      commit nothing, so the replay stays byte-identical.
 //
-// One pool handshake per window instead of one per delta cycle is the
-// entire performance story; replaying the edges in lockstep order is the
-// entire determinism story: traces, VCD, SimStats, Bus/FabricStats are
-// byte-identical to the serial master at every window size and thread
-// count. When L == 1 (zero-latency bus, or `window = 1`) the master is the
-// exact per-cycle lockstep loop, with kernel-level delta parallelism
-// (SimConfig::threads) instead.
+// One pool handshake per window is the entire performance story; replaying
+// the edges in lockstep order is the entire determinism story: traces, VCD,
+// SimStats, Bus/FabricStats are byte-identical to the serial master at
+// every window size and thread count. A serial run at W == 1 (zero-latency
+// bus, or `window = 1`, at threads = 1) is the exact per-cycle lockstep
+// loop: the reference semantics every parallel run is checked against.
 //
 // The whole thing is deterministic, so a CoSimulation trace is comparable
 // against the abstract Executor trace (see src/xtsoc/verify) — the paper's
@@ -58,6 +58,7 @@
 // Placement changes latency, never functional behavior.
 #pragma once
 
+#include <exception>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -89,16 +90,16 @@ struct EngineStatus {
 };
 
 struct CoSimConfig {
-  /// Worker threads. With windowed execution in effect (see `window`) the
-  /// threads run whole domains concurrently within each window; in
-  /// lockstep they run the hwsim kernel's delta-cycle batches instead.
-  /// Either way 1 is fully serial and every thread count is byte-identical
-  /// to it. See docs/PERF.md.
+  /// Worker threads running whole domains concurrently within each window
+  /// (phase A). Any value above 1 selects the window path, even at W = 1;
+  /// 1 is fully serial and every thread count is byte-identical to it.
+  /// See docs/PERF.md.
   int threads = 1;
   /// Execution window in cycles. 0 (default) = auto: use the full static
   /// lookahead L of the mapped interconnect. Values are clamped to [1, L]
   /// — running further ahead than L could miss cross-domain frames, so the
-  /// cap is correctness, not tuning. 1 forces per-cycle lockstep.
+  /// cap is correctness, not tuning. 1 at threads = 1 forces per-cycle
+  /// lockstep; at threads > 1 it runs one-cycle windows.
   int window = 0;
   /// Software dispatches allowed per hardware clock cycle (CPU/fabric
   /// speed ratio).
@@ -170,7 +171,8 @@ public:
   std::uint64_t cycles() const { return cycle_; }
   /// Static interconnect lookahead L the window was derived from.
   int lookahead() const { return lookahead_; }
-  /// Effective execution window W in cycles (1 = per-cycle lockstep).
+  /// Effective execution window W in cycles. W = 1 is the lockstep loop at
+  /// threads = 1 and one-cycle windows at threads > 1.
   int window() const { return window_; }
   /// The first (in bus mode: the only) hardware domain.
   const HwDomain& hw_domain() const { return *hw_domains_.front(); }
@@ -203,10 +205,10 @@ public:
   /// The memory hierarchy, or null when no `dram.tile` mark is present.
   const mem::System* mem_system() const { return mem_.get(); }
 
-  /// Wall-clock seconds accumulated per windowed phase (zeroes in lockstep
-  /// mode). The boundary/phase A/phase B split is what tells a perf
-  /// investigation where the Amdahl wall currently is; bench_cosim exports
-  /// it as phaseA_pct/phaseB_pct.
+  /// Wall-clock seconds accumulated per windowed phase (zeroes in the
+  /// serial lockstep loop). The boundary/phase A/phase B split is what
+  /// tells a perf investigation where the Amdahl wall currently is;
+  /// bench_cosim exports it as phaseA_pct/phaseB_pct.
   struct PhaseSeconds {
     double boundary = 0;
     double phase_a = 0;
@@ -262,11 +264,15 @@ private:
   std::uint64_t cycle_ = 0;
   int lookahead_ = 1;
   int window_ = 1;
-  /// Window-level worker pool (windowed mode, threads > 1) running phase A.
-  /// Capped at the useful parallelism — domains + 1 — so extra threads
-  /// never buy handshake overhead. In lockstep the kernel owns the pool
-  /// instead; the two are never both active.
+  /// True when run/run_cycles go through run_window: W > 1 or threads > 1.
+  bool windowed_ = false;
+  /// Worker pool (threads > 1) running phase A, the only pool of a
+  /// co-simulation. Capped at the useful parallelism — domains + 1 — so
+  /// extra threads never buy handshake overhead.
   std::unique_ptr<hwsim::WorkerPool> pool_;
+  /// Phase-A job errors, one slot per domain job. Reused scratch: at
+  /// W = 1 a window is a cycle.
+  std::vector<std::exception_ptr> phase_a_errors_;
   /// Per-window flush schedule: (cycle, domain tag) entries, one per
   /// distinct cycle a domain staged sends at, sorted by (cycle, tag). Tags
   /// 0..hw_domains-1 are the hardware domains, hw_domains is software —

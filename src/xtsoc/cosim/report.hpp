@@ -13,9 +13,8 @@
 //     "counters":     { ... }           // only when a Registry is attached
 //   }
 //
-// Every consumer (xtsocc --obs=snapshot, perf::export_noc_stats_json, the
-// tests) reads this document; nothing serializes a stats struct by hand
-// anymore.
+// Every consumer (xtsocc --obs=snapshot, the tests) reads this document;
+// nothing serializes a stats struct by hand anymore.
 #pragma once
 
 #include "xtsoc/cosim/bus.hpp"
@@ -36,7 +35,7 @@ obs::JsonValue to_json(const hwsim::SimStats& s);
 obs::JsonValue to_json(const BusStats& s, int latency_cycles);
 
 /// { "kind": "noc", "mesh": {...}, "routers": [...], "links": [...],
-///   "latency": {...} } — the document export_noc_stats_json() ships.
+///   "latency": {...} } — the report's "interconnect" section in mesh mode.
 obs::JsonValue to_json(const noc::FabricStats& s);
 
 /// { "flits_dropped": n, "crc_rejects": n, ... } — the NoC half of the

@@ -70,11 +70,9 @@ public:
       const std::function<RunOutcome(int index, std::uint64_t seed)>& one) const;
 
   /// Same, but fan out over a caller-owned pool instead of spawning a
-  /// fresh one per call. This is how a long-lived server (xtsocd) shares
-  /// one hwsim::WorkerPool across every session's campaigns: pool spin-up
-  /// cost is paid once at daemon start, and concurrency is bounded by the
-  /// pool's size rather than each request's `threads`. A null pool falls
-  /// back to run(one).
+  /// fresh one per call, so a caller running many campaigns pays the pool
+  /// spin-up once; concurrency is then bounded by the pool's size rather
+  /// than `threads`. A null pool falls back to run(one).
   CampaignResult run(
       const std::function<RunOutcome(int index, std::uint64_t seed)>& one,
       hwsim::WorkerPool* pool) const;

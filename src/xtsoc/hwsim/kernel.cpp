@@ -1,32 +1,16 @@
 #include "xtsoc/hwsim/kernel.hpp"
 
-#include <algorithm>
-#include <atomic>
-
-#include "xtsoc/hwsim/pool.hpp"
 #include "xtsoc/snap/io.hpp"
 
 namespace xtsoc::hwsim {
 
-thread_local Simulator* Simulator::tls_sim_ = nullptr;
-thread_local Simulator::EvalSlot* Simulator::tls_slot_ = nullptr;
-
-Simulator::Simulator() = default;
-
-Simulator::Simulator(SimConfig config) : config_(config), obs_(config.obs) {
-  if (config_.threads < 1) config_.threads = 1;
-  if (config_.threads > 1) {
-    pool_ = std::make_unique<WorkerPool>(config_.threads);
-  }
+Simulator::Simulator(obs::Registry* obs) : obs_(obs) {
   if (obs_ != nullptr) {
     obs_track_ = obs_->track("kernel");
     c_delta_cycles_ = obs_->counter("kernel.delta_cycles");
     c_activations_ = obs_->counter("kernel.process_activations");
-    c_parallel_batches_ = obs_->counter("kernel.parallel_batches");
   }
 }
-
-Simulator::~Simulator() = default;
 
 HwSignalId Simulator::wire(int width, std::uint64_t init, std::string name) {
   if (width < 1 || width > 64) {
@@ -82,24 +66,13 @@ std::uint64_t Simulator::read(HwSignalId w) const {
   return state(w).value;
 }
 
-void Simulator::apply_nba(HwSignalId w, std::uint64_t value) {
+void Simulator::nba_write(HwSignalId w, std::uint64_t value) {
   WireState& s = state(w);
   s.next = value & s.mask;
   if (!s.has_next) {
     s.has_next = true;
     nba_pending_.push_back(w);
   }
-}
-
-void Simulator::nba_write(HwSignalId w, std::uint64_t value) {
-  if (tls_sim_ == this) {
-    // Parallel batch evaluation in flight on this thread: stage into the
-    // process's slot; the caller merges slots in batch order afterwards.
-    const WireState& s = state(w);
-    tls_slot_->writes.push_back({w, value & s.mask});
-    return;
-  }
-  apply_nba(w, value);
 }
 
 void Simulator::poke(HwSignalId w, std::uint64_t value) {
@@ -119,54 +92,6 @@ void Simulator::mark_changed(HwSignalId w, std::uint64_t old_value) {
     for (ProcessId p : s.clocked) runnable_.push_back(p);
   }
   for (ProcessId p : s.sensitive) runnable_.push_back(p);
-}
-
-void Simulator::eval_batch_parallel() {
-  if (slots_.size() < batch_.size()) slots_.resize(batch_.size());
-  std::atomic<std::size_t> cursor{0};
-  const std::size_t n = batch_.size();
-  auto job = [this, &cursor, n] {
-    tls_sim_ = this;
-    for (;;) {
-      std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      EvalSlot& slot = slots_[i];
-      tls_slot_ = &slot;
-      try {
-        processes_[batch_[i].value()].fn(*this);
-      } catch (...) {
-        slot.error = std::current_exception();
-      }
-    }
-    tls_slot_ = nullptr;
-    tls_sim_ = nullptr;
-  };
-  pool_->run(job);
-
-  // Deterministic merge. Batch order is exactly the order the serial kernel
-  // would have evaluated these processes in, so replaying each slot's writes
-  // in slot order reproduces the serial commit list byte for byte (first
-  // write of a wire fixes its commit position; the last write wins).
-  // On a process fault, mirror serial behaviour: writes of processes that
-  // ran before the faulting one are staged, the rest are discarded.
-  std::size_t stop = n;
-  std::exception_ptr error;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (slots_[i].error) {
-      error = slots_[i].error;
-      stop = i;
-      break;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    EvalSlot& slot = slots_[i];
-    if (i < stop) {
-      for (const StagedWrite& sw : slot.writes) apply_nba(sw.w, sw.value);
-    }
-    slot.writes.clear();
-    slot.error = nullptr;
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void Simulator::settle() {
@@ -195,18 +120,10 @@ void Simulator::settle() {
     }
     runnable_.clear();
 
-    if (pool_ && batch_.size() > 1) {
-      stats_.process_activations += batch_.size();
-      OBS_COUNT_N(c_activations_, batch_.size());
-      OBS_COUNT(c_parallel_batches_);
-      OBS_SPAN(obs_, obs_track_, "parallel_batch");
-      eval_batch_parallel();
-    } else {
-      OBS_COUNT_N(c_activations_, batch_.size());
-      for (ProcessId p : batch_) {
-        ++stats_.process_activations;
-        processes_[p.value()].fn(*this);
-      }
+    OBS_COUNT_N(c_activations_, batch_.size());
+    for (ProcessId p : batch_) {
+      ++stats_.process_activations;
+      processes_[p.value()].fn(*this);
     }
 
     // Commit non-blocking writes; changed wires trigger the next delta.

@@ -17,29 +17,19 @@
 // signal consumed per clock edge per instance — which is what makes
 // hardware latency observable and distinct from software in experiments.
 //
-// Parallel evaluation (SimConfig::threads > 1): within one delta cycle
-// every process in the runnable batch sees only the committed wire values
-// of the previous delta and emits non-blocking writes, so the batch is
-// evaluated concurrently on a persistent worker pool. Writes are staged
-// per batch slot and replayed in the batch order the serial kernel would
-// have used, making any thread count byte-identical to threads = 1:
-// same traces, same VCD, same SimStats, same oscillation behaviour.
-// The contract processes must honour in parallel mode: read wires,
-// nba_write, and touch only state no other process shares (no poke, no
-// netlist mutation, no cross-process shared mutable state).
+// The kernel itself is single-threaded; parallelism lives one level up.
 //
 // Window replay: the windowed co-simulation runs each domain's per-cycle
-// body off the kernel and stages the wire writes that change a value; the
-// kernel then replays the window serially through run_cycles with
-// before/after-edge callbacks. A write that leaves a wire unchanged commits
-// nothing and triggers no process, so skipping it is unobservable: the
-// replay is byte-identical to lockstep.
+// body off the kernel, on a worker pool when threads > 1 (a window of one
+// cycle when the lookahead allows no more), and stages the wire writes
+// that change a value; the kernel then replays the window serially through
+// run_cycles with before/after-edge callbacks. A write that leaves a wire
+// unchanged commits nothing and triggers no process, so skipping it is
+// unobservable: the replay is byte-identical to lockstep.
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,8 +44,6 @@ class Reader;
 
 namespace xtsoc::hwsim {
 
-class WorkerPool;  // pool.hpp
-
 /// Thrown on kernel-level faults: unstable combinational loop, bad wire id.
 class SimError : public std::runtime_error {
 public:
@@ -68,18 +56,6 @@ struct SimStats {
   std::uint64_t wire_commits = 0;
 };
 
-struct SimConfig {
-  /// Worker threads evaluating each delta's runnable batch. 1 (default)
-  /// is the exact serial kernel; N > 1 runs the batch on a persistent
-  /// pool of N workers (the calling thread counts as one) with a
-  /// deterministic commit that is byte-identical to the serial kernel.
-  int threads = 1;
-  /// Optional observability sink: settle/batch spans land on the "kernel"
-  /// track, delta/activation counters on "kernel.*". Never perturbs
-  /// simulation behaviour.
-  obs::Registry* obs = nullptr;
-};
-
 class Simulator {
 public:
   using ProcessFn = std::function<void(Simulator&)>;
@@ -87,13 +63,12 @@ public:
   /// Deltas allowed within one instant before declaring oscillation.
   static constexpr int kDeltaLimit = 1000;
 
-  Simulator();
-  explicit Simulator(SimConfig config);
-  ~Simulator();
+  /// `obs` is an optional observability sink: settle spans land on the
+  /// "kernel" track, delta/activation counters on "kernel.*". It never
+  /// perturbs simulation behaviour.
+  explicit Simulator(obs::Registry* obs = nullptr);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  int threads() const { return config_.threads; }
 
   // --- netlist construction --------------------------------------------------
 
@@ -189,28 +164,9 @@ private:
     std::uint64_t next_toggle;
   };
 
-  /// One batch slot's staged non-blocking writes (parallel mode). Slots are
-  /// indexed by position in the deduplicated batch, so replaying them in
-  /// slot order reproduces the serial kernel's write order exactly.
-  struct StagedWrite {
-    HwSignalId w;
-    std::uint64_t value;
-  };
-  struct EvalSlot {
-    std::vector<StagedWrite> writes;
-    std::exception_ptr error;
-  };
-
   WireState& state(HwSignalId w);
   const WireState& state(HwSignalId w) const;
   void mark_changed(HwSignalId w, std::uint64_t old_value);
-  /// The serial nba_write body: stage into the wire's next-value latch and
-  /// the commit list. Also the replay step of the parallel merge.
-  void apply_nba(HwSignalId w, std::uint64_t value);
-  void eval_batch_parallel();
-
-  SimConfig config_;
-  std::unique_ptr<WorkerPool> pool_;
 
   std::vector<WireState> wires_;
   std::vector<Process> processes_;
@@ -226,19 +182,12 @@ private:
   obs::TrackId obs_track_;
   obs::Counter* c_delta_cycles_ = nullptr;
   obs::Counter* c_activations_ = nullptr;
-  obs::Counter* c_parallel_batches_ = nullptr;
 
   // Reused per-delta scratch (no steady-state allocation).
   std::vector<ProcessId> batch_;           ///< deduplicated runnable batch
   std::vector<std::uint64_t> seen_epoch_;  ///< runnable dedup stamps
   std::uint64_t epoch_ = 0;
   std::vector<HwSignalId> commit_buf_;     ///< pending writes being committed
-  std::vector<EvalSlot> slots_;            ///< parallel staging, per batch slot
-
-  /// Set while THIS simulator evaluates a batch in parallel on the current
-  /// thread; routes nba_write into the active slot.
-  static thread_local Simulator* tls_sim_;
-  static thread_local EvalSlot* tls_slot_;
 };
 
 }  // namespace xtsoc::hwsim

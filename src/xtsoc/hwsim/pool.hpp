@@ -1,13 +1,10 @@
-// WorkerPool: a persistent fork/join pool shared by the parallel layers.
+// WorkerPool: a persistent fork/join pool, the only source of threads in
+// xtsoc. A worker runs one of two kinds of job:
 //
-// One pool serves two very different grain sizes:
-//
-//   * hwsim::Simulator (SimConfig::threads > 1) runs each delta cycle's
-//     runnable batch on it — fine-grained, one handshake per delta;
-//   * cosim::CoSimulation (window > 1) runs each execution window's
-//     per-domain jobs on it — coarse-grained, one handshake per window
-//     of L cycles, which is what makes the conservative-lookahead scheme
-//     amortize the synchronization the per-delta scheme could not.
+//   * cosim::CoSimulation (threads > 1) runs each execution window's
+//     per-domain phase-A jobs on it — one handshake per window of W cycles
+//     (W = 1 when the lookahead allows no more);
+//   * fault::Campaign and snap::WarmCampaign run one campaign seed per job.
 //
 // N-1 threads are spawned once and kept; the caller participates as the
 // Nth worker. One generation = one run(). All hand-offs go through the

@@ -261,267 +261,4 @@ std::string JsonValue::dump(int indent) const {
   return w.take();
 }
 
-namespace {
-
-/// Strict recursive-descent JSON parser (the json_parse contract).
-class Parser {
-public:
-  explicit Parser(std::string_view text) : s_(text) {}
-
-  std::optional<JsonValue> run(std::string* error) {
-    try {
-      skip_ws();
-      JsonValue v = parse_value(0);
-      skip_ws();
-      if (pos_ != s_.size()) fail("trailing characters after document");
-      return v;
-    } catch (const std::runtime_error& e) {
-      if (error != nullptr) *error = e.what();
-      return std::nullopt;
-    }
-  }
-
-private:
-  static constexpr int kMaxDepth = 64;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("json parse error at offset " +
-                             std::to_string(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() const {
-    if (pos_ >= s_.size()) fail("unexpected end of input");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  bool consume_word(std::string_view w) {
-    if (s_.substr(pos_, w.size()) != w) return false;
-    pos_ += w.size();
-    return true;
-  }
-
-  JsonValue parse_value(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    switch (peek()) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return JsonValue(parse_string());
-      case 't':
-        if (consume_word("true")) return JsonValue(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_word("false")) return JsonValue(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_word("null")) return JsonValue(nullptr);
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object(int depth) {
-    expect('{');
-    JsonValue v = JsonValue::object();
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      v[key] = parse_value(depth + 1);
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return v;
-    }
-  }
-
-  JsonValue parse_array(int depth) {
-    expect('[');
-    JsonValue v = JsonValue::array();
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_ws();
-      v.push_back(parse_value(depth + 1));
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return v;
-    }
-  }
-
-  void append_utf8(std::string& out, std::uint32_t cp) {
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  std::uint32_t parse_hex4() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = peek();
-      ++pos_;
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<std::uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') v |= static_cast<std::uint32_t>(c - 'A' + 10);
-      else fail("invalid \\u escape");
-    }
-    return v;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char e = peek();
-      ++pos_;
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          std::uint32_t cp = parse_hex4();
-          if (cp >= 0xD800 && cp < 0xDC00) {  // high surrogate
-            if (pos_ + 1 < s_.size() && s_[pos_] == '\\' &&
-                s_[pos_ + 1] == 'u') {
-              pos_ += 2;
-              const std::uint32_t lo = parse_hex4();
-              if (lo < 0xDC00 || lo > 0xDFFF) fail("unpaired surrogate");
-              cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-            } else {
-              fail("unpaired surrogate");
-            }
-          } else if (cp >= 0xDC00 && cp < 0xE000) {
-            fail("unpaired surrogate");
-          }
-          append_utf8(out, cp);
-          break;
-        }
-        default: fail("invalid escape");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9') {
-      fail("invalid number");
-    }
-    bool integral = true;
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      integral = false;
-      ++pos_;
-      if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9') {
-        fail("invalid number");
-      }
-      while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    }
-    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      integral = false;
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
-      if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9') {
-        fail("invalid number");
-      }
-      while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
-    }
-    const std::string_view tok = s_.substr(start, pos_ - start);
-    if (integral) {
-      if (tok[0] == '-') {
-        std::int64_t i = 0;
-        const auto [p, ec] =
-            std::from_chars(tok.data(), tok.data() + tok.size(), i);
-        if (ec == std::errc() && p == tok.data() + tok.size()) {
-          return JsonValue(i);
-        }
-      } else {
-        std::uint64_t u = 0;
-        const auto [p, ec] =
-            std::from_chars(tok.data(), tok.data() + tok.size(), u);
-        if (ec == std::errc() && p == tok.data() + tok.size()) {
-          if (u <= static_cast<std::uint64_t>(
-                       std::numeric_limits<std::int64_t>::max())) {
-            return JsonValue(static_cast<std::int64_t>(u));
-          }
-          return JsonValue(u);
-        }
-      }
-      // Out-of-range integer: fall through to double.
-    }
-    double d = 0.0;
-    const auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), d);
-    if (ec != std::errc() || p != tok.data() + tok.size()) {
-      fail("invalid number");
-    }
-    return JsonValue(d);
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-std::optional<JsonValue> json_parse(std::string_view text,
-                                    std::string* error) {
-  return Parser(text).run(error);
-}
-
 }  // namespace xtsoc::obs

@@ -12,14 +12,10 @@
 //     before serializing it (obs::Snapshot, stats adapters). Object keys
 //     preserve insertion order, so serialization is stable run to run.
 //
-// Deliberately small: no SAX, no allocator knobs. json_parse() is the one
-// reader — a strict recursive-descent parser into JsonValue, added for the
-// xtsocd request protocol so the daemon speaks the same dialect this
-// writer emits.
+// Deliberately small: a writer only, no reader, no SAX, no allocator knobs.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -156,13 +152,5 @@ private:
                std::string, Array, Object>
       v_;
 };
-
-/// Parse one JSON document (strict: no comments, no trailing commas, no
-/// trailing garbage). Integers without fraction/exponent parse as
-/// int64/uint64, everything else numeric as double. Returns nullopt on
-/// malformed input, with a position-bearing message in `*error` when
-/// `error` is non-null.
-std::optional<JsonValue> json_parse(std::string_view text,
-                                    std::string* error = nullptr);
 
 }  // namespace xtsoc::obs

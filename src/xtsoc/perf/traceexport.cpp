@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "xtsoc/cosim/report.hpp"
 #include "xtsoc/obs/json.hpp"
 
 namespace xtsoc::perf {
@@ -118,12 +117,6 @@ std::string export_chrome_trace(const runtime::Trace& trace,
   w.end_array();
   w.end_object();
   return w.take();
-}
-
-std::string export_noc_stats_json(const noc::FabricStats& stats) {
-  // The stats document is assembled by the one cosim adapter; this function
-  // is now only the string-returning convenience around it.
-  return cosim::to_json(stats).dump();
 }
 
 }  // namespace xtsoc::perf

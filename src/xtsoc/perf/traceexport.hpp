@@ -6,7 +6,6 @@
 
 #include <string>
 
-#include "xtsoc/noc/fabric.hpp"
 #include "xtsoc/runtime/trace.hpp"
 #include "xtsoc/xtuml/model.hpp"
 
@@ -18,11 +17,5 @@ namespace xtsoc::perf {
 std::string export_chrome_trace(const runtime::Trace& trace,
                                 const xtuml::Domain& domain,
                                 const std::string& process_name, int pid = 1);
-
-/// Render NoC fabric statistics as a standalone JSON document: mesh shape,
-/// aggregate counters, per-router flit counts and buffer high-water marks,
-/// per-link flit counts with utilization, and the end-to-end frame latency
-/// histogram (only buckets with samples are listed).
-std::string export_noc_stats_json(const noc::FabricStats& stats);
 
 }  // namespace xtsoc::perf

@@ -5,7 +5,7 @@
 // sections. They are deliberately header-only so that every library in the
 // dependency chain (hwsim, runtime, cosim, noc, fault, obs, bridge) can
 // implement its own save_state/load_state against them without linking the
-// snap library — snap (snapshot orchestration, warm campaigns, the server)
+// snap library — snap (snapshot orchestration and warm campaigns)
 // sits ABOVE those libraries and stitches their sections together
 // (snapshot.hpp).
 //

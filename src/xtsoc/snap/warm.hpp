@@ -17,7 +17,8 @@
 // restore is byte-identical (snap_test) and zero pre-window draws mean the
 // fresh plan sees the same stream states a cold run would have at the
 // checkpoint. bench_snap gates the speedup (>= 5x on the 4x4-mesh
-// campaign); xtsocd serves campaigns this way from resident checkpoints.
+// campaign); `xtsocc --campaign` takes this path on its own for a
+// stimulus-free campaign whose faultWindow.start opens after cycle 0.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +54,7 @@ public:
   fault::RunOutcome run_seed(int index, std::uint64_t seed) const;
 
   /// The whole campaign through fault::Campaign's fan-out; `pool` (may be
-  /// null) is the caller-owned worker pool, e.g. the daemon's shared one.
+  /// null) is a caller-owned worker pool shared across campaigns.
   fault::CampaignResult run(int runs, int threads,
                             hwsim::WorkerPool* pool = nullptr) const;
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_models.hpp"
 #include "xtsoc/cosim/bus.hpp"
 #include "xtsoc/cosim/codec.hpp"
@@ -799,7 +801,8 @@ TEST(CoSimWindowed, RunOvershootsQuiescenceByLessThanOneWindow) {
 // and require every observable byte (traces, VCD, cycle count, SimStats,
 // fabric and fault statistics, final attributes) to equal the serial
 // lockstep baseline. 97 total cycles in chunks of 61+36, so no chunk is a
-// multiple of any window size.
+// multiple of any window size. At linkLatency 1 every window clamps to 1,
+// so threads {2,8} run one-cycle windows against the lockstep loop.
 
 std::unique_ptr<xtuml::Domain> make_grid_domain(int nodes) {
   using xtuml::DataType;
@@ -830,7 +833,7 @@ std::unique_ptr<xtuml::Domain> make_grid_domain(int nodes) {
   return b.take();
 }
 
-marks::MarkSet grid_mesh_marks(int width, int height) {
+marks::MarkSet grid_mesh_marks(int width, int height, int link_latency) {
   marks::MarkSet m;
   const int nodes = width * height - 1;  // tile 0 is the CPU tile
   for (int i = 0; i < nodes; ++i) {
@@ -846,7 +849,8 @@ marks::MarkSet grid_mesh_marks(int width, int height) {
                     ScalarValue(static_cast<std::int64_t>(width)));
   m.set_domain_mark(marks::kMeshHeight,
                     ScalarValue(static_cast<std::int64_t>(height)));
-  m.set_domain_mark(marks::kLinkLatency, ScalarValue(std::int64_t{4}));
+  m.set_domain_mark(marks::kLinkLatency,
+                    ScalarValue(static_cast<std::int64_t>(link_latency)));
   return m;
 }
 
@@ -862,6 +866,7 @@ fault::FaultSpec grid_noisy_spec() {
 struct GridRun {
   WindowedRun w;
   std::string fault_stats;
+  bool window_path = false;  ///< phase A ran (run_window, not one_cycle)
 };
 
 GridRun run_grid_mesh(MappedFixture& fx, int nodes, int threads,
@@ -912,6 +917,7 @@ GridRun run_grid_mesh(MappedFixture& fx, int nodes, int threads,
                   std::to_string(fs.frames_lost);
   r.w.lookahead = cosim.lookahead();
   r.w.window = cosim.window();
+  r.window_path = cosim.phase_seconds().phase_a > 0;
   return r;
 }
 
@@ -931,13 +937,15 @@ void expect_grid_identical(const GridRun& par, const GridRun& serial) {
   EXPECT_EQ(par.fault_stats, serial.fault_stats);
 }
 
-void run_windowed_grid(int width, int height) {
+void run_windowed_grid(int width, int height, int link_latency) {
   const int nodes = width * height - 1;
-  MappedFixture fx(make_grid_domain(nodes), grid_mesh_marks(width, height));
+  MappedFixture fx(make_grid_domain(nodes),
+                   grid_mesh_marks(width, height, link_latency));
   for (bool faults : {false, true}) {
     GridRun serial = run_grid_mesh(fx, nodes, /*threads=*/1, /*window=*/1,
                                       faults);
-    EXPECT_EQ(serial.w.lookahead, 4);
+    EXPECT_EQ(serial.w.lookahead, link_latency);
+    EXPECT_FALSE(serial.window_path);
     EXPECT_FALSE(serial.w.base.hw_traces.empty());
     for (int threads : {1, 2, 8}) {
       for (int window : {1, 2, 0}) {
@@ -948,16 +956,22 @@ void run_windowed_grid(int width, int height) {
                      " window=" + std::to_string(window) +
                      " faults=" + (faults ? "on" : "off"));
         GridRun par = run_grid_mesh(fx, nodes, threads, window, faults);
-        EXPECT_EQ(par.w.window, window == 0 ? 4 : window);
+        EXPECT_EQ(par.w.window,
+                  window == 0 ? link_latency : std::min(window, link_latency));
+        EXPECT_EQ(par.window_path, threads > 1 || par.w.window > 1);
         expect_grid_identical(par, serial);
       }
     }
   }
 }
 
-TEST(CoSimWindowed, Mesh2x2ByteIdenticalGrid) { run_windowed_grid(2, 2); }
+TEST(CoSimWindowed, Mesh2x2ByteIdenticalGrid) { run_windowed_grid(2, 2, 4); }
 
-TEST(CoSimWindowed, Mesh8x8ByteIdenticalGrid) { run_windowed_grid(8, 8); }
+TEST(CoSimWindowed, Mesh8x8ByteIdenticalGrid) { run_windowed_grid(8, 8, 4); }
+
+TEST(CoSimWindowed, Mesh8x8LinkLatency1ByteIdenticalGrid) {
+  run_windowed_grid(8, 8, 1);
+}
 
 }  // namespace
 }  // namespace xtsoc::cosim

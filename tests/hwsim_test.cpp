@@ -311,149 +311,5 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::uint64_t{1}, std::uint64_t{10},
                                          std::uint64_t{100})));
 
-// --- parallel-kernel determinism ---------------------------------------------
-//
-// The contract of SimConfig::threads: ANY thread count is byte-identical to
-// the serial kernel — same wire values, same SimStats, same VCD text, same
-// oscillation behaviour. These tests run one workload at threads = 1/2/8
-// and diff everything observable.
-
-/// Everything observable from one run of the dense netlist.
-struct DeterminismRun {
-  std::vector<std::uint64_t> finals;
-  SimStats stats;
-  std::string vcd;
-  std::uint64_t posedges = 0;
-};
-
-/// A dense mixed netlist: a counter bank, a combinational XOR-reduction
-/// tree over it (multi-delta settle chains), registered feedback, and two
-/// clocked processes racing writes to one shared wire (the last-write-wins
-/// order the deterministic commit must reproduce).
-DeterminismRun run_dense_netlist(int threads) {
-  Simulator sim(SimConfig{threads});
-  HwSignalId clk = sim.wire(1, 0, "clk");
-  sim.add_clock(clk, 1);
-
-  constexpr int kCounters = 8;
-  std::vector<Counter> bank;
-  bank.reserve(kCounters);
-  std::vector<HwSignalId> wires;
-  for (int i = 0; i < kCounters; ++i) {
-    bank.emplace_back(sim, clk, 16, "ctr" + std::to_string(i));
-    wires.push_back(bank.back().value());
-  }
-
-  // XOR-reduction tree: log2(kCounters) combinational layers.
-  std::vector<HwSignalId> layer = wires;
-  int level = 0;
-  while (layer.size() > 1) {
-    std::vector<HwSignalId> next;
-    for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
-      HwSignalId out = sim.wire(16, 0,
-                                "xor" + std::to_string(level) + "_" +
-                                    std::to_string(i / 2));
-      HwSignalId a = layer[i];
-      HwSignalId b = layer[i + 1];
-      sim.combinational({a, b}, [a, b, out](Simulator& s) {
-        s.nba_write(out, s.read(a) ^ s.read(b));
-      });
-      next.push_back(out);
-      wires.push_back(out);
-    }
-    if (layer.size() % 2 == 1) next.push_back(layer.back());
-    layer = next;
-    ++level;
-  }
-  HwSignalId root = layer.front();
-
-  // Registered feedback from the tree root.
-  HwSignalId accum = sim.wire(32, 0, "accum");
-  sim.on_posedge(clk, [root, accum](Simulator& s) {
-    s.nba_write(accum, (s.read(accum) * 33 + s.read(root)) & 0xffffffffu);
-  });
-  wires.push_back(accum);
-
-  // Two clocked processes write the same wire every edge: the serial
-  // kernel applies them in registration order (last registered wins).
-  HwSignalId contested = sim.wire(16, 0, "contested");
-  sim.on_posedge(clk, [accum, contested](Simulator& s) {
-    s.nba_write(contested, (s.read(accum) + 1) & 0xffffu);
-  });
-  sim.on_posedge(clk, [accum, contested](Simulator& s) {
-    s.nba_write(contested, (s.read(accum) + 2) & 0xffffu);
-  });
-  wires.push_back(contested);
-
-  VcdWriter vcd(sim);
-  DeterminismRun run;
-  for (int c = 0; c < 50; ++c) {
-    sim.run_cycles(clk, 1);
-    vcd.sample();
-  }
-  for (HwSignalId w : wires) run.finals.push_back(sim.read(w));
-  run.stats = sim.stats();
-  run.vcd = vcd.render();
-  run.posedges = sim.posedge_count(clk);
-  return run;
-}
-
-TEST(KernelParallel, DenseNetlistByteIdenticalAcrossThreadCounts) {
-  DeterminismRun serial = run_dense_netlist(1);
-  // The contested wire proves last-write-wins survived: the second
-  // registered process's value (+2) is the one latched.
-  ASSERT_GT(serial.finals.size(), 2u);
-  for (int threads : {2, 8}) {
-    DeterminismRun par = run_dense_netlist(threads);
-    EXPECT_EQ(par.finals, serial.finals) << "threads=" << threads;
-    EXPECT_EQ(par.stats.delta_cycles, serial.stats.delta_cycles)
-        << "threads=" << threads;
-    EXPECT_EQ(par.stats.process_activations,
-              serial.stats.process_activations)
-        << "threads=" << threads;
-    EXPECT_EQ(par.stats.wire_commits, serial.stats.wire_commits)
-        << "threads=" << threads;
-    EXPECT_EQ(par.vcd, serial.vcd) << "threads=" << threads;
-    EXPECT_EQ(par.posedges, serial.posedges) << "threads=" << threads;
-  }
-}
-
-/// Oscillation behaviour of a 2-process combinational loop at `threads`.
-struct OscillationRun {
-  std::string error;
-  std::uint64_t delta_cycles = 0;
-};
-
-OscillationRun run_oscillator(int threads) {
-  Simulator sim(SimConfig{threads});
-  HwSignalId a = sim.wire(1, 0, "a");
-  HwSignalId b = sim.wire(1, 0, "b");
-  // a = !b and b = !a: from (0,0) both flip forever, a batch of two
-  // processes per delta — the parallel path stays exercised while the
-  // guard counts up.
-  sim.combinational({b}, [a, b](Simulator& s) { s.nba_write(a, !s.read(b)); });
-  sim.combinational({a}, [a, b](Simulator& s) { s.nba_write(b, !s.read(a)); });
-  OscillationRun run;
-  try {
-    sim.settle();
-    ADD_FAILURE() << "oscillation not detected at threads=" << threads;
-  } catch (const SimError& e) {
-    run.error = e.what();
-  }
-  run.delta_cycles = sim.stats().delta_cycles;
-  return run;
-}
-
-TEST(KernelParallel, OscillationGuardFiresIdenticallyAcrossThreadCounts) {
-  OscillationRun serial = run_oscillator(1);
-  EXPECT_FALSE(serial.error.empty());
-  for (int threads : {2, 8}) {
-    OscillationRun par = run_oscillator(threads);
-    EXPECT_EQ(par.error, serial.error) << "threads=" << threads;
-    EXPECT_EQ(par.delta_cycles, serial.delta_cycles)
-        << "threads=" << threads;
-  }
-}
-
 }  // namespace
 }  // namespace xtsoc::hwsim

@@ -83,6 +83,12 @@ struct ArithCase {
   std::int64_t want;
 };
 
+// Print by value: gtest's default dumps the raw bytes, pointer and padding
+// included, so the listed test names would change from one build to the next.
+void PrintTo(const ArithCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.expr) << " -> " << c.want;
+}
+
 class IntArith : public ::testing::TestWithParam<ArithCase> {};
 
 TEST_P(IntArith, Evaluates) {
@@ -132,6 +138,10 @@ struct BoolCase {
   const char* expr;
   bool want;
 };
+
+void PrintTo(const BoolCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.expr) << " -> " << (c.want ? "true" : "false");
+}
 
 class BoolEval : public ::testing::TestWithParam<BoolCase> {};
 

@@ -7,12 +7,12 @@
 
 #include "test_models.hpp"
 #include "xtsoc/cosim/cosim.hpp"
+#include "xtsoc/cosim/report.hpp"
 #include "xtsoc/fault/fault.hpp"
 #include "xtsoc/noc/fabric.hpp"
 #include "xtsoc/noc/topology.hpp"
 #include "xtsoc/noc/traffic.hpp"
 #include "xtsoc/perf/perf.hpp"
-#include "xtsoc/perf/traceexport.hpp"
 #include "xtsoc/verify/equivalence.hpp"
 
 namespace xtsoc::noc {
@@ -272,7 +272,7 @@ TEST(Fabric, StatsExportAsJson) {
   std::uint64_t cycle = 0;
   fabric.send_frame(0, 3, 1, {1, 2, 3, 4, 5}, cycle);
   (void)run_until_delivery(fabric, 3, &cycle);
-  std::string json = perf::export_noc_stats_json(fabric.stats());
+  std::string json = cosim::to_json(fabric.stats()).dump();
   EXPECT_NE(json.find("\"mesh\":{\"width\":2,\"height\":2}"),
             std::string::npos);
   EXPECT_NE(json.find("\"frames_delivered\":1"), std::string::npos);

@@ -16,11 +16,14 @@
 //                       (64 cycles, no stimulus) exercises the partitioned
 //                       system — useful with --obs-trace / --obs=snapshot
 //       --threads N     cosim worker threads for --on-cosim (default 1 =
-//                       serial; any N produces byte-identical results)
+//                       serial lockstep; N > 1 runs whole domains in
+//                       parallel per window; any N produces byte-identical
+//                       results)
 //       --window N      cosim execution window in cycles for --on-cosim:
 //                       0 (default) = auto, the interconnect's full static
-//                       lookahead; 1 forces per-cycle lockstep; values above
-//                       the lookahead are clamped down (correctness bound)
+//                       lookahead; 1 runs one cycle per window (per-cycle
+//                       lockstep at --threads 1); values above the
+//                       lookahead are clamped down (correctness bound)
 //       --engine ENG    action engine for --on-cosim: vm (the bytecode
 //                       reference) or jit (AOT-compile the model's actions
 //                       to a native shared object; falls back to vm with a
@@ -47,7 +50,11 @@
 //       --campaign N    run an N-seed fault-injection campaign instead of a
 //                       single run (requires --faults). Each run gets a seed
 //                       derived from faultSeed; --threads fans runs out in
-//                       parallel. Prints the campaign JSON document
+//                       parallel. Prints the campaign JSON document. Without
+//                       --simulate, a faultWindow.start of S (0 < S < 512)
+//                       runs the shared fault-free first S cycles once and
+//                       restores every seed from that checkpoint; the
+//                       document is identical to the cold one
 //       --campaign-out FILE  write the campaign JSON to FILE instead of
 //                       stdout (requires --campaign)
 //       --checkpoint-out FILE  write a versioned snapshot of the finished
@@ -59,12 +66,6 @@
 //                       (--on-cosim; model + marks must match the save)
 //       --run-cycles N  cycles to run for the --on-cosim bring-up / after
 //                       --restore (default 64)
-//       --connect SOCK  client mode: ship the model to the xtsocd daemon at
-//                       AF_UNIX socket SOCK and run there (--campaign runs
-//                       a server-side campaign; see docs/SERVER.md)
-//       --warm-cycles N with --connect --campaign: ask the daemon to serve
-//                       the campaign from a warm checkpoint taken after N
-//                       cycles (resident across requests; 0 = cold runs)
 //       --quiet         deprecated; use --obs=none or an --obs list
 //                       without 'summary'
 //   -h, --help          this text
@@ -89,8 +90,8 @@
 #include "xtsoc/marks/marks.hpp"
 #include "xtsoc/obs/registry.hpp"
 #include "xtsoc/obs/snapshot.hpp"
-#include "xtsoc/snap/client.hpp"
 #include "xtsoc/snap/snapshot.hpp"
+#include "xtsoc/snap/warm.hpp"
 
 namespace fs = std::filesystem;
 using namespace xtsoc;
@@ -129,14 +130,11 @@ struct Options {
   int campaign = 0;  ///< 0 = no campaign; N > 0 = N-seed campaign
   std::string campaign_out_path;
 
-  // Checkpoint / daemon family (docs/CHECKPOINT.md, docs/SERVER.md).
+  // Checkpoint family (docs/CHECKPOINT.md).
   std::string checkpoint_out_path;
   std::string restore_path;
   std::uint64_t run_cycles = 64;
   bool saw_run_cycles_flag = false;
-  std::string connect_path;
-  std::uint64_t warm_cycles = 0;
-  bool saw_warm_cycles_flag = false;
 
   // Recorded separately so diagnostics can name the flag the user actually
   // typed (--quiet is the one surviving deprecated alias).
@@ -157,8 +155,6 @@ void usage(std::FILE* to) {
                "[--faults FILE [--campaign N [--campaign-out FILE]]]\n"
                "              [--checkpoint-out FILE] [--restore FILE] "
                "[--run-cycles N]]\n"
-               "       xtsocc MODEL.xtm --connect SOCK [--run-cycles N] "
-               "[--faults FILE --campaign N [--warm-cycles N]]\n"
                "       --obs sections: summary,noc,snapshot,counters,none "
                "(default: summary)\n");
 }
@@ -373,34 +369,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
       }
       opt->run_cycles = static_cast<std::uint64_t>(n);
       opt->saw_run_cycles_flag = true;
-    } else if (a == "--connect" || a.rfind("--connect=", 0) == 0) {
-      if (a == "--connect") {
-        const char* v = next();
-        if (!v) return false;
-        opt->connect_path = v;
-      } else {
-        opt->connect_path = a.substr(std::strlen("--connect="));
-      }
-      if (opt->connect_path.empty()) {
-        std::fprintf(stderr, "xtsocc: --connect needs a socket path\n");
-        return false;
-      }
-    } else if (a == "--warm-cycles" || a.rfind("--warm-cycles=", 0) == 0) {
-      std::string v;
-      if (a == "--warm-cycles") {
-        const char* n = next();
-        if (!n) return false;
-        v = n;
-      } else {
-        v = a.substr(std::strlen("--warm-cycles="));
-      }
-      const long long n = std::atoll(v.c_str());
-      if (n < 1) {
-        std::fprintf(stderr, "xtsocc: --warm-cycles needs a positive count\n");
-        return false;
-      }
-      opt->warm_cycles = static_cast<std::uint64_t>(n);
-      opt->saw_warm_cycles_flag = true;
     } else if (a == "--quiet") {
       deprecated("--quiet", "--obs=none, or an --obs list without 'summary'");
       opt->saw_quiet_flag = true;
@@ -430,58 +398,6 @@ bool validate_options(Options* opt) {
   if (opt->model_path.empty()) return fail("no model file given");
   if (opt->c_only && opt->vhdl_only) {
     return fail("--c-only and --vhdl-only are exclusive");
-  }
-  if (!opt->connect_path.empty()) {
-    // Client mode: the model ships to xtsocd and every run executes there.
-    // Local execution knobs are meaningless (or misleading) and rejected.
-    if (opt->on_cosim) {
-      return fail("--connect contradicts --on-cosim (the run executes on "
-                  "the daemon; --on-cosim runs locally)");
-    }
-    if (!opt->simulate_path.empty()) {
-      return fail("--connect contradicts --simulate (daemon runs are "
-                  "stimulus-free; drive length with --run-cycles)");
-    }
-    if (opt->check_only) return fail("--connect contradicts --check");
-    if (!opt->out_dir.empty()) {
-      return fail("--connect contradicts -o (client mode does not generate "
-                  "code)");
-    }
-    if (!opt->checkpoint_out_path.empty()) {
-      return fail("--checkpoint-out contradicts --connect (warm checkpoints "
-                  "stay resident on the daemon)");
-    }
-    if (!opt->restore_path.empty()) {
-      return fail("--restore contradicts --connect");
-    }
-    if (!opt->obs_trace_path.empty()) {
-      return fail("--obs-trace contradicts --connect");
-    }
-    if (opt->saw_threads_flag) {
-      return fail("--threads contradicts --connect (the daemon owns the "
-                  "worker pool; see xtsocd --threads)");
-    }
-    if (opt->saw_window_flag) return fail("--window contradicts --connect");
-    if (!opt->engine.empty()) {
-      return fail("--engine contradicts --connect (the daemon picks its own "
-                  "engine)");
-    }
-    if (!opt->jit_cache_dir.empty()) {
-      return fail("--jit-cache contradicts --connect");
-    }
-    if (opt->campaign > 0 && opt->faults_path.empty()) {
-      return fail("--campaign requires --faults");
-    }
-    if (opt->saw_warm_cycles_flag && opt->campaign == 0) {
-      return fail("--warm-cycles requires --campaign (warm checkpoints "
-                  "serve campaign fan-out)");
-    }
-    opt->print_summary = false;
-    return true;
-  }
-  if (opt->saw_warm_cycles_flag) {
-    return fail("--warm-cycles requires --connect (local runs have no "
-                "resident checkpoint cache; use --checkpoint-out/--restore)");
   }
   if (opt->check_only && !opt->simulate_path.empty()) {
     return fail("--check contradicts --simulate (--check stops after "
@@ -577,13 +493,6 @@ bool validate_options(Options* opt) {
   return true;
 }
 
-/// String field lookup with a fallback, for daemon responses.
-std::string field_or(const obs::JsonValue& v, std::string_view key,
-                     const std::string& fallback) {
-  const obs::JsonValue* f = v.find(key);
-  return (f != nullptr && f->is_string()) ? f->as_string() : fallback;
-}
-
 bool read_file(const std::string& path, std::string* out) {
   std::ifstream in(path);
   if (!in) return false;
@@ -636,69 +545,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "xtsocc: cannot read marks '%s'\n",
                  opt.marks_path.c_str());
     return 1;
-  }
-
-  if (!opt.connect_path.empty()) {
-    // Client mode: ship the model to xtsocd and run there. The daemon does
-    // the compile + elaborate (and keeps both resident for the next call).
-    std::string err;
-    auto client = snap::Client::connect(opt.connect_path, &err);
-    if (!client) {
-      std::fprintf(stderr, "xtsocc: %s\n", err.c_str());
-      return 1;
-    }
-    const std::string name = fs::path(opt.model_path).stem().string();
-    obs::JsonValue load = obs::JsonValue::object();
-    load["op"] = "load";
-    load["name"] = name;
-    load["model"] = model_text;
-    if (!marks_text.empty()) load["marks"] = marks_text;
-    auto resp = client->request(load, &err);
-    if (!resp.has_value()) {
-      std::fprintf(stderr, "xtsocc: %s\n", err.c_str());
-      return 1;
-    }
-    const obs::JsonValue* ok = resp->find("ok");
-    if (ok == nullptr || !ok->as_bool()) {
-      std::fprintf(stderr, "xtsocc: daemon: %s\n",
-                   field_or(*resp, "error", "load rejected").c_str());
-      return 1;
-    }
-
-    obs::JsonValue work = obs::JsonValue::object();
-    if (opt.campaign > 0) {
-      std::string faults_text;
-      if (!read_file(opt.faults_path, &faults_text)) {
-        std::fprintf(stderr, "xtsocc: cannot read faults '%s'\n",
-                     opt.faults_path.c_str());
-        return 1;
-      }
-      work["op"] = "campaign";
-      work["model"] = name;
-      work["faults"] = faults_text;
-      work["runs"] = opt.campaign;
-      if (opt.warm_cycles > 0) work["warm_cycles"] = opt.warm_cycles;
-      work["run_cycles"] = opt.run_cycles > 64 ? opt.run_cycles
-                                               : std::uint64_t{512};
-      if (opt.saw_run_cycles_flag) work["run_cycles"] = opt.run_cycles;
-    } else {
-      work["op"] = "run";
-      work["model"] = name;
-      work["cycles"] = opt.run_cycles;
-    }
-    resp = client->request(work, &err);
-    if (!resp.has_value()) {
-      std::fprintf(stderr, "xtsocc: %s\n", err.c_str());
-      return 1;
-    }
-    ok = resp->find("ok");
-    if (ok == nullptr || !ok->as_bool()) {
-      std::fprintf(stderr, "xtsocc: daemon: %s\n",
-                   field_or(*resp, "error", "request rejected").c_str());
-      return 1;
-    }
-    std::printf("%s\n", resp->dump(2).c_str());
-    return 0;
   }
 
   DiagnosticSink sink;
@@ -808,31 +654,45 @@ int main(int argc, char** argv) {
       // model, the marks and its seed — never on host execution knobs.
       // --threads scales how many runs execute concurrently instead, and
       // every thread count produces the identical campaign document.
+      //
+      // A stimulus-free run draws nothing before faultWindow.start, so its
+      // first S cycles are the same for every seed: run them once and
+      // restore each seed from that checkpoint (snap::WarmCampaign).
+      constexpr std::uint64_t kCampaignCycles = 512;
+      const std::uint64_t warm = fault_spec.window_start;
+      const bool warm_start = !scripted && warm > 0 && warm < kCampaignCycles;
       fault::Campaign campaign(fault_spec, opt.campaign, opt.threads);
       fault::CampaignResult result;
       try {
-        result = campaign.run([&](int index, std::uint64_t) {
-          fault::Plan plan(campaign.spec_for(index));
-          cosim::CoSimConfig rcfg;
-          rcfg.fault = &plan;
-          fault::RunOutcome o;
-          if (scripted) {
-            std::ostringstream discard;
-            core::StimulusResult r = core::run_stimulus_cosim(
-                *project, script, discard, rcfg,
-                [&](const cosim::CoSimulation& cs) {
-                  o = cosim::outcome_of(cs, plan);
-                });
-            o.survived = o.survived && r.ok;
-          } else {
-            // Stimulus-free campaign: a fixed-length bring-up run, long
-            // enough for retransmissions to resolve either way.
-            auto cs = project->make_cosim(rcfg);
-            cs->run_cycles(512);
-            o = cosim::outcome_of(*cs, plan);
-          }
-          return o;
-        });
+        if (warm_start) {
+          snap::WarmCampaign wc(project->system(), {}, fault_spec, warm,
+                                kCampaignCycles - warm,
+                                [](cosim::CoSimulation&) {});
+          result = wc.run(opt.campaign, opt.threads);
+        } else {
+          result = campaign.run([&](int index, std::uint64_t) {
+            fault::Plan plan(campaign.spec_for(index));
+            cosim::CoSimConfig rcfg;
+            rcfg.fault = &plan;
+            fault::RunOutcome o;
+            if (scripted) {
+              std::ostringstream discard;
+              core::StimulusResult r = core::run_stimulus_cosim(
+                  *project, script, discard, rcfg,
+                  [&](const cosim::CoSimulation& cs) {
+                    o = cosim::outcome_of(cs, plan);
+                  });
+              o.survived = o.survived && r.ok;
+            } else {
+              // Stimulus-free campaign: a fixed-length bring-up run, long
+              // enough for retransmissions to resolve either way.
+              auto cs = project->make_cosim(rcfg);
+              cs->run_cycles(kCampaignCycles);
+              o = cosim::outcome_of(*cs, plan);
+            }
+            return o;
+          });
+        }
       } catch (const std::exception& e) {
         std::fprintf(stderr, "xtsocc: campaign failed: %s\n", e.what());
         return 1;
