@@ -375,7 +375,7 @@ void emit_json() {
   }
   {
     // End-to-end engine rows: the same 4x4 mesh with actions run by the
-    // bytecode VM vs the AOT-compiled jit module. The jit module is
+    // AST walker vs the AOT-compiled jit module. The jit module is
     // content-addressed, so one compile (into a scratch cache removed
     // below) serves every cosim built from the same model. When the jit
     // is unavailable (no compiler) the rows are simply omitted — the
@@ -394,14 +394,14 @@ void emit_json() {
     if (jr.module != nullptr) {
       for (int threads : {1, 8}) {
         const std::string cfg = "mesh=4x4,threads=" + std::to_string(threads);
-        const double bc = mesh_cycles_per_sec(
-            4, 4, threads, nullptr, runtime::ActionEngine::kBytecode);
+        const double ast = mesh_cycles_per_sec(
+            4, 4, threads, nullptr, runtime::ActionEngine::kAstWalk);
         const double jt =
             mesh_cycles_per_sec(4, 4, threads, nullptr,
                                 runtime::ActionEngine::kJit, jr.module.get());
-        report.add("cycles_per_sec", bc, "cycles/s", cfg + ",engine=bytecode");
+        report.add("cycles_per_sec", ast, "cycles/s", cfg + ",engine=ast");
         report.add("cycles_per_sec", jt, "cycles/s", cfg + ",engine=jit");
-        report.add("jit_speedup_end_to_end", jt / bc, "x", cfg);
+        report.add("jit_speedup_end_to_end", jt / ast, "x", cfg);
       }
     } else {
       std::fprintf(stderr, "bench_cosim: jit unavailable: %s\n",

@@ -1,13 +1,13 @@
-// Engine ablation: the tree-walking interpreter vs the bytecode VM vs the
-// AOT jit (xtsoc::jit — actions lowered to C++, compiled to a shared
-// object, dlopen'd).
+// Engine ablation: the tree-walking interpreter (the reference) vs the AOT
+// jit (xtsoc::jit — actions lowered to C++, compiled to a shared object,
+// dlopen'd).
 //
-// All three engines implement the same observable semantics (checked in
-// engines_test.cpp and jit_test.cpp); this bench measures the cost of each
-// "manner" the model compiler may choose (paper §4), plus one-time
-// bytecode compilation and the jit's cold-compile/warm-load cache split.
-// The summary cross-checks the engines on a real workload before timing
-// anything.
+// Both engines implement the same observable semantics, op counts
+// included (checked in engines_test.cpp and jit_test.cpp); this bench
+// measures the cost of each "manner" the model compiler may choose (paper
+// §4), plus the jit's one-time bytecode lowering and its cold-compile/
+// warm-load cache split. The summary cross-checks the engines on a real
+// workload before timing anything.
 
 #include <benchmark/benchmark.h>
 
@@ -68,7 +68,7 @@ std::unique_ptr<runtime::Executor> run_soc(
 }
 
 void print_summary() {
-  std::printf("== engine ablation: AST walker vs bytecode VM vs jit ==\n");
+  std::printf("== engine ablation: AST walker vs jit ==\n");
   auto project =
       xtsoc::bench::make_project(xtsoc::bench::make_packet_soc(),
                                  marks::MarkSet{});
@@ -76,34 +76,30 @@ void print_summary() {
   jit::JitOptions jopts;
   jopts.cache_dir = cache.dir();
   jit::JitResult jr = jit::compile(project->compiled(), jopts);
-  auto ast = run_soc(*project, ActionEngine::kAstWalk, 64, true);
-  auto vm = run_soc(*project, ActionEngine::kBytecode, 64, true);
-  bool same = ast->trace().to_string() == vm->trace().to_string();
-  std::printf("  cross-check on 64 packets: ast/vm traces %s (%zu events)\n",
-              same ? "IDENTICAL" : "DIVERGED", ast->trace().size());
-  if (jr.module != nullptr) {
-    auto jat =
-        run_soc(*project, ActionEngine::kJit, 64, true, jr.module.get());
-    std::printf("  cross-check on 64 packets: vm/jit traces %s\n",
-                vm->trace().to_string() == jat->trace().to_string()
-                    ? "IDENTICAL"
-                    : "DIVERGED");
-  } else {
-    std::printf("  jit unavailable (%s) — timings fall back to the VM\n",
+  if (jr.module == nullptr) {
+    std::printf("  jit unavailable (%s) — only the walker is timed\n\n",
                 jr.reason.c_str());
+    return;
   }
+  auto ast = run_soc(*project, ActionEngine::kAstWalk, 64, true);
+  auto jat = run_soc(*project, ActionEngine::kJit, 64, true, jr.module.get());
+  bool same = ast->trace().to_string() == jat->trace().to_string();
+  std::printf("  cross-check on 64 packets: ast/jit traces %s (%zu events)\n",
+              same ? "IDENTICAL" : "DIVERGED", ast->trace().size());
+  std::printf("  ops: ast %llu, jit %llu\n",
+              static_cast<unsigned long long>(ast->ops_executed()),
+              static_cast<unsigned long long>(jat->ops_executed()));
   auto finals = verify::compare_final_states(ast->database(),
-                                             {&vm->database()});
+                                             {&jat->database()});
   std::printf("  final states: %s\n",
               finals.equivalent ? "IDENTICAL" : "DIVERGED");
-  std::printf("  (timings below; VM pays one-time compile, jit one "
-              "native compile — then less per-node overhead)\n\n");
+  std::printf("  (timings below; the jit pays one native compile — then "
+              "no per-node overhead)\n\n");
 }
 
 void BM_Engine(benchmark::State& state) {
-  const ActionEngine engine = state.range(0) == 0   ? ActionEngine::kAstWalk
-                              : state.range(0) == 1 ? ActionEngine::kBytecode
-                                                    : ActionEngine::kJit;
+  const ActionEngine engine =
+      state.range(0) == 0 ? ActionEngine::kAstWalk : ActionEngine::kJit;
   auto project = xtsoc::bench::make_project(xtsoc::bench::make_packet_soc(),
                                             marks::MarkSet{});
   jit::JitResult jr;
@@ -125,11 +121,9 @@ void BM_Engine(benchmark::State& state) {
   }
   state.counters["signals/s"] = benchmark::Counter(
       static_cast<double>(dispatched), benchmark::Counter::kIsRate);
-  state.SetLabel(state.range(0) == 0   ? "ast"
-                 : state.range(0) == 1 ? "bytecode"
-                                       : "jit");
+  state.SetLabel(engine == ActionEngine::kAstWalk ? "ast" : "jit");
 }
-BENCHMARK(BM_Engine)->Arg(0)->Arg(1)->Arg(2)->ArgNames({"engine"});
+BENCHMARK(BM_Engine)->Arg(0)->Arg(1)->ArgNames({"engine"});
 
 void BM_BytecodeCompile(benchmark::State& state) {
   auto project = xtsoc::bench::make_project(xtsoc::bench::make_packet_soc(),
@@ -176,10 +170,9 @@ void emit_json() {
   // one closest to the engine's actual cost. One untimed warm-up run
   // brings code and model state into cache first.
   constexpr int kReps = 5;
-  double bytecode_rate = 0.0;
+  double ast_rate = 0.0;
   std::vector<std::pair<ActionEngine, const char*>> engines = {
-      {ActionEngine::kAstWalk, "engine=ast,packets=500,trace=off"},
-      {ActionEngine::kBytecode, "engine=bytecode,packets=500,trace=off"}};
+      {ActionEngine::kAstWalk, "engine=ast,packets=500,trace=off"}};
   if (jr.module != nullptr) {
     engines.push_back({ActionEngine::kJit, "engine=jit,packets=500,trace=off"});
   }
@@ -195,9 +188,9 @@ void emit_json() {
       if (rate > best) best = rate;
     }
     report.add("signals_per_sec", best, "signals/s", config);
-    if (engine == ActionEngine::kBytecode) bytecode_rate = best;
-    if (engine == ActionEngine::kJit && bytecode_rate > 0.0) {
-      report.add("jit_speedup_vs_bytecode", best / bytecode_rate, "x",
+    if (engine == ActionEngine::kAstWalk) ast_rate = best;
+    if (engine == ActionEngine::kJit && ast_rate > 0.0) {
+      report.add("jit_speedup_vs_ast", best / ast_rate, "x",
                  "packets=500,trace=off");
     }
   }

@@ -102,7 +102,7 @@ void save_frame(snap::Writer& w, const Frame& f) {
 Frame load_frame(snap::Reader& r) {
   Frame f;
   f.opcode = r.u32();
-  f.payload.resize(r.u64());
+  f.payload.resize(r.count(1));
   for (std::uint8_t& b : f.payload) b = r.u8();
   f.due_cycle = r.u64();
   return f;

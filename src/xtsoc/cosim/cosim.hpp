@@ -82,7 +82,7 @@ namespace xtsoc::cosim {
 /// `requested` omits the section entirely, so runs that never mention
 /// engines keep byte-identical reports.
 struct EngineStatus {
-  std::string requested;        ///< engine the user asked for ("vm", "jit")
+  std::string requested;        ///< engine the user asked for ("ast", "jit")
   std::string active;           ///< engine actually executing actions
   std::string fallback_reason;  ///< why active != requested, when it does
   std::string digest;           ///< jit module content digest, if any
@@ -113,7 +113,7 @@ struct CoSimConfig {
   runtime::ActionEngine engine = runtime::ActionEngine::kAstWalk;
   /// AOT-compiled actions (xtsoc::jit) dispatched when `engine` is kJit;
   /// non-owning — the module must outlive the co-simulation. Executors
-  /// fall back to the bytecode VM per action when null or incomplete, so
+  /// fall back to the AST walker per action when null or incomplete, so
   /// observable behaviour never depends on this being set.
   const runtime::CompiledActions* compiled = nullptr;
   /// Provenance for the report's "engines" section (see EngineStatus).

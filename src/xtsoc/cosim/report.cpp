@@ -138,8 +138,8 @@ obs::Snapshot CoSimulation::report() const {
 
   // Like faults below, the engines section exists only when the caller
   // recorded an engine request, so default runs keep byte-identical
-  // reports — which is what lets the jit-vs-vm parity grid compare whole
-  // snapshots.
+  // reports — which is what lets the jit-vs-walker parity grid compare
+  // whole snapshots.
   if (!config_.engine_status.requested.empty()) {
     const EngineStatus& es = config_.engine_status;
     JsonValue& eng = snap["engines"];

@@ -10,14 +10,14 @@
  *
  * Versioning follows xtsoc::snap: a monotonically bumped XTSOC_JIT_ABI_VERSION
  * plus a content digest exported by the module. The host refuses (and falls
- * back to the VM) on either mismatch.
+ * back to the AST walker) on either mismatch.
  */
 #ifndef XTSOC_JIT_ABI_H_
 #define XTSOC_JIT_ABI_H_
 
 #include <stdint.h>
 
-#define XTSOC_JIT_ABI_VERSION 1u
+#define XTSOC_JIT_ABI_VERSION 2u
 
 /* Value tags. Numerically identical to runtime::Value's variant indexes so
  * host-side conversion is a table lookup, never a remap. */
@@ -39,10 +39,10 @@
 #define XJ_CONV_HANDLE 4u
 #define XJ_CONV_SET 5u
 
-/* Model-error kinds for XjHostOps::fail (exact VM error strings host-side). */
+/* Model-error kinds for XjHostOps::fail (the walker's error strings,
+ * produced host-side). */
 #define XJ_ERR_DIV0 1u
 #define XJ_ERR_MOD0 2u
-#define XJ_ERR_UNSET_VAR 3u
 #define XJ_ERR_NEG_DELAY 4u
 #define XJ_ERR_GEN_NULL 5u
 #define XJ_ERR_OP_LIMIT 6u
@@ -103,9 +103,11 @@ typedef struct XjHostOps {
                   const XjValue* args, uint32_t argc, int64_t delay);
   void (*log_vals)(XjHost* h, const XjValue* vals, uint32_t n);
 
-  /* Both throw the engine-parity C++ exception and never return. */
+  /* All three throw the walker's C++ exception and never return.
+   * fail_unset names the local variable read before it was assigned. */
   void (*fail)(XjHost* h, uint32_t err);
   void (*fail_conv)(XjHost* h, uint32_t conv, XjValue v);
+  void (*fail_unset)(XjHost* h, const char* name);
 
   /* Platform memory port (`mem.read` / `mem.write`). Appended member —
    * the digest covers this text, so older cached .so files retire. */
@@ -114,9 +116,9 @@ typedef struct XjHostOps {
 } XjHostOps;
 
 /* One compiled state action. Returns executed op count (identical to the
- * VM's instruction count for the same dispatch); self-deletion is tracked
+ * AST walker's count for the same dispatch); self-deletion is tracked
  * host-side. Model errors propagate as C++ exceptions raised by fail /
- * fail_conv inside host callbacks. */
+ * fail_conv / fail_unset inside host callbacks. */
 typedef uint64_t (*XjActionFn)(XjHost* h, const XjHostOps* o, XjValue self,
                                const XjValue* params, uint64_t max_ops);
 

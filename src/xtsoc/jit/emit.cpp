@@ -18,7 +18,6 @@ using oal::Op;
 void stack_effect(const Instr& i, int* need, int* net) {
   switch (i.op) {
     case Op::kPushConst:
-    case Op::kPushNull:
     case Op::kLoadLocal:
     case Op::kLoadParam:
     case Op::kLoadSelf:
@@ -29,7 +28,6 @@ void stack_effect(const Instr& i, int* need, int* net) {
       *net = 1;
       return;
     case Op::kStoreLocal:
-    case Op::kPop:
     case Op::kDelete:
     case Op::kJumpIfFalse:
       *need = 1;
@@ -45,6 +43,7 @@ void stack_effect(const Instr& i, int* need, int* net) {
     case Op::kFilter:
     case Op::kSetToRef:
     case Op::kMemRead:
+    case Op::kNeedTarget:
       *need = 1;
       *net = 0;
       return;
@@ -72,6 +71,7 @@ void stack_effect(const Instr& i, int* need, int* net) {
       return;
     case Op::kJump:
     case Op::kReturn:
+    case Op::kTick:
       *need = 0;
       *net = 0;
       return;
@@ -101,7 +101,7 @@ struct BlockShape {
 /// (kReturn or falling off the end) to leave exactly the one predicate
 /// result the filter loop consumes. Inconsistent depths at a merge point —
 /// which structured compile_bytecode output never produces — fail the
-/// analysis and the action stays on the VM.
+/// analysis and the action stays on the walker.
 bool analyze(const CodeBlock& b, bool is_sub, BlockShape* shape,
              std::string* err) {
   const std::size_t n = b.code.size();
@@ -235,11 +235,14 @@ class FnEmitter {
 public:
   explicit FnEmitter(std::string* err) : err_(err) {}
 
+  /// Append `block` as a function named `fn_name` (an XjActionFn) to *out.
+  /// On failure *out is unchanged and *err says why.
   bool emit(const CodeBlock& block, const std::string& fn_name,
             std::string* out) {
     decls_.clear();
     body_.clear();
     next_site_ = 0;
+    local_names_ = &block.local_names;
     const int frame = max_frame_size(block);
     for (int i = 0; i < frame; ++i) {
       // Built with += rather than operator+ to sidestep GCC 12's spurious
@@ -304,17 +307,19 @@ private:
       if (shape.depth[pc] < 0) continue;  // unreachable (e.g. after return)
       if (shape.is_target[pc]) label("L" + pfx + std::to_string(pc));
       if (leader[pc]) {
-        // Per-block op accounting: every instruction of the block counts
-        // exactly once (so totals match the VM on completion); the limit
+        // Per-block op accounting: the block's walker ticks are added once
+        // on entry (so totals match the walker on completion); the limit
         // check runs once per block, so a runaway loop still trips it —
-        // at worst one basic block earlier than the VM's per-instruction
+        // at worst one basic block earlier than the walker's per-tick
         // check would have (see docs/PERF.md).
-        std::size_t k = 0;
+        std::uint64_t k = 0;
         for (std::size_t q = pc; q < n && (q == pc || !leader[q]); ++q) {
-          if (shape.depth[q] >= 0) ++k;
+          if (shape.depth[q] >= 0) k += b.code[q].ticks;
         }
-        stmt("ops += " + std::to_string(k) +
-             "u; if (ops > max_ops) goto Lxj_lim;");
+        if (k != 0) {
+          stmt("ops += " + std::to_string(k) +
+               "u; if (ops > max_ops) goto Lxj_lim;");
+        }
       }
       if (!emit_instr(b, pfx, ret_label, pc, shape.depth[pc], S)) {
         return false;
@@ -354,12 +359,14 @@ private:
         }
         break;
       }
-      case Op::kPushNull:
-        stmt(S(d) + " = xj_null();");
-        break;
       case Op::kLoadLocal:
-        stmt("if (f" + std::to_string(i.a) +
-             ".tag == XJ_TAG_UNSET) xj_raise(h, o, XJ_ERR_UNSET_VAR);");
+        // Compiler temporaries (slots past the named locals) are always
+        // written before they are read.
+        if (i.a < local_names_->size()) {
+          stmt("if (f" + std::to_string(i.a) +
+               ".tag == XJ_TAG_UNSET) xj_unset_read(h, o, " +
+               str_literal((*local_names_)[i.a]) + ");");
+        }
         stmt(S(d) + " = f" + std::to_string(i.a) + ";");
         break;
       case Op::kStoreLocal:
@@ -374,15 +381,13 @@ private:
       case Op::kLoadSelected:
         stmt(S(d) + " = xsel;");
         break;
-      case Op::kPop:
-        body_ += "  /* pop */\n";
-        break;
       case Op::kGetAttr:
         stmt("xj_need_h(h, o, " + S(d - 1) + ");");
         stmt(S(d - 1) + " = o->get_attr(h, " + S(d - 1) + ", " + a + ");");
         break;
       case Op::kSetAttr:
-        // VM conversion order: object first (top), then the value goes out.
+        // Walker conversion order: object first (top), then the value goes
+        // out.
         stmt("xj_need_h(h, o, " + S(d - 1) + ");");
         stmt("o->set_attr(h, " + S(d - 1) + ", " + a + ", " + S(d - 2) + ");");
         break;
@@ -471,9 +476,9 @@ private:
         break;
       case Op::kRelate:
       case Op::kUnrelate:
-        // VM conversion order: the b-side handle (top of stack) first.
-        stmt("xj_need_h(h, o, " + S(d - 1) + ");");
+        // Walker conversion order: the a-side handle first.
         stmt("xj_need_h(h, o, " + S(d - 2) + ");");
+        stmt("xj_need_h(h, o, " + S(d - 1) + ");");
         stmt(std::string("o->") +
              (i.op == Op::kRelate ? "relate" : "unrelate") + "(h, " +
              S(d - 2) + ", " + S(d - 1) + ", " + a + ");");
@@ -503,8 +508,7 @@ private:
         if (!emit_block(b.subs[i.a], sub_pfx, "Lfr" + u)) return false;
         label("Lfr" + u);
         stmt("if (xj_as_bool(h, o, " + sub_pfx + "s0)) { o->set_append(h, "
-             "fout" + u + ", xsel);" +
-             (i.b != 0 ? " goto Lfe" + u + ";" : "") + " }");
+             "fout" + u + ", xsel); }");
         stmt("fi" + u + " += 1; goto Lfh" + u + ";");
         label("Lfe" + u);
         stmt("xsel = fsv" + u + ";");
@@ -515,12 +519,18 @@ private:
         stmt("xj_need_set(h, o, " + S(d - 1) + ");");
         stmt(S(d - 1) + " = o->set_first(h, " + S(d - 1) + ");");
         break;
+      case Op::kNeedTarget:
+        stmt("xj_need_h(h, o, " + S(d - 1) + ");");
+        stmt("if (" + S(d - 1) +
+             ".u.h.cls == XJ_CLS_NULL) xj_raise(h, o, XJ_ERR_GEN_NULL);");
+        break;
       case Op::kGenerate: {
+        // Stack: target (checked by kNeedTarget), args, [delay].
         const std::string u = site();
         const int argc = static_cast<int>(i.b >> 1);
         const int has_delay = static_cast<int>(i.b & 1u);
-        const int t_idx = d - 1 - has_delay;
-        const int arg_base = t_idx - argc;
+        const int arg_base = d - has_delay - argc;
+        const int t_idx = arg_base - 1;
         decl("int64_t gd" + u + ";");
         if (argc > 0) {
           decl("XjValue ga" + u + "[" + std::to_string(argc) + "];");
@@ -530,9 +540,6 @@ private:
           stmt("gd" + u + " = xj_as_int(h, o, " + S(d - 1) + ");");
           stmt("if (gd" + u + " < 0) xj_raise(h, o, XJ_ERR_NEG_DELAY);");
         }
-        stmt("xj_need_h(h, o, " + S(t_idx) + ");");
-        stmt("if (" + S(t_idx) +
-             ".u.h.cls == XJ_CLS_NULL) xj_raise(h, o, XJ_ERR_GEN_NULL);");
         for (int k = 0; k < argc; ++k) {
           stmt("ga" + u + "[" + std::to_string(k) + "] = " + S(arg_base + k) +
                ";");
@@ -562,7 +569,7 @@ private:
              ")));");
         break;
       case Op::kMemWrite: {
-        // VM conversion order: value (top of stack) first, then address.
+        // Walker conversion order: value (top of stack) first, then address.
         const std::string u = site();
         decl("int64_t mv" + u + "; int64_t ma" + u + ";");
         stmt("mv" + u + " = xj_as_int(h, o, " + S(d - 1) + ");");
@@ -570,6 +577,8 @@ private:
         stmt("o->mem_write(h, ma" + u + ", mv" + u + ");");
         break;
       }
+      case Op::kTick:
+        break;
     }
     return true;
   }
@@ -579,12 +588,13 @@ private:
   std::string decls_;
   std::string body_;
   int next_site_ = 0;
+  const std::vector<std::string>* local_names_ = nullptr;
   std::string* err_;
 };
 
 /// Inline helpers prepended to every generated translation unit. Each
-/// mirrors one VM fast path bit for bit, including the order conversions
-/// happen in (and therefore which operand's error fires first).
+/// mirrors the walker's evaluation bit for bit, including the order
+/// conversions happen in (and therefore which operand's error fires first).
 const char* const kPrelude = R"XJP(
 namespace {
 
@@ -613,6 +623,11 @@ static inline XjValue xj_null() {
 
 [[noreturn]] static void xj_raise(XjHost* h, const XjHostOps* o, uint32_t e) {
   o->fail(h, e);
+  XJ_UNREACHABLE();
+}
+[[noreturn]] static void xj_unset_read(XjHost* h, const XjHostOps* o,
+                                       const char* name) {
+  o->fail_unset(h, name);
   XJ_UNREACHABLE();
 }
 [[noreturn]] static void xj_conv(XjHost* h, const XjHostOps* o, uint32_t c,
@@ -672,7 +687,7 @@ static inline void xj_div(XjHost* h, const XjHostOps* o, XjValue& l,
   }
   double a = xj_as_real(h, o, l);
   double b = xj_as_real(h, o, r);
-  /* the real-division path deliberately has no zero check, like the VM */
+  /* the real-division path deliberately has no zero check, like the walker */
   l.tag = XJ_TAG_REAL; l.aux = 0u; l.u.d = a / b;
 }
 static inline void xj_mod(XjHost* h, const XjHostOps* o, XjValue& l,
@@ -689,10 +704,11 @@ static inline void xj_mod(XjHost* h, const XjHostOps* o, XjValue& l,
 }
 
 static inline int xj_eq(XjHost* h, const XjHostOps* o, XjValue l, XjValue r) {
+  /* int/int is exact; a mixed pair compares as real, like value_equals() */
+  if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) return l.u.i == r.u.i;
   const int ln = l.tag == XJ_TAG_INT || l.tag == XJ_TAG_REAL;
   const int rn = r.tag == XJ_TAG_INT || r.tag == XJ_TAG_REAL;
   if (ln && rn) {
-    /* numeric cross-type equality through double, like value_equals() */
     double a = l.tag == XJ_TAG_INT ? (double)l.u.i : l.u.d;
     double b = r.tag == XJ_TAG_INT ? (double)r.u.i : r.u.d;
     return a == b;
@@ -709,7 +725,10 @@ static inline int xj_eq(XjHost* h, const XjHostOps* o, XjValue l, XjValue r) {
 }
 static inline int xj_cmp(XjHost* h, const XjHostOps* o, XjValue l, XjValue r) {
   if (l.tag == XJ_TAG_STR) return o->str_compare(h, l, r);
-  /* ordering goes through as_real exactly like both interpreters */
+  /* int/int orders exactly; anything else through as_real, like the walker */
+  if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) {
+    return l.u.i < r.u.i ? -1 : (l.u.i > r.u.i ? 1 : 0);
+  }
   double a = xj_as_real(h, o, l);
   double b = xj_as_real(h, o, r);
   return a < b ? -1 : (a > b ? 1 : 0);
@@ -719,15 +738,6 @@ static inline int xj_cmp(XjHost* h, const XjHostOps* o, XjValue l, XjValue r) {
 )XJP";
 
 }  // namespace
-
-bool emit_action(const oal::CodeBlock& block, const std::string& fn_name,
-                 std::string* out, std::string* err) {
-  std::string text;
-  FnEmitter em(err);
-  if (!em.emit(block, fn_name, &text)) return false;
-  *out += text;
-  return true;
-}
 
 std::string emit_module_source(const oal::CompiledDomain& dom,
                                const std::string& digest, int* skipped) {
@@ -750,7 +760,7 @@ std::string emit_module_source(const oal::CompiledDomain& dom,
       const std::string fn = "xj_act_" + std::to_string(cc.id.value()) + "_" +
                              std::to_string(s);
       std::string err;
-      if (emit_action(bc, fn, &src, &err)) {
+      if (FnEmitter(&err).emit(bc, fn, &src)) {
         entries.push_back({cc.id.value(), static_cast<std::uint32_t>(s), fn});
       } else {
         src += "/* " + fn + " skipped: " + err + " */\n\n";

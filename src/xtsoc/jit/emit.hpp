@@ -1,25 +1,27 @@
 // Bytecode -> C++ lowering for the jit engine.
 //
-// Each state action's CodeBlock (the exact program the bytecode VM runs) is
+// Each state action's CodeBlock (oal::compile_bytecode, which follows the
+// tree-walking interpreter's evaluation order and records its op ticks) is
 // translated to one free-standing C++ function over the C ABI in abi.h.
-// Translating the *bytecode* rather than the AST is what makes op-count
-// parity structural: every instruction the VM would tick() is counted
-// exactly once by the generated code, accumulated per basic block.
+// Op-count parity with the walker is structural: every instruction carries
+// the walker ticks it stands for, and the generated code adds them up per
+// basic block.
 //
 // Lowering scheme:
 //   * static stack-depth analysis assigns every stack slot at depth d a
 //     local `sD` (XjValue, registerizable) — no value stack, no variant;
 //   * jump targets become labels, kJump/kJumpIfFalse become gotos;
-//   * scalar arithmetic/comparison runs inline with the VM's exact
-//     fast-path ordering; anything touching the database, strings or sets
+//   * scalar arithmetic/comparison runs inline with the walker's exact
+//     conversion order; anything touching the database, strings or sets
 //     crosses the XjHostOps table;
 //   * where-filter predicates inline recursively with fresh locals, the
-//     `selected` register is saved/restored around each loop like the VM's.
+//     `selected` register is saved/restored around each loop like the
+//     walker's.
 //
 // An action whose bytecode the analyzer cannot prove well-formed (stack
 // depth mismatch at a merge point — impossible for compile_bytecode output
 // today, but checked, not assumed) is simply not emitted; the executor
-// runs it on the VM, preserving behaviour.
+// runs it on the walker, preserving behaviour.
 #pragma once
 
 #include <string>
@@ -29,18 +31,12 @@
 
 namespace xtsoc::jit {
 
-/// Translate one action body into a function definition named `fn_name`
-/// (signature: XjActionFn). Appends to *out. Returns false with *err set
-/// if the bytecode cannot be lowered; *out is unchanged in that case.
-bool emit_action(const oal::CodeBlock& block, const std::string& fn_name,
-                 std::string* out, std::string* err);
-
 /// Generate the complete C++ translation unit for a compiled domain:
 /// embedded ABI header, helper prelude, one function per emittable
 /// (class, state) action, entry table and exported xtsoc_jit_module().
 /// `digest` is baked into the module for host-side validation.
 /// Actions that cannot be lowered are left out of the entry table (the
-/// executor falls back to the VM per action); *skipped is set to how many
+/// executor falls back to the walker per action); *skipped is set to how many
 /// were left out. Returns the source text.
 std::string emit_module_source(const oal::CompiledDomain& dom,
                                const std::string& digest, int* skipped);

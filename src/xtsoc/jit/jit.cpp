@@ -127,20 +127,25 @@ JitResult compile(const oal::CompiledDomain& dom, const JitOptions& opts) {
       return res;
     }
 
+    // Every build works on pid-tagged files and publishes by rename, so
+    // processes compiling the same model into one cache cannot truncate
+    // each other's source or object mid-compile.
+    const std::string tag = std::to_string(
+        static_cast<unsigned long long>(::getpid()));
     const fs::path src_path = fs::path(dir) / ("xtsoc-" + res.digest + ".cpp");
+    const fs::path tmp_src =
+        fs::path(dir) / ("xtsoc-" + res.digest + "." + tag + ".cpp");
     {
-      std::ofstream out(src_path, std::ios::trunc);
+      std::ofstream out(tmp_src, std::ios::trunc);
       out << src;
       if (!out) {
         res.reason = "cache directory not writable: " + dir;
         std::error_code rm;
-        fs::remove(src_path, rm);
+        fs::remove(tmp_src, rm);
         return res;
       }
     }
 
-    const std::string tag = std::to_string(
-        static_cast<unsigned long long>(::getpid()));
     const fs::path tmp_so =
         fs::path(dir) / ("xtsoc-" + res.digest + "." + tag + ".so.tmp");
     const fs::path log_path =
@@ -148,9 +153,15 @@ JitResult compile(const oal::CompiledDomain& dom, const JitOptions& opts) {
 
     const std::string cmd = compiler + " " + flags + " -o " +
                             quoted(tmp_so.string()) + " " +
-                            quoted(src_path.string()) + " > " +
+                            quoted(tmp_src.string()) + " > " +
                             quoted(log_path.string()) + " 2>&1";
     const int rc = std::system(cmd.c_str());
+    {
+      // The source stays beside its object for inspection.
+      std::error_code mv;
+      fs::rename(tmp_src, src_path, mv);
+      if (mv) fs::remove(tmp_src, mv);
+    }
     if (rc != 0) {
       std::string excerpt = read_head(log_path, 300);
       res.reason = "compile failed (" + compiler + ", status " +

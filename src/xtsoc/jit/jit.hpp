@@ -12,7 +12,7 @@
 // Failure policy: compile() NEVER throws and never aborts a run. Every
 // failure — no compiler, unwritable cache, compile error, dlopen error,
 // ABI/digest mismatch — returns a null module with a human-readable
-// reason, and the caller runs on the bytecode VM instead (surfaced in the
+// reason, and the caller runs on the AST walker instead (surfaced in the
 // report's "engines" section).
 #pragma once
 
@@ -45,8 +45,8 @@ struct JitResult {
   std::string digest;
   std::string so_path;
   bool cache_hit = false;
-  /// Actions left to the VM because their bytecode couldn't be lowered
-  /// (0 in practice; the executor falls back per action).
+  /// Actions left to the walker because their bytecode couldn't be
+  /// lowered (0 in practice; the executor falls back per action).
   int skipped_actions = 0;
 };
 

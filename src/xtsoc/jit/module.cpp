@@ -121,7 +121,7 @@ void op_set_attr(XjHost* h, XjValue obj, std::uint32_t attr, XjValue v) {
   HostCtx& c = *ctx(h);
   const InstanceHandle ih = to_handle(obj);
   c.host->database().set_attr(ih, AttributeId(attr), from_xj(v, c));
-  // Re-read like the VM so the traced value reflects any coercion.
+  // Re-read like the walker so the traced value reflects any coercion.
   c.host->on_attr_write(ih, AttributeId(attr),
                         c.host->database().get_attr(ih, AttributeId(attr)));
 }
@@ -176,8 +176,8 @@ std::int64_t op_set_size(XjHost* h, XjValue set) {
 }
 
 XjValue op_set_at(XjHost* h, XjValue set, std::int64_t idx) {
-  // vector::at, like the VM's kIndexSet — same std::out_of_range on a bad
-  // index (negative wraps through size_t exactly like the VM's cast).
+  // vector::at: a bad index throws std::out_of_range. Only for-each loops
+  // index sets, and they stay in range.
   return from_handle(
       arena_set(*ctx(h), set).at(static_cast<std::size_t>(idx)));
 }
@@ -204,8 +204,8 @@ XjValue op_str_const(XjHost* h, const char* data, std::uint64_t len) {
 
 XjValue op_str_concat(XjHost* h, XjValue l, XjValue r) {
   HostCtx& c = *ctx(h);
-  // Right side through std::get, like the VM: a non-string rhs throws the
-  // same std::bad_variant_access.
+  // Right side through std::get, like the walker: a non-string rhs throws
+  // the same std::bad_variant_access.
   const Value rv = from_xj(r, c);
   return arena_put(c, Value(arena_str(c, l) + std::get<std::string>(rv)),
                    XJ_TAG_STR);
@@ -249,8 +249,6 @@ void op_fail(XjHost* /*h*/, std::uint32_t err) {
       throw ModelError("integer division by zero");
     case XJ_ERR_MOD0:
       throw ModelError("modulo by zero");
-    case XJ_ERR_UNSET_VAR:
-      throw ModelError("read of unset variable");
     case XJ_ERR_NEG_DELAY:
       throw ModelError("negative delay in generate");
     case XJ_ERR_GEN_NULL:
@@ -262,9 +260,13 @@ void op_fail(XjHost* /*h*/, std::uint32_t err) {
   }
 }
 
+void op_fail_unset(XjHost* /*h*/, const char* name) {
+  throw ModelError("read of unset variable '" + std::string(name) + "'");
+}
+
 void op_fail_conv(XjHost* h, std::uint32_t conv, XjValue v) {
   // Reconstruct the Value and run the exact runtime conversion, so the
-  // exception type and message are the VM's, character for character.
+  // exception type and message are the walker's, character for character.
   const Value val = from_xj(v, *ctx(h));
   switch (conv) {
     case XJ_CONV_BOOL:
@@ -320,6 +322,7 @@ const XjHostOps kHostOps = {
     &op_log_vals,
     &op_fail,
     &op_fail_conv,
+    &op_fail_unset,
     &op_mem_read,
     &op_mem_write,
 };

@@ -4,7 +4,7 @@
 // Validation order on load (each failure returns a reason, never throws):
 // dlopen -> entry symbol -> ABI version -> content digest. A stale cached
 // .so (right file name, wrong exported digest) is rejected here and the
-// caller falls back to the VM — it is never silently recompiled over,
+// caller falls back to the walker — it is never silently recompiled over,
 // because a digest mismatch under a digest-keyed name means something is
 // wrong with the cache itself.
 #pragma once

@@ -690,7 +690,7 @@ Flit load_flit(snap::Reader& r) {
   f.frame_id = r.u32();
   f.crc = r.u32();
   f.route_mode = static_cast<RouteMode>(r.u8());
-  f.payload.resize(r.u64());
+  f.payload.resize(r.count(1));
   for (std::uint8_t& b : f.payload) b = r.u8();
   f.send_cycle = r.u64();
   f.min_due = r.u64();
@@ -706,7 +706,7 @@ void save_bytes(snap::Writer& w, const std::vector<std::uint8_t>& v) {
 }
 
 std::vector<std::uint8_t> load_bytes(snap::Reader& r) {
-  std::vector<std::uint8_t> v(r.u64());
+  std::vector<std::uint8_t> v(r.count(1));
   for (std::uint8_t& b : v) b = r.u8();
   return v;
 }

@@ -15,6 +15,9 @@ public:
   }
 
   CodeBlock run() {
+    for (const LocalVar& v : action_.locals) {
+      block_.local_names.push_back(v.name);
+    }
     emit_block(action_.ast);
     emit(Op::kReturn);
     return std::move(block_);
@@ -46,7 +49,15 @@ private:
 
   // --- expressions ---------------------------------------------------------
 
+  /// The walker ticks once on entering a node: book it on the node's first
+  /// instruction, which runs exactly once per evaluation of the node.
   void emit_expr(const Expr& e) {
+    const std::uint32_t first = here();
+    emit_expr_code(e);
+    if (first < here()) block_.code[first].ticks += 1;
+  }
+
+  void emit_expr_code(const Expr& e) {
     switch (e.kind) {
       case ExprKind::kLiteral:
         emit(Op::kPushConst,
@@ -157,7 +168,16 @@ private:
     for (const auto& s : b.stmts) emit_stmt(*s);
   }
 
+  /// As emit_expr: the statement's tick goes on its first instruction. A
+  /// while loop starts with a kTick, because its first real instruction is
+  /// the loop head, which runs once per iteration.
   void emit_stmt(const Stmt& s) {
+    const std::uint32_t first = here();
+    emit_stmt_code(s);
+    if (first < here()) block_.code[first].ticks += 1;
+  }
+
+  void emit_stmt_code(const Stmt& s) {
     switch (s.kind) {
       case StmtKind::kAssign: {
         const auto& a = static_cast<const AssignStmt&>(s);
@@ -184,18 +204,32 @@ private:
         emit(Op::kDelete);
         break;
       case StmtKind::kGenerate: {
+        // Walker order: the target (checked at once), the arguments in
+        // source order, then the delay. kGenerate takes the arguments in
+        // parameter order, so out-of-order ones go through temporaries.
         const auto& g = static_cast<const GenerateStmt&>(s);
-        // Push args in parameter order.
-        std::vector<const Expr*> args(g.args.size(), nullptr);
-        for (const auto& a : g.args) {
-          args[static_cast<std::size_t>(a.param_index)] = a.value.get();
-        }
-        for (const Expr* a : args) emit_expr(*a);
         emit_expr(*g.target);
+        emit(Op::kNeedTarget);
+        bool in_order = true;
+        for (std::size_t k = 0; k < g.args.size(); ++k) {
+          if (g.args[k].param_index != static_cast<int>(k)) in_order = false;
+        }
+        if (in_order) {
+          for (const auto& a : g.args) emit_expr(*a.value);
+        } else {
+          std::vector<std::uint32_t> temps(g.args.size());
+          for (const auto& a : g.args) {
+            const auto t = static_cast<std::uint32_t>(temp_slot());
+            temps[static_cast<std::size_t>(a.param_index)] = t;
+            emit_expr(*a.value);
+            emit(Op::kStoreLocal, t);
+          }
+          for (std::uint32_t t : temps) emit(Op::kLoadLocal, t);
+        }
         if (g.delay) emit_expr(*g.delay);
         emit(Op::kGenerate,
              (g.target_class.value() << 16) | g.event.value(),
-             (static_cast<std::uint32_t>(args.size()) << 1) |
+             (static_cast<std::uint32_t>(g.args.size()) << 1) |
                  (g.delay ? 1u : 0u));
         break;
       }
@@ -237,6 +271,7 @@ private:
       }
       case StmtKind::kWhile: {
         const auto& w = static_cast<const WhileStmt&>(s);
+        emit(Op::kTick);
         loops_.push_back({});
         loops_.back().continue_target = here();
         loops_.back().continue_known = true;
@@ -300,9 +335,7 @@ private:
         sub = std::move(sc.block_);
       }
       block_.subs.push_back(std::move(sub));
-      emit(Op::kFilter,
-           static_cast<std::uint32_t>(block_.subs.size() - 1),
-           many ? 0 : 1);
+      emit(Op::kFilter, static_cast<std::uint32_t>(block_.subs.size() - 1));
     }
     if (!many) emit(Op::kSetToRef);
     emit(Op::kStoreLocal, static_cast<std::uint32_t>(slot));
@@ -356,13 +389,11 @@ private:
 const char* op_name(Op op) {
   switch (op) {
     case Op::kPushConst: return "push_const";
-    case Op::kPushNull: return "push_null";
     case Op::kLoadLocal: return "load";
     case Op::kStoreLocal: return "store";
     case Op::kLoadParam: return "param";
     case Op::kLoadSelf: return "self";
     case Op::kLoadSelected: return "selected";
-    case Op::kPop: return "pop";
     case Op::kGetAttr: return "get_attr";
     case Op::kSetAttr: return "set_attr";
     case Op::kAdd: return "add";
@@ -393,10 +424,12 @@ const char* op_name(Op op) {
     case Op::kRelated: return "related";
     case Op::kFilter: return "filter";
     case Op::kSetToRef: return "set_to_ref";
+    case Op::kNeedTarget: return "need_target";
     case Op::kGenerate: return "generate";
     case Op::kLog: return "log";
     case Op::kMemRead: return "mem_read";
     case Op::kMemWrite: return "mem_write";
+    case Op::kTick: return "tick";
   }
   return "?";
 }
@@ -418,6 +451,7 @@ std::string disassemble(const CodeBlock& block) {
       os << ' ' << i.a;
       if (i.b != 0) os << ", " << i.b;
     }
+    if (i.ticks != 0) os << "  ; ops " << i.ticks;
     os << '\n';
   }
   for (std::size_t s = 0; s < block.subs.size(); ++s) {

@@ -1,13 +1,15 @@
 // Bytecode form of analyzed OAL actions: a compact stack machine.
 //
-// The repository ships TWO action-execution engines over the same analyzed
-// AST: the tree-walking interpreter (runtime/interp.*) and the VM over this
-// bytecode (runtime/vm.*). Both implement the identical observable
-// semantics — which is checked, not assumed: the test suite and
-// bench_engines cross-compare their traces event by event. That is the
-// paper's §4 argument ("a model compiler ... may do [it] any manner it
-// chooses so long as the defined behavior is preserved") demonstrated with
-// n = 2 implementations.
+// The bytecode is the jit's input: jit/emit.* lowers each action's
+// CodeBlock to C++. It carries the reference semantics of the tree-walking
+// interpreter (runtime/interp.*) instruction for instruction — the same
+// evaluation order, the same conversions, the same errors — and the
+// walker's op count: every instruction records how many of the walker's
+// tick_op() points it stands for (`Instr::ticks`), so a run's op total is
+// the walker's on every engine. The walker ticks once on entering each
+// statement and each expression node; the compiler books that tick on the
+// first instruction of the node's code, and puts a zero-width kTick in
+// front of a while loop, whose first instruction is the loop head.
 //
 // Machine model:
 //   * value stack of runtime Values;
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "xtsoc/oal/sema.hpp"
@@ -26,13 +29,11 @@ namespace xtsoc::oal {
 enum class Op : std::uint8_t {
   // stack & frame
   kPushConst,   ///< a = constant-pool index
-  kPushNull,    ///< push a null instance handle
   kLoadLocal,   ///< a = slot
   kStoreLocal,  ///< a = slot (pops)
   kLoadParam,   ///< a = param index
   kLoadSelf,
   kLoadSelected,
-  kPop,
   // attributes (object on stack)
   kGetAttr,     ///< a = attr id; pops object, pushes value
   kSetAttr,     ///< a = attr id; pops value, object
@@ -55,22 +56,27 @@ enum class Op : std::uint8_t {
   kUnrelate,   ///< a = assoc id; pops b, a
   kSelectAll,  ///< a = class id; pushes the full extent as a set
   kRelated,    ///< a = assoc id; pops start handle, pushes related set
-  kFilter,     ///< a = sub-block idx, b = 1 keep-first-only; pops set,
-               ///< pushes filtered set (runs sub per candidate w/ selected)
+  kFilter,     ///< a = sub-block idx; pops set, pushes filtered set (runs
+               ///< sub for every candidate with selected, like the walker)
   kSetToRef,   ///< pops set, pushes first element or null
   // effects
+  kNeedTarget, ///< checks the top is a non-null instance (generate target)
   kGenerate,   ///< a = (target class<<16)|event, b = (argc<<1)|has_delay;
-               ///< pops [delay], target, argN..arg1
+               ///< pops [delay], argN..arg1, target
   kLog,        ///< a = argc; pops argc values (last on top)
   // platform memory port (xtsoc::mem via the Host)
   kMemRead,    ///< pops address, pushes loaded value
   kMemWrite,   ///< pops value, address (value on top)
+  // op accounting
+  kTick,       ///< no effect; carries ticks where no instruction sits
 };
 
 struct Instr {
   Op op;
   std::uint32_t a = 0;
   std::uint32_t b = 0;
+  /// Walker ops this instruction accounts for (see the file comment).
+  std::uint32_t ticks = 0;
 };
 
 struct CodeBlock {
@@ -80,6 +86,9 @@ struct CodeBlock {
   std::vector<xtuml::ScalarValue> constants;
   std::vector<CodeBlock> subs;   ///< where-filter predicates
   int frame_size = 0;            ///< locals + temporaries
+  /// Name of each sema local slot, for the unset-read error text. Only
+  /// the top-level block carries it; sub-blocks share its frame.
+  std::vector<std::string> local_names;
 };
 
 /// Compile an analyzed action to bytecode. The action must have passed

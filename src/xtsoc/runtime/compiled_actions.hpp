@@ -4,15 +4,15 @@
 // domain to native code in a dlopen'd shared object. The Executor neither
 // knows nor cares how: it sees this interface, asks whether a (class,
 // state) action was compiled, and runs it against the same Host it would
-// hand the interpreter or the bytecode VM. Actions the module does not
-// cover (or a null module) fall back to the bytecode VM per dispatch, so a
-// partially compiled model is still byte-identical, just slower.
+// hand the tree-walking interpreter. Actions the module does not cover (or
+// a null module) run on the walker per dispatch, so a partially compiled
+// model is still byte-identical, just slower.
 //
-// Contract (enforced by the EnginesJit tests): run() must produce exactly
-// the observable behaviour of run_bytecode() on the same action — same
-// Host calls in the same order, same error strings, and the same op count
-// in InterpResult (op totals feed cosim's sw_ops_per_cycle budgeting, so
-// they are trace-visible).
+// Contract (enforced by engines_test and the EnginesJit grid): run() must
+// produce exactly the observable behaviour of run_action() on the same
+// action — same Host calls in the same order, same error strings, and the
+// same op count in InterpResult (op totals feed cosim's sw_ops_per_cycle
+// budgeting, so they are trace-visible).
 #pragma once
 
 #include <cstdint>
@@ -31,9 +31,9 @@ public:
   /// True if the action of `cls` entering `state` was compiled.
   virtual bool has(ClassId cls, StateId state) const = 0;
 
-  /// Execute the compiled action. Same semantics as run_bytecode():
-  /// throws ModelError / std::runtime_error on model faults, counts every
-  /// logical instruction in InterpResult::ops.
+  /// Execute the compiled action. Same semantics as run_action(): throws
+  /// ModelError / std::runtime_error on model faults, and counts the
+  /// walker's ops in InterpResult::ops.
   virtual InterpResult run(ClassId cls, StateId state,
                            const InstanceHandle& self,
                            const std::vector<Value>& params, Host& host,

@@ -245,13 +245,15 @@ void Database::load_state(snap::Reader& r) {
   if (r.u64() != slots_.size()) {
     throw snap::SnapError("database snapshot class count mismatch");
   }
+  // Minimum encodings: a slot is alive, generation, state and attr count;
+  // a value its tag; a free-list entry a u32; a link two handles.
   for (auto& cls_slots : slots_) {
-    cls_slots.resize(r.u64());
+    cls_slots.resize(r.count(1 + 4 + 4 + 8));
     for (InstanceSlot& s : cls_slots) {
       s.alive = r.boolean();
       s.generation = r.u32();
       s.state = StateId(r.u32());
-      s.attrs.resize(r.u64());
+      s.attrs.resize(r.count(1));
       for (Value& v : s.attrs) v = load_value(r);
     }
   }
@@ -259,14 +261,14 @@ void Database::load_state(snap::Reader& r) {
     throw snap::SnapError("database snapshot class count mismatch");
   }
   for (auto& fl : free_list_) {
-    fl.resize(r.u64());
+    fl.resize(r.count(4));
     for (std::uint32_t& idx : fl) idx = r.u32();
   }
   if (r.u64() != links_.size()) {
     throw snap::SnapError("database snapshot association count mismatch");
   }
   for (auto& ll : links_) {
-    ll.resize(r.u64());
+    ll.resize(r.count(24));
     for (Link& l : ll) {
       l.a = load_handle(r);
       l.b = load_handle(r);

@@ -316,23 +316,16 @@ void Executor::dispatch(EventMessage m) {
   }
 
   current_ = m.target;
+  // The jit runs the actions its module covers; every other dispatch (and
+  // every dispatch under kAstWalk) runs on the walker, the reference.
   InterpResult r;
-  if (config_.engine == ActionEngine::kAstWalk) {
-    const oal::AnalyzedAction& action =
-        compiled_->action(m.target.cls, t->to);
-    r = run_action(action, m.target, m.args, *this,
-                   config_.max_ops_per_action);
-  } else if (config_.engine == ActionEngine::kJit &&
-             config_.compiled != nullptr &&
-             config_.compiled->has(m.target.cls, t->to)) {
+  if (config_.engine == ActionEngine::kJit && config_.compiled != nullptr &&
+      config_.compiled->has(m.target.cls, t->to)) {
     r = config_.compiled->run(m.target.cls, t->to, m.target, m.args, *this,
                               config_.max_ops_per_action);
   } else {
-    // kBytecode, and the per-action fallback for kJit actions the module
-    // does not cover — identical observable behaviour either way.
-    const Program& prog = bytecode_for(m.target.cls, t->to);
-    r = run_bytecode(prog.code, prog.prepared, m.target, m.args, *this,
-                     config_.max_ops_per_action, &vm_scratch_);
+    r = run_action(compiled_->action(m.target.cls, t->to), m.target, m.args,
+                   *this, config_.max_ops_per_action);
   }
   current_ = InstanceHandle::null();
   ops_ += r.ops;
@@ -363,22 +356,6 @@ const xtuml::TransitionDef* Executor::transition_for(
   }
   if (from.value() >= ns || event.value() >= ne) return nullptr;
   return tab[from.value() * ne + event.value()];
-}
-
-const Executor::Program& Executor::bytecode_for(ClassId cls, StateId state) {
-  if (bytecode_.empty()) bytecode_.resize(domain().class_count());
-  auto& per_class = bytecode_[cls.value()];
-  if (per_class.empty()) {
-    per_class.resize(domain().cls(cls).states.size());
-  }
-  auto& slot = per_class[state.value()];
-  if (!slot) {
-    Program p;
-    p.code = oal::compile_bytecode(compiled_->action(cls, state));
-    p.prepared = prepare_block(p.code);
-    slot = std::move(p);
-  }
-  return *slot;
 }
 
 std::vector<Value> Executor::acquire_args(std::size_t n) {
@@ -451,7 +428,7 @@ EventMessage load_message(snap::Reader& r) {
   EventMessage m;
   m.target = load_handle(r);
   m.event = EventId(r.u32());
-  m.args.resize(r.u64());
+  m.args.resize(r.count(1));
   for (Value& v : m.args) v = load_value(r);
   m.sender = load_handle(r);
   m.deliver_at = r.u64();

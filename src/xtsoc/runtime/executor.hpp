@@ -28,14 +28,12 @@
 #include <queue>
 #include <string>
 
-#include "xtsoc/oal/bytecode.hpp"
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/obs/registry.hpp"
 #include "xtsoc/runtime/compiled_actions.hpp"
 #include "xtsoc/runtime/database.hpp"
 #include "xtsoc/runtime/interp.hpp"
 #include "xtsoc/runtime/trace.hpp"
-#include "xtsoc/runtime/vm.hpp"
 
 namespace xtsoc::runtime {
 
@@ -73,17 +71,16 @@ enum class QueuePolicy {
 
 /// Which of the (behaviourally identical) action engines runs actions.
 enum class ActionEngine {
-  kAstWalk,   ///< tree-walking interpreter (runtime/interp.*)
-  kBytecode,  ///< compile-once stack VM (oal/bytecode.* + runtime/vm.*)
-  kJit,       ///< AOT-compiled native code (xtsoc::jit), VM per-action fallback
+  kAstWalk,  ///< tree-walking interpreter (runtime/interp.*), the reference
+  kJit,      ///< AOT-compiled native code (xtsoc::jit), walker fallback
 };
 
 struct ExecutorConfig {
   QueuePolicy policy = QueuePolicy::kXtuml;
   ActionEngine engine = ActionEngine::kAstWalk;
   /// Native actions for the kJit engine. Not owned; must outlive the
-  /// executor. Null (or an action the module doesn't cover) makes kJit
-  /// behave exactly like kBytecode for that dispatch.
+  /// executor. Null (or an action the module doesn't cover) runs that
+  /// dispatch on the walker, with identical observable behaviour.
   const CompiledActions* compiled = nullptr;
   bool trace_enabled = true;
   std::uint64_t max_ops_per_action = 10'000'000;
@@ -222,8 +219,8 @@ public:
   // --- checkpointing ----------------------------------------------------------
   /// Serialize the full execution state: population, trace, both ready
   /// queues, the timer heap, logical time, sequence/dispatch/op counters.
-  /// Caches (compiled bytecode, VM scratch, the arg pool) are rebuilt on
-  /// demand and deliberately not carried. load_state requires an executor
+  /// Caches (the transition table, the arg pool) are rebuilt on demand and
+  /// deliberately not carried. load_state requires an executor
   /// over the same compiled domain; not legal mid-dispatch.
   void save_state(snap::Writer& w) const;
   void load_state(snap::Reader& r);
@@ -234,19 +231,10 @@ private:
   void release_due_timers();
   ClassId class_of(std::string_view name) const;
 
-  /// A compiled action ready to execute: the bytecode plus its constant
-  /// pools pre-converted to runtime Values (see PreparedBlock).
-  struct Program {
-    oal::CodeBlock code;
-    PreparedBlock prepared;
-  };
-  /// Program for (cls, state), compiled and prepared on first use.
-  const Program& bytecode_for(ClassId cls, StateId state);
-
   /// transition_on() through a dense per-class [state × event] table,
   /// built on first dispatch into the class. Every dispatch pays one
   /// lookup where it used to pay a linear scan of the transition list —
-  /// shared overhead on the hot path of all three engines.
+  /// shared overhead on the hot path of both engines.
   const xtuml::TransitionDef* transition_for(const xtuml::ClassDef& def,
                                              StateId from, EventId event);
 
@@ -275,13 +263,9 @@ private:
   std::uint64_t dispatches_ = 0;
   std::vector<std::uint64_t> dispatches_by_class_;
   std::vector<std::uint64_t> ops_by_class_;
-  /// Lazily compiled programs per [class][state] (kBytecode engine only).
-  std::vector<std::vector<std::optional<Program>>> bytecode_;
   /// Dense transition lookup per class: [state * event_count + event].
   /// Pointers into the domain's ClassDef::transitions (stable, outlives us).
   std::vector<std::vector<const xtuml::TransitionDef*>> transitions_;
-  /// Reused VM evaluation buffers (kBytecode engine only).
-  VmScratch vm_scratch_;
   /// Recycled signal-payload vectors, capped at kMaxPooledArgs entries.
   std::vector<std::vector<Value>> arg_pool_;
   static constexpr std::size_t kMaxPooledArgs = 256;

@@ -165,8 +165,13 @@ private:
       case BinaryOp::kLe:
       case BinaryOp::kGt:
       case BinaryOp::kGe: {
+        // int/int orders exactly as int64; any other numeric pair as real.
         int cmp;
-        if (std::holds_alternative<std::string>(lv)) {
+        const auto* li = std::get_if<std::int64_t>(&lv);
+        const auto* ri = std::get_if<std::int64_t>(&rv);
+        if (li != nullptr && ri != nullptr) {
+          cmp = *li < *ri ? -1 : (*li > *ri ? 1 : 0);
+        } else if (std::holds_alternative<std::string>(lv)) {
           cmp = std::get<std::string>(lv).compare(std::get<std::string>(rv));
         } else {
           double a = as_real(lv);
@@ -337,8 +342,8 @@ private:
         const auto& m = static_cast<const MemWriteStmt&>(s);
         Value av = eval(*m.addr);
         Value vv = eval(*m.value);
-        // Engine parity with the VM/jit lowering: the value operand is
-        // converted before the address.
+        // The value operand is converted before the address (the jit's
+        // lowering follows this order).
         std::int64_t v = as_int(vv);
         std::int64_t a = as_int(av);
         host_.mem_write(a, v);

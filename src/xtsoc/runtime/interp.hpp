@@ -58,7 +58,7 @@ public:
 
 /// Interpreter statistics for one action run.
 struct InterpResult {
-  std::uint64_t ops = 0;          ///< AST nodes executed
+  std::uint64_t ops = 0;          ///< AST nodes executed (every engine's unit)
   bool self_deleted = false;      ///< the action deleted `self`
 };
 

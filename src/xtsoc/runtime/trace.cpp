@@ -91,7 +91,9 @@ void Trace::save_state(snap::Writer& w) const {
 void Trace::load_state(snap::Reader& r) {
   enabled_ = r.boolean();
   events_.clear();
-  events_.resize(r.u64());
+  // Smallest encodings: an event is kind, tick, two handles, four ids, the
+  // value flag, the arg count and the text length; a value is its tag.
+  events_.resize(r.count(1 + 8 + 12 + 12 + 16 + 1 + 8 + 8));
   for (TraceEvent& e : events_) {
     e.kind = static_cast<TraceKind>(r.u8());
     e.tick = r.u64();
@@ -102,7 +104,7 @@ void Trace::load_state(snap::Reader& r) {
     e.to_state = StateId(r.u32());
     e.attr = AttributeId(r.u32());
     if (r.boolean()) e.value = load_value(r);
-    e.args.resize(r.u64());
+    e.args.resize(r.count(1));
     for (Value& v : e.args) v = load_value(r);
     e.text = r.str();
   }

@@ -103,7 +103,11 @@ const InstanceSet& as_set(const Value& v) {
 }
 
 bool value_equals(const Value& a, const Value& b) {
-  // Numeric cross-type comparison.
+  // int/int compares exactly as int64, any other numeric pair as real,
+  // everything else structurally.
+  const auto* ai = std::get_if<std::int64_t>(&a);
+  const auto* bi = std::get_if<std::int64_t>(&b);
+  if (ai != nullptr && bi != nullptr) return *ai == *bi;
   const bool a_num = std::holds_alternative<std::int64_t>(a) ||
                      std::holds_alternative<double>(a);
   const bool b_num = std::holds_alternative<std::int64_t>(b) ||
@@ -170,7 +174,7 @@ Value load_value(snap::Reader& r) {
     case 5:
       return Value(load_handle(r));
     case 6: {
-      InstanceSet set(r.u64());
+      InstanceSet set(r.count(12));
       for (InstanceHandle& h : set) h = load_handle(r);
       return Value(std::move(set));
     }

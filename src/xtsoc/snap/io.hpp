@@ -138,6 +138,20 @@ public:
 
   bool boolean() { return u8() != 0; }
 
+  /// Read an element count, refusing one whose elements (each at least
+  /// `min_bytes` >= 1 long) could not fit in the unread bytes. Loaders
+  /// size their containers from this, so a hostile count fails here
+  /// instead of in a multi-terabyte allocation.
+  std::size_t count(std::size_t min_bytes) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_bytes) {
+      throw SnapError("snapshot count " + std::to_string(n) + " at offset " +
+                      std::to_string(pos_ - 8) + " exceeds the " +
+                      std::to_string(remaining()) + " bytes left");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   std::string str() {
     const std::uint64_t len = u64();
     need(len);

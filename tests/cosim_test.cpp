@@ -265,24 +265,6 @@ TEST(CoSim, ClockDomainPreservesConformance) {
   EXPECT_EQ(p.attr(p.producer, "Producer", "acks"), 1);
 }
 
-TEST(CoSim, BytecodeEngineProducesSameResults) {
-  CoSimConfig vm_cfg;
-  vm_cfg.engine = runtime::ActionEngine::kBytecode;
-  PipelineCosim ast(hw_consumer_marks());
-  PipelineCosim vm(hw_consumer_marks(), vm_cfg);
-  for (auto* p : {&ast, &vm}) {
-    for (int i = 0; i < 3; ++i) {
-      p->cosim.inject(p->producer, "kick");
-      p->cosim.run();
-    }
-  }
-  EXPECT_EQ(ast.attr(ast.consumer, "Consumer", "total"),
-            vm.attr(vm.consumer, "Consumer", "total"));
-  EXPECT_EQ(ast.cosim.cycles(), vm.cosim.cycles());
-  EXPECT_EQ(ast.cosim.hw_executor().trace().to_string(),
-            vm.cosim.hw_executor().trace().to_string());
-}
-
 TEST(CoSim, ActivityWiresAndWaveformCapture) {
   PipelineCosim p(hw_consumer_marks(1));
   ClassId consumer_cls = p.fx.domain->find_class_id("Consumer");

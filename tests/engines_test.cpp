@@ -1,164 +1,84 @@
-// Engine equivalence: the tree-walking interpreter and the bytecode VM must
-// be observably indistinguishable — identical traces (events, values,
-// order), identical final databases, identical error behaviour — for every
-// construct of the language. This is the paper's "any manner it chooses so
-// long as the defined behavior is preserved" checked with two independent
-// implementations.
+// Engine equivalence: the tree-walking interpreter (the reference) and the
+// AOT jit must be observably indistinguishable — identical traces
+// (events, values, order), identical op counts, identical error text —
+// for every construct of the language. This is the paper's "any manner it
+// chooses so long as the defined behavior is preserved" checked against
+// one reference semantics.
 
 #include <gtest/gtest.h>
 
-#include "xtsoc/oal/bytecode.hpp"
+#include "engine_parity.hpp"
+#include "xtsoc/jit/jit.hpp"
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/runtime/executor.hpp"
-#include "xtsoc/runtime/vm.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 
 namespace xtsoc::runtime {
 namespace {
 
+using testing::EngineRun;
+using testing::Outcome;
+using testing::run_on;
+using testing::test_cache_dir;
 using xtuml::DataType;
-using xtuml::Domain;
 using xtuml::DomainBuilder;
-using xtuml::Multiplicity;
-
-/// Same two-class harness as interp_test, parameterized by engine.
-struct EngineRun {
-  std::unique_ptr<Domain> domain;
-  std::unique_ptr<oal::CompiledDomain> compiled;
-  std::unique_ptr<Executor> exec;
-  InstanceHandle probe;
-
-  EngineRun(const std::string& snippet, ActionEngine engine,
-            std::int64_t n = 0) {
-    DomainBuilder b("H");
-    b.cls("Peer", "PEER")
-        .attr("tag", DataType::kInt)
-        .event("poke")
-        .state("P0")
-        .state("P1", "self.tag = self.tag + 100;")
-        .transition("P0", "poke", "P1");
-    b.cls("Probe", "PRB")
-        .attr("i", DataType::kInt)
-        .attr("r", DataType::kReal)
-        .attr("s", DataType::kString)
-        .attr("flag", DataType::kBool)
-        .ref_attr("ref", "Peer")
-        .event("go", {{"n", DataType::kInt}})
-        .state("S0")
-        .state("S1", snippet)
-        .transition("S0", "go", "S1");
-    b.assoc("R1", "Probe", "uses", Multiplicity::kZeroMany, "Peer", "used_by",
-            Multiplicity::kZeroMany);
-    domain = b.take();
-    DiagnosticSink sink;
-    compiled = oal::compile_domain(*domain, sink);
-    if (!compiled) throw std::runtime_error(sink.to_string());
-    ExecutorConfig cfg;
-    cfg.engine = engine;
-    exec = std::make_unique<Executor>(*compiled, cfg);
-    probe = exec->create("Probe");
-    exec->inject(probe, "go", {Value(n)});
-    exec->run_all();
-  }
-
-  std::string trace() const { return exec->trace().to_string(); }
-};
 
 class EngineParity : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(EngineParity, TracesIdentical) {
   const char* snippet = GetParam();
   EngineRun ast(snippet, ActionEngine::kAstWalk, 6);
-  EngineRun vm(snippet, ActionEngine::kBytecode, 6);
-  EXPECT_EQ(ast.trace(), vm.trace()) << "snippet:\n" << snippet;
+  EngineRun jit(snippet, ActionEngine::kJit, 6);
+  EXPECT_EQ(ast.trace(), jit.trace()) << "snippet:\n" << snippet;
+  EXPECT_EQ(ast.exec->ops_executed(), jit.exec->ops_executed())
+      << "snippet:\n" << snippet;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Snippets, EngineParity,
-    ::testing::Values(
-        "self.i = 2 + 3 * 4 - 1;",
-        "self.r = 1.5 * param.n;",
-        "self.r = 7;",  // widening on real attr
-        "x = 2.0;\nx = 3;\nself.r = x;",  // widening on real local
-        "self.s = \"a\" + \"b\" + \"c\";",
-        "self.flag = 1 < 2 and not (3 == 4) or false;",
-        "self.flag = false and (1 / 0 == 1);",  // short circuit
-        "self.flag = true or (1 / 0 == 1);",
-        "self.i = param.n % 4;",
-        "if (param.n > 3)\n  self.i = 1;\nelif (param.n > 1)\n"
-        "  self.i = 2;\nelse\n  self.i = 3;\nend if;",
-        "k = 0;\nwhile (k < 10)\n  k = k + 1;\n  if (k == 4)\n"
-        "    continue;\n  end if;\n  if (k > 7)\n    break;\n  end if;\n"
-        "  self.i = self.i + k;\nend while;",
-        "self.i = 1;\nreturn;\nself.i = 2;",
-        "create object instance p of Peer;\np.tag = 9;\n"
-        "relate self to p across R1;\n"
-        "select one q related by self->Peer[R1];\nself.i = q.tag;",
-        "create object instance a of Peer;\ncreate object instance b of "
-        "Peer;\na.tag = 2;\nb.tag = 5;\n"
-        "select many big from instances of Peer where (selected.tag > 3);\n"
-        "self.i = cardinality big;",
-        "create object instance a of Peer;\n"
-        "select any p from instances of Peer;\n"
-        "self.flag = not_empty p;\ndelete object instance p;\n"
-        "select any q from instances of Peer;\nself.flag = empty q;",
-        "k = 0;\nwhile (k < 4)\n  create object instance p of Peer;\n"
-        "  p.tag = k;\n  k = k + 1;\nend while;\n"
-        "select many all from instances of Peer;\n"
-        "t = 0;\nfor each p in all\n  if (p.tag == 2)\n    continue;\n"
-        "  end if;\n  t = t + p.tag;\nend for;\nself.i = t;",
-        "create object instance p of Peer;\nself.ref = p;\n"
-        "generate poke() to self.ref;\nlog \"sent\", 1;",
-        "log \"vals\", 1, 2.5, true, \"txt\";",
-        "generate go(n: param.n - 1) to self delay 3;",
-        // mem.* ops hit the executor's flat fallback here (no hierarchy
-        // attached): last write wins, unwritten addresses read 0.
-        "mem.write(3, 40);\nmem.write(3, 2);\n"
-        "self.i = mem.read(3) + mem.read(99);",
-        "k = 0;\nwhile (k < 4)\n  mem.write(k * 8, k * param.n);\n"
-        "  k = k + 1;\nend while;\nt = 0;\nk = 0;\nwhile (k < 4)\n"
-        "  t = t + mem.read(k * 8);\n  k = k + 1;\nend while;\nself.i = t;"));
+INSTANTIATE_TEST_SUITE_P(Snippets, EngineParity,
+                         ::testing::ValuesIn(testing::parity_snippets()));
 
 TEST(EngineParity, ErrorsIdentical) {
   for (const char* snippet :
        {"self.i = 1 / (param.n - 6);",  // div by zero at n=6
         "self.i = 1 % (param.n - 6);",
-        "self.i = self.ref.tag;",                     // null deref
-        "generate poke() to self.ref;"}) {            // generate to null
-    EXPECT_THROW(EngineRun(snippet, ActionEngine::kAstWalk, 6), ModelError)
-        << snippet;
-    EXPECT_THROW(EngineRun(snippet, ActionEngine::kBytecode, 6), ModelError)
-        << snippet;
+        "self.i = self.ref.tag;",              // null deref
+        "generate poke() to self.ref;",        // generate to null
+        "generate poke() to self.ref delay 0 - 1;",
+        "generate go(n: 1) to self delay param.n - 7;",
+        "if (param.n > 100)\n  x = 1;\nend if;\nself.i = x;",  // unset local
+        "create object instance p of Peer;\n"
+        "relate self to p across R1;\nrelate self to p across R1;"}) {
+    const Outcome ast = run_on(snippet, ActionEngine::kAstWalk);
+    const Outcome jit = run_on(snippet, ActionEngine::kJit);
+    EXPECT_EQ(ast.error, jit.error) << snippet;
+    EXPECT_NE(ast.error, "(no throw)") << snippet;
   }
 }
 
 TEST(EngineParity, OpLimitEnforcedInBoth) {
   const char* spin = "while (true)\n  self.i = self.i + 1;\nend while;";
-  for (ActionEngine engine :
-       {ActionEngine::kAstWalk, ActionEngine::kBytecode}) {
-    DomainBuilder b("L");
-    b.cls("A")
-        .attr("i", DataType::kInt)
-        .event("go")
-        .state("S0")
-        .state("S1", spin)
-        .transition("S0", "go", "S1");
-    DiagnosticSink sink;
-    auto cd = oal::compile_domain(b.domain(), sink);
-    ASSERT_NE(cd, nullptr);
-    ExecutorConfig cfg;
-    cfg.engine = engine;
-    cfg.max_ops_per_action = 5000;
-    Executor exec(*cd, cfg);
-    auto h = exec.create("A");
-    exec.inject(h, "go");
-    EXPECT_THROW(exec.run_all(), ModelError);
+  const Outcome ast = run_on(spin, ActionEngine::kAstWalk, 6, 5000);
+  const Outcome jit = run_on(spin, ActionEngine::kJit, 6, 5000);
+  EXPECT_EQ(ast.error, "action exceeded op limit (runaway loop?)");
+  EXPECT_EQ(ast.error, jit.error);
+}
+
+TEST(EngineParity, OpLimitCountsWalkerOps) {
+  // 2 + 1 + 3 walker ops: the assignment with its literal, the while
+  // statement, and one (false) test of `k > 0`, three nodes. The action
+  // completes under a limit of 6 and trips at 5 on both engines.
+  const char* once = "k = 0;\nwhile (k > 0)\n  k = k + 1;\nend while;";
+  for (ActionEngine engine : {ActionEngine::kAstWalk, ActionEngine::kJit}) {
+    const Outcome fits = run_on(once, engine, 6, 6);
+    EXPECT_EQ(fits.error, "(no throw)");
+    EXPECT_EQ(fits.ops, 6u);
+    EXPECT_EQ(run_on(once, engine, 6, 5).error,
+              "action exceeded op limit (runaway loop?)");
   }
 }
 
 TEST(EngineParity, SelfDeleteHandledInBoth) {
-  for (ActionEngine engine :
-       {ActionEngine::kAstWalk, ActionEngine::kBytecode}) {
+  for (ActionEngine engine : {ActionEngine::kAstWalk, ActionEngine::kJit}) {
     DomainBuilder b("D");
     b.cls("E")
         .event("die")
@@ -168,56 +88,22 @@ TEST(EngineParity, SelfDeleteHandledInBoth) {
     DiagnosticSink sink;
     auto cd = oal::compile_domain(b.domain(), sink);
     ASSERT_NE(cd, nullptr);
+    jit::JitResult jr;
     ExecutorConfig cfg;
     cfg.engine = engine;
+    if (engine == ActionEngine::kJit) {
+      jit::JitOptions opts;
+      opts.cache_dir = test_cache_dir();
+      jr = jit::compile(*cd, opts);
+      ASSERT_NE(jr.module, nullptr) << jr.reason;
+      cfg.compiled = jr.module.get();
+    }
     Executor exec(*cd, cfg);
     auto h = exec.create("E");
     exec.inject(h, "die");
     EXPECT_NO_THROW(exec.run_all());
     EXPECT_FALSE(exec.database().is_alive(h));
   }
-}
-
-TEST(Bytecode, DisassembleIsReadable) {
-  DomainBuilder b("D");
-  b.cls("A")
-      .attr("x", DataType::kInt)
-      .event("go")
-      .state("S0")
-      .state("S1", "self.x = self.x + 41;")
-      .transition("S0", "go", "S1");
-  DiagnosticSink sink;
-  auto cd = oal::compile_domain(b.domain(), sink);
-  ASSERT_NE(cd, nullptr);
-  oal::CodeBlock bc = oal::compile_bytecode(
-      cd->action(b.domain().find_class_id("A"), StateId(1)));
-  std::string dis = oal::disassemble(bc);
-  EXPECT_NE(dis.find("get_attr"), std::string::npos);
-  EXPECT_NE(dis.find("push_const 41"), std::string::npos);
-  EXPECT_NE(dis.find("set_attr"), std::string::npos);
-  EXPECT_NE(dis.find("ret"), std::string::npos);
-}
-
-TEST(Bytecode, WhereFilterBecomesSubBlock) {
-  DomainBuilder b("D");
-  b.cls("A")
-      .attr("x", DataType::kInt)
-      .event("go")
-      .state("S0")
-      .state("S1",
-             "select many xs from instances of A where (selected.x > 0);\n"
-             "self.x = cardinality xs;")
-      .transition("S0", "go", "S1");
-  DiagnosticSink sink;
-  auto cd = oal::compile_domain(b.domain(), sink);
-  ASSERT_NE(cd, nullptr);
-  oal::CodeBlock bc = oal::compile_bytecode(
-      cd->action(b.domain().find_class_id("A"), StateId(1)));
-  EXPECT_EQ(bc.subs.size(), 1u);
-  std::string dis = oal::disassemble(bc);
-  EXPECT_NE(dis.find("filter"), std::string::npos);
-  EXPECT_NE(dis.find("sub 0:"), std::string::npos);
-  EXPECT_NE(dis.find("selected"), std::string::npos);
 }
 
 }  // namespace

@@ -185,6 +185,17 @@ TEST(Interp, StringConcatAndCompare) {
   EXPECT_TRUE(h.flag());
 }
 
+TEST(Interp, IntCompareIsExactInt64) {
+  // 2^53 + 1 and 2^53 round to the same double; as ints they differ.
+  InterpHarness h("a = 9007199254740993;\nb = 9007199254740992;\n"
+                  "self.flag = a > b;\n"
+                  "if (a == b)\n  self.i = 1;\nend if;\n"
+                  "if (a <= b)\n  self.i = self.i + 2;\nend if;");
+  h.run();
+  EXPECT_TRUE(h.flag());
+  EXPECT_EQ(h.i(), 0);
+}
+
 // --- params, locals, control flow ------------------------------------------------------
 
 TEST(Interp, ParamAccess) {

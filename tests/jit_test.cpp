@@ -1,8 +1,9 @@
-// xtsoc::jit — AOT-compiled actions must be observably indistinguishable
-// from the bytecode VM: identical traces, identical final databases,
-// identical error text. And every failure of the jit pipeline (no
-// compiler, unwritable cache, stale cached object) must degrade to the VM
-// with a reported reason, never crash.
+// xtsoc::jit — jitted actions must be observably indistinguishable from
+// the AST walker: per construct at inputs engines_test does not use, and
+// for a whole co-simulation across the threads x window x faults grid.
+// And every failure
+// of the jit pipeline (no compiler, unwritable cache, stale cached object)
+// must degrade to the walker with a reported reason, never crash.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "engine_parity.hpp"
 #include "test_models.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
@@ -28,211 +30,120 @@ namespace fs = std::filesystem;
 using xtuml::DataType;
 using xtuml::Domain;
 using xtuml::DomainBuilder;
-using xtuml::Multiplicity;
 
-/// Shared cache directory for the whole test binary: repeated runs warm
-/// it, which also exercises the cache-hit path.
-std::string test_cache_dir() {
-  static const std::string dir = [] {
-    std::error_code ec;
-    fs::path p = fs::temp_directory_path(ec);
-    if (ec) p = "/tmp";
-    p /= "xtsoc-jit-gtest";
-    fs::create_directories(p, ec);
-    return p.string();
-  }();
-  return dir;
-}
+using testing::EngineRun;
+using testing::Outcome;
+using testing::run_on;
+using testing::test_cache_dir;
 
-/// Same two-class harness as engines_test, run through a jitted module or
-/// the bytecode VM for byte-comparison.
-struct JitRun {
-  std::unique_ptr<Domain> domain;
-  std::unique_ptr<oal::CompiledDomain> compiled;
-  jit::JitResult jitted;
-  std::unique_ptr<Executor> exec;
-  InstanceHandle probe;
+// --- per-construct parity at other inputs -------------------------------------
+//
+// engines_test runs every parity snippet at go(6). JitParity runs the
+// same snippets at inputs that take the other paths: the elif and else
+// arms, zero-trip loops, negative operands of / and %, and an input of 0.
 
-  JitRun(const std::string& snippet, ActionEngine engine, std::int64_t n = 0) {
-    DomainBuilder b("H");
-    b.cls("Peer", "PEER")
-        .attr("tag", DataType::kInt)
-        .event("poke")
-        .state("P0")
-        .state("P1", "self.tag = self.tag + 100;")
-        .transition("P0", "poke", "P1");
-    b.cls("Probe", "PRB")
-        .attr("i", DataType::kInt)
-        .attr("r", DataType::kReal)
-        .attr("s", DataType::kString)
-        .attr("flag", DataType::kBool)
-        .ref_attr("ref", "Peer")
-        .event("go", {{"n", DataType::kInt}})
-        .state("S0")
-        .state("S1", snippet)
-        .transition("S0", "go", "S1");
-    b.assoc("R1", "Probe", "uses", Multiplicity::kZeroMany, "Peer", "used_by",
-            Multiplicity::kZeroMany);
-    domain = b.take();
-    DiagnosticSink sink;
-    compiled = oal::compile_domain(*domain, sink);
-    if (!compiled) throw std::runtime_error(sink.to_string());
-    ExecutorConfig cfg;
-    cfg.engine = engine;
-    if (engine == ActionEngine::kJit) {
-      jit::JitOptions opts;
-      opts.cache_dir = test_cache_dir();
-      jitted = jit::compile(*compiled, opts);
-      if (jitted.module == nullptr) {
-        throw std::runtime_error("jit unavailable: " + jitted.reason);
-      }
-      if (jitted.skipped_actions != 0) {
-        throw std::runtime_error("jit skipped actions");
-      }
-      cfg.compiled = jitted.module.get();
-    }
-    exec = std::make_unique<Executor>(*compiled, cfg);
-    probe = exec->create("Probe");
-    exec->inject(probe, "go", {Value(n)});
-    exec->run_all();
-  }
-
-  std::string trace() const { return exec->trace().to_string(); }
-};
+constexpr std::int64_t kOtherInputs[] = {0, 2, -3};
 
 class JitParity : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(JitParity, TracesIdentical) {
   const char* snippet = GetParam();
-  JitRun vm(snippet, ActionEngine::kBytecode, 6);
-  JitRun jit(snippet, ActionEngine::kJit, 6);
-  EXPECT_EQ(vm.trace(), jit.trace()) << "snippet:\n" << snippet;
+  for (std::int64_t n : kOtherInputs) {
+    EngineRun ast(snippet, ActionEngine::kAstWalk, n);
+    EngineRun jit(snippet, ActionEngine::kJit, n);
+    EXPECT_EQ(ast.trace(), jit.trace()) << "n=" << n << " snippet:\n"
+                                        << snippet;
+    EXPECT_EQ(ast.exec->ops_executed(), jit.exec->ops_executed())
+        << "n=" << n << " snippet:\n" << snippet;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Snippets, JitParity,
-    ::testing::Values(
-        "self.i = 2 + 3 * 4 - 1;",
-        "self.r = 1.5 * param.n;",
-        "self.r = 7;",  // widening on real attr
-        "x = 2.0;\nx = 3;\nself.r = x;",  // widening on real local
-        "self.s = \"a\" + \"b\" + \"c\";",
-        "self.flag = 1 < 2 and not (3 == 4) or false;",
-        "self.flag = false and (1 / 0 == 1);",  // short circuit
-        "self.flag = true or (1 / 0 == 1);",
-        "self.i = param.n % 4;",
-        "self.r = param.n / 4;",
-        "self.flag = \"abc\" < \"abd\";",
-        "self.flag = 2 == 2.0;",
-        "if (param.n > 3)\n  self.i = 1;\nelif (param.n > 1)\n"
-        "  self.i = 2;\nelse\n  self.i = 3;\nend if;",
-        "k = 0;\nwhile (k < 10)\n  k = k + 1;\n  if (k == 4)\n"
-        "    continue;\n  end if;\n  if (k > 7)\n    break;\n  end if;\n"
-        "  self.i = self.i + k;\nend while;",
-        "self.i = 1;\nreturn;\nself.i = 2;",
-        "create object instance p of Peer;\np.tag = 9;\n"
-        "relate self to p across R1;\n"
-        "select one q related by self->Peer[R1];\nself.i = q.tag;",
-        "create object instance p of Peer;\np.tag = 9;\n"
-        "relate self to p across R1;\nunrelate self from p across R1;\n"
-        "select one q related by self->Peer[R1];\nself.flag = empty q;",
-        "create object instance a of Peer;\ncreate object instance b of "
-        "Peer;\na.tag = 2;\nb.tag = 5;\n"
-        "select many big from instances of Peer where (selected.tag > 3);\n"
-        "self.i = cardinality big;",
-        "create object instance a of Peer;\n"
-        "select any p from instances of Peer;\n"
-        "self.flag = not_empty p;\ndelete object instance p;\n"
-        "select any q from instances of Peer;\nself.flag = empty q;",
-        "k = 0;\nwhile (k < 4)\n  create object instance p of Peer;\n"
-        "  p.tag = k;\n  k = k + 1;\nend while;\n"
-        "select many all from instances of Peer;\n"
-        "t = 0;\nfor each p in all\n  if (p.tag == 2)\n    continue;\n"
-        "  end if;\n  t = t + p.tag;\nend for;\nself.i = t;",
-        "create object instance p of Peer;\nself.ref = p;\n"
-        "generate poke() to self.ref;\nlog \"sent\", 1;",
-        "log \"vals\", 1, 2.5, true, \"txt\";",
-        "generate go(n: param.n - 1) to self delay 3;",
-        // mem.* lowers to the o->mem_read/mem_write host hooks; with no
-        // hierarchy attached both engines hit the same flat fallback.
-        "mem.write(3, 40);\nmem.write(3, 2);\n"
-        "self.i = mem.read(3) + mem.read(99);",
-        "k = 0;\nwhile (k < 4)\n  mem.write(k * 8, k * param.n);\n"
-        "  k = k + 1;\nend while;\nt = 0;\nk = 0;\nwhile (k < 4)\n"
-        "  t = t + mem.read(k * 8);\n  k = k + 1;\nend while;\nself.i = t;"));
+INSTANTIATE_TEST_SUITE_P(Snippets, JitParity,
+                         ::testing::ValuesIn(testing::parity_snippets()));
 
 TEST(JitParity, ErrorTextIdentical) {
+  // Each snippet fails at go(0) only.
   for (const char* snippet :
-       {"self.i = 1 / (param.n - 6);",  // div by zero at n=6
-        "self.i = 1 % (param.n - 6);",
-        "self.i = self.ref.tag;",           // null deref
-        "generate poke() to self.ref;",     // generate to null
-        "generate poke() to self.ref delay 0 - 1;"}) {
-    std::string vm_what = "(vm: no throw)";
-    std::string jit_what = "(jit: no throw)";
-    try {
-      JitRun(snippet, ActionEngine::kBytecode, 6);
-    } catch (const std::exception& e) {
-      vm_what = e.what();
-    }
-    try {
-      JitRun(snippet, ActionEngine::kJit, 6);
-    } catch (const std::exception& e) {
-      jit_what = e.what();
-    }
-    EXPECT_EQ(vm_what, jit_what) << snippet;
-    EXPECT_NE(vm_what, "(vm: no throw)") << snippet;
+       {"self.i = 10 / param.n;", "self.i = 10 % param.n;",
+        "generate go(n: 1) to self delay param.n - 1;",
+        "if (param.n != 0)\n  x = 1;\nend if;\nself.i = x;",
+        "k = 0;\nwhile (k < 3)\n  k = k + 1;\nend while;\n"
+        "self.i = k / param.n;"}) {
+    const Outcome ast = run_on(snippet, ActionEngine::kAstWalk, 0);
+    const Outcome jit = run_on(snippet, ActionEngine::kJit, 0);
+    EXPECT_EQ(ast.error, jit.error) << snippet;
+    EXPECT_NE(ast.error, "(no throw)") << snippet;
+    EXPECT_EQ(run_on(snippet, ActionEngine::kJit, 1).error, "(no throw)")
+        << snippet;
   }
 }
 
 TEST(JitParity, OpLimitEnforced) {
-  const char* spin = "while (true)\n  self.i = self.i + 1;\nend while;";
-  DomainBuilder b("L");
-  b.cls("A")
-      .attr("i", DataType::kInt)
-      .event("go")
-      .state("S0")
-      .state("S1", spin)
-      .transition("S0", "go", "S1");
-  DiagnosticSink sink;
-  auto cd = oal::compile_domain(b.domain(), sink);
-  ASSERT_NE(cd, nullptr);
-  jit::JitOptions opts;
-  opts.cache_dir = test_cache_dir();
-  jit::JitResult jr = jit::compile(*cd, opts);
-  ASSERT_NE(jr.module, nullptr) << jr.reason;
-  ExecutorConfig cfg;
-  cfg.engine = ActionEngine::kJit;
-  cfg.compiled = jr.module.get();
-  cfg.max_ops_per_action = 5000;
-  Executor exec(*cd, cfg);
-  auto h = exec.create("A");
-  exec.inject(h, "go");
-  EXPECT_THROW(exec.run_all(), ModelError);
+  // Runaway loops whose only way back to the head is a jump the jit emits
+  // for break/continue or for an inner loop still charge ops and trip the
+  // limit, with the walker's text.
+  for (const char* spin :
+       {"k = 0;\nwhile (true)\n  k = k + 1;\n  if (k > 0)\n    continue;\n"
+        "  end if;\nend while;",
+        "while (true)\n  j = 0;\n  while (j < 3)\n    j = j + 1;\n"
+        "    if (j == 2)\n      break;\n    end if;\n  end while;\n"
+        "end while;",
+        "while (param.n > 0)\n  select many all from instances of Peer;\n"
+        "  for each p in all\n    self.i = self.i + 1;\n  end for;\n"
+        "end while;"}) {
+    const Outcome ast = run_on(spin, ActionEngine::kAstWalk, 6, 5000);
+    const Outcome jit = run_on(spin, ActionEngine::kJit, 6, 5000);
+    EXPECT_EQ(ast.error, "action exceeded op limit (runaway loop?)") << spin;
+    EXPECT_EQ(ast.error, jit.error) << spin;
+  }
 }
 
 TEST(JitParity, SelfDeleteHandled) {
-  DomainBuilder b("D");
-  b.cls("E")
-      .event("die")
-      .state("Alive")
-      .state("Dying", "delete object instance self;")
-      .transition("Alive", "die", "Dying");
-  DiagnosticSink sink;
-  auto cd = oal::compile_domain(b.domain(), sink);
-  ASSERT_NE(cd, nullptr);
-  jit::JitOptions opts;
-  opts.cache_dir = test_cache_dir();
-  jit::JitResult jr = jit::compile(*cd, opts);
-  ASSERT_NE(jr.module, nullptr) << jr.reason;
-  ExecutorConfig cfg;
-  cfg.engine = ActionEngine::kJit;
-  cfg.compiled = jr.module.get();
-  Executor exec(*cd, cfg);
-  auto h = exec.create("E");
-  exec.inject(h, "die");
-  EXPECT_NO_THROW(exec.run_all());
-  EXPECT_FALSE(exec.database().is_alive(h));
+  // An instance that deletes itself with signals to itself still pending
+  // (one immediate, one delayed) finishes its action; both signals are
+  // discarded on delivery, identically on both engines.
+  const char* dying =
+      "generate kick() to self;\ngenerate kick() to self delay 4;\n"
+      "delete object instance self;\nlog \"gone\", 1;";
+  std::string traces[2];
+  int k = 0;
+  for (ActionEngine engine : {ActionEngine::kAstWalk, ActionEngine::kJit}) {
+    DomainBuilder b("D");
+    b.cls("E")
+        .event("die")
+        .event("kick")
+        .state("Alive")
+        .state("Dying", dying)
+        .transition("Alive", "die", "Dying")
+        .transition("Dying", "kick", "Alive");
+    DiagnosticSink sink;
+    auto cd = oal::compile_domain(b.domain(), sink);
+    ASSERT_NE(cd, nullptr) << sink.to_string();
+    jit::JitResult jr;
+    ExecutorConfig cfg;
+    cfg.engine = engine;
+    if (engine == ActionEngine::kJit) {
+      jit::JitOptions opts;
+      opts.cache_dir = test_cache_dir();
+      jr = jit::compile(*cd, opts);
+      ASSERT_NE(jr.module, nullptr) << jr.reason;
+      cfg.compiled = jr.module.get();
+    }
+    Executor exec(*cd, cfg);
+    auto h = exec.create("E");
+    exec.inject(h, "die");
+    EXPECT_NO_THROW(exec.run_all());
+    EXPECT_FALSE(exec.database().is_alive(h));
+    traces[k++] = exec.trace().to_string();
+  }
+  EXPECT_EQ(traces[0], traces[1]);
+  EXPECT_NE(traces[0].find("gone"), std::string::npos) << traces[0];
+  std::size_t ignored = 0;
+  for (std::size_t at = traces[0].find("ignored"); at != std::string::npos;
+       at = traces[0].find("ignored", at + 1)) {
+    ++ignored;
+  }
+  EXPECT_EQ(ignored, 2u) << traces[0];
 }
 
 /// A minimal one-class domain for the failure-path tests.
@@ -347,7 +258,7 @@ TEST(JitFallback, TruncatedCachedObjectRejected) {
 }
 
 TEST(JitFallback, ExecutorFallsBackPerActionWhenModuleMissing) {
-  // kJit with no compiled module behaves exactly like the bytecode VM.
+  // kJit with no compiled module behaves exactly like the walker.
   std::unique_ptr<Domain> dom;
   auto cd = tiny_domain(&dom);
   ExecutorConfig cfg;
@@ -362,8 +273,8 @@ TEST(JitFallback, ExecutorFallsBackPerActionWhenModuleMissing) {
 
 // --- cosim-level parity grid ---------------------------------------------------
 //
-// The tentpole contract: a jitted co-simulation is byte-identical to the
-// bytecode VM in every observable — executor traces in both partitions,
+// The engine contract: a jitted co-simulation is byte-identical to the
+// AST walker in every observable — executor traces in both partitions,
 // the VCD waveform, the cycle count and the full report() snapshot — at
 // every (threads, window, faults) combination. The workload is the same
 // self-sustaining 2x2-mesh ring snap_test uses: three hardware nodes
@@ -479,6 +390,8 @@ CosimObs run_ring(const testing::MappedFixture& fx, ActionEngine engine,
 class EnginesJit
     : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
 
+// The test keeps the name it had when the reference engine was the
+// bytecode VM; the reference is now the walker.
 TEST_P(EnginesJit, ByteIdenticalToVm) {
   auto [threads, window, faults] = GetParam();
   testing::MappedFixture fx(make_ring_domain(), ring_marks());
@@ -488,18 +401,18 @@ TEST_P(EnginesJit, ByteIdenticalToVm) {
   ASSERT_NE(jr.module, nullptr) << jr.reason;
   EXPECT_EQ(jr.skipped_actions, 0);
 
-  CosimObs vm = run_ring(fx, ActionEngine::kBytecode, nullptr, threads,
-                         window, faults);
+  CosimObs ast = run_ring(fx, ActionEngine::kAstWalk, nullptr, threads,
+                          window, faults);
   CosimObs jat = run_ring(fx, ActionEngine::kJit, jr.module.get(), threads,
                           window, faults);
   const std::string tag = "threads=" + std::to_string(threads) +
                           " window=" + std::to_string(window) +
                           " faults=" + std::to_string(faults);
-  EXPECT_EQ(vm.hw_traces, jat.hw_traces) << tag;
-  EXPECT_EQ(vm.sw_trace, jat.sw_trace) << tag;
-  EXPECT_EQ(vm.vcd, jat.vcd) << tag;
-  EXPECT_EQ(vm.report, jat.report) << tag;
-  EXPECT_EQ(vm.cycles, jat.cycles) << tag;
+  EXPECT_EQ(ast.hw_traces, jat.hw_traces) << tag;
+  EXPECT_EQ(ast.sw_trace, jat.sw_trace) << tag;
+  EXPECT_EQ(ast.vcd, jat.vcd) << tag;
+  EXPECT_EQ(ast.report, jat.report) << tag;
+  EXPECT_EQ(ast.cycles, jat.cycles) << tag;
 }
 
 // threads 1/2/8 x window 0 (auto = L) / 1 (lockstep) / 4 (clamped to L) x
@@ -521,13 +434,13 @@ TEST(EnginesJit, ReportSurfacesEngineSection) {
   {
     cosim::CoSimConfig cfg;
     cfg.engine_status.requested = "jit";
-    cfg.engine_status.active = "vm";
+    cfg.engine_status.active = "ast";
     cfg.engine_status.fallback_reason = "compile failed (cc, status 1)";
     cosim::CoSimulation cs(*fx.system, cfg);
     const std::string rep = cs.report().to_json(2);
     EXPECT_NE(rep.find("\"engines\""), std::string::npos);
     EXPECT_NE(rep.find("\"requested\": \"jit\""), std::string::npos);
-    EXPECT_NE(rep.find("\"active\": \"vm\""), std::string::npos);
+    EXPECT_NE(rep.find("\"active\": \"ast\""), std::string::npos);
     EXPECT_NE(rep.find("compile failed"), std::string::npos);
   }
 }

@@ -3,7 +3,9 @@
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/runtime/database.hpp"
 #include "xtsoc/runtime/executor.hpp"
+#include "xtsoc/runtime/trace.hpp"
 #include "xtsoc/runtime/value.hpp"
+#include "xtsoc/snap/io.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 
 namespace xtsoc::runtime {
@@ -27,6 +29,12 @@ TEST(Value, NumericCrossTypeEquality) {
   EXPECT_TRUE(value_equals(Value(std::int64_t{2}), Value(2.0)));
   EXPECT_FALSE(value_equals(Value(std::int64_t{2}), Value(2.5)));
   EXPECT_FALSE(value_equals(Value(std::int64_t{1}), Value(std::string("1"))));
+}
+
+TEST(Value, IntEqualityIsExact) {
+  const Value big(std::int64_t{9007199254740993});  // 2^53 + 1
+  EXPECT_FALSE(value_equals(big, Value(std::int64_t{9007199254740992})));
+  EXPECT_TRUE(value_equals(big, Value(9007199254740992.0)));  // mixed: real
 }
 
 TEST(Value, AccessorsThrowOnWrongType) {
@@ -570,6 +578,18 @@ TEST(Trace, LogStatementsRecorded) {
     if (e.kind == TraceKind::kLog && e.text == "x = 1") found = true;
   }
   EXPECT_TRUE(found);
+}
+
+TEST(Trace, HostileEventCountIsSnapError) {
+  // A trace section that claims 2^40 events in a few bytes is refused
+  // before anything is allocated for them.
+  snap::Writer w;
+  w.boolean(true);
+  w.u64(std::uint64_t{1} << 40);
+  w.u64(0);
+  snap::Reader r(w.data());
+  Trace t;
+  EXPECT_THROW(t.load_state(r), snap::SnapError);
 }
 
 }  // namespace

@@ -252,11 +252,11 @@ TEST(SnapGrid, Mesh8x8Threads2WindowL) {
 }
 
 // A snapshot is engine-portable: the saved bytes record model state, not
-// execution machinery, so a run saved under the bytecode VM restores into
+// execution machinery, so a run saved under the AST walker restores into
 // a jit-engined co-simulation (and vice versa) and continues byte for
-// byte. A stale or mismatched jitted object cannot corrupt this path: it
-// is rejected at load time by its embedded digest (jit_test covers that
-// rejection), leaving the restore running on the VM.
+// byte, op counters included. A stale or mismatched jitted object cannot
+// corrupt this path: it is rejected at load time by its embedded digest
+// (jit_test covers that rejection), leaving the restore on the walker.
 void cross_engine_case(runtime::ActionEngine save_engine,
                        runtime::ActionEngine restore_engine,
                        const std::string& what) {
@@ -288,14 +288,16 @@ void cross_engine_case(runtime::ActionEngine save_engine,
   expect_identical(ta, tb, what);
 }
 
+// The two tests keep the names they had when the reference engine was the
+// bytecode VM; "Vm" is now the walker.
 TEST(SnapGrid, CrossEngineVmToJit) {
-  cross_engine_case(runtime::ActionEngine::kBytecode,
-                    runtime::ActionEngine::kJit, "saved vm, restored jit");
+  cross_engine_case(runtime::ActionEngine::kAstWalk,
+                    runtime::ActionEngine::kJit, "saved ast, restored jit");
 }
 
 TEST(SnapGrid, CrossEngineJitToVm) {
   cross_engine_case(runtime::ActionEngine::kJit,
-                    runtime::ActionEngine::kBytecode, "saved jit, restored vm");
+                    runtime::ActionEngine::kAstWalk, "saved jit, restored ast");
 }
 
 /// The report's "run" section echoes host knobs (threads, window) that a

@@ -24,11 +24,12 @@
 //                       lookahead; 1 runs one cycle per window (per-cycle
 //                       lockstep at --threads 1); values above the
 //                       lookahead are clamped down (correctness bound)
-//       --engine ENG    action engine for --on-cosim: vm (the bytecode
-//                       reference) or jit (AOT-compile the model's actions
-//                       to a native shared object; falls back to vm with a
-//                       warning when unavailable). Engines are
-//                       byte-identical by contract — jit only changes
+//       --engine ENG    action engine for --on-cosim: ast (the tree-walking
+//                       reference, also the default) or jit (AOT-compile
+//                       the model's actions to a native shared object;
+//                       falls back to ast with a warning when
+//                       unavailable). Engines are byte-identical by
+//                       contract, op counts included — jit only changes
 //                       speed. See docs/PERF.md
 //       --jit-cache DIR jit shared-object cache directory (default:
 //                       ~/.cache/xtsoc/jit; requires --engine=jit)
@@ -112,7 +113,7 @@ struct Options {
 
   // --engine family. Empty engine means "not given": the cosim runs on its
   // built-in default and the report never grows an "engines" section.
-  std::string engine;        ///< "", "vm" or "jit"
+  std::string engine;        ///< "", "ast" or "jit"
   std::string jit_cache_dir;  ///< --jit-cache override (empty = default)
 
   // --obs family, as parsed. Contradictions are diagnosed centrally in
@@ -151,7 +152,7 @@ void usage(std::FILE* to) {
                "usage: xtsocc MODEL.xtm [-m MARKS] [-o OUTDIR] [--c-only] "
                "[--vhdl-only] [--check] [--obs LIST] [--simulate FILE] "
                "[--on-cosim [--threads N] [--window N] "
-               "[--engine vm|jit [--jit-cache DIR]] [--obs-trace FILE] "
+               "[--engine ast|jit [--jit-cache DIR]] [--obs-trace FILE] "
                "[--faults FILE [--campaign N [--campaign-out FILE]]]\n"
                "              [--checkpoint-out FILE] [--restore FILE] "
                "[--run-cycles N]]\n"
@@ -250,9 +251,9 @@ bool parse_args(int argc, char** argv, Options* opt) {
       } else {
         v = a.substr(std::strlen("--engine="));
       }
-      if (v != "vm" && v != "jit") {
+      if (v != "ast" && v != "jit") {
         std::fprintf(stderr,
-                     "xtsocc: unknown --engine '%s' (expected vm or jit)\n",
+                     "xtsocc: unknown --engine '%s' (expected ast or jit)\n",
                      v.c_str());
         return false;
       }
@@ -577,16 +578,15 @@ int main(int argc, char** argv) {
     cfg.window = opt.window;
     cfg.obs = reg.get();
 
-    // --engine: vm is the bytecode reference; jit AOT-compiles the model
-    // and falls back to vm when unavailable — a warning plus the reason in
-    // the report's "engines" section, never an error. Both engines are
-    // byte-identical by contract, so a run that never asked for an engine
-    // never mentions one.
+    // --engine: ast is the walker, the reference; jit AOT-compiles the
+    // model and falls back to ast when unavailable — a warning plus the
+    // reason in the report's "engines" section, never an error. Both
+    // engines are byte-identical by contract, so a run that never asked
+    // for an engine never mentions one.
     jit::JitResult jit_result;  // owns the module for the cosim's lifetime
     if (!opt.engine.empty()) {
-      cfg.engine = runtime::ActionEngine::kBytecode;
       cfg.engine_status.requested = opt.engine;
-      cfg.engine_status.active = "vm";
+      cfg.engine_status.active = "ast";
       if (opt.engine == "jit") {
         jit::JitOptions jopts;
         jopts.cache_dir = opt.jit_cache_dir;
@@ -601,7 +601,7 @@ int main(int argc, char** argv) {
           cfg.engine_status.fallback_reason = jit_result.reason;
           std::fprintf(stderr,
                        "xtsocc: warning: jit unavailable (%s); running on "
-                       "the bytecode VM\n",
+                       "the AST walker\n",
                        jit_result.reason.c_str());
         }
       }
