@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -165,34 +166,54 @@ void emit_json() {
                  jr.reason.c_str());
   }
 
-  // Best of N: a single 500-packet run takes milliseconds, so one
-  // scheduler preemption skews it badly — the fastest repetition is the
-  // one closest to the engine's actual cost. One untimed warm-up run
-  // brings code and model state into cache first.
-  constexpr int kReps = 5;
-  double ast_rate = 0.0;
-  std::vector<std::pair<ActionEngine, const char*>> engines = {
-      {ActionEngine::kAstWalk, "engine=ast,packets=500,trace=off"}};
+  // Median of N: a single 500-packet run takes milliseconds, so one
+  // scheduler preemption skews it badly, and a best-of-few row still moved
+  // by 1.5x between runs on a noisy host. Each engine's row is the median
+  // of 21 repetitions, with its interquartile range beside it as
+  // signals_per_sec_noise_pct, so a diff can be read against the spread.
+  // The engines' repetitions alternate, so a slow spell on a shared host
+  // lands on both medians instead of on one side of the ratio. One
+  // untimed warm-up run per engine brings code and model state into cache.
+  constexpr int kReps = 21;
+  struct Row {
+    ActionEngine engine;
+    const char* config;
+    const runtime::CompiledActions* compiled;
+    std::vector<double> rates;
+  };
+  std::vector<Row> rows = {
+      {ActionEngine::kAstWalk, "engine=ast,packets=500,trace=off", nullptr,
+       {}}};
   if (jr.module != nullptr) {
-    engines.push_back({ActionEngine::kJit, "engine=jit,packets=500,trace=off"});
+    rows.push_back({ActionEngine::kJit, "engine=jit,packets=500,trace=off",
+                    jr.module.get(), {}});
   }
-  for (auto [engine, config] : engines) {
-    const runtime::CompiledActions* compiled =
-        engine == ActionEngine::kJit ? jr.module.get() : nullptr;
-    (void)run_soc(*project, engine, 500, /*tracing=*/false, compiled);
-    double best = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
+  for (const Row& row : rows) {
+    (void)run_soc(*project, row.engine, 500, /*tracing=*/false, row.compiled);
+  }
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (Row& row : rows) {
       xtsoc::bench::Timer t;
-      auto exec = run_soc(*project, engine, 500, /*tracing=*/false, compiled);
-      double rate = static_cast<double>(exec->dispatch_count()) / t.seconds();
-      if (rate > best) best = rate;
+      auto exec =
+          run_soc(*project, row.engine, 500, /*tracing=*/false, row.compiled);
+      row.rates.push_back(static_cast<double>(exec->dispatch_count()) /
+                          t.seconds());
     }
-    report.add("signals_per_sec", best, "signals/s", config);
-    if (engine == ActionEngine::kAstWalk) ast_rate = best;
-    if (engine == ActionEngine::kJit && ast_rate > 0.0) {
-      report.add("jit_speedup_vs_ast", best / ast_rate, "x",
-                 "packets=500,trace=off");
-    }
+  }
+  std::vector<double> medians;
+  for (Row& row : rows) {
+    std::sort(row.rates.begin(), row.rates.end());
+    const double median = row.rates[kReps / 2];
+    const double iqr = row.rates[(3 * kReps) / 4] - row.rates[kReps / 4];
+    report.add("signals_per_sec", median, "signals/s",
+               std::string(row.config) + ",stat=median_of_21");
+    report.add("signals_per_sec_noise_pct", 100.0 * iqr / median, "%",
+               std::string(row.config) + ",stat=iqr_over_median");
+    medians.push_back(median);
+  }
+  if (medians.size() == 2) {
+    report.add("jit_speedup_vs_ast", medians[1] / medians[0], "x",
+               "packets=500,trace=off,stat=median_of_21");
   }
   report.write();
 }

@@ -242,7 +242,9 @@ private:
       Value v;
       if (!parse_value(w[i].substr(eq + 1), &v)) return false;
       if (key == "delay") {
-        delay = static_cast<std::uint64_t>(std::get<std::int64_t>(v));
+        const auto* d = std::get_if<std::int64_t>(&v);
+        if (d == nullptr || *d < 0) return false;  // a delay is ticks >= 0
+        delay = static_cast<std::uint64_t>(*d);
         continue;
       }
       bool found = false;

@@ -427,7 +427,7 @@ private:
         break;
       case Op::kNeg:
         stmt("if (" + S(d - 1) + ".tag == XJ_TAG_INT) { " + S(d - 1) +
-             ".u.i = -" + S(d - 1) + ".u.i; } else { double t = "
+             ".u.i = xj_neg(" + S(d - 1) + ".u.i); } else { double t = "
              "xj_as_real(h, o, " + S(d - 1) + "); " + S(d - 1) +
              ".tag = XJ_TAG_REAL; " + S(d - 1) + ".u.d = -t; }");
         break;
@@ -656,9 +656,18 @@ static inline void xj_need_set(XjHost* h, const XjHostOps* o, XjValue v) {
   if (v.tag != XJ_TAG_SET) xj_conv(h, o, XJ_CONV_SET, v);
 }
 
+/* Model ints wrap (two's complement, computed through uint64_t so overflow
+   is defined); INT64_MIN / -1 == INT64_MIN and INT64_MIN % -1 == 0, as in
+   the walker. */
+static inline int64_t xj_wrap(uint64_t u) { return (int64_t)u; }
+static inline int64_t xj_neg(int64_t a) { return xj_wrap(0u - (uint64_t)a); }
+
 static inline void xj_add(XjHost* h, const XjHostOps* o, XjValue& l,
                           XjValue r) {
-  if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) { l.u.i += r.u.i; return; }
+  if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) {
+    l.u.i = xj_wrap((uint64_t)l.u.i + (uint64_t)r.u.i);
+    return;
+  }
   if (l.tag == XJ_TAG_STR) { l = o->str_concat(h, l, r); return; }
   double a = xj_as_real(h, o, l);
   double b = xj_as_real(h, o, r);
@@ -666,14 +675,20 @@ static inline void xj_add(XjHost* h, const XjHostOps* o, XjValue& l,
 }
 static inline void xj_sub(XjHost* h, const XjHostOps* o, XjValue& l,
                           XjValue r) {
-  if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) { l.u.i -= r.u.i; return; }
+  if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) {
+    l.u.i = xj_wrap((uint64_t)l.u.i - (uint64_t)r.u.i);
+    return;
+  }
   double a = xj_as_real(h, o, l);
   double b = xj_as_real(h, o, r);
   l.tag = XJ_TAG_REAL; l.aux = 0u; l.u.d = a - b;
 }
 static inline void xj_mul(XjHost* h, const XjHostOps* o, XjValue& l,
                           XjValue r) {
-  if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) { l.u.i *= r.u.i; return; }
+  if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) {
+    l.u.i = xj_wrap((uint64_t)l.u.i * (uint64_t)r.u.i);
+    return;
+  }
   double a = xj_as_real(h, o, l);
   double b = xj_as_real(h, o, r);
   l.tag = XJ_TAG_REAL; l.aux = 0u; l.u.d = a * b;
@@ -682,7 +697,7 @@ static inline void xj_div(XjHost* h, const XjHostOps* o, XjValue& l,
                           XjValue r) {
   if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) {
     if (r.u.i == 0) xj_raise(h, o, XJ_ERR_DIV0);
-    l.u.i /= r.u.i;
+    l.u.i = r.u.i == -1 ? xj_neg(l.u.i) : l.u.i / r.u.i;
     return;
   }
   double a = xj_as_real(h, o, l);
@@ -694,13 +709,13 @@ static inline void xj_mod(XjHost* h, const XjHostOps* o, XjValue& l,
                           XjValue r) {
   if (l.tag == XJ_TAG_INT && r.tag == XJ_TAG_INT) {
     if (r.u.i == 0) xj_raise(h, o, XJ_ERR_MOD0);
-    l.u.i %= r.u.i;
+    l.u.i = r.u.i == -1 ? 0 : l.u.i % r.u.i;
     return;
   }
   int64_t a = xj_as_int(h, o, l);
   int64_t b = xj_as_int(h, o, r);
   if (b == 0) xj_raise(h, o, XJ_ERR_MOD0);
-  l.tag = XJ_TAG_INT; l.aux = 0u; l.u.i = a % b;
+  l.tag = XJ_TAG_INT; l.aux = 0u; l.u.i = b == -1 ? 0 : a % b;
 }
 
 static inline int xj_eq(XjHost* h, const XjHostOps* o, XjValue l, XjValue r) {

@@ -33,6 +33,7 @@ InstanceHandle Database::create(ClassId cls) {
   for (const auto& a : def.attributes) {
     slot.attrs.push_back(a.default_value ? from_scalar(*a.default_value)
                                          : default_value(a.type));
+    fit_to_type(a.type, slot.attrs.back());  // an int default of a real widens
   }
   return {cls, index, slot.generation};
 }
@@ -81,6 +82,11 @@ const InstanceSlot& Database::deref(const InstanceHandle& h) const {
 }
 
 Value Database::get_attr(const InstanceHandle& h, AttributeId attr) const {
+  return attr_ref(h, attr);
+}
+
+const Value& Database::attr_ref(const InstanceHandle& h,
+                                AttributeId attr) const {
   const InstanceSlot& slot = deref(h);
   if (attr.value() >= slot.attrs.size()) {
     throw ModelError("attribute index out of range on " + h.to_string());
@@ -93,11 +99,12 @@ void Database::set_attr(const InstanceHandle& h, AttributeId attr, Value v) {
   if (attr.value() >= slot.attrs.size()) {
     throw ModelError("attribute index out of range on " + h.to_string());
   }
-  // int widens to real when the attribute is real
-  const xtuml::AttributeDef& def = domain_->cls(h.cls).attribute(attr);
-  if (def.type == xtuml::DataType::kReal &&
-      std::holds_alternative<std::int64_t>(v)) {
-    v = static_cast<double>(std::get<std::int64_t>(v));
+  const xtuml::ClassDef& cls = domain_->cls(h.cls);
+  const xtuml::AttributeDef& def = cls.attribute(attr);
+  if (!fit_to_type(def.type, v)) {
+    throw ModelError("attribute '" + cls.name + "." + def.name + "' is " +
+                     xtuml::to_string(def.type) + ", cannot hold " +
+                     type_name(v) + " " + to_string(v));
   }
   slot.attrs[attr.value()] = std::move(v);
 }

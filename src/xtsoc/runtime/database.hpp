@@ -49,6 +49,11 @@ public:
   const InstanceSlot& deref(const InstanceHandle& h) const;
 
   Value get_attr(const InstanceHandle& h, AttributeId attr) const;
+  /// The stored value itself, read in place; valid until the next write
+  /// to this instance's attributes or the next create/destroy.
+  const Value& attr_ref(const InstanceHandle& h, AttributeId attr) const;
+  /// Store `v`, fitted to the attribute's declared type (int widens to
+  /// real); any other type mismatch throws ModelError naming the attribute.
   void set_attr(const InstanceHandle& h, AttributeId attr, Value v);
 
   StateId current_state(const InstanceHandle& h) const;

@@ -6,6 +6,21 @@
 
 namespace xtsoc::runtime {
 
+namespace {
+
+/// The event `event` of `target`'s class, or null when the handle or the
+/// id names nothing in `domain`.
+const xtuml::EventDef* event_def(const xtuml::Domain& domain,
+                                 const InstanceHandle& target, EventId event) {
+  if (!target.cls.is_valid() || target.cls.value() >= domain.class_count()) {
+    return nullptr;
+  }
+  const xtuml::ClassDef& def = domain.cls(target.cls);
+  return event.value() < def.events.size() ? &def.event(event) : nullptr;
+}
+
+}  // namespace
+
 Executor::Executor(const oal::CompiledDomain& compiled, ExecutorConfig config)
     : compiled_(&compiled), config_(config), db_(compiled.domain()),
       dispatches_by_class_(compiled.domain().class_count(), 0),
@@ -81,6 +96,24 @@ void Executor::destroy(const InstanceHandle& h) {
 
 void Executor::inject(const InstanceHandle& target, EventId event,
                       std::vector<Value> args, std::uint64_t delay) {
+  // Injected values enter the model here, so they are held to the event's
+  // declared parameter types, as sema holds generated ones.
+  if (const xtuml::EventDef* ev = event_def(domain(), target, event)) {
+    if (args.size() != ev->params.size()) {
+      throw ModelError("inject: event '" + ev->name + "' takes " +
+                       std::to_string(ev->params.size()) +
+                       " argument(s), got " + std::to_string(args.size()));
+    }
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const xtuml::Parameter& p = ev->params[i];
+      if (!fit_to_type(p.type, args[i])) {
+        throw ModelError("inject: parameter '" + p.name + "' of event '" +
+                         ev->name + "' is " + xtuml::to_string(p.type) +
+                         ", cannot take " + type_name(args[i]) + " " +
+                         to_string(args[i]));
+      }
+    }
+  }
   emit(InstanceHandle::null(), target, event, std::move(args), delay);
 }
 
@@ -98,6 +131,15 @@ void Executor::inject(const InstanceHandle& target, std::string_view event_name,
 void Executor::emit(const InstanceHandle& sender, const InstanceHandle& target,
                     EventId event, std::vector<Value> args,
                     std::uint64_t delay) {
+  // An int argument to a real parameter travels as real, as it does when
+  // the signal crosses a partition boundary, whichever engine sent it.
+  if (const xtuml::EventDef* ev = event_def(domain(), target, event)) {
+    for (std::size_t i = 0; i < ev->params.size() && i < args.size(); ++i) {
+      if (ev->params[i].type == xtuml::DataType::kReal) {
+        fit_to_type(xtuml::DataType::kReal, args[i]);
+      }
+    }
+  }
   EventMessage m;
   m.sender = sender;
   m.target = target;

@@ -116,6 +116,40 @@ bool value_equals(const Value& a, const Value& b) {
   return a == b;
 }
 
+const char* type_name(const Value& v) {
+  switch (v.index()) {
+    case 0: return "void";
+    case 1: return "bool";
+    case 2: return "int";
+    case 3: return "real";
+    case 4: return "string";
+    case 5: return "inst_ref";
+    default: return "instance set";
+  }
+}
+
+bool fit_to_type(xtuml::DataType type, Value& v) {
+  using xtuml::DataType;
+  switch (type) {
+    case DataType::kBool:
+      return std::holds_alternative<bool>(v);
+    case DataType::kInt:
+      return std::holds_alternative<std::int64_t>(v);
+    case DataType::kReal:
+      if (const auto* i = std::get_if<std::int64_t>(&v)) {
+        v = static_cast<double>(*i);
+      }
+      return std::holds_alternative<double>(v);
+    case DataType::kString:
+      return std::holds_alternative<std::string>(v);
+    case DataType::kInstRef:
+      return std::holds_alternative<InstanceHandle>(v);
+    case DataType::kVoid:
+      return false;
+  }
+  return false;
+}
+
 void save_handle(snap::Writer& w, const InstanceHandle& h) {
   w.u32(h.cls.value());
   w.u32(h.index);

@@ -68,6 +68,16 @@ const InstanceSet& as_set(const Value& v);
 /// Structural equality following OAL semantics (int/real compare numerically).
 bool value_equals(const Value& a, const Value& b);
 
+/// Name of the type a value holds ("int", "real", "inst_ref", ...), for
+/// error messages.
+const char* type_name(const Value& v);
+
+/// Fit `v` to a slot of declared type `type` (an attribute or an event
+/// parameter): an int widens to real in place, and any other mismatch
+/// returns false. Values that pass hold exactly their declared type, which
+/// is what lets the walker evaluate on sema's types.
+bool fit_to_type(xtuml::DataType type, Value& v);
+
 // --- checkpointing -----------------------------------------------------------
 // Values appear in every serialized runtime structure (attributes, queued
 // signal payloads, trace events), so the byte encoding lives here, next to

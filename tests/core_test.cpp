@@ -195,11 +195,48 @@ TEST(Stimulus, ScriptErrorsStopExecution) {
         "create c Consumer\nexpect c.nope == 1\n",
         "create c Consumer\nexpect_state c NoState\n",
         "bogus command\n", "create c Consumer zz=1\n",
-        "create p Producer sink=@missing\n", "print nonsense\n"}) {
+        "create p Producer sink=@missing\n", "print nonsense\n",
+        "create p Producer\ninject p kick delay=-5\n",
+        "create p Producer\ninject p kick delay=1.5\n"}) {
     std::ostringstream o;
     StimulusResult r = run_stimulus(*p, bad, o);
     EXPECT_FALSE(r.ok) << bad;
   }
+}
+
+TEST(Stimulus, IllTypedInjectIsADiagnostic) {
+  // units is an int parameter: 1.5 is rejected where it enters, naming it.
+  auto p = make_project();
+  std::ostringstream out;
+  StimulusResult r = run_stimulus(*p,
+                                  "create cns Consumer\n"
+                                  "create prd Producer sink=@cns\n"
+                                  "inject cns work units=1.5 scale=1.0 "
+                                  "who=@prd\nrun\n",
+                                  out);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(out.str().find("parameter 'units' of event 'work' is int, "
+                           "cannot take real 1.5"),
+            std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("stimulus:3: error"), std::string::npos);
+
+  // An int for the real parameter `scale` widens; the script runs on.
+  std::ostringstream ok;
+  r = run_stimulus(*p,
+                   "create cns Consumer\ncreate prd Producer sink=@cns\n"
+                   "inject cns work units=2 scale=1 who=@prd\nrun\n"
+                   "expect cns.total == 2\n",
+                   ok);
+  EXPECT_TRUE(r.ok) << ok.str();
+
+  // The same rule holds for attributes set by `create`.
+  std::ostringstream attr;
+  r = run_stimulus(*p, "create cns Consumer total=2.5\n", attr);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(attr.str().find("attribute 'Consumer.total' is int"),
+            std::string::npos)
+      << attr.str();
 }
 
 TEST(Stimulus, PrintTraceIncludesEvents) {

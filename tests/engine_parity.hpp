@@ -60,11 +60,14 @@ struct EngineRun {
         .ref_attr("ref", "Peer")
         .event("go", {{"n", DataType::kInt}})
         .event("pair", {{"a", DataType::kInt}, {"b", DataType::kInt}})
+        .event("half", {{"x", DataType::kReal}})
         .state("S0")
         .state("S1", snippet)
         .state("S2", "self.j = param.a * 10 + param.b;")
+        .state("S3", "self.r = param.x / 2;")
         .transition("S0", "go", "S1")
-        .transition("S1", "pair", "S2");
+        .transition("S1", "pair", "S2")
+        .transition("S1", "half", "S3");
     b.assoc("R1", "Probe", "uses", Multiplicity::kZeroMany, "Peer", "used_by",
             Multiplicity::kZeroMany);
     domain = b.take();
@@ -192,6 +195,13 @@ inline const std::vector<const char*>& parity_snippets() {
       "  end while;\n  if (k > 4)\n    return;\n  end if;\n"
       "  self.i = self.i + j;\nend while;",
       "self.i = -param.n;\nself.r = -2.5;\nself.flag = not (self.i < 0);",
+      // Ints wrap: INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0 (no
+      // SIGFPE); + - * and negation wrap through uint64.
+      "m = 0 - 9223372036854775807 - 1;\nd = param.n - param.n - 1;\n"
+      "self.i = m / d + (m - 1) * 3 - -m;\nself.j = m % d + (m - 1) * (m - 1);",
+      // An int argument to a real parameter arrives as real, so the
+      // receiver's param.x / 2 divides as real.
+      "generate half(x: param.n - 1) to self;",
   };
   return snippets;
 }

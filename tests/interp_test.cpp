@@ -37,9 +37,13 @@ public:
         .attr("flag", DataType::kBool)
         .ref_attr("ref", "Peer")
         .event("go", {{"n", DataType::kInt}})
+        .event("half", {{"x", DataType::kReal}})
         .state("S0")
         .state("S1", snippet)
-        .transition("S0", "go", "S1");
+        .state("S2", "self.r = param.x / 2;")
+        .transition("S0", "go", "S1")
+        .transition("S1", "half", "S2")
+        .transition("S2", "half", "S2");
     b.assoc("R1", "Probe", "uses", Multiplicity::kZeroMany, "Peer", "used_by",
             Multiplicity::kZeroMany);
     domain_ = b.take();
@@ -382,6 +386,137 @@ TEST(Interp, SelfEqualityAndRefRoundTrip) {
   h.run();
   EXPECT_TRUE(h.flag());
 }
+
+// --- typed evaluation: results and op counts -------------------------------------
+// The walker evaluates scalar-typed subtrees unboxed. Each case pins the
+// result and the op count (one per statement and per expression node), so a
+// typed path that skipped or doubled a tick would show here.
+
+struct TypedCase {
+  const char* snippet;
+  std::int64_t n;          ///< go(n)
+  std::uint64_t ops;       ///< ops of the whole action
+  const char* attr;        ///< attribute holding the result
+  const char* want;        ///< to_string of the result
+};
+
+void PrintTo(const TypedCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(c.snippet) << " -> " << c.attr << " == "
+      << c.want << " in " << c.ops << " ops";
+}
+
+class TypedEval : public ::testing::TestWithParam<TypedCase> {};
+
+TEST_P(TypedEval, ResultAndOps) {
+  const TypedCase& c = GetParam();
+  InterpHarness h(c.snippet);
+  h.run(c.n);
+  EXPECT_EQ(to_string(h.attr(c.attr)), c.want) << c.snippet;
+  EXPECT_EQ(h.exec().ops_executed(), c.ops) << c.snippet;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Forms, TypedEval,
+    ::testing::Values(
+        // int arithmetic and %
+        TypedCase{"self.i = (7 + 5) * 3 - 20 / 3 % 4;", 0, 13, "i", "34"},
+        // int compares in while and if
+        TypedCase{"k = 0;\nwhile (k < 5)\n  k = k + 1;\nend while;\n"
+                  "if (k >= 5)\n  self.i = k;\nend if;",
+                  0, 48, "i", "5"},
+        // in-place assignment to an int local
+        TypedCase{"x = 1;\nx = x * 10;\nx = x + param.n;\nself.i = x;", 7, 13,
+                  "i", "17"},
+        // an int assigned to a real local widens, so x / 2 divides as real
+        TypedCase{"x = 0.5;\nx = 3;\nx = x / 2;\nself.r = x;", 0, 11, "r",
+                  "1.5"},
+        // mixed int/real falls back to real; int/int stays int
+        TypedCase{"self.r = 7 / 2 + 7 / 2.0;", 0, 9, "r", "6.5"},
+        TypedCase{"self.flag = 3 < 3.5 and 2.0 == 2;", 0, 9, "flag", "true"},
+        // and/or short-circuit: the right operand is not evaluated
+        TypedCase{"self.flag = (1 > 2) and (3 > 1);", 0, 6, "flag", "false"},
+        TypedCase{"self.flag = (1 < 2) or (3 > 1);", 0, 6, "flag", "true"},
+        TypedCase{"self.flag = (1 < 2) and (3 > 1);", 0, 9, "flag", "true"},
+        // not
+        TypedCase{"self.flag = not (param.n == 3);", 3, 6, "flag", "false"},
+        // an int argument to a real parameter arrives widened, so the
+        // receiver divides as real (as it does when the signal crosses a bus)
+        TypedCase{"generate half(x: 5) to self;", 0, 8, "r", "2.5"},
+        // mem.read in an int context (the executor's flat memory)
+        TypedCase{"mem.write(16, 5);\nself.i = mem.read(8 + 8) * 2 + 1;", 0,
+                  13, "i", "11"}));
+
+/// The ModelError text a snippet dies with.
+std::string error_of(const std::string& snippet, std::int64_t n = 0) {
+  InterpHarness h(snippet);
+  try {
+    h.run(n);
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return "(no throw)";
+}
+
+TEST(Interp, ErrorTextsUnchanged) {
+  EXPECT_EQ(error_of("if (param.n > 0)\n  x = 1;\nend if;\nself.i = x + 1;"),
+            "read of unset variable 'x'");
+  EXPECT_EQ(error_of("self.i = 1 / (self.i - 0);"), "integer division by zero");
+  EXPECT_EQ(error_of("self.i = 1 % self.i;"), "modulo by zero");
+  EXPECT_EQ(error_of("k = 0;\nwhile (k < 1)\n  self.flag = k > 1;\nend while;"),
+            "action exceeded op limit (runaway loop?)");
+}
+
+// --- values entering the model are held to their declared types -------------------
+
+TEST(Interp, InjectRejectsIllTypedArguments) {
+  InterpHarness h("self.i = param.n;");
+  try {
+    h.exec().inject(h.probe(), "go", {Value(1.5)});
+    ADD_FAILURE() << "a real argument for an int parameter was accepted";
+  } catch (const ModelError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "inject: parameter 'n' of event 'go' is int, cannot take real "
+              "1.5");
+  }
+  EXPECT_THROW(h.exec().inject(h.probe(), "go", {Value(true)}), ModelError);
+  EXPECT_THROW(h.exec().inject(h.probe(), "go", {}), ModelError);
+  EXPECT_THROW(h.exec().inject(h.probe(), "go", {Value(1), Value(2)}),
+               ModelError);
+  h.run(4);  // a well-typed inject still runs
+  EXPECT_EQ(h.i(), 4);
+}
+
+TEST(Interp, InjectWidensIntToRealParameter) {
+  InterpHarness h("generate half(x: 3) to self;");
+  h.run();  // S1 -> S2 on the generated half(3)
+  EXPECT_DOUBLE_EQ(h.r(), 1.5);
+  h.exec().inject(h.probe(), "half", {Value(std::int64_t{5})});
+  h.exec().run_all();
+  EXPECT_DOUBLE_EQ(h.r(), 2.5);
+}
+
+// --- int overflow: two's-complement wrap ---------------------------------------------
+
+class IntWrap : public ::testing::TestWithParam<ArithCase> {};
+
+TEST_P(IntWrap, Evaluates) {
+  // go(-1) supplies the divisor, so no constant is folded anywhere.
+  InterpHarness h(std::string("m = 0 - 9223372036854775807 - 1;\n"
+                              "self.i = ") +
+                  GetParam().expr + ";");
+  h.run(-1);
+  EXPECT_EQ(h.i(), GetParam().want) << GetParam().expr;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, IntWrap,
+    ::testing::Values(ArithCase{"m / param.n", INT64_MIN},
+                      ArithCase{"m % param.n", 0},
+                      ArithCase{"m - 1", INT64_MAX},
+                      ArithCase{"(m - 1) + 1", INT64_MIN},
+                      ArithCase{"9223372036854775807 * 2", -2},
+                      ArithCase{"-m", INT64_MIN},
+                      ArithCase{"7 / param.n + 7 % param.n", -7}));
 
 }  // namespace
 }  // namespace xtsoc::runtime

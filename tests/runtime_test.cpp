@@ -201,6 +201,27 @@ TEST(Database, RealAttrWidensIntWrite) {
   EXPECT_DOUBLE_EQ(std::get<double>(db.get_attr(h, AttributeId(0))), 3.0);
 }
 
+TEST(Database, SetAttrRejectsIllTypedValues) {
+  DomainBuilder b("D");
+  b.cls("A").attr("n", DataType::kInt).attr("s", DataType::kString);
+  Domain d = std::move(*b.take());
+  Database db(d);
+  auto h = db.create(d.find_class_id("A"));
+  try {
+    db.set_attr(h, AttributeId(0), Value(10.5));
+    ADD_FAILURE() << "a real was stored in an int attribute";
+  } catch (const ModelError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "attribute 'A.n' is int, cannot hold real 10.5");
+  }
+  EXPECT_THROW(db.set_attr(h, AttributeId(1), Value(std::int64_t{1})),
+               ModelError);
+  EXPECT_THROW(db.set_attr(h, AttributeId(0), Value{}), ModelError);
+  EXPECT_EQ(std::get<std::int64_t>(db.get_attr(h, AttributeId(0))), 0);
+  db.set_attr(h, AttributeId(1), Value(std::string("ok")));
+  EXPECT_EQ(std::get<std::string>(db.get_attr(h, AttributeId(1))), "ok");
+}
+
 // --- executor -----------------------------------------------------------------
 
 /// Counter: a single self-looping state machine.
