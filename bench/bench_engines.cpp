@@ -5,7 +5,7 @@
 // Both engines implement the same observable semantics, op counts
 // included (checked in engines_test.cpp and jit_test.cpp); this bench
 // measures the cost of each "manner" the model compiler may choose (paper
-// §4), plus the jit's one-time bytecode lowering and its cold-compile/
+// §4), plus the jit's cold-compile (lowering and native compile) /
 // warm-load cache split. The summary cross-checks the engines on a real
 // workload before timing anything.
 
@@ -18,7 +18,6 @@
 #include "bench_json.hpp"
 #include "models.hpp"
 #include "xtsoc/jit/jit.hpp"
-#include "xtsoc/oal/bytecode.hpp"
 #include "xtsoc/verify/equivalence.hpp"
 
 namespace {
@@ -125,19 +124,6 @@ void BM_Engine(benchmark::State& state) {
   state.SetLabel(engine == ActionEngine::kAstWalk ? "ast" : "jit");
 }
 BENCHMARK(BM_Engine)->Arg(0)->Arg(1)->ArgNames({"engine"});
-
-void BM_BytecodeCompile(benchmark::State& state) {
-  auto project = xtsoc::bench::make_project(xtsoc::bench::make_packet_soc(),
-                                            marks::MarkSet{});
-  ClassId crypto = project->domain().find_class_id("Crypto");
-  const oal::AnalyzedAction& action =
-      project->compiled().action(crypto, StateId(0));
-  for (auto _ : state) {
-    oal::CodeBlock bc = oal::compile_bytecode(action);
-    benchmark::DoNotOptimize(bc);
-  }
-}
-BENCHMARK(BM_BytecodeCompile);
 
 void emit_json() {
   xtsoc::bench::JsonReport report("engines");

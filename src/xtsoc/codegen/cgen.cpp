@@ -206,7 +206,9 @@ private:
       }
       case ExprKind::kUnary: {
         const auto& u = static_cast<const UnaryExpr&>(e);
-        const char* op = u.op == UnaryOp::kNeg ? "-" : "!";
+        const char* op = u.op == UnaryOp::kNot                  ? "!"
+                         : u.operand->type.base == DataType::kInt ? "xt_ineg"
+                                                                  : "-";
         return std::string(op) + "(" + expr(*u.operand) + ")";
       }
       case ExprKind::kBinary:
@@ -248,16 +250,25 @@ private:
     const bool handles =
         lt.base == DataType::kInstRef && rt.base == DataType::kInstRef &&
         !lt.is_set && !rt.is_set;
+    // Int arithmetic goes through the wrapping helpers in the model header.
+    const bool ints = b.type.base == DataType::kInt;
     std::string l = expr(*b.lhs);
     std::string r = expr(*b.rhs);
     switch (b.op) {
       case BinaryOp::kAdd:
         if (strings) return "xt_str_cat(" + l + ", " + r + ")";
+        if (ints) return "xt_iadd(" + l + ", " + r + ")";
         return "(" + l + " + " + r + ")";
-      case BinaryOp::kSub: return "(" + l + " - " + r + ")";
-      case BinaryOp::kMul: return "(" + l + " * " + r + ")";
-      case BinaryOp::kDiv: return "(" + l + " / " + r + ")";
-      case BinaryOp::kMod: return "(" + l + " % " + r + ")";
+      case BinaryOp::kSub:
+        if (ints) return "xt_isub(" + l + ", " + r + ")";
+        return "(" + l + " - " + r + ")";
+      case BinaryOp::kMul:
+        if (ints) return "xt_imul(" + l + ", " + r + ")";
+        return "(" + l + " * " + r + ")";
+      case BinaryOp::kDiv:
+        if (ints) return "xt_idiv(" + l + ", " + r + ")";
+        return "(" + l + " / " + r + ")";
+      case BinaryOp::kMod: return "xt_imod(" + l + ", " + r + ")";
       case BinaryOp::kAnd: return "(" + l + " && " + r + ")";
       case BinaryOp::kOr: return "(" + l + " || " + r + ")";
       case BinaryOp::kEq:
@@ -599,6 +610,7 @@ std::string gen_model_header(const MappedSystem& sys) {
   w.line("#include <stdbool.h>");
   w.line("#include <stdint.h>");
   w.line("#include <stdio.h>");
+  w.line("#include <stdlib.h>");
   w.line("#include <string.h>");
   w.line();
   w.line("#include \"" + lower(domain.name()) + "_iface.h\"");
@@ -643,6 +655,33 @@ std::string gen_model_header(const MappedSystem& sys) {
   w.close();
   w.open("static inline int xt_str_cmp(xt_str_t a, xt_str_t b) {");
   w.line("return strcmp(a.s, b.s);");
+  w.close();
+  w.line();
+  w.line("/* Model ints wrap (two's complement, computed through uint64_t);");
+  w.line("   INT64_MIN / -1 == INT64_MIN and INT64_MIN % -1 == 0. Division or");
+  w.line("   modulo by zero aborts with the abstract executor's message. */");
+  const struct {
+    const char* name;
+    const char* op;
+  } kWrapping[] = {{"add", "+"}, {"sub", "-"}, {"mul", "*"}};
+  for (const auto& f : kWrapping) {
+    w.open(std::string("static inline int64_t xt_i") + f.name +
+           "(int64_t a, int64_t b) {");
+    w.line(std::string("return (int64_t)((uint64_t)a ") + f.op +
+           " (uint64_t)b);");
+    w.close();
+  }
+  w.open("static inline int64_t xt_ineg(int64_t a) {");
+  w.line("return (int64_t)(0u - (uint64_t)a);");
+  w.close();
+  w.open("static inline int64_t xt_idiv(int64_t a, int64_t b) {");
+  w.line("if (b == 0) { fputs(\"integer division by zero\\n\", stderr); "
+         "abort(); }");
+  w.line("return b == -1 ? xt_ineg(a) : a / b;");
+  w.close();
+  w.open("static inline int64_t xt_imod(int64_t a, int64_t b) {");
+  w.line("if (b == 0) { fputs(\"modulo by zero\\n\", stderr); abort(); }");
+  w.line("return b == -1 ? 0 : a % b;");
   w.close();
   w.line();
   w.line("enum { XT_LINK_MAX = 256, XT_QUEUE_MAX = 1024 };");

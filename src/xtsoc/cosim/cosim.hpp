@@ -113,8 +113,8 @@ struct CoSimConfig {
   runtime::ActionEngine engine = runtime::ActionEngine::kAstWalk;
   /// AOT-compiled actions (xtsoc::jit) dispatched when `engine` is kJit;
   /// non-owning — the module must outlive the co-simulation. Executors
-  /// fall back to the AST walker per action when null or incomplete, so
-  /// observable behaviour never depends on this being set.
+  /// run the AST walker when it is null, so observable behaviour never
+  /// depends on this being set.
   const runtime::CompiledActions* compiled = nullptr;
   /// Provenance for the report's "engines" section (see EngineStatus).
   EngineStatus engine_status;

@@ -241,9 +241,11 @@ void HwDomain::save_state(snap::Writer& w) const {
 void HwDomain::load_state(snap::Reader& r) {
   exec_.load_state(r);
   cycle_ = r.u64();
+  // Minimum encodings: a frame is its opcode, payload length and due
+  // cycle; an outbox entry a destination, a frame and two u64s.
+  constexpr std::size_t kFrameBytes = 4 + 8 + 8;
   outbox_.clear();
-  std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t n = r.count(4 + kFrameBytes + 8 + 8); n > 0; --n) {
     Outbound o;
     o.dst = ClassId(r.u32());
     o.frame = load_frame(r);
@@ -253,8 +255,9 @@ void HwDomain::load_state(snap::Reader& r) {
   }
   outbox_sent_ = static_cast<std::size_t>(r.u64());
   inbox_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) inbox_.push_back(load_frame(r));
+  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
+    inbox_.push_back(load_frame(r));
+  }
   // Per-edge scratch: rebuilt by the next run call.
   served_.clear();
   edge_writes_.clear();

@@ -64,8 +64,7 @@ void Plan::save_state(snap::Writer& w) const {
 
 void Plan::load_state(snap::Reader& r) {
   streams_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t n = r.count(16); n > 0; --n) {  // key and state
     const std::uint64_t key = r.u64();
     streams_[key] = r.u64();
   }

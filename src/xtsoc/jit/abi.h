@@ -98,7 +98,7 @@ typedef struct XjHostOps {
   int (*str_compare)(XjHost* h, XjValue l, XjValue r);
   int (*values_equal)(XjHost* h, XjValue l, XjValue r);
 
-  /* cls_event packs (target class << 16) | event, exactly like kGenerate. */
+  /* cls_event packs (target class << 16) | event. */
   void (*emit_ev)(XjHost* h, XjValue target, uint32_t cls_event,
                   const XjValue* args, uint32_t argc, int64_t delay);
   void (*log_vals)(XjHost* h, const XjValue* vals, uint32_t n);

@@ -90,8 +90,7 @@ JitResult compile(const oal::CompiledDomain& dom, const JitOptions& opts) {
     if (!opts.extra_flags.empty()) flags += " " + opts.extra_flags;
 
     // Generate with the placeholder digest, hash, then substitute.
-    std::string src =
-        emit_module_source(dom, kDigestPlaceholder, &res.skipped_actions);
+    std::string src = emit_module_source(dom, kDigestPlaceholder);
     res.digest =
         content_digest(src + "\n|" + compiler + "|" + flags + "|v" +
                        std::to_string(XTSOC_JIT_ABI_VERSION));

@@ -1,6 +1,6 @@
 // xtsoc::jit — AOT compilation of mapped models to native shared objects.
 //
-// compile() lowers every state action of a CompiledDomain to C++ (emit.*),
+// compile() lowers every state action's typed AST to C++ (emit.*),
 // invokes the system compiler once per model, dlopens the result (module.*)
 // and returns it as a runtime::CompiledActions the Executor dispatches
 // through. The pipeline is content-addressed: a FNV-1a digest over the
@@ -45,9 +45,6 @@ struct JitResult {
   std::string digest;
   std::string so_path;
   bool cache_hit = false;
-  /// Actions left to the walker because their bytecode couldn't be
-  /// lowered (0 in practice; the executor falls back per action).
-  int skipped_actions = 0;
 };
 
 /// Default cache directory (see JitOptions::cache_dir).

@@ -1,12 +1,11 @@
 // CompiledActions: the executor-facing face of an AOT-compiled model.
 //
-// The jit engine (xtsoc::jit) lowers every state action of a compiled
-// domain to native code in a dlopen'd shared object. The Executor neither
-// knows nor cares how: it sees this interface, asks whether a (class,
-// state) action was compiled, and runs it against the same Host it would
-// hand the tree-walking interpreter. Actions the module does not cover (or
-// a null module) run on the walker per dispatch, so a partially compiled
-// model is still byte-identical, just slower.
+// The jit engine (xtsoc::jit) lowers every state action's typed AST to
+// C++ and compiles the model into one dlopen'd shared object. The
+// Executor neither knows nor cares how: it sees this interface, asks
+// whether a (class, state) action was compiled, and runs it against the
+// same Host it would hand the tree-walking interpreter. With no module the
+// walker runs every action, so the choice of engine is never observable.
 //
 // Contract (enforced by engines_test and the EnginesJit grid): run() must
 // produce exactly the observable behaviour of run_action() on the same

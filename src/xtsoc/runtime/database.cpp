@@ -9,6 +9,7 @@ namespace xtsoc::runtime {
 Database::Database(const xtuml::Domain& domain) : domain_(&domain) {
   slots_.resize(domain.class_count());
   free_list_.resize(domain.class_count());
+  live_.resize(domain.class_count());
   links_.resize(domain.associations().size());
 }
 
@@ -27,6 +28,7 @@ InstanceHandle Database::create(ClassId cls) {
   }
   InstanceSlot& slot = pool[index];
   slot.alive = true;
+  ++live_[cls.value()];
   slot.state = def.initial_state;
   slot.attrs.clear();
   slot.attrs.reserve(def.attributes.size());
@@ -41,6 +43,7 @@ InstanceHandle Database::create(ClassId cls) {
 void Database::destroy(const InstanceHandle& h) {
   InstanceSlot& slot = deref(h);
   slot.alive = false;
+  --live_[h.cls.value()];
   ++slot.generation;
   slot.attrs.clear();
   free_list_[h.cls.value()].push_back(h.index);
@@ -128,18 +131,12 @@ InstanceSet Database::all_of(ClassId cls) const {
 }
 
 std::size_t Database::live_count(ClassId cls) const {
-  if (cls.value() >= slots_.size()) return 0;
-  const auto& pool = slots_[cls.value()];
-  return static_cast<std::size_t>(
-      std::count_if(pool.begin(), pool.end(),
-                    [](const InstanceSlot& s) { return s.alive; }));
+  return cls.value() < live_.size() ? live_[cls.value()] : 0;
 }
 
 std::size_t Database::live_count() const {
   std::size_t n = 0;
-  for (std::size_t c = 0; c < slots_.size(); ++c) {
-    n += live_count(ClassId(static_cast<ClassId::underlying_type>(c)));
-  }
+  for (const std::size_t c : live_) n += c;
   return n;
 }
 
@@ -254,10 +251,13 @@ void Database::load_state(snap::Reader& r) {
   }
   // Minimum encodings: a slot is alive, generation, state and attr count;
   // a value its tag; a free-list entry a u32; a link two handles.
-  for (auto& cls_slots : slots_) {
+  for (std::size_t c = 0; c < slots_.size(); ++c) {
+    auto& cls_slots = slots_[c];
     cls_slots.resize(r.count(1 + 4 + 4 + 8));
+    live_[c] = 0;
     for (InstanceSlot& s : cls_slots) {
       s.alive = r.boolean();
+      if (s.alive) ++live_[c];
       s.generation = r.u32();
       s.state = StateId(r.u32());
       s.attrs.resize(r.count(1));

@@ -61,6 +61,8 @@ public:
 
   /// All live instances of `cls`, in creation order.
   InstanceSet all_of(ClassId cls) const;
+  /// Live instances of `cls` (or of every class), kept by create/destroy
+  /// and rebuilt by load_state, so reading it is O(1) per class.
   std::size_t live_count(ClassId cls) const;
   std::size_t live_count() const;
 
@@ -101,6 +103,7 @@ private:
   const xtuml::Domain* domain_;
   std::vector<std::vector<InstanceSlot>> slots_;      // [class][index]
   std::vector<std::vector<std::uint32_t>> free_list_; // [class]
+  std::vector<std::size_t> live_;                     // [class]
   std::vector<std::vector<Link>> links_;              // [association]
 };
 

@@ -358,8 +358,8 @@ void Executor::dispatch(EventMessage m) {
   }
 
   current_ = m.target;
-  // The jit runs the actions its module covers; every other dispatch (and
-  // every dispatch under kAstWalk) runs on the walker, the reference.
+  // The jit runs the actions its module holds; without a module (and
+  // under kAstWalk) the walker, the reference, runs them.
   InterpResult r;
   if (config_.engine == ActionEngine::kJit && config_.compiled != nullptr &&
       config_.compiled->has(m.target.cls, t->to)) {
@@ -515,15 +515,21 @@ void Executor::save_state(snap::Writer& w) const {
 void Executor::load_state(snap::Reader& r) {
   db_.load_state(r);
   trace_.load_state(r);
+  // Minimum encodings: a message is two handles, its event, its argument
+  // count and two u64 stamps; a flat-memory entry is two i64s.
+  constexpr std::size_t kMessageBytes = 12 + 4 + 8 + 12 + 8 + 8;
   self_queue_.clear();
-  std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) self_queue_.push_back(load_message(r));
+  for (std::size_t n = r.count(kMessageBytes); n > 0; --n) {
+    self_queue_.push_back(load_message(r));
+  }
   ext_queue_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) ext_queue_.push_back(load_message(r));
+  for (std::size_t n = r.count(kMessageBytes); n > 0; --n) {
+    ext_queue_.push_back(load_message(r));
+  }
   timers_ = {};
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) timers_.push(load_message(r));
+  for (std::size_t n = r.count(kMessageBytes); n > 0; --n) {
+    timers_.push(load_message(r));
+  }
   now_ = r.u64();
   seq_ = r.u64();
   dispatches_ = r.u64();
@@ -538,8 +544,7 @@ void Executor::load_state(snap::Reader& r) {
   ops_ = r.u64();
   high_water_ = r.u64();
   flat_mem_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t n = r.count(16); n > 0; --n) {
     std::int64_t addr = r.i64();
     flat_mem_[addr] = r.i64();
   }

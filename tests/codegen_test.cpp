@@ -4,11 +4,13 @@
 #include <fstream>
 #include <map>
 #include <regex>
+#include <sstream>
 
 #include "test_models.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 #include "xtsoc/codegen/cgen.hpp"
 #include "xtsoc/codegen/vhdlgen.hpp"
+#include "xtsoc/runtime/executor.hpp"
 
 namespace xtsoc::codegen {
 namespace {
@@ -64,9 +66,10 @@ TEST(CGen, ActionTranslated) {
   GenFixture g;
   const GeneratedFile* model = g.c_out.find("sw/pipe_model.c");
   ASSERT_NE(model, nullptr);
-  // Producer.Sending action: self.sent = self.sent + 1;
-  EXPECT_NE(model->content.find(
-                "producer_get(self)->sent = (producer_get(self)->sent + 1);"),
+  // Producer.Sending action: self.sent = self.sent + 1; int arithmetic
+  // goes through the wrapping helper.
+  EXPECT_NE(model->content.find("producer_get(self)->sent = "
+                                "xt_iadd(producer_get(self)->sent, 1);"),
             std::string::npos)
       << model->content;
   // Cross-boundary generate became a bus send helper call.
@@ -247,6 +250,104 @@ TEST(CGen, GeneratedCLinksWithMain) {
     ss << log.rdbuf();
     FAIL() << "generated C failed to link/run:\n" << ss.str();
   }
+}
+
+/// One software class whose action computes the int edge cases: INT64_MAX
+/// + 1, INT64_MIN / d and INT64_MIN % d, with d an event parameter so the
+/// C compiler cannot fold them.
+std::unique_ptr<xtuml::Domain> make_int_probe_domain() {
+  using xtuml::DataType;
+  xtuml::DomainBuilder b("Probe");
+  b.cls("Probe", "PRB")
+      .attr("a", DataType::kInt)
+      .attr("q", DataType::kInt)
+      .attr("m", DataType::kInt)
+      .event("go", {{"d", DataType::kInt}})
+      .state("Idle")
+      .state("Run",
+             "big = 9223372036854775807;\n"
+             "self.a = big + 1;\n"
+             "self.q = (0 - big - 1) / param.d;\n"
+             "self.m = (0 - big - 1) % param.d;")
+      .transition("Idle", "go", "Run");
+  return b.take();
+}
+
+TEST(CGen, GeneratedIntArithmeticMatchesTheWalker) {
+  MappedFixture fx(make_int_probe_domain(), marks::MarkSet{});
+  runtime::Executor exec(*fx.compiled);
+  const runtime::InstanceHandle h = exec.create("Probe");
+  exec.inject(h, "go", {runtime::Value(std::int64_t{-1})});
+  exec.run_all();
+  std::string want;
+  for (std::uint32_t attr = 0; attr < 3; ++attr) {
+    if (attr > 0) want += ' ';
+    want += std::to_string(
+        runtime::as_int(exec.database().get_attr(h, AttributeId(attr))));
+  }
+  EXPECT_EQ(want, "-9223372036854775808 -9223372036854775808 0");
+
+  DiagnosticSink sink;
+  const Output c = generate_c(*fx.system, sink);
+  ASSERT_FALSE(sink.has_errors()) << sink.to_string();
+  const std::string dir = ::testing::TempDir() + "xtsoc_cint";
+  std::system(("mkdir -p " + dir).c_str());
+  for (const auto& f : c.files) {
+    std::ofstream(dir + "/" + f.path.substr(f.path.find_last_of('/') + 1))
+        << f.content;
+  }
+  std::ofstream(dir + "/probe_run.c")
+      << "#include <inttypes.h>\n"
+         "#include <stdlib.h>\n"
+         "#include \"probe_model.h\"\n"
+         "int main(int argc, char** argv) {\n"
+         "  xt_handle_t p = probe_create();\n"
+         "  xt_any_args_t args;\n"
+         "  args.probe.e_go.d = argc > 1 ? strtoll(argv[1], 0, 10) : -1;\n"
+         "  xt_send(XT_CLS_PROBE, PROBE_EV_GO, p, false, 0, &args);\n"
+         "  xt_run();\n"
+         "  printf(\"%\" PRId64 \" %\" PRId64 \" %\" PRId64 \"\\n\",\n"
+         "         probe_get(p)->a, probe_get(p)->q, probe_get(p)->m);\n"
+         "  return 0;\n"
+         "}\n";
+  // Signed overflow would be a UBSan error; keep the sanitizer where cc
+  // has it.
+  std::string flags = "-std=c99 -Wall -Werror";
+  const std::string ubsan =
+      " -fsanitize=undefined -fno-sanitize-recover=undefined";
+  std::ofstream(dir + "/empty.c") << "int main(void) { return 0; }\n";
+  if (std::system(("cd " + dir + " && cc" + ubsan +
+                   " empty.c -o empty 2>/dev/null")
+                      .c_str()) == 0) {
+    flags += ubsan;
+  }
+  const std::string cd = "cd " + dir + " && ";
+  if (std::system((cd + "cc " + flags +
+                   " probe_model.c probe_run.c -o probe 2>cc.log")
+                      .c_str()) != 0) {
+    std::ifstream log(dir + "/cc.log");
+    std::stringstream ss;
+    ss << log.rdbuf();
+    FAIL() << "generated C failed to compile:\n" << ss.str();
+  }
+  if (std::system((cd + "./probe > out.txt 2> err.txt").c_str()) != 0) {
+    std::ifstream err(dir + "/err.txt");
+    std::stringstream ss;
+    ss << err.rdbuf();
+    FAIL() << "probe failed:\n" << ss.str();
+  }
+  std::ifstream out(dir + "/out.txt");
+  std::string got;
+  std::getline(out, got);
+  EXPECT_EQ(got, want);
+
+  // Division by zero aborts with the walker's message.
+  EXPECT_NE(std::system((cd + "./probe 0 > out0.txt 2> err0.txt").c_str()), 0);
+  std::ifstream err(dir + "/err0.txt");
+  std::stringstream msg;
+  msg << err.rdbuf();
+  EXPECT_NE(msg.str().find("integer division by zero"), std::string::npos)
+      << msg.str();
 }
 
 TEST(CGen, PureSoftwareSystemHasEmptyBusSection) {

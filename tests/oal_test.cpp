@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "xtsoc/oal/bytecode.hpp"
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/oal/lexer.hpp"
 #include "xtsoc/oal/parser.hpp"
@@ -535,65 +534,6 @@ TEST(CompileDomain, RejectsInvalidModel) {
   d.add_class("A");
   DiagnosticSink sink;
   EXPECT_EQ(compile_domain(d, sink), nullptr);
-}
-
-// --- bytecode (the jit's input) ---------------------------------------------
-
-/// Bytecode of class A's S1 action, entered on "go".
-CodeBlock bytecode_of(const std::string& action) {
-  DomainBuilder b("D");
-  b.cls("A")
-      .attr("x", DataType::kInt)
-      .event("go")
-      .state("S0")
-      .state("S1", action)
-      .transition("S0", "go", "S1");
-  DiagnosticSink sink;
-  auto cd = compile_domain(b.domain(), sink);
-  EXPECT_NE(cd, nullptr) << sink.to_string();
-  if (cd == nullptr) return {};
-  return compile_bytecode(
-      cd->action(b.domain().find_class_id("A"), StateId(1)));
-}
-
-std::uint64_t total_ticks(const CodeBlock& block) {
-  std::uint64_t n = 0;
-  for (const Instr& i : block.code) n += i.ticks;
-  return n;
-}
-
-TEST(Bytecode, DisassembleIsReadable) {
-  std::string dis = disassemble(bytecode_of("self.x = self.x + 41;"));
-  EXPECT_NE(dis.find("get_attr"), std::string::npos);
-  EXPECT_NE(dis.find("push_const 41"), std::string::npos);
-  EXPECT_NE(dis.find("set_attr"), std::string::npos);
-  EXPECT_NE(dis.find("ret"), std::string::npos);
-}
-
-TEST(Bytecode, WhereFilterBecomesSubBlock) {
-  CodeBlock bc = bytecode_of(
-      "select many xs from instances of A where (selected.x > 0);\n"
-      "self.x = cardinality xs;");
-  EXPECT_EQ(bc.subs.size(), 1u);
-  std::string dis = disassemble(bc);
-  EXPECT_NE(dis.find("filter"), std::string::npos);
-  EXPECT_NE(dis.find("sub 0:"), std::string::npos);
-  EXPECT_NE(dis.find("selected"), std::string::npos);
-}
-
-TEST(Bytecode, TicksFollowTheWalker) {
-  // Straight-line code: one tick per statement and per expression node.
-  // `self.x = self.x + 41;` is the statement, `+`, `self.x`, `self`, `41`
-  // on the right and `self` on the left: 6.
-  EXPECT_EQ(total_ticks(bytecode_of("self.x = self.x + 41;")), 6u);
-  // The while statement's own tick sits on a zero-width marker in front
-  // of the loop head, which carries the condition's ticks instead.
-  CodeBlock loop = bytecode_of("k = 0;\nwhile (k < 3)\n  k = k + 1;\nend while;");
-  ASSERT_GE(loop.code.size(), 3u);
-  EXPECT_EQ(loop.code[2].op, Op::kTick);
-  EXPECT_EQ(loop.code[2].ticks, 1u);
-  EXPECT_EQ(loop.code[3].ticks, 2u);  // `<` and `k`, run every iteration
-  EXPECT_NE(disassemble(loop).find("tick  ; ops 1"), std::string::npos);
 }
 
 }  // namespace

@@ -112,6 +112,47 @@ TEST(Database, AllOfInCreationOrder) {
   EXPECT_EQ(db.live_count(dog), 2u);
 }
 
+TEST(Database, LiveCountMatchesPoolScan) {
+  // The counter create/destroy keep, against a scan of the slot pools
+  // (all_of), after deletes and across a save/load round trip into a
+  // database that held a different population.
+  Domain d = make_db_domain();
+  const ClassId dog = d.find_class_id("Dog");
+  const ClassId owner = d.find_class_id("Owner");
+  auto agrees = [&](const Database& db) {
+    EXPECT_EQ(db.live_count(dog), db.all_of(dog).size());
+    EXPECT_EQ(db.live_count(owner), db.all_of(owner).size());
+    EXPECT_EQ(db.live_count(),
+              db.all_of(dog).size() + db.all_of(owner).size());
+  };
+  Database db(d);
+  agrees(db);
+  auto d1 = db.create(dog);
+  auto d2 = db.create(dog);
+  db.create(dog);
+  db.create(owner);
+  db.destroy(d2);
+  db.destroy(d1);
+  db.create(dog);  // reuses a freed slot
+  agrees(db);
+  EXPECT_EQ(db.live_count(dog), 2u);
+  EXPECT_EQ(db.live_count(), 3u);
+
+  snap::Writer w;
+  db.save_state(w);
+  Database restored(d);
+  for (int i = 0; i < 4; ++i) restored.create(owner);
+  snap::Reader r(w.data());
+  restored.load_state(r);
+  agrees(restored);
+  EXPECT_EQ(restored.live_count(dog), 2u);
+  EXPECT_EQ(restored.live_count(owner), 1u);
+  restored.destroy(restored.all_of(dog).front());
+  restored.create(owner);
+  agrees(restored);
+  EXPECT_EQ(restored.live_count(), 3u);
+}
+
 TEST(Database, RelateAndSelect) {
   Domain d = make_db_domain();
   Database db(d);

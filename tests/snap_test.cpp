@@ -12,8 +12,8 @@
 //     run resumes mid-stream, not from a reseeded stream;
 //   * obs counters ride the snapshot ('O' section);
 //   * rejection: truncated files, bit flips (CRC), version bumps, wrong
-//     magic, and digest mismatches (a different MappedSystem) all throw
-//     SnapError instead of deserializing garbage;
+//     magic, digest mismatches (a different MappedSystem) and forged
+//     element counts all throw SnapError instead of deserializing garbage;
 //   * inspect() reads the header without a CoSimulation;
 //   * warm campaigns (snap/warm.hpp): one checkpoint + per-seed fresh
 //     streams produces the exact cold-campaign document, and the
@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -573,6 +574,93 @@ TEST(SnapReject, DigestMismatch) {
     EXPECT_NE(std::string(e.what()).find("digest"), std::string::npos)
         << e.what();
   }
+}
+
+// A forged element count must be refused by snap::Reader::count before a
+// loader allocates or loops for it. Each case forges one count inside a
+// valid snapshot, found through the component's own save_state bytes, and
+// recomputes the CRC so the forgery reaches the decoder.
+
+/// Where `part` sits in `bytes`; it must occur exactly once.
+std::size_t locate(const std::vector<std::uint8_t>& bytes,
+                   const std::vector<std::uint8_t>& part) {
+  const auto at =
+      std::search(bytes.begin(), bytes.end(), part.begin(), part.end());
+  EXPECT_NE(at, bytes.end());
+  if (at == bytes.end()) return 0;
+  EXPECT_EQ(std::search(at + 1, bytes.end(), part.begin(), part.end()),
+            bytes.end());
+  return static_cast<std::size_t>(at - bytes.begin());
+}
+
+/// Overwrite the u64 count at `at` with 2^40 and restore: the refusal must
+/// be Reader::count's, for that offset.
+void expect_count_refused(MappedFixture& fx, std::vector<std::uint8_t> bytes,
+                          std::size_t at, fault::Plan* plan = nullptr) {
+  const std::uint64_t forged = std::uint64_t{1} << 40;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(forged >> (8 * i));
+  }
+  refresh_crc(&bytes);
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  try {
+    restore(cs, bytes.data(), bytes.size(), plan);
+    FAIL() << "forged count not rejected";
+  } catch (const SnapError& e) {
+    const std::string want = "snapshot count " + std::to_string(forged) +
+                             " at offset " + std::to_string(at) +
+                             " exceeds the ";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SnapReject, ForgedExecutorQueueCount) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  // The self-queue count follows the executor's database and trace.
+  const runtime::Executor& exec = cs.hw_executor();
+  Writer whole;
+  exec.save_state(whole);
+  Writer prefix;
+  exec.database().save_state(prefix);
+  exec.trace().save_state(prefix);
+  expect_count_refused(fx, bytes, locate(bytes, whole.data()) + prefix.size());
+}
+
+TEST(SnapReject, ForgedHwDomainOutboxCount) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  // The outbox count follows the domain's executor and its cycle.
+  const cosim::HwDomain& hw = *cs.hw_domains().front();
+  Writer whole;
+  hw.save_state(whole);
+  Writer prefix;
+  hw.executor().save_state(prefix);
+  expect_count_refused(fx, bytes,
+                       locate(bytes, whole.data()) + prefix.size() + 8);
+}
+
+TEST(SnapReject, ForgedFaultStreamCount) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  fault::Plan plan(noisy_spec());
+  CoSimConfig cfg;
+  cfg.fault = &plan;
+  CoSimulation cs(*fx.system, cfg);
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs, &plan);
+  // The stream count opens the plan's state.
+  Writer streams;
+  plan.save_state(streams);
+  fault::Plan fresh(noisy_spec());
+  expect_count_refused(fx, bytes, locate(bytes, streams.data()), &fresh);
 }
 
 TEST(SnapInspect, HeaderWithoutACosim) {
