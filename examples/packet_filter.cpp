@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "xtsoc/core/project.hpp"
+#include "xtsoc/perf/perf.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 
 using namespace xtsoc;

@@ -18,7 +18,6 @@
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/marks/marks.hpp"
 #include "xtsoc/mapping/modelcompiler.hpp"
-#include "xtsoc/perf/perf.hpp"
 #include "xtsoc/verify/testcase.hpp"
 
 namespace xtsoc::core {

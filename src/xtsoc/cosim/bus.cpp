@@ -126,11 +126,13 @@ void Bus::save_state(snap::Writer& w) const {
 void Bus::load_state(snap::Reader& r) {
   connected_ = r.boolean();
   to_hw_.clear();
-  std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) to_hw_.push_back(load_frame(r));
+  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
+    to_hw_.push_back(load_frame(r));
+  }
   to_sw_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) to_sw_.push_back(load_frame(r));
+  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
+    to_sw_.push_back(load_frame(r));
+  }
   stats_.frames_to_hw = r.u64();
   stats_.frames_to_sw = r.u64();
   stats_.bytes_to_hw = r.u64();

@@ -9,6 +9,7 @@
 // corrupting data silently.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -45,6 +46,9 @@ struct Frame {
 /// frames (Bus, domain outboxes/inboxes, the NIC egress buffer).
 void save_frame(snap::Writer& w, const Frame& f);
 Frame load_frame(snap::Reader& r);
+/// The shortest frame encoding (opcode, payload length, due cycle): the
+/// element size loaders pass to snap::Reader::count.
+inline constexpr std::size_t kFrameBytes = 4 + 8 + 8;
 
 struct BusStats {
   std::uint64_t frames_to_hw = 0;

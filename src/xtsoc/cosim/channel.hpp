@@ -135,11 +135,13 @@ public:
 
   void load_state(snap::Reader& r) override {
     pending_.clear();
-    std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) pending_.push_back(load_frame(r));
+    for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
+      pending_.push_back(load_frame(r));
+    }
     coh_pending_.clear();
-    n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) coh_pending_.push_back(load_frame(r));
+    for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
+      coh_pending_.push_back(load_frame(r));
+    }
   }
 
 private:

@@ -241,9 +241,7 @@ void HwDomain::save_state(snap::Writer& w) const {
 void HwDomain::load_state(snap::Reader& r) {
   exec_.load_state(r);
   cycle_ = r.u64();
-  // Minimum encodings: a frame is its opcode, payload length and due
-  // cycle; an outbox entry a destination, a frame and two u64s.
-  constexpr std::size_t kFrameBytes = 4 + 8 + 8;
+  // An outbox entry is a destination, a frame and two u64s.
   outbox_.clear();
   for (std::size_t n = r.count(4 + kFrameBytes + 8 + 8); n > 0; --n) {
     Outbound o;
@@ -253,7 +251,13 @@ void HwDomain::load_state(snap::Reader& r) {
     o.extra = r.u64();
     outbox_.push_back(std::move(o));
   }
-  outbox_sent_ = static_cast<std::size_t>(r.u64());
+  const std::uint64_t sent = r.u64();
+  if (sent > outbox_.size()) {
+    throw snap::SnapError("hardware outbox snapshot marks " +
+                          std::to_string(sent) + " of " +
+                          std::to_string(outbox_.size()) + " frames sent");
+  }
+  outbox_sent_ = static_cast<std::size_t>(sent);
   inbox_.clear();
   for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
     inbox_.push_back(load_frame(r));

@@ -1,6 +1,7 @@
 #include "xtsoc/cosim/swdomain.hpp"
 
 #include "xtsoc/cosim/codec.hpp"
+#include "xtsoc/snap/io.hpp"
 
 namespace xtsoc::cosim {
 
@@ -133,8 +134,7 @@ void SwDomain::load_state(snap::Reader& r) {
   exec_.load_state(r);
   cycle_ = r.u64();
   outbox_.clear();
-  std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::size_t n = r.count(4 + kFrameBytes + 8 + 8); n > 0; --n) {
     Outbound o;
     o.dst = ClassId(r.u32());
     o.frame = load_frame(r);
@@ -142,10 +142,17 @@ void SwDomain::load_state(snap::Reader& r) {
     o.extra = r.u64();
     outbox_.push_back(std::move(o));
   }
-  outbox_sent_ = static_cast<std::size_t>(r.u64());
+  const std::uint64_t sent = r.u64();
+  if (sent > outbox_.size()) {
+    throw snap::SnapError("software outbox snapshot marks " +
+                          std::to_string(sent) + " of " +
+                          std::to_string(outbox_.size()) + " frames sent");
+  }
+  outbox_sent_ = static_cast<std::size_t>(sent);
   inbox_.clear();
-  n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) inbox_.push_back(load_frame(r));
+  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
+    inbox_.push_back(load_frame(r));
+  }
 }
 
 }  // namespace xtsoc::cosim

@@ -552,6 +552,13 @@ void System::save_state(snap::Writer& w) const {
 }
 
 void System::load_state(snap::Reader& r) {
+  // Shortest encodings, the element sizes passed to Reader::count.
+  constexpr std::size_t kStoreBytes = 8 * 4;
+  constexpr std::size_t kAccessBytes = 8 + 8 + 1;
+  constexpr std::size_t kVersionBytes = 8 * 4;
+  constexpr std::size_t kLineBytes = 8 + 1 + 8;
+  constexpr std::size_t kCacheBytes = 8 + 8 + 8 + (1 + 8 + 1 + 1 + 8 + 8) + 8;
+  constexpr std::size_t kDirBytes = 8 + 1 + 8 + 1 + 8 + 1 + 8 + 8;
   std::uint64_t ndom = r.u64();
   if (ndom != domains_.size()) {
     throw snap::SnapError("memory snapshot domain count mismatch");
@@ -560,8 +567,7 @@ void System::load_state(snap::Reader& r) {
     d.tile = static_cast<int>(r.u64());
     d.seq = r.u64();
     d.store_buf.clear();
-    std::uint64_t nbuf = r.u64();
-    for (std::uint64_t i = 0; i < nbuf; ++i) {
+    for (std::size_t n = r.count(kStoreBytes); n > 0; --n) {
       StoreRec s;
       s.addr = r.i64();
       s.value = r.i64();
@@ -570,8 +576,7 @@ void System::load_state(snap::Reader& r) {
       d.store_buf.push_back(s);
     }
     d.accesses.clear();
-    std::uint64_t nacc = r.u64();
-    for (std::uint64_t i = 0; i < nacc; ++i) {
+    for (std::size_t n = r.count(kAccessBytes); n > 0; --n) {
       AccessRec a;
       a.cycle = r.u64();
       a.addr = r.i64();
@@ -580,12 +585,10 @@ void System::load_state(snap::Reader& r) {
     }
   }
   log_.clear();
-  std::uint64_t nlog = r.u64();
-  for (std::uint64_t i = 0; i < nlog; ++i) {
+  for (std::size_t n = r.count(8 + 8); n > 0; --n) {
     std::int64_t addr = r.i64();
-    std::uint64_t nver = r.u64();
     auto& versions = log_[addr];
-    for (std::uint64_t j = 0; j < nver; ++j) {
+    for (std::size_t j = r.count(kVersionBytes); j > 0; --j) {
       Version v;
       v.value = r.i64();
       v.vis = r.u64();
@@ -595,13 +598,11 @@ void System::load_state(snap::Reader& r) {
     }
   }
   caches_.clear();
-  std::uint64_t ncache = r.u64();
-  for (std::uint64_t i = 0; i < ncache; ++i) {
+  for (std::size_t n = r.count(kCacheBytes); n > 0; --n) {
     int tile = static_cast<int>(r.u64());
     TileCache& c = caches_[tile];
     c.lru_tick = r.u64();
-    std::uint64_t nlines = r.u64();
-    c.lines.assign(nlines, CacheLine{});
+    c.lines.assign(r.count(kLineBytes), CacheLine{});
     for (CacheLine& cl : c.lines) {
       cl.line = r.i64();
       cl.state = r.u8();
@@ -613,9 +614,8 @@ void System::load_state(snap::Reader& r) {
     c.mshr.is_write = r.u8();
     c.mshr.issue = r.u64();
     c.mshr.way = static_cast<int>(r.i64());
-    std::uint64_t nblk = r.u64();
     c.blocked.clear();
-    for (std::uint64_t j = 0; j < nblk; ++j) {
+    for (std::size_t j = r.count(kAccessBytes); j > 0; --j) {
       AccessRec a;
       a.cycle = r.u64();
       a.addr = r.i64();
@@ -624,23 +624,20 @@ void System::load_state(snap::Reader& r) {
     }
   }
   dir_.clear();
-  std::uint64_t ndir = r.u64();
-  for (std::uint64_t i = 0; i < ndir; ++i) {
+  for (std::size_t n = r.count(kDirBytes); n > 0; --n) {
     std::int64_t line = r.i64();
     DirLine& d = dir_[line];
     d.state = r.u8();
-    std::uint64_t nsh = r.u64();
     d.sharers.clear();
-    for (std::uint64_t j = 0; j < nsh; ++j) {
+    for (std::size_t j = r.count(8); j > 0; --j) {
       d.sharers.push_back(static_cast<int>(r.u64()));
     }
     d.busy = r.u8() != 0;
     d.pending.req_tile = static_cast<int>(r.u64());
     d.pending.type = r.u8();
     d.pending.acks_left = static_cast<int>(r.i64());
-    std::uint64_t nq = r.u64();
     d.queue.clear();
-    for (std::uint64_t j = 0; j < nq; ++j) {
+    for (std::size_t j = r.count(8 + 1); j > 0; --j) {
       DirPending q;
       q.req_tile = static_cast<int>(r.u64());
       q.type = r.u8();

@@ -839,14 +839,18 @@ void Fabric::load_state(snap::Reader& r) {
   if (r.u64() != nics_.size()) {
     throw snap::SnapError("fabric snapshot NIC count mismatch");
   }
+  // Shortest element encodings, the sizes passed to Reader::count.
+  constexpr std::size_t kPartialBytes = 4 + 4 + 4 * 4 + 1 + 8;
+  constexpr std::size_t kDeliveryBytes = 4 + 8 + 4 + 3 * 8;
+  constexpr std::size_t kPendingBytes = 5 * 4 + 8 + 3 * 8 + 4;
   for (Nic& n : nics_) {
     n.tx.clear();
-    std::uint64_t cnt = r.u64();
-    for (std::uint64_t i = 0; i < cnt; ++i) n.tx.push_back(load_flit(r));
+    for (std::size_t i = r.count(kFlitBytes); i > 0; --i) {
+      n.tx.push_back(load_flit(r));
+    }
     n.inject_credits = static_cast<int>(r.u32());
     n.partial.clear();
-    cnt = r.u64();
-    for (std::uint64_t i = 0; i < cnt; ++i) {
+    for (std::size_t i = r.count(kPartialBytes); i > 0; --i) {
       const int src = static_cast<int>(r.u32());
       const std::uint32_t seq = r.u32();
       Reassembly re;
@@ -859,12 +863,12 @@ void Fabric::load_state(snap::Reader& r) {
       n.partial.emplace(std::make_pair(src, seq), std::move(re));
     }
     n.ready.clear();
-    cnt = r.u64();
-    for (std::uint64_t i = 0; i < cnt; ++i) n.ready.push_back(load_delivery(r));
+    for (std::size_t i = r.count(kDeliveryBytes); i > 0; --i) {
+      n.ready.push_back(load_delivery(r));
+    }
     n.next_seq = r.u32();
     n.pending.clear();
-    cnt = r.u64();
-    for (std::uint64_t i = 0; i < cnt; ++i) {
+    for (std::size_t i = r.count(kPendingBytes); i > 0; --i) {
       const std::uint32_t id = r.u32();
       PendingTx tx;
       tx.dst = static_cast<int>(r.u32());
@@ -879,14 +883,12 @@ void Fabric::load_state(snap::Reader& r) {
       n.pending.emplace(id, std::move(tx));
     }
     n.retry_at.clear();
-    cnt = r.u64();
-    for (std::uint64_t i = 0; i < cnt; ++i) {
+    for (std::size_t i = r.count(8 + 4); i > 0; --i) {
       const std::uint64_t deadline = r.u64();
       n.retry_at.emplace(deadline, r.u32());
     }
     n.delivered.clear();
-    cnt = r.u64();
-    for (std::uint64_t i = 0; i < cnt; ++i) {
+    for (std::size_t i = r.count(4 + 4); i > 0; --i) {
       const int src = static_cast<int>(r.u32());
       const std::uint32_t id = r.u32();
       n.delivered.emplace(src, id);
@@ -894,8 +896,7 @@ void Fabric::load_state(snap::Reader& r) {
     n.next_frame_id = r.u32();
   }
   in_flight_.clear();
-  std::uint64_t cnt = r.u64();
-  for (std::uint64_t i = 0; i < cnt; ++i) {
+  for (std::size_t i = r.count(8 + 4 + 1 + kFlitBytes); i > 0; --i) {
     Arrival a;
     a.cycle = r.u64();
     a.router = static_cast<int>(r.u32());
@@ -908,8 +909,7 @@ void Fabric::load_state(snap::Reader& r) {
   }
   for (LinkStats& l : links_) l.flits = r.u64();
   acks_.clear();
-  cnt = r.u64();
-  for (std::uint64_t i = 0; i < cnt; ++i) {
+  for (std::size_t i = r.count(8 + 4 + 4); i > 0; --i) {
     Ack a;
     a.due = r.u64();
     a.to_tile = static_cast<int>(r.u32());

@@ -8,6 +8,7 @@
 // case for the narrow synthesized interfaces this repo generates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -99,5 +100,9 @@ struct Flit {
 /// serialization in fabric.cpp).
 void save_flit(snap::Writer& w, const Flit& f);
 Flit load_flit(snap::Reader& r);
+/// The shortest flit encoding (kind, four coordinates, five u32 fields,
+/// route mode, payload length, two cycles, taint): the element size
+/// loaders pass to snap::Reader::count.
+inline constexpr std::size_t kFlitBytes = 1 + 4 + 5 * 4 + 1 + 8 + 8 + 8 + 1;
 
 }  // namespace xtsoc::noc

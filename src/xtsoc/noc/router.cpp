@@ -140,14 +140,14 @@ void Router::save_state(snap::Writer& w) const {
 void Router::load_state(snap::Reader& r) {
   for (int p = 0; p < kPortCount; ++p) {
     in_[p].clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) in_[p].push_back(load_flit(r));
+    for (std::size_t n = r.count(kFlitBytes); n > 0; --n) {
+      in_[p].push_back(load_flit(r));
+    }
   }
   for (int p = 0; p < kPortCount; ++p) credits_[p] = static_cast<int>(r.u32());
   for (int p = 0; p < kPortCount; ++p) rr_[p] = static_cast<int>(r.u32());
   adaptive_port_.clear();
-  const std::uint64_t npins = r.u64();
-  for (std::uint64_t i = 0; i < npins; ++i) {
+  for (std::size_t n = r.count(8 + 1); n > 0; --n) {
     const std::uint64_t key = r.u64();
     adaptive_port_[key] = static_cast<Port>(r.u8());
   }

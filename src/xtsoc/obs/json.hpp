@@ -1,7 +1,7 @@
 // obs::json — THE one JSON emission path of the toolchain.
 //
 // Before the obs subsystem existed, three independent serializers had grown
-// side by side (perf/traceexport.cpp, bench/bench_json.hpp, and the NoC
+// side by side (a Chrome trace exporter, bench/bench_json.hpp, and the NoC
 // stats printer), each with its own escaping rules and its own idea of key
 // order. Everything JSON-shaped now goes through the two types below:
 //

@@ -59,8 +59,8 @@ void Registry::save_counters(snap::Writer& w) const {
 }
 
 void Registry::load_counters(snap::Reader& r) {
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  // A counter is a length-prefixed name and its value.
+  for (std::size_t n = r.count(8 + 8); n > 0; --n) {
     const std::string name = r.str();
     counter(name)->set(r.u64());
   }

@@ -1,7 +1,11 @@
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <tuple>
 
+#include "observe.hpp"
 #include "test_models.hpp"
 #include "xtsoc/cosim/bus.hpp"
 #include "xtsoc/cosim/codec.hpp"
@@ -15,6 +19,11 @@ namespace {
 using runtime::InstanceHandle;
 using runtime::Value;
 using testing::MappedFixture;
+using testing::Observed;
+using testing::Recorder;
+using testing::expect_identical;
+using testing::fanout_mesh_marks;
+using testing::make_fanout_domain;
 using testing::make_pipeline_domain;
 using xtuml::ScalarValue;
 
@@ -406,119 +415,91 @@ TEST(Codec, MessageRoundTrip) {
   EXPECT_TRUE(back.sender.is_null());
 }
 
+// --- the observation oracle itself ----------------------------------------------
+
+// One extra injected event must fail the oracle, and the failure must name
+// the observable and show its first differing line. The extra "done" is
+// ignored in Waiting and runs alone in its cycle, so it adds two software
+// trace lines (its send and its ignored dispatch) and changes nothing else.
+TEST(Oracle, ExtraEventFailsWithTheFirstDifferingLine) {
+  // The run, the 1-based line where the runs part, and the line there.
+  auto run_once = [](bool extra) {
+    PipelineCosim p(hw_consumer_marks(2));
+    Recorder rec(p.cosim);
+    p.cosim.inject(p.producer, "kick");
+    p.cosim.run_cycles(200);
+    const std::vector<runtime::TraceEvent>& events =
+        p.cosim.sw_executor().trace().events();
+    const std::size_t at = events.size();
+    if (extra) p.cosim.inject(p.producer, "done", {Value(true)});
+    p.cosim.run_cycles(1);
+    p.cosim.inject(p.producer, "kick");
+    p.cosim.run_cycles(200);
+    return std::tuple{rec.take(), at + 1, events.at(at).to_string()};
+  };
+  auto [a, line, a_line] = run_once(false);
+  auto [b, b_at, b_line] = run_once(true);
+  ASSERT_EQ(b_at, line);
+  EXPECT_NE(b_line.find("] send "), std::string::npos) << b_line;
+  const std::string want = "extra event: sw_trace differs at line " +
+                           std::to_string(line) + "\n  a: " + a_line +
+                           "\n  b: " + b_line;
+  EXPECT_NONFATAL_FAILURE(expect_identical(a, b, "extra event"), want);
+}
+
 // --- parallel-kernel determinism at the cosim level ----------------------------
 //
-// CoSimConfig::threads must leave every observable byte unchanged: executor
-// traces in each partition, hardware cycle count, kernel SimStats, and the
-// captured VCD waveform. One bus-mode workload and one multi-domain mesh
-// workload, each diffed at threads = 1/2/8.
-
-/// Everything observable from one cosim run.
-struct CosimDeterminismRun {
-  std::string hw_traces;  ///< all hardware domains' traces, in domain order
-  std::string sw_trace;
-  std::string vcd;
-  std::uint64_t cycles = 0;
-  hwsim::SimStats sim_stats;
-  std::vector<std::int64_t> attrs;
-};
+// CoSimConfig::threads must leave every observable byte unchanged (see
+// observe.hpp). One bus-mode workload and one multi-domain mesh workload,
+// each diffed at threads = 1/2/8.
 
 TEST(CoSimParallel, BusPipelineByteIdenticalAcrossThreadCounts) {
   auto run_once = [](int threads) {
     CoSimConfig cfg;
     cfg.threads = threads;
     PipelineCosim p(hw_consumer_marks(2), cfg);
-    hwsim::VcdWriter vcd(p.cosim.hw_sim());
-    p.cosim.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
+    Recorder rec(p.cosim);
     for (int i = 0; i < 4; ++i) {
       p.cosim.inject(p.producer, "kick", {}, static_cast<std::uint64_t>(i));
       p.cosim.run(2000);
     }
-    CosimDeterminismRun r;
-    for (const auto& hw : p.cosim.hw_domains()) {
-      r.hw_traces += hw->executor().trace().to_string();
-    }
-    r.sw_trace = p.cosim.sw_executor().trace().to_string();
-    r.vcd = vcd.render();
-    r.cycles = p.cosim.cycles();
-    r.sim_stats = p.cosim.hw_sim().stats();
-    r.attrs = {p.attr(p.producer, "Producer", "sent"),
-               p.attr(p.producer, "Producer", "acks"),
-               p.attr(p.consumer, "Consumer", "total")};
-    return r;
+    return rec.take();
   };
 
-  CosimDeterminismRun serial = run_once(1);
+  Observed serial = run_once(1);
   EXPECT_FALSE(serial.hw_traces.empty());
   for (int threads : {2, 8}) {
-    CosimDeterminismRun par = run_once(threads);
-    EXPECT_EQ(par.hw_traces, serial.hw_traces) << "threads=" << threads;
-    EXPECT_EQ(par.sw_trace, serial.sw_trace) << "threads=" << threads;
-    EXPECT_EQ(par.vcd, serial.vcd) << "threads=" << threads;
-    EXPECT_EQ(par.cycles, serial.cycles) << "threads=" << threads;
-    EXPECT_EQ(par.sim_stats.delta_cycles, serial.sim_stats.delta_cycles)
-        << "threads=" << threads;
-    EXPECT_EQ(par.sim_stats.process_activations,
-              serial.sim_stats.process_activations)
-        << "threads=" << threads;
-    EXPECT_EQ(par.sim_stats.wire_commits, serial.sim_stats.wire_commits)
-        << "threads=" << threads;
-    EXPECT_EQ(par.attrs, serial.attrs) << "threads=" << threads;
+    expect_identical(run_once(threads), serial,
+                     "threads=" + std::to_string(threads));
   }
 }
 
-/// A software boss fanning work out to three hardware workers on separate
-/// mesh tiles (three concurrently evaluated hardware clock domains — the
-/// shape the parallel kernel actually accelerates).
-std::unique_ptr<xtuml::Domain> make_fanout_domain() {
-  using xtuml::DataType;
-  xtuml::DomainBuilder b("Fan");
-  b.cls("Boss", "BSS");
-  for (int i = 0; i < 3; ++i) b.cls("W" + std::to_string(i));
-  auto boss = b.edit("Boss");
-  boss.attr("acks", DataType::kInt)
-      .ref_attr("w0", "W0")
-      .ref_attr("w1", "W1")
-      .ref_attr("w2", "W2")
-      .event("go")
-      .event("done", {{"v", DataType::kInt}})
-      .state("Idle")
-      .state("Fanning",
-             "generate job(n: 1, who: self) to self.w0;\n"
-             "generate job(n: 2, who: self) to self.w1;\n"
-             "generate job(n: 3, who: self) to self.w2;")
-      .transition("Idle", "go", "Fanning")
-      .transition("Fanning", "go", "Fanning");
-  boss.state("Collect", "self.acks = self.acks + 1;")
-      .transition("Fanning", "done", "Collect")
-      .transition("Collect", "done", "Collect")
-      .transition("Collect", "go", "Fanning");
+/// Boot the fanout population, kick it three times (`run` drives each
+/// kick), check the totals and capture the run.
+Observed run_fanout(MappedFixture& fx, CoSimulation& cosim,
+                    const std::function<void()>& run) {
+  auto w0 = cosim.create("W0");
+  auto w1 = cosim.create("W1");
+  auto w2 = cosim.create("W2");
+  auto boss = cosim.create_with(
+      "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
+  EXPECT_EQ(cosim.hw_domains().size(), 3u);
+  Recorder rec(cosim);
   for (int i = 0; i < 3; ++i) {
-    b.edit("W" + std::to_string(i))
-        .attr("sum", DataType::kInt)
-        .event("job", {{"n", DataType::kInt}, b.ref_param("who", "Boss")})
-        .state("Work",
-               "self.sum = self.sum + param.n;\n"
-               "generate done(v: param.n) to param.who;")
-        .transition("Work", "job", "Work");
+    cosim.inject(boss, "go");
+    run();
   }
-  return b.take();
-}
-
-marks::MarkSet fanout_mesh_marks() {
-  marks::MarkSet m;
-  const int tiles[3][2] = {{1, 0}, {0, 1}, {1, 1}};  // sw owns (0,0)
-  for (int i = 0; i < 3; ++i) {
-    std::string cls = "W" + std::to_string(i);
-    m.mark_hardware(cls);
-    m.set_class_mark(cls, marks::kTileX,
-                     ScalarValue(std::int64_t{tiles[i][0]}));
-    m.set_class_mark(cls, marks::kTileY,
-                     ScalarValue(std::int64_t{tiles[i][1]}));
-  }
-  m.set_domain_mark(marks::kMeshWidth, ScalarValue(std::int64_t{2}));
-  m.set_domain_mark(marks::kMeshHeight, ScalarValue(std::int64_t{2}));
-  return m;
+  auto attr_of = [&](const InstanceHandle& h, const char* cls,
+                     const char* name) {
+    const auto* a = fx.domain->find_class(cls)->find_attribute(name);
+    return std::get<std::int64_t>(
+        cosim.executor_of(h.cls).database().get_attr(h, a->id));
+  };
+  EXPECT_EQ(attr_of(boss, "Boss", "acks"), 9);  // 3 kicks x 3 workers
+  EXPECT_EQ(attr_of(w0, "W0", "sum") + attr_of(w1, "W1", "sum") +
+                attr_of(w2, "W2", "sum"),
+            18);  // 3 x (1+2+3)
+  return rec.take();
 }
 
 TEST(CoSimParallel, MeshFanoutByteIdenticalAcrossThreadCounts) {
@@ -527,75 +508,24 @@ TEST(CoSimParallel, MeshFanoutByteIdenticalAcrossThreadCounts) {
     CoSimConfig cfg;
     cfg.threads = threads;
     CoSimulation cosim(*fx.system, cfg);
-    auto w0 = cosim.create("W0");
-    auto w1 = cosim.create("W1");
-    auto w2 = cosim.create("W2");
-    auto boss = cosim.create_with(
-        "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
-    EXPECT_EQ(cosim.hw_domains().size(), 3u);
-    hwsim::VcdWriter vcd(cosim.hw_sim());
-    cosim.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
-    for (int i = 0; i < 3; ++i) {
-      cosim.inject(boss, "go");
-      cosim.run(5000);
-    }
-    CosimDeterminismRun r;
-    for (const auto& hw : cosim.hw_domains()) {
-      r.hw_traces += hw->executor().trace().to_string();
-    }
-    r.sw_trace = cosim.sw_executor().trace().to_string();
-    r.vcd = vcd.render();
-    r.cycles = cosim.cycles();
-    r.sim_stats = cosim.hw_sim().stats();
-    auto attr_of = [&](const InstanceHandle& h, const char* cls,
-                       const char* name) {
-      const auto* a = fx.domain->find_class(cls)->find_attribute(name);
-      return std::get<std::int64_t>(
-          cosim.executor_of(h.cls).database().get_attr(h, a->id));
-    };
-    r.attrs = {attr_of(boss, "Boss", "acks"), attr_of(w0, "W0", "sum"),
-               attr_of(w1, "W1", "sum"), attr_of(w2, "W2", "sum")};
-    EXPECT_EQ(r.attrs[0], 9);  // 3 kicks x 3 workers
-    EXPECT_EQ(r.attrs[1] + r.attrs[2] + r.attrs[3], 18);  // 3 x (1+2+3)
-    return r;
+    return run_fanout(fx, cosim, [&] { cosim.run(5000); });
   };
 
-  CosimDeterminismRun serial = run_once(1);
+  Observed serial = run_once(1);
   for (int threads : {2, 8}) {
-    CosimDeterminismRun par = run_once(threads);
-    EXPECT_EQ(par.hw_traces, serial.hw_traces) << "threads=" << threads;
-    EXPECT_EQ(par.sw_trace, serial.sw_trace) << "threads=" << threads;
-    EXPECT_EQ(par.vcd, serial.vcd) << "threads=" << threads;
-    EXPECT_EQ(par.cycles, serial.cycles) << "threads=" << threads;
-    EXPECT_EQ(par.sim_stats.delta_cycles, serial.sim_stats.delta_cycles)
-        << "threads=" << threads;
-    EXPECT_EQ(par.sim_stats.process_activations,
-              serial.sim_stats.process_activations)
-        << "threads=" << threads;
-    EXPECT_EQ(par.sim_stats.wire_commits, serial.sim_stats.wire_commits)
-        << "threads=" << threads;
-    EXPECT_EQ(par.attrs, serial.attrs) << "threads=" << threads;
+    expect_identical(run_once(threads), serial,
+                     "threads=" + std::to_string(threads));
   }
 }
 
 // --- windowed (conservative-lookahead) execution -------------------------------
 //
 // CoSimConfig::window must also leave every observable byte unchanged. The
-// runs below diff traces, VCD, cycle counts, SimStats, interconnect stats
-// and final attributes across a (window x threads) grid against the serial
-// per-cycle lockstep baseline (window=1, threads=1). run_cycles() is used
-// so every configuration executes the exact same number of cycles,
-// including partial tail windows (97 and 61 are deliberately not multiples
-// of any window size).
-
-/// CosimDeterminismRun plus the interconnect's own statistics rendered to
-/// text (BusStats fields in bus mode, FabricStats::to_table() in mesh mode).
-struct WindowedRun {
-  CosimDeterminismRun base;
-  std::string interconnect;
-  int lookahead = 0;
-  int window = 0;
-};
+// runs below diff the whole contract (see observe.hpp) across a
+// (window x threads) grid against the serial per-cycle lockstep baseline
+// (window=1, threads=1). run_cycles() is used so every configuration
+// executes the exact same number of cycles, including partial tail windows
+// (97 and 61 are deliberately not multiples of any window size).
 
 TEST(CoSimWindowed, BusPipelineByteIdenticalAcrossWindowsAndThreads) {
   auto run_once = [](int window, int threads) {
@@ -603,57 +533,27 @@ TEST(CoSimWindowed, BusPipelineByteIdenticalAcrossWindowsAndThreads) {
     cfg.window = window;
     cfg.threads = threads;
     PipelineCosim p(hw_consumer_marks(8), cfg);
-    hwsim::VcdWriter vcd(p.cosim.hw_sim());
-    p.cosim.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
+    EXPECT_EQ(p.cosim.lookahead(), 8);
+    EXPECT_EQ(p.cosim.window(), window == 0 ? 8 : window);
+    Recorder rec(p.cosim);
     for (int i = 0; i < 4; ++i) {
       p.cosim.inject(p.producer, "kick", {}, static_cast<std::uint64_t>(i));
       p.cosim.run_cycles(97);
     }
     p.cosim.run_cycles(61);
-    WindowedRun r;
-    for (const auto& hw : p.cosim.hw_domains()) {
-      r.base.hw_traces += hw->executor().trace().to_string();
-    }
-    r.base.sw_trace = p.cosim.sw_executor().trace().to_string();
-    r.base.vcd = vcd.render();
-    r.base.cycles = p.cosim.cycles();
-    r.base.sim_stats = p.cosim.hw_sim().stats();
-    r.base.attrs = {p.attr(p.producer, "Producer", "sent"),
-                    p.attr(p.producer, "Producer", "acks"),
-                    p.attr(p.consumer, "Consumer", "total")};
-    const BusStats& bs = p.cosim.bus().stats();
-    r.interconnect = std::to_string(bs.frames_to_hw) + "/" +
-                     std::to_string(bs.bytes_to_hw) + "/" +
-                     std::to_string(bs.frames_to_sw) + "/" +
-                     std::to_string(bs.bytes_to_sw);
-    r.lookahead = p.cosim.lookahead();
-    r.window = p.cosim.window();
-    return r;
+    EXPECT_EQ(p.attr(p.producer, "Producer", "sent"), 4);
+    EXPECT_EQ(p.attr(p.producer, "Producer", "acks"), 4);
+    EXPECT_EQ(p.attr(p.consumer, "Consumer", "total"), 10);
+    return rec.take();
   };
 
-  WindowedRun serial = run_once(/*window=*/1, /*threads=*/1);
-  EXPECT_EQ(serial.lookahead, 8);
-  EXPECT_EQ(serial.window, 1);
-  EXPECT_FALSE(serial.base.hw_traces.empty());
-  EXPECT_EQ(serial.base.attrs, (std::vector<std::int64_t>{4, 4, 10}));
+  Observed serial = run_once(/*window=*/1, /*threads=*/1);
+  EXPECT_FALSE(serial.hw_traces.empty());
   for (int window : {0, 2, 8}) {
     for (int threads : {1, 2, 8}) {
-      WindowedRun par = run_once(window, threads);
-      SCOPED_TRACE("window=" + std::to_string(window) +
-                   " threads=" + std::to_string(threads));
-      EXPECT_EQ(par.window, window == 0 ? 8 : window);
-      EXPECT_EQ(par.base.hw_traces, serial.base.hw_traces);
-      EXPECT_EQ(par.base.sw_trace, serial.base.sw_trace);
-      EXPECT_EQ(par.base.vcd, serial.base.vcd);
-      EXPECT_EQ(par.base.cycles, serial.base.cycles);
-      EXPECT_EQ(par.base.sim_stats.delta_cycles,
-                serial.base.sim_stats.delta_cycles);
-      EXPECT_EQ(par.base.sim_stats.process_activations,
-                serial.base.sim_stats.process_activations);
-      EXPECT_EQ(par.base.sim_stats.wire_commits,
-                serial.base.sim_stats.wire_commits);
-      EXPECT_EQ(par.base.attrs, serial.base.attrs);
-      EXPECT_EQ(par.interconnect, serial.interconnect);
+      expect_identical(run_once(window, threads), serial,
+                       "window=" + std::to_string(window) +
+                           " threads=" + std::to_string(threads));
     }
   }
 }
@@ -667,61 +567,17 @@ TEST(CoSimWindowed, MeshFanoutByteIdenticalAcrossWindowsAndThreads) {
     cfg.window = window;
     cfg.threads = threads;
     CoSimulation cosim(*fx.system, cfg);
-    auto w0 = cosim.create("W0");
-    auto w1 = cosim.create("W1");
-    auto w2 = cosim.create("W2");
-    auto boss = cosim.create_with(
-        "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
-    hwsim::VcdWriter vcd(cosim.hw_sim());
-    cosim.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
-    for (int i = 0; i < 3; ++i) {
-      cosim.inject(boss, "go");
-      cosim.run_cycles(97);
-    }
-    WindowedRun r;
-    for (const auto& hw : cosim.hw_domains()) {
-      r.base.hw_traces += hw->executor().trace().to_string();
-    }
-    r.base.sw_trace = cosim.sw_executor().trace().to_string();
-    r.base.vcd = vcd.render();
-    r.base.cycles = cosim.cycles();
-    r.base.sim_stats = cosim.hw_sim().stats();
-    auto attr_of = [&](const InstanceHandle& h, const char* cls,
-                       const char* name) {
-      const auto* a = fx.domain->find_class(cls)->find_attribute(name);
-      return std::get<std::int64_t>(
-          cosim.executor_of(h.cls).database().get_attr(h, a->id));
-    };
-    r.base.attrs = {attr_of(boss, "Boss", "acks"), attr_of(w0, "W0", "sum"),
-                    attr_of(w1, "W1", "sum"), attr_of(w2, "W2", "sum")};
-    EXPECT_EQ(r.base.attrs[0], 9);
-    EXPECT_EQ(r.base.attrs[1] + r.base.attrs[2] + r.base.attrs[3], 18);
-    r.interconnect = cosim.fabric().stats().to_table();
-    r.lookahead = cosim.lookahead();
-    r.window = cosim.window();
-    return r;
+    EXPECT_EQ(cosim.lookahead(), 4);
+    EXPECT_EQ(cosim.window(), window == 0 ? 4 : window);
+    return run_fanout(fx, cosim, [&] { cosim.run_cycles(97); });
   };
 
-  WindowedRun serial = run_once(/*window=*/1, /*threads=*/1);
-  EXPECT_EQ(serial.lookahead, 4);
+  Observed serial = run_once(/*window=*/1, /*threads=*/1);
   for (int window : {0, 2}) {
     for (int threads : {1, 2, 8}) {
-      WindowedRun par = run_once(window, threads);
-      SCOPED_TRACE("window=" + std::to_string(window) +
-                   " threads=" + std::to_string(threads));
-      EXPECT_EQ(par.window, window == 0 ? 4 : window);
-      EXPECT_EQ(par.base.hw_traces, serial.base.hw_traces);
-      EXPECT_EQ(par.base.sw_trace, serial.base.sw_trace);
-      EXPECT_EQ(par.base.vcd, serial.base.vcd);
-      EXPECT_EQ(par.base.cycles, serial.base.cycles);
-      EXPECT_EQ(par.base.sim_stats.delta_cycles,
-                serial.base.sim_stats.delta_cycles);
-      EXPECT_EQ(par.base.sim_stats.process_activations,
-                serial.base.sim_stats.process_activations);
-      EXPECT_EQ(par.base.sim_stats.wire_commits,
-                serial.base.sim_stats.wire_commits);
-      EXPECT_EQ(par.base.attrs, serial.base.attrs);
-      EXPECT_EQ(par.interconnect, serial.interconnect);
+      expect_identical(run_once(window, threads), serial,
+                       "window=" + std::to_string(window) +
+                           " threads=" + std::to_string(threads));
     }
   }
 }
@@ -780,8 +636,7 @@ TEST(CoSimWindowed, RunOvershootsQuiescenceByLessThanOneWindow) {
 // kernel writes that change a wire. The grids below drive a generic W x H
 // mesh — one self-ticking FSM per hardware tile, the software CPU on
 // tile 0 — through threads {1,2,8} x window {1,2,auto=L} x faults {off,on}
-// and require every observable byte (traces, VCD, cycle count, SimStats,
-// fabric and fault statistics, final attributes) to equal the serial
+// and require every observable byte (see observe.hpp) to equal the serial
 // lockstep baseline. 97 total cycles in chunks of 61+36, so no chunk is a
 // multiple of any window size. At linkLatency 1 every window clamps to 1,
 // so threads {2,8} run one-cycle windows against the lockstep loop.
@@ -844,21 +699,20 @@ fault::FaultSpec grid_noisy_spec() {
   return s;
 }
 
-/// WindowedRun plus the fault layer's own statistics rendered to text.
-struct GridRun {
-  WindowedRun w;
-  std::string fault_stats;
-  bool window_path = false;  ///< phase A ran (run_window, not one_cycle)
-};
-
-GridRun run_grid_mesh(MappedFixture& fx, int nodes, int threads,
-                         int window, bool faults) {
+/// One grid cell: boot the ring of `nodes` self-ticking FSMs, run 61 + 36
+/// cycles and capture it. Also checks the window the cosim chose and
+/// whether it took the windowed path (phase A ran).
+Observed run_grid_mesh(MappedFixture& fx, int nodes, int link_latency,
+                       int threads, int window, bool faults) {
   fault::Plan plan(faults ? grid_noisy_spec() : fault::FaultSpec{});
   CoSimConfig cfg;
   cfg.threads = threads;
   cfg.window = window;
   cfg.fault = faults ? &plan : nullptr;
   CoSimulation cosim(*fx.system, cfg);
+  EXPECT_EQ(cosim.lookahead(), link_latency);
+  EXPECT_EQ(cosim.window(),
+            window == 0 ? link_latency : std::min(window, link_latency));
   std::vector<InstanceHandle> h;
   for (int i = 0; i < nodes; ++i) h.push_back(cosim.create("N" + std::to_string(i)));
   for (int i = 0; i < nodes; ++i) {
@@ -869,54 +723,12 @@ GridRun run_grid_mesh(MappedFixture& fx, int nodes, int threads,
                   Value(h[static_cast<std::size_t>((i + 1) % nodes)]));
     cosim.inject(h[static_cast<std::size_t>(i)], "tick");
   }
-  hwsim::VcdWriter vcd(cosim.hw_sim());
-  cosim.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
+  Recorder rec(cosim);
   cosim.run_cycles(61);
   cosim.run_cycles(36);
-
-  GridRun r;
-  for (const auto& hw : cosim.hw_domains()) {
-    r.w.base.hw_traces += hw->executor().trace().to_string();
-  }
-  r.w.base.sw_trace = cosim.sw_executor().trace().to_string();
-  r.w.base.vcd = vcd.render();
-  r.w.base.cycles = cosim.cycles();
-  r.w.base.sim_stats = cosim.hw_sim().stats();
-  const auto* acc = fx.domain->find_class("N0")->find_attribute("acc");
-  for (int i = 0; i < nodes; ++i) {
-    r.w.base.attrs.push_back(std::get<std::int64_t>(
-        cosim.executor_of(h[static_cast<std::size_t>(i)].cls)
-            .database()
-            .get_attr(h[static_cast<std::size_t>(i)], acc->id)));
-  }
-  r.w.interconnect = cosim.fabric().stats().to_table();
-  const auto& fs = cosim.fabric().fault_stats();
-  r.fault_stats = std::to_string(fs.flits_dropped) + "/" +
-                  std::to_string(fs.flits_corrupted) + "/" +
-                  std::to_string(fs.link_down_events) + "/" +
-                  std::to_string(fs.crc_rejects) + "/" +
-                  std::to_string(fs.retransmissions) + "/" +
-                  std::to_string(fs.frames_lost);
-  r.w.lookahead = cosim.lookahead();
-  r.w.window = cosim.window();
-  r.window_path = cosim.phase_seconds().phase_a > 0;
-  return r;
-}
-
-void expect_grid_identical(const GridRun& par, const GridRun& serial) {
-  EXPECT_EQ(par.w.base.hw_traces, serial.w.base.hw_traces);
-  EXPECT_EQ(par.w.base.sw_trace, serial.w.base.sw_trace);
-  EXPECT_EQ(par.w.base.vcd, serial.w.base.vcd);
-  EXPECT_EQ(par.w.base.cycles, serial.w.base.cycles);
-  EXPECT_EQ(par.w.base.sim_stats.delta_cycles,
-            serial.w.base.sim_stats.delta_cycles);
-  EXPECT_EQ(par.w.base.sim_stats.process_activations,
-            serial.w.base.sim_stats.process_activations);
-  EXPECT_EQ(par.w.base.sim_stats.wire_commits,
-            serial.w.base.sim_stats.wire_commits);
-  EXPECT_EQ(par.w.base.attrs, serial.w.base.attrs);
-  EXPECT_EQ(par.w.interconnect, serial.w.interconnect);
-  EXPECT_EQ(par.fault_stats, serial.fault_stats);
+  EXPECT_EQ(cosim.phase_seconds().phase_a > 0,
+            threads > 1 || cosim.window() > 1);
+  return rec.take();
 }
 
 void run_windowed_grid(int width, int height, int link_latency) {
@@ -924,24 +736,21 @@ void run_windowed_grid(int width, int height, int link_latency) {
   MappedFixture fx(make_grid_domain(nodes),
                    grid_mesh_marks(width, height, link_latency));
   for (bool faults : {false, true}) {
-    GridRun serial = run_grid_mesh(fx, nodes, /*threads=*/1, /*window=*/1,
-                                      faults);
-    EXPECT_EQ(serial.w.lookahead, link_latency);
-    EXPECT_FALSE(serial.window_path);
-    EXPECT_FALSE(serial.w.base.hw_traces.empty());
+    Observed serial = run_grid_mesh(fx, nodes, link_latency, /*threads=*/1,
+                                    /*window=*/1, faults);
+    EXPECT_FALSE(serial.hw_traces.empty());
     for (int threads : {1, 2, 8}) {
       for (int window : {1, 2, 0}) {
         if (threads == 1 && window == 1) continue;
-        SCOPED_TRACE("mesh=" + std::to_string(width) + "x" +
-                     std::to_string(height) +
-                     " threads=" + std::to_string(threads) +
-                     " window=" + std::to_string(window) +
-                     " faults=" + (faults ? "on" : "off"));
-        GridRun par = run_grid_mesh(fx, nodes, threads, window, faults);
-        EXPECT_EQ(par.w.window,
-                  window == 0 ? link_latency : std::min(window, link_latency));
-        EXPECT_EQ(par.window_path, threads > 1 || par.w.window > 1);
-        expect_grid_identical(par, serial);
+        const std::string what =
+            "mesh=" + std::to_string(width) + "x" + std::to_string(height) +
+            " threads=" + std::to_string(threads) +
+            " window=" + std::to_string(window) +
+            " faults=" + (faults ? "on" : "off");
+        SCOPED_TRACE(what);
+        expect_identical(run_grid_mesh(fx, nodes, link_latency, threads,
+                                       window, faults),
+                         serial, what);
       }
     }
   }

@@ -7,7 +7,8 @@
 //   * fault::Plan draws are reproducible from one seed and site-independent
 //     (traffic on one link never perturbs another link's stream);
 //   * a zero-rate plan attached to a co-simulation leaves every observable
-//     byte identical to a run with no plan at all (the disabled path);
+//     byte identical to a run with no plan at all, apart from the report's
+//     own "faults" section (the disabled path);
 //   * with faults armed, the run stays byte-identical across every
 //     (threads x window) configuration — fault injection rides the same
 //     determinism contract as the parallel kernel;
@@ -23,13 +24,13 @@
 #include <string>
 #include <vector>
 
+#include "observe.hpp"
 #include "test_models.hpp"
 #include "xtsoc/bridge/bridge.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
 #include "xtsoc/fault/campaign.hpp"
 #include "xtsoc/fault/fault.hpp"
-#include "xtsoc/hwsim/vcd.hpp"
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 
@@ -41,6 +42,11 @@ using cosim::CoSimulation;
 using runtime::InstanceHandle;
 using runtime::Value;
 using testing::MappedFixture;
+using testing::Observed;
+using testing::Recorder;
+using testing::expect_identical;
+using testing::fanout_mesh_marks;
+using testing::make_fanout_domain;
 using testing::make_pipeline_domain;
 using xtuml::ScalarValue;
 
@@ -172,135 +178,60 @@ TEST(FaultPlan, Crc32MatchesKnownVector) {
 
 // --- co-simulation fixtures ----------------------------------------------------
 
-/// The fanout workload from cosim_test: a software boss fanning jobs to
-/// three hardware workers on separate tiles of a 2x2 mesh — every job and
-/// every ack crosses the NoC, so fault sites see real traffic.
-std::unique_ptr<xtuml::Domain> make_fanout_domain() {
-  using xtuml::DataType;
-  xtuml::DomainBuilder b("Fan");
-  b.cls("Boss", "BSS");
-  for (int i = 0; i < 3; ++i) b.cls("W" + std::to_string(i));
-  auto boss = b.edit("Boss");
-  boss.attr("acks", DataType::kInt)
-      .ref_attr("w0", "W0")
-      .ref_attr("w1", "W1")
-      .ref_attr("w2", "W2")
-      .event("go")
-      .event("done", {{"v", DataType::kInt}})
-      .state("Idle")
-      .state("Fanning",
-             "generate job(n: 1, who: self) to self.w0;\n"
-             "generate job(n: 2, who: self) to self.w1;\n"
-             "generate job(n: 3, who: self) to self.w2;")
-      .transition("Idle", "go", "Fanning")
-      .transition("Fanning", "go", "Fanning");
-  boss.state("Collect", "self.acks = self.acks + 1;")
-      .transition("Fanning", "done", "Collect")
-      .transition("Collect", "done", "Collect")
-      .transition("Collect", "go", "Fanning");
-  for (int i = 0; i < 3; ++i) {
-    b.edit("W" + std::to_string(i))
-        .attr("sum", DataType::kInt)
-        .event("job", {{"n", DataType::kInt}, b.ref_param("who", "Boss")})
-        .state("Work",
-               "self.sum = self.sum + param.n;\n"
-               "generate done(v: param.n) to param.who;")
-        .transition("Work", "job", "Work");
-  }
-  return b.take();
-}
+/// The fanout workload under `plan`, driven for a fixed cycle count
+/// (run_cycles is exact at every threads/window configuration; run() is
+/// not) and captured; the cosim stays open for its fabric's statistics.
+struct Fanout {
+  MappedFixture fx{make_fanout_domain(), fanout_mesh_marks()};
+  CoSimulation cosim;
+  Observed seen;
 
-marks::MarkSet fanout_mesh_marks() {
-  marks::MarkSet m;
-  const int tiles[3][2] = {{1, 0}, {0, 1}, {1, 1}};  // sw owns (0,0)
-  for (int i = 0; i < 3; ++i) {
-    std::string cls = "W" + std::to_string(i);
-    m.mark_hardware(cls);
-    m.set_class_mark(cls, marks::kTileX,
-                     ScalarValue(std::int64_t{tiles[i][0]}));
-    m.set_class_mark(cls, marks::kTileY,
-                     ScalarValue(std::int64_t{tiles[i][1]}));
+  Fanout(Plan* plan, int threads, int window,
+         std::uint64_t total_cycles = 600)
+      : cosim(*fx.system, [&] {
+          CoSimConfig cfg;
+          cfg.threads = threads;
+          cfg.window = window;
+          cfg.fault = plan;
+          return cfg;
+        }()) {
+    auto w0 = cosim.create("W0");
+    auto w1 = cosim.create("W1");
+    auto w2 = cosim.create("W2");
+    auto boss = cosim.create_with(
+        "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
+    Recorder rec(cosim);
+    // Three kicks separated by fixed chunks, so retransmissions overlap new
+    // traffic; the chunk sizes are deliberately not window multiples.
+    for (int i = 0; i < 3; ++i) {
+      cosim.inject(boss, "go");
+      cosim.run_cycles(97);
+    }
+    cosim.run_cycles(total_cycles - 3 * 97);
+    seen = rec.take();
   }
-  m.set_domain_mark(marks::kMeshWidth, ScalarValue(std::int64_t{2}));
-  m.set_domain_mark(marks::kMeshHeight, ScalarValue(std::int64_t{2}));
-  return m;
-}
 
-/// Everything observable about one run, for byte-for-byte comparison.
-struct RunRecord {
-  std::string hw_traces;
-  std::string sw_trace;
-  std::string vcd;
-  std::uint64_t cycles = 0;
-  std::uint64_t frames_sent = 0;
-  std::uint64_t frames_delivered = 0;
-  noc::FabricFaultStats fstats;
+  const noc::FabricFaultStats& faults() const {
+    return cosim.fabric().fault_stats();
+  }
 };
-
-/// Drive the fanout workload for a fixed cycle count (run_cycles is exact
-/// at every threads/window configuration; run() is not) and record it.
-RunRecord run_fanout(Plan* plan, int threads, int window,
-                     std::uint64_t total_cycles = 600) {
-  MappedFixture fx(make_fanout_domain(), fanout_mesh_marks());
-  CoSimConfig cfg;
-  cfg.threads = threads;
-  cfg.window = window;
-  cfg.fault = plan;
-  CoSimulation cosim(*fx.system, cfg);
-  auto w0 = cosim.create("W0");
-  auto w1 = cosim.create("W1");
-  auto w2 = cosim.create("W2");
-  auto boss = cosim.create_with(
-      "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
-  hwsim::VcdWriter vcd(cosim.hw_sim());
-  cosim.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
-  // Three kicks separated by fixed chunks, so retransmissions overlap new
-  // traffic; the chunk sizes are deliberately not window multiples.
-  for (int i = 0; i < 3; ++i) {
-    cosim.inject(boss, "go");
-    cosim.run_cycles(97);
-  }
-  cosim.run_cycles(total_cycles - 3 * 97);
-
-  RunRecord r;
-  for (const auto& hw : cosim.hw_domains()) {
-    r.hw_traces += hw->executor().trace().to_string();
-  }
-  r.sw_trace = cosim.sw_executor().trace().to_string();
-  r.vcd = vcd.render();
-  r.cycles = cosim.cycles();
-  r.frames_sent = cosim.fabric().stats().frames_sent;
-  r.frames_delivered = cosim.fabric().stats().frames_delivered;
-  r.fstats = cosim.fabric().fault_stats();
-  return r;
-}
-
-void expect_identical(const RunRecord& a, const RunRecord& b,
-                      const std::string& what) {
-  EXPECT_EQ(a.hw_traces, b.hw_traces) << what;
-  EXPECT_EQ(a.sw_trace, b.sw_trace) << what;
-  EXPECT_EQ(a.vcd, b.vcd) << what;
-  EXPECT_EQ(a.cycles, b.cycles) << what;
-  EXPECT_EQ(a.frames_sent, b.frames_sent) << what;
-  EXPECT_EQ(a.frames_delivered, b.frames_delivered) << what;
-  EXPECT_EQ(a.fstats.flits_dropped, b.fstats.flits_dropped) << what;
-  EXPECT_EQ(a.fstats.flits_corrupted, b.fstats.flits_corrupted) << what;
-  EXPECT_EQ(a.fstats.link_down_events, b.fstats.link_down_events) << what;
-  EXPECT_EQ(a.fstats.crc_rejects, b.fstats.crc_rejects) << what;
-  EXPECT_EQ(a.fstats.retransmissions, b.fstats.retransmissions) << what;
-  EXPECT_EQ(a.fstats.frames_lost, b.fstats.frames_lost) << what;
-}
 
 // --- disabled path -------------------------------------------------------------
 
 TEST(FaultCosim, ZeroRatePlanIsByteIdenticalToNoPlan) {
   FaultSpec zero;  // all rates 0: the plan is attached but injects nothing
   Plan plan(zero);
-  RunRecord without = run_fanout(nullptr, 1, 0);
-  RunRecord with = run_fanout(&plan, 1, 0);
-  expect_identical(without, with, "zero-rate plan vs no plan");
-  EXPECT_EQ(with.fstats.retransmissions, 0u);
-  EXPECT_EQ(with.fstats.acks_delivered, 0u);  // transport never armed
+  Fanout without(nullptr, 1, 0);
+  Fanout with(&plan, 1, 0);
+  // report() adds a "faults" section, its last, exactly when a plan is
+  // attached; everything before it must match byte for byte.
+  Observed cut = with.seen;
+  const std::size_t faults = cut.report.rfind(",\n  \"faults\": {");
+  ASSERT_NE(faults, std::string::npos) << cut.report;
+  cut.report = cut.report.substr(0, faults) + "\n}";
+  expect_identical(without.seen, cut, "zero-rate plan vs no plan");
+  EXPECT_EQ(with.faults().retransmissions, 0u);
+  EXPECT_EQ(with.faults().acks_delivered, 0u);  // transport never armed
 }
 
 // --- determinism under faults --------------------------------------------------
@@ -316,17 +247,17 @@ FaultSpec noisy_spec() {
 
 TEST(FaultCosim, FaultsAreByteIdenticalAcrossThreadsAndWindows) {
   Plan base_plan(noisy_spec());
-  RunRecord base = run_fanout(&base_plan, 1, 1);
+  Fanout base(&base_plan, 1, 1);
   // Faults must actually fire for this test to mean anything.
-  EXPECT_GT(base.fstats.flits_dropped + base.fstats.flits_corrupted +
-                base.fstats.link_down_events,
+  EXPECT_GT(base.faults().flits_dropped + base.faults().flits_corrupted +
+                base.faults().link_down_events,
             0u);
   for (int threads : {1, 2, 8}) {
     for (int window : {1, 0}) {
       if (threads == 1 && window == 1) continue;
       Plan plan(noisy_spec());
-      RunRecord r = run_fanout(&plan, threads, window);
-      expect_identical(base, r,
+      Fanout r(&plan, threads, window);
+      expect_identical(base.seen, r.seen,
                        "threads=" + std::to_string(threads) +
                            " window=" + std::to_string(window));
     }
@@ -340,15 +271,15 @@ TEST(FaultCosim, CrcCatchesEveryCorruptedFlit) {
   s.seed = 11;
   s.flit_corrupt = 0.3;
   Plan plan(s);
-  RunRecord r = run_fanout(&plan, 1, 0);
-  EXPECT_GT(r.fstats.flits_corrupted, 0u);
-  EXPECT_GT(r.fstats.crc_rejects, 0u);
+  Fanout r(&plan, 1, 0);
+  EXPECT_GT(r.faults().flits_corrupted, 0u);
+  EXPECT_GT(r.faults().crc_rejects, 0u);
   // The resilience claim: corruption is injected, detected, and NEVER
   // reaches a delivered frame.
-  EXPECT_EQ(r.fstats.tainted_delivered, 0u);
+  EXPECT_EQ(r.faults().tainted_delivered, 0u);
   // Rejected frames were retransmitted and the workload still completed.
-  EXPECT_GT(r.fstats.retransmissions, 0u);
-  EXPECT_GT(r.frames_delivered, 0u);
+  EXPECT_GT(r.faults().retransmissions, 0u);
+  EXPECT_GT(r.cosim.fabric().stats().frames_delivered, 0u);
 }
 
 TEST(FaultCosim, ExhaustedRetryBudgetReportsLossNotAHang) {
@@ -359,11 +290,12 @@ TEST(FaultCosim, ExhaustedRetryBudgetReportsLossNotAHang) {
   Plan plan(s);
   // A long fixed run: every frame must resolve to a reported loss within
   // it (deadlines double per attempt but the budget is 2).
-  RunRecord r = run_fanout(&plan, 1, 0, 3000);
-  EXPECT_EQ(r.frames_delivered, 0u);
-  EXPECT_GT(r.frames_sent, 0u);
-  EXPECT_EQ(r.fstats.frames_lost, r.frames_sent);
-  EXPECT_GT(r.fstats.flits_dropped, 0u);
+  Fanout r(&plan, 1, 0, 3000);
+  const noc::FabricStats stats = r.cosim.fabric().stats();
+  EXPECT_EQ(stats.frames_delivered, 0u);
+  EXPECT_GT(stats.frames_sent, 0u);
+  EXPECT_EQ(r.faults().frames_lost, stats.frames_sent);
+  EXPECT_GT(r.faults().flits_dropped, 0u);
 }
 
 TEST(FaultCosim, BusErrorsRetryThenDrop) {

@@ -12,12 +12,12 @@
 #include <fstream>
 
 #include "engine_parity.hpp"
+#include "observe.hpp"
 #include "test_models.hpp"
 #include "xtsoc/common/rng.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
 #include "xtsoc/fault/fault.hpp"
-#include "xtsoc/hwsim/vcd.hpp"
 #include "xtsoc/jit/emit.hpp"
 #include "xtsoc/jit/jit.hpp"
 #include "xtsoc/oal/compiled.hpp"
@@ -531,9 +531,8 @@ TEST(JitFallback, ExecutorFallsBackPerActionWhenModuleMissing) {
 // --- cosim-level parity grid ---------------------------------------------------
 //
 // The engine contract: a jitted co-simulation is byte-identical to the
-// AST walker in every observable — executor traces in both partitions,
-// the VCD waveform, the cycle count and the full report() snapshot — at
-// every (threads, window, faults) combination. The workload is the same
+// AST walker in every observable (see observe.hpp) at every (threads,
+// window, faults) combination. The workload is the same
 // self-sustaining 2x2-mesh ring snap_test uses: three hardware nodes
 // ping-ponging forever, so there is cross-tile traffic in flight at every
 // cycle and the fault injector has something to chew on.
@@ -609,18 +608,11 @@ fault::FaultSpec noisy_spec() {
   return s;
 }
 
-/// Everything observable about one ring run.
-struct CosimObs {
-  std::string hw_traces;
-  std::string sw_trace;
-  std::string vcd;
-  std::string report;
-  std::uint64_t cycles = 0;
-};
-
-CosimObs run_ring(const testing::MappedFixture& fx, ActionEngine engine,
-                  const CompiledActions* compiled, int threads, int window,
-                  bool faults) {
+/// Every observable byte of one ring run (see observe.hpp).
+testing::Observed run_ring(const testing::MappedFixture& fx,
+                           ActionEngine engine,
+                           const CompiledActions* compiled, int threads,
+                           int window, bool faults) {
   cosim::CoSimConfig cfg;
   cfg.threads = threads;
   cfg.window = window;
@@ -630,18 +622,9 @@ CosimObs run_ring(const testing::MappedFixture& fx, ActionEngine engine,
   cfg.fault = faults ? &plan : nullptr;
   cosim::CoSimulation cs(*fx.system, cfg);
   boot_ring(cs);
-  hwsim::VcdWriter vcd(cs.hw_sim());
-  cs.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
+  testing::Recorder rec(cs);
   cs.run_cycles(300);
-  CosimObs o;
-  for (const auto& hw : cs.hw_domains()) {
-    o.hw_traces += hw->executor().trace().to_string();
-  }
-  o.sw_trace = cs.sw_executor().trace().to_string();
-  o.vcd = vcd.render();
-  o.report = cs.report().to_json(2);
-  o.cycles = cs.cycles();
-  return o;
+  return rec.take();
 }
 
 class EnginesJit
@@ -657,18 +640,14 @@ TEST_P(EnginesJit, ByteIdenticalToVm) {
   jit::JitResult jr = jit::compile(*fx.compiled, opts);
   ASSERT_NE(jr.module, nullptr) << jr.reason;
 
-  CosimObs ast = run_ring(fx, ActionEngine::kAstWalk, nullptr, threads,
-                          window, faults);
-  CosimObs jat = run_ring(fx, ActionEngine::kJit, jr.module.get(), threads,
-                          window, faults);
-  const std::string tag = "threads=" + std::to_string(threads) +
-                          " window=" + std::to_string(window) +
-                          " faults=" + std::to_string(faults);
-  EXPECT_EQ(ast.hw_traces, jat.hw_traces) << tag;
-  EXPECT_EQ(ast.sw_trace, jat.sw_trace) << tag;
-  EXPECT_EQ(ast.vcd, jat.vcd) << tag;
-  EXPECT_EQ(ast.report, jat.report) << tag;
-  EXPECT_EQ(ast.cycles, jat.cycles) << tag;
+  testing::Observed ast = run_ring(fx, ActionEngine::kAstWalk, nullptr,
+                                   threads, window, faults);
+  testing::Observed jat = run_ring(fx, ActionEngine::kJit, jr.module.get(),
+                                   threads, window, faults);
+  testing::expect_identical(ast, jat,
+                            "threads=" + std::to_string(threads) +
+                                " window=" + std::to_string(window) +
+                                " faults=" + std::to_string(faults));
 }
 
 // threads 1/2/8 x window 0 (auto = L) / 1 (lockstep) / 4 (clamped to L) x

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "observe.hpp"
 #include "test_models.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
@@ -42,6 +43,10 @@ using cosim::CoSimulation;
 using runtime::InstanceHandle;
 using runtime::Value;
 using testing::MappedFixture;
+using testing::Observed;
+using testing::Recorder;
+using testing::expect_identical;
+using testing::fnv1a;
 using xtuml::DataType;
 using xtuml::ScalarValue;
 
@@ -357,76 +362,59 @@ marks::MarkSet mem_mesh_marks(bool with_mem = true) {
   return m;
 }
 
-/// Boot the fanout population, kick it `rounds` times, capture everything
-/// observable (including the report's "memory" section).
-struct MemRun {
-  std::string hw_traces;
-  std::string sw_trace;
-  std::string memory_json;
-  std::string interconnect_json;
-  std::uint64_t cycles = 0;
-  std::uint64_t loads = 0;
-  std::uint64_t stores = 0;
-  std::vector<std::int64_t> attrs;
-};
+/// The fanout population booted and kicked three times, 400 cycles apart,
+/// and captured; the cosim stays open for attributes and stats.
+struct MemFanout {
+  MappedFixture fx{make_mem_domain(), mem_mesh_marks()};
+  CoSimulation cs;
+  InstanceHandle w0, w1, w2, boss;
+  Observed seen;
 
-MemRun run_mem_model(int threads, int window, fault::Plan* plan,
-                     int rounds = 3) {
-  MappedFixture fx(make_mem_domain(), mem_mesh_marks());
-  CoSimConfig cfg;
-  cfg.threads = threads;
-  cfg.window = window;
-  cfg.fault = plan;
-  CoSimulation cs(*fx.system, cfg);
-  auto w0 = cs.create("W0");
-  auto w1 = cs.create("W1");
-  auto w2 = cs.create("W2");
-  auto boss = cs.create_with(
-      "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
-  EXPECT_NE(cs.mem_system(), nullptr);
-  for (int i = 0; i < rounds; ++i) {
-    cs.inject(boss, "go");
-    cs.run_cycles(400);
+  MemFanout(int threads, int window, fault::Plan* plan)
+      : cs(*fx.system, [&] {
+          CoSimConfig cfg;
+          cfg.threads = threads;
+          cfg.window = window;
+          cfg.fault = plan;
+          return cfg;
+        }()) {
+    w0 = cs.create("W0");
+    w1 = cs.create("W1");
+    w2 = cs.create("W2");
+    boss = cs.create_with(
+        "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
+    EXPECT_NE(cs.mem_system(), nullptr);
+    Recorder rec(cs);
+    for (int i = 0; i < 3; ++i) {
+      cs.inject(boss, "go");
+      cs.run_cycles(400);
+    }
+    seen = rec.take();
   }
-  MemRun r;
-  for (const auto& hw : cs.hw_domains()) {
-    r.hw_traces += hw->executor().trace().to_string();
-  }
-  r.sw_trace = cs.sw_executor().trace().to_string();
-  r.cycles = cs.cycles();
-  obs::Snapshot snap = cs.report();
-  r.memory_json = snap.at("memory").dump();
-  r.interconnect_json = snap.at("interconnect").dump();
-  r.loads = cs.mem_system()->stats().loads;
-  r.stores = cs.mem_system()->stats().stores;
-  auto attr_of = [&](const InstanceHandle& h, const char* cls,
-                     const char* name) {
-    const auto* a = fx.domain->find_class(cls)->find_attribute(name);
+
+  std::int64_t attr(const InstanceHandle& h, const char* name) {
+    const auto* a = fx.domain->cls(h.cls).find_attribute(name);
     return std::get<std::int64_t>(
         cs.executor_of(h.cls).database().get_attr(h, a->id));
-  };
-  r.attrs = {attr_of(boss, "Boss", "acks"),  attr_of(w0, "W0", "mine"),
-             attr_of(w1, "W1", "mine"),      attr_of(w2, "W2", "mine"),
-             attr_of(w0, "W0", "sum"),       attr_of(w1, "W1", "sum"),
-             attr_of(w2, "W2", "sum")};
-  return r;
-}
+  }
+};
 
 TEST(MemCosim, ValuesFlowThroughSharedMemory) {
-  MemRun r = run_mem_model(1, 1, nullptr);
-  EXPECT_EQ(r.attrs[0], 9);  // 3 rounds x 3 workers acked
+  MemFanout r(1, 1, nullptr);
+  EXPECT_EQ(r.attr(r.boss, "acks"), 9);  // 3 rounds x 3 workers acked
   // Each worker read back exactly what it wrote (forwarding).
-  EXPECT_EQ(r.attrs[1], 7);
-  EXPECT_EQ(r.attrs[2], 107);
-  EXPECT_EQ(r.attrs[3], 207);
+  EXPECT_EQ(r.attr(r.w0, "mine"), 7);
+  EXPECT_EQ(r.attr(r.w1, "mine"), 107);
+  EXPECT_EQ(r.attr(r.w2, "mine"), 207);
   // By round 2 every round-1 store is long visible (rounds are 400 cycles
   // apart, L is single-digit), so each worker accumulated its neighbours'
   // values in rounds 2 and 3 at the latest.
-  EXPECT_GE(r.attrs[4] + r.attrs[5] + r.attrs[6], 2 * (107 + 207 + 7 + 207 + 7 + 107));
+  EXPECT_GE(r.attr(r.w0, "sum") + r.attr(r.w1, "sum") + r.attr(r.w2, "sum"),
+            2 * (107 + 207 + 7 + 207 + 7 + 107));
   // The timing layer saw the traffic: 3 rounds x 3 workers x (1 store +
   // 4 loads — mem.read(own) + two neighbours + one cold address).
-  EXPECT_EQ(r.stores, 9u);
-  EXPECT_EQ(r.loads, 36u);
+  EXPECT_EQ(r.cs.mem_system()->stats().stores, 9u);
+  EXPECT_EQ(r.cs.mem_system()->stats().loads, 36u);
 }
 
 TEST(MemCosim, ByteIdenticalAcrossThreadsWindowsAndFaults) {
@@ -442,19 +430,14 @@ TEST(MemCosim, ByteIdenticalAcrossThreadsWindowsAndFaults) {
       return s;
     }();
     fault::Plan serial_plan(spec);
-    MemRun serial = run_mem_model(1, 1, faulty ? &serial_plan : nullptr);
+    MemFanout serial(1, 1, faulty ? &serial_plan : nullptr);
     for (int threads : {2, 8}) {
       for (int window : {0, 1}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " window=" + std::to_string(window));
         fault::Plan plan(spec);
-        MemRun par = run_mem_model(threads, window, faulty ? &plan : nullptr);
-        EXPECT_EQ(par.hw_traces, serial.hw_traces);
-        EXPECT_EQ(par.sw_trace, serial.sw_trace);
-        EXPECT_EQ(par.cycles, serial.cycles);
-        EXPECT_EQ(par.attrs, serial.attrs);
-        EXPECT_EQ(par.memory_json, serial.memory_json);
-        EXPECT_EQ(par.interconnect_json, serial.interconnect_json);
+        MemFanout par(threads, window, faulty ? &plan : nullptr);
+        expect_identical(par.seen, serial.seen,
+                         "threads=" + std::to_string(threads) +
+                             " window=" + std::to_string(window));
       }
     }
   }
@@ -470,25 +453,16 @@ TEST(MemCosim, SnapshotPortsAcrossThreadCounts) {
     cs.inject(boss, "go");
     return boss;
   };
-  auto capture = [](CoSimulation& cs) {
-    std::string out;
-    for (const auto& hw : cs.hw_domains()) {
-      out += hw->executor().trace().to_string();
-    }
-    out += cs.sw_executor().trace().to_string();
-    out += cs.report().at("memory").dump();
-    out += std::to_string(cs.cycles());
-    return out;
-  };
 
-  // Uninterrupted serial reference.
+  // Uninterrupted serial reference, recorded from cycle 60 on.
   MappedFixture fx_ref(make_mem_domain(), mem_mesh_marks());
   CoSimulation ref(*fx_ref.system);
   auto boss_ref = boot(ref);
   ref.run_cycles(60);
+  Recorder ref_rec(ref);
   ref.inject(boss_ref, "go");
   ref.run_cycles(340);
-  std::string want = capture(ref);
+  const Observed want = ref_rec.take();
 
   // Save at cycle 60 (stores in flight, caches warm), restore under other
   // configurations, continue identically.
@@ -504,10 +478,11 @@ TEST(MemCosim, SnapshotPortsAcrossThreadCounts) {
     cfg.threads = threads;
     CoSimulation b(*fx_b.system, cfg);
     snap::restore(b, bytes.data(), bytes.size());
+    Recorder rec(b);
     // The restored world reuses its own handles; boss is the only Boss.
     b.inject(boss_a, "go");
     b.run_cycles(340);
-    EXPECT_EQ(capture(b), want) << "threads=" << threads;
+    expect_identical(rec.take(), want, "threads=" + std::to_string(threads));
   }
 }
 
@@ -530,15 +505,6 @@ TEST(MemCosim, SnapshotRefusesMemoryWorldMismatch) {
 }
 
 // --- the no-memory-marks world is unchanged ------------------------------------
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 TEST(MemCosim, NoMemoryMarksWorldIsPinned) {
   MappedFixture fx(make_mem_domain(), mem_mesh_marks(false));

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "observe.hpp"
 #include "test_models.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
@@ -21,6 +22,7 @@ namespace {
 using runtime::InstanceHandle;
 using runtime::Value;
 using testing::MappedFixture;
+using testing::fnv1a;
 using testing::make_pipeline_domain;
 using xtuml::ScalarValue;
 
@@ -735,15 +737,6 @@ TEST(Traffic, TraceParseDiagnosesBadLines) {
 // contract is that the default mesh+XY fabric is byte-identical — stats,
 // delivery order, payload bytes, and the printed table all hash to the
 // same values.
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 struct GoldenResult {
   FabricStats stats;

@@ -12,10 +12,10 @@
 
 #include <sstream>
 
+#include "observe.hpp"
 #include "test_models.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
-#include "xtsoc/hwsim/vcd.hpp"
 #include "xtsoc/obs/json.hpp"
 #include "xtsoc/obs/registry.hpp"
 #include "xtsoc/obs/snapshot.hpp"
@@ -199,6 +199,11 @@ namespace {
 using runtime::InstanceHandle;
 using runtime::Value;
 using testing::MappedFixture;
+using testing::Observed;
+using testing::Recorder;
+using testing::expect_identical;
+using testing::fanout_mesh_marks;
+using testing::make_fanout_domain;
 using testing::make_pipeline_domain;
 using xtuml::ScalarValue;
 
@@ -210,70 +215,8 @@ marks::MarkSet hw_consumer_marks(int bus_latency) {
   return m;
 }
 
-/// Software boss, three hardware workers on separate mesh tiles (the same
-/// shape cosim_test.cpp uses): real NoC traffic for the noc track/counters.
-std::unique_ptr<xtuml::Domain> make_fanout_domain() {
-  using xtuml::DataType;
-  xtuml::DomainBuilder b("Fan");
-  b.cls("Boss", "BSS");
-  for (int i = 0; i < 3; ++i) b.cls("W" + std::to_string(i));
-  auto boss = b.edit("Boss");
-  boss.attr("acks", DataType::kInt)
-      .ref_attr("w0", "W0")
-      .ref_attr("w1", "W1")
-      .ref_attr("w2", "W2")
-      .event("go")
-      .event("done", {{"v", DataType::kInt}})
-      .state("Idle")
-      .state("Fanning",
-             "generate job(n: 1, who: self) to self.w0;\n"
-             "generate job(n: 2, who: self) to self.w1;\n"
-             "generate job(n: 3, who: self) to self.w2;")
-      .transition("Idle", "go", "Fanning")
-      .transition("Fanning", "go", "Fanning");
-  boss.state("Collect", "self.acks = self.acks + 1;")
-      .transition("Fanning", "done", "Collect")
-      .transition("Collect", "done", "Collect")
-      .transition("Collect", "go", "Fanning");
-  for (int i = 0; i < 3; ++i) {
-    b.edit("W" + std::to_string(i))
-        .attr("sum", DataType::kInt)
-        .event("job", {{"n", DataType::kInt}, b.ref_param("who", "Boss")})
-        .state("Work",
-               "self.sum = self.sum + param.n;\n"
-               "generate done(v: param.n) to param.who;")
-        .transition("Work", "job", "Work");
-  }
-  return b.take();
-}
-
-marks::MarkSet fanout_mesh_marks() {
-  marks::MarkSet m;
-  const int tiles[3][2] = {{1, 0}, {0, 1}, {1, 1}};  // sw owns (0,0)
-  for (int i = 0; i < 3; ++i) {
-    std::string cls = "W" + std::to_string(i);
-    m.mark_hardware(cls);
-    m.set_class_mark(cls, marks::kTileX,
-                     ScalarValue(std::int64_t{tiles[i][0]}));
-    m.set_class_mark(cls, marks::kTileY,
-                     ScalarValue(std::int64_t{tiles[i][1]}));
-  }
-  m.set_domain_mark(marks::kMeshWidth, ScalarValue(std::int64_t{2}));
-  m.set_domain_mark(marks::kMeshHeight, ScalarValue(std::int64_t{2}));
-  return m;
-}
-
-/// Every observable byte of one pipeline run.
-struct ObservedRun {
-  std::string hw_traces;
-  std::string sw_trace;
-  std::string vcd;
-  std::uint64_t cycles = 0;
-  hwsim::SimStats sim_stats;
-  std::vector<std::int64_t> attrs;
-};
-
-ObservedRun run_pipeline(int threads, int window, obs::Registry* reg) {
+/// Every observable byte of one pipeline run (see observe.hpp).
+Observed run_pipeline(int threads, int window, obs::Registry* reg) {
   MappedFixture fx(make_pipeline_domain(), hw_consumer_marks(4));
   CoSimConfig cfg;
   cfg.threads = threads;
@@ -282,64 +225,44 @@ ObservedRun run_pipeline(int threads, int window, obs::Registry* reg) {
   CoSimulation cosim(*fx.system, cfg);
   auto consumer = cosim.create("Consumer");
   auto producer = cosim.create_with("Producer", {{"sink", Value(consumer)}});
-  hwsim::VcdWriter vcd(cosim.hw_sim());
-  cosim.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
+  Recorder rec(cosim);
   for (int i = 0; i < 4; ++i) {
     cosim.inject(producer, "kick", {}, static_cast<std::uint64_t>(i));
     cosim.run(2000);
   }
-  ObservedRun r;
-  for (const auto& hw : cosim.hw_domains()) {
-    r.hw_traces += hw->executor().trace().to_string();
-  }
-  r.sw_trace = cosim.sw_executor().trace().to_string();
-  r.vcd = vcd.render();
-  r.cycles = cosim.cycles();
-  r.sim_stats = cosim.hw_sim().stats();
-  auto attr = [&](const InstanceHandle& h, const char* cls, const char* name) {
-    const auto* a = fx.domain->find_class(cls)->find_attribute(name);
-    return std::get<std::int64_t>(
-        cosim.executor_of(h.cls).database().get_attr(h, a->id));
-  };
-  r.attrs = {attr(producer, "Producer", "sent"),
-             attr(producer, "Producer", "acks"),
-             attr(consumer, "Consumer", "total")};
-  return r;
+  return rec.take();
 }
 
-void expect_same(const ObservedRun& a, const ObservedRun& b,
-                 const std::string& what) {
-  EXPECT_EQ(a.hw_traces, b.hw_traces) << what;
-  EXPECT_EQ(a.sw_trace, b.sw_trace) << what;
-  EXPECT_EQ(a.vcd, b.vcd) << what;
-  EXPECT_EQ(a.cycles, b.cycles) << what;
-  EXPECT_EQ(a.sim_stats.delta_cycles, b.sim_stats.delta_cycles) << what;
-  EXPECT_EQ(a.sim_stats.process_activations, b.sim_stats.process_activations)
-      << what;
-  EXPECT_EQ(a.sim_stats.wire_commits, b.sim_stats.wire_commits) << what;
-  EXPECT_EQ(a.attrs, b.attrs) << what;
+/// An attached registry adds the report's "counters" section, its last;
+/// everything before it must equal the bare run byte for byte.
+void expect_same_but_counters(const Observed& bare, Observed counted,
+                              const std::string& what) {
+  const std::size_t at = counted.report.rfind(",\n  \"counters\": {");
+  ASSERT_NE(at, std::string::npos) << what << "\n" << counted.report;
+  counted.report = counted.report.substr(0, at) + "\n}";
+  expect_identical(bare, counted, what);
 }
 
 // The central contract: a registry — absent, attached, or attached with
 // tracing on — never perturbs simulation output, at any thread count.
 TEST(ObsCosim, RegistryNeverPerturbsSimulationAcrossThreadCounts) {
-  ObservedRun baseline = run_pipeline(1, 0, nullptr);
+  Observed baseline = run_pipeline(1, 0, nullptr);
   ASSERT_FALSE(baseline.hw_traces.empty());
   for (int threads : {1, 2, 8}) {
-    ObservedRun bare = run_pipeline(threads, 0, nullptr);
-    expect_same(bare, baseline, "no registry, threads=" + std::to_string(threads));
+    const std::string at = "threads=" + std::to_string(threads);
+    expect_identical(run_pipeline(threads, 0, nullptr), baseline,
+                     "no registry, " + at);
 
     obs::Registry quiet;
-    ObservedRun counted = run_pipeline(threads, 0, &quiet);
-    expect_same(counted, baseline,
-                "registry attached, threads=" + std::to_string(threads));
+    Observed counted = run_pipeline(threads, 0, &quiet);
+    expect_same_but_counters(baseline, counted, "registry attached, " + at);
 
     obs::Registry tracing;
     tracing.enable_tracing();
-    ObservedRun traced = run_pipeline(threads, 0, &tracing);
-    expect_same(traced, baseline,
-                "tracing on, threads=" + std::to_string(threads));
+    Observed traced = run_pipeline(threads, 0, &tracing);
+    expect_same_but_counters(baseline, traced, "tracing on, " + at);
     EXPECT_GT(tracing.event_count(), 0u);
+    expect_identical(traced, counted, "tracing on vs off, " + at);
   }
 }
 
@@ -348,11 +271,11 @@ TEST(ObsCosim, RegistryNeverPerturbsSimulationAcrossWindowSizes) {
   // window sizes are not comparable to each other — the contract under test
   // is registry vs no-registry at the SAME window size.
   for (int window : {1, 2, 4}) {
-    ObservedRun baseline = run_pipeline(2, window, nullptr);
+    Observed baseline = run_pipeline(2, window, nullptr);
     obs::Registry reg;
     reg.enable_tracing();
-    ObservedRun traced = run_pipeline(2, window, &reg);
-    expect_same(traced, baseline, "window=" + std::to_string(window));
+    expect_same_but_counters(baseline, run_pipeline(2, window, &reg),
+                             "window=" + std::to_string(window));
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // The contracts under test, in order:
 //   * the determinism grid: save at cycle N, restore into a FRESH
-//     elaboration, continue to M — traces, VCD, stats and report() are
+//     elaboration, continue to M — every observable of observe.hpp is
 //     byte-identical to the uninterrupted run, at threads 1/2/8 x window
 //     0/1/L x faults on/off, plus a windowed 8x8 mesh saved mid-window;
 //   * a snapshot is config-portable: saved under one (threads, window)
@@ -27,13 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "observe.hpp"
 #include "test_models.hpp"
 #include "xtsoc/jit/jit.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
 #include "xtsoc/fault/campaign.hpp"
 #include "xtsoc/fault/fault.hpp"
-#include "xtsoc/hwsim/vcd.hpp"
 #include "xtsoc/obs/registry.hpp"
 #include "xtsoc/snap/snapshot.hpp"
 #include "xtsoc/snap/warm.hpp"
@@ -46,6 +46,9 @@ using cosim::CoSimConfig;
 using cosim::CoSimulation;
 using runtime::Value;
 using testing::MappedFixture;
+using testing::Observed;
+using testing::Recorder;
+using testing::expect_identical;
 using xtuml::DataType;
 using xtuml::ScalarValue;
 
@@ -147,40 +150,14 @@ fault::FaultSpec noisy_spec() {
 
 // --- byte-for-byte capture -----------------------------------------------------
 
-/// Everything observable about the continuation segment of a run. The
+/// Run `more_cycles` and capture every observable (see observe.hpp). The
 /// executor traces are cumulative (they ride the snapshot), so they cover
 /// the full history either way; the VCD writer is attached at the segment
 /// start in BOTH arms, so its samples line up cycle for cycle.
-struct Tail {
-  std::string hw_traces;
-  std::string sw_trace;
-  std::string vcd;
-  std::string report;
-  std::uint64_t cycles = 0;
-};
-
-Tail run_tail(CoSimulation& cs, std::uint64_t more_cycles) {
-  hwsim::VcdWriter vcd(cs.hw_sim());
-  cs.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
+Observed run_tail(CoSimulation& cs, std::uint64_t more_cycles) {
+  Recorder rec(cs);
   cs.run_cycles(more_cycles);
-  cs.set_cycle_hook(nullptr);
-  Tail t;
-  for (const auto& hw : cs.hw_domains()) {
-    t.hw_traces += hw->executor().trace().to_string();
-  }
-  t.sw_trace = cs.sw_executor().trace().to_string();
-  t.vcd = vcd.render();
-  t.report = cs.report().to_json(2);
-  t.cycles = cs.cycles();
-  return t;
-}
-
-void expect_identical(const Tail& a, const Tail& b, const std::string& what) {
-  EXPECT_EQ(a.hw_traces, b.hw_traces) << what;
-  EXPECT_EQ(a.sw_trace, b.sw_trace) << what;
-  EXPECT_EQ(a.vcd, b.vcd) << what;
-  EXPECT_EQ(a.report, b.report) << what;
-  EXPECT_EQ(a.cycles, b.cycles) << what;
+  return rec.take();
 }
 
 constexpr std::uint64_t kSaveAt = 300;
@@ -213,7 +190,7 @@ void grid_case(int threads, int window, bool faults,
   boot_ring(a, nodes);
   a.run_cycles(save_at);
   const std::vector<std::uint8_t> bytes = save(a, cfg.fault, nullptr);
-  Tail ta = run_tail(a, more);
+  Observed ta = run_tail(a, more);
 
   fault::Plan plan_b(faults ? noisy_spec() : fault::FaultSpec{});
   cfg.fault = faults ? &plan_b : nullptr;
@@ -223,7 +200,7 @@ void grid_case(int threads, int window, bool faults,
   EXPECT_EQ(info.cycle, save_at) << what;
   EXPECT_EQ(info.version, kSnapVersion) << what;
   EXPECT_EQ(info.has_fault_streams, faults) << what;
-  Tail tb = run_tail(b, more);
+  Observed tb = run_tail(b, more);
 
   expect_identical(ta, tb, what);
 }
@@ -279,13 +256,13 @@ void cross_engine_case(runtime::ActionEngine save_engine,
   boot_ring(a);
   a.run_cycles(kSaveAt);
   const std::vector<std::uint8_t> bytes = save(a, nullptr, nullptr);
-  Tail ta = run_tail(a, kContinue);
+  Observed ta = run_tail(a, kContinue);
 
   CoSimulation b(*fx.system, config_for(restore_engine));
   const SnapshotInfo info = restore(b, bytes.data(), bytes.size(), nullptr,
                                     nullptr);
   EXPECT_EQ(info.cycle, kSaveAt) << what;
-  Tail tb = run_tail(b, kContinue);
+  Observed tb = run_tail(b, kContinue);
   expect_identical(ta, tb, what);
 }
 
@@ -301,26 +278,6 @@ TEST(SnapGrid, CrossEngineJitToVm) {
                     runtime::ActionEngine::kAstWalk, "saved jit, restored ast");
 }
 
-/// The report's "run" section echoes host knobs (threads, window) that a
-/// ported restore legitimately changes; drop those two lines so the rest
-/// of the document must still match byte for byte.
-std::string strip_host_knobs(const std::string& report) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < report.size()) {
-    std::size_t eol = report.find('\n', pos);
-    if (eol == std::string::npos) eol = report.size();
-    const std::string line = report.substr(pos, eol - pos);
-    if (line.find("\"threads\":") == std::string::npos &&
-        line.find("\"window\":") == std::string::npos) {
-      out += line;
-      out += '\n';
-    }
-    pos = eol + 1;
-  }
-  return out;
-}
-
 // A snapshot is config-portable: saved serial, restored parallel — the
 // continuation still equals the serial run byte for byte.
 TEST(SnapGrid, SnapshotPortsAcrossConfigurations) {
@@ -332,7 +289,7 @@ TEST(SnapGrid, SnapshotPortsAcrossConfigurations) {
   boot_ring(a);
   a.run_cycles(kSaveAt);
   const std::vector<std::uint8_t> bytes = save(a, &plan_a, nullptr);
-  Tail ta = run_tail(a, kContinue);
+  Observed ta = run_tail(a, kContinue);
 
   for (auto [threads, window] : {std::pair{2, 4}, std::pair{8, 0}}) {
     fault::Plan plan_b(noisy_spec());
@@ -342,16 +299,11 @@ TEST(SnapGrid, SnapshotPortsAcrossConfigurations) {
     cfg.fault = &plan_b;
     CoSimulation b(*fx.system, cfg);
     restore(b, bytes.data(), bytes.size(), &plan_b, nullptr);
-    Tail tb = run_tail(b, kContinue);
+    Observed tb = run_tail(b, kContinue);
     const std::string what =
         "saved at threads=1/window=0, restored at threads=" +
         std::to_string(threads) + "/window=" + std::to_string(window);
-    EXPECT_EQ(ta.hw_traces, tb.hw_traces) << what;
-    EXPECT_EQ(ta.sw_trace, tb.sw_trace) << what;
-    EXPECT_EQ(ta.vcd, tb.vcd) << what;
-    EXPECT_EQ(strip_host_knobs(ta.report), strip_host_knobs(tb.report))
-        << what;
-    EXPECT_EQ(ta.cycles, tb.cycles) << what;
+    expect_identical(ta, tb, what);
   }
 }
 
@@ -376,7 +328,7 @@ TEST(SnapGrid, WindowedSnapshotPortsAcrossThreadCounts) {
   boot_ring(a);
   a.run_cycles(kSaveAt);
   const std::vector<std::uint8_t> bytes = save(a, &plan_a, nullptr);
-  Tail ta = run_tail(a, kContinue);
+  Observed ta = run_tail(a, kContinue);
 
   for (auto [threads, window] : {std::pair{1, 1}, std::pair{2, 4}}) {
     fault::Plan plan_b(noisy_spec());
@@ -386,16 +338,11 @@ TEST(SnapGrid, WindowedSnapshotPortsAcrossThreadCounts) {
     cfg.fault = &plan_b;
     CoSimulation b(*fx.system, cfg);
     restore(b, bytes.data(), bytes.size(), &plan_b, nullptr);
-    Tail tb = run_tail(b, kContinue);
+    Observed tb = run_tail(b, kContinue);
     const std::string what =
         "saved at threads=8/window=0, restored at threads=" +
         std::to_string(threads) + "/window=" + std::to_string(window);
-    EXPECT_EQ(ta.hw_traces, tb.hw_traces) << what;
-    EXPECT_EQ(ta.sw_trace, tb.sw_trace) << what;
-    EXPECT_EQ(ta.vcd, tb.vcd) << what;
-    EXPECT_EQ(strip_host_knobs(ta.report), strip_host_knobs(tb.report))
-        << what;
-    EXPECT_EQ(ta.cycles, tb.cycles) << what;
+    expect_identical(ta, tb, what);
   }
 }
 
@@ -410,7 +357,7 @@ TEST(SnapGrid, FaultStreamsActuallyMatter) {
   boot_ring(a);
   a.run_cycles(kSaveAt);
   const std::vector<std::uint8_t> bytes = save(a, &plan_a, nullptr);
-  Tail ta = run_tail(a, kContinue);
+  Observed ta = run_tail(a, kContinue);
 
   fault::Plan plan_b(noisy_spec());  // fresh streams, same seed
   CoSimConfig cfg_b;
@@ -419,7 +366,7 @@ TEST(SnapGrid, FaultStreamsActuallyMatter) {
   RestoreOptions opts;
   opts.load_fault_streams = false;
   restore(b, bytes.data(), bytes.size(), &plan_b, nullptr, opts);
-  Tail tb = run_tail(b, kContinue);
+  Observed tb = run_tail(b, kContinue);
   // Same state, but the plan re-draws from position 0: the fault pattern —
   // and with it the delivery timeline some observable records — must
   // differ. (The exported VCD signals are too coarse to be guaranteed to
@@ -593,26 +540,163 @@ std::size_t locate(const std::vector<std::uint8_t>& bytes,
   return static_cast<std::size_t>(at - bytes.begin());
 }
 
-/// Overwrite the u64 count at `at` with 2^40 and restore: the refusal must
-/// be Reader::count's, for that offset.
-void expect_count_refused(MappedFixture& fx, std::vector<std::uint8_t> bytes,
-                          std::size_t at, fault::Plan* plan = nullptr) {
-  const std::uint64_t forged = std::uint64_t{1} << 40;
+/// Overwrite the u64 at `at` with `forged` and restore: the refusal's
+/// message must contain `want`.
+void expect_forgery_refused(MappedFixture& fx, std::vector<std::uint8_t> bytes,
+                            std::size_t at, std::uint64_t forged,
+                            const std::string& want, fault::Plan* plan,
+                            obs::Registry* reg) {
   for (std::size_t i = 0; i < 8; ++i) {
     bytes[at + i] = static_cast<std::uint8_t>(forged >> (8 * i));
   }
   refresh_crc(&bytes);
   CoSimulation cs(*fx.system, CoSimConfig{});
   try {
-    restore(cs, bytes.data(), bytes.size(), plan);
-    FAIL() << "forged count not rejected";
+    restore(cs, bytes.data(), bytes.size(), plan, reg);
+    FAIL() << "forgery not rejected: " << want;
   } catch (const SnapError& e) {
-    const std::string want = "snapshot count " + std::to_string(forged) +
-                             " at offset " + std::to_string(at) +
-                             " exceeds the ";
     EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
         << e.what();
   }
+}
+
+/// Overwrite the u64 count at `at` with 2^40 and restore: the refusal must
+/// be Reader::count's, for that offset.
+void expect_count_refused(MappedFixture& fx, std::vector<std::uint8_t> bytes,
+                          std::size_t at, fault::Plan* plan = nullptr,
+                          obs::Registry* reg = nullptr) {
+  const std::uint64_t forged = std::uint64_t{1} << 40;
+  expect_forgery_refused(fx, std::move(bytes), at, forged,
+                         "snapshot count " + std::to_string(forged) +
+                             " at offset " + std::to_string(at) +
+                             " exceeds the ",
+                         plan, reg);
+}
+
+/// The ring over the bus: Node1 in hardware, Node0 and Node2 in software,
+/// so pings cross the bus both ways and the software domain is busy.
+marks::MarkSet ring_bus_marks() {
+  marks::MarkSet m;
+  m.mark_hardware("Node1");
+  return m;
+}
+
+/// The stock ring on a 3x2 mesh whose free tile 2 holds a DRAM edge.
+marks::MarkSet ring_mem_marks() {
+  marks::MarkSet m = ring_marks();
+  m.set_domain_mark(marks::kMeshWidth, ScalarValue(std::int64_t{3}));
+  m.set_domain_mark(marks::kDramTile, ScalarValue(std::int64_t{2}));
+  return m;
+}
+
+TEST(SnapReject, ForgedBusQueueCount) {
+  MappedFixture fx(make_ring_domain(), ring_bus_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  // The to-hardware queue count follows the connected flag.
+  Writer bus;
+  cs.bus().save_state(bus);
+  expect_count_refused(fx, bytes, locate(bytes, bus.data()) + 1);
+}
+
+/// Where the software domain's state continues after its executor's.
+std::size_t sw_domain_tail(const CoSimulation& cs,
+                           const std::vector<std::uint8_t>& bytes) {
+  Writer exec;
+  cs.sw_executor().save_state(exec);
+  return locate(bytes, exec.data()) + exec.data().size();
+}
+
+TEST(SnapReject, ForgedSwDomainOutboxCount) {
+  MappedFixture fx(make_ring_domain(), ring_bus_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  // The outbox count follows the executor and the domain's cycle.
+  expect_count_refused(fx, bytes, sw_domain_tail(cs, bytes) + 8);
+}
+
+TEST(SnapReject, ForgedSwDomainOutboxSentMark) {
+  MappedFixture fx(make_ring_domain(), ring_bus_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  // A checkpoint is taken at a quiet point, so the outbox is empty and the
+  // sent mark follows its count; marking one frame sent is a forgery.
+  const std::size_t count_at = sw_domain_tail(cs, bytes) + 8;
+  ASSERT_TRUE(std::all_of(bytes.begin() + static_cast<long>(count_at),
+                          bytes.begin() + static_cast<long>(count_at + 16),
+                          [](std::uint8_t b) { return b == 0; }));
+  expect_forgery_refused(fx, bytes, count_at + 8, 1,
+                         "software outbox snapshot marks 1 of 0 frames sent",
+                         nullptr, nullptr);
+}
+
+TEST(SnapReject, ForgedRouterFifoCount) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  // Router 0's first input FIFO count follows the fabric's topology,
+  // routing and router count.
+  Writer fabric;
+  cs.fabric().save_state(fabric);
+  expect_count_refused(fx, bytes, locate(bytes, fabric.data()) + 1 + 1 + 8);
+}
+
+TEST(SnapReject, ForgedNicEgressCount) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  // NIC 0's egress count follows the fabric's topology, routing, router
+  // count, every router's state and the NIC count.
+  Writer fabric;
+  cs.fabric().save_state(fabric);
+  std::size_t at = locate(bytes, fabric.data()) + 1 + 1 + 8;
+  for (std::size_t t = 0; t < cs.fabric().stats().routers.size(); ++t) {
+    Writer router;
+    cs.fabric().router(static_cast<int>(t)).save_state(router);
+    at += router.data().size();
+  }
+  expect_count_refused(fx, bytes, at + 8);
+}
+
+TEST(SnapReject, ForgedMemoryStoreBufferCount) {
+  MappedFixture fx(make_ring_domain(), ring_mem_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  ASSERT_NE(cs.mem_system(), nullptr);
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  // The first domain's store-buffer count follows the domain count and
+  // that domain's tile and sequence number.
+  Writer mem;
+  cs.mem_system()->save_state(mem);
+  expect_count_refused(fx, bytes, locate(bytes, mem.data()) + 8 + 8 + 8);
+}
+
+TEST(SnapReject, ForgedObsCounterCount) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  obs::Registry reg;
+  CoSimConfig cfg;
+  cfg.obs = &reg;
+  CoSimulation cs(*fx.system, cfg);
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs, nullptr, &reg);
+  // The counter count opens the registry's section.
+  Writer counters;
+  reg.save_counters(counters);
+  obs::Registry fresh;
+  expect_count_refused(fx, bytes, locate(bytes, counters.data()), nullptr,
+                       &fresh);
 }
 
 TEST(SnapReject, ForgedExecutorQueueCount) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "xtsoc/marks/marks.hpp"
 #include "xtsoc/oal/compiled.hpp"
@@ -44,6 +45,62 @@ inline std::unique_ptr<xtuml::Domain> make_pipeline_domain() {
       .transition("Sending", "done", "Waiting")
       .transition("Waiting", "kick", "Sending");
   return b.take();
+}
+
+/// A software boss fanning jobs out to three hardware workers on separate
+/// mesh tiles: three concurrently evaluated hardware clock domains, and
+/// every job and every ack crosses the NoC.
+inline std::unique_ptr<xtuml::Domain> make_fanout_domain() {
+  using xtuml::DataType;
+  xtuml::DomainBuilder b("Fan");
+  b.cls("Boss", "BSS");
+  for (int i = 0; i < 3; ++i) b.cls("W" + std::to_string(i));
+  auto boss = b.edit("Boss");
+  boss.attr("acks", DataType::kInt)
+      .ref_attr("w0", "W0")
+      .ref_attr("w1", "W1")
+      .ref_attr("w2", "W2")
+      .event("go")
+      .event("done", {{"v", DataType::kInt}})
+      .state("Idle")
+      .state("Fanning",
+             "generate job(n: 1, who: self) to self.w0;\n"
+             "generate job(n: 2, who: self) to self.w1;\n"
+             "generate job(n: 3, who: self) to self.w2;")
+      .transition("Idle", "go", "Fanning")
+      .transition("Fanning", "go", "Fanning");
+  boss.state("Collect", "self.acks = self.acks + 1;")
+      .transition("Fanning", "done", "Collect")
+      .transition("Collect", "done", "Collect")
+      .transition("Collect", "go", "Fanning");
+  for (int i = 0; i < 3; ++i) {
+    b.edit("W" + std::to_string(i))
+        .attr("sum", DataType::kInt)
+        .event("job", {{"n", DataType::kInt}, b.ref_param("who", "Boss")})
+        .state("Work",
+               "self.sum = self.sum + param.n;\n"
+               "generate done(v: param.n) to param.who;")
+        .transition("Work", "job", "Work");
+  }
+  return b.take();
+}
+
+/// The fanout workers' marks: W0, W1, W2 on tiles (1,0), (0,1), (1,1) of a
+/// 2x2 mesh whose tile (0,0) is the CPU's.
+inline marks::MarkSet fanout_mesh_marks() {
+  marks::MarkSet m;
+  const int tiles[3][2] = {{1, 0}, {0, 1}, {1, 1}};  // sw owns (0,0)
+  for (int i = 0; i < 3; ++i) {
+    std::string cls = "W" + std::to_string(i);
+    m.mark_hardware(cls);
+    m.set_class_mark(cls, marks::kTileX,
+                     xtuml::ScalarValue(std::int64_t{tiles[i][0]}));
+    m.set_class_mark(cls, marks::kTileY,
+                     xtuml::ScalarValue(std::int64_t{tiles[i][1]}));
+  }
+  m.set_domain_mark(marks::kMeshWidth, xtuml::ScalarValue(std::int64_t{2}));
+  m.set_domain_mark(marks::kMeshHeight, xtuml::ScalarValue(std::int64_t{2}));
+  return m;
 }
 
 /// A compiled model plus its mapped system for a given mark set.

@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "test_models.hpp"
 #include "xtsoc/perf/perf.hpp"
-#include "xtsoc/perf/traceexport.hpp"
 #include "xtsoc/verify/equivalence.hpp"
 #include "xtsoc/verify/testcase.hpp"
 
@@ -323,37 +320,6 @@ TEST(Perf, AdvisorSuggestsBusiestSoftwareClass) {
   // Producer handles kick+done (10), Consumer handles work (5).
   EXPECT_EQ(advice.class_name, "Producer");
   EXPECT_FALSE(advice.rationale.empty());
-}
-
-TEST(Perf, ChromeTraceExport) {
-  MappedFixture fx(make_pipeline_domain(), hw_consumer_marks());
-  AbstractRunner runner(*fx.compiled);
-  runner.run(pipeline_test(2));
-  std::string json = perf::export_chrome_trace(runner.executor().trace(),
-                                               *fx.domain, "abstract");
-  EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(json.find("Producer#"), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"dispatch\""), std::string::npos);
-  EXPECT_NE(json.find("\"to_state\":\"Waiting\""), std::string::npos);
-  // Balanced JSON punctuation (cheap structural sanity).
-  auto count = [&](char c) {
-    return std::count(json.begin(), json.end(), c);
-  };
-  EXPECT_EQ(count('{'), count('}'));
-  EXPECT_EQ(count('['), count(']'));
-}
-
-TEST(Perf, ChromeTraceEscapesSpecials) {
-  runtime::Trace t;
-  runtime::TraceEvent e;
-  e.kind = runtime::TraceKind::kLog;
-  e.subject = runtime::InstanceHandle::null();
-  e.text = "say \"hi\"\nback\\slash";
-  t.record(e);
-  xtuml::Domain d("D");
-  std::string json = perf::export_chrome_trace(t, d, "p");
-  EXPECT_NE(json.find("say \\\"hi\\\"\\nback\\\\slash"), std::string::npos);
 }
 
 TEST(Perf, AdvisorSuggestsReclaimingIdleHardware) {
