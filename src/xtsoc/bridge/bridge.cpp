@@ -293,8 +293,9 @@ void SystemExecutor::load_state(snap::Reader& r) {
         "before restoring)");
   }
   pending_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  // A forward is its domain index, a message, its wire and three u64s.
+  for (std::size_t n = r.count(8 + runtime::kMessageBytes + 4 + 8 + 8); n > 0;
+       --n) {
     PendingForward p;
     p.to_domain = static_cast<std::size_t>(r.u64());
     if (p.to_domain >= domains_.size()) {

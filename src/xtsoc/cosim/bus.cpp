@@ -108,12 +108,37 @@ Frame load_frame(snap::Reader& r) {
   return f;
 }
 
+namespace {
+
+template <typename Queue>
+void save_queue(snap::Writer& w, const Queue& q) {
+  w.u64(q.size());
+  for (const Frame& f : q) save_frame(w, f);
+}
+
+template <typename Queue>
+void load_queue(snap::Reader& r, Queue& q) {
+  q.clear();
+  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
+    q.push_back(load_frame(r));
+  }
+}
+
+}  // namespace
+
+void save_frames(snap::Writer& w, const std::vector<Frame>& q) {
+  save_queue(w, q);
+}
+void save_frames(snap::Writer& w, const std::deque<Frame>& q) {
+  save_queue(w, q);
+}
+void load_frames(snap::Reader& r, std::vector<Frame>& q) { load_queue(r, q); }
+void load_frames(snap::Reader& r, std::deque<Frame>& q) { load_queue(r, q); }
+
 void Bus::save_state(snap::Writer& w) const {
   w.boolean(connected_);
-  w.u64(to_hw_.size());
-  for (const Frame& f : to_hw_) save_frame(w, f);
-  w.u64(to_sw_.size());
-  for (const Frame& f : to_sw_) save_frame(w, f);
+  save_frames(w, to_hw_);
+  save_frames(w, to_sw_);
   w.u64(stats_.frames_to_hw);
   w.u64(stats_.frames_to_sw);
   w.u64(stats_.bytes_to_hw);
@@ -125,14 +150,8 @@ void Bus::save_state(snap::Writer& w) const {
 
 void Bus::load_state(snap::Reader& r) {
   connected_ = r.boolean();
-  to_hw_.clear();
-  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
-    to_hw_.push_back(load_frame(r));
-  }
-  to_sw_.clear();
-  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
-    to_sw_.push_back(load_frame(r));
-  }
+  load_frames(r, to_hw_);
+  load_frames(r, to_sw_);
   stats_.frames_to_hw = r.u64();
   stats_.frames_to_sw = r.u64();
   stats_.bytes_to_hw = r.u64();

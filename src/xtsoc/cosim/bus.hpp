@@ -49,6 +49,12 @@ Frame load_frame(snap::Reader& r);
 /// The shortest frame encoding (opcode, payload length, due cycle): the
 /// element size loaders pass to snap::Reader::count.
 inline constexpr std::size_t kFrameBytes = 4 + 8 + 8;
+/// A frame queue: its length, then each frame. Loading replaces the queue
+/// and refuses a length the snapshot cannot hold.
+void save_frames(snap::Writer& w, const std::vector<Frame>& q);
+void save_frames(snap::Writer& w, const std::deque<Frame>& q);
+void load_frames(snap::Reader& r, std::vector<Frame>& q);
+void load_frames(snap::Reader& r, std::deque<Frame>& q);
 
 struct BusStats {
   std::uint64_t frames_to_hw = 0;

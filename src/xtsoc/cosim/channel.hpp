@@ -12,7 +12,9 @@
 //     placement and congestion (which is the whole point).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "xtsoc/cosim/bus.hpp"
@@ -47,6 +49,60 @@ public:
   /// state lives in the Bus, serialized by the master).
   virtual void save_state(snap::Writer&) const {}
   virtual void load_state(snap::Reader&) {}
+};
+
+/// Frames a domain (HwDomain, SwDomain) staged for foreign executors while
+/// the shared channel must not be touched — during a clock edge, or inside
+/// a window on a worker thread. The master sends them at a serial point,
+/// in stage order: everything after a lockstep cycle, or the prefix staged
+/// at cycles <= a boundary cycle when windowed.
+class Outbox {
+public:
+  void stage(ClassId dst, Frame frame, std::uint64_t cycle,
+             std::uint64_t extra_delay) {
+    staged_.push_back({dst, std::move(frame), cycle, extra_delay});
+  }
+
+  bool empty() const { return staged_.empty(); }
+
+  /// Send the unsent frames staged at cycles <= `cycle` (monotone calls).
+  /// Clears the outbox once the last staged frame has been sent.
+  void flush_through(Channel& channel, std::uint64_t cycle) {
+    while (sent_ < staged_.size() && staged_[sent_].cycle <= cycle) {
+      Staged& s = staged_[sent_];
+      channel.send(s.dst, std::move(s.frame), s.cycle, s.extra_delay);
+      ++sent_;
+    }
+    if (sent_ == staged_.size()) {
+      staged_.clear();
+      sent_ = 0;
+    }
+  }
+
+  /// Send every unsent frame.
+  void flush(Channel& channel) { flush_through(channel, ~std::uint64_t{0}); }
+
+  /// Append one (cycle, `tag`) entry per distinct cycle that still has
+  /// unsent frames.
+  void pending_send_cycles(
+      std::uint32_t tag,
+      std::vector<std::pair<std::uint64_t, std::uint32_t>>& out) const;
+
+  /// The staged frames and the sent mark. load_state refuses a count the
+  /// snapshot cannot hold and a sent mark past the staged frames.
+  void save_state(snap::Writer& w) const;
+  void load_state(snap::Reader& r);
+
+private:
+  struct Staged {
+    ClassId dst;
+    Frame frame;
+    std::uint64_t cycle;        ///< cycle the signal left the executor
+    std::uint64_t extra_delay;  ///< generate-statement delay riding along
+  };
+
+  std::vector<Staged> staged_;
+  std::size_t sent_ = 0;  ///< flushed prefix (windowed mode)
 };
 
 /// Legacy bus endpoint. The destination class is ignored: the bus has
@@ -127,21 +183,13 @@ public:
   }
 
   void save_state(snap::Writer& w) const override {
-    w.u64(pending_.size());
-    for (const Frame& f : pending_) save_frame(w, f);
-    w.u64(coh_pending_.size());
-    for (const Frame& f : coh_pending_) save_frame(w, f);
+    save_frames(w, pending_);
+    save_frames(w, coh_pending_);
   }
 
   void load_state(snap::Reader& r) override {
-    pending_.clear();
-    for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
-      pending_.push_back(load_frame(r));
-    }
-    coh_pending_.clear();
-    for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
-      coh_pending_.push_back(load_frame(r));
-    }
+    load_frames(r, pending_);
+    load_frames(r, coh_pending_);
   }
 
 private:

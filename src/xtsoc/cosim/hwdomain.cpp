@@ -19,8 +19,8 @@ HwDomain::HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
             // generate-statement delay rides along as extra transit delay.
             std::uint64_t extra = m.deliver_at - exec_.now();
             ClassId dst = m.target.cls;
-            outbox_.push_back(
-                {dst, encode_message(sys_->interface(), m), cycle_, extra});
+            outbox_.stage(dst, encode_message(sys_->interface(), m), cycle_,
+                          extra);
             OBS_COUNT(c_frames_out_);
             exec_.recycle_args(std::move(m.args));
           }) {
@@ -69,19 +69,6 @@ void HwDomain::stage(std::size_t slot, HwSignalId w, std::uint64_t value) {
   if (last_staged_[slot] == value) return;
   last_staged_[slot] = value;
   edge_writes_[window_edge_].push_back({w, value});
-}
-
-void HwDomain::pending_send_cycles(
-    std::uint32_t tag,
-    std::vector<std::pair<std::uint64_t, std::uint32_t>>& out) const {
-  // Outbox entries are staged in cycle order, so distinct cycles appear as
-  // runs — comparing against the entry just appended dedups them.
-  for (std::size_t i = outbox_sent_; i < outbox_.size(); ++i) {
-    if (out.empty() || out.back().first != outbox_[i].cycle ||
-        out.back().second != tag) {
-      out.push_back({outbox_[i].cycle, tag});
-    }
-  }
 }
 
 HwSignalId HwDomain::alive_wire(ClassId cls) const {
@@ -203,65 +190,18 @@ void HwDomain::run_window(std::uint64_t n) {
   }
 }
 
-void HwDomain::flush_outbox() {
-  for (Outbound& o : outbox_) {
-    channel_->send(o.dst, std::move(o.frame), o.cycle, o.extra);
-  }
-  outbox_.clear();
-  outbox_sent_ = 0;
-}
-
-void HwDomain::flush_outbox_through(std::uint64_t cycle) {
-  while (outbox_sent_ < outbox_.size() && outbox_[outbox_sent_].cycle <= cycle) {
-    Outbound& o = outbox_[outbox_sent_];
-    channel_->send(o.dst, std::move(o.frame), o.cycle, o.extra);
-    ++outbox_sent_;
-  }
-  if (outbox_sent_ == outbox_.size()) {
-    outbox_.clear();
-    outbox_sent_ = 0;
-  }
-}
-
 void HwDomain::save_state(snap::Writer& w) const {
   exec_.save_state(w);
   w.u64(cycle_);
-  w.u64(outbox_.size());
-  for (const Outbound& o : outbox_) {
-    w.u32(o.dst.value());
-    save_frame(w, o.frame);
-    w.u64(o.cycle);
-    w.u64(o.extra);
-  }
-  w.u64(outbox_sent_);
-  w.u64(inbox_.size());
-  for (const Frame& f : inbox_) save_frame(w, f);
+  outbox_.save_state(w);
+  save_frames(w, inbox_);
 }
 
 void HwDomain::load_state(snap::Reader& r) {
   exec_.load_state(r);
   cycle_ = r.u64();
-  // An outbox entry is a destination, a frame and two u64s.
-  outbox_.clear();
-  for (std::size_t n = r.count(4 + kFrameBytes + 8 + 8); n > 0; --n) {
-    Outbound o;
-    o.dst = ClassId(r.u32());
-    o.frame = load_frame(r);
-    o.cycle = r.u64();
-    o.extra = r.u64();
-    outbox_.push_back(std::move(o));
-  }
-  const std::uint64_t sent = r.u64();
-  if (sent > outbox_.size()) {
-    throw snap::SnapError("hardware outbox snapshot marks " +
-                          std::to_string(sent) + " of " +
-                          std::to_string(outbox_.size()) + " frames sent");
-  }
-  outbox_sent_ = static_cast<std::size_t>(sent);
-  inbox_.clear();
-  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
-    inbox_.push_back(load_frame(r));
-  }
+  outbox_.load_state(r);
+  load_frames(r, inbox_);
   // Per-edge scratch: rebuilt by the next run call.
   served_.clear();
   edge_writes_.clear();

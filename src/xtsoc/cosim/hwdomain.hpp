@@ -76,7 +76,7 @@ public:
   /// Hand the frames staged during the last clock edge to the channel.
   /// Called by CoSimulation once per lockstep cycle, after the edge
   /// settles, in domain order; must not run while the kernel is mid-settle.
-  void flush_outbox();
+  void flush_outbox() { outbox_.flush(*channel_); }
 
   bool drained() const {
     return exec_.drained() && outbox_.empty() && inbox_.empty();
@@ -107,7 +107,9 @@ public:
   /// Send the outbox prefix staged at cycles <= `cycle` (monotone calls,
   /// in domain order). Clears the outbox when the last staged frame has
   /// been sent.
-  void flush_outbox_through(std::uint64_t cycle);
+  void flush_outbox_through(std::uint64_t cycle) {
+    outbox_.flush_through(*channel_, cycle);
+  }
 
   /// Append one (cycle, `tag`) entry per distinct cycle that still has
   /// staged, unsent outbox frames. CoSimulation merges these into the
@@ -115,7 +117,9 @@ public:
   /// cycles where it actually has something to send.
   void pending_send_cycles(
       std::uint32_t tag,
-      std::vector<std::pair<std::uint64_t, std::uint32_t>>& out) const;
+      std::vector<std::pair<std::uint64_t, std::uint32_t>>& out) const {
+    outbox_.pending_send_cycles(tag, out);
+  }
 
   /// Observability wires created in the hwsim netlist, one pair per owned
   /// hardware class: `hw.<class>.alive` (live instance count, 16 bits) and
@@ -133,13 +137,6 @@ public:
   void load_state(snap::Reader& r);
 
 private:
-  struct Outbound {
-    ClassId dst;
-    Frame frame;
-    std::uint64_t cycle;  ///< cycle the signal left the executor
-    std::uint64_t extra;  ///< generate-statement delay riding along
-  };
-
   /// One staged kernel write of a windowed cycle, replayed at the boundary.
   struct KernelWrite {
     HwSignalId w;
@@ -169,8 +166,7 @@ private:
   std::vector<std::uint64_t> divider_;
   std::vector<HwSignalId> alive_wires_;  // index: ClassId; invalid if foreign
   std::vector<HwSignalId> busy_wires_;
-  std::vector<Outbound> outbox_;  ///< frames staged during the current edge
-  std::size_t outbox_sent_ = 0;   ///< flushed prefix (windowed mode)
+  Outbox outbox_;  ///< frames staged during the current edge or window
   /// Instances already served this cycle (reused; cleared each edge).
   std::vector<runtime::InstanceHandle> served_;
 

@@ -1,7 +1,6 @@
 #include "xtsoc/cosim/swdomain.hpp"
 
 #include "xtsoc/cosim/codec.hpp"
-#include "xtsoc/snap/io.hpp"
 
 namespace xtsoc::cosim {
 
@@ -18,8 +17,8 @@ SwDomain::SwDomain(const mapping::MappedSystem& sys, Channel& channel,
               // The channel is shared across domains; inside a window it
               // must not be touched. Stage cycle-stamped; the master sends
               // at the boundary, in the serial order.
-              outbox_.push_back(
-                  {dst, encode_message(sys_->interface(), m), cycle_, extra});
+              outbox_.stage(dst, encode_message(sys_->interface(), m), cycle_,
+                            extra);
             } else {
               channel_->send(dst, encode_message(sys_->interface(), m), cycle_,
                              extra);
@@ -92,67 +91,18 @@ void SwDomain::fill_inbox(std::uint64_t through_cycle) {
   }
 }
 
-void SwDomain::flush_outbox_through(std::uint64_t cycle) {
-  while (outbox_sent_ < outbox_.size() && outbox_[outbox_sent_].cycle <= cycle) {
-    Outbound& o = outbox_[outbox_sent_];
-    channel_->send(o.dst, std::move(o.frame), o.cycle, o.extra);
-    ++outbox_sent_;
-  }
-  if (outbox_sent_ == outbox_.size()) {
-    outbox_.clear();
-    outbox_sent_ = 0;
-  }
-}
-
-void SwDomain::pending_send_cycles(
-    std::uint32_t tag,
-    std::vector<std::pair<std::uint64_t, std::uint32_t>>& out) const {
-  for (std::size_t i = outbox_sent_; i < outbox_.size(); ++i) {
-    if (out.empty() || out.back().first != outbox_[i].cycle ||
-        out.back().second != tag) {
-      out.push_back({outbox_[i].cycle, tag});
-    }
-  }
-}
-
 void SwDomain::save_state(snap::Writer& w) const {
   exec_.save_state(w);
   w.u64(cycle_);
-  w.u64(outbox_.size());
-  for (const Outbound& o : outbox_) {
-    w.u32(o.dst.value());
-    save_frame(w, o.frame);
-    w.u64(o.cycle);
-    w.u64(o.extra);
-  }
-  w.u64(outbox_sent_);
-  w.u64(inbox_.size());
-  for (const Frame& f : inbox_) save_frame(w, f);
+  outbox_.save_state(w);
+  save_frames(w, inbox_);
 }
 
 void SwDomain::load_state(snap::Reader& r) {
   exec_.load_state(r);
   cycle_ = r.u64();
-  outbox_.clear();
-  for (std::size_t n = r.count(4 + kFrameBytes + 8 + 8); n > 0; --n) {
-    Outbound o;
-    o.dst = ClassId(r.u32());
-    o.frame = load_frame(r);
-    o.cycle = r.u64();
-    o.extra = r.u64();
-    outbox_.push_back(std::move(o));
-  }
-  const std::uint64_t sent = r.u64();
-  if (sent > outbox_.size()) {
-    throw snap::SnapError("software outbox snapshot marks " +
-                          std::to_string(sent) + " of " +
-                          std::to_string(outbox_.size()) + " frames sent");
-  }
-  outbox_sent_ = static_cast<std::size_t>(sent);
-  inbox_.clear();
-  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
-    inbox_.push_back(load_frame(r));
-  }
+  outbox_.load_state(r);
+  load_frames(r, inbox_);
 }
 
 }  // namespace xtsoc::cosim

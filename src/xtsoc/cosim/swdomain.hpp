@@ -63,13 +63,17 @@ public:
 
   /// Send the outbox prefix staged at cycles <= `cycle` (monotone, after
   /// the hardware domains' flushes).
-  void flush_outbox_through(std::uint64_t cycle);
+  void flush_outbox_through(std::uint64_t cycle) {
+    outbox_.flush_through(*channel_, cycle);
+  }
 
   /// Append one (cycle, `tag`) entry per distinct cycle with staged,
   /// unsent outbox frames (see HwDomain::pending_send_cycles).
   void pending_send_cycles(
       std::uint32_t tag,
-      std::vector<std::pair<std::uint64_t, std::uint32_t>>& out) const;
+      std::vector<std::pair<std::uint64_t, std::uint32_t>>& out) const {
+    outbox_.pending_send_cycles(tag, out);
+  }
 
   // --- checkpointing ---------------------------------------------------------
   /// Serialize the executor, cycle counter and staged frames (see
@@ -78,13 +82,6 @@ public:
   void load_state(snap::Reader& r);
 
 private:
-  struct Outbound {
-    ClassId dst;
-    Frame frame;
-    std::uint64_t cycle;
-    std::uint64_t extra;
-  };
-
   /// Shared per-cycle prologue: advance time, deliver due frames, wake the
   /// task. Windowed mode reads the inbox; lockstep asks the channel.
   void latch_cycle(std::uint64_t cycle);
@@ -98,8 +95,7 @@ private:
 
   bool windowed_ = false;
   std::vector<Frame> inbox_;
-  std::vector<Outbound> outbox_;
-  std::size_t outbox_sent_ = 0;
+  Outbox outbox_;
 
   // Observability (null members when no registry is attached; the track is
   // shared with this domain's executor, "executor/sw").

@@ -515,9 +515,6 @@ void Executor::save_state(snap::Writer& w) const {
 void Executor::load_state(snap::Reader& r) {
   db_.load_state(r);
   trace_.load_state(r);
-  // Minimum encodings: a message is two handles, its event, its argument
-  // count and two u64 stamps; a flat-memory entry is two i64s.
-  constexpr std::size_t kMessageBytes = 12 + 4 + 8 + 12 + 8 + 8;
   self_queue_.clear();
   for (std::size_t n = r.count(kMessageBytes); n > 0; --n) {
     self_queue_.push_back(load_message(r));
@@ -544,6 +541,7 @@ void Executor::load_state(snap::Reader& r) {
   ops_ = r.u64();
   high_water_ = r.u64();
   flat_mem_.clear();
+  // A flat-memory entry is two i64s.
   for (std::size_t n = r.count(16); n > 0; --n) {
     std::int64_t addr = r.i64();
     flat_mem_[addr] = r.i64();

@@ -20,6 +20,7 @@
 // via deliver_remote().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -53,6 +54,10 @@ struct EventMessage {
 /// signals (executor queues, the bridge's pending forwards).
 void save_message(snap::Writer& w, const EventMessage& m);
 EventMessage load_message(snap::Reader& r);
+/// The shortest message encoding (two handles, the event, the argument
+/// count and two u64 stamps): the element size loaders pass to
+/// snap::Reader::count.
+inline constexpr std::size_t kMessageBytes = 12 + 4 + 8 + 12 + 8 + 8;
 
 /// Pluggable backing store for `mem.read` / `mem.write`. The cosim layer
 /// installs a port per domain that routes into the xtsoc::mem hierarchy;

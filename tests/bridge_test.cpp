@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "xtsoc/bridge/bridge.hpp"
 #include "xtsoc/oal/compiled.hpp"
+#include "xtsoc/snap/io.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 
 namespace xtsoc::bridge {
@@ -223,6 +229,48 @@ TEST(SystemExecutor, UnknownDomainLookupThrows) {
   TwoDomains s;
   SystemExecutor sys(s.def);
   EXPECT_THROW(sys.domain("Nope"), std::invalid_argument);
+}
+
+// A forged element count must be refused by snap::Reader::count before the
+// loader loops for it (the cosim loaders' cases are in snap_test).
+TEST(SnapReject, ForgedBridgeForwardCount) {
+  TwoDomains s;
+  SystemExecutor sys(s.def);
+  auto& app = sys.domain("App");
+  auto& dev = sys.domain("Device");
+  auto proxy = app.create("HeaterProxy");
+  auto thermo = app.create_with("Thermostat", {{"heater", Value(proxy)}});
+  auto app_proxy = dev.create("AppProxy");
+  auto heater = dev.create_with("Heater", {{"client", Value(app_proxy)}});
+  sys.bind(proxy, "App", heater, "Device");
+  sys.bind(app_proxy, "Device", thermo, "App");
+  app.inject(thermo, "too_cold", {Value(std::int64_t{3})});
+  sys.run_all();
+
+  snap::Writer w;
+  sys.save_state(w);
+  std::vector<std::uint8_t> bytes = w.data();
+  // Drained, so no forward is pending: the forward count sits just before
+  // the three trailing counters.
+  const std::size_t at = bytes.size() - 4 * 8;
+  ASSERT_TRUE(std::all_of(bytes.begin() + static_cast<long>(at),
+                          bytes.begin() + static_cast<long>(at + 8),
+                          [](std::uint8_t b) { return b == 0; }));
+  const std::uint64_t forged = std::uint64_t{1} << 40;
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(forged >> (8 * i));
+  }
+  snap::Reader r(bytes);
+  try {
+    sys.load_state(r);
+    FAIL() << "forged forward count not rejected";
+  } catch (const snap::SnapError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "snapshot count " + std::to_string(forged) + " at offset " +
+                  std::to_string(at) + " exceeds the "),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -478,15 +478,11 @@ TEST(CoSimParallel, BusPipelineByteIdenticalAcrossThreadCounts) {
 /// kick), check the totals and capture the run.
 Observed run_fanout(MappedFixture& fx, CoSimulation& cosim,
                     const std::function<void()>& run) {
-  auto w0 = cosim.create("W0");
-  auto w1 = cosim.create("W1");
-  auto w2 = cosim.create("W2");
-  auto boss = cosim.create_with(
-      "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
+  const testing::FanoutHandles fan = testing::boot_fanout(cosim);
   EXPECT_EQ(cosim.hw_domains().size(), 3u);
   Recorder rec(cosim);
   for (int i = 0; i < 3; ++i) {
-    cosim.inject(boss, "go");
+    cosim.inject(fan.boss, "go");
     run();
   }
   auto attr_of = [&](const InstanceHandle& h, const char* cls,
@@ -495,9 +491,9 @@ Observed run_fanout(MappedFixture& fx, CoSimulation& cosim,
     return std::get<std::int64_t>(
         cosim.executor_of(h.cls).database().get_attr(h, a->id));
   };
-  EXPECT_EQ(attr_of(boss, "Boss", "acks"), 9);  // 3 kicks x 3 workers
-  EXPECT_EQ(attr_of(w0, "W0", "sum") + attr_of(w1, "W1", "sum") +
-                attr_of(w2, "W2", "sum"),
+  EXPECT_EQ(attr_of(fan.boss, "Boss", "acks"), 9);  // 3 kicks x 3 workers
+  EXPECT_EQ(attr_of(fan.w0, "W0", "sum") + attr_of(fan.w1, "W1", "sum") +
+                attr_of(fan.w2, "W2", "sum"),
             18);  // 3 x (1+2+3)
   return rec.take();
 }

@@ -367,7 +367,7 @@ marks::MarkSet mem_mesh_marks(bool with_mem = true) {
 struct MemFanout {
   MappedFixture fx{make_mem_domain(), mem_mesh_marks()};
   CoSimulation cs;
-  InstanceHandle w0, w1, w2, boss;
+  testing::FanoutHandles h;
   Observed seen;
 
   MemFanout(int threads, int window, fault::Plan* plan)
@@ -378,15 +378,11 @@ struct MemFanout {
           cfg.fault = plan;
           return cfg;
         }()) {
-    w0 = cs.create("W0");
-    w1 = cs.create("W1");
-    w2 = cs.create("W2");
-    boss = cs.create_with(
-        "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
+    h = testing::boot_fanout(cs);
     EXPECT_NE(cs.mem_system(), nullptr);
     Recorder rec(cs);
     for (int i = 0; i < 3; ++i) {
-      cs.inject(boss, "go");
+      cs.inject(h.boss, "go");
       cs.run_cycles(400);
     }
     seen = rec.take();
@@ -401,16 +397,17 @@ struct MemFanout {
 
 TEST(MemCosim, ValuesFlowThroughSharedMemory) {
   MemFanout r(1, 1, nullptr);
-  EXPECT_EQ(r.attr(r.boss, "acks"), 9);  // 3 rounds x 3 workers acked
+  EXPECT_EQ(r.attr(r.h.boss, "acks"), 9);  // 3 rounds x 3 workers acked
   // Each worker read back exactly what it wrote (forwarding).
-  EXPECT_EQ(r.attr(r.w0, "mine"), 7);
-  EXPECT_EQ(r.attr(r.w1, "mine"), 107);
-  EXPECT_EQ(r.attr(r.w2, "mine"), 207);
+  EXPECT_EQ(r.attr(r.h.w0, "mine"), 7);
+  EXPECT_EQ(r.attr(r.h.w1, "mine"), 107);
+  EXPECT_EQ(r.attr(r.h.w2, "mine"), 207);
   // By round 2 every round-1 store is long visible (rounds are 400 cycles
   // apart, L is single-digit), so each worker accumulated its neighbours'
   // values in rounds 2 and 3 at the latest.
-  EXPECT_GE(r.attr(r.w0, "sum") + r.attr(r.w1, "sum") + r.attr(r.w2, "sum"),
-            2 * (107 + 207 + 7 + 207 + 7 + 107));
+  EXPECT_GE(
+      r.attr(r.h.w0, "sum") + r.attr(r.h.w1, "sum") + r.attr(r.h.w2, "sum"),
+      2 * (107 + 207 + 7 + 207 + 7 + 107));
   // The timing layer saw the traffic: 3 rounds x 3 workers x (1 store +
   // 4 loads — mem.read(own) + two neighbours + one cold address).
   EXPECT_EQ(r.cs.mem_system()->stats().stores, 9u);
@@ -445,11 +442,7 @@ TEST(MemCosim, ByteIdenticalAcrossThreadsWindowsAndFaults) {
 
 TEST(MemCosim, SnapshotPortsAcrossThreadCounts) {
   auto boot = [](CoSimulation& cs) {
-    auto w0 = cs.create("W0");
-    auto w1 = cs.create("W1");
-    auto w2 = cs.create("W2");
-    auto boss = cs.create_with(
-        "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
+    const InstanceHandle boss = testing::boot_fanout(cs).boss;
     cs.inject(boss, "go");
     return boss;
   };
@@ -510,12 +503,7 @@ TEST(MemCosim, NoMemoryMarksWorldIsPinned) {
   MappedFixture fx(make_mem_domain(), mem_mesh_marks(false));
   CoSimulation cs(*fx.system);
   EXPECT_EQ(cs.mem_system(), nullptr);
-  auto w0 = cs.create("W0");
-  auto w1 = cs.create("W1");
-  auto w2 = cs.create("W2");
-  auto boss = cs.create_with(
-      "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
-  cs.inject(boss, "go");
+  cs.inject(testing::boot_fanout(cs).boss, "go");
   cs.run_cycles(200);
   obs::Snapshot snap = cs.report();
   EXPECT_EQ(snap.find("memory"), nullptr);

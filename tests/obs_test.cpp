@@ -201,6 +201,7 @@ using runtime::Value;
 using testing::MappedFixture;
 using testing::Observed;
 using testing::Recorder;
+using testing::expect_and_cut_section;
 using testing::expect_identical;
 using testing::fanout_mesh_marks;
 using testing::make_fanout_domain;
@@ -233,13 +234,16 @@ Observed run_pipeline(int threads, int window, obs::Registry* reg) {
   return rec.take();
 }
 
-/// An attached registry adds the report's "counters" section, its last;
-/// everything before it must equal the bare run byte for byte.
+/// An attached registry adds the report's "counters" section: every
+/// registry counter. Everything else must equal the bare run byte for byte.
 void expect_same_but_counters(const Observed& bare, Observed counted,
+                              const obs::Registry& reg,
                               const std::string& what) {
-  const std::size_t at = counted.report.rfind(",\n  \"counters\": {");
-  ASSERT_NE(at, std::string::npos) << what << "\n" << counted.report;
-  counted.report = counted.report.substr(0, at) + "\n}";
+  SCOPED_TRACE(what);
+  obs::JsonValue counters = obs::JsonValue::object();
+  for (const auto& [name, value] : reg.counters()) counters[name] = value;
+  EXPECT_GT(counters.size(), 0u);
+  expect_and_cut_section(counted, "counters", counters);
   expect_identical(bare, counted, what);
 }
 
@@ -255,12 +259,13 @@ TEST(ObsCosim, RegistryNeverPerturbsSimulationAcrossThreadCounts) {
 
     obs::Registry quiet;
     Observed counted = run_pipeline(threads, 0, &quiet);
-    expect_same_but_counters(baseline, counted, "registry attached, " + at);
+    expect_same_but_counters(baseline, counted, quiet,
+                             "registry attached, " + at);
 
     obs::Registry tracing;
     tracing.enable_tracing();
     Observed traced = run_pipeline(threads, 0, &tracing);
-    expect_same_but_counters(baseline, traced, "tracing on, " + at);
+    expect_same_but_counters(baseline, traced, tracing, "tracing on, " + at);
     EXPECT_GT(tracing.event_count(), 0u);
     expect_identical(traced, counted, "tracing on vs off, " + at);
   }
@@ -274,7 +279,7 @@ TEST(ObsCosim, RegistryNeverPerturbsSimulationAcrossWindowSizes) {
     Observed baseline = run_pipeline(2, window, nullptr);
     obs::Registry reg;
     reg.enable_tracing();
-    expect_same_but_counters(baseline, run_pipeline(2, window, &reg),
+    expect_same_but_counters(baseline, run_pipeline(2, window, &reg), reg,
                              "window=" + std::to_string(window));
   }
 }
@@ -321,12 +326,7 @@ TEST(ObsCosim, MeshRunProducesAllTracksAndNocCounters) {
   CoSimConfig cfg;
   cfg.obs = &reg;
   CoSimulation cosim(*fx.system, cfg);
-  auto w0 = cosim.create("W0");
-  auto w1 = cosim.create("W1");
-  auto w2 = cosim.create("W2");
-  auto boss = cosim.create_with(
-      "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
-  cosim.inject(boss, "go");
+  cosim.inject(testing::boot_fanout(cosim).boss, "go");
   cosim.run(5000);
 
   // The acceptance shape: >= 4 distinct tracks, one per layer.
@@ -393,12 +393,7 @@ TEST(ObsCosim, ReportOnMeshIncludesFabricSectionAndCounters) {
   CoSimConfig cfg;
   cfg.obs = &reg;
   CoSimulation cosim(*fx.system, cfg);
-  auto w0 = cosim.create("W0");
-  auto w1 = cosim.create("W1");
-  auto w2 = cosim.create("W2");
-  auto boss = cosim.create_with(
-      "Boss", {{"w0", Value(w0)}, {"w1", Value(w1)}, {"w2", Value(w2)}});
-  cosim.inject(boss, "go");
+  cosim.inject(testing::boot_fanout(cosim).boss, "go");
   cosim.run(5000);
 
   obs::Snapshot snap = cosim.report();

@@ -117,6 +117,22 @@ inline void expect_same_text(const char* name, const std::string& a,
                 << "\n  a: " << line_at(a) << "\n  b: " << line_at(b);
 }
 
+/// A run that attached an optional component (a fault plan adds "faults",
+/// an obs registry "counters") ends its report with that component's
+/// section. Check the section renders exactly as `want`, then cut it, so
+/// the rest of the run compares with one that did not attach it.
+inline void expect_and_cut_section(Observed& o, const std::string& name,
+                                   const obs::JsonValue& want) {
+  const std::size_t at = o.report.rfind(",\n  \"" + name + "\": ");
+  ASSERT_NE(at, std::string::npos) << name << " section missing\n"
+                                   << o.report;
+  obs::JsonValue doc = obs::JsonValue::object();
+  doc[name] = want;
+  // The cut text is the one-member document `doc` minus its opening brace.
+  EXPECT_EQ(o.report.substr(at + 1), doc.dump(2).substr(1)) << name;
+  o.report = o.report.substr(0, at) + "\n}";
+}
+
 /// The whole contract: one expectation per observable.
 inline void expect_identical(const Observed& a, const Observed& b,
                              const std::string& what) {

@@ -619,21 +619,27 @@ TEST(SnapReject, ForgedSwDomainOutboxCount) {
   expect_count_refused(fx, bytes, sw_domain_tail(cs, bytes) + 8);
 }
 
+/// A checkpoint is taken at a quiet point, so the outbox whose count sits
+/// at `count_at` is empty and its sent mark follows the count; marking one
+/// frame sent is a forgery.
+void expect_sent_mark_refused(MappedFixture& fx,
+                              const std::vector<std::uint8_t>& bytes,
+                              std::size_t count_at) {
+  ASSERT_TRUE(std::all_of(bytes.begin() + static_cast<long>(count_at),
+                          bytes.begin() + static_cast<long>(count_at + 16),
+                          [](std::uint8_t b) { return b == 0; }));
+  expect_forgery_refused(fx, bytes, count_at + 8, 1,
+                         "outbox snapshot marks 1 of 0 frames sent", nullptr,
+                         nullptr);
+}
+
 TEST(SnapReject, ForgedSwDomainOutboxSentMark) {
   MappedFixture fx(make_ring_domain(), ring_bus_marks());
   CoSimulation cs(*fx.system, CoSimConfig{});
   boot_ring(cs);
   cs.run_cycles(100);
   const std::vector<std::uint8_t> bytes = save(cs);
-  // A checkpoint is taken at a quiet point, so the outbox is empty and the
-  // sent mark follows its count; marking one frame sent is a forgery.
-  const std::size_t count_at = sw_domain_tail(cs, bytes) + 8;
-  ASSERT_TRUE(std::all_of(bytes.begin() + static_cast<long>(count_at),
-                          bytes.begin() + static_cast<long>(count_at + 16),
-                          [](std::uint8_t b) { return b == 0; }));
-  expect_forgery_refused(fx, bytes, count_at + 8, 1,
-                         "software outbox snapshot marks 1 of 0 frames sent",
-                         nullptr, nullptr);
+  expect_sent_mark_refused(fx, bytes, sw_domain_tail(cs, bytes) + 8);
 }
 
 TEST(SnapReject, ForgedRouterFifoCount) {
@@ -715,20 +721,34 @@ TEST(SnapReject, ForgedExecutorQueueCount) {
   expect_count_refused(fx, bytes, locate(bytes, whole.data()) + prefix.size());
 }
 
+/// Where the first hardware domain's outbox count sits: after the
+/// domain's executor and its cycle.
+std::size_t hw_domain_outbox(const CoSimulation& cs,
+                             const std::vector<std::uint8_t>& bytes) {
+  const cosim::HwDomain& hw = *cs.hw_domains().front();
+  Writer whole;
+  hw.save_state(whole);
+  Writer prefix;
+  hw.executor().save_state(prefix);
+  return locate(bytes, whole.data()) + prefix.size() + 8;
+}
+
 TEST(SnapReject, ForgedHwDomainOutboxCount) {
   MappedFixture fx(make_ring_domain(), ring_marks());
   CoSimulation cs(*fx.system, CoSimConfig{});
   boot_ring(cs);
   cs.run_cycles(100);
   const std::vector<std::uint8_t> bytes = save(cs);
-  // The outbox count follows the domain's executor and its cycle.
-  const cosim::HwDomain& hw = *cs.hw_domains().front();
-  Writer whole;
-  hw.save_state(whole);
-  Writer prefix;
-  hw.executor().save_state(prefix);
-  expect_count_refused(fx, bytes,
-                       locate(bytes, whole.data()) + prefix.size() + 8);
+  expect_count_refused(fx, bytes, hw_domain_outbox(cs, bytes));
+}
+
+TEST(SnapReject, ForgedHwDomainOutboxSentMark) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  expect_sent_mark_refused(fx, bytes, hw_domain_outbox(cs, bytes));
 }
 
 TEST(SnapReject, ForgedFaultStreamCount) {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/marks/marks.hpp"
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/mapping/modelcompiler.hpp"
@@ -101,6 +102,24 @@ inline marks::MarkSet fanout_mesh_marks() {
   m.set_domain_mark(marks::kMeshWidth, xtuml::ScalarValue(std::int64_t{2}));
   m.set_domain_mark(marks::kMeshHeight, xtuml::ScalarValue(std::int64_t{2}));
   return m;
+}
+
+/// The fanout population: three workers and the Boss that refers to them.
+struct FanoutHandles {
+  runtime::InstanceHandle w0, w1, w2, boss;
+};
+
+/// Create W0..W2 and a Boss wired to them (any domain whose classes and
+/// reference attributes are named like make_fanout_domain's).
+inline FanoutHandles boot_fanout(cosim::CoSimulation& cs) {
+  using runtime::Value;
+  FanoutHandles h;
+  h.w0 = cs.create("W0");
+  h.w1 = cs.create("W1");
+  h.w2 = cs.create("W2");
+  h.boss = cs.create_with(
+      "Boss", {{"w0", Value(h.w0)}, {"w1", Value(h.w1)}, {"w2", Value(h.w2)}});
+  return h;
 }
 
 /// A compiled model plus its mapped system for a given mark set.
