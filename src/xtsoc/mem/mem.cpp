@@ -1,6 +1,7 @@
 #include "xtsoc/mem/mem.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "xtsoc/noc/fabric.hpp"
 #include "xtsoc/snap/io.hpp"
@@ -55,15 +56,18 @@ std::int64_t System::read(int tag, std::uint64_t cycle, std::int64_t addr) {
   for (auto it = d.store_buf.rbegin(); it != d.store_buf.rend(); ++it) {
     if (it->addr == addr) return it->value;
   }
-  auto li = log_.find(addr);
-  if (li != log_.end()) {
-    // Newest-first: the first version that is globally visible at `cycle`,
-    // or that this domain wrote itself (its own stores never un-happen).
-    for (auto it = li->second.rbegin(); it != li->second.rend(); ++it) {
-      if (it->vis <= cycle || it->tag == tag) return it->value;
-    }
+  auto ci = cells_.find(addr);
+  if (ci == cells_.end()) return 0;
+  const Cell& cell = ci->second;
+  // Newest-first: the first version that is globally visible at `cycle`,
+  // or that this domain wrote itself (its own stores never un-happen).
+  for (auto it = cell.in_flight.rbegin(); it != cell.in_flight.rend(); ++it) {
+    if (it->vis <= cycle || it->tag == tag) return it->value;
   }
-  return 0;
+  // The settled version is visible at `cycle` by the call discipline, and
+  // it is the newest of every version the in-flight ones hide.
+  assert(cell.settled.vis <= cycle);
+  return cell.settled.value;
 }
 
 void System::write(int tag, std::uint64_t cycle, std::int64_t addr,
@@ -75,8 +79,16 @@ void System::write(int tag, std::uint64_t cycle, std::int64_t addr,
 }
 
 void System::append_visible(std::uint64_t horizon) {
+  // Every in-flight version became visible at or before the previous
+  // horizon, so every read from now on sees it: only the newest one per
+  // address can still be returned.
+  for (Cell* cell : in_flight_) {
+    cell->settled = cell->in_flight.back();
+    cell->in_flight.clear();
+  }
+  in_flight_.clear();
   // Collect every buffered store that becomes visible within the horizon,
-  // across all domains, and append them to the log in the one global order
+  // across all domains, and put them in flight in the one global order
   // that every threads x window configuration agrees on. (tag, seq) is
   // unique per store, so the sort key is total and an unstable sort gives
   // that same order without a temporary buffer.
@@ -96,7 +108,9 @@ void System::append_visible(std::uint64_t horizon) {
     return a.second.seq < b.second.seq;
   });
   for (const auto& [tag, s] : batch) {
-    log_[s.addr].push_back(Version{s.value, s.vis, tag, s.seq});
+    Cell& cell = cells_[s.addr];
+    if (cell.in_flight.empty()) in_flight_.push_back(&cell);
+    cell.in_flight.push_back(Version{s.value, s.vis, tag, s.seq});
   }
 }
 
@@ -486,16 +500,18 @@ void System::save_state(snap::Writer& w) const {
       w.u8(a.is_write);
     }
   }
-  w.u64(log_.size());
-  for (const auto& [addr, versions] : log_) {
+  // One version per address, the newest: the count field stays for the
+  // v3 layout and is always 1.
+  w.u64(cells_.size());
+  for (const auto& [addr, cell] : cells_) {
+    const Version& v =
+        cell.in_flight.empty() ? cell.settled : cell.in_flight.back();
     w.i64(addr);
-    w.u64(versions.size());
-    for (const Version& v : versions) {
-      w.i64(v.value);
-      w.u64(v.vis);
-      w.u64(static_cast<std::uint64_t>(v.tag));
-      w.u64(v.seq);
-    }
+    w.u64(1);
+    w.i64(v.value);
+    w.u64(v.vis);
+    w.u64(static_cast<std::uint64_t>(v.tag));
+    w.u64(v.seq);
   }
   w.u64(caches_.size());
   for (const auto& [tile, c] : caches_) {
@@ -584,18 +600,21 @@ void System::load_state(snap::Reader& r) {
       d.accesses.push_back(a);
     }
   }
-  log_.clear();
+  // Every saved version was visible at the save cycle, so each address
+  // settles to its last (newest) one, however many were written.
+  cells_.clear();
+  in_flight_.clear();
   for (std::size_t n = r.count(8 + 8); n > 0; --n) {
     std::int64_t addr = r.i64();
-    auto& versions = log_[addr];
-    for (std::size_t j = r.count(kVersionBytes); j > 0; --j) {
-      Version v;
+    std::size_t count = r.count(kVersionBytes);
+    Version v;
+    for (std::size_t j = count; j > 0; --j) {
       v.value = r.i64();
       v.vis = r.u64();
       v.tag = static_cast<int>(r.u64());
       v.seq = r.u64();
-      versions.push_back(v);
     }
+    if (count > 0) cells_[addr].settled = v;
   }
   caches_.clear();
   for (std::size_t n = r.count(kCacheBytes); n > 0; --n) {

@@ -15,12 +15,33 @@
 //     lives in the issuing domain's store buffer, where the domain's own
 //     reads see it immediately (store-to-load forwarding). At every serial
 //     point the cosim loop calls append_visible(horizon); stores whose
-//     visibility cycle is within the horizon migrate into the global
-//     version log, ordered by (visibility cycle, domain tag, sequence).
-//     Reads scan the log newest-first for the first version that is either
-//     visible at the reading cycle or the reader's own. Because L >= any
-//     legal window and the log only changes at serial points, results are
-//     byte-identical at any threads x window x faults setting.
+//     visibility cycle is within the horizon leave the buffers in the one
+//     global order (visibility cycle, domain tag, sequence). The value
+//     store behind them is bounded: per address, one SETTLED version (the
+//     newest one every later read sees) plus the IN-FLIGHT versions the
+//     latest append_visible added, which are the only ones a read can
+//     still pass over. Each append_visible first folds the previous
+//     batch into the settled values, keeping only the newest per address.
+//     A read checks its own store buffer, then the in-flight versions
+//     newest-first for the first one visible at the reading cycle or
+//     written by the reader itself, then the settled value, then 0.
+//     Because L >= any legal window and the store only changes at serial
+//     points, results are byte-identical at any threads x window x faults
+//     setting, and the state holds one settled version per address
+//     written, however long the run.
+//
+//     The call discipline that makes the fold exact: every read at cycle
+//     c that follows append_visible(h) has c >= h_prev, the horizon of the
+//     append_visible call before it. Every version folded at
+//     append_visible(h) became visible at or before h_prev, so it is
+//     visible to every such read, and the newest one hides all older ones.
+//     The cosim loop reads at cycles in (h_prev, h]: a lockstep cycle c
+//     publishes h = c after h_prev = c - 1, a window (base, end] publishes
+//     h = end after h_prev = base. The bound is inclusive, so a read at
+//     c = h_prev is exact too: MemFunctional.OwnStoreForwardsImmediately-
+//     OthersWaitLookahead calls append_visible(12), append_visible(13),
+//     then reads at 12, and every settled version became visible at or
+//     before 12.
 //
 //   * The TIMING layer decides costs, and only costs. Every access is also
 //     recorded (cycle-stamped, per domain); System::tick(cycle) — called
@@ -110,19 +131,23 @@ public:
 
   // --- functional layer ------------------------------------------------------
 
-  /// Value visible to `tag` at `cycle` (own buffer first, then the log,
-  /// unwritten addresses read 0). Also records the access for the timing
-  /// layer. Touches only domain-local state plus the read-only log, so
-  /// parallel window phases may call it concurrently from distinct tags.
+  /// Value visible to `tag` at `cycle` (own buffer first, then the
+  /// in-flight versions, then the settled value; unwritten addresses read
+  /// 0). Requires `cycle` >= the horizon of the append_visible call before
+  /// the latest one (see the contract above). Also records the access for
+  /// the timing layer. Touches only domain-local state plus the read-only
+  /// value store, so parallel window phases may call it concurrently from
+  /// distinct tags.
   std::int64_t read(int tag, std::uint64_t cycle, std::int64_t addr);
 
   /// Buffer a store; it becomes globally visible at cycle + L.
   void write(int tag, std::uint64_t cycle, std::int64_t addr,
              std::int64_t value);
 
-  /// Serial point: migrate every buffered store with visibility <= horizon
-  /// into the global log, ordered by (visibility, tag, sequence). Call with
-  /// the last cycle about to be simulated before the next serial point.
+  /// Serial point: fold the in-flight versions into the settled values,
+  /// then move every buffered store with visibility <= horizon in flight,
+  /// ordered by (visibility, tag, sequence). Call with the last cycle
+  /// about to be simulated before the next serial point.
   void append_visible(std::uint64_t horizon);
 
   // --- timing layer ----------------------------------------------------------
@@ -150,9 +175,13 @@ public:
   bool cached() const { return config_.sets > 0; }
 
   // --- checkpointing ---------------------------------------------------------
-  /// Everything cycle-dependent: store buffers, the version log, cache
+  /// Everything cycle-dependent: store buffers, the value store, cache
   /// arrays, MSHRs, directory state, DRAM timers, counters. The config is
-  /// construction-owned (it comes from the marks).
+  /// construction-owned (it comes from the marks). At a save point every
+  /// published version is visible to every later read, so the value store
+  /// is written as one version per address, the newest: a function of the
+  /// cycle alone, whatever the window. The loader accepts any number of
+  /// versions per address and keeps the last (the newest).
   void save_state(snap::Writer& w) const;
   void load_state(snap::Reader& r);
 
@@ -173,6 +202,13 @@ private:
     std::uint64_t vis = 0;
     int tag = 0;
     std::uint64_t seq = 0;
+  };
+  /// One address of the value store. A cell exists once a version of its
+  /// address has been published; until one settles, `settled` is the
+  /// all-zero version, which reads as the unwritten value 0.
+  struct Cell {
+    Version settled;                 ///< newest version every read sees
+    std::vector<Version> in_flight;  ///< latest batch, (vis, tag, seq) order
   };
 
   class Port : public runtime::MemoryPort {
@@ -270,7 +306,8 @@ private:
   std::vector<std::pair<int, StoreRec>> visible_batch_;
   std::map<int, int> tag_of_tile_;
 
-  std::map<std::int64_t, std::vector<Version>> log_;  ///< addr -> versions
+  std::map<std::int64_t, Cell> cells_;                ///< addr -> value
+  std::vector<Cell*> in_flight_;                      ///< cells in flight
   std::map<int, TileCache> caches_;                   ///< tile -> cache
   std::map<std::int64_t, DirLine> dir_;               ///< line -> directory
   DramBank banks_[8];

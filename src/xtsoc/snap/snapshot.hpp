@@ -54,7 +54,7 @@ namespace xtsoc::snap {
 /// (primary/fallback) rather than a raw 0/1.
 /// v3: the C section appends the executor flat-memory maps, per-channel
 /// coherence egress queues, and the xtsoc::mem hierarchy state (store
-/// buffers, version log, cache arrays, MSHRs, directory, DRAM timers).
+/// buffers, value store, cache arrays, MSHRs, directory, DRAM timers).
 inline constexpr std::uint32_t kSnapVersion = 3;
 
 /// Parsed 'H' section.

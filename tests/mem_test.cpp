@@ -6,21 +6,30 @@
 //   * the FUNCTIONAL layer's visibility rule: a store issued at cycle c is
 //     forwarded to its own domain immediately and to every other domain at
 //     exactly c + L, with same-cycle stores ordered by (tag, issue seq);
+//     the bounded value store returns what the unbounded version log it
+//     replaced returned, for every read the cosim's call discipline allows;
 //   * the TIMING layer walks the full MESI grid — cold fill to E, silent
 //     E->M upgrade, read-sharing downgrade (M flushes, both end S),
 //     write invalidation, dirty-victim eviction, uncached mode — with
 //     coherence messages as real fabric frames;
 //   * end to end, OAL `mem.read`/`mem.write` move values between mesh
 //     tiles, byte-identically at every threads x window x faults setting;
-//   * snapshots carry the hierarchy (restore across thread counts) and a
-//     mem-world snapshot refuses to restore into a memory-less world;
+//   * snapshots carry the hierarchy (restore across thread counts), their
+//     bytes at a cycle are the same at every threads x window setting,
+//     their size stays flat over a long run, and a mem-world snapshot
+//     refuses to restore into a memory-less world;
 //   * a world WITHOUT memory marks is pinned: no mem system, no "memory"
 //     report section, and a golden fingerprint over its traces;
 //   * the noc TrafficGen `memory` pattern drives a real directory.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "observe.hpp"
@@ -32,6 +41,7 @@
 #include "xtsoc/mem/wire.hpp"
 #include "xtsoc/noc/fabric.hpp"
 #include "xtsoc/noc/traffic.hpp"
+#include "xtsoc/snap/io.hpp"
 #include "xtsoc/snap/snapshot.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 
@@ -132,6 +142,151 @@ TEST(MemFunctional, SameCycleStoresOrderByTagThenSeq) {
   sys.write(0, 10, 8, 2);
   sys.append_visible(100);
   EXPECT_EQ(sys.read(1, 100, 8), 2);
+}
+
+/// The unbounded version log the bounded store replaced, kept as the
+/// reference: every published store stays, and a read scans newest-first.
+/// It also counts the cases the differential test must reach.
+struct UnboundedLog {
+  struct Store {
+    std::int64_t addr = 0;
+    std::int64_t value = 0;
+    std::uint64_t vis = 0;
+    int tag = 0;
+    std::uint64_t seq = 0;  ///< global issue order (implies per-tag order)
+  };
+  std::uint64_t lookahead = 0;
+  std::uint64_t seq = 0;
+  std::vector<Store> buffered;  ///< issue order
+  std::map<std::int64_t, std::vector<Store>> log;
+  int own_unseen_reads = 0;  ///< decided by the reader's own invisible store
+  int same_cycle_ties = 0;   ///< one address, one vis, two tags in a batch
+
+  std::int64_t read(int tag, std::uint64_t cycle, std::int64_t addr) {
+    for (auto it = buffered.rbegin(); it != buffered.rend(); ++it) {
+      if (it->tag == tag && it->addr == addr) return it->value;
+    }
+    auto li = log.find(addr);
+    if (li == log.end()) return 0;
+    for (auto it = li->second.rbegin(); it != li->second.rend(); ++it) {
+      if (it->vis <= cycle) return it->value;
+      if (it->tag == tag) {
+        ++own_unseen_reads;
+        return it->value;
+      }
+    }
+    return 0;
+  }
+
+  void write(int tag, std::uint64_t cycle, std::int64_t addr,
+             std::int64_t value) {
+    buffered.push_back(Store{addr, value, cycle + lookahead, tag, seq++});
+  }
+
+  void append_visible(std::uint64_t horizon) {
+    auto due = std::stable_partition(
+        buffered.begin(), buffered.end(),
+        [horizon](const Store& s) { return s.vis <= horizon; });
+    std::vector<Store> batch(buffered.begin(), due);
+    buffered.erase(buffered.begin(), due);
+    std::sort(batch.begin(), batch.end(), [](const Store& a, const Store& b) {
+      return std::tie(a.vis, a.tag, a.seq) < std::tie(b.vis, b.tag, b.seq);
+    });
+    std::map<std::pair<std::uint64_t, std::int64_t>, int> first_tag;
+    for (const Store& st : batch) {
+      auto [it, fresh] = first_tag.emplace(std::pair(st.vis, st.addr), st.tag);
+      if (!fresh && it->second != st.tag) ++same_cycle_ties;
+      log[st.addr].push_back(st);
+    }
+  }
+};
+
+TEST(MemFunctional, BoundedStoreMatchesUnboundedLog) {
+  // Seeded random traffic from four tags over three addresses, under the
+  // cosim's call discipline: append_visible(h), then every tag runs the
+  // window's cycles (h_prev, h] in turn, with windows from 1 to L. Every
+  // read must equal the unbounded log's, across a save/load round trip.
+  constexpr int kTags = 4;
+  constexpr std::uint64_t kL = 6;
+  MemConfig cfg = functional_config();
+  cfg.lookahead = kL;
+  auto fresh_system = [&cfg] {
+    auto sys = std::make_unique<System>(cfg, nullptr);
+    for (int tag = 0; tag < kTags; ++tag) sys->add_domain(tag, nullptr);
+    return sys;
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    std::unique_ptr<System> sys = fresh_system();
+    UnboundedLog ref;
+    ref.lookahead = kL;
+    std::uint64_t horizon = 0;
+    for (int window = 0; window < 400; ++window) {
+      if (window == 200) {
+        snap::Writer w;
+        sys->save_state(w);
+        sys = fresh_system();
+        snap::Reader r(w.data());
+        sys->load_state(r);
+      }
+      const std::uint64_t base = horizon;
+      horizon = base + 1 + rng() % kL;
+      sys->append_visible(horizon);
+      ref.append_visible(horizon);
+      for (int tag = 0; tag < kTags; ++tag) {
+        for (std::uint64_t c = base + 1; c <= horizon; ++c) {
+          for (std::uint64_t op = rng() % 4; op > 0; --op) {
+            const auto addr = static_cast<std::int64_t>(8 * (rng() % 3));
+            if (rng() % 2 == 0) {
+              const auto value = static_cast<std::int64_t>(rng() % 1000);
+              sys->write(tag, c, addr, value);
+              ref.write(tag, c, addr, value);
+            } else {
+              const std::int64_t want = ref.read(tag, c, addr);
+              ASSERT_EQ(sys->read(tag, c, addr), want)
+                  << "tag " << tag << " cycle " << c << " addr " << addr;
+            }
+          }
+        }
+      }
+    }
+    EXPECT_GT(ref.own_unseen_reads, 0);
+    EXPECT_GT(ref.same_cycle_ties, 0);
+  }
+}
+
+TEST(MemFunctional, LoaderKeepsTheNewestOfManyVersions) {
+  // A checkpoint may list several versions of one address (the v3 layout
+  // has a per-address count); every one was visible at the save cycle, so
+  // the newest is the value.
+  System saved(functional_config(), nullptr);
+  saved.add_domain(0, nullptr);
+  snap::Writer empty;
+  saved.save_state(empty);
+  // One domain (count, tile, seq, store and access counts), then the
+  // address count of the value store.
+  const std::size_t at = 5 * 8;
+  snap::Writer w;
+  w.bytes(empty.data().data(), at);
+  w.u64(1);   // one address
+  w.i64(40);  // addr
+  w.u64(3);   // three versions, oldest first
+  for (std::int64_t value : {5, 6, 7}) {
+    w.i64(value);
+    w.u64(static_cast<std::uint64_t>(value));  // vis
+    w.u64(0);                                  // tag
+    w.u64(static_cast<std::uint64_t>(value));  // seq
+  }
+  w.bytes(empty.data().data() + at + 8, empty.size() - at - 8);
+  System loaded(functional_config(), nullptr);
+  loaded.add_domain(0, nullptr);
+  snap::Reader r(w.data());
+  loaded.load_state(r);
+  snap::Writer again;
+  loaded.save_state(again);
+  EXPECT_EQ(again.size(), empty.size() + 8 + 8 + 4 * 8);
+  EXPECT_EQ(loaded.read(0, 8, 40), 7);
 }
 
 // --- MESI timing layer ---------------------------------------------------------
@@ -495,6 +650,115 @@ TEST(MemCosim, SnapshotRefusesMemoryWorldMismatch) {
   withmem.create("W0");
   EXPECT_THROW(snap::restore(withmem, bytes.data(), bytes.size()),
                snap::SnapError);
+}
+
+/// Three hardware nodes on the mem mesh that each dispatch every cycle
+/// (every tick re-arms itself, so the model is token-conserving). Each
+/// dispatch stores to two addresses of one line and reads two back. With
+/// `shared`, all three nodes use line 0, so every window holds several
+/// domains' stores to one address; without, each node owns a line that
+/// stays in its own cache, so the timing layer goes quiet after warm-up.
+/// Either way the set of addresses written stays fixed.
+std::unique_ptr<xtuml::Domain> make_spin_domain(bool shared) {
+  xtuml::DomainBuilder b("MemSpin");
+  for (int i = 0; i < 3; ++i) b.cls("W" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) {
+    const std::string line = std::to_string(shared ? 0 : 64 * (i + 1));
+    std::string action = "self.acc = (self.acc * 33 + ";
+    action += std::to_string(7 + i);
+    action += ") % 65537;\nmem.write(";
+    action += line;
+    action += ", self.acc);\nmem.write(";
+    action += line;
+    action += " + 8 + (self.acc % 4) * 8, self.acc);\n";
+    action += "self.seen = (self.seen * 31 + mem.read(";
+    action += line;
+    action += ")\n             + mem.read(";
+    action += line;
+    action +=
+        " + 8 + (self.acc / 4 % 4) * 8)) % 1000003;\n"
+        "generate tick() to self;";
+    b.edit("W" + std::to_string(i))
+        .attr("acc", DataType::kInt)
+        .attr("seen", DataType::kInt)
+        .event("tick")
+        .state("Spin", action)
+        .transition("Spin", "tick", "Spin");
+  }
+  return b.take();
+}
+
+/// The mem mesh with 4-cycle links, so the auto window opens above 1.
+marks::MarkSet spin_marks() {
+  marks::MarkSet m = mem_mesh_marks();
+  m.set_domain_mark(marks::kLinkLatency, ScalarValue(std::int64_t{4}));
+  return m;
+}
+
+void boot_spin(CoSimulation& cs) {
+  for (int i = 0; i < 3; ++i) {
+    cs.inject(cs.create("W" + std::to_string(i)), "tick");
+  }
+}
+
+/// snap::save bytes of the spin world every 12 cycles (a multiple of every
+/// window tested, so each save lands on a window boundary).
+std::vector<std::vector<std::uint8_t>> spin_checkpoints(int threads,
+                                                        int window) {
+  MappedFixture fx(make_spin_domain(true), spin_marks());
+  CoSimConfig cfg;
+  cfg.threads = threads;
+  cfg.window = window;
+  CoSimulation cs(*fx.system, cfg);
+  EXPECT_NE(cs.mem_system(), nullptr);
+  if (window == 0) {
+    EXPECT_GT(cs.window(), 1);
+  }
+  boot_spin(cs);
+  std::vector<std::vector<std::uint8_t>> saves;
+  for (int i = 0; i < 20; ++i) {
+    cs.run_cycles(12);
+    saves.push_back(snap::save(cs));
+  }
+  return saves;
+}
+
+TEST(MemCosim, CheckpointBytesIdenticalAcrossThreadsAndWindows) {
+  // A window holds several in-flight versions of address 0 while lockstep
+  // holds one, so only a value store that saves the same versions at the
+  // same cycle, whatever the window, keeps the checkpoint bytes equal.
+  const auto want = spin_checkpoints(1, 1);
+  for (int threads : {1, 2, 8}) {
+    for (int window : {1, 2, 0}) {
+      if (threads == 1 && window == 1) continue;
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " window=" + std::to_string(window));
+      const auto got = spin_checkpoints(threads, window);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_TRUE(got[i] == want[i])
+            << "checkpoint at cycle " << 12 * (i + 1) << " differs";
+      }
+    }
+  }
+}
+
+TEST(MemCosim, CheckpointSizeIsFlat) {
+  // The private spin model stores twice per node and cycle, forever, to
+  // fifteen addresses. With tracing off nothing else in the checkpoint
+  // grows with time, so its size at 10N cycles must match its size at N:
+  // the value store keeps one version per address, not one per store.
+  MappedFixture fx(make_spin_domain(false), spin_marks());
+  CoSimConfig cfg;
+  cfg.trace_enabled = false;
+  CoSimulation cs(*fx.system, cfg);
+  boot_spin(cs);
+  cs.run_cycles(400);
+  const double at_n = static_cast<double>(snap::save(cs).size());
+  cs.run_cycles(3600);
+  const double at_10n = static_cast<double>(snap::save(cs).size());
+  EXPECT_LE(at_10n, 1.1 * at_n) << "N: " << at_n << " bytes, 10N: " << at_10n;
+  EXPECT_GE(at_10n, 0.9 * at_n) << "N: " << at_n << " bytes, 10N: " << at_10n;
 }
 
 // --- the no-memory-marks world is unchanged ------------------------------------
