@@ -137,6 +137,12 @@ private:
 /// A tile's NIC on the mesh fabric. Destination classes resolve to tiles
 /// through the partition's mark-driven placement.
 ///
+/// The master moves the NIC's reassembled frames into the channel
+/// (drain_nic) for the tiles the fabric lists as ready, at the points the
+/// domains would otherwise ask: each lockstep cycle, each window boundary
+/// and each memory step. receive() and take_coherence() then hand out what
+/// is due, so a channel with nothing buffered costs nothing to skip.
+///
 /// Delivery timing: a reassembled frame leaves the NIC no earlier than
 /// `arrive_cycle + link_latency` — one NIC-egress link traversal after the
 /// tail flit lands. Besides modeling the egress port, this padding is what
@@ -162,10 +168,8 @@ public:
                         std::move(f.payload), current_cycle, extra_delay);
   }
 
+  /// Every signal frame drained from the NIC and due at or before `cycle`.
   std::vector<Frame> receive(std::uint64_t cycle) override {
-    drain_nic();
-    // Dues are heterogeneous (generate delays), so scan everything but keep
-    // the survivors' relative order — the same contract as Bus::pop_due.
     return take_due(pending_, cycle);
   }
 
@@ -174,9 +178,26 @@ public:
   /// enter the signal inbox — the mem::System consumes it on the serial
   /// spine instead.
   std::vector<Frame> take_coherence(std::uint64_t cycle) {
-    drain_nic();
     return take_due(coh_pending_, cycle);
   }
+
+  /// Drain everything the NIC has reassembled (stats were recorded at
+  /// arrival; popping is timing-neutral), stamp each frame's effective due
+  /// cycle, and demux by opcode: coherence frames go to the coherence
+  /// queue, everything else (signals) to the signal queue.
+  void drain_nic() {
+    for (noc::Delivery& d : fabric_->pop_due(tile_, kDrainAll)) {
+      std::uint64_t due = d.due_cycle;
+      if (d.arrive_cycle + egress_latency_ > due) {
+        due = d.arrive_cycle + egress_latency_;
+      }
+      auto& q = mem::wire::is_coherence(d.opcode) ? coh_pending_ : pending_;
+      q.push_back(Frame{d.opcode, std::move(d.payload), due});
+    }
+  }
+
+  bool has_signals() const { return !pending_.empty(); }
+  bool has_coherence() const { return !coh_pending_.empty(); }
 
   bool idle() const override {
     return pending_.empty() && coh_pending_.empty();
@@ -194,21 +215,6 @@ public:
 
 private:
   static constexpr std::uint64_t kDrainAll = ~std::uint64_t{0};
-
-  /// Drain everything the NIC has reassembled (stats were recorded at
-  /// arrival; popping is timing-neutral), stamp each frame's effective due
-  /// cycle, and demux by opcode: coherence frames go to coh_pending_,
-  /// everything else (signals) to pending_.
-  void drain_nic() {
-    for (noc::Delivery& d : fabric_->pop_due(tile_, kDrainAll)) {
-      std::uint64_t due = d.due_cycle;
-      if (d.arrive_cycle + egress_latency_ > due) {
-        due = d.arrive_cycle + egress_latency_;
-      }
-      auto& q = mem::wire::is_coherence(d.opcode) ? coh_pending_ : pending_;
-      q.push_back(Frame{d.opcode, std::move(d.payload), due});
-    }
-  }
 
   static std::vector<Frame> take_due(std::vector<Frame>& q,
                                      std::uint64_t cycle) {

@@ -96,6 +96,15 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     if (obs_ != nullptr) ecfg.obs_track = obs_->track("executor/sw");
     sw_ = std::make_unique<SwDomain>(sys, *sw_chan, scheduler_, ecfg);
     channels_.push_back(std::move(sw_chan));
+    channel_of_tile_.assign(static_cast<std::size_t>(fabric_->tiles()), -1);
+    for (auto& ch : channels_) {
+      auto* fc = static_cast<FabricChannel*>(ch.get());
+      channel_of_tile_[static_cast<std::size_t>(fc->tile())] =
+          static_cast<int>(fabric_channels_.size());
+      fabric_channels_.push_back(fc);
+    }
+    signals_held_.resize(channels_.size());
+    coherence_held_.resize(channels_.size());
 
     if (part.mem().enabled) {
       // The `dram.tile` mark switches the memory hierarchy on. Domain tags
@@ -150,8 +159,11 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     bus_->connect(hw_digest, sw_digest);
   }
 
+  quiet_.assign(hw_domains_.size(), 0);
   if (windowed_) {
-    for (auto& hw : hw_domains_) hw->set_windowed(true);
+    for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
+      hw_domains_[d]->set_windowed(&quiet_[d]);
+    }
     sw_->set_windowed(true);
     // Useful parallelism is bounded by phase A's fan-out: hardware domains
     // plus software. Spawning more workers than that only buys handshake
@@ -171,7 +183,14 @@ CoSimulation::~CoSimulation() = default;
 runtime::Executor& CoSimulation::executor_of(ClassId cls) {
   HwDomain* d =
       cls.value() < hw_domain_of_.size() ? hw_domain_of_[cls.value()] : nullptr;
-  return d != nullptr ? d->executor() : sw_->executor();
+  if (d == nullptr) return sw_->executor();
+  d->wake(cycle_);
+  return d->executor();
+}
+
+runtime::Executor& CoSimulation::hw_executor() {
+  hw_domains_.front()->wake(cycle_);
+  return hw_domains_.front()->executor();
 }
 
 const runtime::Executor& CoSimulation::executor_of(ClassId cls) const {
@@ -225,16 +244,60 @@ void CoSimulation::inject(const runtime::InstanceHandle& target,
   executor_of(target.cls).inject(target, event_name, std::move(args), delay);
 }
 
-void CoSimulation::mem_tick(std::uint64_t cycle) {
-  // All channels are FabricChannels here: mem_ only exists in fabric mode.
-  mem_delivered_.clear();
-  for (auto& ch : channels_) {
-    auto* fc = static_cast<FabricChannel*>(ch.get());
-    for (Frame& f : fc->take_coherence(cycle)) {
-      mem_delivered_.push_back({fc->tile(), f.opcode, std::move(f.payload)});
+void CoSimulation::collect_deliveries() {
+  for (int tile : fabric_->ready_tiles()) {
+    const int c = channel_of_tile_[static_cast<std::size_t>(tile)];
+    if (c < 0) continue;  // the DRAM tile: mem::System pops its own NIC
+    FabricChannel& fc = *fabric_channels_[static_cast<std::size_t>(c)];
+    fc.drain_nic();
+    if (fc.has_signals()) signals_held_.insert(static_cast<std::size_t>(c));
+    if (fc.has_coherence()) {
+      coherence_held_.insert(static_cast<std::size_t>(c));
     }
   }
+  fabric_->clear_ready_tiles();
+}
+
+void CoSimulation::mem_tick(std::uint64_t cycle) {
+  // mem_ only exists in fabric mode. Channels hand over their due frames
+  // in channel order, the tag order the timing replay consumes.
+  collect_deliveries();
+  mem_delivered_.clear();
+  coherence_held_.for_each([&](std::size_t c) {
+    FabricChannel& fc = *fabric_channels_[c];
+    for (Frame& f : fc.take_coherence(cycle)) {
+      mem_delivered_.push_back({fc.tile(), f.opcode, std::move(f.payload)});
+    }
+    if (!fc.has_coherence()) coherence_held_.erase(c);
+  });
   mem_->tick(cycle, mem_delivered_);
+}
+
+void CoSimulation::fill_inboxes(std::uint64_t end) {
+  auto fill = [&](std::size_t c) {
+    if (c == hw_domains_.size()) {
+      sw_->fill_inbox(end);
+      return;
+    }
+    HwDomain& hw = *hw_domains_[c];
+    hw.fill_inbox(end);
+    if (!hw.inbox_empty()) hw.wake(cycle_);
+  };
+  if (!fabric_) {
+    for (std::size_t c = 0; c <= hw_domains_.size(); ++c) fill(c);
+    return;
+  }
+  collect_deliveries();
+  signals_held_.for_each([&](std::size_t c) {
+    fill(c);
+    if (!fabric_channels_[c]->has_signals()) signals_held_.erase(c);
+  });
+}
+
+void CoSimulation::catch_up_quiet() {
+  for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
+    if (quiet_[d] != 0) hw_domains_[d]->catch_up(cycle_);
+  }
 }
 
 void CoSimulation::one_cycle() {
@@ -246,8 +309,11 @@ void CoSimulation::one_cycle() {
   // affected by what the cycle does.
   if (mem_) mem_->append_visible(cycle_);
   // Fabric first: flits advance one hop, frames completing reassembly this
-  // cycle become visible to the NICs the domains poll below.
-  if (fabric_) fabric_->tick(cycle_);
+  // cycle move into the channels the domains read below.
+  if (fabric_) {
+    fabric_->tick(cycle_);
+    collect_deliveries();
+  }
   // Hardware next: each clocked HwDomain process fires on the rising edge.
   // Domains defer their outbound frames while the edge evaluates, then the
   // frames enter the interconnect here in domain order.
@@ -290,8 +356,7 @@ void CoSimulation::run_window(std::uint64_t w) {
   // boundary.
   {
     OBS_SPAN(obs_, obs_track_, "fill_inbox");
-    for (auto& hw : hw_domains_) hw->fill_inbox(end);
-    sw_->fill_inbox(end);
+    fill_inboxes(end);
   }
   // Same completeness argument for the store log: a store issued inside
   // this window (cycle > base) becomes visible at cycle + L >= base + L >=
@@ -300,12 +365,18 @@ void CoSimulation::run_window(std::uint64_t w) {
   if (mem_) mem_->append_visible(end);
   phase_seconds_.boundary += lap();
 
-  // Phase A: run each domain w cycles ahead, concurrently. A job touches
-  // only domain-local state — executor, inbox, outbox, staged kernel
-  // writes — never the kernel, the interconnect, or another domain. The
-  // pool's run() provides the happens-before edges on both sides.
+  // Phase A: run each awake domain w cycles ahead, concurrently. A job
+  // touches only domain-local state — executor, inbox, outbox, staged
+  // kernel writes, its own quiet flag — never the kernel, the
+  // interconnect, or another domain. The pool's run() provides the
+  // happens-before edges on both sides.
   obs::ScopedSpan phase_a_span(obs_, obs_track_, "phaseA", base + 1);
-  const std::size_t jobs = hw_domains_.size() + 1;
+  jobs_.clear();
+  for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
+    if (quiet_[d] == 0) jobs_.push_back(d);
+  }
+  jobs_.push_back(hw_domains_.size());
+  const std::size_t jobs = jobs_.size();
   auto run_domain = [&](std::size_t i) {
     if (i < hw_domains_.size()) {
       hw_domains_[i]->run_window(w);
@@ -323,9 +394,9 @@ void CoSimulation::run_window(std::uint64_t w) {
         std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
         if (i >= jobs) break;
         try {
-          run_domain(i);
+          run_domain(jobs_[i]);
         } catch (...) {
-          phase_a_errors_[i] = std::current_exception();
+          phase_a_errors_[jobs_[i]] = std::current_exception();
         }
       }
     });
@@ -338,17 +409,16 @@ void CoSimulation::run_window(std::uint64_t w) {
     }
     if (first) std::rethrow_exception(first);
   } else {
-    for (std::size_t i = 0; i < jobs; ++i) run_domain(i);
+    for (std::size_t d : jobs_) run_domain(d);
   }
   phase_a_span.finish();
   phase_seconds_.phase_a += lap();
   OBS_SPAN_AT(obs_, obs_track_, "phaseB", base + 1);
 
-  // Phase B: the kernel replays the w edges serially. Around each edge the
-  // master performs the lockstep interleaving: fabric tick before, outbox
-  // flushes (domain order, then software), memory timing and the cycle hook
-  // after.
-  for (auto& hw : hw_domains_) hw->begin_replay();
+  // Phase B: the kernel replays the w edges serially (each domain that ran
+  // armed its replay). Around each edge the master performs the lockstep
+  // interleaving: fabric tick before, outbox flushes (domain order, then
+  // software), memory timing and the cycle hook after.
 
   // Batch the boundary exchanges: instead of asking every domain at every
   // edge whether it has frames to send (O(domains) scans per cycle, and
@@ -357,13 +427,17 @@ void CoSimulation::run_window(std::uint64_t w) {
   // ties in ascending tag order = hardware domains in order, software
   // last — exactly the serial flush order, so the interconnect sees the
   // identical injection sequence.
+  // Only the domains that ran can have staged a send.
   flush_sched_.clear();
-  for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
-    hw_domains_[d]->pending_send_cycles(static_cast<std::uint32_t>(d),
-                                        flush_sched_);
-  }
   const std::uint32_t sw_tag = static_cast<std::uint32_t>(hw_domains_.size());
-  sw_->pending_send_cycles(sw_tag, flush_sched_);
+  for (std::size_t d : jobs_) {
+    const auto tag = static_cast<std::uint32_t>(d);
+    if (tag == sw_tag) {
+      sw_->pending_send_cycles(sw_tag, flush_sched_);
+    } else {
+      hw_domains_[d]->pending_send_cycles(tag, flush_sched_);
+    }
+  }
   std::sort(flush_sched_.begin(), flush_sched_.end());
   std::size_t flush_pos = 0;
 
@@ -390,8 +464,8 @@ void CoSimulation::run_window(std::uint64_t w) {
 }
 
 bool CoSimulation::quiescent() const {
-  for (const auto& hw : hw_domains_) {
-    if (!hw->drained()) return false;
+  for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
+    if (quiet_[d] == 0 && !hw_domains_[d]->drained()) return false;
   }
   if (!sw_->drained()) return false;
   for (const auto& ch : channels_) {
@@ -410,6 +484,7 @@ std::uint64_t CoSimulation::run(std::uint64_t max_cycles) {
       run_window(w);
       n += w;
     }
+    catch_up_quiet();
     return n;
   }
   while (n < max_cycles && !quiescent()) {
@@ -428,6 +503,7 @@ void CoSimulation::run_cycles(std::uint64_t cycles) {
       run_window(w);
       done += w;
     }
+    catch_up_quiet();
     return;
   }
   for (std::uint64_t i = 0; i < cycles; ++i) one_cycle();
@@ -472,12 +548,19 @@ void CoSimulation::load_state(snap::Reader& r) {
     throw snap::SnapError("co-simulation snapshot channel count mismatch");
   }
   for (auto& ch : channels_) ch->load_state(r);
+  signals_held_.clear();
+  coherence_held_.clear();
+  for (std::size_t c = 0; c < fabric_channels_.size(); ++c) {
+    if (fabric_channels_[c]->has_signals()) signals_held_.insert(c);
+    if (fabric_channels_[c]->has_coherence()) coherence_held_.insert(c);
+  }
   if (r.u64() != hw_domains_.size()) {
     throw snap::SnapError(
         "co-simulation snapshot domain count mismatch (same partition "
         "required)");
   }
   for (auto& hw : hw_domains_) hw->load_state(r);
+  std::fill(quiet_.begin(), quiet_.end(), 0);  // every domain starts awake
   sw_->load_state(r);
   scheduler_.load_state(r);
   cycle_ = r.u64();

@@ -45,6 +45,13 @@
 //                      wire writes that change a value; the rest would
 //                      commit nothing, so the replay stays byte-identical.
 //
+// Activity, not platform size, sets the per-cycle cost. A hardware domain
+// that ends a window quiet (see hwdomain.hpp) gets no phase-A job, replays
+// nothing and is not asked to flush until a frame, an external create or
+// inject wakes it; the kernel still fires (and counts) its clocked process
+// each edge. The fabric lists the tiles where frames completed, so the
+// boundary and the memory step poll only channels that hold frames.
+//
 // One pool handshake per window is the entire performance story; replaying
 // the edges in lockstep order is the entire determinism story: traces, VCD,
 // SimStats, Bus/FabricStats are byte-identical to the serial master at
@@ -63,6 +70,7 @@
 #include <utility>
 #include <vector>
 
+#include "xtsoc/common/index_set.hpp"
 #include "xtsoc/cosim/bus.hpp"
 #include "xtsoc/cosim/channel.hpp"
 #include "xtsoc/cosim/hwdomain.hpp"
@@ -186,7 +194,9 @@ public:
   void set_cycle_hook(std::function<void(std::uint64_t)> hook) {
     cycle_hook_ = std::move(hook);
   }
-  runtime::Executor& hw_executor() { return hw_domains_.front()->executor(); }
+  /// The non-const executor accessors wake the domain they return (see
+  /// hwdomain.hpp): whatever the caller does to it runs from the next cycle.
+  runtime::Executor& hw_executor();
   runtime::Executor& sw_executor() { return sw_->executor(); }
   const runtime::Executor& hw_executor() const {
     return hw_domains_.front()->executor();
@@ -245,6 +255,16 @@ private:
   /// Serial-spine memory step for `cycle`: collect the coherence frames the
   /// NICs reassembled (channel/tag order) and advance the hierarchy.
   void mem_tick(std::uint64_t cycle);
+  /// Fabric mode: drain the NICs of the tiles where frames completed into
+  /// their channels and note which channels now hold signal or coherence
+  /// frames. Called where a domain or the memory step would read them.
+  void collect_deliveries();
+  /// Window boundary: move the frames due through `end` into the inboxes
+  /// of the domains whose channels hold any, waking quiet ones that get a
+  /// frame.
+  void fill_inboxes(std::uint64_t end);
+  /// End of a run call: bring every quiet domain's clock up to the master's.
+  void catch_up_quiet();
 
   const mapping::MappedSystem* sys_;
   CoSimConfig config_;
@@ -260,6 +280,21 @@ private:
   std::unique_ptr<mem::System> mem_;
   /// ClassId -> owning hardware domain, nullptr for software classes.
   std::vector<HwDomain*> hw_domain_of_;
+  /// Per hardware domain: 1 while it is quiet (written by the domain at the
+  /// end of its window, cleared by the master to wake it). Always 0 in the
+  /// lockstep loop.
+  std::vector<std::uint8_t> quiet_;
+  /// The domains given a phase-A job this window, ascending; the software
+  /// domain is the last, as index hw_domains_.size(). Reused scratch.
+  std::vector<std::size_t> jobs_;
+  /// Fabric mode: the channels, in channels_ order, and tile -> channel
+  /// index (-1 where no domain sits, e.g. the DRAM tile).
+  std::vector<FabricChannel*> fabric_channels_;
+  std::vector<int> channel_of_tile_;
+  /// Fabric mode: channels holding signal / coherence frames, by index
+  /// (ascending = the serial domain order: hardware tiles, then software).
+  IndexSet signals_held_;
+  IndexSet coherence_held_;
   std::function<void(std::uint64_t)> cycle_hook_;
   std::uint64_t cycle_ = 0;
   int lookahead_ = 1;

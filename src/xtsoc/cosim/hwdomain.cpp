@@ -48,9 +48,16 @@ HwDomain::HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
   sim.on_posedge(clk, [this](hwsim::Simulator&) { on_clock(); });
 }
 
-void HwDomain::set_windowed(bool on) {
-  windowed_ = on;
+void HwDomain::set_windowed(std::uint8_t* quiet) {
+  windowed_ = true;
+  quiet_ = quiet;
   seed_staged();
+}
+
+void HwDomain::catch_up(std::uint64_t cycle) {
+  if (cycle <= cycle_) return;
+  exec_.advance_time(cycle - cycle_);
+  cycle_ = cycle;
 }
 
 void HwDomain::seed_staged() {
@@ -86,6 +93,8 @@ void HwDomain::on_clock() {
     // through the real nba_write path, in staging order, makes the kernel
     // produce exactly the deltas, commits and waveform bytes that lockstep
     // execution would have (the writes lockstep adds change nothing).
+    // A domain that skipped the window has nothing armed.
+    if (replay_edge_ == replay_end_) return;
     const std::vector<KernelWrite>& writes = edge_writes_[replay_edge_++];
     for (const KernelWrite& kw : writes) sim_->nba_write(kw.w, kw.value);
     return;
@@ -188,6 +197,15 @@ void HwDomain::run_window(std::uint64_t n) {
     edge_writes_[k].clear();
     step_cycle();
   }
+  replay_edge_ = 0;
+  replay_end_ = n;
+  // Quiet: the next cycle would dispatch nothing and stage no write (alive
+  // changes only by a dispatch or an external create, which wakes us).
+  bool quiet = inbox_.empty() && exec_.drained();
+  for (std::size_t i = 0; quiet && i < owned_.size(); ++i) {
+    quiet = last_staged_[2 * i + 1] == 0;
+  }
+  *quiet_ = quiet ? 1 : 0;
 }
 
 void HwDomain::save_state(snap::Writer& w) const {
@@ -207,6 +225,7 @@ void HwDomain::load_state(snap::Reader& r) {
   edge_writes_.clear();
   window_edge_ = 0;
   replay_edge_ = 0;
+  replay_end_ = 0;
   seed_staged();
 }
 

@@ -36,6 +36,17 @@
 //     merely REPLAYS the staged writes edge by edge (serially, in phase B),
 //     so SimStats, VCD and wire history stay byte-identical to lockstep.
 //
+// A windowed domain that ends a window quiet — empty inbox, drained
+// executor (no queue, no timer), every busy wire already staged 0 — would
+// spend the next window staging nothing and sending nothing: each of its
+// cycles only advances its clock. So the master gives it no phase-A job
+// until something wakes it, and its clocked process replays nothing. Its
+// cycle counter and executor time lag meanwhile; catch_up() restores them
+// exactly (advance_time over a drained executor releases nothing), and
+// the master calls it before anything can observe the lag: when a frame
+// lands in the inbox, before an external create or inject, and at the end
+// of every run call.
+//
 // This is the executable twin of the VHDL text emitted by
 // codegen::generate_vhdl — same partition, same interface, same queueing.
 #pragma once
@@ -85,8 +96,24 @@ public:
   // --- windowed execution (CoSimulation only) --------------------------------
 
   /// Switch the clocked process to replay mode: per-cycle work happens in
-  /// run_window(); on_clock only replays staged kernel writes. Serial.
-  void set_windowed(bool on);
+  /// run_window(); on_clock only replays staged kernel writes. At the end
+  /// of each window the domain stores whether it is quiet (see above) in
+  /// `*quiet`, a flag the master owns and clears to wake it. Serial.
+  void set_windowed(std::uint8_t* quiet);
+
+  /// Bring a lagging quiet domain's cycle and executor time up to the
+  /// master's `cycle` (serial; a no-op for a domain that is not behind).
+  void catch_up(std::uint64_t cycle);
+
+  /// Clear the quiet flag and catch up to `cycle`: the domain runs again
+  /// from the next window on. Serial.
+  void wake(std::uint64_t cycle) {
+    if (quiet_ == nullptr || *quiet_ == 0) return;
+    *quiet_ = 0;
+    catch_up(cycle);
+  }
+
+  bool inbox_empty() const { return inbox_.empty(); }
 
   /// Window boundary, serial: move every channel frame deliverable at or
   /// before `through_cycle` (the window's last cycle) into the inbox.
@@ -96,13 +123,10 @@ public:
 
   /// Run `n` consecutive cycles of this domain's per-cycle body against the
   /// inbox (worker thread; touches only domain-local state). Kernel wire
-  /// writes are staged per edge for the boundary replay; outbound frames
-  /// are staged cycle-stamped in the outbox.
+  /// writes are staged per edge for the boundary replay, which the next
+  /// `n` on_clock firings perform; outbound frames are staged
+  /// cycle-stamped in the outbox. Ends by storing the quiet flag.
   void run_window(std::uint64_t n);
-
-  /// Arm the phase-B replay: the next `n` on_clock firings replay the
-  /// staged writes of edges 0..n-1 in order.
-  void begin_replay() { replay_edge_ = 0; }
 
   /// Send the outbox prefix staged at cycles <= `cycle` (monotone calls,
   /// in domain order). Clears the outbox when the last staged frame has
@@ -186,7 +210,12 @@ private:
   /// owned_[i]. Equal to the kernel's value once earlier edges replayed.
   std::vector<std::uint64_t> last_staged_;
   std::size_t window_edge_ = 0;  ///< edge being executed by run_window
-  std::size_t replay_edge_ = 0;  ///< edge being replayed by on_clock
+  /// Replay cursor: on_clock replays edge replay_edge_ while it is below
+  /// replay_end_. run_window arms it; a domain skipped for a window stays
+  /// at the end of its last replay, so it replays nothing.
+  std::size_t replay_edge_ = 0;
+  std::size_t replay_end_ = 0;
+  std::uint8_t* quiet_ = nullptr;  ///< the master's flag for this domain
 };
 
 }  // namespace xtsoc::cosim

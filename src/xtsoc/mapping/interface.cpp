@@ -157,18 +157,26 @@ InterfaceSpec synthesize_interface(const oal::CompiledDomain& compiled,
 
 namespace {
 
+// The payload is a little-endian bit stream: bit k of the stream is bit
+// k % 8 of byte k / 8. A field is moved whole, one byte per step: the
+// first step covers the bits from the field's offset to the end of its
+// first byte, every later step a whole byte.
+
 class BitWriter {
 public:
   explicit BitWriter(int total_bits)
       : bytes_(static_cast<std::size_t>((total_bits + 7) / 8), 0) {}
 
   void put(int offset, int width, std::uint64_t value) {
-    for (int i = 0; i < width; ++i) {
-      if ((value >> i) & 1u) {
-        int bit = offset + i;
-        bytes_[static_cast<std::size_t>(bit / 8)] |=
-            static_cast<std::uint8_t>(1u << (bit % 8));
-      }
+    if (width <= 0) return;
+    if (width < 64) value &= (std::uint64_t{1} << width) - 1;
+    std::size_t b = static_cast<std::size_t>(offset) / 8;
+    const int shift = offset % 8;
+    bytes_[b] |= static_cast<std::uint8_t>(value << shift);
+    value >>= 8 - shift;
+    for (int done = 8 - shift; done < width; done += 8) {
+      bytes_[++b] |= static_cast<std::uint8_t>(value);
+      value >>= 8;
     }
   }
 
@@ -183,14 +191,14 @@ public:
   explicit BitReader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
 
   std::uint64_t get(int offset, int width) const {
-    std::uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      int bit = offset + i;
-      if (bytes_[static_cast<std::size_t>(bit / 8)] & (1u << (bit % 8))) {
-        v |= (1ULL << i);
-      }
+    if (width <= 0) return 0;
+    std::size_t b = static_cast<std::size_t>(offset) / 8;
+    const int shift = offset % 8;
+    std::uint64_t v = bytes_[b] >> shift;
+    for (int got = 8 - shift; got < width; got += 8) {
+      v |= static_cast<std::uint64_t>(bytes_[++b]) << got;
     }
-    return v;
+    return width < 64 ? v & ((std::uint64_t{1} << width) - 1) : v;
   }
 
 private:

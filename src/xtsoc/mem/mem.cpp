@@ -441,22 +441,28 @@ void System::tick(std::uint64_t cycle, const std::vector<Incoming>& delivered) {
   }
   // 3. Consume access records stamped at or before `cycle`, merged across
   // domains in (stamp, tag, issue order) — the same serial order at any
-  // threads x window setting.
-  for (;;) {
-    std::uint64_t best = 0;
-    int best_tag = -1;
-    for (int t = 0; t < static_cast<int>(domains_.size()); ++t) {
-      auto& q = domains_[static_cast<std::size_t>(t)].accesses;
-      if (q.empty() || q.front().cycle > cycle) continue;
-      if (best_tag < 0 || q.front().cycle < best) {
-        best = q.front().cycle;
-        best_tag = t;
+  // threads x window setting. One pass finds the domains with a due record
+  // (ascending tags); the merge then looks only at those, the earliest
+  // stamp winning and ties going to the lowest tag.
+  due_tags_.clear();
+  for (std::size_t t = 0; t < domains_.size(); ++t) {
+    const auto& q = domains_[t].accesses;
+    if (!q.empty() && q.front().cycle <= cycle) due_tags_.push_back(t);
+  }
+  while (!due_tags_.empty()) {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < due_tags_.size(); ++i) {
+      if (domains_[due_tags_[i]].accesses.front().cycle <
+          domains_[due_tags_[best]].accesses.front().cycle) {
+        best = i;
       }
     }
-    if (best_tag < 0) break;
-    Domain& d = domains_[static_cast<std::size_t>(best_tag)];
+    Domain& d = domains_[due_tags_[best]];
     AccessRec rec = d.accesses.front();
     d.accesses.pop_front();
+    if (d.accesses.empty() || d.accesses.front().cycle > cycle) {
+      due_tags_.erase(due_tags_.begin() + static_cast<std::ptrdiff_t>(best));
+    }
     if (rec.is_write != 0) {
       ++stats_.stores;
     } else {

@@ -301,6 +301,7 @@ private:
   int line_shift_ = 6;
 
   std::vector<Domain> domains_;              // by tag
+  std::vector<std::size_t> due_tags_;        // tick() scratch
   std::vector<std::unique_ptr<Port>> ports_; // by tag
   /// append_visible's (tag, store) batch. Reused scratch.
   std::vector<std::pair<int, StoreRec>> visible_batch_;

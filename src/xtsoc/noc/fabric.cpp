@@ -99,6 +99,10 @@ Fabric::Fabric(FabricConfig config) : config_(config), obs_(config.obs) {
   // layout is the same either way (a faulty snapshot restores into a
   // fault-free fabric and vice versa); only fault_armed_ paths read it.
   link_down_until_.assign(links_.size(), 0);
+  in_flight_ = FixedRing<Arrival>(
+      links_.size() * static_cast<std::size_t>(config_.link_latency));
+  busy_routers_.resize(static_cast<std::size_t>(n));
+  sending_nics_.resize(static_cast<std::size_t>(n));
 }
 
 int Fabric::hop_distance(int a, int b) const { return topo_->min_hops(a, b); }
@@ -220,6 +224,7 @@ void Fabric::enqueue_attempt(int src, int dst, const PendingTx& tx,
     }
     nic.tx.push_back(std::move(f));
   }
+  sending_nics_.insert(static_cast<std::size_t>(src));
 }
 
 void Fabric::complete_frame(int tile, int src_tile, std::uint32_t frame_id,
@@ -264,6 +269,15 @@ void Fabric::complete_frame(int tile, int src_tile, std::uint32_t frame_id,
     obs_->record_instant(obs_track_, "deliver", obs_->now_ns(), cycle);
   }
   nic.ready.push_back(std::move(d));
+  if (!nic.listed) {
+    nic.listed = true;
+    ready_tiles_.push_back(tile);
+  }
+}
+
+void Fabric::clear_ready_tiles() {
+  for (int t : ready_tiles_) nics_[static_cast<std::size_t>(t)].listed = false;
+  ready_tiles_.clear();
 }
 
 void Fabric::eject(int tile, Flit flit, std::uint64_t cycle) {
@@ -405,25 +419,27 @@ void Fabric::tick(std::uint64_t cycle) {
 
   // 1. Link arrivals land in their reserved input-FIFO slots.
   while (!in_flight_.empty() && in_flight_.front().cycle <= cycle) {
-    Arrival a = std::move(in_flight_.front());
-    in_flight_.pop_front();
-    routers_[static_cast<std::size_t>(a.router)].input(a.port).push_back(
-        std::move(a.flit));
+    Arrival& a = in_flight_.front();
+    routers_[static_cast<std::size_t>(a.router)].accept(a.port,
+                                                        std::move(a.flit));
+    busy_routers_.insert(static_cast<std::size_t>(a.router));
+    in_flight_.pop();
   }
 
   // 2. NIC injection: one flit per cycle onto the local port, credit
   //    permitting (this serialization is the injection bottleneck that
   //    makes hot tiles measurable).
-  for (int t = 0; t < tiles(); ++t) {
-    Nic& nic = nics_[static_cast<std::size_t>(t)];
-    if (nic.tx.empty() || nic.inject_credits <= 0) continue;
-    routers_[static_cast<std::size_t>(t)].input(kLocal).push_back(
-        std::move(nic.tx.front()));
+  sending_nics_.for_each([this](std::size_t t) {
+    Nic& nic = nics_[t];
+    if (nic.inject_credits <= 0) return;
+    routers_[t].accept(kLocal, std::move(nic.tx.front()));
+    busy_routers_.insert(t);
     nic.tx.pop_front();
+    if (nic.tx.empty()) sending_nics_.erase(t);
     --nic.inject_credits;
     ++flits_injected_;
     OBS_COUNT(c_flits_injected_);
-  }
+  });
 
   // 3. Route and arbitrate. Decisions read only cycle-start state (own
   //    FIFOs and credit counters); freed buffer slots are returned as
@@ -431,27 +447,27 @@ void Fabric::tick(std::uint64_t cycle) {
   //    visited in cannot change the outcome.
   std::vector<CreditReturn>& returns = credit_returns_;
   returns.clear();
-  for (int t = 0; t < tiles(); ++t) {
-    Router& r = routers_[static_cast<std::size_t>(t)];
-    // Idle-router fast path. On a big mesh most routers hold no flits on
-    // most cycles, yet arbitration scanned all five output ports of every
-    // router every cycle — the dominant cost of the serial phase-B spine.
-    // With every input FIFO empty, arbitrate() can only return -1, no
-    // stall is possible, and note_occupancy() is a no-op (occupancy 0
-    // never raises a high-water mark), so skipping is behavior-identical.
-    // A router's FIFOs are mutated only by its own iteration of this loop
-    // (arrivals land in step 1, credits return in step 4), so noting the
-    // occupancy here, before our own pops, reads the same cycle-start
-    // state the former pre-pass saw.
-    if (r.buffers_empty()) continue;
+  //    Only routers holding flits are visited, in tile order: with every
+  //    input FIFO empty, arbitrate() can only return -1, no stall is
+  //    possible, and note_occupancy() is a no-op (occupancy 0 never raises
+  //    a high-water mark). A router's FIFOs are mutated only by its own
+  //    visit (arrivals land in step 1, credits return in step 4), so noting
+  //    the occupancy here, before its own pops, reads cycle-start state.
+  busy_routers_.for_each([&](std::size_t ti) {
+    const int t = static_cast<int>(ti);
+    Router& r = routers_[ti];
     r.note_occupancy();
+    // Only an output some head requests at the start of the visit can find
+    // a winner: an input whose head moves on is served for the cycle, so
+    // the flit behind it cannot compete.
+    const unsigned requested = r.requested_outputs();
     unsigned served = 0;  // inputs that already forwarded a flit this cycle
     for (Port out : {kLocal, kNorth, kEast, kSouth, kWest}) {
+      if ((requested & (1u << out)) == 0) continue;
       const int winner = r.arbitrate(out, served);
       if (winner < 0) continue;
       if (out == kLocal) {
-        Flit f = std::move(r.input(static_cast<Port>(winner)).front());
-        r.input(static_cast<Port>(winner)).pop_front();
+        Flit f = r.take(static_cast<Port>(winner));
         r.advance_rr(out, winner);
         served |= 1u << winner;
         ++r.stats().flits_ejected;
@@ -477,8 +493,7 @@ void Fabric::tick(std::uint64_t cycle) {
           // books stay balanced. Any reassembly of this attempt at the
           // destination is purged; stragglers become counted orphans and
           // the source's retry deadline takes it from here.
-          Flit f = std::move(r.input(static_cast<Port>(winner)).front());
-          r.input(static_cast<Port>(winner)).pop_front();
+          Flit f = r.take(static_cast<Port>(winner));
           r.advance_rr(out, winner);
           served |= 1u << winner;
           returns.push_back({t, static_cast<Port>(winner)});
@@ -498,8 +513,7 @@ void Fabric::tick(std::uint64_t cycle) {
       }
       // Dimension-order routing on validated destinations never picks a
       // port without a link (the topology returned it as productive).
-      Flit f = std::move(r.input(static_cast<Port>(winner)).front());
-      r.input(static_cast<Port>(winner)).pop_front();
+      Flit f = r.take(static_cast<Port>(winner));
       r.frame_forwarded(f);  // retires the adaptive pin on the tail
       r.take_credit(out);
       r.advance_rr(out, winner);
@@ -518,11 +532,15 @@ void Fabric::tick(std::uint64_t cycle) {
         f.tainted = true;
         ++fstats_.flits_corrupted;
       }
-      in_flight_.push_back(
+      if (in_flight_.full()) {
+        throw FabricError("more flits on the links than they can carry");
+      }
+      in_flight_.push(
           Arrival{cycle + static_cast<std::uint64_t>(config_.link_latency),
                   next, opposite(out), std::move(f)});
     }
-  }
+    if (r.buffers_empty()) busy_routers_.erase(ti);
+  });
 
   // 4. Freed slots become credits: at the upstream router for mesh ports,
   //    at the NIC for the local injection port.
@@ -567,12 +585,11 @@ std::vector<Delivery> Fabric::pop_due(int tile, std::uint64_t cycle) {
 }
 
 bool Fabric::idle() const {
-  if (!in_flight_.empty()) return false;
-  for (const Router& r : routers_) {
-    if (!r.buffers_empty()) return false;
+  if (!in_flight_.empty() || !busy_routers_.empty() || !sending_nics_.empty()) {
+    return false;
   }
   for (const Nic& n : nics_) {
-    if (!n.tx.empty() || !n.ready.empty() || !n.partial.empty()) return false;
+    if (!n.ready.empty() || !n.partial.empty()) return false;
   }
   if (fault_armed_) {
     // Unacked frames and in-flight acks keep the fabric awake: either an
@@ -786,7 +803,8 @@ void Fabric::save_state(snap::Writer& w) const {
     w.u32(n.next_frame_id);
   }
   w.u64(in_flight_.size());
-  for (const Arrival& a : in_flight_) {
+  for (std::size_t i = 0; i < in_flight_.size(); ++i) {
+    const Arrival& a = in_flight_.at(i);
     w.u64(a.cycle);
     w.u32(static_cast<std::uint32_t>(a.router));
     w.u8(static_cast<std::uint8_t>(a.port));
@@ -848,7 +866,14 @@ void Fabric::load_state(snap::Reader& r) {
     for (std::size_t i = r.count(kFlitBytes); i > 0; --i) {
       n.tx.push_back(load_flit(r));
     }
-    n.inject_credits = static_cast<int>(r.u32());
+    const std::uint32_t credits = r.u32();
+    if (credits > static_cast<std::uint32_t>(config_.fifo_depth)) {
+      throw snap::SnapError(
+          "NIC snapshot holds " + std::to_string(credits) +
+          " inject credits, outside [0, fifo_depth " +
+          std::to_string(config_.fifo_depth) + "]");
+    }
+    n.inject_credits = static_cast<int>(credits);
     n.partial.clear();
     for (std::size_t i = r.count(kPartialBytes); i > 0; --i) {
       const int src = static_cast<int>(r.u32());
@@ -895,14 +920,40 @@ void Fabric::load_state(snap::Reader& r) {
     }
     n.next_frame_id = r.u32();
   }
+  ready_tiles_.clear();
+  for (int t = 0; t < tiles(); ++t) {
+    Nic& n = nics_[static_cast<std::size_t>(t)];
+    n.listed = !n.ready.empty();
+    if (n.listed) ready_tiles_.push_back(t);
+  }
   in_flight_.clear();
-  for (std::size_t i = r.count(8 + 4 + 1 + kFlitBytes); i > 0; --i) {
+  const std::size_t on_links = r.count(8 + 4 + 1 + kFlitBytes);
+  if (on_links > in_flight_.capacity()) {
+    throw snap::SnapError("fabric snapshot holds " + std::to_string(on_links) +
+                          " flits on the links, more than its " +
+                          std::to_string(links_.size()) + " links carry in " +
+                          std::to_string(config_.link_latency) + " cycles");
+  }
+  for (std::size_t i = 0; i < on_links; ++i) {
     Arrival a;
     a.cycle = r.u64();
     a.router = static_cast<int>(r.u32());
     a.port = static_cast<Port>(r.u8());
+    if (a.router < 0 || a.router >= tiles() || a.port <= kLocal ||
+        a.port >= kPortCount || neighbor_of(a.router, a.port) < 0) {
+      throw snap::SnapError("fabric snapshot holds a flit on a link into "
+                            "router " + std::to_string(a.router) + " port " +
+                            std::to_string(static_cast<int>(a.port)) +
+                            ", which has no such link");
+    }
     a.flit = load_flit(r);
-    in_flight_.push_back(std::move(a));
+    in_flight_.push(std::move(a));
+  }
+  busy_routers_.clear();
+  sending_nics_.clear();
+  for (std::size_t t = 0; t < routers_.size(); ++t) {
+    if (!routers_[t].buffers_empty()) busy_routers_.insert(t);
+    if (!nics_[t].tx.empty()) sending_nics_.insert(t);
   }
   if (r.u64() != links_.size()) {
     throw snap::SnapError("fabric snapshot link count mismatch");

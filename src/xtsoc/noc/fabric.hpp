@@ -29,6 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "xtsoc/common/index_set.hpp"
+#include "xtsoc/noc/ring.hpp"
 #include "xtsoc/noc/router.hpp"
 #include "xtsoc/noc/topology.hpp"
 #include "xtsoc/obs/registry.hpp"
@@ -166,6 +168,12 @@ public:
   /// `cycle`, in arrival order.
   std::vector<Delivery> pop_due(int tile, std::uint64_t cycle);
 
+  /// Tiles where a frame completed since the last clear_ready_tiles(), each
+  /// listed once, in completion order. A consumer that pops these NICs
+  /// polls only the tiles that have deliveries instead of every tile.
+  const std::vector<int>& ready_tiles() const { return ready_tiles_; }
+  void clear_ready_tiles();
+
   /// True when nothing is buffered, in flight, or awaiting delivery.
   bool idle() const;
 
@@ -214,6 +222,7 @@ private:
     /// In-progress reassemblies, keyed by (source tile, attempt seq).
     std::map<std::pair<int, std::uint32_t>, Reassembly> partial;
     std::vector<Delivery> ready;  ///< completed frames awaiting pop_due
+    bool listed = false;          ///< in ready_tiles_
     std::uint32_t next_seq = 0;
     // --- resilient-transport state (used only when fault_armed_) ---------
     std::map<std::uint32_t, PendingTx> pending;  ///< frame_id -> unacked frame
@@ -245,9 +254,9 @@ private:
 
   /// A flit in flight on a link, due to enter `router`'s `port` FIFO.
   struct Arrival {
-    std::uint64_t cycle;
-    int router;
-    Port port;
+    std::uint64_t cycle = 0;
+    int router = 0;
+    Port port = kLocal;
     Flit flit;
   };
 
@@ -281,11 +290,22 @@ private:
   std::unique_ptr<Topology> topo_;
   std::vector<Router> routers_;
   std::vector<Nic> nics_;
-  std::deque<Arrival> in_flight_;
+  /// Flits on the links, in send order (= due order: every link has the
+  /// same latency). A link carries at most one flit per cycle for
+  /// link_latency cycles, which bounds the ring at links * link_latency.
+  FixedRing<Arrival> in_flight_;
   /// Directed links, plus (tile, dir) -> index into links_.
   std::vector<LinkStats> links_;
   std::vector<int> link_index_;  ///< [tile * kPortCount + dir], -1 if edge
   std::vector<CreditReturn> credit_returns_;  ///< tick() scratch, reused
+  /// Routers holding flits and NICs holding flits to inject: tick() visits
+  /// these, in tile order, instead of every tile (derived state: load_state
+  /// rebuilds both).
+  IndexSet busy_routers_;
+  IndexSet sending_nics_;
+  /// Tiles that completed a frame since clear_ready_tiles() (derived state:
+  /// load_state lists every tile holding deliveries).
+  std::vector<int> ready_tiles_;
 
   // Fault state. fault_armed_ is the one test the hot path pays when no
   // NoC fault rate is configured.

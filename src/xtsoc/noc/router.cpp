@@ -1,9 +1,11 @@
 #include "xtsoc/noc/router.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "xtsoc/noc/fabric.hpp"
 #include "xtsoc/noc/topology.hpp"
 #include "xtsoc/snap/io.hpp"
 
@@ -86,38 +88,54 @@ Port Router::route(const Flit& f) const {
   return topo_->route(policy_, tile_, dst, f.route_mode);
 }
 
-bool Router::buffers_empty() const {
-  for (const auto& q : in_) {
-    if (!q.empty()) return false;
+void Router::accept(Port p, Flit f) {
+  FlitFifo& q = in_[p];
+  if (q.full()) {
+    throw FabricError("input FIFO overflow at router (" + std::to_string(x_) +
+                      "," + std::to_string(y_) + ") port " + to_string(p) +
+                      ": a flit arrived without a credit");
   }
-  return true;
+  const Port out = policy_ == RoutePolicy::kAdaptive ? kLocal : route(f);
+  q.push(BufferedFlit{std::move(f), out});
+  ++buffered_;
 }
 
-std::size_t Router::buffered() const {
-  std::size_t n = 0;
-  for (const auto& q : in_) n += q.size();
-  return n;
+unsigned Router::requested_outputs() const {
+  if (policy_ == RoutePolicy::kAdaptive) return (1u << kPortCount) - 1;
+  unsigned mask = 0;
+  for (const FlitFifo& q : in_) {
+    if (!q.empty()) mask |= 1u << q.front().route;
+  }
+  return mask;
 }
 
 int Router::arbitrate(Port out, unsigned served_mask) const {
   for (int i = 0; i < kPortCount; ++i) {
-    int p = (rr_[out] + i) % kPortCount;
+    int p = rr_[out] + i;
+    if (p >= kPortCount) p -= kPortCount;
     if (served_mask & (1u << p)) continue;
-    const std::deque<Flit>& q = in_[p];
-    if (!q.empty() && route(q.front()) == out) return p;
+    const FlitFifo& q = in_[p];
+    if (q.empty()) continue;
+    // The adaptive query may pin a route, so it is made here, in the
+    // round-robin order the policy's outcome depends on.
+    const Port want = policy_ == RoutePolicy::kAdaptive
+                          ? route(q.front().flit)
+                          : q.front().route;
+    if (want == out) return p;
   }
   return -1;
 }
 
 void Router::note_occupancy() {
-  std::size_t n = buffered();
-  if (n > stats_.buffer_high_water) stats_.buffer_high_water = n;
+  if (buffered_ > stats_.buffer_high_water) {
+    stats_.buffer_high_water = buffered_;
+  }
 }
 
 void Router::save_state(snap::Writer& w) const {
-  for (int p = 0; p < kPortCount; ++p) {
-    w.u64(in_[p].size());
-    for (const Flit& f : in_[p]) save_flit(w, f);
+  for (const FlitFifo& q : in_) {
+    w.u64(q.size());
+    for (std::size_t i = 0; i < q.size(); ++i) save_flit(w, q.at(i).flit);
   }
   for (int p = 0; p < kPortCount; ++p) w.u32(static_cast<std::uint32_t>(credits_[p]));
   for (int p = 0; p < kPortCount; ++p) w.u32(static_cast<std::uint32_t>(rr_[p]));
@@ -138,13 +156,34 @@ void Router::save_state(snap::Writer& w) const {
 }
 
 void Router::load_state(snap::Reader& r) {
+  buffered_ = 0;
   for (int p = 0; p < kPortCount; ++p) {
     in_[p].clear();
-    for (std::size_t n = r.count(kFlitBytes); n > 0; --n) {
-      in_[p].push_back(load_flit(r));
+    const std::size_t n = r.count(kFlitBytes);
+    if (n > static_cast<std::size_t>(depth_)) {
+      throw snap::SnapError("router (" + std::to_string(x_) + "," +
+                            std::to_string(y_) + ") snapshot holds " +
+                            std::to_string(n) + " flits in its " +
+                            to_string(static_cast<Port>(p)) +
+                            " FIFO, deeper than fifo_depth " +
+                            std::to_string(depth_));
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      accept(static_cast<Port>(p), load_flit(r));
     }
   }
-  for (int p = 0; p < kPortCount; ++p) credits_[p] = static_cast<int>(r.u32());
+  for (int p = 0; p < kPortCount; ++p) {
+    const std::uint32_t c = r.u32();
+    if (c > static_cast<std::uint32_t>(depth_)) {
+      throw snap::SnapError("router (" + std::to_string(x_) + "," +
+                            std::to_string(y_) + ") snapshot holds " +
+                            std::to_string(c) + " credits toward " +
+                            to_string(static_cast<Port>(p)) +
+                            ", outside [0, fifo_depth " +
+                            std::to_string(depth_) + "]");
+    }
+    credits_[p] = static_cast<int>(c);
+  }
   for (int p = 0; p < kPortCount; ++p) rr_[p] = static_cast<int>(r.u32());
   adaptive_port_.clear();
   for (std::size_t n = r.count(8 + 1); n > 0; --n) {

@@ -2,6 +2,12 @@
 // input FIFO, dimension-ordered routing delegated to the fabric's Topology,
 // and credit-based flow control toward each neighbour.
 //
+// Each input FIFO is a fixed ring of `fifo_depth` slots. Credits are what
+// bound it: an upstream router forwards only while it holds a credit for
+// this port, and the NIC injects only while it holds one of its
+// `fifo_depth` inject credits, so no FIFO ever holds more than its depth
+// and the ring never grows or allocates.
+//
 // The cycle contract (driven by Fabric::tick):
 //   * each output port forwards at most one flit per cycle (the link is
 //     one flit wide);
@@ -12,23 +18,26 @@
 //     round-robin, which keeps the network deterministic AND starvation-free;
 //   * routing is dimension-ordered (correct one coordinate, then the other,
 //     then eject), so flits of one (source, destination) pair never reorder
-//     — the property frame reassembly relies on. Under the adaptive policy
-//     the router picks which dimension to correct first, comparing its own
-//     credit counters toward the two productive ports (ties take the XY
-//     port). The decision is made once, on the frame's head flit, and
-//     pinned until the tail passes (wormhole-style): body flits that chose
-//     their own dimension could overtake the head on the other path and
-//     reach the destination before reassembly opened. The fabric advances
+//     — the property frame reassembly relies on. Under XY and YX (and a
+//     retransmission's fallback order) the output port depends only on the
+//     flit's destination and route mode, so it is computed once, when the
+//     flit enters the FIFO, and arbitration reads it back. Under the
+//     adaptive policy the router picks which dimension to correct first,
+//     comparing its own credit counters toward the two productive ports
+//     (ties take the XY port). The decision is made once, on the frame's
+//     head flit, and pinned until the tail passes (wormhole-style): body
+//     flits that chose their own dimension could overtake the head on the
+//     other path and reach the destination before reassembly opened. The fabric advances
 //     routers in tile order every configuration, so the credit comparison
 //     is as deterministic as the XY default.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 
 #include "xtsoc/noc/flit.hpp"
+#include "xtsoc/noc/ring.hpp"
 
 namespace xtsoc::noc {
 
@@ -50,12 +59,24 @@ struct RouterStats {
   std::size_t buffer_high_water = 0;  ///< max flits buffered at once (all ports)
 };
 
+/// A flit in an input FIFO with the output port its route query answered
+/// when it arrived (unused under the adaptive policy, which decides at
+/// arbitration time).
+struct BufferedFlit {
+  Flit flit;
+  Port route = kLocal;
+};
+
+/// One input FIFO: a ring of `fifo_depth` slots.
+using FlitFifo = FixedRing<BufferedFlit>;
+
 class Router {
 public:
   Router(int x, int y, int fifo_depth, const Topology* topo, int tile,
          RoutePolicy policy)
       : x_(x), y_(y), depth_(fifo_depth), topo_(topo), tile_(tile),
         policy_(policy) {
+    in_.fill(FlitFifo(static_cast<std::size_t>(fifo_depth)));
     credits_.fill(0);
     rr_.fill(0);
   }
@@ -78,10 +99,23 @@ public:
   }
 
   // --- buffers (Fabric moves flits between routers) ---------------------------
-  std::deque<Flit>& input(Port p) { return in_[p]; }
-  const std::deque<Flit>& input(Port p) const { return in_[p]; }
-  bool buffers_empty() const;
-  std::size_t buffered() const;
+  /// Buffer `f` at input `p`. Under dimension order its output port is
+  /// routed here, once. Throws FabricError when the FIFO is full: credits
+  /// make that impossible, so it means the credit books are corrupt.
+  void accept(Port p, Flit f);
+  /// Remove and return the head flit of input `p`.
+  Flit take(Port p) {
+    Flit f = std::move(in_[p].front().flit);
+    in_[p].pop();
+    --buffered_;
+    return f;
+  }
+  bool buffers_empty() const { return buffered_ == 0; }
+  std::size_t buffered() const { return buffered_; }
+  /// Output ports requested by the input heads at the start of a visit, as
+  /// a bit mask: the ports arbitrate() can find a winner for. Under the
+  /// adaptive policy every port, since its decision waits for the query.
+  unsigned requested_outputs() const;
 
   // --- credits toward each downstream neighbour --------------------------------
   int credits(Port p) const { return credits_[p]; }
@@ -105,7 +139,9 @@ public:
 
   // --- checkpointing ---------------------------------------------------------
   /// Serialize buffered flits, credit counters, round-robin pointers and
-  /// stats. Position and depth are construction-owned.
+  /// stats. Position and depth are construction-owned. load_state refuses
+  /// a FIFO holding more flits than the depth and a credit counter outside
+  /// [0, depth]: the fixed rings rely on the credit invariant.
   void save_state(snap::Writer& w) const;
   void load_state(snap::Reader& r);
 
@@ -123,7 +159,8 @@ private:
   const Topology* topo_;  ///< owned by the Fabric, outlives every router
   int tile_;
   RoutePolicy policy_;
-  std::array<std::deque<Flit>, kPortCount> in_;
+  std::array<FlitFifo, kPortCount> in_;
+  std::size_t buffered_ = 0;  ///< flits in all input FIFOs
   std::array<int, kPortCount> credits_;  ///< free slots downstream of each output
   std::array<int, kPortCount> rr_;       ///< next input to consider per output
   /// Adaptive policy only: output port pinned for each frame whose head

@@ -12,6 +12,7 @@
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/fault/fault.hpp"
 #include "xtsoc/hwsim/vcd.hpp"
+#include "xtsoc/snap/snapshot.hpp"
 
 namespace xtsoc::cosim {
 namespace {
@@ -758,6 +759,171 @@ TEST(CoSimWindowed, Mesh8x8ByteIdenticalGrid) { run_windowed_grid(8, 8, 4); }
 
 TEST(CoSimWindowed, Mesh8x8LinkLatency1ByteIdenticalGrid) {
   run_windowed_grid(8, 8, 1);
+}
+
+// --- quiet domains -------------------------------------------------------------
+//
+// A windowed hardware domain that ends a window quiet is skipped until a
+// frame, an external create or inject wakes it (see hwdomain.hpp). The
+// sparse mesh below keeps most domains quiet for many windows: one token
+// at a time walks a ring of 14 nodes and dies after a few hops. Each cell
+// runs four segments, waking domains between them in every way a quiet
+// domain can wake:
+//
+//   1. a token of 5 hops: domains wake by frame, one after another;
+//   2. CoSimulation::inject of `poke` into a quiet node (which sends a new
+//      token) and CoSimulation::create of a second instance into another
+//      quiet node, whose alive wire must move on the next edge;
+//   3. a direct cs.executor_of(cls).inject of `arm` into the quiet alarm,
+//      whose delayed self-generate fires 23 cycles (5+ windows) later and
+//      wakes a node by frame;
+//   4. another poke, into the node with clockDomain 3.
+//
+// The cell saves a snapshot after segment 3, while most domains are quiet,
+// and continues both the original run and a restore of the snapshot into
+// a fresh co-simulation. threads {1,2,8} x window {1,auto} must equal the
+// serial lockstep run byte for byte in every segment.
+
+constexpr int kSparseNodes = 14;  // tiles 1..14; the alarm sits on tile 15
+
+std::unique_ptr<xtuml::Domain> make_sparse_domain() {
+  using xtuml::DataType;
+  xtuml::DomainBuilder b("Sparse");
+  for (int i = 0; i < kSparseNodes; ++i) b.cls("Node" + std::to_string(i));
+  b.cls("Alarm");
+  for (int i = 0; i < kSparseNodes; ++i) {
+    b.edit("Node" + std::to_string(i))
+        .attr("seen", DataType::kInt)
+        .attr("pokes", DataType::kInt)
+        .ref_attr("peer", "Node" + std::to_string((i + 1) % kSparseNodes))
+        .event("tok", {{"h", DataType::kInt}})
+        .event("poke")
+        .state("Got",
+               "self.seen = self.seen + 1;\n"
+               "if (param.h > 0)\n"
+               "  generate tok(h: param.h - 1) to self.peer;\n"
+               "end if;")
+        .state("Poked",
+               "self.pokes = self.pokes + 1;\n"
+               "generate tok(h: 3) to self.peer;")
+        .transition("Got", "tok", "Got")
+        .transition("Got", "poke", "Poked")
+        .transition("Poked", "tok", "Got")
+        .transition("Poked", "poke", "Poked");
+  }
+  b.edit("Alarm")
+      .attr("rings", DataType::kInt)
+      .ref_attr("target", "Node9")
+      .event("arm")
+      .event("ring")
+      .state("Armed", "generate ring() to self delay 23;")
+      .state("Rung",
+             "self.rings = self.rings + 1;\n"
+             "generate tok(h: 2) to self.target;")
+      .transition("Armed", "arm", "Armed")
+      .transition("Armed", "ring", "Rung")
+      .transition("Rung", "arm", "Armed")
+      .transition("Rung", "ring", "Rung");
+  return b.take();
+}
+
+marks::MarkSet sparse_mesh_marks() {
+  marks::MarkSet m;
+  auto place = [&m](const std::string& cls, int tile) {
+    m.mark_hardware(cls);
+    m.set_class_mark(cls, marks::kTileX, ScalarValue(std::int64_t{tile % 4}));
+    m.set_class_mark(cls, marks::kTileY, ScalarValue(std::int64_t{tile / 4}));
+  };
+  for (int i = 0; i < kSparseNodes; ++i) place("Node" + std::to_string(i), i + 1);
+  place("Alarm", kSparseNodes + 1);
+  m.set_class_mark("Node5", marks::kClockDomain, ScalarValue(std::int64_t{3}));
+  m.set_domain_mark(marks::kMeshWidth, ScalarValue(std::int64_t{4}));
+  m.set_domain_mark(marks::kMeshHeight, ScalarValue(std::int64_t{4}));
+  m.set_domain_mark(marks::kLinkLatency, ScalarValue(std::int64_t{4}));
+  return m;
+}
+
+/// One sparse-mesh cell: the segments up to the snapshot, then the last
+/// segment run straight on and run again from a restore of the snapshot.
+struct SparseRun {
+  Observed head;      ///< segments 1-3
+  Observed straight;  ///< segment 4, continuing the same co-simulation
+  Observed restored;  ///< segment 4, from the snapshot in a fresh one
+};
+
+SparseRun run_sparse(MappedFixture& fx, int threads, int window) {
+  CoSimConfig cfg;
+  cfg.threads = threads;
+  cfg.window = window;
+  SparseRun out;
+  CoSimulation cs(*fx.system, cfg);
+  EXPECT_EQ(cs.window(), window == 0 ? 4 : window);
+  std::vector<InstanceHandle> nodes;
+  for (int i = 0; i < kSparseNodes; ++i) {
+    nodes.push_back(cs.create("Node" + std::to_string(i)));
+  }
+  const InstanceHandle alarm = cs.create("Alarm");
+  // peer is the third declared attribute (seen, pokes, peer); target the
+  // alarm's second (rings, target).
+  for (int i = 0; i < kSparseNodes; ++i) {
+    cs.executor_of(nodes[static_cast<std::size_t>(i)].cls)
+        .database()
+        .set_attr(nodes[static_cast<std::size_t>(i)], AttributeId(2),
+                  Value(nodes[static_cast<std::size_t>((i + 1) % kSparseNodes)]));
+  }
+  cs.executor_of(alarm.cls).database().set_attr(alarm, AttributeId(1),
+                                                Value(nodes[9]));
+  {
+    Recorder rec(cs);
+    cs.inject(nodes[0], "tok", {Value(std::int64_t{5})});
+    cs.run_cycles(53);
+    cs.inject(nodes[7], "poke");
+    cs.create("Node11");
+    cs.run_cycles(41);
+    cs.executor_of(alarm.cls).inject(alarm, "arm");
+    cs.run_cycles(67);
+    out.head = rec.take();
+  }
+  const std::vector<std::uint8_t> bytes = snap::save(cs);
+  auto last_segment = [](CoSimulation& c, const InstanceHandle& node5) {
+    Recorder rec(c);
+    c.inject(node5, "poke");
+    c.run_cycles(59);
+    return rec.take();
+  };
+  out.straight = last_segment(cs, nodes[5]);
+  CoSimulation fresh(*fx.system, cfg);
+  snap::restore(fresh, bytes.data(), bytes.size());
+  out.restored = last_segment(fresh, nodes[5]);
+  return out;
+}
+
+TEST(CoSimQuiet, SparseMeshByteIdenticalAcrossThreadsAndWindows) {
+  MappedFixture fx(make_sparse_domain(), sparse_mesh_marks());
+  const SparseRun serial = run_sparse(fx, /*threads=*/1, /*window=*/1);
+  // The scenario reached every wake path: the second Node11 exists (class
+  // 11, instance 1), the alarm (class 14) rang (event 1) and Node5 took
+  // its poke (event 1).
+  EXPECT_NE(serial.head.hw_traces.find("create <inst c11:1g0>"),
+            std::string::npos);
+  EXPECT_NE(serial.head.hw_traces.find("dispatch <inst c14:0g0> ev#1"),
+            std::string::npos);
+  EXPECT_NE(serial.straight.hw_traces.find("dispatch <inst c5:0g0> ev#1"),
+            std::string::npos);
+  expect_identical(serial.restored, serial.straight, "lockstep restore");
+  for (int threads : {1, 2, 8}) {
+    for (int window : {1, 0}) {
+      if (threads == 1 && window == 1) continue;
+      const std::string what = "threads=" + std::to_string(threads) +
+                               " window=" + std::to_string(window);
+      SCOPED_TRACE(what);
+      const SparseRun run = run_sparse(fx, threads, window);
+      expect_identical(run.head, serial.head, what + " segments 1-3");
+      expect_identical(run.straight, serial.straight, what + " segment 4");
+      expect_identical(run.restored, serial.straight,
+                       what + " segment 4 after restore");
+    }
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "xtsoc/common/rng.hpp"
 #include "xtsoc/mapping/archetype.hpp"
 #include "xtsoc/mapping/classrefs.hpp"
 #include "xtsoc/mapping/interface.hpp"
@@ -328,6 +331,157 @@ TEST(Interface, EncodeArgCountMismatchThrows) {
   EXPECT_THROW(
       encode_payload(spec.messages()[0], runtime::InstanceHandle::null(), {}),
       std::runtime_error);
+}
+
+/// The codec before whole-field moves, one bit per step: the reference
+/// the property test below holds the shipped codec to.
+void reference_put(std::vector<std::uint8_t>& bytes, int offset, int width,
+                   std::uint64_t value) {
+  for (int i = 0; i < width; ++i) {
+    if ((value >> i) & 1u) {
+      const int bit = offset + i;
+      bytes[static_cast<std::size_t>(bit / 8)] |=
+          static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+  }
+}
+
+std::uint64_t reference_get(const std::vector<std::uint8_t>& bytes,
+                            int offset, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    const int bit = offset + i;
+    if (bytes[static_cast<std::size_t>(bit / 8)] & (1u << (bit % 8))) {
+      v |= std::uint64_t{1} << i;
+    }
+  }
+  return v;
+}
+
+std::uint64_t reference_handle_bits(const runtime::InstanceHandle& h) {
+  if (h.is_null()) return 0xffULL << 40;
+  return (std::uint64_t{h.cls.value()} << 40) |
+         (std::uint64_t{h.index} << 16) | h.generation;
+}
+
+TEST(Interface, WholeFieldCodecMatchesBitAtATimeReference) {
+  Xorshift64Star rng = Xorshift64Star::seeded(2026);
+  auto below = [&rng](std::uint64_t n) { return rng.next() % n; };
+  auto random_handle = [&]() {
+    if (below(8) == 0) return runtime::InstanceHandle::null();
+    runtime::InstanceHandle h;
+    h.cls = ClassId(static_cast<ClassId::underlying_type>(below(0xff)));
+    h.index = static_cast<std::uint32_t>(below(1u << 24));
+    h.generation = static_cast<std::uint32_t>(below(1u << 16));
+    return h;
+  };
+  int straddling = 0;
+  for (int layout_no = 0; layout_no < 400; ++layout_no) {
+    MessageLayout layout;
+    layout.name = "L" + std::to_string(layout_no);
+    // The target handle always leads, as synthesize_interface lays it out;
+    // the parameters follow, some after a gap of unused bits.
+    layout.fields.push_back({"_target", DataType::kInstRef, 0, kHandleBits});
+    int offset = kHandleBits + static_cast<int>(below(8));
+    const int params = static_cast<int>(below(7));
+    for (int i = 0; i < params; ++i) {
+      FieldLayout f;
+      f.name = "p" + std::to_string(i);
+      switch (below(4)) {
+        case 0: f.type = DataType::kBool; f.width_bits = 1; break;
+        case 1:
+          f.type = DataType::kInt;
+          f.width_bits = 1 + static_cast<int>(below(64));
+          break;
+        case 2: f.type = DataType::kReal; f.width_bits = 64; break;
+        default: f.type = DataType::kInstRef; f.width_bits = kHandleBits;
+      }
+      f.offset_bits = offset;
+      if (offset / 8 != (offset + f.width_bits - 1) / 8) ++straddling;
+      offset += f.width_bits + static_cast<int>(below(3) == 0 ? below(9) : 0);
+      layout.fields.push_back(f);
+    }
+    layout.payload_bits = offset;
+
+    const runtime::InstanceHandle target = random_handle();
+    std::vector<runtime::Value> args;
+    std::vector<std::uint8_t> want(
+        static_cast<std::size_t>(layout.payload_bytes()), 0);
+    reference_put(want, 0, kHandleBits, reference_handle_bits(target));
+    for (std::size_t i = 1; i < layout.fields.size(); ++i) {
+      const FieldLayout& f = layout.fields[i];
+      std::uint64_t bits = 0;
+      switch (f.type) {
+        case DataType::kBool: {
+          const bool b = below(2) == 1;
+          args.emplace_back(b);
+          bits = b ? 1 : 0;
+          break;
+        }
+        case DataType::kInt: {
+          // Any int64, negative ones included: the wire keeps the low
+          // width bits and the decoder sign-extends them.
+          const auto v = static_cast<std::int64_t>(rng.next());
+          args.emplace_back(v);
+          bits = static_cast<std::uint64_t>(v);
+          if (f.width_bits < 64) bits &= (std::uint64_t{1} << f.width_bits) - 1;
+          break;
+        }
+        case DataType::kReal: {
+          const double d =
+              std::bit_cast<double>(rng.next() & 0xbfefffffffffffffULL);
+          args.emplace_back(d);
+          bits = std::bit_cast<std::uint64_t>(d);
+          break;
+        }
+        default: {
+          const runtime::InstanceHandle h = random_handle();
+          args.emplace_back(h);
+          bits = reference_handle_bits(h);
+        }
+      }
+      reference_put(want, f.offset_bits, f.width_bits, bits);
+    }
+
+    const std::vector<std::uint8_t> got = encode_payload(layout, target, args);
+    ASSERT_EQ(got, want) << layout.name;
+    const DecodedPayload d = decode_payload(layout, got);
+    EXPECT_EQ(d.target, target) << layout.name;
+    ASSERT_EQ(d.args.size(), args.size()) << layout.name;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const FieldLayout& f = layout.fields[i + 1];
+      const std::uint64_t raw = reference_get(got, f.offset_bits, f.width_bits);
+      switch (f.type) {
+        case DataType::kBool:
+          EXPECT_EQ(std::get<bool>(d.args[i]), std::get<bool>(args[i]));
+          EXPECT_EQ(raw, std::get<bool>(args[i]) ? 1u : 0u);
+          break;
+        case DataType::kInt: {
+          // The value the field can hold: the low width bits, sign-extended.
+          const int drop = 64 - f.width_bits;
+          const std::int64_t fit = static_cast<std::int64_t>(
+                                       static_cast<std::uint64_t>(
+                                           std::get<std::int64_t>(args[i]))
+                                       << drop) >>
+                                   drop;
+          EXPECT_EQ(std::get<std::int64_t>(d.args[i]), fit)
+              << layout.name << " width " << f.width_bits;
+          break;
+        }
+        case DataType::kReal:
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(std::get<double>(d.args[i])),
+                    std::bit_cast<std::uint64_t>(std::get<double>(args[i])));
+          EXPECT_EQ(raw, std::bit_cast<std::uint64_t>(std::get<double>(args[i])));
+          break;
+        default:
+          EXPECT_EQ(std::get<runtime::InstanceHandle>(d.args[i]),
+                    std::get<runtime::InstanceHandle>(args[i]));
+          EXPECT_EQ(raw, reference_handle_bits(
+                             std::get<runtime::InstanceHandle>(args[i])));
+      }
+    }
+  }
+  EXPECT_GT(straddling, 400);  // many fields cross a byte boundary
 }
 
 // --- archetype engine -------------------------------------------------------------

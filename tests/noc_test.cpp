@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "observe.hpp"
 #include "test_models.hpp"
@@ -14,6 +15,7 @@
 #include "xtsoc/noc/topology.hpp"
 #include "xtsoc/noc/traffic.hpp"
 #include "xtsoc/perf/perf.hpp"
+#include "xtsoc/snap/io.hpp"
 #include "xtsoc/verify/equivalence.hpp"
 
 namespace xtsoc::noc {
@@ -589,6 +591,87 @@ TEST(Fabric, AdaptiveDeliversAndIsDeterministic) {
   // Every flit of every frame arrived in order (reassembly would have
   // thrown otherwise), and two identical runs agree bit for bit.
   EXPECT_EQ(run(RoutePolicy::kAdaptive), run(RoutePolicy::kAdaptive));
+}
+
+// A checkpoint taken mid-flight — flits buffered in router FIFOs and NIC
+// egress queues — restores into a fresh fabric that continues exactly like
+// the uninterrupted one: the FIFO rings and the active-tile sets are
+// rebuilt from the snapshot, not carried by the process.
+void restore_mid_flight_case(RoutePolicy policy) {
+  FabricConfig cfg = small_mesh(4, 4);
+  cfg.topology = TopologyKind::kTorus;
+  cfg.routing = policy;
+  // Three-flit frames: from every tile every third cycle, and from two hot
+  // tiles twice every cycle — six flits a cycle into NICs that inject one,
+  // so their egress queues back up while flits queue in the FIFOs along
+  // the way. The offer stops at cycle 16, light enough that the torus's
+  // wraparound rings never close a credit cycle.
+  auto offer = [](Fabric& f, std::uint64_t cycle) {
+    auto send = [&](int t, int dst, int k) {
+      if (dst == t) return;
+      f.send_frame(t, dst, static_cast<std::uint32_t>(t * 256 + cycle * 4 + k),
+                   {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, cycle, cycle % 3);
+    };
+    for (int t = 0; t < 16 && cycle % 3 == 0; ++t) {
+      send(t, (t * 5 + static_cast<int>(cycle)) % 16, 0);
+    }
+    for (int k = 1; k <= 2; ++k) {
+      send(0, (static_cast<int>(cycle) * 7 + k) % 16, k);
+      send(9, (static_cast<int>(cycle) * 3 + k) % 16, k);
+    }
+  };
+  auto continue_run = [&offer](Fabric& f, std::uint64_t cycle) {
+    std::string log;
+    for (int guard = 0; guard < 6000 && (cycle < 40 || !f.idle()); ++guard) {
+      if (cycle < 16) offer(f, cycle);
+      f.tick(++cycle);
+      for (int t = 0; t < 16; ++t) {
+        for (const Delivery& d : f.pop_due(t, cycle)) {
+          log += std::to_string(t) + ":" + std::to_string(d.src_tile) + ":" +
+                 std::to_string(d.opcode) + ":" +
+                 std::to_string(d.arrive_cycle) + ":" +
+                 std::to_string(d.due_cycle) + ";";
+        }
+      }
+    }
+    snap::Writer end;
+    f.save_state(end);
+    return std::make_tuple(log, f.stats().to_table(), end.data());
+  };
+
+  Fabric a(cfg);
+  std::uint64_t cycle = 0;
+  while (cycle < 12) {
+    offer(a, cycle);
+    a.tick(++cycle);
+  }
+  // The save point is mid-flight: routers hold flits and NICs still have
+  // flits to inject (fewer injected than the frames sent hold).
+  std::size_t buffered = 0;
+  for (int t = 0; t < 16; ++t) buffered += a.router(t).buffered();
+  EXPECT_GT(buffered, 0u);
+  EXPECT_LT(a.stats().flits_injected, 3 * a.stats().frames_sent);
+  snap::Writer at_save;
+  a.save_state(at_save);
+
+  Fabric b(cfg);
+  snap::Reader r(at_save.data());
+  b.load_state(r);
+  const auto [log_a, table_a, end_a] = continue_run(a, cycle);
+  const auto [log_b, table_b, end_b] = continue_run(b, cycle);
+  EXPECT_TRUE(a.idle());
+  EXPECT_EQ(a.stats().frames_delivered, a.stats().frames_sent);
+  EXPECT_EQ(log_b, log_a);
+  EXPECT_EQ(table_b, table_a);
+  EXPECT_TRUE(end_b == end_a) << "final snapshot bytes differ";
+}
+
+TEST(Fabric, RestoreMidFlightContinuesIdenticallyXY) {
+  restore_mid_flight_case(RoutePolicy::kXY);
+}
+
+TEST(Fabric, RestoreMidFlightContinuesIdenticallyAdaptive) {
+  restore_mid_flight_case(RoutePolicy::kAdaptive);
 }
 
 // --- traffic engines ------------------------------------------------------------

@@ -674,6 +674,120 @@ TEST(SnapReject, ForgedNicEgressCount) {
   expect_count_refused(fx, bytes, at + 8);
 }
 
+/// Restore `bytes` (CRC refreshed) into a fresh elaboration: the refusal's
+/// message must contain `want`.
+void expect_bytes_refused(MappedFixture& fx, std::vector<std::uint8_t> bytes,
+                          const std::string& want) {
+  refresh_crc(&bytes);
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  try {
+    restore(cs, bytes.data(), bytes.size());
+    FAIL() << "forgery not rejected: " << want;
+  } catch (const SnapError& e) {
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+}
+
+void put_u32(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// The ring on the 2x2 mesh after 100 cycles, with the offset of a router
+/// whose FIFOs are all empty (so its five FIFO counts are eight zero bytes
+/// each and its credit counters follow them).
+struct IdleRouterSnapshot {
+  std::vector<std::uint8_t> bytes;
+  int tile = -1;
+  std::size_t at = 0;  ///< the router's first FIFO count
+  int depth = 0;
+};
+
+IdleRouterSnapshot idle_router_snapshot(MappedFixture& fx) {
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  IdleRouterSnapshot s;
+  s.bytes = save(cs);
+  for (int t = 0; t < 4 && s.tile < 0; ++t) {
+    if (cs.fabric().router(t).buffers_empty()) s.tile = t;
+  }
+  EXPECT_GE(s.tile, 0);
+  Writer router;
+  cs.fabric().router(s.tile).save_state(router);
+  s.at = locate(s.bytes, router.data());
+  s.depth = cs.fabric().router(s.tile).fifo_depth();
+  return s;
+}
+
+TEST(SnapReject, ForgedRouterFifoOverDepth) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  const IdleRouterSnapshot s = idle_router_snapshot(fx);
+  ASSERT_GE(s.tile, 0);
+  // Fill the local FIFO with one flit more than its depth: a well-formed
+  // count with its flits present, so only the depth check can refuse it.
+  const auto over = static_cast<std::size_t>(s.depth) + 1;
+  Writer flits;
+  for (std::size_t i = 0; i < over; ++i) {
+    noc::Flit f;
+    f.dst_x = 1;
+    f.dst_y = 1;
+    noc::save_flit(flits, f);
+  }
+  std::vector<std::uint8_t> bytes = s.bytes;
+  bytes[s.at] = static_cast<std::uint8_t>(over);
+  bytes.insert(bytes.begin() + static_cast<long>(s.at + 8),
+               flits.data().begin(), flits.data().end());
+  expect_bytes_refused(fx, bytes,
+                       "snapshot holds " + std::to_string(over) +
+                           " flits in its local FIFO, deeper than fifo_depth " +
+                           std::to_string(s.depth));
+}
+
+TEST(SnapReject, ForgedRouterCredits) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  const IdleRouterSnapshot s = idle_router_snapshot(fx);
+  ASSERT_GE(s.tile, 0);
+  const std::size_t credits_at = s.at + 5 * 8;  // after five empty FIFOs
+  const std::string range =
+      "outside [0, fifo_depth " + std::to_string(s.depth) + "]";
+  // One credit too many toward the east port, and a negative count (the
+  // u32 reads back as -1), each breaks the credit books.
+  for (const std::uint32_t forged :
+       {static_cast<std::uint32_t>(s.depth) + 1, 0xffffffffu}) {
+    std::vector<std::uint8_t> bytes = s.bytes;
+    put_u32(bytes, credits_at + 4 * noc::kEast, forged);
+    expect_bytes_refused(fx, bytes,
+                         "snapshot holds " + std::to_string(forged) +
+                             " credits toward east, " + range);
+  }
+  // NIC 0 (the CPU tile) injects nothing in the ring, so its egress queue
+  // is empty and its inject credits follow the queue's count.
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  Writer fabric;
+  cs.fabric().save_state(fabric);
+  std::size_t nic0 = locate(s.bytes, fabric.data()) + 1 + 1 + 8;
+  for (int t = 0; t < 4; ++t) {
+    Writer router;
+    cs.fabric().router(t).save_state(router);
+    nic0 += router.data().size();
+  }
+  nic0 += 8;  // the NIC count
+  for (const std::uint32_t forged :
+       {static_cast<std::uint32_t>(s.depth) + 1, 0xffffffffu}) {
+    std::vector<std::uint8_t> bytes = s.bytes;
+    put_u32(bytes, nic0 + 8, forged);
+    expect_bytes_refused(fx, bytes,
+                         "NIC snapshot holds " + std::to_string(forged) +
+                             " inject credits, " + range);
+  }
+}
+
 TEST(SnapReject, ForgedMemoryStoreBufferCount) {
   MappedFixture fx(make_ring_domain(), ring_mem_marks());
   CoSimulation cs(*fx.system, CoSimConfig{});
