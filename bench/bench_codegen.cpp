@@ -2,8 +2,7 @@
 // (paper §4).
 //
 // Measures model-compiler throughput: lines of C / VHDL generated per
-// second as the model scales, for each backend, plus the template
-// (archetype) engine on its own.
+// second as the model scales, for each backend.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +10,6 @@
 
 #include "bench_json.hpp"
 #include "models.hpp"
-#include "xtsoc/mapping/archetype.hpp"
 
 namespace {
 
@@ -52,26 +50,6 @@ void BM_GenerateVhdl(benchmark::State& state) {
       static_cast<double>(lines), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_GenerateVhdl)->Arg(4)->Arg(16)->Arg(64)->ArgNames({"classes"});
-
-void BM_ArchetypeRender(benchmark::State& state) {
-  mapping::Bindings b;
-  b.set("class", "Oven");
-  std::vector<mapping::ListItem> fields;
-  for (int i = 0; i < 32; ++i) {
-    fields.push_back(mapping::Record{{"name", "f" + std::to_string(i)},
-                                     {"type", "int64_t"}});
-  }
-  b.set_list("fields", std::move(fields));
-  const char* archetype =
-      "typedef struct {\n%for f in fields%  ${f.type} ${f.name};\n%end%"
-      "} ${class}_t;\n";
-  for (auto _ : state) {
-    DiagnosticSink sink;
-    std::string out = mapping::render_archetype(archetype, b, sink);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_ArchetypeRender);
 
 void print_summary() {
   std::printf("== E4: model compiler output, by model size ==\n");

@@ -22,7 +22,7 @@
 #include "bench_json.hpp"
 #include "models.hpp"
 #include "overhead.hpp"
-#include "xtsoc/hwsim/components.hpp"
+#include "xtsoc/hwsim/kernel.hpp"
 #include "xtsoc/jit/jit.hpp"
 #include "xtsoc/obs/registry.hpp"
 
@@ -262,15 +262,19 @@ void BM_MeshCosim(benchmark::State& state) {
 }
 BENCHMARK(BM_MeshCosim)->Arg(1)->Arg(2)->Arg(8)->ArgNames({"threads"});
 
-/// Substrate floor: raw hwsim delta-cycle throughput (a counter bank).
+/// Substrate floor: raw hwsim delta-cycle throughput (a bank of 32-bit
+/// up-counters, each one clocked process over one wire).
 void BM_HwsimKernel(benchmark::State& state) {
   const int counters = static_cast<int>(state.range(0));
   hwsim::Simulator sim;
   HwSignalId clk = sim.wire(1, 0, "clk");
   sim.add_clock(clk, 1);
-  std::vector<hwsim::Counter> bank;
-  bank.reserve(static_cast<std::size_t>(counters));
-  for (int i = 0; i < counters; ++i) bank.emplace_back(sim, clk, 32);
+  for (int i = 0; i < counters; ++i) {
+    const HwSignalId v = sim.wire(32, 0, "counter" + std::to_string(i));
+    sim.on_posedge(clk, [v](hwsim::Simulator& s) {
+      s.nba_write(v, s.read(v) + 1);
+    });
+  }
   std::uint64_t cycles = 0;
   for (auto _ : state) {
     sim.run_cycles(clk, 1000);

@@ -47,7 +47,6 @@ struct InstanceTag {};
 struct SignalChannelTag {};
 struct ProcessTag {};
 struct HwSignalTag {};
-struct TaskTag {};
 
 using ClassId = Id<ClassTag>;
 using AttributeId = Id<AttributeTag>;
@@ -59,7 +58,6 @@ using InstanceId = Id<InstanceTag>;
 using ChannelId = Id<SignalChannelTag>;
 using ProcessId = Id<ProcessTag>;
 using HwSignalId = Id<HwSignalTag>;
-using TaskId = Id<TaskTag>;
 
 }  // namespace xtsoc
 

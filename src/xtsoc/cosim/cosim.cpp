@@ -94,7 +94,7 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     auto sw_chan =
         std::make_unique<FabricChannel>(*fabric_, sys, mesh.sw_tile());
     if (obs_ != nullptr) ecfg.obs_track = obs_->track("executor/sw");
-    sw_ = std::make_unique<SwDomain>(sys, *sw_chan, scheduler_, ecfg);
+    sw_ = std::make_unique<SwDomain>(sys, *sw_chan, ecfg);
     channels_.push_back(std::move(sw_chan));
     channel_of_tile_.assign(static_cast<std::size_t>(fabric_->tiles()), -1);
     for (auto& ch : channels_) {
@@ -152,7 +152,7 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
       hw_domain_of_[cls.value()] = hw_domains_.back().get();
     }
     if (obs_ != nullptr) ecfg.obs_track = obs_->track("executor/sw");
-    sw_ = std::make_unique<SwDomain>(sys, *sw_chan, scheduler_, ecfg);
+    sw_ = std::make_unique<SwDomain>(sys, *sw_chan, ecfg);
     channels_.push_back(std::move(hw_chan));
     channels_.push_back(std::move(sw_chan));
 
@@ -319,18 +319,8 @@ void CoSimulation::one_cycle() {
   // frames enter the interconnect here in domain order.
   sim_->run_cycles(clk_, 1);
   for (auto& hw : hw_domains_) hw->flush_outbox();
-  // Then software gets its per-cycle budget: at most `sw_steps_per_cycle`
-  // dispatches AND at most `sw_ops_per_cycle` action ops. A dispatch whose
-  // action overruns the op budget still completes (run-to-completion is
-  // never violated); it just exhausts the cycle.
-  sw_->begin_cycle(cycle_);
-  const std::uint64_t ops_start = sw_->executor().ops_executed();
-  for (int i = 0; i < config_.sw_steps_per_cycle; ++i) {
-    if (sw_->executor().ops_executed() - ops_start >= config_.sw_ops_per_cycle) {
-      break;
-    }
-    if (!scheduler_.run_one()) break;
-  }
+  // Then software gets its per-cycle budget of dispatches and action ops.
+  sw_->run_cycle(cycle_, config_.sw_steps_per_cycle, config_.sw_ops_per_cycle);
   // Memory last: the timing layer consumes every access the domains
   // recorded this cycle and the coherence frames the NICs reassembled.
   if (mem_) mem_tick(cycle_);
@@ -524,7 +514,6 @@ void CoSimulation::save_state(snap::Writer& w) const {
   w.u64(hw_domains_.size());
   for (const auto& hw : hw_domains_) hw->save_state(w);
   sw_->save_state(w);
-  scheduler_.save_state(w);
   w.u64(cycle_);
   // Memory hierarchy presence is structural (it follows from the marks),
   // so a bare flag suffices to catch mark drift between save and restore.
@@ -562,7 +551,6 @@ void CoSimulation::load_state(snap::Reader& r) {
   for (auto& hw : hw_domains_) hw->load_state(r);
   std::fill(quiet_.begin(), quiet_.end(), 0);  // every domain starts awake
   sw_->load_state(r);
-  scheduler_.load_state(r);
   cycle_ = r.u64();
   const std::uint8_t has_mem = r.u8();
   if (has_mem != (mem_ ? 1 : 0)) {

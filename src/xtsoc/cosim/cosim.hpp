@@ -1,8 +1,8 @@
 // CoSimulation: the partitioned executable system.
 //
 // Owns the hwsim kernel (with one clock), the hardware domains, the
-// SwDomain, the swrt scheduler, and the interconnect between them. The
-// interconnect is picked from the marks:
+// SwDomain and the interconnect between them. The interconnect is picked
+// from the marks:
 //
 //   * no tile marks — the legacy point-to-point Bus with one HwDomain
 //     owning every hardware class (the 1x2 degenerate topology);
@@ -15,7 +15,7 @@
 //   1. the fabric (if any) moves flits one hop and retires due frames;
 //   2. each HwDomain's clocked process latches due frames and lets each
 //      hardware FSM instance consume one signal;
-//   3. the SwDomain latches its due frames and the software task receives a
+//   3. the SwDomain latches its due frames and its executor receives a
 //      budget of `sw_steps_per_cycle` dispatches.
 //
 // Windowed execution (the conservative-lookahead scheduler). Every frame
@@ -211,7 +211,6 @@ public:
   /// Valid only in fabric mode (`has_fabric()`).
   const noc::Fabric& fabric() const { return *fabric_; }
   const hwsim::Simulator& hw_sim() const { return *sim_; }
-  const swrt::Scheduler& scheduler() const { return scheduler_; }
   /// The memory hierarchy, or null when no `dram.tile` mark is present.
   const mem::System* mem_system() const { return mem_.get(); }
 
@@ -234,10 +233,10 @@ public:
 
   // --- checkpointing ---------------------------------------------------------
   /// Serialize the complete dynamic state of the co-simulation: kernel,
-  /// interconnect (bus or fabric), every channel, every domain executor,
-  /// the software scheduler and the master's cycle counter. Call only
-  /// between run calls (a quiet point — the kernel refuses mid-settle
-  /// snapshots). Structure (netlist, partition, topology) is NOT saved:
+  /// interconnect (bus or fabric), every channel, every domain executor
+  /// and the master's cycle counter. Call only between run calls (a quiet
+  /// point — the kernel refuses mid-settle snapshots). Structure (netlist,
+  /// partition, topology) is NOT saved:
   /// restore re-elaborates a CoSimulation from the same MappedSystem —
   /// with ANY threads/window configuration — and calls load_state, after
   /// which traces, VCD, stats and report() are byte-identical to the
@@ -273,7 +272,6 @@ private:
   std::unique_ptr<Bus> bus_;           // bus mode only
   std::unique_ptr<noc::Fabric> fabric_;  // fabric mode only
   std::vector<std::unique_ptr<Channel>> channels_;  // owned by the master
-  swrt::Scheduler scheduler_;
   std::vector<std::unique_ptr<HwDomain>> hw_domains_;
   std::unique_ptr<SwDomain> sw_;
   /// Mark-driven memory hierarchy (fabric mode + `dram.tile` mark only).

@@ -5,8 +5,8 @@
 namespace xtsoc::cosim {
 
 SwDomain::SwDomain(const mapping::MappedSystem& sys, Channel& channel,
-                   swrt::Scheduler& scheduler, runtime::ExecutorConfig config)
-    : sys_(&sys), channel_(&channel), scheduler_(&scheduler),
+                   runtime::ExecutorConfig config)
+    : sys_(&sys), channel_(&channel),
       exec_(
           sys.compiled(), config,
           [&sys](ClassId cls) { return !sys.partition().is_hardware(cls); },
@@ -34,14 +34,11 @@ SwDomain::SwDomain(const mapping::MappedSystem& sys, Channel& channel,
     c_frames_in_ = obs_->counter(tn + ".frames_in");
     c_frames_out_ = obs_->counter(tn + ".frames_out");
   }
-  task_ = scheduler_->spawn(sys.domain().name() + ".sw", /*priority=*/0,
-                            [this] { return exec_.step(); });
 }
 
 void SwDomain::latch_cycle(std::uint64_t cycle) {
   cycle_ = cycle;
   exec_.advance_time(1);
-  bool delivered = false;
   if (windowed_) {
     // Dues are not monotone in inbox order (heterogeneous delays): scan
     // everything, deliver what is due, keep the rest in order.
@@ -52,7 +49,6 @@ void SwDomain::latch_cycle(std::uint64_t cycle) {
         m.deliver_at = exec_.now();
         exec_.deliver_remote(std::move(m));
         OBS_COUNT(c_frames_in_);
-        delivered = true;
       } else {
         if (kept != i) inbox_[kept] = std::move(inbox_[i]);
         ++kept;
@@ -65,23 +61,20 @@ void SwDomain::latch_cycle(std::uint64_t cycle) {
       m.deliver_at = exec_.now();
       exec_.deliver_remote(std::move(m));
       OBS_COUNT(c_frames_in_);
-      delivered = true;
     }
   }
-  if (delivered || !exec_.idle()) scheduler_->notify(task_);
 }
-
-void SwDomain::begin_cycle(std::uint64_t cycle) { latch_cycle(cycle); }
 
 void SwDomain::run_cycle(std::uint64_t cycle, int steps, std::uint64_t ops) {
   latch_cycle(cycle);
-  // The master's per-cycle budget loop, verbatim: at most `steps`
-  // dispatches AND at most `ops` action ops; a dispatch whose action
-  // overruns the op budget still completes, it just exhausts the cycle.
+  // At most `steps` dispatches AND at most `ops` action ops; a dispatch
+  // whose action overruns the op budget still completes, it just exhausts
+  // the cycle. latch_cycle released every due timer, so an executor with
+  // nothing ready steps to false without touching its state.
   const std::uint64_t ops_start = exec_.ops_executed();
   for (int i = 0; i < steps; ++i) {
     if (exec_.ops_executed() - ops_start >= ops) break;
-    if (!scheduler_->run_one()) break;
+    if (!exec_.step()) break;
   }
 }
 

@@ -1,19 +1,20 @@
 // SwDomain: the executable software mapping.
 //
-// The software partition runs as one task of the cooperative swrt
-// scheduler. Each task step dispatches one signal (the generated C's main
-// loop does exactly this: pop mailbox, dispatch, repeat). The co-simulation
-// master grants the software side a budget of steps per hardware clock
+// The software partition is the paper's "fully synchronous, single
+// tasking" target (§2): one executor stepped directly, each step
+// dispatching one signal (the generated C's main loop does exactly this:
+// pop queue, dispatch, repeat). The co-simulation master grants the
+// software side a budget of dispatches and action ops per hardware clock
 // cycle — the speed ratio between the processor and the fabric — which is
 // the knob behind the partitioning experiments. Frames travel whatever
 // Channel the master picked: the legacy bus, or the software tile's NIC on
 // the mesh.
 //
-// Like HwDomain, this domain has a lockstep mode (begin_cycle per master
-// cycle, frames sent to the shared channel inline) and a windowed mode
-// (run_cycle driven from a worker thread against a pre-filled inbox, with
-// outbound frames staged cycle-stamped in an outbox for the serial
-// boundary flush). See cosim.hpp for the window scheme.
+// Like HwDomain, this domain has a lockstep mode (frames received from and
+// sent to the shared channel inline) and a windowed mode (driven from a
+// worker thread against a pre-filled inbox, with outbound frames staged
+// cycle-stamped in an outbox for the serial boundary flush). Both run the
+// same run_cycle; see cosim.hpp for the window scheme.
 #pragma once
 
 #include <utility>
@@ -22,28 +23,26 @@
 #include "xtsoc/cosim/channel.hpp"
 #include "xtsoc/mapping/modelcompiler.hpp"
 #include "xtsoc/runtime/executor.hpp"
-#include "xtsoc/swrt/scheduler.hpp"
 
 namespace xtsoc::cosim {
 
 class SwDomain {
 public:
   SwDomain(const mapping::MappedSystem& sys, Channel& channel,
-           swrt::Scheduler& scheduler, runtime::ExecutorConfig config);
+           runtime::ExecutorConfig config);
 
   runtime::Executor& executor() { return exec_; }
   const runtime::Executor& executor() const { return exec_; }
 
-  /// Called once per hardware clock cycle by the co-simulation master
-  /// (lockstep mode): advances software time, latches due frames, wakes
-  /// the task. The master then runs the scheduler against its budget.
-  void begin_cycle(std::uint64_t cycle);
-
-  TaskId task() const { return task_; }
-  std::uint64_t dispatches() const { return exec_.dispatch_count(); }
   bool drained() const {
     return exec_.drained() && outbox_.empty() && inbox_.empty();
   }
+
+  /// One software cycle (the master in lockstep mode, a worker thread off
+  /// the inbox in windowed mode): advance time, latch due frames, then
+  /// dispatch against the per-cycle budget — at most `steps` dispatches and
+  /// `ops` action ops, run-to-completion never violated.
+  void run_cycle(std::uint64_t cycle, int steps, std::uint64_t ops);
 
   // --- windowed execution (CoSimulation only) --------------------------------
 
@@ -54,12 +53,6 @@ public:
   /// before `through_cycle` into the inbox (complete for the window by the
   /// lookahead argument — see cosim.hpp).
   void fill_inbox(std::uint64_t through_cycle);
-
-  /// One software cycle off the inbox (worker thread): advance time, latch
-  /// due frames, then run the scheduler against the per-cycle budget — at
-  /// most `steps` dispatches and `ops` action ops, run-to-completion never
-  /// violated. Identical to begin_cycle + the master's budget loop.
-  void run_cycle(std::uint64_t cycle, int steps, std::uint64_t ops);
 
   /// Send the outbox prefix staged at cycles <= `cycle` (monotone, after
   /// the hardware domains' flushes).
@@ -82,15 +75,13 @@ public:
   void load_state(snap::Reader& r);
 
 private:
-  /// Shared per-cycle prologue: advance time, deliver due frames, wake the
-  /// task. Windowed mode reads the inbox; lockstep asks the channel.
+  /// Per-cycle prologue: advance time, deliver due frames. Windowed mode
+  /// reads the inbox; lockstep asks the channel.
   void latch_cycle(std::uint64_t cycle);
 
   const mapping::MappedSystem* sys_;
   Channel* channel_;
-  swrt::Scheduler* scheduler_;
   runtime::Executor exec_;
-  TaskId task_;
   std::uint64_t cycle_ = 0;
 
   bool windowed_ = false;

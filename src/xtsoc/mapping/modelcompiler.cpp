@@ -25,8 +25,6 @@ std::unique_ptr<MappedSystem> map_system(const oal::CompiledDomain& compiled,
     m.target = partition.target_of(c.id);
     m.clock_domain =
         static_cast<int>(marks.class_mark_int(c.name, marks::kClockDomain, 0));
-    m.priority =
-        static_cast<int>(marks.class_mark_int(c.name, marks::kPriority, 0));
     m.max_instances = static_cast<int>(
         marks.class_mark_int(c.name, marks::kMaxInstances, 64));
     m.int_width =

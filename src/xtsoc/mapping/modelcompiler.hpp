@@ -21,7 +21,6 @@ struct ClassMapping {
   ClassId cls;
   marks::Target target = marks::Target::kSoftware;
   int clock_domain = 0;    ///< hardware classes: which clock drives the FSM
-  int priority = 0;        ///< software classes: task priority
   int max_instances = 64;  ///< hardware classes: instance pool capacity
   int int_width = 32;      ///< wire width of int fields
 };

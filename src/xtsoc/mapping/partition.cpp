@@ -91,13 +91,6 @@ Partition Partition::from_marks(const xtuml::Domain& domain,
     mem.t_rcd = static_cast<int>(marks.domain_mark_int(marks::kDramTRcd, 2));
     mem.t_cas = static_cast<int>(marks.domain_mark_int(marks::kDramTCas, 2));
     mem.t_rp = static_cast<int>(marks.domain_mark_int(marks::kDramTRp, 2));
-    if (auto v = marks.domain_mark(marks::kMemWriteFraction)) {
-      if (std::holds_alternative<double>(*v)) {
-        mem.write_fraction = std::get<double>(*v);
-      } else if (std::holds_alternative<std::int64_t>(*v)) {
-        mem.write_fraction = static_cast<double>(std::get<std::int64_t>(*v));
-      }
-    }
   }
   return p;
 }

@@ -47,7 +47,6 @@ struct MemSpec {
   int t_rcd = 2;
   int t_cas = 2;
   int t_rp = 2;
-  double write_fraction = 0.2;  ///< `memory` traffic pattern store mix
 };
 
 class Partition {

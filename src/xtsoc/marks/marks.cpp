@@ -1,7 +1,9 @@
 #include "xtsoc/marks/marks.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <iterator>
 #include <sstream>
 
 #include "xtsoc/common/strings.hpp"
@@ -12,23 +14,11 @@ namespace {
 /// Element key used internally for domain-scope marks.
 constexpr const char* kDomainScope = "";
 
-const char* const kStandardClassKeys[] = {kIsHardware, kClockDomain, kBusId,
-                                          kPriority, kMaxInstances, kIntWidth,
-                                          kTileX, kTileY};
-const char* const kStandardDomainKeys[] = {kBusLatency, kMeshWidth,
-                                           kMeshHeight, kSwTileX, kSwTileY,
-                                           kLinkLatency, kFlitBytes,
-                                           kFifoDepth, kTopology, kRouting,
-                                           kFaultSeed,
-                                           kFaultWindow, kFaultWindowStart,
-                                           kFaultRateFlitDrop,
-                                           kFaultRateFlitCorrupt,
-                                           kFaultRateLinkDown,
-                                           kFaultRateBusError,
-                                           kDramTile, kDramTRcd, kDramTCas,
-                                           kDramTRp, kCacheSets, kCacheWays,
-                                           kCacheLineBytes, kCacheHitLatency,
-                                           kMemWriteFraction};
+/// Keys that were once standard but select no mapping rule: the software
+/// partition is one directly stepped executor, and no mapped run reads the
+/// synthetic memory traffic mix. Files naming them still load.
+const char* const kRetiredKeys[] = {"busId", "priority",
+                                    "memTraffic.writeFraction"};
 
 bool is_fault_rate_key(std::string_view key) {
   return key == kFaultRateFlitDrop || key == kFaultRateFlitCorrupt ||
@@ -155,9 +145,8 @@ bool MarkSet::validate(const xtuml::Domain& domain,
         } else if (!std::holds_alternative<bool>(value)) {
           sink.error("marks.type", element + ".isHardware must be a bool");
         }
-      } else if (key == kClockDomain || key == kBusId || key == kPriority ||
-                 key == kMaxInstances || key == kIntWidth || key == kTileX ||
-                 key == kTileY) {
+      } else if (key == kClockDomain || key == kMaxInstances ||
+                 key == kIntWidth || key == kTileX || key == kTileY) {
         if (domain_scope) {
           sink.error("marks.scope",
                      std::string(key) + " is a class mark, not domain");
@@ -187,7 +176,7 @@ bool MarkSet::validate(const xtuml::Domain& domain,
           sink.error("marks.type",
                      "domain." + std::string(key) + " must be a string");
         }
-      } else if (is_fault_rate_key(key) || key == kMemWriteFraction) {
+      } else if (is_fault_rate_key(key)) {
         // Rates read naturally as reals but 0 and 1 parse as ints; accept
         // both so "faultRate.flitDrop = 0" round-trips.
         if (!domain_scope) {
@@ -198,6 +187,11 @@ bool MarkSet::validate(const xtuml::Domain& domain,
           sink.error("marks.type",
                      "domain." + std::string(key) + " must be a number");
         }
+      } else if (std::find(std::begin(kRetiredKeys), std::end(kRetiredKeys),
+                           key) != std::end(kRetiredKeys)) {
+        sink.warning("marks.retired",
+                     "mark key '" + key + "' is retired: it selects no "
+                     "mapping rule and is ignored");
       } else {
         // Unknown key: allowed, but warn on case/underscore near-misses.
         auto normalize = [](std::string_view k) {
@@ -534,19 +528,6 @@ bool MarkSet::validate(const xtuml::Domain& domain,
         sink.error("marks.dram.range",
                    "domain." + std::string(key) + " must be >= 1 (got " +
                        std::to_string(*v) + ")");
-      }
-    }
-    if (auto v = domain_mark(kMemWriteFraction)) {
-      double f = -1.0;
-      if (std::holds_alternative<double>(*v)) {
-        f = std::get<double>(*v);
-      } else if (std::holds_alternative<std::int64_t>(*v)) {
-        f = static_cast<double>(std::get<std::int64_t>(*v));
-      }
-      if (f < 0.0 || f > 1.0) {
-        sink.error("marks.mem.write_fraction",
-                   "domain.memTraffic.writeFraction is a probability and "
-                   "must be in [0, 1]");
       }
     }
     if (auto dt = int_mark(kDramTile); dt && any_tiles) {

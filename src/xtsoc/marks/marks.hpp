@@ -34,8 +34,6 @@ const char* to_string(Target t);
 /// their own) but validation warns about likely typos of these.
 inline constexpr const char* kIsHardware = "isHardware";    // bool, class
 inline constexpr const char* kClockDomain = "clockDomain";  // int, class
-inline constexpr const char* kBusId = "busId";              // int, class
-inline constexpr const char* kPriority = "priority";        // int, class
 inline constexpr const char* kMaxInstances = "maxInstances";// int, class (hw pool size)
 inline constexpr const char* kBusLatency = "busLatency";    // int, domain
 inline constexpr const char* kIntWidth = "intWidth";        // int, class (wire bits)
@@ -88,8 +86,18 @@ inline constexpr const char* kCacheSets = "cache.sets";      // int, domain (pow
 inline constexpr const char* kCacheWays = "cache.ways";      // int, domain (power of two)
 inline constexpr const char* kCacheLineBytes = "cache.lineBytes";  // int, domain (power of two)
 inline constexpr const char* kCacheHitLatency = "cache.hitLatency";  // int, domain (cycles)
-/// Store fraction of the synthetic `memory` traffic pattern (real in [0,1]).
-inline constexpr const char* kMemWriteFraction = "memTraffic.writeFraction";
+
+/// Every standard key, by scope: validation type-checks these and warns on
+/// near-miss spellings of them.
+inline constexpr const char* kStandardClassKeys[] = {
+    kIsHardware, kClockDomain, kMaxInstances, kIntWidth, kTileX, kTileY};
+inline constexpr const char* kStandardDomainKeys[] = {
+    kBusLatency, kMeshWidth, kMeshHeight, kSwTileX, kSwTileY, kLinkLatency,
+    kFlitBytes, kFifoDepth, kTopology, kRouting,
+    kFaultSeed, kFaultWindow, kFaultWindowStart, kFaultRateFlitDrop,
+    kFaultRateFlitCorrupt, kFaultRateLinkDown, kFaultRateBusError,
+    kDramTile, kDramTRcd, kDramTCas, kDramTRp,
+    kCacheSets, kCacheWays, kCacheLineBytes, kCacheHitLatency};
 
 /// One change between two MarkSets (the unit of "repartitioning cost").
 struct MarkChange {

@@ -18,9 +18,12 @@
 // Deadlock note: dimension order is provably deadlock-free on the
 // edge-clipped mesh. Wraparound links reintroduce cyclic channel
 // dependencies (real designs break them with virtual channels, which this
-// model does not have); the resilient transport's bounded retry deadlines
-// keep faulty runs from hanging, and saturation measurements on wrapped
-// shapes should stay below the collapse point (see docs/NOC.md).
+// model does not have). The resilient transport's bounded retry deadlines
+// turn such a deadlock into reported loss only when a NoC fault rate is
+// positive, which is what arms them. A fault-free torus under heavy load
+// can deadlock for good: the fabric never drains and a co-simulation runs
+// to max_cycles. Keep offered load on wrapped shapes below the collapse
+// point (see docs/NOC.md).
 #pragma once
 
 #include <memory>

@@ -31,7 +31,6 @@ PerfReport measure(const cosim::CoSimulation& cosim) {
         cosim.bus().stats().bytes_to_hw + cosim.bus().stats().bytes_to_sw;
   }
   r.hw_delta_cycles = cosim.hw_sim().stats().delta_cycles;
-  r.sw_task_steps = cosim.scheduler().total_steps();
   r.sw_queue_high_water = cosim.sw_executor().queue_high_water();
 
   for (const auto& c : domain.classes()) {

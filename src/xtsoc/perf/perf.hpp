@@ -31,7 +31,6 @@ struct PerfReport {
   std::uint64_t bus_frames = 0;  ///< interconnect frames (bus or NoC)
   std::uint64_t bus_bytes = 0;   ///< interconnect payload bytes
   std::uint64_t hw_delta_cycles = 0;
-  std::uint64_t sw_task_steps = 0;
   std::size_t hw_queue_high_water = 0;  ///< fabric FIFO sizing number
   std::size_t sw_queue_high_water = 0;  ///< software mailbox sizing number
   std::vector<ClassPerf> classes;

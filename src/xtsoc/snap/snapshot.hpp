@@ -11,7 +11,7 @@
 //                first; readable without touching the state payload
 //                (inspect()).
 //   'C' cosim  : CoSimulation::save_state — kernel, interconnect,
-//                channels, domain executors, scheduler, cycle counter.
+//                channels, domain executors, cycle counter.
 //   'F' fault  : fault::Plan RNG stream positions (present only when a
 //                plan was attached at save time).
 //   'O' obs    : obs::Registry counters (present only when a registry was
@@ -55,7 +55,9 @@ namespace xtsoc::snap {
 /// v3: the C section appends the executor flat-memory maps, per-channel
 /// coherence egress queues, and the xtsoc::mem hierarchy state (store
 /// buffers, value store, cache arrays, MSHRs, directory, DRAM timers).
-inline constexpr std::uint32_t kSnapVersion = 3;
+/// v4: the C section drops the software task scheduler's ready flags and
+/// step counters; the software executor is stepped directly.
+inline constexpr std::uint32_t kSnapVersion = 4;
 
 /// Parsed 'H' section.
 struct SnapshotInfo {

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include "test_models.hpp"
 #include "xtsoc/core/project.hpp"
 #include "xtsoc/core/stimulus.hpp"
+#include "xtsoc/fault/fault.hpp"
 #include "xtsoc/text/xtm.hpp"
 
 namespace xtsoc::core {
@@ -266,6 +270,181 @@ TEST(Stimulus, RunBoundStopsSelfTickers) {
                                   "expect a.n == 5\n",
                                   out);
   EXPECT_TRUE(r.ok) << out.str();
+}
+
+// --- mark audit ------------------------------------------------------------------
+//
+// Marks "select which mapping rule applies" (paper §1): a standard mark that
+// changes neither the generated C, nor the generated VHDL, nor the cosim
+// report selects nothing. Each standard key gets one non-default value on a
+// probe platform where it can matter, and must change at least one of them.
+
+constexpr const char* kProbeXtm = R"(domain Probe
+
+class Cpu key CPU
+  attr n : int = 0
+  attr acc : int = 0
+  attr w0 : ref Acc
+  attr w1 : ref Acc
+  attr w2 : ref Acc
+  event tick()
+  event back(v : int)
+  state Run {
+    self.n = self.n + 1;
+    k = 0;
+    while (k < 4)
+      mem.write(k * 32768 + (self.n % 16) * 64, self.n + k);
+      self.acc = self.acc + mem.read(k * 32768 + (self.n % 8) * 128);
+      k = k + 1;
+    end while;
+    generate work(v: self.n, who: self) to self.w0;
+    generate work(v: self.n + 1, who: self) to self.w1;
+    generate work(v: self.n + 2, who: self) to self.w2;
+    generate tick() to self delay 12;
+  }
+  state Sum {
+    self.acc = self.acc + param.v;
+  }
+  transition Run on tick -> Run
+  transition Run on back -> Sum
+  transition Sum on back -> Sum
+  transition Sum on tick -> Run
+  initial Run
+end
+
+class Acc key ACC
+  attr sum : int = 0
+  event work(v : int, who : ref Cpu)
+  state Idle {
+  }
+  state Busy {
+    self.sum = self.sum + param.v;
+    generate back(v: self.sum) to param.who;
+  }
+  transition Idle on work -> Busy
+  transition Busy on work -> Busy
+  initial Idle
+end
+)";
+
+constexpr const char* kProbeScript =
+    "create a0 Acc\ncreate a1 Acc\ncreate a2 Acc\n"
+    "create c Cpu w0=@a0 w1=@a1 w2=@a2\n"
+    "inject c tick\nrun 600\n";
+
+/// Generated C, generated VHDL and the cosim report of the probe run, with
+/// the fault plan the marks describe attached.
+std::string probe_fingerprint(const marks::MarkSet& marks,
+                              const std::string& what) {
+  DiagnosticSink sink;
+  auto p = Project::from_xtm(kProbeXtm, marks.to_text(), sink);
+  if (p == nullptr) {
+    ADD_FAILURE() << what << ": probe does not map\n" << sink.to_string();
+    return {};
+  }
+  std::string out;
+  for (const codegen::GeneratedFile& f : p->generate_all(sink).files) {
+    out += "== " + f.path + "\n" + f.content;
+  }
+  fault::Plan plan(fault::FaultSpec::from_marks(p->marks()));
+  cosim::CoSimConfig cfg;
+  cfg.fault = &plan;
+  std::ostringstream log;
+  StimulusResult r = run_stimulus_cosim(
+      *p, kProbeScript, log, cfg, [&out](const cosim::CoSimulation& cs) {
+        out += "== report\n" + cs.report().to_json(2);
+      });
+  EXPECT_TRUE(r.ok) << what << "\n" << log.str();
+  EXPECT_FALSE(sink.has_errors()) << what << "\n" << sink.to_string();
+  return out;
+}
+
+struct MarkProbe {
+  const char* element;  ///< the probed class, or null for a domain mark
+  const char* key;
+  const char* base;     ///< the probe platform where the key can act
+  xtuml::ScalarValue value;
+};
+
+TEST(MarkAudit, EveryStandardMarkSelectsARule) {
+  const std::string mesh =
+      "Acc.isHardware = true\nAcc.tileX = 1\nAcc.tileY = 1\n";
+  const std::string mem = mesh + "domain.dram.tile = 1\n";
+  const std::map<std::string, std::string> bases = {
+      {"none", ""},
+      {"bus", "Acc.isHardware = true\n"},
+      {"mesh", mesh},
+      {"mem", mem},
+      {"cached", mem + "domain.cache.sets = 4\n"},
+      {"faulty", mesh + "domain.faultRate.flitDrop = 0.05\n"},
+  };
+  using xtuml::ScalarValue;
+  auto i = [](std::int64_t v) { return ScalarValue(v); };
+  const MarkProbe probes[] = {
+      {"Acc", marks::kIsHardware, "none", ScalarValue(true)},
+      {"Acc", marks::kClockDomain, "bus", i(4)},
+      {"Acc", marks::kMaxInstances, "bus", i(8)},
+      {"Acc", marks::kIntWidth, "bus", i(8)},
+      {"Acc", marks::kTileX, "mesh", i(0)},
+      {"Acc", marks::kTileY, "mesh", i(0)},
+      {nullptr, marks::kBusLatency, "bus", i(9)},
+      {nullptr, marks::kMeshWidth, "mesh", i(3)},
+      {nullptr, marks::kMeshHeight, "mesh", i(3)},
+      {nullptr, marks::kSwTileX, "mesh", i(1)},
+      {nullptr, marks::kSwTileY, "mesh", i(1)},
+      {nullptr, marks::kLinkLatency, "mesh", i(3)},
+      {nullptr, marks::kFlitBytes, "mesh", i(8)},
+      {nullptr, marks::kFifoDepth, "mesh", i(1)},
+      {nullptr, marks::kTopology, "mesh", ScalarValue(std::string("torus"))},
+      {nullptr, marks::kRouting, "mesh", ScalarValue(std::string("yx"))},
+      {nullptr, marks::kFaultSeed, "faulty", i(7)},
+      {nullptr, marks::kFaultWindow, "faulty", i(50)},
+      {nullptr, marks::kFaultWindowStart, "faulty", i(50)},
+      {nullptr, marks::kFaultRateFlitDrop, "mesh", ScalarValue(0.05)},
+      {nullptr, marks::kFaultRateFlitCorrupt, "mesh", ScalarValue(0.05)},
+      {nullptr, marks::kFaultRateLinkDown, "mesh", ScalarValue(0.01)},
+      {nullptr, marks::kFaultRateBusError, "bus", ScalarValue(0.1)},
+      {nullptr, marks::kDramTile, "mesh", i(1)},
+      // DRAM latency overlaps the data frame's flits on the fabric, so a
+      // few cycles more hide under them; 60 does not.
+      {nullptr, marks::kDramTRcd, "cached", i(60)},
+      {nullptr, marks::kDramTCas, "cached", i(60)},
+      {nullptr, marks::kDramTRp, "cached", i(60)},
+      {nullptr, marks::kCacheSets, "mem", i(4)},
+      {nullptr, marks::kCacheWays, "cached", i(4)},
+      {nullptr, marks::kCacheLineBytes, "cached", i(32)},
+      {nullptr, marks::kCacheHitLatency, "cached", i(3)},
+  };
+
+  // The probe list is the standard key list, so a new key cannot skip it.
+  std::set<std::string> probed;
+  for (const MarkProbe& m : probes) probed.insert(m.key);
+  std::set<std::string> standard;
+  for (const char* k : marks::kStandardClassKeys) standard.insert(k);
+  for (const char* k : marks::kStandardDomainKeys) standard.insert(k);
+  EXPECT_EQ(probed, standard);
+
+  auto parse = [&](const std::string& base) {
+    DiagnosticSink sink;
+    marks::MarkSet m = marks::MarkSet::from_text(bases.at(base), sink);
+    EXPECT_FALSE(sink.has_errors()) << base << "\n" << sink.to_string();
+    return m;
+  };
+  std::map<std::string, std::string> base_prints;
+  for (const auto& [name, text] : bases) {
+    base_prints[name] = probe_fingerprint(parse(name), "base " + name);
+  }
+  for (const MarkProbe& m : probes) {
+    marks::MarkSet probe = parse(m.base);
+    if (m.element != nullptr) {
+      probe.set_class_mark(m.element, m.key, m.value);
+    } else {
+      probe.set_domain_mark(m.key, m.value);
+    }
+    const std::string what = std::string(m.key) + " on " + m.base;
+    EXPECT_TRUE(probe_fingerprint(probe, what) != base_prints.at(m.base))
+        << what << " changes neither the C, the VHDL nor the report";
+  }
 }
 
 TEST(Project, MakeExecutorsWork) {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "xtsoc/hwsim/components.hpp"
+#include "clocked_counter.hpp"
 #include "xtsoc/hwsim/vcd.hpp"
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/verify/explore.hpp"
@@ -49,8 +49,8 @@ TEST(Vcd, OnlyChangesAfterFirstSample) {
   hwsim::Simulator sim;
   HwSignalId clk = sim.wire(1, 0, "clk");
   sim.add_clock(clk, 1);
-  hwsim::Counter ctr(sim, clk, 8);
-  hwsim::VcdWriter vcd(sim, {clk, ctr.value()});
+  HwSignalId counter = testing::clocked_counter(sim, clk, 8);
+  hwsim::VcdWriter vcd(sim, {clk, counter});
   vcd.sample();
   std::size_t after_first = vcd.change_count();
   sim.run_cycles(clk, 1);

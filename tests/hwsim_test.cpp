@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "xtsoc/hwsim/components.hpp"
+#include "clocked_counter.hpp"
 #include "xtsoc/hwsim/kernel.hpp"
 #include "xtsoc/hwsim/vcd.hpp"
 
@@ -130,164 +130,11 @@ TEST(Kernel, StatsAccumulate) {
   Simulator sim;
   HwSignalId clk = sim.wire(1);
   sim.add_clock(clk, 1);
-  Counter ctr(sim, clk, 8);
+  testing::clocked_counter(sim, clk, 8);
   sim.run_cycles(clk, 3);
   EXPECT_GT(sim.stats().delta_cycles, 0u);
   EXPECT_GT(sim.stats().process_activations, 0u);
   EXPECT_GT(sim.stats().wire_commits, 0u);
-}
-
-TEST(Components, RegisterLatchesOnEdge) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  Register reg(sim, clk, 8);
-  sim.poke(reg.d(), 42);
-  EXPECT_EQ(sim.read(reg.q()), 0u);
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(reg.q()), 42u);
-}
-
-TEST(Components, RegisterEnableGates) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  Register reg(sim, clk, 8);
-  sim.poke(reg.d(), 7);
-  sim.poke(reg.en(), 0);
-  sim.run_cycles(clk, 3);
-  EXPECT_EQ(sim.read(reg.q()), 0u);
-  sim.poke(reg.en(), 1);
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(reg.q()), 7u);
-}
-
-TEST(Components, CounterCountsAndClears) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  Counter ctr(sim, clk, 8);
-  sim.run_cycles(clk, 5);
-  EXPECT_EQ(sim.read(ctr.value()), 5u);
-  sim.poke(ctr.clear(), 1);
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(ctr.value()), 0u);
-  sim.poke(ctr.clear(), 0);
-  sim.poke(ctr.enable(), 0);
-  sim.run_cycles(clk, 3);
-  EXPECT_EQ(sim.read(ctr.value()), 0u);
-}
-
-TEST(Components, CounterWraps) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  Counter ctr(sim, clk, 2);  // wraps at 4
-  sim.run_cycles(clk, 5);
-  EXPECT_EQ(sim.read(ctr.value()), 1u);
-}
-
-TEST(Components, FifoPushPop) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  SyncFifo fifo(sim, clk, 4);
-
-  // Push two words.
-  sim.poke(fifo.in_valid(), 1);
-  sim.poke(fifo.in_data(), 11);
-  sim.run_cycles(clk, 1);
-  sim.poke(fifo.in_data(), 22);
-  sim.run_cycles(clk, 1);
-  sim.poke(fifo.in_valid(), 0);
-  EXPECT_EQ(fifo.size(), 2u);
-
-  // First word presented.
-  EXPECT_EQ(sim.read(fifo.out_valid()), 1u);
-  EXPECT_EQ(sim.read(fifo.out_data()), 11u);
-
-  // Consume both.
-  sim.poke(fifo.out_ready(), 1);
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(fifo.out_data()), 22u);
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(fifo.out_valid()), 0u);
-  EXPECT_EQ(fifo.size(), 0u);
-}
-
-TEST(Components, FifoBackpressureWhenFull) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  SyncFifo fifo(sim, clk, 2);
-  sim.poke(fifo.in_valid(), 1);
-  sim.poke(fifo.in_data(), 1);
-  sim.run_cycles(clk, 1);
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(fifo.size(), 2u);
-  EXPECT_EQ(sim.read(fifo.in_ready()), 0u);  // full
-  // Further pushes rejected while full.
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(fifo.size(), 2u);
-}
-
-TEST(Components, ArbiterGrantsOneAtATime) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  RoundRobinArbiter arb(sim, clk, 3);
-
-  // Nothing requested: idle marker (index == 3).
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(arb.grant_index()), 3u);
-
-  sim.poke(arb.request(1), 1);
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(arb.grant_index()), 1u);
-  EXPECT_EQ(sim.read(arb.grant(1)), 1u);
-  EXPECT_EQ(sim.read(arb.grant(0)), 0u);
-  EXPECT_EQ(sim.read(arb.grant(2)), 0u);
-}
-
-TEST(Components, ArbiterRotatesFairly) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  RoundRobinArbiter arb(sim, clk, 3);
-  for (int i = 0; i < 3; ++i) sim.poke(arb.request(i), 1);
-
-  std::vector<std::uint64_t> order;
-  for (int c = 0; c < 6; ++c) {
-    sim.run_cycles(clk, 1);
-    order.push_back(sim.read(arb.grant_index()));
-  }
-  // All requesters held high: strict rotation, each granted twice in 6.
-  for (std::uint64_t idx : {0u, 1u, 2u}) {
-    EXPECT_EQ(std::count(order.begin(), order.end(), idx), 2) << idx;
-  }
-  // No immediate repeat (rotation moves on while others still request).
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    EXPECT_NE(order[i], order[i - 1]);
-  }
-}
-
-TEST(Components, ArbiterSkipsIdleRequesters) {
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  RoundRobinArbiter arb(sim, clk, 4);
-  sim.poke(arb.request(0), 1);
-  sim.poke(arb.request(3), 1);
-  std::vector<std::uint64_t> order;
-  for (int c = 0; c < 4; ++c) {
-    sim.run_cycles(clk, 1);
-    order.push_back(sim.read(arb.grant_index()));
-  }
-  for (std::uint64_t idx : order) {
-    EXPECT_TRUE(idx == 0 || idx == 3) << idx;
-  }
-  EXPECT_EQ(std::count(order.begin(), order.end(), 0u), 2);
-  EXPECT_EQ(std::count(order.begin(), order.end(), 3u), 2);
 }
 
 // Property sweep: a counter after N cycles reads N (mod 2^width).
@@ -299,10 +146,10 @@ TEST_P(CounterSweep, ValueMatchesCycleCount) {
   Simulator sim;
   HwSignalId clk = sim.wire(1);
   sim.add_clock(clk, 1);
-  Counter ctr(sim, clk, width);
+  HwSignalId counter = testing::clocked_counter(sim, clk, width);
   sim.run_cycles(clk, cycles);
   std::uint64_t mask = width == 64 ? ~0ULL : ((1ULL << width) - 1);
-  EXPECT_EQ(sim.read(ctr.value()), cycles & mask);
+  EXPECT_EQ(sim.read(counter), cycles & mask);
 }
 
 INSTANTIATE_TEST_SUITE_P(

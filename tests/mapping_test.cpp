@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "xtsoc/common/rng.hpp"
-#include "xtsoc/mapping/archetype.hpp"
 #include "xtsoc/mapping/classrefs.hpp"
 #include "xtsoc/mapping/interface.hpp"
 #include "xtsoc/mapping/modelcompiler.hpp"
@@ -482,80 +481,6 @@ TEST(Interface, WholeFieldCodecMatchesBitAtATimeReference) {
     }
   }
   EXPECT_GT(straddling, 400);  // many fields cross a byte boundary
-}
-
-// --- archetype engine -------------------------------------------------------------
-
-TEST(Archetype, ScalarSubstitution) {
-  DiagnosticSink sink;
-  Bindings b;
-  b.set("name", "Oven");
-  EXPECT_EQ(render_archetype("class ${name} {};", b, sink), "class Oven {};");
-  EXPECT_FALSE(sink.has_errors());
-}
-
-TEST(Archetype, UnknownVarLeftVisible) {
-  DiagnosticSink sink;
-  Bindings b;
-  EXPECT_EQ(render_archetype("${missing}", b, sink), "${missing}");
-}
-
-TEST(Archetype, ForOverStrings) {
-  DiagnosticSink sink;
-  Bindings b;
-  b.set_list("states", {std::string("Idle"), std::string("Busy")});
-  EXPECT_EQ(render_archetype("%for s in states%[${s}]%end%", b, sink),
-            "[Idle][Busy]");
-}
-
-TEST(Archetype, ForOverRecords) {
-  DiagnosticSink sink;
-  Bindings b;
-  b.set_list("fields", {Record{{"name", "x"}, {"type", "int"}},
-                        Record{{"name", "y"}, {"type", "bool"}}});
-  EXPECT_EQ(
-      render_archetype("%for f in fields%${f.type} ${f.name};\n%end%", b, sink),
-      "int x;\nbool y;\n");
-}
-
-TEST(Archetype, NestedFor) {
-  DiagnosticSink sink;
-  Bindings b;
-  b.set_list("outer", {std::string("a"), std::string("b")});
-  b.set_list("inner", {std::string("1"), std::string("2")});
-  EXPECT_EQ(
-      render_archetype("%for o in outer%%for i in inner%${o}${i} %end%%end%",
-                       b, sink),
-      "a1 a2 b1 b2 ");
-}
-
-TEST(Archetype, IfConditional) {
-  DiagnosticSink sink;
-  Bindings b;
-  b.set("hw", "yes");
-  b.set("sw", "");
-  EXPECT_EQ(render_archetype("%if hw%H%end%%if sw%S%end%", b, sink), "H");
-}
-
-TEST(Archetype, UnknownListReported) {
-  DiagnosticSink sink;
-  Bindings b;
-  render_archetype("%for x in nope%${x}%end%", b, sink);
-  EXPECT_TRUE(sink.has_errors());
-}
-
-TEST(Archetype, UnclosedForReported) {
-  DiagnosticSink sink;
-  Bindings b;
-  b.set_list("xs", {std::string("1")});
-  render_archetype("%for x in xs%${x}", b, sink);
-  EXPECT_TRUE(sink.has_errors());
-}
-
-TEST(Archetype, LiteralPercentSurvives) {
-  DiagnosticSink sink;
-  Bindings b;
-  EXPECT_EQ(render_archetype("duty is 100% done", b, sink), "duty is 100% done");
 }
 
 // --- map_system -------------------------------------------------------------------

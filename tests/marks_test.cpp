@@ -92,8 +92,8 @@ TEST(MarkDiff, RepartitionIsOneChange) {
 
 TEST(MarkDiff, AddAndRemove) {
   MarkSet a, b;
-  a.set_class_mark("X", kPriority, ScalarValue(std::int64_t{1}));
-  b.set_class_mark("Y", kPriority, ScalarValue(std::int64_t{2}));
+  a.set_class_mark("X", kMaxInstances, ScalarValue(std::int64_t{1}));
+  b.set_class_mark("Y", kMaxInstances, ScalarValue(std::int64_t{2}));
   MarkDiff d = MarkSet::diff(a, b);
   ASSERT_EQ(d.size(), 2u);
   EXPECT_FALSE(d.changes[0].after.has_value());  // X removed
@@ -110,7 +110,7 @@ TEST(MarkSet, TextRoundTrip) {
   MarkSet m;
   m.mark_hardware("Compressor");
   m.set_class_mark("Compressor", kClockDomain, ScalarValue(std::int64_t{1}));
-  m.set_class_mark("Controller", kPriority, ScalarValue(std::int64_t{3}));
+  m.set_class_mark("Controller", kMaxInstances, ScalarValue(std::int64_t{3}));
   m.set_domain_mark(kBusLatency, ScalarValue(std::int64_t{8}));
 
   std::string text = m.to_text();
@@ -259,6 +259,30 @@ TEST(Validate, UnknownKeyAllowed) {
   DiagnosticSink sink;
   EXPECT_TRUE(m.validate(d, sink)) << sink.to_string();
   EXPECT_TRUE(sink.all().empty());
+}
+
+TEST(Validate, RetiredKeysWarnAndStillLoad) {
+  Domain d = make_domain();
+  DiagnosticSink sink;
+  MarkSet m = MarkSet::from_text(
+      "Compressor.isHardware = true\n"
+      "Compressor.busId = 1\n"
+      "Controller.priority = 2\n"
+      "domain.memTraffic.writeFraction = 0.2\n",
+      sink);
+  ASSERT_TRUE(sink.all().empty()) << sink.to_string();
+  EXPECT_TRUE(m.is_hardware("Compressor"));
+  EXPECT_TRUE(m.validate(d, sink));  // warnings, not errors
+  ASSERT_EQ(sink.all().size(), 3u) << sink.to_string();
+  for (const Diagnostic& diag : sink.all()) {
+    EXPECT_EQ(diag.severity, Severity::kWarning);
+    EXPECT_EQ(diag.code, "marks.retired");
+  }
+  // Domain scope sorts first.
+  EXPECT_NE(sink.all()[0].message.find("memTraffic.writeFraction"),
+            std::string::npos);
+  EXPECT_NE(sink.all()[1].message.find("busId"), std::string::npos);
+  EXPECT_NE(sink.all()[2].message.find("priority"), std::string::npos);
 }
 
 // --- NoC placement marks --------------------------------------------------------
@@ -512,7 +536,6 @@ TEST(Validate, GoodMemoryMarksAccepted) {
   m.set_domain_mark(kDramTRcd, ScalarValue(std::int64_t{3}));
   m.set_domain_mark(kDramTCas, ScalarValue(std::int64_t{3}));
   m.set_domain_mark(kDramTRp, ScalarValue(std::int64_t{2}));
-  m.set_domain_mark(kMemWriteFraction, ScalarValue(0.25));
   DiagnosticSink sink;
   EXPECT_TRUE(m.validate(d, sink)) << sink.to_string();
 }
@@ -608,27 +631,6 @@ TEST(Validate, DramTileMustBeUnoccupied) {
   EXPECT_FALSE(sw.validate(d, sink));
   EXPECT_NE(sink.to_string().find("marks.dram.tile_clash"), std::string::npos);
   EXPECT_NE(sink.to_string().find("software tile"), std::string::npos);
-}
-
-TEST(Validate, WriteFractionIsAProbability) {
-  Domain d = make_domain();
-  MarkSet m = mem_marked();
-  m.set_domain_mark(kMemWriteFraction, ScalarValue(1.5));
-  DiagnosticSink sink;
-  EXPECT_FALSE(m.validate(d, sink));
-  EXPECT_NE(sink.to_string().find("marks.mem.write_fraction"),
-            std::string::npos);
-
-  sink.clear();
-  MarkSet neg = mem_marked();
-  neg.set_domain_mark(kMemWriteFraction, ScalarValue(-0.1));
-  EXPECT_FALSE(neg.validate(d, sink));
-
-  // Integer 0 and 1 are legal probabilities (marks files write them bare).
-  sink.clear();
-  MarkSet ok = mem_marked();
-  ok.set_domain_mark(kMemWriteFraction, ScalarValue(std::int64_t{1}));
-  EXPECT_TRUE(ok.validate(d, sink)) << sink.to_string();
 }
 
 }  // namespace

@@ -477,6 +477,24 @@ TEST(SnapReject, VersionMismatch) {
   }
 }
 
+// A file from the previous layout (v3 still carried the software task
+// scheduler in C) is refused at the version check, not parsed.
+TEST(SnapReject, PreviousVersionRefused) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  std::vector<std::uint8_t> bytes = make_snapshot(fx);
+  bytes[4] = static_cast<std::uint8_t>(kSnapVersion - 1);
+  refresh_crc(&bytes);
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  try {
+    restore(cs, bytes.data(), bytes.size());
+    FAIL() << "previous version not rejected";
+  } catch (const SnapError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 3"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SnapReject, WrongMagic) {
   MappedFixture fx(make_ring_domain(), ring_marks());
   std::vector<std::uint8_t> bytes = make_snapshot(fx);
