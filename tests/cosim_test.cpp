@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <ostream>
 #include <tuple>
 
 #include "observe.hpp"
@@ -924,6 +925,123 @@ TEST(CoSimQuiet, SparseMeshByteIdenticalAcrossThreadsAndWindows) {
                        what + " segment 4 after restore");
     }
   }
+}
+
+// --- golden pin ----------------------------------------------------------------
+//
+// Fingerprints recorded from the delta-cycle kernel, before it became a
+// clocked wire file. Each cell runs one workload in lockstep (threads 1,
+// window 1) or windowed (threads 2, window auto), samples a VCD of every
+// wire after every cycle and saves a checkpoint at two cycles. The VCD,
+// report().to_json(2) and both checkpoints' bytes must keep these exact
+// FNV-1a values: they are what the kernel, the replay and the checkpoint
+// writer are held to, independently of the grids that compare the
+// windowed path against the lockstep one. Checkpoint bytes may differ
+// between the two modes while every observable agrees (the 8x8 ring's
+// second checkpoint does), so each mode is pinned on its own.
+
+struct GoldenPin {
+  std::uint64_t vcd, report, snap_a, snap_b;
+};
+
+bool operator==(const GoldenPin& a, const GoldenPin& b) {
+  return a.vcd == b.vcd && a.report == b.report && a.snap_a == b.snap_a &&
+         a.snap_b == b.snap_b;
+}
+
+std::ostream& operator<<(std::ostream& os, const GoldenPin& p) {
+  return os << std::hex << "{0x" << p.vcd << "ull, 0x" << p.report
+            << "ull, 0x" << p.snap_a << "ull, 0x" << p.snap_b << "ull}";
+}
+
+/// Runs `boot`, then `first` cycles, a checkpoint, `poke`, `second`
+/// cycles and another checkpoint.
+GoldenPin golden_run(const mapping::MappedSystem& sys, bool windowed,
+                     const std::function<void(CoSimulation&)>& boot,
+                     const std::function<void(CoSimulation&)>& poke,
+                     std::uint64_t first, std::uint64_t second) {
+  CoSimConfig cfg;
+  cfg.threads = windowed ? 2 : 1;
+  cfg.window = windowed ? 0 : 1;
+  CoSimulation cs(sys, cfg);
+  boot(cs);
+  hwsim::VcdWriter vcd(cs.hw_sim());
+  cs.set_cycle_hook([&vcd](std::uint64_t) { vcd.sample(); });
+  auto bytes_hash = [](const std::vector<std::uint8_t>& b) {
+    return testing::fnv1a(std::string(b.begin(), b.end()));
+  };
+  GoldenPin pin{};
+  cs.run_cycles(first);
+  pin.snap_a = bytes_hash(snap::save(cs));
+  poke(cs);
+  cs.run_cycles(second);
+  pin.snap_b = bytes_hash(snap::save(cs));
+  pin.vcd = testing::fnv1a(vcd.render());
+  pin.report = testing::fnv1a(cs.report().to_json(2));
+  return pin;
+}
+
+TEST(CoSimGolden, BusPipeline) {
+  MappedFixture fx(make_pipeline_domain(), hw_consumer_marks(2));
+  InstanceHandle producer;
+  auto boot = [&producer](CoSimulation& cs) {
+    InstanceHandle consumer = cs.create("Consumer");
+    producer = cs.create_with("Producer", {{"sink", Value(consumer)}});
+    cs.inject(producer, "kick");
+  };
+  auto poke = [&producer](CoSimulation& cs) {
+    cs.inject(producer, "kick");
+    cs.inject(producer, "kick", {}, 3);
+  };
+  EXPECT_EQ(golden_run(*fx.system, false, boot, poke, 9, 31),
+            (GoldenPin{0x81e72cd71babf514ull, 0x812056e0e70976e7ull,
+                       0xcc5a325cd382e069ull, 0xfe9bb8792f98f703ull}));
+  EXPECT_EQ(golden_run(*fx.system, true, boot, poke, 9, 31),
+            (GoldenPin{0x81e72cd71babf514ull, 0xc5547674d2f1da8full,
+                       0xcc5a325cd382e069ull, 0xfe9bb8792f98f703ull}));
+}
+
+TEST(CoSimGolden, MeshFanout2x2) {
+  MappedFixture fx(make_fanout_domain(), fanout_mesh_marks());
+  InstanceHandle boss;
+  auto boot = [&boss](CoSimulation& cs) {
+    boss = testing::boot_fanout(cs).boss;
+    cs.inject(boss, "go");
+  };
+  auto poke = [&boss](CoSimulation& cs) { cs.inject(boss, "go"); };
+  EXPECT_EQ(golden_run(*fx.system, false, boot, poke, 23, 57),
+            (GoldenPin{0xe46806672487900dull, 0xa4aeb972d2b6d30eull,
+                       0xb47913d0c4fbb97full, 0x5c72136df06de229ull}));
+  EXPECT_EQ(golden_run(*fx.system, true, boot, poke, 23, 57),
+            (GoldenPin{0xe46806672487900dull, 0x18e02c3f2b9cc6f3ull,
+                       0xb47913d0c4fbb97full, 0x5c72136df06de229ull}));
+}
+
+TEST(CoSimGolden, MeshRing8x8) {
+  constexpr int kNodes = 63;
+  MappedFixture fx(make_grid_domain(kNodes), grid_mesh_marks(8, 8, 4));
+  std::vector<InstanceHandle> h;
+  auto boot = [&h](CoSimulation& cs) {
+    h.clear();
+    for (int i = 0; i < kNodes; ++i) {
+      h.push_back(cs.create("N" + std::to_string(i)));
+    }
+    for (std::size_t i = 0; i < h.size(); ++i) {
+      // peer is the third declared attribute (acc, pings, peer).
+      cs.executor_of(h[i].cls).database().set_attr(
+          h[i], AttributeId(2), Value(h[(i + 1) % h.size()]));
+      cs.inject(h[i], "tick");
+    }
+  };
+  auto poke = [&h](CoSimulation& cs) {
+    cs.inject(h[40], "ping", {Value(std::int64_t{3})});
+  };
+  EXPECT_EQ(golden_run(*fx.system, false, boot, poke, 61, 36),
+            (GoldenPin{0x70990d219365917dull, 0x06207d93b086b86dull,
+                       0xcdb504e0b5468e24ull, 0xe82d611db94ba97eull}));
+  EXPECT_EQ(golden_run(*fx.system, true, boot, poke, 61, 36),
+            (GoldenPin{0x70990d219365917dull, 0x34206a4e877639b7ull,
+                       0xcdb504e0b5468e24ull, 0x1a5c6d55f3681d09ull}));
 }
 
 }  // namespace
