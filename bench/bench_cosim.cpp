@@ -4,8 +4,7 @@
 // Measures the partitioned system end to end:
 //   * cross-boundary round-trip completion time vs bus latency (summary
 //     table: the hw/sw crossover as software work grows),
-//   * co-simulation throughput (cycles/s, signals/s),
-//   * raw hwsim kernel throughput (delta cycles/s) as the substrate floor.
+//   * co-simulation throughput (cycles/s, signals/s).
 
 #include <benchmark/benchmark.h>
 
@@ -22,7 +21,6 @@
 #include "bench_json.hpp"
 #include "models.hpp"
 #include "overhead.hpp"
-#include "xtsoc/hwsim/kernel.hpp"
 #include "xtsoc/jit/jit.hpp"
 #include "xtsoc/obs/registry.hpp"
 
@@ -187,7 +185,7 @@ marks::MarkSet mesh_marks(int width, int height, int link_latency = 4) {
                     xtuml::ScalarValue(static_cast<std::int64_t>(height)));
   // A 4-cycle link gives the conservative-lookahead scheduler a 4-cycle
   // window: domains run 4 cycles per pool handshake instead of paying a
-  // barrier per delta cycle. This is the knob the speedup depends on.
+  // barrier per cycle. This is the knob the speedup depends on.
   m.set_domain_mark(marks::kLinkLatency,
                     xtuml::ScalarValue(static_cast<std::int64_t>(link_latency)));
   return m;
@@ -261,29 +259,6 @@ void BM_MeshCosim(benchmark::State& state) {
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_MeshCosim)->Arg(1)->Arg(2)->Arg(8)->ArgNames({"threads"});
-
-/// Substrate floor: raw hwsim delta-cycle throughput (a bank of 32-bit
-/// up-counters, each one clocked process over one wire).
-void BM_HwsimKernel(benchmark::State& state) {
-  const int counters = static_cast<int>(state.range(0));
-  hwsim::Simulator sim;
-  HwSignalId clk = sim.wire(1, 0, "clk");
-  sim.add_clock(clk, 1);
-  for (int i = 0; i < counters; ++i) {
-    const HwSignalId v = sim.wire(32, 0, "counter" + std::to_string(i));
-    sim.on_posedge(clk, [v](hwsim::Simulator& s) {
-      s.nba_write(v, s.read(v) + 1);
-    });
-  }
-  std::uint64_t cycles = 0;
-  for (auto _ : state) {
-    sim.run_cycles(clk, 1000);
-    cycles += 1000;
-  }
-  state.counters["cycles/s"] = benchmark::Counter(
-      static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_HwsimKernel)->Arg(1)->Arg(16)->Arg(256)->ArgNames({"counters"});
 
 void emit_json() {
   bench::JsonReport report("cosim");

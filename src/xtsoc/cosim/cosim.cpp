@@ -13,11 +13,11 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     : sys_(&sys), config_(config) {
   // Derive the execution window from the static interconnect lookahead.
   // Any parallel run goes through the window path, which runs whole
-  // domains concurrently and replays them on the serial kernel at the
-  // boundary. A window of one cycle is always sound (the lookahead is never
-  // below 1), so threads > 1 takes that path even when W == 1. Only a
-  // serial run at W == 1 uses the exact per-cycle lockstep loop, the
-  // reference every parallel run is checked against.
+  // domains concurrently and commits their staged wire writes on the
+  // serial kernel in phase B. A window of one cycle is always sound (the
+  // lookahead is never below 1), so threads > 1 takes that path even when
+  // W == 1. Only a serial run at W == 1 uses the exact per-cycle lockstep
+  // loop, the reference every parallel run is checked against.
   lookahead_ = sys.lookahead();
   window_ = config_.window == 0 ? lookahead_
                                 : std::min(config_.window, lookahead_);
@@ -30,8 +30,7 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
   if (obs_ != nullptr) obs_track_ = obs_->track("cosim");
 
   sim_ = std::make_unique<hwsim::Simulator>(config_.obs);
-  clk_ = sim_->wire(1, 0, "clk");
-  sim_->add_clock(clk_, /*half_period=*/1);
+  sim_->clock();
 
   runtime::ExecutorConfig ecfg;
   ecfg.policy = config_.policy;
@@ -85,7 +84,7 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
             "executor/hw" + std::to_string(hw_domains_.size()));
       }
       hw_domains_.push_back(std::make_unique<HwDomain>(
-          sys, *sim_, clk_, *chan, std::move(owned), ecfg));
+          sys, *sim_, *chan, std::move(owned), ecfg));
       for (ClassId cls : hw_domains_.back()->owned()) {
         hw_domain_of_[cls.value()] = hw_domains_.back().get();
       }
@@ -147,7 +146,7 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     std::vector<ClassId> owned(part.hardware().begin(), part.hardware().end());
     if (obs_ != nullptr) ecfg.obs_track = obs_->track("executor/hw0");
     hw_domains_.push_back(std::make_unique<HwDomain>(
-        sys, *sim_, clk_, *hw_chan, std::move(owned), ecfg));
+        sys, *sim_, *hw_chan, std::move(owned), ecfg));
     for (ClassId cls : hw_domains_.back()->owned()) {
       hw_domain_of_[cls.value()] = hw_domains_.back().get();
     }
@@ -314,10 +313,16 @@ void CoSimulation::one_cycle() {
     fabric_->tick(cycle_);
     collect_deliveries();
   }
-  // Hardware next: each clocked HwDomain process fires on the rising edge.
-  // Domains defer their outbound frames while the edge evaluates, then the
-  // frames enter the interconnect here in domain order.
-  sim_->run_cycles(clk_, 1);
+  // Hardware next: every HwDomain steps one cycle, staging its wire
+  // changes, and the kernel's rising edge commits them in domain order.
+  // Domains defer their outbound frames while they step, then the frames
+  // enter the interconnect here in domain order.
+  edge_batches_.clear();
+  for (auto& hw : hw_domains_) {
+    hw->step();
+    edge_batches_.push_back(&hw->edge_writes(0));
+  }
+  sim_->edge(edge_batches_);
   for (auto& hw : hw_domains_) hw->flush_outbox();
   // Then software gets its per-cycle budget of dispatches and action ops.
   sw_->run_cycle(cycle_, config_.sw_steps_per_cycle, config_.sw_ops_per_cycle);
@@ -357,7 +362,7 @@ void CoSimulation::run_window(std::uint64_t w) {
 
   // Phase A: run each awake domain w cycles ahead, concurrently. A job
   // touches only domain-local state — executor, inbox, outbox, staged
-  // kernel writes, its own quiet flag — never the kernel, the
+  // wire writes, its own quiet flag — never the kernel, the
   // interconnect, or another domain. The pool's run() provides the
   // happens-before edges on both sides.
   obs::ScopedSpan phase_a_span(obs_, obs_track_, "phaseA", base + 1);
@@ -405,10 +410,11 @@ void CoSimulation::run_window(std::uint64_t w) {
   phase_seconds_.phase_a += lap();
   OBS_SPAN_AT(obs_, obs_track_, "phaseB", base + 1);
 
-  // Phase B: the kernel replays the w edges serially (each domain that ran
-  // armed its replay). Around each edge the master performs the lockstep
-  // interleaving: fabric tick before, outbox flushes (domain order, then
-  // software), memory timing and the cycle hook after.
+  // Phase B: the w edges, serially, in the lockstep interleaving: fabric
+  // tick, the kernel edge committing the wire writes of the domains that
+  // ran (domain order), outbox flushes (domain order, then software),
+  // memory timing and the cycle hook. A domain that did not run is not
+  // touched: it staged nothing.
 
   // Batch the boundary exchanges: instead of asking every domain at every
   // edge whether it has frames to send (O(domains) scans per cycle, and
@@ -417,7 +423,6 @@ void CoSimulation::run_window(std::uint64_t w) {
   // ties in ascending tag order = hardware domains in order, software
   // last — exactly the serial flush order, so the interconnect sees the
   // identical injection sequence.
-  // Only the domains that ran can have staged a send.
   flush_sched_.clear();
   const std::uint32_t sw_tag = static_cast<std::uint32_t>(hw_domains_.size());
   for (std::size_t d : jobs_) {
@@ -431,11 +436,16 @@ void CoSimulation::run_window(std::uint64_t w) {
   std::sort(flush_sched_.begin(), flush_sched_.end());
   std::size_t flush_pos = 0;
 
-  auto before_edge = [this](std::uint64_t) {
+  for (std::uint64_t k = 0; k < w; ++k) {
     ++cycle_;
     if (fabric_) fabric_->tick(cycle_);
-  };
-  auto after_edge = [this, sw_tag, &flush_pos](std::uint64_t) {
+    edge_batches_.clear();
+    for (std::size_t d : jobs_) {
+      if (d < sw_tag) {
+        edge_batches_.push_back(&hw_domains_[d]->edge_writes(k));
+      }
+    }
+    sim_->edge(edge_batches_);
     while (flush_pos < flush_sched_.size() &&
            flush_sched_[flush_pos].first <= cycle_) {
       const std::uint32_t tag = flush_sched_[flush_pos].second;
@@ -448,8 +458,7 @@ void CoSimulation::run_window(std::uint64_t w) {
     }
     if (mem_) mem_tick(cycle_);
     if (cycle_hook_) cycle_hook_(cycle_);
-  };
-  sim_->run_cycles(clk_, w, before_edge, after_edge);
+  }
   phase_seconds_.phase_b += lap();
 }
 

@@ -1,8 +1,8 @@
 // CoSimulation: the partitioned executable system.
 //
-// Owns the hwsim kernel (with one clock), the hardware domains, the
-// SwDomain and the interconnect between them. The interconnect is picked
-// from the marks:
+// Owns the hwsim kernel (the master clock and the observability wires),
+// the hardware domains, the SwDomain and the interconnect between them. The
+// interconnect is picked from the marks:
 //
 //   * no tile marks — the legacy point-to-point Bus with one HwDomain
 //     owning every hardware class (the 1x2 degenerate topology);
@@ -13,8 +13,9 @@
 // Per hardware clock cycle:
 //
 //   1. the fabric (if any) moves flits one hop and retires due frames;
-//   2. each HwDomain's clocked process latches due frames and lets each
-//      hardware FSM instance consume one signal;
+//   2. each HwDomain latches due frames and lets each hardware FSM
+//      instance consume one signal, staging its wire changes; the kernel's
+//      rising edge commits them in domain order;
 //   3. the SwDomain latches its due frames and its executor receives a
 //      budget of `sw_steps_per_cycle` dispatches.
 //
@@ -35,24 +36,25 @@
 //   phase A (parallel) each domain runs W cycles of its per-cycle body on
 //                      a persistent worker pool, touching only its own
 //                      state: frames come from the inbox, outbound frames
-//                      are staged cycle-stamped in an outbox, and kernel
-//                      wire writes are staged per edge;
-//   phase B (serial)   the hwsim kernel replays the W edges through
-//                      Simulator::run_cycles, ticking the fabric before
-//                      each edge and flushing due outboxes (domain order,
-//                      then software), the memory timing layer and the
-//                      cycle hook after it. Each domain re-issues only the
-//                      wire writes that change a value; the rest would
-//                      commit nothing, so the replay stays byte-identical.
+//                      are staged cycle-stamped in an outbox, and the
+//                      wire writes that change a value are staged per edge;
+//   phase B (serial)   W edges in a plain loop: tick the fabric, let the
+//                      kernel's edge commit the staged wire writes of the
+//                      domains that ran (domain order), then flush due
+//                      outboxes (domain order, then software), run the
+//                      memory timing layer and the cycle hook. An
+//                      unchanged write would commit nothing, so committing
+//                      only the changes is byte-identical to lockstep.
 //
 // Activity, not platform size, sets the per-cycle cost. A hardware domain
-// that ends a window quiet (see hwdomain.hpp) gets no phase-A job, replays
-// nothing and is not asked to flush until a frame, an external create or
-// inject wakes it; the kernel still fires (and counts) its clocked process
-// each edge. The fabric lists the tiles where frames completed, so the
-// boundary and the memory step poll only channels that hold frames.
+// that ends a window quiet (see hwdomain.hpp) gets no phase-A job, has
+// nothing committed and is not asked to flush until a frame, an external
+// create or inject wakes it; the kernel still counts its activation each
+// edge without calling it. The fabric lists the tiles where frames
+// completed, so the boundary and the memory step poll only channels that
+// hold frames.
 //
-// One pool handshake per window is the entire performance story; replaying
+// One pool handshake per window is the entire performance story; running
 // the edges in lockstep order is the entire determinism story: traces, VCD,
 // SimStats, Bus/FabricStats are byte-identical to the serial master at
 // every window size and thread count. A serial run at W == 1 (zero-latency
@@ -234,9 +236,8 @@ public:
   // --- checkpointing ---------------------------------------------------------
   /// Serialize the complete dynamic state of the co-simulation: kernel,
   /// interconnect (bus or fabric), every channel, every domain executor
-  /// and the master's cycle counter. Call only between run calls (a quiet
-  /// point — the kernel refuses mid-settle snapshots). Structure (netlist,
-  /// partition, topology) is NOT saved:
+  /// and the master's cycle counter. Call only between run calls.
+  /// Structure (netlist, partition, topology) is NOT saved:
   /// restore re-elaborates a CoSimulation from the same MappedSystem —
   /// with ANY threads/window configuration — and calls load_state, after
   /// which traces, VCD, stats and report() are byte-identical to the
@@ -248,7 +249,7 @@ public:
 private:
   void one_cycle();
   /// One window of `w` cycles (windowed mode): boundary inbox fill, phase A
-  /// on the pool, phase B kernel replay. `w` may be smaller than window()
+  /// on the pool, phase B edge loop. `w` may be smaller than window()
   /// for the tail of a run — any W' <= L is safe.
   void run_window(std::uint64_t w);
   /// Serial-spine memory step for `cycle`: collect the coherence frames the
@@ -268,7 +269,6 @@ private:
   const mapping::MappedSystem* sys_;
   CoSimConfig config_;
   std::unique_ptr<hwsim::Simulator> sim_;
-  HwSignalId clk_;
   std::unique_ptr<Bus> bus_;           // bus mode only
   std::unique_ptr<noc::Fabric> fabric_;  // fabric mode only
   std::vector<std::unique_ptr<Channel>> channels_;  // owned by the master
@@ -311,6 +311,9 @@ private:
   /// 0..hw_domains-1 are the hardware domains, hw_domains is software —
   /// ascending tag order IS the serial flush order. Reused scratch.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> flush_sched_;
+  /// The staged wire writes one edge commits, in domain order. Reused
+  /// scratch.
+  std::vector<const std::vector<hwsim::WireWrite>*> edge_batches_;
   /// Coherence frames collected by mem_tick for one cycle. Reused scratch.
   std::vector<mem::System::Incoming> mem_delivered_;
   PhaseSeconds phase_seconds_;

@@ -5,8 +5,8 @@
 namespace xtsoc::cosim {
 
 HwDomain::HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
-                   HwSignalId clk, Channel& channel,
-                   std::vector<ClassId> owned, runtime::ExecutorConfig config)
+                   Channel& channel, std::vector<ClassId> owned,
+                   runtime::ExecutorConfig config)
     : sys_(&sys), sim_(&sim), channel_(&channel), owned_(std::move(owned)),
       owned_mask_(sys.domain().class_count(), 0),
       exec_(
@@ -45,13 +45,15 @@ HwDomain::HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
       busy_wires_[cm.cls.value()] = sim.wire(1, 0, "hw." + name + ".busy");
     }
   }
-  sim.on_posedge(clk, [this](hwsim::Simulator&) { on_clock(); });
+  sim.add_domain();
+  // The wires start at 0, and lockstep needs one edge's staging slot.
+  last_staged_.assign(2 * owned_.size(), 0);
+  edge_writes_.resize(1);
 }
 
 void HwDomain::set_windowed(std::uint8_t* quiet) {
   windowed_ = true;
   quiet_ = quiet;
-  seed_staged();
 }
 
 void HwDomain::catch_up(std::uint64_t cycle) {
@@ -69,13 +71,14 @@ void HwDomain::seed_staged() {
   }
 }
 
-void HwDomain::stage(std::size_t slot, HwSignalId w, std::uint64_t value) {
+void HwDomain::stage(std::size_t k, std::size_t slot, HwSignalId w,
+                     std::uint64_t value) {
   // This domain is the only writer of its wires, so the last value staged
-  // is what the kernel holds by the time this edge replays: re-issuing it
-  // would commit nothing, trigger nothing and leave every stat unchanged.
+  // is what the kernel holds by the time this edge commits: re-issuing it
+  // would commit nothing and leave every stat unchanged.
   if (last_staged_[slot] == value) return;
   last_staged_[slot] = value;
-  edge_writes_[window_edge_].push_back({w, value});
+  edge_writes_[k].push_back({w, value});
 }
 
 HwSignalId HwDomain::alive_wire(ClassId cls) const {
@@ -86,23 +89,8 @@ HwSignalId HwDomain::busy_wire(ClassId cls) const {
   return busy_wires_.at(cls.value());
 }
 
-void HwDomain::on_clock() {
-  if (windowed_) {
-    // Phase-B replay: the per-cycle work already ran in run_window(); this
-    // edge's value-changing kernel writes were staged then. Re-issuing them
-    // through the real nba_write path, in staging order, makes the kernel
-    // produce exactly the deltas, commits and waveform bytes that lockstep
-    // execution would have (the writes lockstep adds change nothing).
-    // A domain that skipped the window has nothing armed.
-    if (replay_edge_ == replay_end_) return;
-    const std::vector<KernelWrite>& writes = edge_writes_[replay_edge_++];
-    for (const KernelWrite& kw : writes) sim_->nba_write(kw.w, kw.value);
-    return;
-  }
-  step_cycle();
-}
-
-void HwDomain::step_cycle() {
+void HwDomain::step_cycle(std::size_t k) {
+  edge_writes_[k].clear();
   ++cycle_;
   exec_.advance_time(1);
 
@@ -160,10 +148,8 @@ void HwDomain::step_cycle() {
     served_.push_back(chosen);
   }
 
-  // Update the observability wires (visible to VCD like any RTL signal).
-  // In a window the writes that change a value are staged for the phase-B
-  // replay instead of hitting the kernel now: the kernel reaches this
-  // cycle only in phase B.
+  // Stage the observability wires' changes (visible to VCD like any RTL
+  // signal) for the edge that commits this cycle.
   for (std::size_t i = 0; i < owned_.size(); ++i) {
     const ClassId cls = owned_[i];
     std::uint64_t alive = exec_.database().live_count(cls);
@@ -171,13 +157,8 @@ void HwDomain::step_cycle() {
     for (const runtime::InstanceHandle& h : served_) {
       if (h.cls == cls) busy = true;
     }
-    if (windowed_) {
-      stage(2 * i, alive_wires_[cls.value()], alive);
-      stage(2 * i + 1, busy_wires_[cls.value()], busy ? 1 : 0);
-    } else {
-      sim_->nba_write(alive_wires_[cls.value()], alive);
-      sim_->nba_write(busy_wires_[cls.value()], busy ? 1 : 0);
-    }
+    stage(k, 2 * i, alive_wires_[cls.value()], alive);
+    stage(k, 2 * i + 1, busy_wires_[cls.value()], busy ? 1 : 0);
   }
 }
 
@@ -192,13 +173,7 @@ void HwDomain::run_window(std::uint64_t n) {
   // visible as overlapping run_window spans across the executor lanes.
   OBS_SPAN_AT(obs_, obs_track_, "run_window", cycle_ + 1);
   if (edge_writes_.size() < n) edge_writes_.resize(n);
-  for (std::uint64_t k = 0; k < n; ++k) {
-    window_edge_ = k;
-    edge_writes_[k].clear();
-    step_cycle();
-  }
-  replay_edge_ = 0;
-  replay_end_ = n;
+  for (std::uint64_t k = 0; k < n; ++k) step_cycle(k);
   // Quiet: the next cycle would dispatch nothing and stage no write (alive
   // changes only by a dispatch or an external create, which wakes us).
   bool quiet = inbox_.empty() && exec_.drained();
@@ -220,12 +195,8 @@ void HwDomain::load_state(snap::Reader& r) {
   cycle_ = r.u64();
   outbox_.load_state(r);
   load_frames(r, inbox_);
-  // Per-edge scratch: rebuilt by the next run call.
-  served_.clear();
-  edge_writes_.clear();
-  window_edge_ = 0;
-  replay_edge_ = 0;
-  replay_end_ = 0;
+  // The per-edge scratch is rebuilt by the next step; the last staged
+  // values must match the restored kernel.
   seed_staged();
 }
 

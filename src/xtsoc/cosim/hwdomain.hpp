@@ -1,8 +1,8 @@
 // HwDomain: the executable hardware mapping of ONE clock domain.
 //
 // Every hardware-marked class becomes, conceptually, a bank of FSMs; here
-// the bank is realized as a domain-scoped Executor driven by a clocked
-// process of the hwsim kernel. With the legacy bus there is exactly one
+// the bank is realized as a domain-scoped Executor stepped once per
+// master-clock cycle. With the legacy bus there is exactly one
 // HwDomain owning every hardware class; with the mesh fabric there is one
 // per occupied tile, each behind its own NIC. The timing contract of the
 // mapping:
@@ -18,34 +18,36 @@
 //
 // Outbound frames are STAGED, not sent: each cycle encodes them into a
 // local outbox and CoSimulation flushes every domain's outbox — serially,
-// in domain order — after the clock edge settles. The interconnect is
+// in domain order — after the clock edge commits. The interconnect is
 // shared state, so this is what lets domains evaluate concurrently and
 // still inject frames in the exact order the serial master would have.
 //
-// Two execution modes, selected by CoSimulation (see cosim.hpp):
+// The observability wires are staged too. Each cycle stages, for the
+// coming edge, only the wire writes that change a value: this domain is
+// the sole writer of its wires, and an unchanged write commits nothing.
+// The hwsim kernel commits the staged writes at the edge; it never calls
+// the domain. Two execution modes, selected by CoSimulation (see
+// cosim.hpp):
 //
-//   * lockstep (window = 1): on_clock runs the whole per-cycle body inside
-//     the kernel's clocked process — receive from the channel, dispatch,
-//     write the observability wires. The exact legacy path.
-//   * windowed (window = L > 1): the per-cycle body runs OUTSIDE the
-//     kernel, on a worker thread, for L consecutive cycles (run_window).
-//     Frames come from a pre-filled inbox instead of the shared channel,
-//     and kernel wire writes are staged per edge — only those that change
-//     a value, since this domain is the sole writer of its wires and an
-//     unchanged write commits nothing. The kernel's clocked process then
-//     merely REPLAYS the staged writes edge by edge (serially, in phase B),
-//     so SimStats, VCD and wire history stay byte-identical to lockstep.
+//   * lockstep (window = 1, threads = 1): step() runs one cycle, reading
+//     due frames straight from the channel; the master commits its writes
+//     at the next edge. The reference path.
+//   * windowed: run_window(L) runs L consecutive cycles on a worker
+//     thread, reading frames from an inbox the master pre-filled, and
+//     stages each edge's writes separately. The master commits them edge
+//     by edge in phase B, so SimStats, VCD and wire history stay
+//     byte-identical to lockstep.
 //
 // A windowed domain that ends a window quiet — empty inbox, drained
 // executor (no queue, no timer), every busy wire already staged 0 — would
 // spend the next window staging nothing and sending nothing: each of its
 // cycles only advances its clock. So the master gives it no phase-A job
-// until something wakes it, and its clocked process replays nothing. Its
-// cycle counter and executor time lag meanwhile; catch_up() restores them
-// exactly (advance_time over a drained executor releases nothing), and
-// the master calls it before anything can observe the lag: when a frame
-// lands in the inbox, before an external create or inject, and at the end
-// of every run call.
+// and commits nothing for it until something wakes it; the kernel still
+// counts its activation each edge. Its cycle counter and executor time lag
+// meanwhile; catch_up() restores them exactly (advance_time over a drained
+// executor releases nothing), and the master calls it before anything can
+// observe the lag: when a frame lands in the inbox, before an external
+// create or inject, and at the end of every run call.
 //
 // This is the executable twin of the VHDL text emitted by
 // codegen::generate_vhdl — same partition, same interface, same queueing.
@@ -63,12 +65,12 @@ namespace xtsoc::cosim {
 
 class HwDomain {
 public:
-  /// Registers a clocked process on `clk`. `sim` and `channel` must
-  /// outlive this object. `owned` lists the hardware classes this domain
-  /// executes: the full hardware partition in bus mode, one tile's worth
-  /// in fabric mode.
+  /// Registers this domain and its observability wires with `sim`. `sim`
+  /// and `channel` must outlive this object. `owned` lists the hardware
+  /// classes this domain executes: the full hardware partition in bus
+  /// mode, one tile's worth in fabric mode.
   HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
-           HwSignalId clk, Channel& channel, std::vector<ClassId> owned,
+           Channel& channel, std::vector<ClassId> owned,
            runtime::ExecutorConfig config);
 
   runtime::Executor& executor() { return exec_; }
@@ -84,9 +86,18 @@ public:
   /// Signals dispatched in hardware.
   std::uint64_t dispatches() const { return exec_.dispatch_count(); }
 
-  /// Hand the frames staged during the last clock edge to the channel.
-  /// Called by CoSimulation once per lockstep cycle, after the edge
-  /// settles, in domain order; must not run while the kernel is mid-settle.
+  /// Lockstep: run one cycle, staging its wire writes as edge 0's.
+  void step() { step_cycle(0); }
+
+  /// The wire writes staged for edge `k` of the last step() (k = 0) or
+  /// run_window() call: only those that change a value, in staging order.
+  const std::vector<hwsim::WireWrite>& edge_writes(std::size_t k) const {
+    return edge_writes_[k];
+  }
+
+  /// Hand the frames staged during the last cycle to the channel. Called
+  /// by CoSimulation once per lockstep cycle, after the edge commits, in
+  /// domain order.
   void flush_outbox() { outbox_.flush(*channel_); }
 
   bool drained() const {
@@ -95,8 +106,7 @@ public:
 
   // --- windowed execution (CoSimulation only) --------------------------------
 
-  /// Switch the clocked process to replay mode: per-cycle work happens in
-  /// run_window(); on_clock only replays staged kernel writes. At the end
+  /// Switch to windowed mode: frames come from the inbox, and at the end
   /// of each window the domain stores whether it is quiet (see above) in
   /// `*quiet`, a flag the master owns and clears to wake it. Serial.
   void set_windowed(std::uint8_t* quiet);
@@ -122,10 +132,10 @@ public:
   void fill_inbox(std::uint64_t through_cycle);
 
   /// Run `n` consecutive cycles of this domain's per-cycle body against the
-  /// inbox (worker thread; touches only domain-local state). Kernel wire
-  /// writes are staged per edge for the boundary replay, which the next
-  /// `n` on_clock firings perform; outbound frames are staged
-  /// cycle-stamped in the outbox. Ends by storing the quiet flag.
+  /// inbox (worker thread; touches only domain-local state). Wire writes
+  /// are staged per edge (edge_writes(0..n-1)) for phase B to commit;
+  /// outbound frames are staged cycle-stamped in the outbox. Ends by
+  /// storing the quiet flag.
   void run_window(std::uint64_t n);
 
   /// Send the outbox prefix staged at cycles <= `cycle` (monotone calls,
@@ -154,33 +164,26 @@ public:
 
   // --- checkpointing ---------------------------------------------------------
   /// Serialize the executor, cycle counter and staged frames. Checkpoints
-  /// are taken between CoSimulation::run calls, where the windowed scratch
-  /// state (inbox, edge writes, replay cursors) is empty by construction;
-  /// load_state resets it.
+  /// are taken between CoSimulation::run calls, where the staged wire
+  /// writes have all been committed; load_state resets them.
   void save_state(snap::Writer& w) const;
   void load_state(snap::Reader& r);
 
 private:
-  /// One staged kernel write of a windowed cycle, replayed at the boundary.
-  struct KernelWrite {
-    HwSignalId w;
-    std::uint64_t value;
-  };
-
-  void on_clock();
   /// The per-cycle body shared by both modes: advance, latch due frames,
-  /// dispatch one signal per instance, update observability wires.
-  void step_cycle();
-  /// Windowed: stage `value` for wire `w` on the current edge unless it
-  /// equals the last value staged for that wire (`slot` into last_staged_).
-  void stage(std::size_t slot, HwSignalId w, std::uint64_t value);
+  /// dispatch one signal per instance, stage the observability wires'
+  /// changes as edge `k`'s writes.
+  void step_cycle(std::size_t k);
+  /// Stage `value` for wire `w` on edge `k` unless it equals the last
+  /// value staged for that wire (`slot` into last_staged_).
+  void stage(std::size_t k, std::size_t slot, HwSignalId w,
+             std::uint64_t value);
   /// Set last_staged_ to the kernel's current wire values. Serial only:
-  /// on entering windowed mode and after load_state (the master restores
-  /// the kernel before the domains) — workers never read the kernel.
+  /// after load_state (the master restores the kernel before the domains).
   void seed_staged();
 
   const mapping::MappedSystem* sys_;
-  hwsim::Simulator* sim_;
+  const hwsim::Simulator* sim_;
   Channel* channel_;
   std::vector<ClassId> owned_;
   std::vector<char> owned_mask_;  // indexed by ClassId
@@ -201,20 +204,15 @@ private:
   obs::Counter* c_frames_in_ = nullptr;
   obs::Counter* c_frames_out_ = nullptr;
 
+  /// Wire writes staged per edge; [k] holds edge k's writes.
+  std::vector<std::vector<hwsim::WireWrite>> edge_writes_;
+  /// Last value staged per observability wire: [2i] alive, [2i+1] busy of
+  /// owned_[i]. Equal to the kernel's value once earlier edges committed.
+  std::vector<std::uint64_t> last_staged_;
+
   // Windowed mode state.
   bool windowed_ = false;
   std::vector<Frame> inbox_;  ///< due frames for the current window, in order
-  /// Kernel writes staged per window edge; [k] holds edge k's writes.
-  std::vector<std::vector<KernelWrite>> edge_writes_;
-  /// Last value staged per observability wire: [2i] alive, [2i+1] busy of
-  /// owned_[i]. Equal to the kernel's value once earlier edges replayed.
-  std::vector<std::uint64_t> last_staged_;
-  std::size_t window_edge_ = 0;  ///< edge being executed by run_window
-  /// Replay cursor: on_clock replays edge replay_edge_ while it is below
-  /// replay_end_. run_window arms it; a domain skipped for a window stays
-  /// at the end of its last replay, so it replays nothing.
-  std::size_t replay_edge_ = 0;
-  std::size_t replay_end_ = 0;
   std::uint8_t* quiet_ = nullptr;  ///< the master's flag for this domain
 };
 

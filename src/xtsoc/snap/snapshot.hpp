@@ -77,8 +77,8 @@ struct RestoreOptions {
 };
 
 /// Serialize `cs` into a snapshot byte buffer. `plan` / `obs` add the 'F' /
-/// 'O' sections when non-null; pass whatever the run had attached. Throws
-/// SnapError if the kernel is mid-settle (not a quiet point).
+/// 'O' sections when non-null; pass whatever the run had attached. Call
+/// between run calls.
 std::vector<std::uint8_t> save(const cosim::CoSimulation& cs,
                                const fault::Plan* plan = nullptr,
                                const obs::Registry* obs = nullptr);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "clocked_counter.hpp"
 #include "xtsoc/hwsim/vcd.hpp"
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/verify/explore.hpp"
@@ -47,18 +46,19 @@ TEST(Vcd, FirstSampleDumpsEverything) {
 
 TEST(Vcd, OnlyChangesAfterFirstSample) {
   hwsim::Simulator sim;
-  HwSignalId clk = sim.wire(1, 0, "clk");
-  sim.add_clock(clk, 1);
-  HwSignalId counter = testing::clocked_counter(sim, clk, 8);
+  HwSignalId clk = sim.clock();
+  HwSignalId counter = sim.wire(8, 0, "counter");
   hwsim::VcdWriter vcd(sim, {clk, counter});
   vcd.sample();
   std::size_t after_first = vcd.change_count();
-  sim.run_cycles(clk, 1);
+  const std::vector<hwsim::WireWrite> writes{{counter, 1}};
+  const std::vector<hwsim::WireWrite>* batch = &writes;
+  sim.edge({&batch, 1});
   vcd.sample();
-  EXPECT_GT(vcd.change_count(), after_first);
+  EXPECT_EQ(vcd.change_count(), after_first + 2);  // clk and counter
   std::string out = vcd.render();
-  // The counter (id ") went to 1 at some later timestamp.
-  EXPECT_NE(out.find("b1 \""), std::string::npos);
+  // The counter (id ") went to 1 at the first edge's time.
+  EXPECT_NE(out.find("#1\n1!\nb1 \""), std::string::npos) << out;
   // No repeated dump of unchanged values: "$dumpvars" appears exactly once.
   EXPECT_EQ(out.find("$dumpvars"), out.rfind("$dumpvars"));
 }

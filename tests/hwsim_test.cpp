@@ -1,20 +1,33 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <tuple>
+#include <vector>
 
-#include "clocked_counter.hpp"
 #include "xtsoc/hwsim/kernel.hpp"
-#include "xtsoc/hwsim/vcd.hpp"
 
 namespace xtsoc::hwsim {
 namespace {
 
+/// One edge committing `writes` as a single domain's batch.
+void edge(Simulator& sim, const std::vector<WireWrite>& writes = {}) {
+  const std::vector<WireWrite>* batch = &writes;
+  sim.edge({&batch, 1});
+}
+
+/// `edges` edges, each committing `counter` + 1: a clocked up-counter.
+void count_edges(Simulator& sim, HwSignalId counter, std::uint64_t edges) {
+  for (std::uint64_t k = 0; k < edges; ++k) {
+    edge(sim, {{counter, sim.read(counter) + 1}});
+  }
+}
+
 TEST(Kernel, WireWidthMasking) {
   Simulator sim;
+  sim.clock();
   HwSignalId w = sim.wire(4, 0xff);
   EXPECT_EQ(sim.read(w), 0xfu);  // init masked to width
-  sim.poke(w, 0x12);
-  EXPECT_EQ(sim.read(w), 0x2u);
+  edge(sim, {{w, 0x12}});
+  EXPECT_EQ(sim.read(w), 0x2u);  // committed value masked to width
   EXPECT_EQ(sim.width_of(w), 4);
 }
 
@@ -29,112 +42,70 @@ TEST(Kernel, InvalidWireIdRejected) {
   Simulator sim;
   EXPECT_THROW(sim.read(HwSignalId(5)), SimError);
   EXPECT_THROW(sim.read(HwSignalId::invalid()), SimError);
+  sim.clock();
+  EXPECT_THROW(edge(sim, {{HwSignalId(5), 1}}), SimError);
 }
 
-TEST(Kernel, CombinationalPropagation) {
-  // c = a AND b as a combinational process.
+TEST(Kernel, MasterClockRequiredAndUnique) {
   Simulator sim;
-  HwSignalId a = sim.wire(1);
-  HwSignalId b = sim.wire(1);
-  HwSignalId c = sim.wire(1);
-  sim.combinational({a, b}, [a, b, c](Simulator& s) {
-    s.nba_write(c, s.read(a) & s.read(b));
-  });
-  sim.settle();
-  EXPECT_EQ(sim.read(c), 0u);
-  sim.poke(a, 1);
-  sim.poke(b, 1);
-  sim.settle();
-  EXPECT_EQ(sim.read(c), 1u);
-  sim.poke(b, 0);
-  sim.settle();
-  EXPECT_EQ(sim.read(c), 0u);
-}
-
-TEST(Kernel, CombinationalChainSettlesAcrossDeltas) {
-  // y = not x; z = not y  — two deltas to propagate.
-  Simulator sim;
-  HwSignalId x = sim.wire(1);
-  HwSignalId y = sim.wire(1);
-  HwSignalId z = sim.wire(1);
-  sim.combinational({x}, [x, y](Simulator& s) { s.nba_write(y, !s.read(x)); });
-  sim.combinational({y}, [y, z](Simulator& s) { s.nba_write(z, !s.read(y)); });
-  sim.settle();
-  EXPECT_EQ(sim.read(y), 1u);
-  EXPECT_EQ(sim.read(z), 0u);
-  sim.poke(x, 1);
-  sim.settle();
-  EXPECT_EQ(sim.read(y), 0u);
-  EXPECT_EQ(sim.read(z), 1u);
-}
-
-TEST(Kernel, OscillatingLoopDetected) {
-  // x = not x oscillates forever; the kernel must detect it.
-  Simulator sim;
-  HwSignalId x = sim.wire(1);
-  sim.combinational({x}, [x](Simulator& s) { s.nba_write(x, !s.read(x)); });
-  EXPECT_THROW(sim.settle(), SimError);
+  EXPECT_THROW(edge(sim), SimError);
+  sim.clock();
+  EXPECT_THROW(sim.clock(), SimError);
+  EXPECT_NO_THROW(edge(sim));
 }
 
 TEST(Kernel, ClockTogglesAndCountsPosedges) {
   Simulator sim;
-  HwSignalId clk = sim.wire(1, 0, "clk");
-  sim.add_clock(clk, 5);
-  sim.advance(5);  // toggle to 1 (posedge #1)
+  HwSignalId clk = sim.clock();
+  EXPECT_EQ(sim.name_of(clk), "clk");
+  EXPECT_EQ(sim.read(clk), 0u);
+  edge(sim);  // rises at time 1
   EXPECT_EQ(sim.read(clk), 1u);
   EXPECT_EQ(sim.posedge_count(clk), 1u);
-  sim.advance(5);  // toggle to 0
-  EXPECT_EQ(sim.read(clk), 0u);
-  EXPECT_EQ(sim.posedge_count(clk), 1u);
-  sim.advance(10);  // full period: posedge #2
+  EXPECT_EQ(sim.now(), 1u);
+  edge(sim);  // falls at 2, rises at 3
+  EXPECT_EQ(sim.read(clk), 1u);
   EXPECT_EQ(sim.posedge_count(clk), 2u);
-  EXPECT_EQ(sim.now(), 20u);
+  EXPECT_EQ(sim.now(), 3u);
+  EXPECT_EQ(sim.stats().wire_commits, 3u);  // rise, fall, rise
 }
 
-TEST(Kernel, ZeroHalfPeriodRejected) {
+TEST(Kernel, DataWirePosedgesCountRisingCommitsOnly) {
   Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  EXPECT_THROW(sim.add_clock(clk, 0), SimError);
+  sim.clock();
+  HwSignalId busy = sim.wire(1);
+  HwSignalId bus = sim.wire(8);
+  const std::uint64_t clock_commits = 2 * 5 - 1;
+  for (std::uint64_t v : {1u, 1u, 0u, 1u, 0u}) {
+    edge(sim, {{busy, v}, {bus, v}});
+  }
+  EXPECT_EQ(sim.posedge_count(busy), 2u);
+  EXPECT_EQ(sim.posedge_count(bus), 0u);  // only 1-bit wires have edges
+  // The repeated 1 commits nothing: 4 changes per wire.
+  EXPECT_EQ(sim.stats().wire_commits, clock_commits + 4 + 4);
 }
 
-TEST(Kernel, ClockedProcessRunsOncePerEdge) {
+TEST(Kernel, EdgeActivatesEachDomainOnce) {
   Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  int runs = 0;
-  sim.on_posedge(clk, [&runs](Simulator&) { ++runs; });
-  sim.run_cycles(clk, 7);
-  EXPECT_EQ(runs, 7);
-}
-
-TEST(Kernel, NbaWriteNotVisibleUntilCommit) {
-  // A clocked swap: a <=> b works because reads happen before commits.
-  Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  HwSignalId a = sim.wire(8, 1);
-  HwSignalId b = sim.wire(8, 2);
-  sim.on_posedge(clk, [a, b](Simulator& s) {
-    s.nba_write(a, s.read(b));
-    s.nba_write(b, s.read(a));
-  });
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(a), 2u);
-  EXPECT_EQ(sim.read(b), 1u);
-  sim.run_cycles(clk, 1);
-  EXPECT_EQ(sim.read(a), 1u);
-  EXPECT_EQ(sim.read(b), 2u);
+  sim.clock();
+  edge(sim);  // nothing is clocked yet: no delta cycle
+  EXPECT_EQ(sim.stats().delta_cycles, 0u);
+  sim.add_domain();
+  sim.add_domain();
+  for (int k = 0; k < 7; ++k) edge(sim);
+  EXPECT_EQ(sim.stats().delta_cycles, 7u);
+  EXPECT_EQ(sim.stats().process_activations, 14u);
 }
 
 TEST(Kernel, StatsAccumulate) {
   Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  testing::clocked_counter(sim, clk, 8);
-  sim.run_cycles(clk, 3);
-  EXPECT_GT(sim.stats().delta_cycles, 0u);
-  EXPECT_GT(sim.stats().process_activations, 0u);
-  EXPECT_GT(sim.stats().wire_commits, 0u);
+  sim.clock();
+  sim.add_domain();
+  HwSignalId counter = sim.wire(8, 0, "counter");
+  count_edges(sim, counter, 3);
+  EXPECT_EQ(sim.stats().delta_cycles, 3u);
+  EXPECT_EQ(sim.stats().process_activations, 3u);
+  EXPECT_EQ(sim.stats().wire_commits, 5u + 3u);  // clock + counter
 }
 
 // Property sweep: a counter after N cycles reads N (mod 2^width).
@@ -144,10 +115,9 @@ class CounterSweep
 TEST_P(CounterSweep, ValueMatchesCycleCount) {
   auto [width, cycles] = GetParam();
   Simulator sim;
-  HwSignalId clk = sim.wire(1);
-  sim.add_clock(clk, 1);
-  HwSignalId counter = testing::clocked_counter(sim, clk, width);
-  sim.run_cycles(clk, cycles);
+  sim.clock();
+  HwSignalId counter = sim.wire(width);
+  count_edges(sim, counter, cycles);
   std::uint64_t mask = width == 64 ? ~0ULL : ((1ULL << width) - 1);
   EXPECT_EQ(sim.read(counter), cycles & mask);
 }

@@ -15,8 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+
 #include "xtsoc/common/rng.hpp"
 #include "xtsoc/core/project.hpp"
+#include "xtsoc/core/stimulus.hpp"
+#include "xtsoc/noc/traffic.hpp"
 #include "xtsoc/oal/parser.hpp"
 #include "xtsoc/oal/printer.hpp"
 #include "xtsoc/text/xtm.hpp"
@@ -274,6 +279,114 @@ TEST_P(ParserFuzz, MarksParserNeverCrashes) {
     DiagnosticSink sink;
     marks::MarkSet m = marks::MarkSet::from_text(src, sink);
     (void)m;
+  }
+}
+
+/// A two-class model whose runs always quiesce: A.go(k) adds k and sends
+/// hit to its peer B, which only counts.
+constexpr const char* kStimulusModel = R"(domain Fz
+class A key AAA
+  attr n : int = 0
+  attr peer : ref B
+  event go(k : int)
+  state S {
+    self.n = self.n + param.k;
+    generate hit() to self.peer;
+  }
+  transition S on go -> S
+  initial S
+end
+class B key BBB
+  attr hits : int = 0
+  event hit()
+  state T {
+    self.hits = self.hits + 1;
+  }
+  transition T on hit -> T
+  initial T
+end
+)";
+
+TEST_P(ParserFuzz, SimParserNeverCrashes) {
+  DiagnosticSink sink;
+  auto project = core::Project::from_xtm(
+      kStimulusModel, "B.isHardware = true\ndomain.busLatency = 2\n", sink);
+  ASSERT_NE(project, nullptr) << sink.to_string();
+  Rng rng(GetParam() * 61 + 5);
+  // Well-formed lines, so scripts get past their first command; each line
+  // is kept, or has one word swapped for a hostile token, or is dropped.
+  static const char* kLines[] = {
+      "create b B",        "create a A peer=@b", "create a A",
+      "inject a go k=3",   "inject a go k=1 delay=2", "inject b hit",
+      "run",               "run 5",              "expect b.hits == 1",
+      "expect a.n == 3",   "expect_state a S",   "print summary",
+      "print trace",       "# comment"};
+  static const char* kTokens[] = {
+      "a",       "b",        "A",        "B",       "Nope",    "go",
+      "hit",     "k=-1",     "k=\"s\"",  "k=1.5",   "k=@b",    "delay=-1",
+      "delay=x", "peer=@a",  "n=true",   "a.",      "==",      "true",
+      "\"s",     "@zz",      "T",        "1e99",    "-1",      "0",
+      "99999999999999999999", "=", ".",  "bogus",   "expect",  ""};
+  int deep = 0;
+  for (int round = 0; round < 50; ++round) {
+    // Most scripts start with a population for the later lines to use.
+    std::string script =
+        rng.chance(0.8) ? "create b B\ncreate a A peer=@b\n" : "";
+    const std::size_t lines = rng.below(12) + 1;
+    for (std::size_t i = 0; i < lines; ++i) {
+      std::istringstream line(
+          kLines[rng.below(sizeof(kLines) / sizeof(kLines[0]))]);
+      std::vector<std::string> words;
+      for (std::string w; line >> w;) words.push_back(w);
+      if (rng.chance(0.15)) {
+        words[rng.below(words.size())] =
+            kTokens[rng.below(sizeof(kTokens) / sizeof(kTokens[0]))];
+      }
+      if (rng.chance(0.1)) continue;
+      for (const std::string& w : words) script += w + ' ';
+      script += '\n';
+    }
+    // The same script against the model and against the co-simulation:
+    // either may stop at a bad line, neither may crash.
+    std::ostringstream out;
+    const core::StimulusResult model =
+        core::run_stimulus(*project, script, out);
+    core::run_stimulus_cosim(*project, script, out);
+    if (model.commands >= 4) ++deep;
+  }
+  EXPECT_GT(deep, 0);  // some scripts ran past their first lines
+}
+
+TEST_P(ParserFuzz, TraceReplayParserNeverCrashes) {
+  Rng rng(GetParam() * 43 + 11);
+  static const char* kFields[] = {
+      "0", "1", "2", "3", "17", "-1", "-5", "4294967296",
+      "18446744073709551615", "18446744073709551616", "1.5", "x", "#",
+      "# note", "0x10", "+3", "", "\t"};
+  for (int round = 0; round < 50; ++round) {
+    std::string text;
+    const std::size_t lines = rng.below(8) + 1;
+    for (std::size_t i = 0; i < lines; ++i) {
+      const std::size_t fields = rng.below(7);
+      for (std::size_t f = 0; f < fields; ++f) {
+        if (f > 0) text += ' ';
+        text += kFields[rng.below(sizeof(kFields) / sizeof(kFields[0]))];
+      }
+      text += '\n';
+    }
+    std::string error;
+    const std::optional<noc::TraceReplay> parsed =
+        noc::TraceReplay::parse(text, &error);
+    if (!parsed) {
+      EXPECT_FALSE(error.empty()) << text;
+      continue;
+    }
+    // Anything accepted round-trips exactly through its text form.
+    const std::string printed = parsed->to_text();
+    const std::optional<noc::TraceReplay> again =
+        noc::TraceReplay::parse(printed, &error);
+    ASSERT_TRUE(again.has_value()) << error << "\n" << printed;
+    EXPECT_EQ(again->to_text(), printed);
   }
 }
 

@@ -12,8 +12,11 @@
 //     run resumes mid-stream, not from a reseeded stream;
 //   * obs counters ride the snapshot ('O' section);
 //   * rejection: truncated files, bit flips (CRC), version bumps, wrong
-//     magic, digest mismatches (a different MappedSystem) and forged
-//     element counts all throw SnapError instead of deserializing garbage;
+//     magic, digest mismatches (a different MappedSystem), forged
+//     element counts and a forged kernel shape or clock schedule all throw
+//     SnapError instead of deserializing garbage;
+//   * fuzzing: seeded byte mutations of a checkpoint (CRC recomputed) are
+//     each refused with SnapError or restore and render report();
 //   * inspect() reads the header without a CoSimulation;
 //   * warm campaigns (snap/warm.hpp): one checkpoint + per-seed fresh
 //     streams produces the exact cold-campaign document, and the
@@ -29,6 +32,7 @@
 
 #include "observe.hpp"
 #include "test_models.hpp"
+#include "xtsoc/common/rng.hpp"
 #include "xtsoc/jit/jit.hpp"
 #include "xtsoc/cosim/cosim.hpp"
 #include "xtsoc/cosim/report.hpp"
@@ -897,6 +901,170 @@ TEST(SnapReject, ForgedFaultStreamCount) {
   plan.save_state(streams);
   fault::Plan fresh(noisy_spec());
   expect_count_refused(fx, bytes, locate(bytes, streams.data()), &fresh);
+}
+
+// The kernel block is checked against the re-elaborated netlist: its wire
+// count and widths, its one clock's half period, and the clock schedule.
+
+/// The ring on the 2x2 mesh after 100 cycles and the offset of its kernel
+/// block; `wires` is the netlist's wire count.
+struct KernelSnapshot {
+  std::vector<std::uint8_t> bytes;
+  std::size_t at = 0;
+  std::size_t wires = 0;
+  /// Where the clock block starts: after the wire count and every wire's
+  /// width (u8), value and posedge count.
+  std::size_t clock_at() const { return at + 8 + wires * (1 + 8 + 8); }
+};
+
+KernelSnapshot kernel_snapshot(MappedFixture& fx) {
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs);
+  cs.run_cycles(100);
+  KernelSnapshot k;
+  k.bytes = save(cs);
+  Writer kernel;
+  cs.hw_sim().save_state(kernel);
+  k.at = locate(k.bytes, kernel.data());
+  k.wires = cs.hw_sim().wire_count();
+  return k;
+}
+
+TEST(SnapReject, ForgedKernelWireCount) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  const KernelSnapshot k = kernel_snapshot(fx);
+  expect_forgery_refused(fx, k.bytes, k.at, k.wires + 1,
+                         "kernel snapshot has " + std::to_string(k.wires + 1) +
+                             " wires, netlist has " + std::to_string(k.wires),
+                         nullptr, nullptr);
+}
+
+TEST(SnapReject, ForgedKernelWireWidth) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  KernelSnapshot k = kernel_snapshot(fx);
+  k.bytes[k.at + 8] = 2;  // the clock's width
+  expect_bytes_refused(fx, k.bytes,
+                       "kernel snapshot wire width mismatch on 'clk'");
+}
+
+TEST(SnapReject, ForgedKernelClockPeriod) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  const KernelSnapshot k = kernel_snapshot(fx);
+  expect_forgery_refused(fx, k.bytes, k.clock_at() + 8, 2,
+                         "kernel snapshot clock period mismatch", nullptr,
+                         nullptr);
+}
+
+TEST(SnapReject, ForgedKernelClockSchedule) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  const KernelSnapshot k = kernel_snapshot(fx);
+  // After 100 edges the time is 199 and the next toggle 200.
+  expect_forgery_refused(fx, k.bytes, k.clock_at() + 16, 201,
+                         "kernel snapshot clock schedule is inconsistent",
+                         nullptr, nullptr);
+}
+
+// --- fuzzing the reader --------------------------------------------------------
+//
+// Seeded byte mutations of a valid checkpoint, each with its CRC
+// recomputed so the mutation reaches the section decoders. Every mutated
+// file must be refused with SnapError, or restore and render report():
+// nothing may crash, hang or escape with another exception.
+
+/// Two hardware workers on tiles 1 and 2 of a 2x2 mesh whose tile 3 is the
+/// DRAM edge. They pass a job back and forth across the mesh forever, and
+/// every job writes and reads shared memory.
+std::unique_ptr<xtuml::Domain> make_mem_pair_domain() {
+  xtuml::DomainBuilder b("MemPair");
+  b.cls("W0");
+  b.cls("W1");
+  for (int i = 0; i < 2; ++i) {
+    b.edit("W" + std::to_string(i))
+        .attr("sum", DataType::kInt)
+        .ref_attr("peer", "W" + std::to_string(1 - i))
+        .event("job", {{"n", DataType::kInt}})
+        .state("Work",
+               "mem.write((param.n % 4) * 8, param.n);\n"
+               "self.sum = self.sum + mem.read(((param.n + 1) % 4) * 8);\n"
+               "generate job(n: param.n + 1) to self.peer;")
+        .transition("Work", "job", "Work");
+  }
+  return b.take();
+}
+
+marks::MarkSet mem_pair_marks() {
+  marks::MarkSet m;
+  for (int i = 0; i < 2; ++i) {
+    const std::string cls = "W" + std::to_string(i);
+    m.mark_hardware(cls);
+    m.set_class_mark(cls, marks::kTileX, ScalarValue(std::int64_t{1 - i}));
+    m.set_class_mark(cls, marks::kTileY, ScalarValue(std::int64_t{i}));
+  }
+  m.set_domain_mark(marks::kMeshWidth, ScalarValue(std::int64_t{2}));
+  m.set_domain_mark(marks::kMeshHeight, ScalarValue(std::int64_t{2}));
+  m.set_domain_mark(marks::kDramTile, ScalarValue(std::int64_t{3}));
+  m.set_domain_mark(marks::kCacheSets, ScalarValue(std::int64_t{4}));
+  return m;
+}
+
+TEST(SnapFuzz, MutatedCheckpointsAreRefusedOrRestored) {
+  MappedFixture fx(make_mem_pair_domain(), mem_pair_marks());
+  std::vector<std::uint8_t> valid;
+  {
+    CoSimulation cs(*fx.system, CoSimConfig{});
+    ASSERT_NE(cs.mem_system(), nullptr);
+    const runtime::InstanceHandle w0 = cs.create("W0");
+    const runtime::InstanceHandle w1 = cs.create("W1");
+    // peer is the second declared attribute (sum, peer).
+    cs.executor_of(w0.cls).database().set_attr(w0, AttributeId(1), Value(w1));
+    cs.executor_of(w1.cls).database().set_attr(w1, AttributeId(1), Value(w0));
+    cs.inject(w0, "job", {Value(std::int64_t{0})});
+    cs.run_cycles(150);
+    ASSERT_GT(cs.mem_system()->stats().stores, 0u);
+    valid = save(cs);
+  }
+  const std::size_t body = valid.size() - 4;  // the CRC is recomputed
+  int refused = 0;
+  int restored = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
+    Xorshift64Star rng = Xorshift64Star::seeded(seed);
+    std::vector<std::uint8_t> bytes = valid;
+    const int mutations = 1 + static_cast<int>(rng.next() % 4);
+    for (int m = 0; m < mutations; ++m) {
+      const std::size_t at = rng.next() % body;
+      switch (rng.next() % 4) {
+        case 0:
+          bytes[at] ^= static_cast<std::uint8_t>(1u << (rng.next() % 8));
+          break;
+        case 1:
+          bytes[at] = static_cast<std::uint8_t>(rng.next());
+          break;
+        case 2:
+          bytes[at] = 0xff;
+          break;
+        default:
+          bytes[at] = 0;
+          break;
+      }
+    }
+    refresh_crc(&bytes);
+    CoSimulation cs(*fx.system, CoSimConfig{});
+    try {
+      restore(cs, bytes.data(), bytes.size());
+    } catch (const SnapError&) {
+      ++refused;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "seed " << seed << ": not a SnapError: " << e.what();
+      continue;
+    }
+    EXPECT_FALSE(cs.report().to_json(2).empty()) << "seed " << seed;
+    ++restored;
+  }
+  // Both outcomes occur: the mutations reach decoders that refuse them and
+  // payload bytes that decode to some other valid state.
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(restored, 0);
 }
 
 TEST(SnapInspect, HeaderWithoutACosim) {
