@@ -51,11 +51,30 @@ public:
   virtual void load_state(snap::Reader&) {}
 };
 
+/// Hand every frame of `frames` due at or before `cycle` to `deliver`, in
+/// order, and keep the rest in order. Frames carry heterogeneous delays, so
+/// dues are not monotone in queue order: the whole queue is scanned. Both
+/// domains latch their inbox with it each cycle, and a FabricChannel hands
+/// out its due frames with it.
+template <typename Deliver>
+void deliver_due(std::vector<Frame>& frames, std::uint64_t cycle,
+                 Deliver&& deliver) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].due_cycle <= cycle) {
+      deliver(frames[i]);
+    } else {
+      if (kept != i) frames[kept] = std::move(frames[i]);
+      ++kept;
+    }
+  }
+  frames.resize(kept);
+}
+
 /// Frames a domain (HwDomain, SwDomain) staged for foreign executors while
-/// the shared channel must not be touched — during a clock edge, or inside
-/// a window on a worker thread. The master sends them at a serial point,
-/// in stage order: everything after a lockstep cycle, or the prefix staged
-/// at cycles <= a boundary cycle when windowed.
+/// it runs its window on a worker thread, where the shared channel must not
+/// be touched. The master sends the prefix staged at cycles <= each phase-B
+/// edge, in stage order.
 class Outbox {
 public:
   void stage(ClassId dst, Frame frame, std::uint64_t cycle,
@@ -79,9 +98,6 @@ public:
     }
   }
 
-  /// Send every unsent frame.
-  void flush(Channel& channel) { flush_through(channel, ~std::uint64_t{0}); }
-
   /// Append one (cycle, `tag`) entry per distinct cycle that still has
   /// unsent frames.
   void pending_send_cycles(
@@ -102,7 +118,7 @@ private:
   };
 
   std::vector<Staged> staged_;
-  std::size_t sent_ = 0;  ///< flushed prefix (windowed mode)
+  std::size_t sent_ = 0;  ///< flushed prefix
 };
 
 /// Legacy bus endpoint. The destination class is ignored: the bus has
@@ -138,10 +154,10 @@ private:
 /// through the partition's mark-driven placement.
 ///
 /// The master moves the NIC's reassembled frames into the channel
-/// (drain_nic) for the tiles the fabric lists as ready, at the points the
-/// domains would otherwise ask: each lockstep cycle, each window boundary
-/// and each memory step. receive() and take_coherence() then hand out what
-/// is due, so a channel with nothing buffered costs nothing to skip.
+/// (drain_nic) for the tiles the fabric lists as ready, right after each
+/// fabric tick, so no frame waits in a NIC between cycles. receive() and
+/// take_coherence() then hand out what is due, so a channel with nothing
+/// buffered costs nothing to skip.
 ///
 /// Delivery timing: a reassembled frame leaves the NIC no earlier than
 /// `arrive_cycle + link_latency` — one NIC-egress link traversal after the
@@ -149,9 +165,8 @@ private:
 /// gives the mesh a nonzero lookahead floor: a frame can never become
 /// deliverable in the same sub-link_latency interval it arrived in, so a
 /// conservative window of up to link_latency cycles sees a complete inbox
-/// (see cosim.hpp). The rule is applied here uniformly — lockstep and
-/// windowed execution, every window size, every thread count — so all
-/// configurations agree byte for byte.
+/// (see cosim.hpp). The rule is applied here uniformly — every window size,
+/// every thread count — so all configurations agree byte for byte.
 class FabricChannel final : public Channel {
 public:
   FabricChannel(noc::Fabric& fabric, const mapping::MappedSystem& sys,
@@ -219,17 +234,9 @@ private:
   static std::vector<Frame> take_due(std::vector<Frame>& q,
                                      std::uint64_t cycle) {
     std::vector<Frame> due_now;
-    if (q.empty()) return due_now;  // most NICs on most cycles
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      if (q[i].due_cycle <= cycle) {
-        due_now.push_back(std::move(q[i]));
-      } else {
-        if (kept != i) q[kept] = std::move(q[i]);
-        ++kept;
-      }
-    }
-    q.resize(kept);
+    deliver_due(q, cycle, [&due_now](Frame& f) {
+      due_now.push_back(std::move(f));
+    });
     return due_now;
   }
 

@@ -12,17 +12,12 @@ namespace xtsoc::cosim {
 CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     : sys_(&sys), config_(config) {
   // Derive the execution window from the static interconnect lookahead.
-  // Any parallel run goes through the window path, which runs whole
-  // domains concurrently and commits their staged wire writes on the
-  // serial kernel in phase B. A window of one cycle is always sound (the
-  // lookahead is never below 1), so threads > 1 takes that path even when
-  // W == 1. Only a serial run at W == 1 uses the exact per-cycle lockstep
-  // loop, the reference every parallel run is checked against.
+  // Every run goes through the window path; a window of one cycle is
+  // always sound (the lookahead is never below 1).
   lookahead_ = sys.lookahead();
   window_ = config_.window == 0 ? lookahead_
                                 : std::min(config_.window, lookahead_);
   if (window_ < 1) window_ = 1;
-  windowed_ = window_ > 1 || config_.threads > 1;
 
   // Claim the master's timeline lane first so the exported trace reads
   // top-to-bottom: cosim, kernel, then the domains and the mesh.
@@ -158,22 +153,15 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
     bus_->connect(hw_digest, sw_digest);
   }
 
-  quiet_.assign(hw_domains_.size(), 0);
-  if (windowed_) {
-    for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
-      hw_domains_[d]->set_windowed(&quiet_[d]);
-    }
-    sw_->set_windowed(true);
-    // Useful parallelism is bounded by phase A's fan-out: hardware domains
-    // plus software. Spawning more workers than that only buys handshake
-    // overhead (a 2x2 mesh at threads=4 measured SLOWER than serial before
-    // this cap).
-    const int useful = static_cast<int>(hw_domains_.size()) + 1;
-    const int workers = std::min(config_.threads, useful);
-    if (workers > 1) {
-      pool_ = std::make_unique<hwsim::WorkerPool>(workers);
-      phase_a_errors_.resize(hw_domains_.size() + 1);
-    }
+  // Useful parallelism is bounded by phase A's fan-out: hardware domains
+  // plus software. Spawning more workers than that only buys handshake
+  // overhead (a 2x2 mesh at threads=4 measured SLOWER than serial before
+  // this cap).
+  const int useful = static_cast<int>(hw_domains_.size()) + 1;
+  const int workers = std::min(config_.threads, useful);
+  if (workers > 1) {
+    pool_ = std::make_unique<hwsim::WorkerPool>(workers);
+    phase_a_errors_.resize(hw_domains_.size() + 1);
   }
 }
 
@@ -260,7 +248,6 @@ void CoSimulation::collect_deliveries() {
 void CoSimulation::mem_tick(std::uint64_t cycle) {
   // mem_ only exists in fabric mode. Channels hand over their due frames
   // in channel order, the tag order the timing replay consumes.
-  collect_deliveries();
   mem_delivered_.clear();
   coherence_held_.for_each([&](std::size_t c) {
     FabricChannel& fc = *fabric_channels_[c];
@@ -286,7 +273,6 @@ void CoSimulation::fill_inboxes(std::uint64_t end) {
     for (std::size_t c = 0; c <= hw_domains_.size(); ++c) fill(c);
     return;
   }
-  collect_deliveries();
   signals_held_.for_each([&](std::size_t c) {
     fill(c);
     if (!fabric_channels_[c]->has_signals()) signals_held_.erase(c);
@@ -294,42 +280,9 @@ void CoSimulation::fill_inboxes(std::uint64_t end) {
 }
 
 void CoSimulation::catch_up_quiet() {
-  for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
-    if (quiet_[d] != 0) hw_domains_[d]->catch_up(cycle_);
-  }
-}
-
-void CoSimulation::one_cycle() {
-  ++cycle_;
-  OBS_SPAN_AT(obs_, obs_track_, "cycle", cycle_);
-  // Serial point: publish buffered stores whose visibility horizon reaches
-  // into the cycle about to run. Stores issued during this cycle become
-  // visible at cycle_ + L > cycle_, so nothing published here can be
-  // affected by what the cycle does.
-  if (mem_) mem_->append_visible(cycle_);
-  // Fabric first: flits advance one hop, frames completing reassembly this
-  // cycle move into the channels the domains read below.
-  if (fabric_) {
-    fabric_->tick(cycle_);
-    collect_deliveries();
-  }
-  // Hardware next: every HwDomain steps one cycle, staging its wire
-  // changes, and the kernel's rising edge commits them in domain order.
-  // Domains defer their outbound frames while they step, then the frames
-  // enter the interconnect here in domain order.
-  edge_batches_.clear();
   for (auto& hw : hw_domains_) {
-    hw->step();
-    edge_batches_.push_back(&hw->edge_writes(0));
+    if (hw->quiet()) hw->catch_up(cycle_);
   }
-  sim_->edge(edge_batches_);
-  for (auto& hw : hw_domains_) hw->flush_outbox();
-  // Then software gets its per-cycle budget of dispatches and action ops.
-  sw_->run_cycle(cycle_, config_.sw_steps_per_cycle, config_.sw_ops_per_cycle);
-  // Memory last: the timing layer consumes every access the domains
-  // recorded this cycle and the coherence frames the NICs reassembled.
-  if (mem_) mem_tick(cycle_);
-  if (cycle_hook_) cycle_hook_(cycle_);
 }
 
 void CoSimulation::run_window(std::uint64_t w) {
@@ -368,7 +321,7 @@ void CoSimulation::run_window(std::uint64_t w) {
   obs::ScopedSpan phase_a_span(obs_, obs_track_, "phaseA", base + 1);
   jobs_.clear();
   for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
-    if (quiet_[d] == 0) jobs_.push_back(d);
+    if (!hw_domains_[d]->quiet()) jobs_.push_back(d);
   }
   jobs_.push_back(hw_domains_.size());
   const std::size_t jobs = jobs_.size();
@@ -410,11 +363,11 @@ void CoSimulation::run_window(std::uint64_t w) {
   phase_seconds_.phase_a += lap();
   OBS_SPAN_AT(obs_, obs_track_, "phaseB", base + 1);
 
-  // Phase B: the w edges, serially, in the lockstep interleaving: fabric
-  // tick, the kernel edge committing the wire writes of the domains that
-  // ran (domain order), outbox flushes (domain order, then software),
-  // memory timing and the cycle hook. A domain that did not run is not
-  // touched: it staged nothing.
+  // Phase B: the w edges, serially: fabric tick and NIC drain, the kernel
+  // edge committing the wire writes of the domains that ran (domain order),
+  // outbox flushes (domain order, then software), memory timing and the
+  // cycle hook. A domain that did not run is not touched: it staged
+  // nothing.
 
   // Batch the boundary exchanges: instead of asking every domain at every
   // edge whether it has frames to send (O(domains) scans per cycle, and
@@ -438,7 +391,13 @@ void CoSimulation::run_window(std::uint64_t w) {
 
   for (std::uint64_t k = 0; k < w; ++k) {
     ++cycle_;
-    if (fabric_) fabric_->tick(cycle_);
+    if (fabric_) {
+      // Frames complete only in a tick; draining right after it leaves no
+      // frame in a NIC between cycles, so every window size and thread
+      // count checkpoints the same bytes.
+      fabric_->tick(cycle_);
+      collect_deliveries();
+    }
     edge_batches_.clear();
     for (std::size_t d : jobs_) {
       if (d < sw_tag) {
@@ -463,8 +422,8 @@ void CoSimulation::run_window(std::uint64_t w) {
 }
 
 bool CoSimulation::quiescent() const {
-  for (std::size_t d = 0; d < hw_domains_.size(); ++d) {
-    if (quiet_[d] == 0 && !hw_domains_[d]->drained()) return false;
+  for (const auto& hw : hw_domains_) {
+    if (!hw->quiet() && !hw->drained()) return false;
   }
   if (!sw_->drained()) return false;
   for (const auto& ch : channels_) {
@@ -475,37 +434,25 @@ bool CoSimulation::quiescent() const {
 
 std::uint64_t CoSimulation::run(std::uint64_t max_cycles) {
   std::uint64_t n = 0;
-  if (windowed_) {
-    while (n < max_cycles && !quiescent()) {
-      const std::uint64_t w =
-          std::min<std::uint64_t>(static_cast<std::uint64_t>(window_),
-                                  max_cycles - n);
-      run_window(w);
-      n += w;
-    }
-    catch_up_quiet();
-    return n;
-  }
   while (n < max_cycles && !quiescent()) {
-    one_cycle();
-    ++n;
+    const std::uint64_t w = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(window_), max_cycles - n);
+    run_window(w);
+    n += w;
   }
+  catch_up_quiet();
   return n;
 }
 
 void CoSimulation::run_cycles(std::uint64_t cycles) {
-  if (windowed_) {
-    std::uint64_t done = 0;
-    while (done < cycles) {
-      const std::uint64_t w = std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(window_), cycles - done);
-      run_window(w);
-      done += w;
-    }
-    catch_up_quiet();
-    return;
+  std::uint64_t done = 0;
+  while (done < cycles) {
+    const std::uint64_t w = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(window_), cycles - done);
+    run_window(w);
+    done += w;
   }
-  for (std::uint64_t i = 0; i < cycles; ++i) one_cycle();
+  catch_up_quiet();
 }
 
 void CoSimulation::save_state(snap::Writer& w) const {
@@ -552,13 +499,16 @@ void CoSimulation::load_state(snap::Reader& r) {
     if (fabric_channels_[c]->has_signals()) signals_held_.insert(c);
     if (fabric_channels_[c]->has_coherence()) coherence_held_.insert(c);
   }
+  // A version-4 checkpoint written before the per-tick drain may still
+  // hold reassembled frames in a NIC; move them where the next cycle reads
+  // them, as the tick that completed them would have.
+  if (fabric_) collect_deliveries();
   if (r.u64() != hw_domains_.size()) {
     throw snap::SnapError(
         "co-simulation snapshot domain count mismatch (same partition "
         "required)");
   }
   for (auto& hw : hw_domains_) hw->load_state(r);
-  std::fill(quiet_.begin(), quiet_.end(), 0);  // every domain starts awake
   sw_->load_state(r);
   cycle_ = r.u64();
   const std::uint8_t has_mem = r.u8();

@@ -10,56 +10,58 @@
 //     HwDomain per occupied hardware tile plus the SwDomain on its own
 //     tile, each behind a NIC (FabricChannel).
 //
-// Per hardware clock cycle:
-//
-//   1. the fabric (if any) moves flits one hop and retires due frames;
-//   2. each HwDomain latches due frames and lets each hardware FSM
-//      instance consume one signal, staging its wire changes; the kernel's
-//      rising edge commits them in domain order;
-//   3. the SwDomain latches its due frames and its executor receives a
-//      budget of `sw_steps_per_cycle` dispatches.
-//
-// Windowed execution (the conservative-lookahead scheduler). Every frame
-// that crosses a domain boundary spends at least L cycles in flight: L is
-// the busLatency mark on the bus, and the NIC-egress link traversal
+// The conservative-lookahead scheduler. Every frame that crosses a domain
+// boundary spends at least L cycles in flight: L is the busLatency mark on
+// the bus (floored at 1, see below), and the NIC-egress link traversal
 // (link_latency) on the mesh (mapping::MappedSystem::lookahead()). That
 // static bound means a frame sent at cycle c cannot influence any other
 // domain before cycle c + L — so the master may run every domain L cycles
 // ahead without hearing from the others (Chandy–Misra–Bryant conservative
 // lookahead, derived from the marks instead of negotiated at runtime).
-// The master executes in windows of W = min(window, L) cycles whenever
-// W > 1 or threads > 1 (a window of one cycle is always sound):
+// Every run, serial or parallel, executes in windows of W = min(window, L)
+// cycles, each in three steps:
 //
 //   boundary (serial)  every domain pulls the frames due inside the coming
 //                      window from the shared interconnect into a private
 //                      inbox — complete by the lookahead argument;
-//   phase A (parallel) each domain runs W cycles of its per-cycle body on
-//                      a persistent worker pool, touching only its own
-//                      state: frames come from the inbox, outbound frames
-//                      are staged cycle-stamped in an outbox, and the
-//                      wire writes that change a value are staged per edge;
-//   phase B (serial)   W edges in a plain loop: tick the fabric, let the
-//                      kernel's edge commit the staged wire writes of the
-//                      domains that ran (domain order), then flush due
-//                      outboxes (domain order, then software), run the
-//                      memory timing layer and the cycle hook. An
-//                      unchanged write would commit nothing, so committing
-//                      only the changes is byte-identical to lockstep.
+//   phase A (parallel) each domain runs W cycles of its per-cycle body —
+//                      hardware: latch due frames, let each FSM instance
+//                      consume one signal, stage the wire writes that
+//                      change a value; software: latch due frames, spend
+//                      a budget of `sw_steps_per_cycle` dispatches —
+//                      touching only its own state: frames come from the
+//                      inbox and outbound frames are staged cycle-stamped
+//                      in an outbox. With threads > 1 the domains run on a
+//                      persistent worker pool, otherwise one after another;
+//   phase B (serial)   W edges in a plain loop: tick the fabric (flits move
+//                      one hop, completed frames drain from the NICs into
+//                      the channels), let the kernel's edge commit the
+//                      staged wire writes of the domains that ran (domain
+//                      order), then flush due outboxes (domain order, then
+//                      software), run the memory timing layer and the cycle
+//                      hook. An unchanged write would commit nothing, so
+//                      committing only the changes keeps every wire stat.
+//
+// A frame staged at cycle c enters the interconnect in phase B, after every
+// domain has run cycle c, so it reaches its receiver at a later boundary:
+// never before cycle c + 1. The zero-latency bus (busLatency 0, L = 1)
+// therefore delivers a frame one cycle after it was sent, in both
+// directions and at every thread count.
 //
 // Activity, not platform size, sets the per-cycle cost. A hardware domain
 // that ends a window quiet (see hwdomain.hpp) gets no phase-A job, has
 // nothing committed and is not asked to flush until a frame, an external
 // create or inject wakes it; the kernel still counts its activation each
 // edge without calling it. The fabric lists the tiles where frames
-// completed, so the boundary and the memory step poll only channels that
-// hold frames.
+// completed, so the per-tick drain and the boundary poll only channels
+// that hold frames.
 //
 // One pool handshake per window is the entire performance story; running
-// the edges in lockstep order is the entire determinism story: traces, VCD,
-// SimStats, Bus/FabricStats are byte-identical to the serial master at
-// every window size and thread count. A serial run at W == 1 (zero-latency
-// bus, or `window = 1`, at threads = 1) is the exact per-cycle lockstep
-// loop: the reference semantics every parallel run is checked against.
+// the edges in one fixed serial order is the entire determinism story:
+// traces, VCD, SimStats, Bus/FabricStats and checkpoint bytes are
+// byte-identical at every window size and thread count. The serial run at
+// W = 1 (threads = 1, window = 1) is the reference the grids check the
+// others against.
 //
 // The whole thing is deterministic, so a CoSimulation trace is comparable
 // against the abstract Executor trace (see src/xtsoc/verify) — the paper's
@@ -101,15 +103,13 @@ struct EngineStatus {
 
 struct CoSimConfig {
   /// Worker threads running whole domains concurrently within each window
-  /// (phase A). Any value above 1 selects the window path, even at W = 1;
-  /// 1 is fully serial and every thread count is byte-identical to it.
-  /// See docs/PERF.md.
+  /// (phase A). 1 runs the domains one after another on the calling
+  /// thread; every thread count is byte-identical to it. See docs/PERF.md.
   int threads = 1;
   /// Execution window in cycles. 0 (default) = auto: use the full static
   /// lookahead L of the mapped interconnect. Values are clamped to [1, L]
   /// — running further ahead than L could miss cross-domain frames, so the
-  /// cap is correctness, not tuning. 1 at threads = 1 forces per-cycle
-  /// lockstep; at threads > 1 it runs one-cycle windows.
+  /// cap is correctness, not tuning. 1 runs one-cycle windows.
   int window = 0;
   /// Software dispatches allowed per hardware clock cycle (CPU/fabric
   /// speed ratio).
@@ -133,7 +133,7 @@ struct CoSimConfig {
   /// the real one, to demonstrate the connect-time mismatch detection.
   std::string forged_sw_digest;
   /// Optional observability sink, threaded through every layer: the master
-  /// gets the "cosim" track (cycle/window/phase spans), the kernel
+  /// gets the "cosim" track (window/phase spans), the kernel
   /// "kernel", each hardware domain "executor/hwN", software "executor/sw",
   /// and the mesh "noc". Null (default) leaves every probe a dead test —
   /// simulation output is byte-identical either way.
@@ -166,8 +166,8 @@ public:
   // --- execution ---------------------------------------------------------------
 
   /// Run until the system is quiescent or `max_cycles` elapse.
-  /// Returns the number of hardware cycles executed. Windowed execution
-  /// checks quiescence at window boundaries, so it may run up to
+  /// Returns the number of hardware cycles executed. Quiescence is
+  /// checked at window boundaries, so a run may go up to
   /// window() - 1 idle cycles past the quiescence point (never past
   /// `max_cycles`); use run_cycles() for an exact cycle count.
   std::uint64_t run(std::uint64_t max_cycles = 1'000'000);
@@ -181,8 +181,7 @@ public:
   std::uint64_t cycles() const { return cycle_; }
   /// Static interconnect lookahead L the window was derived from.
   int lookahead() const { return lookahead_; }
-  /// Effective execution window W in cycles. W = 1 is the lockstep loop at
-  /// threads = 1 and one-cycle windows at threads > 1.
+  /// Effective execution window W in cycles.
   int window() const { return window_; }
   /// The first (in bus mode: the only) hardware domain.
   const HwDomain& hw_domain() const { return *hw_domains_.front(); }
@@ -216,10 +215,10 @@ public:
   /// The memory hierarchy, or null when no `dram.tile` mark is present.
   const mem::System* mem_system() const { return mem_.get(); }
 
-  /// Wall-clock seconds accumulated per windowed phase (zeroes in the
-  /// serial lockstep loop). The boundary/phase A/phase B split is what
-  /// tells a perf investigation where the Amdahl wall currently is;
-  /// bench_cosim exports it as phaseA_pct/phaseB_pct.
+  /// Wall-clock seconds accumulated per window step, over every window run
+  /// so far. The boundary/phase A/phase B split is what tells a perf
+  /// investigation where the Amdahl wall currently is; bench_cosim exports
+  /// it as phaseA_pct/phaseB_pct.
   struct PhaseSeconds {
     double boundary = 0;
     double phase_a = 0;
@@ -247,17 +246,16 @@ public:
   void load_state(snap::Reader& r);
 
 private:
-  void one_cycle();
-  /// One window of `w` cycles (windowed mode): boundary inbox fill, phase A
-  /// on the pool, phase B edge loop. `w` may be smaller than window()
+  /// One window of `w` cycles: boundary inbox fill, phase A (on the pool
+  /// when there is one), phase B edge loop. `w` may be smaller than window()
   /// for the tail of a run — any W' <= L is safe.
   void run_window(std::uint64_t w);
-  /// Serial-spine memory step for `cycle`: collect the coherence frames the
-  /// NICs reassembled (channel/tag order) and advance the hierarchy.
+  /// Serial-spine memory step for `cycle`: hand the due coherence frames
+  /// the channels hold (channel/tag order) to the hierarchy and advance it.
   void mem_tick(std::uint64_t cycle);
   /// Fabric mode: drain the NICs of the tiles where frames completed into
   /// their channels and note which channels now hold signal or coherence
-  /// frames. Called where a domain or the memory step would read them.
+  /// frames. Called after every fabric tick.
   void collect_deliveries();
   /// Window boundary: move the frames due through `end` into the inboxes
   /// of the domains whose channels hold any, waking quiet ones that get a
@@ -278,10 +276,6 @@ private:
   std::unique_ptr<mem::System> mem_;
   /// ClassId -> owning hardware domain, nullptr for software classes.
   std::vector<HwDomain*> hw_domain_of_;
-  /// Per hardware domain: 1 while it is quiet (written by the domain at the
-  /// end of its window, cleared by the master to wake it). Always 0 in the
-  /// lockstep loop.
-  std::vector<std::uint8_t> quiet_;
   /// The domains given a phase-A job this window, ascending; the software
   /// domain is the last, as index hw_domains_.size(). Reused scratch.
   std::vector<std::size_t> jobs_;
@@ -297,8 +291,6 @@ private:
   std::uint64_t cycle_ = 0;
   int lookahead_ = 1;
   int window_ = 1;
-  /// True when run/run_cycles go through run_window: W > 1 or threads > 1.
-  bool windowed_ = false;
   /// Worker pool (threads > 1) running phase A, the only pool of a
   /// co-simulation. Capped at the useful parallelism — domains + 1 — so
   /// extra threads never buy handshake overhead.

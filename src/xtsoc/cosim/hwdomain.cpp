@@ -15,7 +15,7 @@ HwDomain::HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
           [this](runtime::EventMessage m) {
             // Signal leaving this domain for a foreign executor: serialize
             // per the synthesized interface and stage it in the outbox (the
-            // channel is shared; sends happen at flush_outbox). Any
+            // channel is shared; the master sends in phase B). Any
             // generate-statement delay rides along as extra transit delay.
             std::uint64_t extra = m.deliver_at - exec_.now();
             ClassId dst = m.target.cls;
@@ -46,14 +46,8 @@ HwDomain::HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
     }
   }
   sim.add_domain();
-  // The wires start at 0, and lockstep needs one edge's staging slot.
+  // The wires start at 0.
   last_staged_.assign(2 * owned_.size(), 0);
-  edge_writes_.resize(1);
-}
-
-void HwDomain::set_windowed(std::uint8_t* quiet) {
-  windowed_ = true;
-  quiet_ = quiet;
 }
 
 void HwDomain::catch_up(std::uint64_t cycle) {
@@ -94,36 +88,15 @@ void HwDomain::step_cycle(std::size_t k) {
   ++cycle_;
   exec_.advance_time(1);
 
-  // Latch frames that completed their interconnect flight this cycle. In
-  // lockstep the shared channel is asked directly; in a window the due
-  // frames sit pre-sorted in the inbox (fill_inbox pulled everything due
-  // through the window's end — lookahead guarantees completeness).
-  if (windowed_) {
-    // Frames carry heterogeneous delays, so dues are not monotone in inbox
-    // order: scan everything, deliver what is due, keep the rest in order —
-    // the same contract the channels implement, so each frame is delivered
-    // at exactly the cycle (and in exactly the order) lockstep would have.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < inbox_.size(); ++i) {
-      if (inbox_[i].due_cycle <= cycle_) {
-        runtime::EventMessage m = decode_frame(sys_->interface(), inbox_[i]);
-        m.deliver_at = exec_.now();
-        exec_.deliver_remote(std::move(m));
-        OBS_COUNT(c_frames_in_);
-      } else {
-        if (kept != i) inbox_[kept] = std::move(inbox_[i]);
-        ++kept;
-      }
-    }
-    inbox_.resize(kept);
-  } else {
-    for (Frame& f : channel_->receive(cycle_)) {
-      runtime::EventMessage m = decode_frame(sys_->interface(), f);
-      m.deliver_at = exec_.now();
-      exec_.deliver_remote(std::move(m));
-      OBS_COUNT(c_frames_in_);
-    }
-  }
+  // Latch frames that completed their interconnect flight this cycle. They
+  // sit in the inbox: fill_inbox pulled everything due through the window's
+  // end, and lookahead guarantees that is complete.
+  deliver_due(inbox_, cycle_, [this](const Frame& f) {
+    runtime::EventMessage m = decode_frame(sys_->interface(), f);
+    m.deliver_at = exec_.now();
+    exec_.deliver_remote(std::move(m));
+    OBS_COUNT(c_frames_in_);
+  });
 
   // One signal per instance per clock: parallel FSMs, each consuming at
   // most one event — and only on its clock domain's active edges (the
@@ -180,7 +153,7 @@ void HwDomain::run_window(std::uint64_t n) {
   for (std::size_t i = 0; quiet && i < owned_.size(); ++i) {
     quiet = last_staged_[2 * i + 1] == 0;
   }
-  *quiet_ = quiet ? 1 : 0;
+  quiet_ = quiet;
 }
 
 void HwDomain::save_state(snap::Writer& w) const {
@@ -195,7 +168,8 @@ void HwDomain::load_state(snap::Reader& r) {
   cycle_ = r.u64();
   outbox_.load_state(r);
   load_frames(r, inbox_);
-  // The per-edge scratch is rebuilt by the next step; the last staged
+  quiet_ = false;  // every domain starts awake
+  // The per-edge scratch is rebuilt by the next window; the last staged
   // values must match the restored kernel.
   seed_staged();
 }

@@ -16,38 +16,32 @@
 //   * signals to classes owned by any other executor leave through this
 //     domain's Channel with the synthesized wire format.
 //
-// Outbound frames are STAGED, not sent: each cycle encodes them into a
-// local outbox and CoSimulation flushes every domain's outbox — serially,
-// in domain order — after the clock edge commits. The interconnect is
-// shared state, so this is what lets domains evaluate concurrently and
-// still inject frames in the exact order the serial master would have.
+// CoSimulation runs the domain a window at a time (see cosim.hpp):
+// run_window(W) runs W consecutive cycles, possibly on a worker thread,
+// touching only domain-local state. Frames come from an inbox the master
+// filled at the window boundary. Outbound frames are STAGED, not sent: each
+// cycle encodes them cycle-stamped into a local outbox, and the master
+// flushes every domain's outbox in phase B — serially, in domain order, at
+// the edge of the cycle that staged them. The interconnect is shared state,
+// so this is what lets domains evaluate concurrently and still inject
+// frames in the exact order a serial run does.
 //
-// The observability wires are staged too. Each cycle stages, for the
-// coming edge, only the wire writes that change a value: this domain is
-// the sole writer of its wires, and an unchanged write commits nothing.
-// The hwsim kernel commits the staged writes at the edge; it never calls
-// the domain. Two execution modes, selected by CoSimulation (see
-// cosim.hpp):
+// The observability wires are staged too. Each cycle stages, for its
+// edge, only the wire writes that change a value: this domain is the sole
+// writer of its wires, and an unchanged write commits nothing. The master
+// commits each edge's writes in phase B, on the hwsim kernel, which never
+// calls the domain.
 //
-//   * lockstep (window = 1, threads = 1): step() runs one cycle, reading
-//     due frames straight from the channel; the master commits its writes
-//     at the next edge. The reference path.
-//   * windowed: run_window(L) runs L consecutive cycles on a worker
-//     thread, reading frames from an inbox the master pre-filled, and
-//     stages each edge's writes separately. The master commits them edge
-//     by edge in phase B, so SimStats, VCD and wire history stay
-//     byte-identical to lockstep.
-//
-// A windowed domain that ends a window quiet — empty inbox, drained
-// executor (no queue, no timer), every busy wire already staged 0 — would
-// spend the next window staging nothing and sending nothing: each of its
-// cycles only advances its clock. So the master gives it no phase-A job
-// and commits nothing for it until something wakes it; the kernel still
-// counts its activation each edge. Its cycle counter and executor time lag
-// meanwhile; catch_up() restores them exactly (advance_time over a drained
-// executor releases nothing), and the master calls it before anything can
-// observe the lag: when a frame lands in the inbox, before an external
-// create or inject, and at the end of every run call.
+// A domain that ends a window quiet — empty inbox, drained executor (no
+// queue, no timer), every busy wire already staged 0 — would spend the
+// next window staging nothing and sending nothing: each of its cycles only
+// advances its clock. So the master gives it no phase-A job and commits
+// nothing for it until something wakes it; the kernel still counts its
+// activation each edge. Its cycle counter and executor time lag meanwhile;
+// catch_up() restores them exactly (advance_time over a drained executor
+// releases nothing), and the master calls it before anything can observe
+// the lag: when a frame lands in the inbox, before an external create or
+// inject, and at the end of every run call.
 //
 // This is the executable twin of the VHDL text emitted by
 // codegen::generate_vhdl — same partition, same interface, same queueing.
@@ -86,30 +80,21 @@ public:
   /// Signals dispatched in hardware.
   std::uint64_t dispatches() const { return exec_.dispatch_count(); }
 
-  /// Lockstep: run one cycle, staging its wire writes as edge 0's.
-  void step() { step_cycle(0); }
-
-  /// The wire writes staged for edge `k` of the last step() (k = 0) or
-  /// run_window() call: only those that change a value, in staging order.
+  /// The wire writes staged for edge `k` of the last run_window() call:
+  /// only those that change a value, in staging order.
   const std::vector<hwsim::WireWrite>& edge_writes(std::size_t k) const {
     return edge_writes_[k];
   }
-
-  /// Hand the frames staged during the last cycle to the channel. Called
-  /// by CoSimulation once per lockstep cycle, after the edge commits, in
-  /// domain order.
-  void flush_outbox() { outbox_.flush(*channel_); }
 
   bool drained() const {
     return exec_.drained() && outbox_.empty() && inbox_.empty();
   }
 
-  // --- windowed execution (CoSimulation only) --------------------------------
+  // --- window execution (CoSimulation only) ----------------------------------
 
-  /// Switch to windowed mode: frames come from the inbox, and at the end
-  /// of each window the domain stores whether it is quiet (see above) in
-  /// `*quiet`, a flag the master owns and clears to wake it. Serial.
-  void set_windowed(std::uint8_t* quiet);
+  /// True when the last window ended quiet (see above): the master gives
+  /// the domain no phase-A job until wake() clears it.
+  bool quiet() const { return quiet_; }
 
   /// Bring a lagging quiet domain's cycle and executor time up to the
   /// master's `cycle` (serial; a no-op for a domain that is not behind).
@@ -118,8 +103,8 @@ public:
   /// Clear the quiet flag and catch up to `cycle`: the domain runs again
   /// from the next window on. Serial.
   void wake(std::uint64_t cycle) {
-    if (quiet_ == nullptr || *quiet_ == 0) return;
-    *quiet_ = 0;
+    if (!quiet_) return;
+    quiet_ = false;
     catch_up(cycle);
   }
 
@@ -135,7 +120,7 @@ public:
   /// inbox (worker thread; touches only domain-local state). Wire writes
   /// are staged per edge (edge_writes(0..n-1)) for phase B to commit;
   /// outbound frames are staged cycle-stamped in the outbox. Ends by
-  /// storing the quiet flag.
+  /// setting the quiet flag.
   void run_window(std::uint64_t n);
 
   /// Send the outbox prefix staged at cycles <= `cycle` (monotone calls,
@@ -165,14 +150,15 @@ public:
   // --- checkpointing ---------------------------------------------------------
   /// Serialize the executor, cycle counter and staged frames. Checkpoints
   /// are taken between CoSimulation::run calls, where the staged wire
-  /// writes have all been committed; load_state resets them.
+  /// writes have all been committed; load_state resets them and wakes the
+  /// domain.
   void save_state(snap::Writer& w) const;
   void load_state(snap::Reader& r);
 
 private:
-  /// The per-cycle body shared by both modes: advance, latch due frames,
-  /// dispatch one signal per instance, stage the observability wires'
-  /// changes as edge `k`'s writes.
+  /// The per-cycle body: advance, latch due inbox frames, dispatch one
+  /// signal per instance, stage the observability wires' changes as edge
+  /// `k`'s writes.
   void step_cycle(std::size_t k);
   /// Stage `value` for wire `w` on edge `k` unless it equals the last
   /// value staged for that wire (`slot` into last_staged_).
@@ -193,7 +179,7 @@ private:
   std::vector<std::uint64_t> divider_;
   std::vector<HwSignalId> alive_wires_;  // index: ClassId; invalid if foreign
   std::vector<HwSignalId> busy_wires_;
-  Outbox outbox_;  ///< frames staged during the current edge or window
+  Outbox outbox_;  ///< frames staged during the current window
   /// Instances already served this cycle (reused; cleared each edge).
   std::vector<runtime::InstanceHandle> served_;
 
@@ -210,10 +196,9 @@ private:
   /// owned_[i]. Equal to the kernel's value once earlier edges committed.
   std::vector<std::uint64_t> last_staged_;
 
-  // Windowed mode state.
-  bool windowed_ = false;
   std::vector<Frame> inbox_;  ///< due frames for the current window, in order
-  std::uint8_t* quiet_ = nullptr;  ///< the master's flag for this domain
+  /// Set by run_window (worker thread), read and cleared by the master.
+  bool quiet_ = false;
 };
 
 }  // namespace xtsoc::cosim

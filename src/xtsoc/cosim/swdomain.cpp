@@ -13,16 +13,11 @@ SwDomain::SwDomain(const mapping::MappedSystem& sys, Channel& channel,
           [this](runtime::EventMessage m) {
             std::uint64_t extra = m.deliver_at - exec_.now();
             ClassId dst = m.target.cls;
-            if (windowed_) {
-              // The channel is shared across domains; inside a window it
-              // must not be touched. Stage cycle-stamped; the master sends
-              // at the boundary, in the serial order.
-              outbox_.stage(dst, encode_message(sys_->interface(), m), cycle_,
-                            extra);
-            } else {
-              channel_->send(dst, encode_message(sys_->interface(), m), cycle_,
-                             extra);
-            }
+            // The channel is shared across domains; inside a window it
+            // must not be touched. Stage cycle-stamped; the master sends in
+            // phase B, in the serial order.
+            outbox_.stage(dst, encode_message(sys_->interface(), m), cycle_,
+                          extra);
             OBS_COUNT(c_frames_out_);
             exec_.recycle_args(std::move(m.args));
           }) {
@@ -39,30 +34,12 @@ SwDomain::SwDomain(const mapping::MappedSystem& sys, Channel& channel,
 void SwDomain::latch_cycle(std::uint64_t cycle) {
   cycle_ = cycle;
   exec_.advance_time(1);
-  if (windowed_) {
-    // Dues are not monotone in inbox order (heterogeneous delays): scan
-    // everything, deliver what is due, keep the rest in order.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < inbox_.size(); ++i) {
-      if (inbox_[i].due_cycle <= cycle) {
-        runtime::EventMessage m = decode_frame(sys_->interface(), inbox_[i]);
-        m.deliver_at = exec_.now();
-        exec_.deliver_remote(std::move(m));
-        OBS_COUNT(c_frames_in_);
-      } else {
-        if (kept != i) inbox_[kept] = std::move(inbox_[i]);
-        ++kept;
-      }
-    }
-    inbox_.resize(kept);
-  } else {
-    for (Frame& f : channel_->receive(cycle)) {
-      runtime::EventMessage m = decode_frame(sys_->interface(), f);
-      m.deliver_at = exec_.now();
-      exec_.deliver_remote(std::move(m));
-      OBS_COUNT(c_frames_in_);
-    }
-  }
+  deliver_due(inbox_, cycle, [this](const Frame& f) {
+    runtime::EventMessage m = decode_frame(sys_->interface(), f);
+    m.deliver_at = exec_.now();
+    exec_.deliver_remote(std::move(m));
+    OBS_COUNT(c_frames_in_);
+  });
 }
 
 void SwDomain::run_cycle(std::uint64_t cycle, int steps, std::uint64_t ops) {

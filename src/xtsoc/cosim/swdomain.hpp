@@ -10,11 +10,11 @@
 // Channel the master picked: the legacy bus, or the software tile's NIC on
 // the mesh.
 //
-// Like HwDomain, this domain has a lockstep mode (frames received from and
-// sent to the shared channel inline) and a windowed mode (driven from a
-// worker thread against a pre-filled inbox, with outbound frames staged
-// cycle-stamped in an outbox for the serial boundary flush). Both run the
-// same run_cycle; see cosim.hpp for the window scheme.
+// Like HwDomain, the domain runs a window at a time, possibly on a worker
+// thread: each run_cycle latches due frames from an inbox the master
+// filled at the window boundary, and outbound frames are staged
+// cycle-stamped in an outbox for the master to flush in phase B. See
+// cosim.hpp for the window scheme.
 #pragma once
 
 #include <utility>
@@ -38,16 +38,12 @@ public:
     return exec_.drained() && outbox_.empty() && inbox_.empty();
   }
 
-  /// One software cycle (the master in lockstep mode, a worker thread off
-  /// the inbox in windowed mode): advance time, latch due frames, then
-  /// dispatch against the per-cycle budget — at most `steps` dispatches and
-  /// `ops` action ops, run-to-completion never violated.
+  /// One software cycle of phase A: advance time, latch due inbox frames,
+  /// then dispatch against the per-cycle budget — at most `steps`
+  /// dispatches and `ops` action ops, run-to-completion never violated.
   void run_cycle(std::uint64_t cycle, int steps, std::uint64_t ops);
 
-  // --- windowed execution (CoSimulation only) --------------------------------
-
-  /// Route outbound frames into the outbox instead of the shared channel.
-  void set_windowed(bool on) { windowed_ = on; }
+  // --- window execution (CoSimulation only) ----------------------------------
 
   /// Window boundary, serial: pull every channel frame deliverable at or
   /// before `through_cycle` into the inbox (complete for the window by the
@@ -75,8 +71,7 @@ public:
   void load_state(snap::Reader& r);
 
 private:
-  /// Per-cycle prologue: advance time, deliver due frames. Windowed mode
-  /// reads the inbox; lockstep asks the channel.
+  /// Per-cycle prologue: advance time, deliver the inbox's due frames.
   void latch_cycle(std::uint64_t cycle);
 
   const mapping::MappedSystem* sys_;
@@ -84,7 +79,6 @@ private:
   runtime::Executor exec_;
   std::uint64_t cycle_ = 0;
 
-  bool windowed_ = false;
   std::vector<Frame> inbox_;
   Outbox outbox_;
 

@@ -51,10 +51,10 @@ public:
   /// cycles: no frame sent at cycle c can become deliverable before
   /// c + lookahead(). On the mesh this is the NIC-egress link traversal
   /// (link_latency; the full path is at least one hop more); on the bus it
-  /// is the busLatency mark, floored at 1 so a zero-latency bus degrades
-  /// to per-cycle lockstep rather than an illegal window. This is the
-  /// static bound the windowed co-simulation scheduler builds on
-  /// (src/xtsoc/cosim/cosim.hpp).
+  /// is the busLatency mark, floored at 1 so a zero-latency bus runs
+  /// one-cycle windows rather than an illegal one (its frames land a cycle
+  /// after they were sent). This is the static bound the windowed
+  /// co-simulation scheduler builds on (src/xtsoc/cosim/cosim.hpp).
   int lookahead() const {
     if (partition_.mesh().enabled) return partition_.mesh().link_latency;
     return bus_latency_ > 1 ? bus_latency_ : 1;

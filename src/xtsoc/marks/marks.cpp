@@ -234,7 +234,7 @@ bool MarkSet::validate(const xtuml::Domain& domain,
   // co-simulation scheduler (and wait counts in the generated VHDL), so
   // nonsensical values are rejected here rather than surfacing as a stuck
   // or time-traveling interconnect later. busLatency 0 is legal — it
-  // degrades the scheduler to per-cycle lockstep — but negative is not;
+  // clamps the scheduler to one-cycle windows — but negative is not;
   // linkLatency is a physical per-hop traversal time and must be >= 1.
   for (const auto& [element, kv] : marks_) {
     if (auto it = kv.find(kBusLatency);

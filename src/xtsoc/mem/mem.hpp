@@ -35,9 +35,9 @@
 //     append_visible call before it. Every version folded at
 //     append_visible(h) became visible at or before h_prev, so it is
 //     visible to every such read, and the newest one hides all older ones.
-//     The cosim loop reads at cycles in (h_prev, h]: a lockstep cycle c
-//     publishes h = c after h_prev = c - 1, a window (base, end] publishes
-//     h = end after h_prev = base. The bound is inclusive, so a read at
+//     The cosim loop reads at cycles in (h_prev, h]: a window (base, end]
+//     publishes h = end after h_prev = base, so a one-cycle window c
+//     publishes h = c after h_prev = c - 1. The bound is inclusive, so a read at
 //     c = h_prev is exact too: MemFunctional.OwnStoreForwardsImmediately-
 //     OthersWaitLookahead calls append_visible(12), append_visible(13),
 //     then reads at 12, and every settled version became visible at or
@@ -45,8 +45,8 @@
 //
 //   * The TIMING layer decides costs, and only costs. Every access is also
 //     recorded (cycle-stamped, per domain); System::tick(cycle) — called
-//     once per cycle from the serial spine in both lockstep and windowed
-//     modes — replays those records through per-tile MESI caches, a
+//     once per cycle from phase B, the serial spine, at every window size
+//     — replays those records through per-tile MESI caches, a
 //     directory at the DRAM tile, and a bank/row-aware DRAM model.
 //     Coherence messages are real frames on the noc::Fabric (opcodes in
 //     the reserved kCohOpcodeBase range), so they share flit segmentation,

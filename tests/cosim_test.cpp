@@ -520,19 +520,23 @@ TEST(CoSimParallel, MeshFanoutByteIdenticalAcrossThreadCounts) {
 //
 // CoSimConfig::window must also leave every observable byte unchanged. The
 // runs below diff the whole contract (see observe.hpp) across a
-// (window x threads) grid against the serial per-cycle lockstep baseline
+// (window x threads) grid against the serial one-cycle-window baseline
 // (window=1, threads=1). run_cycles() is used so every configuration
 // executes the exact same number of cycles, including partial tail windows
 // (97 and 61 are deliberately not multiples of any window size).
 
 TEST(CoSimWindowed, BusPipelineByteIdenticalAcrossWindowsAndThreads) {
-  auto run_once = [](int window, int threads) {
+  // busLatency 0 has lookahead 1: every window clamps to one cycle, and a
+  // frame lands the cycle after it was sent at every thread count.
+  auto run_once = [](int latency, int window, int threads) {
     CoSimConfig cfg;
     cfg.window = window;
     cfg.threads = threads;
-    PipelineCosim p(hw_consumer_marks(8), cfg);
-    EXPECT_EQ(p.cosim.lookahead(), 8);
-    EXPECT_EQ(p.cosim.window(), window == 0 ? 8 : window);
+    PipelineCosim p(hw_consumer_marks(latency), cfg);
+    const int lookahead = std::max(latency, 1);
+    EXPECT_EQ(p.cosim.lookahead(), lookahead);
+    EXPECT_EQ(p.cosim.window(),
+              window == 0 ? lookahead : std::min(window, lookahead));
     Recorder rec(p.cosim);
     for (int i = 0; i < 4; ++i) {
       p.cosim.inject(p.producer, "kick", {}, static_cast<std::uint64_t>(i));
@@ -545,13 +549,16 @@ TEST(CoSimWindowed, BusPipelineByteIdenticalAcrossWindowsAndThreads) {
     return rec.take();
   };
 
-  Observed serial = run_once(/*window=*/1, /*threads=*/1);
-  EXPECT_FALSE(serial.hw_traces.empty());
-  for (int window : {0, 2, 8}) {
-    for (int threads : {1, 2, 8}) {
-      expect_identical(run_once(window, threads), serial,
-                       "window=" + std::to_string(window) +
-                           " threads=" + std::to_string(threads));
+  for (int latency : {8, 0}) {
+    Observed serial = run_once(latency, /*window=*/1, /*threads=*/1);
+    EXPECT_FALSE(serial.hw_traces.empty());
+    for (int window : {0, 2, 8}) {
+      for (int threads : {1, 2, 8}) {
+        expect_identical(run_once(latency, window, threads), serial,
+                         "busLatency=" + std::to_string(latency) +
+                             " window=" + std::to_string(window) +
+                             " threads=" + std::to_string(threads));
+      }
     }
   }
 }
@@ -581,9 +588,10 @@ TEST(CoSimWindowed, MeshFanoutByteIdenticalAcrossWindowsAndThreads) {
 }
 
 TEST(CoSimWindowed, ZeroLatencyBusForcesLockstep) {
-  // A zero-latency bus means a frame sent at cycle c is visible at cycle
-  // c + 1 (pop_due at the next latch) — lookahead 1, so no window larger
-  // than 1 is sound and the requested window must be ignored.
+  // A zero-latency bus means a frame sent at cycle c is due at c itself
+  // and lands at c + 1, at the next window boundary — lookahead 1, so no
+  // window larger than 1 is sound and the requested window must be
+  // ignored: the run uses one-cycle windows.
   CoSimConfig cfg;
   cfg.window = 8;
   cfg.threads = 4;
@@ -608,7 +616,7 @@ TEST(CoSimWindowed, WindowClampsToLookahead) {
   EXPECT_EQ(window_for(0), 8);   // auto: the full lookahead
   EXPECT_EQ(window_for(64), 8);  // clamped down: correctness bound
   EXPECT_EQ(window_for(2), 2);   // smaller is always sound
-  EXPECT_EQ(window_for(1), 1);   // explicit lockstep
+  EXPECT_EQ(window_for(1), 1);   // explicit one-cycle windows
 }
 
 TEST(CoSimWindowed, RunOvershootsQuiescenceByLessThanOneWindow) {
@@ -634,10 +642,11 @@ TEST(CoSimWindowed, RunOvershootsQuiescenceByLessThanOneWindow) {
 // kernel writes that change a wire. The grids below drive a generic W x H
 // mesh — one self-ticking FSM per hardware tile, the software CPU on
 // tile 0 — through threads {1,2,8} x window {1,2,auto=L} x faults {off,on}
-// and require every observable byte (see observe.hpp) to equal the serial
-// lockstep baseline. 97 total cycles in chunks of 61+36, so no chunk is a
-// multiple of any window size. At linkLatency 1 every window clamps to 1,
-// so threads {2,8} run one-cycle windows against the lockstep loop.
+// and require every observable byte (see observe.hpp) and the checkpoint
+// bytes to equal the serial one-cycle-window baseline. 97 total cycles in
+// chunks of 61+36, so no chunk is a multiple of any window size. At
+// linkLatency 1 every window clamps to 1, so the cells differ only in
+// threads.
 
 std::unique_ptr<xtuml::Domain> make_grid_domain(int nodes) {
   using xtuml::DataType;
@@ -697,10 +706,16 @@ fault::FaultSpec grid_noisy_spec() {
   return s;
 }
 
+/// One grid cell's observables and the snap::save bytes at its end.
+struct GridCell {
+  Observed observed;
+  std::vector<std::uint8_t> checkpoint;
+};
+
 /// One grid cell: boot the ring of `nodes` self-ticking FSMs, run 61 + 36
-/// cycles and capture it. Also checks the window the cosim chose and
-/// whether it took the windowed path (phase A ran).
-Observed run_grid_mesh(MappedFixture& fx, int nodes, int link_latency,
+/// cycles, capture it and save a checkpoint. Also checks the window the
+/// cosim chose and that phase A ran.
+GridCell run_grid_mesh(MappedFixture& fx, int nodes, int link_latency,
                        int threads, int window, bool faults) {
   fault::Plan plan(faults ? grid_noisy_spec() : fault::FaultSpec{});
   CoSimConfig cfg;
@@ -724,9 +739,8 @@ Observed run_grid_mesh(MappedFixture& fx, int nodes, int link_latency,
   Recorder rec(cosim);
   cosim.run_cycles(61);
   cosim.run_cycles(36);
-  EXPECT_EQ(cosim.phase_seconds().phase_a > 0,
-            threads > 1 || cosim.window() > 1);
-  return rec.take();
+  EXPECT_GT(cosim.phase_seconds().phase_a, 0);  // every run has a phase A
+  return {rec.take(), snap::save(cosim)};
 }
 
 void run_windowed_grid(int width, int height, int link_latency) {
@@ -734,9 +748,9 @@ void run_windowed_grid(int width, int height, int link_latency) {
   MappedFixture fx(make_grid_domain(nodes),
                    grid_mesh_marks(width, height, link_latency));
   for (bool faults : {false, true}) {
-    Observed serial = run_grid_mesh(fx, nodes, link_latency, /*threads=*/1,
-                                    /*window=*/1, faults);
-    EXPECT_FALSE(serial.hw_traces.empty());
+    const GridCell serial = run_grid_mesh(fx, nodes, link_latency,
+                                          /*threads=*/1, /*window=*/1, faults);
+    EXPECT_FALSE(serial.observed.hw_traces.empty());
     for (int threads : {1, 2, 8}) {
       for (int window : {1, 2, 0}) {
         if (threads == 1 && window == 1) continue;
@@ -746,9 +760,12 @@ void run_windowed_grid(int width, int height, int link_latency) {
             " window=" + std::to_string(window) +
             " faults=" + (faults ? "on" : "off");
         SCOPED_TRACE(what);
-        expect_identical(run_grid_mesh(fx, nodes, link_latency, threads,
-                                       window, faults),
-                         serial, what);
+        const GridCell cell = run_grid_mesh(fx, nodes, link_latency, threads,
+                                            window, faults);
+        expect_identical(cell.observed, serial.observed, what);
+        EXPECT_TRUE(cell.checkpoint == serial.checkpoint)
+            << what << ": checkpoint bytes differ (" << cell.checkpoint.size()
+            << " vs " << serial.checkpoint.size() << " bytes)";
       }
     }
   }
@@ -764,7 +781,7 @@ TEST(CoSimWindowed, Mesh8x8LinkLatency1ByteIdenticalGrid) {
 
 // --- quiet domains -------------------------------------------------------------
 //
-// A windowed hardware domain that ends a window quiet is skipped until a
+// A hardware domain that ends a window quiet is skipped until a
 // frame, an external create or inject wakes it (see hwdomain.hpp). The
 // sparse mesh below keeps most domains quiet for many windows: one token
 // at a time walks a ring of 14 nodes and dies after a few hops. Each cell
@@ -783,7 +800,7 @@ TEST(CoSimWindowed, Mesh8x8LinkLatency1ByteIdenticalGrid) {
 // The cell saves a snapshot after segment 3, while most domains are quiet,
 // and continues both the original run and a restore of the snapshot into
 // a fresh co-simulation. threads {1,2,8} x window {1,auto} must equal the
-// serial lockstep run byte for byte in every segment.
+// serial one-cycle-window run byte for byte in every segment.
 
 constexpr int kSparseNodes = 14;  // tiles 1..14; the alarm sits on tile 15
 
@@ -911,7 +928,7 @@ TEST(CoSimQuiet, SparseMeshByteIdenticalAcrossThreadsAndWindows) {
             std::string::npos);
   EXPECT_NE(serial.straight.hw_traces.find("dispatch <inst c5:0g0> ev#1"),
             std::string::npos);
-  expect_identical(serial.restored, serial.straight, "lockstep restore");
+  expect_identical(serial.restored, serial.straight, "serial restore");
   for (int threads : {1, 2, 8}) {
     for (int window : {1, 0}) {
       if (threads == 1 && window == 1) continue;
@@ -930,15 +947,14 @@ TEST(CoSimQuiet, SparseMeshByteIdenticalAcrossThreadsAndWindows) {
 // --- golden pin ----------------------------------------------------------------
 //
 // Fingerprints recorded from the delta-cycle kernel, before it became a
-// clocked wire file. Each cell runs one workload in lockstep (threads 1,
-// window 1) or windowed (threads 2, window auto), samples a VCD of every
-// wire after every cycle and saves a checkpoint at two cycles. The VCD,
-// report().to_json(2) and both checkpoints' bytes must keep these exact
-// FNV-1a values: they are what the kernel, the replay and the checkpoint
-// writer are held to, independently of the grids that compare the
-// windowed path against the lockstep one. Checkpoint bytes may differ
-// between the two modes while every observable agrees (the 8x8 ring's
-// second checkpoint does), so each mode is pinned on its own.
+// clocked wire file. Each cell runs one workload serially in one-cycle
+// windows (threads 1, window 1) or in parallel (threads 2, window auto),
+// samples a VCD of every wire after every cycle and saves a checkpoint at
+// two cycles. The VCD, report().to_json(2) and both checkpoints' bytes
+// must keep these exact FNV-1a values: they are what the kernel, the
+// replay and the checkpoint writer are held to, independently of the grids
+// that compare configurations with each other. The report echoes the
+// configuration, so each one is pinned on its own.
 
 struct GoldenPin {
   std::uint64_t vcd, report, snap_a, snap_b;
@@ -956,13 +972,13 @@ std::ostream& operator<<(std::ostream& os, const GoldenPin& p) {
 
 /// Runs `boot`, then `first` cycles, a checkpoint, `poke`, `second`
 /// cycles and another checkpoint.
-GoldenPin golden_run(const mapping::MappedSystem& sys, bool windowed,
+GoldenPin golden_run(const mapping::MappedSystem& sys, bool parallel,
                      const std::function<void(CoSimulation&)>& boot,
                      const std::function<void(CoSimulation&)>& poke,
                      std::uint64_t first, std::uint64_t second) {
   CoSimConfig cfg;
-  cfg.threads = windowed ? 2 : 1;
-  cfg.window = windowed ? 0 : 1;
+  cfg.threads = parallel ? 2 : 1;
+  cfg.window = parallel ? 0 : 1;
   CoSimulation cs(sys, cfg);
   boot(cs);
   hwsim::VcdWriter vcd(cs.hw_sim());
@@ -1041,7 +1057,7 @@ TEST(CoSimGolden, MeshRing8x8) {
                        0xcdb504e0b5468e24ull, 0xe82d611db94ba97eull}));
   EXPECT_EQ(golden_run(*fx.system, true, boot, poke, 61, 36),
             (GoldenPin{0x70990d219365917dull, 0x34206a4e877639b7ull,
-                       0xcdb504e0b5468e24ull, 0x1a5c6d55f3681d09ull}));
+                       0xcdb504e0b5468e24ull, 0xe82d611db94ba97eull}));
 }
 
 }  // namespace

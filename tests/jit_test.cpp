@@ -650,7 +650,7 @@ TEST_P(EnginesJit, ByteIdenticalToVm) {
                                 " faults=" + std::to_string(faults));
 }
 
-// threads 1/2/8 x window 0 (auto = L) / 1 (lockstep) / 4 (clamped to L) x
+// threads 1/2/8 x window 0 (auto = L) / 1 (one-cycle windows) / 4 (clamped to L) x
 // faults off/on.
 INSTANTIATE_TEST_SUITE_P(Grid, EnginesJit,
                          ::testing::Combine(::testing::Values(1, 2, 8),

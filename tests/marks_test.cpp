@@ -210,8 +210,8 @@ TEST(Validate, IntWidthRange) {
 
 TEST(Validate, BusLatencyMustBeNonNegative) {
   Domain d = make_domain();
-  // 0 is legal: it degrades the windowed co-simulation to per-cycle
-  // lockstep. Negative would mean delivery into the past.
+  // 0 is legal: it clamps the windowed co-simulation to one-cycle
+  // windows. Negative would mean delivery into the past.
   MarkSet m;
   m.set_domain_mark(kBusLatency, ScalarValue(std::int64_t{0}));
   DiagnosticSink sink;

@@ -724,8 +724,8 @@ std::vector<std::vector<std::uint8_t>> spin_checkpoints(int threads,
 }
 
 TEST(MemCosim, CheckpointBytesIdenticalAcrossThreadsAndWindows) {
-  // A window holds several in-flight versions of address 0 while lockstep
-  // holds one, so only a value store that saves the same versions at the
+  // A window holds several in-flight versions of address 0 while a
+  // one-cycle window holds one, so only a value store that saves the same versions at the
   // same cycle, whatever the window, keeps the checkpoint bytes equal.
   const auto want = spin_checkpoints(1, 1);
   for (int threads : {1, 2, 8}) {

@@ -352,9 +352,11 @@ TEST(ObsCosim, MeshRunProducesAllTracksAndNocCounters) {
   EXPECT_EQ(value("noc.flits_injected"), stats.flits_injected);
   EXPECT_GT(stats.frames_delivered, 0u);
 
-  // Span nesting: per-cycle spans on the master track, kernel settles
-  // inside them; both present in the exported trace.
-  EXPECT_NE(j.find("\"name\":\"cycle\""), std::string::npos);
+  // Span nesting: per-window spans on the master track with phase B
+  // inside them, kernel settles inside phase B; all present in the
+  // exported trace.
+  EXPECT_NE(j.find("\"name\":\"window\""), std::string::npos);
+  EXPECT_NE(j.find("\"name\":\"phaseB\""), std::string::npos);
   EXPECT_NE(j.find("\"name\":\"settle\""), std::string::npos);
 }
 

@@ -317,7 +317,7 @@ TEST(SnapGrid, SnapshotPortsAcrossConfigurations) {
 // a parallel run's snapshot must be interchangeable with a serial one,
 // byte for byte.
 TEST(SnapGrid, WindowedSnapshotPortsAcrossThreadCounts) {
-  // The stock ring has a 1-cycle link (lookahead 1, forced lockstep); give
+  // The stock ring has a 1-cycle link (lookahead 1, one-cycle windows); give
   // it a 4-cycle link so window=0 really opens a window.
   marks::MarkSet m = ring_marks();
   m.set_domain_mark(marks::kLinkLatency, ScalarValue(std::int64_t{4}));

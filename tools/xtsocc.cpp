@@ -16,14 +16,14 @@
 //                       (64 cycles, no stimulus) exercises the partitioned
 //                       system — useful with --obs-trace / --obs=snapshot
 //       --threads N     cosim worker threads for --on-cosim (default 1 =
-//                       serial lockstep; N > 1 runs whole domains in
-//                       parallel per window; any N produces byte-identical
-//                       results)
+//                       the domains run one after another; N > 1 runs
+//                       whole domains in parallel per window; any N
+//                       produces byte-identical results)
 //       --window N      cosim execution window in cycles for --on-cosim:
 //                       0 (default) = auto, the interconnect's full static
-//                       lookahead; 1 runs one cycle per window (per-cycle
-//                       lockstep at --threads 1); values above the
-//                       lookahead are clamped down (correctness bound)
+//                       lookahead; 1 runs one cycle per window; values
+//                       above the lookahead are clamped down (correctness
+//                       bound)
 //       --engine ENG    action engine for --on-cosim: ast (the tree-walking
 //                       reference, also the default) or jit (AOT-compile
 //                       the model's actions to a native shared object;
