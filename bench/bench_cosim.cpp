@@ -21,6 +21,7 @@
 #include "bench_json.hpp"
 #include "models.hpp"
 #include "overhead.hpp"
+#include "xtsoc/hwsim/pool.hpp"
 #include "xtsoc/jit/jit.hpp"
 #include "xtsoc/obs/registry.hpp"
 
@@ -260,8 +261,48 @@ void BM_MeshCosim(benchmark::State& state) {
 }
 BENCHMARK(BM_MeshCosim)->Arg(1)->Arg(2)->Arg(8)->ArgNames({"threads"});
 
+/// Empty pool generations, run(size, noop), back to back: the cost phase A
+/// pays per window on top of its jobs. One sample is the mean over a batch
+/// of kBatch generations (a single generation is a fraction of a
+/// microsecond, and whether a worker claims before the caller has taken
+/// every index makes it bimodal). Returns the median over kRounds samples,
+/// in microseconds, and their interquartile range as a percentage of it.
+struct Handshake {
+  double median_us = 0;
+  double noise_pct = 0;
+};
+
+Handshake pool_handshake(int workers) {
+  constexpr int kRounds = 21;
+  constexpr int kBatch = 1000;
+  hwsim::WorkerPool pool(workers);
+  const auto n = static_cast<std::size_t>(pool.size());
+  auto noop = [](std::size_t) {};
+  for (int i = 0; i < kBatch; ++i) pool.run(n, noop);  // warm-up
+  std::vector<double> us(kRounds);
+  for (double& sample : us) {
+    bench::Timer t;
+    for (int i = 0; i < kBatch; ++i) pool.run(n, noop);
+    sample = t.seconds() * 1e6 / kBatch;
+  }
+  std::sort(us.begin(), us.end());
+  const double q1 = us[kRounds / 4];
+  const double median = us[kRounds / 2];
+  const double q3 = us[kRounds * 3 / 4];
+  return {median, 100.0 * (q3 - q1) / median};
+}
+
 void emit_json() {
   bench::JsonReport report("cosim");
+  // The phase-A worker pool's own cost: back-to-back empty generations,
+  // so the workers are still spinning when the next one is published.
+  for (int workers : {2, 3, 4}) {
+    const std::string cfg = "workers=" + std::to_string(workers);
+    const Handshake h = pool_handshake(workers);
+    report.add("pool_handshake_us", h.median_us, "us", cfg);
+    report.add("pool_handshake_noise_pct", h.noise_pct, "%",
+               cfg + ",interquartile range / median");
+  }
   // Scaling sweep: mesh size x thread count. parallel_efficiency is
   // speedup / threads — 1.0 means perfect scaling, and anything above
   // 1/threads means the extra threads helped at all. Two headline

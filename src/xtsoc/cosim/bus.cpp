@@ -68,28 +68,12 @@ void Bus::push_to_sw(Frame f, std::uint64_t current_cycle,
   to_sw_.push_back(std::move(f));
 }
 
-std::vector<Frame> Bus::pop_due(std::deque<Frame>& q, std::uint64_t cycle) {
-  // Frames may have heterogeneous extra delays, so scan the whole queue but
-  // preserve relative order of the survivors.
-  std::vector<Frame> due;
-  std::deque<Frame> keep;
-  for (Frame& f : q) {
-    if (f.due_cycle <= cycle) {
-      due.push_back(std::move(f));
-    } else {
-      keep.push_back(std::move(f));
-    }
-  }
-  q.swap(keep);
-  return due;
-}
-
 std::vector<Frame> Bus::pop_due_to_hw(std::uint64_t cycle) {
-  return pop_due(to_hw_, cycle);
+  return take_due(to_hw_, cycle);
 }
 
 std::vector<Frame> Bus::pop_due_to_sw(std::uint64_t cycle) {
-  return pop_due(to_sw_, cycle);
+  return take_due(to_sw_, cycle);
 }
 
 void save_frame(snap::Writer& w, const Frame& f) {
@@ -108,32 +92,17 @@ Frame load_frame(snap::Reader& r) {
   return f;
 }
 
-namespace {
-
-template <typename Queue>
-void save_queue(snap::Writer& w, const Queue& q) {
+void save_frames(snap::Writer& w, const std::vector<Frame>& q) {
   w.u64(q.size());
   for (const Frame& f : q) save_frame(w, f);
 }
 
-template <typename Queue>
-void load_queue(snap::Reader& r, Queue& q) {
+void load_frames(snap::Reader& r, std::vector<Frame>& q) {
   q.clear();
   for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
     q.push_back(load_frame(r));
   }
 }
-
-}  // namespace
-
-void save_frames(snap::Writer& w, const std::vector<Frame>& q) {
-  save_queue(w, q);
-}
-void save_frames(snap::Writer& w, const std::deque<Frame>& q) {
-  save_queue(w, q);
-}
-void load_frames(snap::Reader& r, std::vector<Frame>& q) { load_queue(r, q); }
-void load_frames(snap::Reader& r, std::deque<Frame>& q) { load_queue(r, q); }
 
 void Bus::save_state(snap::Writer& w) const {
   w.boolean(connected_);

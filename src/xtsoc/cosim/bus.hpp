@@ -11,10 +11,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace xtsoc::fault {
@@ -52,9 +52,36 @@ inline constexpr std::size_t kFrameBytes = 4 + 8 + 8;
 /// A frame queue: its length, then each frame. Loading replaces the queue
 /// and refuses a length the snapshot cannot hold.
 void save_frames(snap::Writer& w, const std::vector<Frame>& q);
-void save_frames(snap::Writer& w, const std::deque<Frame>& q);
 void load_frames(snap::Reader& r, std::vector<Frame>& q);
-void load_frames(snap::Reader& r, std::deque<Frame>& q);
+
+/// Hand every frame of `frames` due at or before `cycle` to `deliver`, in
+/// order, and keep the rest in order. Frames carry heterogeneous delays, so
+/// dues are not monotone in queue order: the whole queue is scanned. Both
+/// domains latch their inbox with it each cycle, and the Bus and a
+/// FabricChannel hand out their due frames with it.
+template <typename Deliver>
+void deliver_due(std::vector<Frame>& frames, std::uint64_t cycle,
+                 Deliver&& deliver) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].due_cycle <= cycle) {
+      deliver(frames[i]);
+    } else {
+      if (kept != i) frames[kept] = std::move(frames[i]);
+      ++kept;
+    }
+  }
+  frames.resize(kept);
+}
+
+/// deliver_due into a fresh vector: the frames due at or before `cycle`,
+/// in order. A queue with nothing due costs one scan and no allocation.
+inline std::vector<Frame> take_due(std::vector<Frame>& frames,
+                                   std::uint64_t cycle) {
+  std::vector<Frame> due;
+  deliver_due(frames, cycle, [&due](Frame& f) { due.push_back(std::move(f)); });
+  return due;
+}
 
 struct BusStats {
   std::uint64_t frames_to_hw = 0;
@@ -110,7 +137,6 @@ public:
   void load_state(snap::Reader& r);
 
 private:
-  static std::vector<Frame> pop_due(std::deque<Frame>& q, std::uint64_t cycle);
   void check_connected() const;
   /// Run the injected-error retry loop for one push toward `endpoint`
   /// (0 = hw, 1 = sw). Returns the extra delay the retries cost, or
@@ -120,8 +146,8 @@ private:
 
   int latency_;
   bool connected_ = false;
-  std::deque<Frame> to_hw_;
-  std::deque<Frame> to_sw_;
+  std::vector<Frame> to_hw_;
+  std::vector<Frame> to_sw_;
   BusStats stats_;
   fault::Plan* fault_ = nullptr;
   BusFaultStats fstats_;

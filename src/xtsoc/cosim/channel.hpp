@@ -51,26 +51,6 @@ public:
   virtual void load_state(snap::Reader&) {}
 };
 
-/// Hand every frame of `frames` due at or before `cycle` to `deliver`, in
-/// order, and keep the rest in order. Frames carry heterogeneous delays, so
-/// dues are not monotone in queue order: the whole queue is scanned. Both
-/// domains latch their inbox with it each cycle, and a FabricChannel hands
-/// out its due frames with it.
-template <typename Deliver>
-void deliver_due(std::vector<Frame>& frames, std::uint64_t cycle,
-                 Deliver&& deliver) {
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    if (frames[i].due_cycle <= cycle) {
-      deliver(frames[i]);
-    } else {
-      if (kept != i) frames[kept] = std::move(frames[i]);
-      ++kept;
-    }
-  }
-  frames.resize(kept);
-}
-
 /// Frames a domain (HwDomain, SwDomain) staged for foreign executors while
 /// it runs its window on a worker thread, where the shared channel must not
 /// be touched. The master sends the prefix staged at cycles <= each phase-B
@@ -230,15 +210,6 @@ public:
 
 private:
   static constexpr std::uint64_t kDrainAll = ~std::uint64_t{0};
-
-  static std::vector<Frame> take_due(std::vector<Frame>& q,
-                                     std::uint64_t cycle) {
-    std::vector<Frame> due_now;
-    deliver_due(q, cycle, [&due_now](Frame& f) {
-      due_now.push_back(std::move(f));
-    });
-    return due_now;
-  }
 
   noc::Fabric* fabric_;
   const mapping::MappedSystem* sys_;

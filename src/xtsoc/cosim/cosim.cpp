@@ -1,9 +1,7 @@
 #include "xtsoc/cosim/cosim.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <exception>
 
 #include "xtsoc/hwsim/pool.hpp"
 
@@ -158,11 +156,8 @@ CoSimulation::CoSimulation(const mapping::MappedSystem& sys, CoSimConfig config)
   // overhead (a 2x2 mesh at threads=4 measured SLOWER than serial before
   // this cap).
   const int useful = static_cast<int>(hw_domains_.size()) + 1;
-  const int workers = std::min(config_.threads, useful);
-  if (workers > 1) {
-    pool_ = std::make_unique<hwsim::WorkerPool>(workers);
-    phase_a_errors_.resize(hw_domains_.size() + 1);
-  }
+  pool_ = std::make_unique<hwsim::WorkerPool>(
+      std::min(config_.threads, useful));
 }
 
 CoSimulation::~CoSimulation() = default;
@@ -324,41 +319,19 @@ void CoSimulation::run_window(std::uint64_t w) {
     if (!hw_domains_[d]->quiet()) jobs_.push_back(d);
   }
   jobs_.push_back(hw_domains_.size());
-  const std::size_t jobs = jobs_.size();
-  auto run_domain = [&](std::size_t i) {
-    if (i < hw_domains_.size()) {
-      hw_domains_[i]->run_window(w);
+  // The pool rethrows the lowest-index job's error: the lowest domain's,
+  // the one the serial order would have hit first.
+  pool_->run(jobs_.size(), [&](std::size_t j) {
+    const std::size_t d = jobs_[j];
+    if (d < hw_domains_.size()) {
+      hw_domains_[d]->run_window(w);
     } else {
       for (std::uint64_t k = 0; k < w; ++k) {
         sw_->run_cycle(base + 1 + k, config_.sw_steps_per_cycle,
                        config_.sw_ops_per_cycle);
       }
     }
-  };
-  if (pool_) {
-    std::atomic<std::size_t> cursor{0};
-    pool_->run([&] {
-      for (;;) {
-        std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= jobs) break;
-        try {
-          run_domain(jobs_[i]);
-        } catch (...) {
-          phase_a_errors_[jobs_[i]] = std::current_exception();
-        }
-      }
-    });
-    // Deterministic fault report: the lowest-index domain's error, like the
-    // serial master would have hit first. The slots are cleared for reuse.
-    std::exception_ptr first;
-    for (std::exception_ptr& e : phase_a_errors_) {
-      if (e && !first) first = e;
-      e = nullptr;
-    }
-    if (first) std::rethrow_exception(first);
-  } else {
-    for (std::size_t d : jobs_) run_domain(d);
-  }
+  });
   phase_a_span.finish();
   phase_seconds_.phase_a += lap();
   OBS_SPAN_AT(obs_, obs_track_, "phaseB", base + 1);

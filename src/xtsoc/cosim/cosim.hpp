@@ -56,12 +56,14 @@
 // completed, so the per-tick drain and the boundary poll only channels
 // that hold frames.
 //
-// One pool handshake per window is the entire performance story; running
-// the edges in one fixed serial order is the entire determinism story:
-// traces, VCD, SimStats, Bus/FabricStats and checkpoint bytes are
-// byte-identical at every window size and thread count. The serial run at
-// W = 1 (threads = 1, window = 1) is the reference the grids check the
-// others against.
+// Parallelism costs one pool generation per window: about a microsecond
+// while the workers still spin from the last window (`pool_handshake_us`
+// in BENCH_cosim.json), so phase A's speed is its jobs and their balance
+// across the workers. Running the edges in one fixed serial order is the
+// entire determinism story: traces, VCD, SimStats, Bus/FabricStats and
+// checkpoint bytes are byte-identical at every window size and thread
+// count. The serial run at W = 1 (threads = 1, window = 1) is the
+// reference the grids check the others against.
 //
 // The whole thing is deterministic, so a CoSimulation trace is comparable
 // against the abstract Executor trace (see src/xtsoc/verify) — the paper's
@@ -69,7 +71,6 @@
 // Placement changes latency, never functional behavior.
 #pragma once
 
-#include <exception>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -291,13 +292,11 @@ private:
   std::uint64_t cycle_ = 0;
   int lookahead_ = 1;
   int window_ = 1;
-  /// Worker pool (threads > 1) running phase A, the only pool of a
-  /// co-simulation. Capped at the useful parallelism — domains + 1 — so
-  /// extra threads never buy handshake overhead.
+  /// Worker pool running phase A, the only pool of a co-simulation; at
+  /// threads = 1 it spawns nothing and runs the jobs inline. Capped at the
+  /// useful parallelism — domains + 1 — so extra threads never buy
+  /// handshake overhead.
   std::unique_ptr<hwsim::WorkerPool> pool_;
-  /// Phase-A job errors, one slot per domain job. Reused scratch: at
-  /// W = 1 a window is a cycle.
-  std::vector<std::exception_ptr> phase_a_errors_;
   /// Per-window flush schedule: (cycle, domain tag) entries, one per
   /// distinct cycle a domain staged sends at, sorted by (cycle, tag). Tags
   /// 0..hw_domains-1 are the hardware domains, hw_domains is software —

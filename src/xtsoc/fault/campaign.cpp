@@ -1,9 +1,5 @@
 #include "xtsoc/fault/campaign.hpp"
 
-#include <atomic>
-#include <exception>
-#include <stdexcept>
-
 #include "xtsoc/common/rng.hpp"
 #include "xtsoc/hwsim/pool.hpp"
 
@@ -77,37 +73,18 @@ CampaignResult Campaign::run(
   CampaignResult result;
   result.base_seed = base_.seed;
   result.runs.resize(static_cast<std::size_t>(runs_));
-  if (runs_ == 0) return result;
 
-  // Same fan-out idiom as the windowed scheduler's phase A: a shared
-  // atomic cursor hands out run indices, outcomes land at their index (so
-  // aggregation order is fixed regardless of who ran what), and the
-  // lowest-index failure wins when runs throw.
-  std::vector<std::exception_ptr> errors(result.runs.size());
-  std::atomic<int> cursor{0};
-  const int total = runs_;
-  auto job = [&] {
-    for (;;) {
-      const int i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= total) break;
-      try {
-        result.runs[static_cast<std::size_t>(i)] =
-            one(i, seed_for(base_.seed, i));
-      } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-      }
-    }
+  // Outcomes land at their index, so aggregation order is fixed whoever
+  // ran what; the pool rethrows the lowest-index failure when runs throw.
+  // A pool of one (threads = 1) spawns nothing and runs the seeds inline.
+  auto one_run = [&](std::size_t i) {
+    const int index = static_cast<int>(i);
+    result.runs[i] = one(index, seed_for(base_.seed, index));
   };
   if (pool != nullptr) {
-    pool->run(job);
-  } else if (threads_ == 1) {
-    job();
+    pool->run(result.runs.size(), one_run);
   } else {
-    hwsim::WorkerPool local(threads_);
-    local.run(job);
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
+    hwsim::WorkerPool(threads_).run(result.runs.size(), one_run);
   }
   return result;
 }
