@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "xtsoc/core/project.hpp"
-#include "xtsoc/perf/perf.hpp"
+#include "xtsoc/cosim/report.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 
 using namespace xtsoc;
@@ -78,7 +78,7 @@ struct RunResult {
   std::uint64_t cycles = 0;
   std::int64_t received = 0;
   std::int64_t checksum = 0;
-  perf::PerfReport perf;
+  obs::Snapshot report;
 };
 
 RunResult run_workload(core::Project& project, int packets) {
@@ -110,8 +110,28 @@ RunResult run_workload(core::Project& project, int packets) {
       owner.database().get_attr(sink, sink_cls.find_attribute("received")->id));
   r.checksum = std::get<std::int64_t>(
       owner.database().get_attr(sink, sink_cls.find_attribute("checksum")->id));
-  r.perf = perf::measure(*cosim);
+  r.report = cosim->report();
   return r;
+}
+
+/// The report's per-domain and per-class activity, one line each.
+void print_activity(const obs::Snapshot& report) {
+  std::printf("%-12s %12s %12s\n", "domain", "dispatches", "ops");
+  for (const obs::JsonValue& d : report.at("domains").as_array()) {
+    std::printf("%-12s %12llu %12llu\n", d.at("name").as_string().c_str(),
+                static_cast<unsigned long long>(d.at("dispatches").as_uint()),
+                static_cast<unsigned long long>(d.at("ops").as_uint()));
+  }
+  std::printf("%-12s %-6s %12s %12s %6s\n", "class", "domain", "dispatches",
+              "ops", "live");
+  for (const obs::JsonValue& c : report.at("classes").as_array()) {
+    std::printf("%-12s %-6s %12llu %12llu %6llu\n",
+                c.at("name").as_string().c_str(),
+                c.at("domain").as_string().c_str(),
+                static_cast<unsigned long long>(c.at("dispatches").as_uint()),
+                static_cast<unsigned long long>(c.at("ops").as_uint()),
+                static_cast<unsigned long long>(c.at("live").as_uint()));
+  }
 }
 
 }  // namespace
@@ -131,15 +151,15 @@ int main() {
               project->summary().c_str());
 
   RunResult sw = run_workload(*project, kPackets);
-  std::printf("%s\n", sw.perf.to_table().c_str());
+  print_activity(sw.report);
 
   // Step 2: measure -> the advisor fingers the hot class.
-  perf::RepartitionAdvice advice = perf::suggest_repartition(sw.perf);
+  cosim::RepartitionAdvice advice = cosim::suggest_repartition(sw.report);
   if (!advice.has_suggestion) {
     std::printf("advisor: nothing to move\n");
     return 0;
   }
-  std::printf("advisor: %s\n\n", advice.rationale.c_str());
+  std::printf("\nadvisor: %s\n\n", advice.rationale.c_str());
 
   // Step 3: the repartition IS the mark diff. No model edits.
   marks::MarkSet accel = project->marks();
@@ -155,7 +175,8 @@ int main() {
   std::printf("%s\n", project->summary().c_str());
 
   RunResult hw = run_workload(*project, kPackets);
-  std::printf("%s\n", hw.perf.to_table().c_str());
+  print_activity(hw.report);
+  std::printf("\n");
 
   // Step 4: same answers, different placement.
   std::printf("== step 3: results ==\n");

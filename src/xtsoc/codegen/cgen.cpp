@@ -862,7 +862,10 @@ Output generate_c(const MappedSystem& sys, DiagnosticSink& sink) {
     }
     w.line("return " + n.low + "_handle_at(i);");
     w.close();
-    w.line("return xt_null_handle(); /* pool exhausted */");
+    w.line("fprintf(stderr, \"pool of '" + c.name +
+           "' is full (%d instances; raise the maxInstances mark)\\n\", " +
+           n.up + "_POOL);");
+    w.line("abort();");
     w.close();
     w.open("void " + n.low + "_delete(xt_handle_t h) {");
     w.line(n.low + "_t* p = " + n.low + "_get(h);");
@@ -888,6 +891,9 @@ Output generate_c(const MappedSystem& sys, DiagnosticSink& sink) {
     w.line("g_" + an + "_links[i].b = b;");
     w.line("return;");
     w.close();
+    w.line("fprintf(stderr, \"link table of '" + a.name +
+           "' is full (%d links; raise XT_LINK_MAX)\\n\", XT_LINK_MAX);");
+    w.line("abort();");
     w.close();
     w.open("void " + an + "_unrelate(xt_handle_t a, xt_handle_t b) {");
     w.open("for (int32_t i = 0; i < XT_LINK_MAX; ++i) {");
@@ -921,6 +927,13 @@ Output generate_c(const MappedSystem& sys, DiagnosticSink& sink) {
   w.line("                 xt_any_args_t args; } xt_event_t;");
   w.line("static xt_event_t g_queue[XT_QUEUE_MAX];");
   w.line("static uint64_t g_now, g_seq;");
+  // Class names by id, for the overflow message (C forbids an empty array).
+  std::string class_names;
+  for (const auto& c : domain.classes()) {
+    class_names += (class_names.empty() ? "\"" : ", \"") + c.name + "\"";
+  }
+  if (class_names.empty()) class_names = "0";
+  w.line("static const char* const g_class_names[] = {" + class_names + "};");
   w.line("uint64_t xt_now(void) { return g_now; }");
   w.open("void xt_send(uint8_t cls, uint8_t ev, xt_handle_t target, "
          "bool self_directed, uint64_t delay, const xt_any_args_t* args) {");
@@ -935,6 +948,10 @@ Output generate_c(const MappedSystem& sys, DiagnosticSink& sink) {
   w.line("else memset(&g_queue[i].args, 0, sizeof(g_queue[i].args));");
   w.line("return;");
   w.close();
+  w.line("fprintf(stderr, \"signal queue is full (%d signals; raise "
+         "XT_QUEUE_MAX) sending to '%s'\\n\", XT_QUEUE_MAX, "
+         "g_class_names[cls]);");
+  w.line("abort();");
   w.close();
   w.line();
   w.line("static void xt_dispatch(const xt_event_t* e);");

@@ -128,6 +128,30 @@ obs::Snapshot CoSimulation::report() const {
     domains.push_back(std::move(d));
   }
 
+  // Per-class activity in ClassId order, counted by the executor that owns
+  // the class; the repartition advisor reads this section.
+  auto domain_of = [this](ClassId cls) {
+    std::size_t i = 0;
+    while (i < hw_domains_.size() &&
+           hw_domains_[i].get() != hw_domain_of_[cls.value()]) {
+      ++i;
+    }
+    return i < hw_domains_.size() ? "hw" + std::to_string(i)
+                                  : std::string("sw");
+  };
+  JsonValue& classes = snap["classes"];
+  classes = JsonValue::array();
+  for (const xtuml::ClassDef& c : sys_->domain().classes()) {
+    const runtime::Executor& e = executor_of(c.id);
+    JsonValue k = JsonValue::object();
+    k["name"] = c.name;
+    k["domain"] = domain_of(c.id);
+    k["dispatches"] = e.dispatch_count(c.id);
+    k["ops"] = e.ops_executed(c.id);
+    k["live"] = static_cast<std::uint64_t>(e.database().live_count(c.id));
+    classes.push_back(std::move(k));
+  }
+
   // Registry counters ride along when an observability registry is attached
   // — the same name-sorted object Registry::snapshot() would emit.
   if (obs_ != nullptr) {
@@ -245,6 +269,53 @@ fault::RunOutcome outcome_of(const CoSimulation& cs, const fault::Plan& plan) {
   }
   o.survived = o.dropped == 0;
   return o;
+}
+
+RepartitionAdvice suggest_repartition(const obs::Snapshot& report) {
+  RepartitionAdvice advice;
+  const JsonValue::Array& classes = report.at("classes").as_array();
+  auto in_software = [](const JsonValue& c) {
+    return c.at("domain").as_string() == "sw";
+  };
+
+  // Software class doing the most action work: the hardware candidate.
+  const JsonValue* busiest_sw = nullptr;
+  std::uint64_t busiest_ops = 0;
+  std::uint64_t sw_ops = 0;
+  for (const JsonValue& c : classes) {
+    if (!in_software(c)) continue;
+    const std::uint64_t ops = c.at("ops").as_uint();
+    sw_ops += ops;
+    if (busiest_sw == nullptr || ops > busiest_ops) {
+      busiest_sw = &c;
+      busiest_ops = ops;
+    }
+  }
+  if (busiest_ops > 0) {
+    advice.has_suggestion = true;
+    advice.class_name = busiest_sw->at("name").as_string();
+    advice.move_to = marks::Target::kHardware;
+    advice.rationale = "'" + advice.class_name + "' accounts for " +
+                       std::to_string(busiest_ops) + " of " +
+                       std::to_string(sw_ops) +
+                       " software action ops; mark it isHardware and "
+                       "regenerate";
+    return advice;
+  }
+
+  // Otherwise: an idle hardware class can come back to software.
+  for (const JsonValue& c : classes) {
+    if (!in_software(c) && c.at("dispatches").as_uint() == 0) {
+      advice.has_suggestion = true;
+      advice.class_name = c.at("name").as_string();
+      advice.move_to = marks::Target::kSoftware;
+      advice.rationale = "'" + advice.class_name +
+                         "' saw no hardware traffic; reclaim its fabric by "
+                         "clearing isHardware";
+      return advice;
+    }
+  }
+  return advice;
 }
 
 }  // namespace xtsoc::cosim

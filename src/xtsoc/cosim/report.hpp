@@ -10,16 +10,19 @@
 //     "sim":          to_json(SimStats),
 //     "interconnect": to_json(BusStats) | to_json(FabricStats),
 //     "domains":      [ { name, dispatches, ops, queue_high_water }, ... ],
+//     "classes":      [ { name, domain, dispatches, ops, live }, ... ],
 //     "counters":     { ... }           // only when a Registry is attached
 //   }
 //
-// Every consumer (xtsocc --obs=snapshot, the tests) reads this document;
-// nothing serializes a stats struct by hand anymore.
+// Every consumer (xtsocc --obs=snapshot, the repartition advisor below, the
+// tests) reads this document; nothing serializes a stats struct by hand
+// anymore.
 #pragma once
 
 #include "xtsoc/cosim/bus.hpp"
 #include "xtsoc/fault/campaign.hpp"
 #include "xtsoc/hwsim/kernel.hpp"
+#include "xtsoc/marks/marks.hpp"
 #include "xtsoc/noc/fabric.hpp"
 #include "xtsoc/obs/json.hpp"
 #include "xtsoc/obs/snapshot.hpp"
@@ -49,5 +52,21 @@ obs::JsonValue to_json(const BusFaultStats& s);
 /// delivered/dropped/retried/injected counts from whichever interconnect
 /// the mapping chose, survival = nothing was lost anywhere.
 fault::RunOutcome outcome_of(const CoSimulation& cs, const fault::Plan& plan);
+
+// The paper's §1 loop: "Once the prototype runs, it is possible to measure
+// the performance, which may require changing the partition." report() is
+// that measurement; suggest_repartition() proposes which mark to move next.
+
+struct RepartitionAdvice {
+  bool has_suggestion = false;
+  std::string class_name;  ///< class whose mark should move
+  marks::Target move_to = marks::Target::kHardware;
+  std::string rationale;
+};
+
+/// Reads the report's "classes" section. The software class doing the most
+/// action work (ops) is the hardware candidate; failing that, a hardware
+/// class that dispatched nothing can return to software.
+RepartitionAdvice suggest_repartition(const obs::Snapshot& report);
 
 }  // namespace xtsoc::cosim

@@ -254,7 +254,8 @@ TEST(CGen, GeneratedCLinksWithMain) {
 
 /// One software class whose action computes the int edge cases: INT64_MAX
 /// + 1, INT64_MIN / d and INT64_MIN % d, with d an event parameter so the
-/// C compiler cannot fold them.
+/// C compiler cannot fold them, and 2^53 + 1 > 2^53, which a compare
+/// through double gets wrong.
 std::unique_ptr<xtuml::Domain> make_int_probe_domain() {
   using xtuml::DataType;
   xtuml::DomainBuilder b("Probe");
@@ -262,19 +263,23 @@ std::unique_ptr<xtuml::Domain> make_int_probe_domain() {
       .attr("a", DataType::kInt)
       .attr("q", DataType::kInt)
       .attr("m", DataType::kInt)
+      .attr("gt", DataType::kBool)
       .event("go", {{"d", DataType::kInt}})
       .state("Idle")
       .state("Run",
              "big = 9223372036854775807;\n"
              "self.a = big + 1;\n"
              "self.q = (0 - big - 1) / param.d;\n"
-             "self.m = (0 - big - 1) % param.d;")
+             "self.m = (0 - big - 1) % param.d;\n"
+             "self.gt = 9007199254740993 > 9007199254740992;")
       .transition("Idle", "go", "Run");
   return b.take();
 }
 
 TEST(CGen, GeneratedIntArithmeticMatchesTheWalker) {
-  MappedFixture fx(make_int_probe_domain(), marks::MarkSet{});
+  marks::MarkSet m;
+  m.set_class_mark("Probe", marks::kMaxInstances, ScalarValue(std::int64_t{1}));
+  MappedFixture fx(make_int_probe_domain(), m);
   runtime::Executor exec(*fx.compiled);
   const runtime::InstanceHandle h = exec.create("Probe");
   exec.inject(h, "go", {runtime::Value(std::int64_t{-1})});
@@ -285,7 +290,10 @@ TEST(CGen, GeneratedIntArithmeticMatchesTheWalker) {
     want += std::to_string(
         runtime::as_int(exec.database().get_attr(h, AttributeId(attr))));
   }
-  EXPECT_EQ(want, "-9223372036854775808 -9223372036854775808 0");
+  want += runtime::as_bool(exec.database().get_attr(h, AttributeId(3)))
+              ? " true"
+              : " false";
+  EXPECT_EQ(want, "-9223372036854775808 -9223372036854775808 0 true");
 
   DiagnosticSink sink;
   const Output c = generate_c(*fx.system, sink);
@@ -302,12 +310,16 @@ TEST(CGen, GeneratedIntArithmeticMatchesTheWalker) {
          "#include \"probe_model.h\"\n"
          "int main(int argc, char** argv) {\n"
          "  xt_handle_t p = probe_create();\n"
+         "  const char* overflow = argc > 2 ? argv[2] : \"\";\n"
+         "  if (overflow[0] == 'c') probe_create();\n"
          "  xt_any_args_t args;\n"
          "  args.probe.e_go.d = argc > 1 ? strtoll(argv[1], 0, 10) : -1;\n"
-         "  xt_send(XT_CLS_PROBE, PROBE_EV_GO, p, false, 0, &args);\n"
+         "  for (int i = 0; i <= (overflow[0] == 'q' ? XT_QUEUE_MAX : 0); ++i)\n"
+         "    xt_send(XT_CLS_PROBE, PROBE_EV_GO, p, false, 0, &args);\n"
          "  xt_run();\n"
-         "  printf(\"%\" PRId64 \" %\" PRId64 \" %\" PRId64 \"\\n\",\n"
-         "         probe_get(p)->a, probe_get(p)->q, probe_get(p)->m);\n"
+         "  printf(\"%\" PRId64 \" %\" PRId64 \" %\" PRId64 \" %s\\n\",\n"
+         "         probe_get(p)->a, probe_get(p)->q, probe_get(p)->m,\n"
+         "         probe_get(p)->gt ? \"true\" : \"false\");\n"
          "  return 0;\n"
          "}\n";
   // Signed overflow would be a UBSan error; keep the sanitizer where cc
@@ -341,13 +353,26 @@ TEST(CGen, GeneratedIntArithmeticMatchesTheWalker) {
   std::getline(out, got);
   EXPECT_EQ(got, want);
 
-  // Division by zero aborts with the walker's message.
-  EXPECT_NE(std::system((cd + "./probe 0 > out0.txt 2> err0.txt").c_str()), 0);
-  std::ifstream err(dir + "/err0.txt");
-  std::stringstream msg;
-  msg << err.rdbuf();
-  EXPECT_NE(msg.str().find("integer division by zero"), std::string::npos)
-      << msg.str();
+  // Division by zero aborts with the walker's message, and a full pool or
+  // signal queue aborts naming the class and the limit.
+  auto run_fails_with = [&](const std::string& args,
+                            const std::string& message) {
+    SCOPED_TRACE(args);
+    EXPECT_NE(std::system((cd + "./probe " + args + " > out.txt 2> err.txt")
+                              .c_str()),
+              0);
+    std::ifstream err(dir + "/err.txt");
+    std::stringstream msg;
+    msg << err.rdbuf();
+    EXPECT_NE(msg.str().find(message), std::string::npos) << msg.str();
+  };
+  run_fails_with("0", "integer division by zero");
+  run_fails_with("-1 create",
+                 "pool of 'Probe' is full (1 instances; raise the "
+                 "maxInstances mark)");
+  run_fails_with("-1 queue",
+                 "signal queue is full (1024 signals; raise XT_QUEUE_MAX) "
+                 "sending to 'Probe'");
 }
 
 TEST(CGen, PureSoftwareSystemHasEmptyBusSection) {

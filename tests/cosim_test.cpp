@@ -954,7 +954,9 @@ TEST(CoSimQuiet, SparseMeshByteIdenticalAcrossThreadsAndWindows) {
 // must keep these exact FNV-1a values: they are what the kernel, the
 // replay and the checkpoint writer are held to, independently of the grids
 // that compare configurations with each other. The report echoes the
-// configuration, so each one is pinned on its own.
+// configuration, so each one is pinned on its own. The report values were
+// re-pinned when report() gained its "classes" section; without that
+// section each report hashes to its earlier pin.
 
 struct GoldenPin {
   std::uint64_t vcd, report, snap_a, snap_b;
@@ -1010,10 +1012,10 @@ TEST(CoSimGolden, BusPipeline) {
     cs.inject(producer, "kick", {}, 3);
   };
   EXPECT_EQ(golden_run(*fx.system, false, boot, poke, 9, 31),
-            (GoldenPin{0x81e72cd71babf514ull, 0x812056e0e70976e7ull,
+            (GoldenPin{0x81e72cd71babf514ull, 0x13c9d33a793fcef0ull,
                        0xcc5a325cd382e069ull, 0xfe9bb8792f98f703ull}));
   EXPECT_EQ(golden_run(*fx.system, true, boot, poke, 9, 31),
-            (GoldenPin{0x81e72cd71babf514ull, 0xc5547674d2f1da8full,
+            (GoldenPin{0x81e72cd71babf514ull, 0x6826eb934082e5c8ull,
                        0xcc5a325cd382e069ull, 0xfe9bb8792f98f703ull}));
 }
 
@@ -1026,10 +1028,10 @@ TEST(CoSimGolden, MeshFanout2x2) {
   };
   auto poke = [&boss](CoSimulation& cs) { cs.inject(boss, "go"); };
   EXPECT_EQ(golden_run(*fx.system, false, boot, poke, 23, 57),
-            (GoldenPin{0xe46806672487900dull, 0xa4aeb972d2b6d30eull,
+            (GoldenPin{0xe46806672487900dull, 0xfb7f7876674686e4ull,
                        0xb47913d0c4fbb97full, 0x5c72136df06de229ull}));
   EXPECT_EQ(golden_run(*fx.system, true, boot, poke, 23, 57),
-            (GoldenPin{0xe46806672487900dull, 0x18e02c3f2b9cc6f3ull,
+            (GoldenPin{0xe46806672487900dull, 0xbd44ea6f8f0a0365ull,
                        0xb47913d0c4fbb97full, 0x5c72136df06de229ull}));
 }
 
@@ -1053,10 +1055,10 @@ TEST(CoSimGolden, MeshRing8x8) {
     cs.inject(h[40], "ping", {Value(std::int64_t{3})});
   };
   EXPECT_EQ(golden_run(*fx.system, false, boot, poke, 61, 36),
-            (GoldenPin{0x70990d219365917dull, 0x06207d93b086b86dull,
+            (GoldenPin{0x70990d219365917dull, 0xe8db226a63664169ull,
                        0xcdb504e0b5468e24ull, 0xe82d611db94ba97eull}));
   EXPECT_EQ(golden_run(*fx.system, true, boot, poke, 61, 36),
-            (GoldenPin{0x70990d219365917dull, 0x34206a4e877639b7ull,
+            (GoldenPin{0x70990d219365917dull, 0xda570c40d95f170full,
                        0xcdb504e0b5468e24ull, 0xe82d611db94ba97eull}));
 }
 

@@ -14,7 +14,6 @@
 #include "xtsoc/noc/fabric.hpp"
 #include "xtsoc/noc/topology.hpp"
 #include "xtsoc/noc/traffic.hpp"
-#include "xtsoc/perf/perf.hpp"
 #include "xtsoc/snap/io.hpp"
 #include "xtsoc/verify/equivalence.hpp"
 
@@ -365,11 +364,13 @@ TEST(MeshCosim, PerfReportCarriesNocStats) {
   MeshCosim mesh(mesh_marks(1, 1));
   mesh.cosim.inject(mesh.producer, "kick");
   mesh.cosim.run();
-  perf::PerfReport report = perf::measure(mesh.cosim);
-  EXPECT_TRUE(report.has_noc);
-  EXPECT_EQ(report.bus_frames, 2u);  // interconnect frames = NoC frames
-  EXPECT_GT(report.noc.flits_injected, 0u);
-  EXPECT_NE(report.to_table().find("router"), std::string::npos);
+  const obs::Snapshot report = mesh.cosim.report();
+  EXPECT_EQ(report.at("run").at("interconnect").as_string(), "noc");
+  const obs::JsonValue& noc = report.at("interconnect");
+  EXPECT_EQ(noc.at("kind").as_string(), "noc");
+  EXPECT_EQ(noc.at("frames_delivered").as_uint(), 2u);  // work + done
+  EXPECT_GT(noc.at("flits_injected").as_uint(), 0u);
+  EXPECT_EQ(noc.at("routers").size(), 4u);
 }
 
 TEST(MeshCosim, PlacementChangesLatencyNotBehavior) {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "test_models.hpp"
-#include "xtsoc/perf/perf.hpp"
+#include "xtsoc/cosim/report.hpp"
 #include "xtsoc/verify/equivalence.hpp"
 #include "xtsoc/verify/testcase.hpp"
 
@@ -291,30 +291,41 @@ TEST(Causality, DispatchWithoutSendDetected) {
   EXPECT_FALSE(err.empty());
 }
 
-// --- perf ------------------------------------------------------------------------------
+// --- perf: the report's activity sections and the repartition advisor ---------
 
 TEST(Perf, MeasureCountsPartitionActivity) {
   MappedFixture fx(make_pipeline_domain(), hw_consumer_marks());
   CosimRunner runner(*fx.system);
   runner.run(pipeline_test(5));
-  perf::PerfReport r = perf::measure(runner.cosim());
-  EXPECT_GT(r.cycles, 0u);
-  EXPECT_EQ(r.hw_dispatches, 5u);   // Consumer.work x5 in hardware
-  EXPECT_EQ(r.sw_dispatches, 10u);  // kick + done x5 in software
-  EXPECT_EQ(r.bus_frames, 10u);     // 5 work + 5 done crossed the bus
-  EXPECT_GT(r.bus_bytes, 0u);
-  ASSERT_EQ(r.classes.size(), 2u);
-  std::string table = r.to_table();
-  EXPECT_NE(table.find("Consumer"), std::string::npos);
-  EXPECT_NE(table.find("hardware"), std::string::npos);
+  const obs::Snapshot r = runner.cosim().report();
+  EXPECT_GT(r.at("run").at("cycles").as_uint(), 0u);
+  const obs::JsonValue& domains = r.at("domains");
+  ASSERT_EQ(domains.size(), 2u);
+  EXPECT_EQ(domains.at(0).at("dispatches").as_uint(), 5u);   // work x5 in hw
+  EXPECT_EQ(domains.at(1).at("dispatches").as_uint(), 10u);  // kick + done x5
+  const obs::JsonValue& bus = r.at("interconnect");
+  // 5 work + 5 done crossed the bus.
+  EXPECT_EQ(bus.at("frames_to_hw").as_uint() + bus.at("frames_to_sw").as_uint(),
+            10u);
+  EXPECT_GT(bus.at("bytes_to_hw").as_uint() + bus.at("bytes_to_sw").as_uint(),
+            0u);
+  const obs::JsonValue& classes = r.at("classes");
+  ASSERT_EQ(classes.size(), 2u);
+  EXPECT_EQ(classes.at(0).at("name").as_string(), "Consumer");
+  EXPECT_EQ(classes.at(0).at("domain").as_string(), "hw0");
+  EXPECT_EQ(classes.at(0).at("dispatches").as_uint(), 5u);
+  EXPECT_EQ(classes.at(0).at("live").as_uint(), 1u);
+  EXPECT_EQ(classes.at(1).at("name").as_string(), "Producer");
+  EXPECT_EQ(classes.at(1).at("domain").as_string(), "sw");
+  EXPECT_EQ(classes.at(1).at("dispatches").as_uint(), 10u);
 }
 
 TEST(Perf, AdvisorSuggestsBusiestSoftwareClass) {
   MappedFixture fx(make_pipeline_domain(), marks::MarkSet{});
   CosimRunner runner(*fx.system);
   runner.run(pipeline_test(5));
-  perf::PerfReport r = perf::measure(runner.cosim());
-  perf::RepartitionAdvice advice = perf::suggest_repartition(r);
+  cosim::RepartitionAdvice advice =
+      cosim::suggest_repartition(runner.cosim().report());
   ASSERT_TRUE(advice.has_suggestion);
   EXPECT_EQ(advice.move_to, marks::Target::kHardware);
   // Producer handles kick+done (10), Consumer handles work (5).
@@ -328,8 +339,8 @@ TEST(Perf, AdvisorSuggestsReclaimingIdleHardware) {
   TestCase t;  // no stimuli: nothing runs anywhere
   t.population = {{"cns", "Consumer", {}}};
   runner.run(t);
-  perf::PerfReport r = perf::measure(runner.cosim());
-  perf::RepartitionAdvice advice = perf::suggest_repartition(r);
+  cosim::RepartitionAdvice advice =
+      cosim::suggest_repartition(runner.cosim().report());
   ASSERT_TRUE(advice.has_suggestion);
   EXPECT_EQ(advice.move_to, marks::Target::kSoftware);
   EXPECT_EQ(advice.class_name, "Consumer");

@@ -67,8 +67,6 @@
 //                       (--on-cosim; model + marks must match the save)
 //       --run-cycles N  cycles to run for the --on-cosim bring-up / after
 //                       --restore (default 64)
-//       --quiet         deprecated; use --obs=none or an --obs list
-//                       without 'summary'
 //   -h, --help          this text
 //
 // Exit status: 0 on success, 1 on invalid model/marks/usage.
@@ -137,9 +135,7 @@ struct Options {
   std::uint64_t run_cycles = 64;
   bool saw_run_cycles_flag = false;
 
-  // Recorded separately so diagnostics can name the flag the user actually
-  // typed (--quiet is the one surviving deprecated alias).
-  bool saw_quiet_flag = false;
+  // Whether --threads/--window were typed, for the cross-flag checks.
   bool saw_threads_flag = false;
   bool saw_window_flag = false;
 
@@ -158,11 +154,6 @@ void usage(std::FILE* to) {
                "[--run-cycles N]]\n"
                "       --obs sections: summary,noc,snapshot,counters,none "
                "(default: summary)\n");
-}
-
-void deprecated(const char* old_flag, const char* instead) {
-  std::fprintf(stderr, "xtsocc: warning: %s is deprecated; use %s\n", old_flag,
-               instead);
 }
 
 bool parse_obs_list(const std::string& list, Options* opt) {
@@ -370,9 +361,6 @@ bool parse_args(int argc, char** argv, Options* opt) {
       }
       opt->run_cycles = static_cast<std::uint64_t>(n);
       opt->saw_run_cycles_flag = true;
-    } else if (a == "--quiet") {
-      deprecated("--quiet", "--obs=none, or an --obs list without 'summary'");
-      opt->saw_quiet_flag = true;
     } else if (!a.empty() && a[0] == '-') {
       std::fprintf(stderr, "xtsocc: unknown option '%s'\n", a.c_str());
       return false;
@@ -403,9 +391,6 @@ bool validate_options(Options* opt) {
   if (opt->check_only && !opt->simulate_path.empty()) {
     return fail("--check contradicts --simulate (--check stops after "
                 "compile + map)");
-  }
-  if (opt->saw_quiet_flag && opt->obs_summary) {
-    return fail("--quiet contradicts --obs=summary");
   }
   if (opt->obs_none && (opt->obs_summary || opt->obs_noc ||
                         opt->obs_snapshot || opt->obs_counters)) {
@@ -482,15 +467,9 @@ bool validate_options(Options* opt) {
     }
   }
 
-  // Effective summary setting: an explicit --obs list is authoritative;
-  // otherwise the deprecated aliases adjust the on-by-default summary.
-  if (opt->obs_none) {
-    opt->print_summary = false;
-  } else if (opt->obs_given) {
-    opt->print_summary = opt->obs_summary;
-  } else {
-    opt->print_summary = !opt->saw_quiet_flag;
-  }
+  // Effective summary setting: on by default; an explicit --obs list is
+  // authoritative (--obs=none names no summary).
+  opt->print_summary = !opt->obs_given || opt->obs_summary;
   return true;
 }
 
