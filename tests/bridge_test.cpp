@@ -8,7 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "observe.hpp"
 #include "xtsoc/bridge/bridge.hpp"
+#include "xtsoc/fault/fault.hpp"
 #include "xtsoc/oal/compiled.hpp"
 #include "xtsoc/snap/io.hpp"
 #include "xtsoc/xtuml/builder.hpp"
@@ -271,6 +273,36 @@ TEST(SnapReject, ForgedBridgeForwardCount) {
               std::string::npos)
         << e.what();
   }
+}
+
+// The bridge's checkpoint bytes with forwards pending mid-backoff, pinned
+// by FNV-1a. A changed pin means the checkpoint layout changed: bump
+// kSnapVersion and re-pin.
+TEST(SnapGolden, BridgeSystemExecutor) {
+  TwoDomains s;
+  fault::FaultSpec spec;
+  spec.seed = 5;
+  spec.bus_error = 0.5;
+  fault::Plan plan(spec);
+  SystemExecutor sys(s.def, {}, &plan);
+  auto& app = sys.domain("App");
+  auto& dev = sys.domain("Device");
+  auto proxy = app.create("HeaterProxy");
+  auto thermo = app.create_with("Thermostat", {{"heater", Value(proxy)}});
+  auto app_proxy = dev.create("AppProxy");
+  auto heater = dev.create_with("Heater", {{"client", Value(app_proxy)}});
+  sys.bind(proxy, "App", heater, "Device");
+  sys.bind(app_proxy, "Device", thermo, "App");
+  for (int i = 0; i < 3; ++i) {
+    app.inject(thermo, "too_cold", {Value(std::int64_t{i + 1})});
+  }
+  EXPECT_THROW(sys.run_all(2), ModelError);  // stopped with forwards pending
+  EXPECT_GT(sys.retried_forward_count(), 0u);
+
+  snap::Writer w;
+  sys.save_state(w);
+  const std::vector<std::uint8_t>& bytes = w.data();
+  EXPECT_EQ(testing::fnv1a(std::string(bytes.begin(), bytes.end())), 0x1b4f2b123ac67a1full);
 }
 
 }  // namespace

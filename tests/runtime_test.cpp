@@ -7,6 +7,7 @@
 #include "xtsoc/runtime/value.hpp"
 #include "xtsoc/snap/io.hpp"
 #include "xtsoc/xtuml/builder.hpp"
+#include "observe.hpp"
 
 namespace xtsoc::runtime {
 namespace {
@@ -640,6 +641,57 @@ TEST(Trace, LogStatementsRecorded) {
     if (e.kind == TraceKind::kLog && e.text == "x = 1") found = true;
   }
   EXPECT_TRUE(found);
+}
+
+// The database and trace checkpoint bytes holding every Value kind, freed
+// slots and links, pinned by FNV-1a. A changed pin means the checkpoint
+// layout changed: bump kSnapVersion and re-pin.
+TEST(SnapGolden, DatabaseAndTraceValues) {
+  DomainBuilder b("G");
+  b.cls("A")
+      .attr("flag", DataType::kBool)
+      .attr("n", DataType::kInt)
+      .attr("x", DataType::kReal)
+      .attr("s", DataType::kString)
+      .ref_attr("other", "A");
+  b.assoc("R1", "A", "next", Multiplicity::kZeroMany, "A", "prev",
+          Multiplicity::kZeroMany);
+  Domain d = std::move(*b.take());
+  const ClassId a = d.find_class_id("A");
+  Database db(d);
+  const InstanceHandle h0 = db.create(a);
+  const InstanceHandle h1 = db.create(a);
+  const InstanceHandle h2 = db.create(a);
+  db.destroy(h1);
+  db.set_attr(h0, AttributeId(0), Value(true));
+  db.set_attr(h0, AttributeId(1), Value(std::int64_t{-42}));
+  db.set_attr(h0, AttributeId(2), Value(2.5));
+  db.set_attr(h0, AttributeId(3), Value(std::string("hello")));
+  db.set_attr(h0, AttributeId(4), Value(h2));
+  db.relate(h0, h2, d.find_association("R1")->id);
+
+  Trace t;
+  TraceEvent e;
+  e.kind = TraceKind::kAttrWrite;
+  e.tick = 7;
+  e.subject = h0;
+  e.peer = h2;
+  e.attr = AttributeId(3);
+  e.value = Value(std::string("hello"));
+  e.args = {Value{}, Value(false), Value(std::int64_t{3}), Value(-0.25),
+            Value(std::string("arg")), Value(h2), Value(InstanceSet{h0, h2})};
+  e.text = "text";
+  t.record(e);
+  e.kind = TraceKind::kLog;
+  e.value.reset();
+  e.args.clear();
+  t.record(e);
+
+  snap::Writer w;
+  db.save_state(w);
+  t.save_state(w);
+  const std::vector<std::uint8_t>& bytes = w.data();
+  EXPECT_EQ(testing::fnv1a(std::string(bytes.begin(), bytes.end())), 0x9aed5a94b4321ae0ull);
 }
 
 TEST(Trace, HostileEventCountIsSnapError) {

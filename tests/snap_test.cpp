@@ -1067,6 +1067,117 @@ TEST(SnapFuzz, MutatedCheckpointsAreRefusedOrRestored) {
   EXPECT_GT(restored, 0);
 }
 
+// --- golden pins ---------------------------------------------------------------
+//
+// FNV-1a fingerprints of checkpoint bytes for states the CoSimGolden pins
+// (cosim_test) never reach: the memory hierarchy mid-transaction, an armed
+// NoC fault plan mid-flight, bus errors, adaptive route pins and the obs
+// section. Each run saves at every `step` cycles and pins the hash of all
+// the saves in order. A changed pin means the checkpoint layout changed:
+// bump kSnapVersion and re-pin.
+
+std::uint64_t pin_saves(CoSimulation& cs, std::uint64_t step, int saves,
+                        const fault::Plan* plan = nullptr,
+                        const obs::Registry* reg = nullptr) {
+  std::string all;
+  for (int i = 0; i < saves; ++i) {
+    cs.run_cycles(step);
+    const std::vector<std::uint8_t> b = save(cs, plan, reg);
+    all.append(b.begin(), b.end());
+  }
+  return testing::fnv1a(all);
+}
+
+TEST(SnapGolden, MemoryHierarchyMidRun) {
+  MappedFixture fx(make_mem_pair_domain(), mem_pair_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  const runtime::InstanceHandle w0 = cs.create("W0");
+  const runtime::InstanceHandle w1 = cs.create("W1");
+  cs.executor_of(w0.cls).database().set_attr(w0, AttributeId(1), Value(w1));
+  cs.executor_of(w1.cls).database().set_attr(w1, AttributeId(1), Value(w0));
+  // Two jobs chase each other, so both tiles contend for the shared lines.
+  cs.inject(w0, "job", {Value(std::int64_t{0})});
+  cs.inject(w1, "job", {Value(std::int64_t{2})});
+  std::string all;
+  int busy = 0;
+  for (int i = 0; i < 40; ++i) {
+    cs.run_cycles(3);
+    if (!cs.mem_system()->idle()) ++busy;
+    const std::vector<std::uint8_t> b = save(cs);
+    all.append(b.begin(), b.end());
+  }
+  EXPECT_GT(busy, 0);
+  EXPECT_GT(cs.mem_system()->stats().misses, 0u);
+  EXPECT_EQ(testing::fnv1a(all), 0x2e3cb36ac575e34dull);
+}
+
+TEST(SnapGolden, ArmedFabricMidFlight) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  fault::FaultSpec spec = noisy_spec();
+  spec.link_down = 0.05;
+  fault::Plan plan(spec);
+  CoSimConfig cfg;
+  cfg.fault = &plan;
+  CoSimulation cs(*fx.system, cfg);
+  boot_ring(cs);
+  EXPECT_EQ(pin_saves(cs, 7, 30, &plan), 0x0f2ed4eb098597c0ull);
+  const noc::FabricFaultStats& f = cs.fabric().fault_stats();
+  EXPECT_GT(f.retransmissions, 0u);
+  EXPECT_GT(f.link_down_events, 0u);
+  EXPECT_GT(f.acks_delivered, 0u);
+}
+
+TEST(SnapGolden, BusErrors) {
+  MappedFixture fx(make_ring_domain(), ring_bus_marks());
+  fault::FaultSpec spec;
+  spec.seed = 11;
+  spec.bus_error = 0.2;
+  fault::Plan plan(spec);
+  CoSimConfig cfg;
+  cfg.fault = &plan;
+  CoSimulation cs(*fx.system, cfg);
+  boot_ring(cs);
+  EXPECT_EQ(pin_saves(cs, 9, 20, &plan), 0x9f0e30a959664a74ull);
+  EXPECT_GT(cs.bus().fault_stats().errors, 0u);
+}
+
+TEST(SnapGolden, AdaptiveMeshPins) {
+  marks::MarkSet m = mesh8x8_marks();
+  m.set_domain_mark(marks::kRouting, ScalarValue(std::string("adaptive")));
+  MappedFixture fx(make_ring_domain(63), m);
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_ring(cs, 63);
+  std::string all;
+  int pinned = 0;
+  for (int i = 0; i < 20; ++i) {
+    cs.run_cycles(5);
+    const std::vector<std::uint8_t> b = save(cs);
+    all.append(b.begin(), b.end());
+    // A router's pin count sits before its four u64 stats, so a nonzero
+    // word there means it holds pins.
+    for (int t = 0; t < 64; ++t) {
+      Writer router;
+      cs.fabric().router(t).save_state(router);
+      const std::vector<std::uint8_t>& rb = router.data();
+      pinned += std::any_of(rb.end() - 40, rb.end() - 32,
+                            [](std::uint8_t x) { return x != 0; });
+    }
+  }
+  EXPECT_GT(pinned, 0);
+  EXPECT_EQ(testing::fnv1a(all), 0x94c23157af9367deull);
+}
+
+TEST(SnapGolden, ObsSection) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  obs::Registry reg;
+  CoSimConfig cfg;
+  cfg.obs = &reg;
+  CoSimulation cs(*fx.system, cfg);
+  boot_ring(cs);
+  EXPECT_EQ(pin_saves(cs, 50, 4, nullptr, &reg), 0x26e842d9d0a1f6b8ull);
+  EXPECT_FALSE(reg.counters().empty());
+}
+
 TEST(SnapInspect, HeaderWithoutACosim) {
   MappedFixture fx(make_ring_domain(), ring_marks());
   const std::vector<std::uint8_t> bytes = make_snapshot(fx, 123);
