@@ -267,12 +267,7 @@ BENCHMARK(BM_MeshCosim)->Arg(1)->Arg(2)->Arg(8)->ArgNames({"threads"});
 /// microsecond, and whether a worker claims before the caller has taken
 /// every index makes it bimodal). Returns the median over kRounds samples,
 /// in microseconds, and their interquartile range as a percentage of it.
-struct Handshake {
-  double median_us = 0;
-  double noise_pct = 0;
-};
-
-Handshake pool_handshake(int workers) {
+bench::Spread pool_handshake(int workers) {
   constexpr int kRounds = 21;
   constexpr int kBatch = 1000;
   hwsim::WorkerPool pool(workers);
@@ -285,11 +280,7 @@ Handshake pool_handshake(int workers) {
     for (int i = 0; i < kBatch; ++i) pool.run(n, noop);
     sample = t.seconds() * 1e6 / kBatch;
   }
-  std::sort(us.begin(), us.end());
-  const double q1 = us[kRounds / 4];
-  const double median = us[kRounds / 2];
-  const double q3 = us[kRounds * 3 / 4];
-  return {median, 100.0 * (q3 - q1) / median};
+  return bench::spread(std::move(us));
 }
 
 void emit_json() {
@@ -298,8 +289,8 @@ void emit_json() {
   // so the workers are still spinning when the next one is published.
   for (int workers : {2, 3, 4}) {
     const std::string cfg = "workers=" + std::to_string(workers);
-    const Handshake h = pool_handshake(workers);
-    report.add("pool_handshake_us", h.median_us, "us", cfg);
+    const bench::Spread h = pool_handshake(workers);
+    report.add("pool_handshake_us", h.median, "us", cfg);
     report.add("pool_handshake_noise_pct", h.noise_pct, "%",
                cfg + ",interquartile range / median");
   }

@@ -188,14 +188,12 @@ void emit_json() {
   }
   std::vector<double> medians;
   for (Row& row : rows) {
-    std::sort(row.rates.begin(), row.rates.end());
-    const double median = row.rates[kReps / 2];
-    const double iqr = row.rates[(3 * kReps) / 4] - row.rates[kReps / 4];
-    report.add("signals_per_sec", median, "signals/s",
+    const bench::Spread s = bench::spread(row.rates);
+    report.add("signals_per_sec", s.median, "signals/s",
                std::string(row.config) + ",stat=median_of_21");
-    report.add("signals_per_sec_noise_pct", 100.0 * iqr / median, "%",
+    report.add("signals_per_sec_noise_pct", s.noise_pct, "%",
                std::string(row.config) + ",stat=iqr_over_median");
-    medians.push_back(median);
+    medians.push_back(s.median);
   }
   if (medians.size() == 2) {
     report.add("jit_speedup_vs_ast", medians[1] / medians[0], "x",

@@ -7,9 +7,13 @@
 // independent of the google-benchmark harness, which still provides the
 // detailed interactive numbers.
 //
-// Schema: {"bench": "<name>", "results": [{"metric": ..., "value": ...,
-// "unit": ..., "config": ...}, ...]} — one entry per (metric, config)
-// point.
+// Schema: {"bench": "<name>", "host": {...}, "results": [{"metric": ...,
+// "value": ..., "unit": ..., "config": ...}, ...]} — one result per
+// (metric, config) point. The host block names what the numbers were
+// measured on: logical cores, CPU model, compiler, CMake build type and
+// the `git describe --always --dirty` of the source tree when the build
+// was configured (XTSOC_BUILD_TYPE and XTSOC_GIT_DESCRIBE, injected by
+// bench/CMakeLists.txt).
 //
 // Output directory: $XTSOC_BENCH_DIR if set, else the source tree root
 // (XTSOC_REPO_ROOT, injected by bench/CMakeLists.txt).
@@ -18,12 +22,15 @@
 // skip the google-benchmark suite (what the `bench` target does).
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "xtsoc/obs/json.hpp"
@@ -43,6 +50,21 @@ public:
 private:
   std::chrono::steady_clock::time_point start_;
 };
+
+/// The median of repeated samples and their interquartile range as a
+/// percentage of it, the spread a diff of the median is read against.
+struct Spread {
+  double median = 0;
+  double noise_pct = 0;
+};
+
+inline Spread spread(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t n = samples.size();
+  const double median = samples[n / 2];
+  const double iqr = samples[(3 * n) / 4] - samples[n / 4];
+  return {median, 100.0 * iqr / median};
+}
 
 class JsonReport {
 public:
@@ -64,7 +86,14 @@ public:
       throw std::runtime_error("bench: cannot write " + path);
     }
     obs::JsonWriter w(/*indent=*/2);
-    w.begin_object().field("bench", name_).key("results").begin_array();
+    w.begin_object().field("bench", name_).key("host").begin_object();
+    w.field("cores", std::thread::hardware_concurrency())
+        .field("cpu", cpu_model())
+        .field("compiler", compiler())
+        .field("build_type", XTSOC_BUILD_TYPE)
+        .field("commit", XTSOC_GIT_DESCRIBE)
+        .end_object();
+    w.key("results").begin_array();
     for (const Row& r : rows_) {
       w.begin_object()
           .field("metric", r.metric)
@@ -88,6 +117,29 @@ private:
     std::string unit;
     std::string config;
   };
+
+  /// The first "model name" of /proc/cpuinfo, or "unknown".
+  static std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+    return "unknown";
+  }
+
+  static std::string compiler() {
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#elif defined(__GNUC__)
+    return "g++ " __VERSION__;
+#else
+    return "unknown";
+#endif
+  }
 
   static std::string out_dir() {
     if (const char* dir = std::getenv("XTSOC_BENCH_DIR")) return dir;

@@ -147,8 +147,11 @@ void emit_json() {
   const mapping::MappedSystem& sys = project->system();
 
   {
-    // Snapshot mechanics: size, save cost, restore latency (best-of-8;
-    // restore = re-elaborate + load_state, the warm path's per-seed cost).
+    // Snapshot mechanics: size, save cost, restore latency (restore =
+    // re-elaborate + load_state, the warm path's per-seed cost). One save
+    // or restore takes milliseconds, so a single preemption skews a
+    // single sample: each row is the median of 21 repetitions, with its
+    // interquartile range beside it.
     fault::Plan plan(campaign_spec());
     cosim::CoSimConfig cfg;
     cfg.trace_enabled = false;
@@ -156,15 +159,19 @@ void emit_json() {
     cosim::CoSimulation cs(sys, cfg);
     populate_mesh(cs);
     cs.run_cycles(kWarmCycles);
-    bench::Timer save_t;
-    const std::vector<std::uint8_t> bytes = snap::save(cs, &plan, nullptr);
-    const double save_ms = save_t.seconds() * 1e3;
+    constexpr int kReps = 21;
+    std::vector<std::uint8_t> bytes;
+    std::vector<double> save_ms;
+    for (int i = 0; i < kReps; ++i) {
+      bench::Timer t;
+      bytes = snap::save(cs, &plan, nullptr);
+      save_ms.push_back(t.seconds() * 1e3);
+    }
     report.add("snap_snapshot_kb",
                static_cast<double>(bytes.size()) / 1024.0, "KiB",
                "mesh=4x4,cycle=6000");
-    report.add("snap_save_ms", save_ms, "ms", "mesh=4x4,cycle=6000");
-    double restore_ms = 1e18;
-    for (int i = 0; i < 8; ++i) {
+    std::vector<double> restore_ms;
+    for (int i = 0; i < kReps; ++i) {
       fault::Plan p(campaign_spec());
       cosim::CoSimConfig rcfg;
       rcfg.trace_enabled = false;
@@ -172,10 +179,24 @@ void emit_json() {
       bench::Timer t;
       cosim::CoSimulation fresh(sys, rcfg);
       snap::restore(fresh, bytes.data(), bytes.size(), &p, nullptr);
-      restore_ms = std::min(restore_ms, t.seconds() * 1e3);
+      restore_ms.push_back(t.seconds() * 1e3);
     }
-    report.add("snap_restore_latency_ms", restore_ms, "ms",
-               "mesh=4x4,cycle=6000,elaborate+load_state");
+    const struct {
+      const char* metric;
+      const char* config;
+      const std::vector<double>& ms;
+    } rows[] = {
+        {"snap_save", "mesh=4x4,cycle=6000", save_ms},
+        {"snap_restore_latency", "mesh=4x4,cycle=6000,elaborate+load_state",
+         restore_ms},
+    };
+    for (const auto& row : rows) {
+      const bench::Spread s = bench::spread(row.ms);
+      report.add(std::string(row.metric) + "_ms", s.median, "ms",
+                 std::string(row.config) + ",stat=median_of_21");
+      report.add(std::string(row.metric) + "_noise_pct", s.noise_pct, "%",
+                 std::string(row.config) + ",stat=iqr_over_median");
+    }
   }
 
   // Cold vs warm 16-seed campaign over the same span. Cold pays

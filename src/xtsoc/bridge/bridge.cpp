@@ -255,61 +255,56 @@ std::size_t SystemExecutor::run_all(std::size_t max_rounds) {
   throw ModelError("multi-domain system did not drain within the round limit");
 }
 
-void SystemExecutor::save_state(snap::Writer& w) const {
-  w.u64(domains_.size());
-  for (const DomainRt& d : domains_) {
-    w.str(d.name);
-    d.exec->save_state(w);
+template <class Io, class Self>
+void SystemExecutor::layout(Io& io, Self& self) {
+  io.expect(std::uint64_t{self.domains_.size()},
+            "bridge snapshot domain count mismatch");
+  for (auto& d : self.domains_) {
+    std::string name = d.name;
+    io.str(name);
+    if constexpr (Io::kLoading) {
+      if (name != d.name) {
+        throw snap::SnapError(
+            "bridge snapshot domain order mismatch: expected " + d.name +
+            ", found " + name);
+      }
+    }
+    io.state(*d.exec);
   }
-  w.u64(bindings_.size());
-  w.u64(pending_.size());
-  for (const PendingForward& p : pending_) {
-    w.u64(p.to_domain);
-    save_message(w, p.message);
-    w.u32(p.wire);
-    w.i64(p.attempts);
-    w.u64(p.not_before_round);
-  }
-  w.u64(forwarded_);
-  w.u64(retried_forwards_);
-  w.u64(dropped_forwards_);
+  io.expect(std::uint64_t{self.bindings_.size()},
+            "bridge snapshot binding count mismatch (re-bind the same "
+            "proxies before restoring)");
+  // A forward is its domain index, a message, its wire and three u64s.
+  io.seq(self.pending_, 8 + runtime::kMessageBytes + 4 + 8 + 8,
+         [&](auto& p) {
+           io.u64(p.to_domain);
+           if constexpr (Io::kLoading) {
+             if (p.to_domain >= self.domains_.size()) {
+               throw snap::SnapError(
+                   "bridge snapshot forward targets unknown domain");
+             }
+           }
+           runtime::message_layout(io, p.message);
+           io.u32(p.wire);
+           io.i64(p.attempts);
+           if constexpr (Io::kLoading) {
+             // The backoff shifts by the attempt count.
+             if (p.attempts < 0 || p.attempts > 63) {
+               throw snap::SnapError(
+                   "bridge snapshot forward has made " +
+                   std::to_string(p.attempts) +
+                   " carry attempts, outside [0, 63]");
+             }
+           }
+           io.u64(p.not_before_round);
+         });
+  io.u64(self.forwarded_);
+  io.u64(self.retried_forwards_);
+  io.u64(self.dropped_forwards_);
 }
 
-void SystemExecutor::load_state(snap::Reader& r) {
-  if (r.u64() != domains_.size()) {
-    throw snap::SnapError("bridge snapshot domain count mismatch");
-  }
-  for (DomainRt& d : domains_) {
-    const std::string name = r.str();
-    if (name != d.name) {
-      throw snap::SnapError("bridge snapshot domain order mismatch: expected " +
-                            d.name + ", found " + name);
-    }
-    d.exec->load_state(r);
-  }
-  if (r.u64() != bindings_.size()) {
-    throw snap::SnapError(
-        "bridge snapshot binding count mismatch (re-bind the same proxies "
-        "before restoring)");
-  }
-  pending_.clear();
-  // A forward is its domain index, a message, its wire and three u64s.
-  for (std::size_t n = r.count(8 + runtime::kMessageBytes + 4 + 8 + 8); n > 0;
-       --n) {
-    PendingForward p;
-    p.to_domain = static_cast<std::size_t>(r.u64());
-    if (p.to_domain >= domains_.size()) {
-      throw snap::SnapError("bridge snapshot forward targets unknown domain");
-    }
-    p.message = runtime::load_message(r);
-    p.wire = r.u32();
-    p.attempts = static_cast<int>(r.i64());
-    p.not_before_round = static_cast<std::size_t>(r.u64());
-    pending_.push_back(std::move(p));
-  }
-  forwarded_ = r.u64();
-  retried_forwards_ = r.u64();
-  dropped_forwards_ = r.u64();
-}
+void SystemExecutor::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void SystemExecutor::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::bridge

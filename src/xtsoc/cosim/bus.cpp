@@ -76,58 +76,40 @@ std::vector<Frame> Bus::pop_due_to_sw(std::uint64_t cycle) {
   return take_due(to_sw_, cycle);
 }
 
-void save_frame(snap::Writer& w, const Frame& f) {
-  w.u32(f.opcode);
-  w.u64(f.payload.size());
-  w.bytes(f.payload.data(), f.payload.size());
-  w.u64(f.due_cycle);
+template <class Io, class F>
+void frame_layout(Io& io, F& f) {
+  io.u32(f.opcode);
+  io.blob(f.payload);
+  io.u64(f.due_cycle);
 }
 
-Frame load_frame(snap::Reader& r) {
-  Frame f;
-  f.opcode = r.u32();
-  f.payload.resize(r.count(1));
-  for (std::uint8_t& b : f.payload) b = r.u8();
-  f.due_cycle = r.u64();
-  return f;
+template void frame_layout(snap::Writer&, const Frame&);
+template void frame_layout(snap::Reader&, Frame&);
+
+template <class Io, class Q>
+void frames_layout(Io& io, Q& q) {
+  io.seq(q, kFrameBytes, [&](auto& f) { frame_layout(io, f); });
 }
 
-void save_frames(snap::Writer& w, const std::vector<Frame>& q) {
-  w.u64(q.size());
-  for (const Frame& f : q) save_frame(w, f);
+template void frames_layout(snap::Writer&, const std::vector<Frame>&);
+template void frames_layout(snap::Reader&, std::vector<Frame>&);
+
+template <class Io, class Self>
+void Bus::layout(Io& io, Self& self) {
+  io.boolean(self.connected_);
+  frames_layout(io, self.to_hw_);
+  frames_layout(io, self.to_sw_);
+  io.u64(self.stats_.frames_to_hw);
+  io.u64(self.stats_.frames_to_sw);
+  io.u64(self.stats_.bytes_to_hw);
+  io.u64(self.stats_.bytes_to_sw);
+  io.u64(self.fstats_.errors);
+  io.u64(self.fstats_.retries);
+  io.u64(self.fstats_.frames_dropped);
 }
 
-void load_frames(snap::Reader& r, std::vector<Frame>& q) {
-  q.clear();
-  for (std::size_t n = r.count(kFrameBytes); n > 0; --n) {
-    q.push_back(load_frame(r));
-  }
-}
+void Bus::save_state(snap::Writer& w) const { layout(w, *this); }
 
-void Bus::save_state(snap::Writer& w) const {
-  w.boolean(connected_);
-  save_frames(w, to_hw_);
-  save_frames(w, to_sw_);
-  w.u64(stats_.frames_to_hw);
-  w.u64(stats_.frames_to_sw);
-  w.u64(stats_.bytes_to_hw);
-  w.u64(stats_.bytes_to_sw);
-  w.u64(fstats_.errors);
-  w.u64(fstats_.retries);
-  w.u64(fstats_.frames_dropped);
-}
-
-void Bus::load_state(snap::Reader& r) {
-  connected_ = r.boolean();
-  load_frames(r, to_hw_);
-  load_frames(r, to_sw_);
-  stats_.frames_to_hw = r.u64();
-  stats_.frames_to_sw = r.u64();
-  stats_.bytes_to_hw = r.u64();
-  stats_.bytes_to_sw = r.u64();
-  fstats_.errors = r.u64();
-  fstats_.retries = r.u64();
-  fstats_.frames_dropped = r.u64();
-}
+void Bus::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::cosim

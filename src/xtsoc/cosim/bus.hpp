@@ -42,17 +42,19 @@ struct Frame {
   std::uint64_t due_cycle = 0;  ///< earliest delivery cycle
 };
 
-/// Frame byte encoding, shared by every checkpointed structure that queues
-/// frames (Bus, domain outboxes/inboxes, the NIC egress buffer).
-void save_frame(snap::Writer& w, const Frame& f);
-Frame load_frame(snap::Reader& r);
+/// Frame checkpoint layout, shared by every checkpointed structure that
+/// queues frames (Bus, domain outboxes/inboxes, the NIC egress buffer). Io
+/// is snap::Writer with a const frame or snap::Reader with a mutable one
+/// (snap/io.hpp; instantiated in bus.cpp).
+template <class Io, class F>
+void frame_layout(Io& io, F& f);
 /// The shortest frame encoding (opcode, payload length, due cycle): the
 /// element size loaders pass to snap::Reader::count.
 inline constexpr std::size_t kFrameBytes = 4 + 8 + 8;
 /// A frame queue: its length, then each frame. Loading replaces the queue
 /// and refuses a length the snapshot cannot hold.
-void save_frames(snap::Writer& w, const std::vector<Frame>& q);
-void load_frames(snap::Reader& r, std::vector<Frame>& q);
+template <class Io, class Q>
+void frames_layout(Io& io, Q& q);
 
 /// Hand every frame of `frames` due at or before `cycle` to `deliver`, in
 /// order, and keep the rest in order. Frames carry heterogeneous delays, so
@@ -137,6 +139,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   void check_connected() const;
   /// Run the injected-error retry loop for one push toward `endpoint`
   /// (0 = hw, 1 = sw). Returns the extra delay the retries cost, or

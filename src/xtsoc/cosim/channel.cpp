@@ -17,35 +17,28 @@ void Outbox::pending_send_cycles(
   }
 }
 
-void Outbox::save_state(snap::Writer& w) const {
-  w.u64(staged_.size());
-  for (const Staged& s : staged_) {
-    w.u32(s.dst.value());
-    save_frame(w, s.frame);
-    w.u64(s.cycle);
-    w.u64(s.extra_delay);
+template <class Io, class Self>
+void Outbox::layout(Io& io, Self& self) {
+  // An entry is a destination, a frame and two u64s.
+  io.seq(self.staged_, 4 + kFrameBytes + 8 + 8, [&](auto& s) {
+    io.u32(s.dst);
+    frame_layout(io, s.frame);
+    io.u64(s.cycle);
+    io.u64(s.extra_delay);
+  });
+  io.u64(self.sent_);
+  if constexpr (Io::kLoading) {
+    if (self.sent_ > self.staged_.size()) {
+      throw snap::SnapError("outbox snapshot marks " +
+                            std::to_string(self.sent_) + " of " +
+                            std::to_string(self.staged_.size()) +
+                            " frames sent");
+    }
   }
-  w.u64(sent_);
 }
 
-void Outbox::load_state(snap::Reader& r) {
-  staged_.clear();
-  // An entry is a destination, a frame and two u64s.
-  for (std::size_t n = r.count(4 + kFrameBytes + 8 + 8); n > 0; --n) {
-    Staged s;
-    s.dst = ClassId(r.u32());
-    s.frame = load_frame(r);
-    s.cycle = r.u64();
-    s.extra_delay = r.u64();
-    staged_.push_back(std::move(s));
-  }
-  const std::uint64_t sent = r.u64();
-  if (sent > staged_.size()) {
-    throw snap::SnapError("outbox snapshot marks " + std::to_string(sent) +
-                          " of " + std::to_string(staged_.size()) +
-                          " frames sent");
-  }
-  sent_ = static_cast<std::size_t>(sent);
-}
+void Outbox::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void Outbox::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::cosim

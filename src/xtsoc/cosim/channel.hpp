@@ -90,6 +90,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   struct Staged {
     ClassId dst;
     Frame frame;
@@ -198,17 +202,17 @@ public:
     return pending_.empty() && coh_pending_.empty();
   }
 
-  void save_state(snap::Writer& w) const override {
-    save_frames(w, pending_);
-    save_frames(w, coh_pending_);
-  }
-
-  void load_state(snap::Reader& r) override {
-    load_frames(r, pending_);
-    load_frames(r, coh_pending_);
-  }
+  void save_state(snap::Writer& w) const override { layout(w, *this); }
+  void load_state(snap::Reader& r) override { layout(r, *this); }
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self) {
+    frames_layout(io, self.pending_);
+    frames_layout(io, self.coh_pending_);
+  }
+
   static constexpr std::uint64_t kDrainAll = ~std::uint64_t{0};
 
   noc::Fabric* fabric_;

@@ -428,69 +428,56 @@ void CoSimulation::run_cycles(std::uint64_t cycles) {
   catch_up_quiet();
 }
 
-void CoSimulation::save_state(snap::Writer& w) const {
+template <class Io, class Self>
+void CoSimulation::layout(Io& io, Self& self) {
   // The interconnect mode is structural, but one byte buys an immediate
   // diagnostic when a bus snapshot meets a fabric elaboration.
-  w.u8(bus_ ? 0 : 1);
-  sim_->save_state(w);
-  if (bus_) {
-    bus_->save_state(w);
+  io.expect(static_cast<std::uint8_t>(self.bus_ ? 0 : 1),
+            "co-simulation snapshot interconnect mismatch (bus vs fabric)");
+  io.state(*self.sim_);
+  if (self.bus_) {
+    io.state(*self.bus_);
   } else {
-    fabric_->save_state(w);
+    io.state(*self.fabric_);
   }
-  w.u64(channels_.size());
-  for (const auto& ch : channels_) ch->save_state(w);
-  w.u64(hw_domains_.size());
-  for (const auto& hw : hw_domains_) hw->save_state(w);
-  sw_->save_state(w);
-  w.u64(cycle_);
+  io.expect(std::uint64_t{self.channels_.size()},
+            "co-simulation snapshot channel count mismatch");
+  for (const auto& ch : self.channels_) io.state(*ch);
+  if constexpr (Io::kLoading) {
+    self.signals_held_.clear();
+    self.coherence_held_.clear();
+    for (std::size_t c = 0; c < self.fabric_channels_.size(); ++c) {
+      if (self.fabric_channels_[c]->has_signals()) {
+        self.signals_held_.insert(c);
+      }
+      if (self.fabric_channels_[c]->has_coherence()) {
+        self.coherence_held_.insert(c);
+      }
+    }
+    // A version-4 checkpoint written before the per-tick drain may still
+    // hold reassembled frames in a NIC; move them where the next cycle
+    // reads them, as the tick that completed them would have.
+    if (self.fabric_) self.collect_deliveries();
+  }
+  io.expect(std::uint64_t{self.hw_domains_.size()},
+            "co-simulation snapshot domain count mismatch (same partition "
+            "required)");
+  for (const auto& hw : self.hw_domains_) io.state(*hw);
+  io.state(*self.sw_);
+  io.u64(self.cycle_);
   // Memory hierarchy presence is structural (it follows from the marks),
   // so a bare flag suffices to catch mark drift between save and restore.
-  w.u8(mem_ ? 1 : 0);
-  if (mem_) mem_->save_state(w);
+  io.expect(static_cast<std::uint8_t>(self.mem_ ? 1 : 0),
+            "co-simulation snapshot memory-hierarchy mismatch (same marks "
+            "required)");
+  if (self.mem_) {
+    io.state(*self.mem_);
+    if constexpr (Io::kLoading) self.mem_->check_restored(self.cycle_);
+  }
 }
 
-void CoSimulation::load_state(snap::Reader& r) {
-  const std::uint8_t mode = r.u8();
-  if (mode != (bus_ ? 0 : 1)) {
-    throw snap::SnapError(
-        "co-simulation snapshot interconnect mismatch (bus vs fabric)");
-  }
-  sim_->load_state(r);
-  if (bus_) {
-    bus_->load_state(r);
-  } else {
-    fabric_->load_state(r);
-  }
-  if (r.u64() != channels_.size()) {
-    throw snap::SnapError("co-simulation snapshot channel count mismatch");
-  }
-  for (auto& ch : channels_) ch->load_state(r);
-  signals_held_.clear();
-  coherence_held_.clear();
-  for (std::size_t c = 0; c < fabric_channels_.size(); ++c) {
-    if (fabric_channels_[c]->has_signals()) signals_held_.insert(c);
-    if (fabric_channels_[c]->has_coherence()) coherence_held_.insert(c);
-  }
-  // A version-4 checkpoint written before the per-tick drain may still
-  // hold reassembled frames in a NIC; move them where the next cycle reads
-  // them, as the tick that completed them would have.
-  if (fabric_) collect_deliveries();
-  if (r.u64() != hw_domains_.size()) {
-    throw snap::SnapError(
-        "co-simulation snapshot domain count mismatch (same partition "
-        "required)");
-  }
-  for (auto& hw : hw_domains_) hw->load_state(r);
-  sw_->load_state(r);
-  cycle_ = r.u64();
-  const std::uint8_t has_mem = r.u8();
-  if (has_mem != (mem_ ? 1 : 0)) {
-    throw snap::SnapError(
-        "co-simulation snapshot memory-hierarchy mismatch (same marks "
-        "required)");
-  }
-  if (mem_) mem_->load_state(r);
-}
+void CoSimulation::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void CoSimulation::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::cosim

@@ -247,6 +247,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   /// One window of `w` cycles: boundary inbox fill, phase A (on the pool
   /// when there is one), phase B edge loop. `w` may be smaller than window()
   /// for the tail of a run — any W' <= L is safe.

@@ -156,18 +156,18 @@ void HwDomain::run_window(std::uint64_t n) {
   quiet_ = quiet;
 }
 
-void HwDomain::save_state(snap::Writer& w) const {
-  exec_.save_state(w);
-  w.u64(cycle_);
-  outbox_.save_state(w);
-  save_frames(w, inbox_);
+template <class Io, class Self>
+void HwDomain::layout(Io& io, Self& self) {
+  io.state(self.exec_);
+  io.u64(self.cycle_);
+  io.state(self.outbox_);
+  frames_layout(io, self.inbox_);
 }
 
+void HwDomain::save_state(snap::Writer& w) const { layout(w, *this); }
+
 void HwDomain::load_state(snap::Reader& r) {
-  exec_.load_state(r);
-  cycle_ = r.u64();
-  outbox_.load_state(r);
-  load_frames(r, inbox_);
+  layout(r, *this);
   quiet_ = false;  // every domain starts awake
   // The per-edge scratch is rebuilt by the next window; the last staged
   // values must match the restored kernel.

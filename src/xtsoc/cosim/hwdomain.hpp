@@ -156,6 +156,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   /// The per-cycle body: advance, latch due inbox frames, dispatch one
   /// signal per instance, stage the observability wires' changes as edge
   /// `k`'s writes.

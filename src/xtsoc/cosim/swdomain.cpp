@@ -61,18 +61,16 @@ void SwDomain::fill_inbox(std::uint64_t through_cycle) {
   }
 }
 
-void SwDomain::save_state(snap::Writer& w) const {
-  exec_.save_state(w);
-  w.u64(cycle_);
-  outbox_.save_state(w);
-  save_frames(w, inbox_);
+template <class Io, class Self>
+void SwDomain::layout(Io& io, Self& self) {
+  io.state(self.exec_);
+  io.u64(self.cycle_);
+  io.state(self.outbox_);
+  frames_layout(io, self.inbox_);
 }
 
-void SwDomain::load_state(snap::Reader& r) {
-  exec_.load_state(r);
-  cycle_ = r.u64();
-  outbox_.load_state(r);
-  load_frames(r, inbox_);
-}
+void SwDomain::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void SwDomain::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::cosim

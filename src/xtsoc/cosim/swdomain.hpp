@@ -71,6 +71,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   /// Per-cycle prologue: advance time, deliver the inbox's due frames.
   void latch_cycle(std::uint64_t cycle);
 

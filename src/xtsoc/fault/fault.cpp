@@ -54,21 +54,17 @@ std::uint64_t Plan::next(Site kind, std::uint32_t site) {
   return draw;
 }
 
-void Plan::save_state(snap::Writer& w) const {
-  w.u64(streams_.size());
-  for (const auto& [key, state] : streams_) {
-    w.u64(key);
-    w.u64(state);
-  }
+template <class Io, class Self>
+void Plan::layout(Io& io, Self& self) {
+  io.map(self.streams_, 8 + 8, [&](auto& key, auto& state) {
+    io.u64(key);
+    io.u64(state);
+  });
 }
 
-void Plan::load_state(snap::Reader& r) {
-  streams_.clear();
-  for (std::size_t n = r.count(16); n > 0; --n) {  // key and state
-    const std::uint64_t key = r.u64();
-    streams_[key] = r.u64();
-  }
-}
+void Plan::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void Plan::load_state(snap::Reader& r) { layout(r, *this); }
 
 bool Plan::roll(Site kind, std::uint32_t site, double rate,
                 std::uint64_t cycle) {

@@ -146,6 +146,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   /// Advance the (kind, site) stream and return the next raw 64-bit draw.
   std::uint64_t next(Site kind, std::uint32_t site);
   /// One Bernoulli trial against `rate`. Rates <= 0 return false WITHOUT

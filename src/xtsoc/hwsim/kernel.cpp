@@ -88,63 +88,49 @@ void Simulator::edge(std::span<const std::vector<WireWrite>* const> staged) {
   }
 }
 
-void Simulator::save_state(snap::Writer& w) const {
-  w.u64(wires_.size());
-  for (const WireState& ws : wires_) {
-    w.u8(static_cast<std::uint8_t>(ws.width));  // shape check on load
-    w.u64(ws.value);
-    w.u64(ws.posedges);
+template <class Io, class Self>
+void Simulator::layout(Io& io, Self& self) {
+  const std::uint64_t nwires = self.wires_.size();
+  io.expect(nwires, [&](std::uint64_t found) {
+    return "kernel snapshot has " + std::to_string(found) +
+           " wires, netlist has " + std::to_string(nwires);
+  });
+  for (auto& ws : self.wires_) {
+    io.expect(static_cast<std::uint8_t>(ws.width), [&](std::uint8_t) {
+      return "kernel snapshot wire width mismatch on '" + ws.name + "'";
+    });
+    io.u64(ws.value);
+    io.u64(ws.posedges);
   }
-  w.u64(clock_.is_valid() ? 1 : 0);
-  if (clock_.is_valid()) {
-    w.u64(kHalfPeriod);  // shape check on load
-    w.u64(now_ + kHalfPeriod);
+  const bool clocked = self.clock_.is_valid();
+  io.expect(std::uint64_t{clocked ? 1u : 0u},
+            "kernel snapshot clock count mismatch");
+  // Between edges the clock's next toggle is always one half period away,
+  // and time has moved exactly when an edge ran. The writer states both;
+  // the reader refuses a file that says otherwise, which could not be
+  // saved again byte for byte.
+  std::uint64_t next_toggle = self.now_ + kHalfPeriod;
+  if (clocked) {
+    io.expect(std::uint64_t{kHalfPeriod},
+              "kernel snapshot clock period mismatch");
+    io.u64(next_toggle);
   }
-  w.u64(now_);
-  w.boolean(now_ > 0);
-  w.u64(stats_.delta_cycles);
-  w.u64(stats_.process_activations);
-  w.u64(stats_.wire_commits);
+  io.u64(self.now_);
+  bool edged = self.now_ > 0;
+  io.boolean(edged);
+  if constexpr (Io::kLoading) {
+    if (clocked && (next_toggle != self.now_ + kHalfPeriod ||
+                    edged != (self.now_ > 0))) {
+      throw snap::SnapError("kernel snapshot clock schedule is inconsistent");
+    }
+  }
+  io.u64(self.stats_.delta_cycles);
+  io.u64(self.stats_.process_activations);
+  io.u64(self.stats_.wire_commits);
 }
 
-void Simulator::load_state(snap::Reader& r) {
-  const std::uint64_t nwires = r.u64();
-  if (nwires != wires_.size()) {
-    throw snap::SnapError("kernel snapshot has " + std::to_string(nwires) +
-                          " wires, netlist has " +
-                          std::to_string(wires_.size()));
-  }
-  for (WireState& ws : wires_) {
-    const int width = r.u8();
-    if (width != ws.width) {
-      throw snap::SnapError("kernel snapshot wire width mismatch on '" +
-                            ws.name + "'");
-    }
-    ws.value = r.u64();
-    ws.posedges = r.u64();
-  }
-  const bool clocked = clock_.is_valid();
-  if (r.u64() != (clocked ? 1u : 0u)) {
-    throw snap::SnapError("kernel snapshot clock count mismatch");
-  }
-  std::uint64_t next_toggle = 0;
-  if (clocked) {
-    if (r.u64() != kHalfPeriod) {
-      throw snap::SnapError("kernel snapshot clock period mismatch");
-    }
-    next_toggle = r.u64();
-  }
-  now_ = r.u64();
-  const bool edged = r.boolean();
-  // Between edges the clock's next toggle is always one half period away,
-  // and time has moved exactly when an edge ran. Anything else could not
-  // be saved again byte for byte.
-  if (clocked && (next_toggle != now_ + kHalfPeriod || edged != (now_ > 0))) {
-    throw snap::SnapError("kernel snapshot clock schedule is inconsistent");
-  }
-  stats_.delta_cycles = r.u64();
-  stats_.process_activations = r.u64();
-  stats_.wire_commits = r.u64();
-}
+void Simulator::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void Simulator::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::hwsim

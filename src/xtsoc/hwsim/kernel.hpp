@@ -107,6 +107,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   struct WireState {
     std::uint64_t value = 0;
     int width = 1;

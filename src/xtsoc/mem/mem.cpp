@@ -487,93 +487,9 @@ bool System::idle() const {
 
 // --- checkpointing -----------------------------------------------------------
 
-void System::save_state(snap::Writer& w) const {
-  w.u64(domains_.size());
-  for (const Domain& d : domains_) {
-    w.u64(static_cast<std::uint64_t>(d.tile));
-    w.u64(d.seq);
-    w.u64(d.store_buf.size());
-    for (const StoreRec& s : d.store_buf) {
-      w.i64(s.addr);
-      w.i64(s.value);
-      w.u64(s.vis);
-      w.u64(s.seq);
-    }
-    w.u64(d.accesses.size());
-    for (const AccessRec& a : d.accesses) {
-      w.u64(a.cycle);
-      w.i64(a.addr);
-      w.u8(a.is_write);
-    }
-  }
-  // One version per address, the newest: the count field stays for the
-  // v3 layout and is always 1.
-  w.u64(cells_.size());
-  for (const auto& [addr, cell] : cells_) {
-    const Version& v =
-        cell.in_flight.empty() ? cell.settled : cell.in_flight.back();
-    w.i64(addr);
-    w.u64(1);
-    w.i64(v.value);
-    w.u64(v.vis);
-    w.u64(static_cast<std::uint64_t>(v.tag));
-    w.u64(v.seq);
-  }
-  w.u64(caches_.size());
-  for (const auto& [tile, c] : caches_) {
-    w.u64(static_cast<std::uint64_t>(tile));
-    w.u64(c.lru_tick);
-    w.u64(c.lines.size());
-    for (const CacheLine& cl : c.lines) {
-      w.i64(cl.line);
-      w.u8(cl.state);
-      w.u64(cl.lru);
-    }
-    w.u8(c.mshr.valid ? 1 : 0);
-    w.i64(c.mshr.line);
-    w.u8(c.mshr.want);
-    w.u8(c.mshr.is_write);
-    w.u64(c.mshr.issue);
-    w.i64(c.mshr.way);
-    w.u64(c.blocked.size());
-    for (const AccessRec& a : c.blocked) {
-      w.u64(a.cycle);
-      w.i64(a.addr);
-      w.u8(a.is_write);
-    }
-  }
-  w.u64(dir_.size());
-  for (const auto& [line, d] : dir_) {
-    w.i64(line);
-    w.u8(d.state);
-    w.u64(d.sharers.size());
-    for (int s : d.sharers) w.u64(static_cast<std::uint64_t>(s));
-    w.u8(d.busy ? 1 : 0);
-    w.u64(static_cast<std::uint64_t>(d.pending.req_tile));
-    w.u8(d.pending.type);
-    w.i64(d.pending.acks_left);
-    w.u64(d.queue.size());
-    for (const DirPending& q : d.queue) {
-      w.u64(static_cast<std::uint64_t>(q.req_tile));
-      w.u8(q.type);
-    }
-  }
-  for (const DramBank& b : banks_) {
-    w.i64(b.open_row);
-    w.u64(b.busy_until);
-  }
-  const std::uint64_t counters[] = {
-      stats_.loads,          stats_.stores,        stats_.hits,
-      stats_.misses,         stats_.evictions,     stats_.writebacks,
-      stats_.invalidations,  stats_.dram_reads,    stats_.dram_writes,
-      stats_.dram_row_hits,  stats_.dram_row_conflicts,
-      stats_.coh_frames,     stats_.coh_flits,     stats_.coh_payload_bytes,
-      stats_.load_use_sum,   stats_.load_use_count,
-  };
-  for (std::uint64_t c : counters) w.u64(c);
-}
-
-void System::load_state(snap::Reader& r) {
+template <class Io, class Self>
+void System::layout(Io& io, Self& self) {
+  constexpr bool kLoading = Io::kLoading;
   // Shortest encodings, the element sizes passed to Reader::count.
   constexpr std::size_t kStoreBytes = 8 * 4;
   constexpr std::size_t kAccessBytes = 8 + 8 + 1;
@@ -581,107 +497,137 @@ void System::load_state(snap::Reader& r) {
   constexpr std::size_t kLineBytes = 8 + 1 + 8;
   constexpr std::size_t kCacheBytes = 8 + 8 + 8 + (1 + 8 + 1 + 1 + 8 + 8) + 8;
   constexpr std::size_t kDirBytes = 8 + 1 + 8 + 1 + 8 + 1 + 8 + 8;
-  std::uint64_t ndom = r.u64();
-  if (ndom != domains_.size()) {
-    throw snap::SnapError("memory snapshot domain count mismatch");
-  }
-  for (Domain& d : domains_) {
-    d.tile = static_cast<int>(r.u64());
-    d.seq = r.u64();
-    d.store_buf.clear();
-    for (std::size_t n = r.count(kStoreBytes); n > 0; --n) {
-      StoreRec s;
-      s.addr = r.i64();
-      s.value = r.i64();
-      s.vis = r.u64();
-      s.seq = r.u64();
-      d.store_buf.push_back(s);
-    }
-    d.accesses.clear();
-    for (std::size_t n = r.count(kAccessBytes); n > 0; --n) {
-      AccessRec a;
-      a.cycle = r.u64();
-      a.addr = r.i64();
-      a.is_write = r.u8();
-      d.accesses.push_back(a);
-    }
-  }
-  // Every saved version was visible at the save cycle, so each address
-  // settles to its last (newest) one, however many were written.
-  cells_.clear();
-  in_flight_.clear();
-  for (std::size_t n = r.count(8 + 8); n > 0; --n) {
-    std::int64_t addr = r.i64();
-    std::size_t count = r.count(kVersionBytes);
-    Version v;
-    for (std::size_t j = count; j > 0; --j) {
-      v.value = r.i64();
-      v.vis = r.u64();
-      v.tag = static_cast<int>(r.u64());
-      v.seq = r.u64();
-    }
-    if (count > 0) cells_[addr].settled = v;
-  }
-  caches_.clear();
-  for (std::size_t n = r.count(kCacheBytes); n > 0; --n) {
-    int tile = static_cast<int>(r.u64());
-    TileCache& c = caches_[tile];
-    c.lru_tick = r.u64();
-    c.lines.assign(r.count(kLineBytes), CacheLine{});
-    for (CacheLine& cl : c.lines) {
-      cl.line = r.i64();
-      cl.state = r.u8();
-      cl.lru = r.u64();
-    }
-    c.mshr.valid = r.u8() != 0;
-    c.mshr.line = r.i64();
-    c.mshr.want = r.u8();
-    c.mshr.is_write = r.u8();
-    c.mshr.issue = r.u64();
-    c.mshr.way = static_cast<int>(r.i64());
-    c.blocked.clear();
-    for (std::size_t j = r.count(kAccessBytes); j > 0; --j) {
-      AccessRec a;
-      a.cycle = r.u64();
-      a.addr = r.i64();
-      a.is_write = r.u8();
-      c.blocked.push_back(a);
-    }
-  }
-  dir_.clear();
-  for (std::size_t n = r.count(kDirBytes); n > 0; --n) {
-    std::int64_t line = r.i64();
-    DirLine& d = dir_[line];
-    d.state = r.u8();
-    d.sharers.clear();
-    for (std::size_t j = r.count(8); j > 0; --j) {
-      d.sharers.push_back(static_cast<int>(r.u64()));
-    }
-    d.busy = r.u8() != 0;
-    d.pending.req_tile = static_cast<int>(r.u64());
-    d.pending.type = r.u8();
-    d.pending.acks_left = static_cast<int>(r.i64());
-    d.queue.clear();
-    for (std::size_t j = r.count(8 + 1); j > 0; --j) {
-      DirPending q;
-      q.req_tile = static_cast<int>(r.u64());
-      q.type = r.u8();
-      d.queue.push_back(q);
-    }
-  }
-  for (DramBank& b : banks_) {
-    b.open_row = r.i64();
-    b.busy_until = r.u64();
-  }
-  std::uint64_t* counters[] = {
-      &stats_.loads,          &stats_.stores,        &stats_.hits,
-      &stats_.misses,         &stats_.evictions,     &stats_.writebacks,
-      &stats_.invalidations,  &stats_.dram_reads,    &stats_.dram_writes,
-      &stats_.dram_row_hits,  &stats_.dram_row_conflicts,
-      &stats_.coh_frames,     &stats_.coh_flits,     &stats_.coh_payload_bytes,
-      &stats_.load_use_sum,   &stats_.load_use_count,
+  const auto access = [&](auto& a) {
+    io.u64(a.cycle);
+    io.i64(a.addr);
+    io.u8(a.is_write);
   };
-  for (std::uint64_t* c : counters) *c = r.u64();
+  io.expect(std::uint64_t{self.domains_.size()},
+            "memory snapshot domain count mismatch");
+  for (auto& d : self.domains_) {
+    // The tile is construction-owned: the port and the cache follow it.
+    io.expect(static_cast<std::uint64_t>(d.tile),
+              "memory snapshot domain tile mismatch");
+    io.u64(d.seq);
+    io.seq(d.store_buf, kStoreBytes, [&](auto& s) {
+      io.i64(s.addr);
+      io.i64(s.value);
+      io.u64(s.vis);
+      io.u64(s.seq);
+    });
+    io.seq(d.accesses, kAccessBytes, access);
+  }
+  // One version per address, the newest: the count field stays for the
+  // v3 layout and the writer always puts 1. Every saved version was
+  // visible at the save cycle, so the reader settles each address to its
+  // last (newest) one, however many were written.
+  const std::size_t cells = io.count(self.cells_.size(), 8 + 8);
+  if constexpr (kLoading) {
+    self.cells_.clear();
+    self.in_flight_.clear();
+  }
+  auto cell = self.cells_.begin();
+  for (std::size_t i = 0; i < cells; ++i) {
+    std::int64_t addr = 0;
+    Version v;
+    if constexpr (!kLoading) {
+      addr = cell->first;
+      v = cell->second.in_flight.empty() ? cell->second.settled
+                                         : cell->second.in_flight.back();
+      ++cell;
+    }
+    io.i64(addr);
+    const std::size_t versions = io.count(1, kVersionBytes);
+    for (std::size_t j = 0; j < versions; ++j) {
+      io.i64(v.value);
+      io.u64(v.vis);
+      io.u64(v.tag);
+      io.u64(v.seq);
+    }
+    if constexpr (kLoading) {
+      if (versions > 0) self.cells_[addr].settled = v;
+    }
+  }
+  const std::size_t lines =
+      self.cached() ? static_cast<std::size_t>(self.config_.sets) *
+                          static_cast<std::size_t>(self.config_.ways)
+                    : 0;
+  io.map(self.caches_, kCacheBytes, [&](auto& tile, auto& c) {
+    io.u64(tile);
+    io.u64(c.lru_tick);
+    io.seq(c.lines, kLineBytes, [&](auto& cl) {
+      io.i64(cl.line);
+      io.u8(cl.state);
+      io.u64(cl.lru);
+    });
+    io.boolean(c.mshr.valid);
+    io.i64(c.mshr.line);
+    io.u8(c.mshr.want);
+    io.u8(c.mshr.is_write);
+    io.u64(c.mshr.issue);
+    io.i64(c.mshr.way);
+    io.seq(c.blocked, kAccessBytes, access);
+    if constexpr (kLoading) {
+      // The set-associative lookups index the lines by set and way.
+      if (c.lines.size() != lines ||
+          (lines > 0 && c.mshr.way >= static_cast<int>(lines))) {
+        throw snap::SnapError(
+            "memory snapshot cache of tile " + std::to_string(tile) +
+            " holds " + std::to_string(c.lines.size()) +
+            " lines with its miss in way " + std::to_string(c.mshr.way) +
+            ", the configuration has " + std::to_string(lines));
+      }
+    }
+  });
+  if constexpr (kLoading) {
+    for (const auto& d : self.domains_) {
+      if (self.caches_.count(d.tile) == 0) {
+        throw snap::SnapError("memory snapshot has no cache for tile " +
+                              std::to_string(d.tile));
+      }
+    }
+  }
+  io.map(self.dir_, kDirBytes, [&](auto& line, auto& d) {
+    io.i64(line);
+    io.u8(d.state);
+    io.seq(d.sharers, 8, [&](auto& s) { io.u64(s); });
+    io.boolean(d.busy);
+    io.u64(d.pending.req_tile);
+    io.u8(d.pending.type);
+    io.i64(d.pending.acks_left);
+    io.seq(d.queue, 8 + 1, [&](auto& q) {
+      io.u64(q.req_tile);
+      io.u8(q.type);
+    });
+  });
+  for (auto& b : self.banks_) {
+    io.i64(b.open_row);
+    io.u64(b.busy_until);
+  }
+  auto& st = self.stats_;
+  for (auto* c : {&st.loads, &st.stores, &st.hits, &st.misses, &st.evictions,
+                  &st.writebacks, &st.invalidations, &st.dram_reads,
+                  &st.dram_writes, &st.dram_row_hits, &st.dram_row_conflicts,
+                  &st.coh_frames, &st.coh_flits, &st.coh_payload_bytes,
+                  &st.load_use_sum, &st.load_use_count}) {
+    io.u64(*c);
+  }
 }
+
+void System::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void System::check_restored(std::uint64_t cycle) const {
+  for (const auto& [addr, cell] : cells_) {
+    if (cell.settled.vis > cycle) {
+      throw snap::SnapError(
+          "memory snapshot holds a version of address " +
+          std::to_string(addr) + " visible at cycle " +
+          std::to_string(cell.settled.vis) + ", after the checkpoint's cycle " +
+          std::to_string(cycle));
+    }
+  }
+}
+
+void System::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::mem

@@ -184,8 +184,17 @@ public:
   /// versions per address and keeps the last (the newest).
   void save_state(snap::Writer& w) const;
   void load_state(snap::Reader& r);
+  /// Refuse a restored value store holding a version that becomes visible
+  /// after `cycle`, the cycle the checkpoint was taken at: every saved
+  /// version was visible by then, and reads rely on it (see read()).
+  /// Throws snap::SnapError.
+  void check_restored(std::uint64_t cycle) const;
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   struct StoreRec {
     std::int64_t addr = 0;
     std::int64_t value = 0;

@@ -675,323 +675,206 @@ std::string FabricStats::to_table() const {
   return os.str();
 }
 
-void save_flit(snap::Writer& w, const Flit& f) {
-  w.u8(static_cast<std::uint8_t>(f.kind));
-  w.u8(f.src_x);
-  w.u8(f.src_y);
-  w.u8(f.dst_x);
-  w.u8(f.dst_y);
-  w.u32(f.seq);
-  w.u32(f.opcode);
-  w.u32(f.frame_bytes);
-  w.u32(f.frame_id);
-  w.u32(f.crc);
-  w.u8(static_cast<std::uint8_t>(f.route_mode));
-  w.u64(f.payload.size());
-  w.bytes(f.payload.data(), f.payload.size());
-  w.u64(f.send_cycle);
-  w.u64(f.min_due);
-  w.boolean(f.tainted);
+template <class Io, class F>
+void flit_layout(Io& io, F& f) {
+  io.u8(f.kind);
+  io.u8(f.src_x);
+  io.u8(f.src_y);
+  io.u8(f.dst_x);
+  io.u8(f.dst_y);
+  io.u32(f.seq);
+  io.u32(f.opcode);
+  io.u32(f.frame_bytes);
+  io.u32(f.frame_id);
+  io.u32(f.crc);
+  io.u8(f.route_mode);
+  io.blob(f.payload);
+  io.u64(f.send_cycle);
+  io.u64(f.min_due);
+  io.boolean(f.tainted);
 }
 
-Flit load_flit(snap::Reader& r) {
-  Flit f;
-  f.kind = static_cast<FlitKind>(r.u8());
-  f.src_x = r.u8();
-  f.src_y = r.u8();
-  f.dst_x = r.u8();
-  f.dst_y = r.u8();
-  f.seq = r.u32();
-  f.opcode = r.u32();
-  f.frame_bytes = r.u32();
-  f.frame_id = r.u32();
-  f.crc = r.u32();
-  f.route_mode = static_cast<RouteMode>(r.u8());
-  f.payload.resize(r.count(1));
-  for (std::uint8_t& b : f.payload) b = r.u8();
-  f.send_cycle = r.u64();
-  f.min_due = r.u64();
-  f.tainted = r.boolean();
-  return f;
-}
+template void flit_layout(snap::Writer&, const Flit&);
+template void flit_layout(snap::Reader&, Flit&);
 
-namespace {
+void save_flit(snap::Writer& w, const Flit& f) { flit_layout(w, f); }
 
-void save_bytes(snap::Writer& w, const std::vector<std::uint8_t>& v) {
-  w.u64(v.size());
-  w.bytes(v.data(), v.size());
-}
-
-std::vector<std::uint8_t> load_bytes(snap::Reader& r) {
-  std::vector<std::uint8_t> v(r.count(1));
-  for (std::uint8_t& b : v) b = r.u8();
-  return v;
-}
-
-void save_delivery(snap::Writer& w, const Delivery& d) {
-  w.u32(d.opcode);
-  save_bytes(w, d.payload);
-  w.u32(static_cast<std::uint32_t>(d.src_tile));
-  w.u64(d.send_cycle);
-  w.u64(d.arrive_cycle);
-  w.u64(d.due_cycle);
-}
-
-Delivery load_delivery(snap::Reader& r) {
-  Delivery d;
-  d.opcode = r.u32();
-  d.payload = load_bytes(r);
-  d.src_tile = static_cast<int>(r.u32());
-  d.send_cycle = r.u64();
-  d.arrive_cycle = r.u64();
-  d.due_cycle = r.u64();
-  return d;
-}
-
-}  // namespace
-
-void Fabric::save_state(snap::Writer& w) const {
+template <class Io, class Self>
+void Fabric::layout(Io& io, Self& self) {
+  constexpr bool kLoading = Io::kLoading;
+  const FabricConfig& cfg = self.config_;
   // Structural shape guard (snapshot v2): the topology kind and routing
   // policy a checkpoint was taken under. Restoring into a fabric of a
   // different shape would misread every buffered route decision.
-  w.u8(static_cast<std::uint8_t>(config_.topology));
-  w.u8(static_cast<std::uint8_t>(config_.routing));
-  w.u64(routers_.size());
-  for (const Router& rt : routers_) rt.save_state(w);
-  w.u64(nics_.size());
-  for (const Nic& n : nics_) {
-    w.u64(n.tx.size());
-    for (const Flit& f : n.tx) save_flit(w, f);
-    w.u32(static_cast<std::uint32_t>(n.inject_credits));
-    w.u64(n.partial.size());
-    for (const auto& [key, re] : n.partial) {
-      w.u32(static_cast<std::uint32_t>(key.first));
-      w.u32(key.second);
-      w.u32(re.opcode);
-      w.u32(re.frame_bytes);
-      w.u32(re.frame_id);
-      w.u32(re.crc);
-      w.boolean(re.tainted);
-      save_bytes(w, re.payload);
-    }
-    w.u64(n.ready.size());
-    for (const Delivery& d : n.ready) save_delivery(w, d);
-    w.u32(n.next_seq);
-    w.u64(n.pending.size());
-    for (const auto& [id, tx] : n.pending) {
-      w.u32(id);
-      w.u32(static_cast<std::uint32_t>(tx.dst));
-      w.u32(tx.frame_id);
-      w.u32(tx.opcode);
-      w.u32(tx.crc);
-      save_bytes(w, tx.payload);
-      w.u64(tx.send_cycle);
-      w.u64(tx.min_due);
-      w.u64(tx.deadline);
-      w.u32(static_cast<std::uint32_t>(tx.attempts));
-    }
-    w.u64(n.retry_at.size());
-    for (const auto& [deadline, id] : n.retry_at) {
-      w.u64(deadline);
-      w.u32(id);
-    }
-    w.u64(n.delivered.size());
-    for (const auto& [src, id] : n.delivered) {
-      w.u32(static_cast<std::uint32_t>(src));
-      w.u32(id);
-    }
-    w.u32(n.next_frame_id);
-  }
-  w.u64(in_flight_.size());
-  for (std::size_t i = 0; i < in_flight_.size(); ++i) {
-    const Arrival& a = in_flight_.at(i);
-    w.u64(a.cycle);
-    w.u32(static_cast<std::uint32_t>(a.router));
-    w.u8(static_cast<std::uint8_t>(a.port));
-    save_flit(w, a.flit);
-  }
-  w.u64(links_.size());
-  for (const LinkStats& l : links_) w.u64(l.flits);
-  w.u64(acks_.size());
-  for (const Ack& a : acks_) {
-    w.u64(a.due);
-    w.u32(static_cast<std::uint32_t>(a.to_tile));
-    w.u32(a.frame_id);
-  }
-  w.u64(link_down_until_.size());
-  for (std::uint64_t until : link_down_until_) w.u64(until);
-  w.u64(fstats_.flits_dropped);
-  w.u64(fstats_.flits_corrupted);
-  w.u64(fstats_.link_down_events);
-  w.u64(fstats_.link_down_drops);
-  w.u64(fstats_.crc_rejects);
-  w.u64(fstats_.orphan_flits);
-  w.u64(fstats_.retransmissions);
-  w.u64(fstats_.duplicates_dropped);
-  w.u64(fstats_.acks_delivered);
-  w.u64(fstats_.frames_lost);
-  w.u64(fstats_.tainted_delivered);
-  w.u64(cycles_);
-  w.u64(frames_sent_);
-  w.u64(frames_delivered_);
-  w.u64(flits_injected_);
-  w.u64(payload_bytes_);
-  for (std::uint64_t b : latency_.buckets) w.u64(b);
-  w.u64(latency_.count);
-  w.u64(latency_.total);
-  w.u64(latency_.min);
-  w.u64(latency_.max);
-}
-
-void Fabric::load_state(snap::Reader& r) {
-  if (static_cast<TopologyKind>(r.u8()) != config_.topology) {
-    throw snap::SnapError("fabric snapshot topology kind mismatch");
-  }
-  if (static_cast<RoutePolicy>(r.u8()) != config_.routing) {
-    throw snap::SnapError("fabric snapshot routing policy mismatch");
-  }
-  if (r.u64() != routers_.size()) {
-    throw snap::SnapError("fabric snapshot router count mismatch");
-  }
-  for (Router& rt : routers_) rt.load_state(r);
-  if (r.u64() != nics_.size()) {
-    throw snap::SnapError("fabric snapshot NIC count mismatch");
-  }
+  io.expect(static_cast<std::uint8_t>(cfg.topology),
+            "fabric snapshot topology kind mismatch");
+  io.expect(static_cast<std::uint8_t>(cfg.routing),
+            "fabric snapshot routing policy mismatch");
+  io.expect(std::uint64_t{self.routers_.size()},
+            "fabric snapshot router count mismatch");
+  for (auto& rt : self.routers_) io.state(rt);
+  io.expect(std::uint64_t{self.nics_.size()},
+            "fabric snapshot NIC count mismatch");
   // Shortest element encodings, the sizes passed to Reader::count.
   constexpr std::size_t kPartialBytes = 4 + 4 + 4 * 4 + 1 + 8;
   constexpr std::size_t kDeliveryBytes = 4 + 8 + 4 + 3 * 8;
   constexpr std::size_t kPendingBytes = 5 * 4 + 8 + 3 * 8 + 4;
-  for (Nic& n : nics_) {
-    n.tx.clear();
-    for (std::size_t i = r.count(kFlitBytes); i > 0; --i) {
-      n.tx.push_back(load_flit(r));
+  const auto tile = [&](const char* what, int t) {
+    if (t < 0 || t >= self.tiles()) {
+      throw snap::SnapError("fabric snapshot holds " + std::string(what) +
+                            " tile " + std::to_string(t) + " outside the " +
+                            std::to_string(cfg.width) + "x" +
+                            std::to_string(cfg.height) + " network");
     }
-    const std::uint32_t credits = r.u32();
-    if (credits > static_cast<std::uint32_t>(config_.fifo_depth)) {
+  };
+  const auto flit = [&](auto& f) {
+    flit_layout(io, f);
+    if constexpr (kLoading) check_restored_flit(f, *self.topo_);
+  };
+  for (auto& n : self.nics_) {
+    io.seq(n.tx, kFlitBytes, flit);
+    io.u32(n.inject_credits);
+    if constexpr (kLoading) {
+      const auto credits = static_cast<std::uint32_t>(n.inject_credits);
+      if (credits > static_cast<std::uint32_t>(cfg.fifo_depth)) {
+        throw snap::SnapError(
+            "NIC snapshot holds " + std::to_string(credits) +
+            " inject credits, outside [0, fifo_depth " +
+            std::to_string(cfg.fifo_depth) + "]");
+      }
+    }
+    io.map(n.partial, kPartialBytes, [&](auto& key, auto& re) {
+      io.u32(key.first);
+      io.u32(key.second);
+      io.u32(re.opcode);
+      io.u32(re.frame_bytes);
+      io.u32(re.frame_id);
+      io.u32(re.crc);
+      io.boolean(re.tainted);
+      io.blob(re.payload);
+    });
+    io.seq(n.ready, kDeliveryBytes, [&](auto& d) {
+      io.u32(d.opcode);
+      io.blob(d.payload);
+      io.u32(d.src_tile);
+      io.u64(d.send_cycle);
+      io.u64(d.arrive_cycle);
+      io.u64(d.due_cycle);
+    });
+    io.u32(n.next_seq);
+    io.map(n.pending, kPendingBytes, [&](auto& id, auto& tx) {
+      io.u32(id);
+      io.u32(tx.dst);
+      io.u32(tx.frame_id);
+      io.u32(tx.opcode);
+      io.u32(tx.crc);
+      io.blob(tx.payload);
+      io.u64(tx.send_cycle);
+      io.u64(tx.min_due);
+      io.u64(tx.deadline);
+      io.u32(tx.attempts);
+      if constexpr (kLoading) {
+        tile("a pending frame to", tx.dst);
+        if (tx.attempts < 1) {
+          throw snap::SnapError("fabric snapshot holds a pending frame at "
+                                "attempt " + std::to_string(tx.attempts));
+        }
+      }
+    });
+    io.map(n.retry_at, 8 + 4, [&](auto& deadline, auto& id) {
+      io.u64(deadline);
+      io.u32(id);
+    });
+    io.seq(n.delivered, 4 + 4, [&](auto& key) {
+      io.u32(key.first);
+      io.u32(key.second);
+    });
+    io.u32(n.next_frame_id);
+  }
+  // The flits on the links, in due order. A link carries at most one flit
+  // per cycle, so the ring's capacity bounds a sane count.
+  const std::size_t on_links =
+      io.count(self.in_flight_.size(), 8 + 4 + 1 + kFlitBytes);
+  if constexpr (kLoading) {
+    if (on_links > self.in_flight_.capacity()) {
       throw snap::SnapError(
-          "NIC snapshot holds " + std::to_string(credits) +
-          " inject credits, outside [0, fifo_depth " +
-          std::to_string(config_.fifo_depth) + "]");
+          "fabric snapshot holds " + std::to_string(on_links) +
+          " flits on the links, more than its " +
+          std::to_string(self.links_.size()) + " links carry in " +
+          std::to_string(cfg.link_latency) + " cycles");
     }
-    n.inject_credits = static_cast<int>(credits);
-    n.partial.clear();
-    for (std::size_t i = r.count(kPartialBytes); i > 0; --i) {
-      const int src = static_cast<int>(r.u32());
-      const std::uint32_t seq = r.u32();
-      Reassembly re;
-      re.opcode = r.u32();
-      re.frame_bytes = r.u32();
-      re.frame_id = r.u32();
-      re.crc = r.u32();
-      re.tainted = r.boolean();
-      re.payload = load_bytes(r);
-      n.partial.emplace(std::make_pair(src, seq), std::move(re));
-    }
-    n.ready.clear();
-    for (std::size_t i = r.count(kDeliveryBytes); i > 0; --i) {
-      n.ready.push_back(load_delivery(r));
-    }
-    n.next_seq = r.u32();
-    n.pending.clear();
-    for (std::size_t i = r.count(kPendingBytes); i > 0; --i) {
-      const std::uint32_t id = r.u32();
-      PendingTx tx;
-      tx.dst = static_cast<int>(r.u32());
-      tx.frame_id = r.u32();
-      tx.opcode = r.u32();
-      tx.crc = r.u32();
-      tx.payload = load_bytes(r);
-      tx.send_cycle = r.u64();
-      tx.min_due = r.u64();
-      tx.deadline = r.u64();
-      tx.attempts = static_cast<int>(r.u32());
-      n.pending.emplace(id, std::move(tx));
-    }
-    n.retry_at.clear();
-    for (std::size_t i = r.count(8 + 4); i > 0; --i) {
-      const std::uint64_t deadline = r.u64();
-      n.retry_at.emplace(deadline, r.u32());
-    }
-    n.delivered.clear();
-    for (std::size_t i = r.count(4 + 4); i > 0; --i) {
-      const int src = static_cast<int>(r.u32());
-      const std::uint32_t id = r.u32();
-      n.delivered.emplace(src, id);
-    }
-    n.next_frame_id = r.u32();
+    self.in_flight_.clear();
   }
-  ready_tiles_.clear();
-  for (int t = 0; t < tiles(); ++t) {
-    Nic& n = nics_[static_cast<std::size_t>(t)];
-    n.listed = !n.ready.empty();
-    if (n.listed) ready_tiles_.push_back(t);
-  }
-  in_flight_.clear();
-  const std::size_t on_links = r.count(8 + 4 + 1 + kFlitBytes);
-  if (on_links > in_flight_.capacity()) {
-    throw snap::SnapError("fabric snapshot holds " + std::to_string(on_links) +
-                          " flits on the links, more than its " +
-                          std::to_string(links_.size()) + " links carry in " +
-                          std::to_string(config_.link_latency) + " cycles");
-  }
+  const auto arrival = [&](auto& a) {
+    io.u64(a.cycle);
+    io.u32(a.router);
+    io.u8(a.port);
+    if constexpr (kLoading) {
+      if (a.router < 0 || a.router >= self.tiles() || a.port <= kLocal ||
+          a.port >= kPortCount || self.neighbor_of(a.router, a.port) < 0) {
+        throw snap::SnapError(
+            "fabric snapshot holds a flit on a link into router " +
+            std::to_string(a.router) + " port " +
+            std::to_string(static_cast<int>(a.port)) +
+            ", which has no such link");
+      }
+    }
+    flit(a.flit);
+  };
   for (std::size_t i = 0; i < on_links; ++i) {
-    Arrival a;
-    a.cycle = r.u64();
-    a.router = static_cast<int>(r.u32());
-    a.port = static_cast<Port>(r.u8());
-    if (a.router < 0 || a.router >= tiles() || a.port <= kLocal ||
-        a.port >= kPortCount || neighbor_of(a.router, a.port) < 0) {
-      throw snap::SnapError("fabric snapshot holds a flit on a link into "
-                            "router " + std::to_string(a.router) + " port " +
-                            std::to_string(static_cast<int>(a.port)) +
-                            ", which has no such link");
+    if constexpr (kLoading) {
+      Arrival a;
+      arrival(a);
+      self.in_flight_.push(std::move(a));
+    } else {
+      arrival(self.in_flight_.at(i));
     }
-    a.flit = load_flit(r);
-    in_flight_.push(std::move(a));
   }
+  io.expect(std::uint64_t{self.links_.size()},
+            "fabric snapshot link count mismatch");
+  for (auto& l : self.links_) io.u64(l.flits);
+  io.seq(self.acks_, 8 + 4 + 4, [&](auto& a) {
+    io.u64(a.due);
+    io.u32(a.to_tile);
+    io.u32(a.frame_id);
+    if constexpr (kLoading) tile("an ack to", a.to_tile);
+  });
+  io.expect(std::uint64_t{self.link_down_until_.size()},
+            "fabric snapshot link count mismatch");
+  for (auto& until : self.link_down_until_) io.u64(until);
+  auto& fs = self.fstats_;
+  for (auto* c : {&fs.flits_dropped, &fs.flits_corrupted,
+                  &fs.link_down_events, &fs.link_down_drops, &fs.crc_rejects,
+                  &fs.orphan_flits, &fs.retransmissions,
+                  &fs.duplicates_dropped, &fs.acks_delivered, &fs.frames_lost,
+                  &fs.tainted_delivered, &self.cycles_, &self.frames_sent_,
+                  &self.frames_delivered_, &self.flits_injected_,
+                  &self.payload_bytes_}) {
+    io.u64(*c);
+  }
+  for (auto& b : self.latency_.buckets) io.u64(b);
+  io.u64(self.latency_.count);
+  io.u64(self.latency_.total);
+  io.u64(self.latency_.min);
+  io.u64(self.latency_.max);
+}
+
+void Fabric::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void Fabric::load_state(snap::Reader& r) {
+  layout(r, *this);
+  // Derived state: the tiles holding deliveries, the routers holding flits
+  // and the NICs with flits to inject.
+  ready_tiles_.clear();
   busy_routers_.clear();
   sending_nics_.clear();
   for (std::size_t t = 0; t < routers_.size(); ++t) {
+    Nic& n = nics_[t];
+    n.listed = !n.ready.empty();
+    if (n.listed) ready_tiles_.push_back(static_cast<int>(t));
     if (!routers_[t].buffers_empty()) busy_routers_.insert(t);
-    if (!nics_[t].tx.empty()) sending_nics_.insert(t);
+    if (!n.tx.empty()) sending_nics_.insert(t);
   }
-  if (r.u64() != links_.size()) {
-    throw snap::SnapError("fabric snapshot link count mismatch");
-  }
-  for (LinkStats& l : links_) l.flits = r.u64();
-  acks_.clear();
-  for (std::size_t i = r.count(8 + 4 + 4); i > 0; --i) {
-    Ack a;
-    a.due = r.u64();
-    a.to_tile = static_cast<int>(r.u32());
-    a.frame_id = r.u32();
-    acks_.push_back(a);
-  }
-  if (r.u64() != link_down_until_.size()) {
-    throw snap::SnapError("fabric snapshot link count mismatch");
-  }
-  for (std::uint64_t& until : link_down_until_) until = r.u64();
-  fstats_.flits_dropped = r.u64();
-  fstats_.flits_corrupted = r.u64();
-  fstats_.link_down_events = r.u64();
-  fstats_.link_down_drops = r.u64();
-  fstats_.crc_rejects = r.u64();
-  fstats_.orphan_flits = r.u64();
-  fstats_.retransmissions = r.u64();
-  fstats_.duplicates_dropped = r.u64();
-  fstats_.acks_delivered = r.u64();
-  fstats_.frames_lost = r.u64();
-  fstats_.tainted_delivered = r.u64();
-  cycles_ = r.u64();
-  frames_sent_ = r.u64();
-  frames_delivered_ = r.u64();
-  flits_injected_ = r.u64();
-  payload_bytes_ = r.u64();
-  for (std::uint64_t& b : latency_.buckets) b = r.u64();
-  latency_.count = r.u64();
-  latency_.total = r.u64();
-  latency_.min = r.u64();
-  latency_.max = r.u64();
   last_in_flight_ = in_flight_.size();
 }
 

@@ -192,6 +192,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   struct Reassembly {
     std::uint32_t opcode = 0;
     std::uint32_t frame_bytes = 0;

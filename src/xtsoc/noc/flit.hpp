@@ -96,10 +96,12 @@ struct Flit {
   }
 };
 
-/// Flit byte encoding for checkpoints (implemented with the fabric's other
-/// serialization in fabric.cpp).
+/// The flit's checkpoint layout (snap/io.hpp): Io is snap::Writer with a
+/// const Flit or snap::Reader with a Flit (instantiated in fabric.cpp).
+template <class Io, class F>
+void flit_layout(Io& io, F& f);
+/// Write one flit's checkpoint bytes.
 void save_flit(snap::Writer& w, const Flit& f);
-Flit load_flit(snap::Reader& r);
 /// The shortest flit encoding (kind, four coordinates, five u32 fields,
 /// route mode, payload length, two cycles, taint): the element size
 /// loaders pass to snap::Reader::count.

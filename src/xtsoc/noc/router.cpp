@@ -132,68 +132,107 @@ void Router::note_occupancy() {
   }
 }
 
-void Router::save_state(snap::Writer& w) const {
-  for (const FlitFifo& q : in_) {
-    w.u64(q.size());
-    for (std::size_t i = 0; i < q.size(); ++i) save_flit(w, q.at(i).flit);
+void check_restored_flit(const Flit& f, const Topology& topo) {
+  const auto out = [&](int x, int y) {
+    return x >= topo.width() || y >= topo.height();
+  };
+  if (out(f.src_x, f.src_y) || out(f.dst_x, f.dst_y)) {
+    throw snap::SnapError(
+        "fabric snapshot holds a flit from (" + std::to_string(f.src_x) +
+        "," + std::to_string(f.src_y) + ") to (" + std::to_string(f.dst_x) +
+        "," + std::to_string(f.dst_y) + "), outside the " +
+        std::to_string(topo.width()) + "x" + std::to_string(topo.height()) +
+        " network");
   }
-  for (int p = 0; p < kPortCount; ++p) w.u32(static_cast<std::uint32_t>(credits_[p]));
-  for (int p = 0; p < kPortCount; ++p) w.u32(static_cast<std::uint32_t>(rr_[p]));
-  // Adaptive route pins, key-sorted: the map's iteration order must not
-  // leak into the checkpoint bytes.
-  std::vector<std::pair<std::uint64_t, Port>> pins(adaptive_port_.begin(),
-                                                   adaptive_port_.end());
-  std::sort(pins.begin(), pins.end());
-  w.u64(pins.size());
-  for (const auto& [key, port] : pins) {
-    w.u64(key);
-    w.u8(static_cast<std::uint8_t>(port));
-  }
-  w.u64(stats_.flits_routed);
-  w.u64(stats_.flits_ejected);
-  w.u64(stats_.credit_stalls);
-  w.u64(stats_.buffer_high_water);
 }
 
-void Router::load_state(snap::Reader& r) {
-  buffered_ = 0;
+template <class Io, class Self>
+void Router::layout(Io& io, Self& self) {
+  constexpr bool kLoading = Io::kLoading;
+  const auto where = [&] {
+    return "router (" + std::to_string(self.x_) + "," +
+           std::to_string(self.y_) + ") snapshot holds ";
+  };
+  if constexpr (kLoading) self.buffered_ = 0;
   for (int p = 0; p < kPortCount; ++p) {
-    in_[p].clear();
-    const std::size_t n = r.count(kFlitBytes);
-    if (n > static_cast<std::size_t>(depth_)) {
-      throw snap::SnapError("router (" + std::to_string(x_) + "," +
-                            std::to_string(y_) + ") snapshot holds " +
-                            std::to_string(n) + " flits in its " +
-                            to_string(static_cast<Port>(p)) +
-                            " FIFO, deeper than fifo_depth " +
-                            std::to_string(depth_));
+    const auto port = static_cast<Port>(p);
+    auto& q = self.in_[p];
+    const std::size_t n = io.count(q.size(), kFlitBytes);
+    if constexpr (kLoading) {
+      if (n > static_cast<std::size_t>(self.depth_)) {
+        throw snap::SnapError(where() + std::to_string(n) +
+                              " flits in its " + to_string(port) +
+                              " FIFO, deeper than fifo_depth " +
+                              std::to_string(self.depth_));
+      }
+      q.clear();
     }
     for (std::size_t i = 0; i < n; ++i) {
-      accept(static_cast<Port>(p), load_flit(r));
+      if constexpr (kLoading) {
+        Flit f;
+        flit_layout(io, f);
+        check_restored_flit(f, *self.topo_);
+        self.accept(port, std::move(f));
+      } else {
+        flit_layout(io, q.at(i).flit);
+      }
     }
   }
   for (int p = 0; p < kPortCount; ++p) {
-    const std::uint32_t c = r.u32();
-    if (c > static_cast<std::uint32_t>(depth_)) {
-      throw snap::SnapError("router (" + std::to_string(x_) + "," +
-                            std::to_string(y_) + ") snapshot holds " +
-                            std::to_string(c) + " credits toward " +
-                            to_string(static_cast<Port>(p)) +
-                            ", outside [0, fifo_depth " +
-                            std::to_string(depth_) + "]");
+    io.u32(self.credits_[p]);
+    if constexpr (kLoading) {
+      const auto port = static_cast<Port>(p);
+      const auto c = static_cast<std::uint32_t>(self.credits_[p]);
+      if (c > static_cast<std::uint32_t>(self.depth_)) {
+        throw snap::SnapError(where() + std::to_string(c) + " credits toward " +
+                              to_string(port) + ", outside [0, fifo_depth " +
+                              std::to_string(self.depth_) + "]");
+      }
+      // Only a link takes credits: the ejection port and a mesh edge
+      // never hold any.
+      if (c > 0 &&
+          (port == kLocal || self.topo_->neighbors(self.tile_, port) < 0)) {
+        throw snap::SnapError(where() + std::to_string(c) + " credits toward " +
+                              to_string(port) + ", which has no link");
+      }
     }
-    credits_[p] = static_cast<int>(c);
   }
-  for (int p = 0; p < kPortCount; ++p) rr_[p] = static_cast<int>(r.u32());
-  adaptive_port_.clear();
-  for (std::size_t n = r.count(8 + 1); n > 0; --n) {
-    const std::uint64_t key = r.u64();
-    adaptive_port_[key] = static_cast<Port>(r.u8());
+  for (int p = 0; p < kPortCount; ++p) {
+    io.u32(self.rr_[p]);
+    if constexpr (kLoading) {
+      const auto rr = static_cast<std::uint32_t>(self.rr_[p]);
+      if (rr >= static_cast<std::uint32_t>(kPortCount)) {
+        throw snap::SnapError(where() + "round-robin pointer " +
+                              std::to_string(rr) + " for " +
+                              to_string(static_cast<Port>(p)) +
+                              ", outside [0, " + std::to_string(kPortCount) +
+                              ")");
+      }
+    }
   }
-  stats_.flits_routed = r.u64();
-  stats_.flits_ejected = r.u64();
-  stats_.credit_stalls = r.u64();
-  stats_.buffer_high_water = r.u64();
+  // Adaptive route pins, key-sorted: the map's iteration order must not
+  // leak into the checkpoint bytes.
+  std::vector<std::pair<std::uint64_t, Port>> pins;
+  if constexpr (!kLoading) {
+    pins.assign(self.adaptive_port_.begin(), self.adaptive_port_.end());
+    std::sort(pins.begin(), pins.end());
+  }
+  io.seq(pins, 8 + 1, [&](auto& pin) {
+    io.u64(pin.first);
+    io.u8(pin.second);
+  });
+  if constexpr (kLoading) {
+    self.adaptive_port_.clear();
+    for (const auto& [key, port] : pins) self.adaptive_port_[key] = port;
+  }
+  io.u64(self.stats_.flits_routed);
+  io.u64(self.stats_.flits_ejected);
+  io.u64(self.stats_.credit_stalls);
+  io.u64(self.stats_.buffer_high_water);
 }
+
+void Router::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void Router::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::noc

@@ -70,6 +70,10 @@ struct BufferedFlit {
 /// One input FIFO: a ring of `fifo_depth` slots.
 using FlitFifo = FixedRing<BufferedFlit>;
 
+/// Refuse a restored flit whose source or destination lies outside `topo`:
+/// the fabric indexes its NICs by them. Throws snap::SnapError.
+void check_restored_flit(const Flit& f, const Topology& topo);
+
 class Router {
 public:
   Router(int x, int y, int fifo_depth, const Topology* topo, int tile,
@@ -146,6 +150,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   /// Frame identity for the adaptive route pin: source tile + per-source
   /// sequence number (the same key reassembly uses).
   static std::uint64_t frame_key(const Flit& f) {

@@ -49,22 +49,23 @@ std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
   return out;
 }
 
-void Registry::save_counters(snap::Writer& w) const {
-  const auto all = counters();
-  w.u64(all.size());
-  for (const auto& [name, value] : all) {
-    w.str(name);
-    w.u64(value);
+template <class Io, class Self>
+void Registry::layout(Io& io, Self& self) {
+  // A counter is a length-prefixed name and its value, name-sorted.
+  std::vector<std::pair<std::string, std::uint64_t>> all;
+  if constexpr (!Io::kLoading) all = self.counters();
+  io.seq(all, 8 + 8, [&](auto& c) {
+    io.str(c.first);
+    io.u64(c.second);
+  });
+  if constexpr (Io::kLoading) {
+    for (const auto& [name, value] : all) self.counter(name)->set(value);
   }
 }
 
-void Registry::load_counters(snap::Reader& r) {
-  // A counter is a length-prefixed name and its value.
-  for (std::size_t n = r.count(8 + 8); n > 0; --n) {
-    const std::string name = r.str();
-    counter(name)->set(r.u64());
-  }
-}
+void Registry::save_counters(snap::Writer& w) const { layout(w, *this); }
+
+void Registry::load_counters(snap::Reader& r) { layout(r, *this); }
 
 std::uint64_t Registry::now_ns() const {
   return static_cast<std::uint64_t>(

@@ -166,6 +166,11 @@ public:
   void write_chrome_trace(std::ostream& os) const;
 
 private:
+  /// The checkpoint layout behind save_counters and load_counters
+  /// (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   struct Event {
     TrackId track;
     char phase;  // 'X', 'i', 'C'

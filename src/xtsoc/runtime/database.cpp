@@ -218,68 +218,59 @@ std::size_t Database::link_count(AssociationId assoc) const {
   return links_[assoc.value()].size();
 }
 
-void Database::save_state(snap::Writer& w) const {
-  w.u64(slots_.size());
-  for (const auto& cls_slots : slots_) {
-    w.u64(cls_slots.size());
-    for (const InstanceSlot& s : cls_slots) {
-      w.boolean(s.alive);
-      w.u32(s.generation);
-      w.u32(s.state.value());
-      w.u64(s.attrs.size());
-      for (const Value& v : s.attrs) save_value(w, v);
-    }
+template <class Io, class Self>
+void Database::layout(Io& io, Self& self) {
+  // Minimum encodings: a slot is alive, generation, state and attr count;
+  // a value its tag; a free-list entry a u32; a link two handles.
+  io.expect(std::uint64_t{self.slots_.size()},
+            "database snapshot class count mismatch");
+  for (auto& cls_slots : self.slots_) {
+    io.seq(cls_slots, 1 + 4 + 4 + 8, [&](auto& s) {
+      io.boolean(s.alive);
+      io.u32(s.generation);
+      io.u32(s.state);
+      io.seq(s.attrs, 1, [&](auto& v) { value_layout(io, v); });
+    });
   }
-  w.u64(free_list_.size());
-  for (const auto& fl : free_list_) {
-    w.u64(fl.size());
-    for (std::uint32_t idx : fl) w.u32(idx);
+  io.expect(std::uint64_t{self.free_list_.size()},
+            "database snapshot class count mismatch");
+  for (std::size_t c = 0; c < self.free_list_.size(); ++c) {
+    // The next create reuses a listed slot: each must be a dead slot of
+    // the class, listed once.
+    std::vector<bool> listed;
+    if constexpr (Io::kLoading) listed.assign(self.slots_[c].size(), false);
+    io.seq(self.free_list_[c], 4, [&](auto& idx) {
+      io.u32(idx);
+      if constexpr (Io::kLoading) {
+        const auto& slots = self.slots_[c];
+        if (idx >= slots.size() || slots[idx].alive || listed[idx]) {
+          throw snap::SnapError(
+              "database snapshot frees slot " + std::to_string(idx) +
+              " of class " + std::to_string(c) + ": not one of its " +
+              std::to_string(slots.size()) +
+              " slots, live, or listed twice");
+        }
+        listed[idx] = true;
+      }
+    });
   }
-  w.u64(links_.size());
-  for (const auto& ll : links_) {
-    w.u64(ll.size());
-    for (const Link& l : ll) {
-      save_handle(w, l.a);
-      save_handle(w, l.b);
-    }
+  io.expect(std::uint64_t{self.links_.size()},
+            "database snapshot association count mismatch");
+  for (auto& ll : self.links_) {
+    io.seq(ll, 24, [&](auto& l) {
+      handle_layout(io, l.a);
+      handle_layout(io, l.b);
+    });
   }
 }
 
+void Database::save_state(snap::Writer& w) const { layout(w, *this); }
+
 void Database::load_state(snap::Reader& r) {
-  if (r.u64() != slots_.size()) {
-    throw snap::SnapError("database snapshot class count mismatch");
-  }
-  // Minimum encodings: a slot is alive, generation, state and attr count;
-  // a value its tag; a free-list entry a u32; a link two handles.
+  layout(r, *this);
   for (std::size_t c = 0; c < slots_.size(); ++c) {
-    auto& cls_slots = slots_[c];
-    cls_slots.resize(r.count(1 + 4 + 4 + 8));
     live_[c] = 0;
-    for (InstanceSlot& s : cls_slots) {
-      s.alive = r.boolean();
-      if (s.alive) ++live_[c];
-      s.generation = r.u32();
-      s.state = StateId(r.u32());
-      s.attrs.resize(r.count(1));
-      for (Value& v : s.attrs) v = load_value(r);
-    }
-  }
-  if (r.u64() != free_list_.size()) {
-    throw snap::SnapError("database snapshot class count mismatch");
-  }
-  for (auto& fl : free_list_) {
-    fl.resize(r.count(4));
-    for (std::uint32_t& idx : fl) idx = r.u32();
-  }
-  if (r.u64() != links_.size()) {
-    throw snap::SnapError("database snapshot association count mismatch");
-  }
-  for (auto& ll : links_) {
-    ll.resize(r.count(24));
-    for (Link& l : ll) {
-      l.a = load_handle(r);
-      l.b = load_handle(r);
-    }
+    for (const InstanceSlot& s : slots_[c]) live_[c] += s.alive ? 1 : 0;
   }
 }
 

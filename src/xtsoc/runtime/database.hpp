@@ -90,6 +90,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   struct Link {
     InstanceHandle a;
     InstanceHandle b;

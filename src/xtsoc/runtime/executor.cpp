@@ -456,97 +456,61 @@ void Executor::on_log(std::string text) {
   trace_.record(std::move(te));
 }
 
-void save_message(snap::Writer& w, const EventMessage& m) {
-  save_handle(w, m.target);
-  w.u32(m.event.value());
-  w.u64(m.args.size());
-  for (const Value& v : m.args) save_value(w, v);
-  save_handle(w, m.sender);
-  w.u64(m.deliver_at);
-  w.u64(m.seq);
+template <class Io, class M>
+void message_layout(Io& io, M& m) {
+  handle_layout(io, m.target);
+  io.u32(m.event);
+  io.seq(m.args, 1, [&](auto& v) { value_layout(io, v); });
+  handle_layout(io, m.sender);
+  io.u64(m.deliver_at);
+  io.u64(m.seq);
 }
 
-EventMessage load_message(snap::Reader& r) {
-  EventMessage m;
-  m.target = load_handle(r);
-  m.event = EventId(r.u32());
-  m.args.resize(r.count(1));
-  for (Value& v : m.args) v = load_value(r);
-  m.sender = load_handle(r);
-  m.deliver_at = r.u64();
-  m.seq = r.u64();
-  return m;
-}
+template void message_layout(snap::Writer&, const EventMessage&);
+template void message_layout(snap::Reader&, EventMessage&);
 
-void Executor::save_state(snap::Writer& w) const {
-  db_.save_state(w);
-  trace_.save_state(w);
-  w.u64(self_queue_.size());
-  for (const EventMessage& m : self_queue_) save_message(w, m);
-  w.u64(ext_queue_.size());
-  for (const EventMessage& m : ext_queue_) save_message(w, m);
+template <class Io, class Self>
+void Executor::layout(Io& io, Self& self) {
+  const auto message = [&](auto& m) { message_layout(io, m); };
+  io.state(self.db_);
+  io.state(self.trace_);
+  io.seq(self.self_queue_, kMessageBytes, message);
+  io.seq(self.ext_queue_, kMessageBytes, message);
   // The timer heap: copy-and-pop enumerates it in deadline order; reloading
   // by push rebuilds an equivalent heap (pop order is a pure function of
   // the contents), so the byte stream is canonical.
-  auto timers = timers_;
-  w.u64(timers.size());
-  while (!timers.empty()) {
-    save_message(w, timers.top());
-    timers.pop();
+  std::vector<EventMessage> timers;
+  if constexpr (!Io::kLoading) {
+    for (auto heap = self.timers_; !heap.empty(); heap.pop()) {
+      timers.push_back(heap.top());
+    }
   }
-  w.u64(now_);
-  w.u64(seq_);
-  w.u64(dispatches_);
-  w.u64(dispatches_by_class_.size());
-  for (std::uint64_t d : dispatches_by_class_) w.u64(d);
-  w.u64(ops_by_class_.size());
-  for (std::uint64_t o : ops_by_class_) w.u64(o);
-  w.u64(ops_);
-  w.u64(high_water_);
+  io.seq(timers, kMessageBytes, message);
+  if constexpr (Io::kLoading) {
+    self.timers_ = {};
+    for (EventMessage& m : timers) self.timers_.push(std::move(m));
+  }
+  io.u64(self.now_);
+  io.u64(self.seq_);
+  io.u64(self.dispatches_);
+  for (auto* per_class : {&self.dispatches_by_class_, &self.ops_by_class_}) {
+    io.expect(std::uint64_t{per_class->size()},
+              "executor snapshot class count mismatch");
+    for (auto& n : *per_class) io.u64(n);
+  }
+  io.u64(self.ops_);
+  io.u64(self.high_water_);
   // Flat `mem.*` backing store. Empty (and ignored on load) whenever an
   // external memory port is attached — the port's owner checkpoints it.
-  w.u64(flat_mem_.size());
-  for (const auto& [addr, value] : flat_mem_) {
-    w.i64(addr);
-    w.i64(value);
-  }
+  io.map(self.flat_mem_, 8 + 8, [&](auto& addr, auto& value) {
+    io.i64(addr);
+    io.i64(value);
+  });
+  if constexpr (Io::kLoading) self.current_ = InstanceHandle::null();
 }
 
-void Executor::load_state(snap::Reader& r) {
-  db_.load_state(r);
-  trace_.load_state(r);
-  self_queue_.clear();
-  for (std::size_t n = r.count(kMessageBytes); n > 0; --n) {
-    self_queue_.push_back(load_message(r));
-  }
-  ext_queue_.clear();
-  for (std::size_t n = r.count(kMessageBytes); n > 0; --n) {
-    ext_queue_.push_back(load_message(r));
-  }
-  timers_ = {};
-  for (std::size_t n = r.count(kMessageBytes); n > 0; --n) {
-    timers_.push(load_message(r));
-  }
-  now_ = r.u64();
-  seq_ = r.u64();
-  dispatches_ = r.u64();
-  if (r.u64() != dispatches_by_class_.size()) {
-    throw snap::SnapError("executor snapshot class count mismatch");
-  }
-  for (std::uint64_t& d : dispatches_by_class_) d = r.u64();
-  if (r.u64() != ops_by_class_.size()) {
-    throw snap::SnapError("executor snapshot class count mismatch");
-  }
-  for (std::uint64_t& o : ops_by_class_) o = r.u64();
-  ops_ = r.u64();
-  high_water_ = r.u64();
-  flat_mem_.clear();
-  // A flat-memory entry is two i64s.
-  for (std::size_t n = r.count(16); n > 0; --n) {
-    std::int64_t addr = r.i64();
-    flat_mem_[addr] = r.i64();
-  }
-  current_ = InstanceHandle::null();
-}
+void Executor::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void Executor::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::runtime

@@ -50,10 +50,12 @@ struct EventMessage {
   bool self_directed() const { return sender == target && !sender.is_null(); }
 };
 
-/// Message byte encoding, shared by every checkpointed structure that queues
-/// signals (executor queues, the bridge's pending forwards).
-void save_message(snap::Writer& w, const EventMessage& m);
-EventMessage load_message(snap::Reader& r);
+/// Message checkpoint layout, shared by every checkpointed structure that
+/// queues signals (executor queues, the bridge's pending forwards). Io is
+/// snap::Writer with a const message or snap::Reader with a mutable one
+/// (snap/io.hpp; instantiated in executor.cpp).
+template <class Io, class M>
+void message_layout(Io& io, M& m);
 /// The shortest message encoding (two handles, the event, the argument
 /// count and two u64 stamps): the element size loaders pass to
 /// snap::Reader::count.
@@ -231,6 +233,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   void dispatch(EventMessage m);
   void enqueue_ready(EventMessage m);
   void release_due_timers();

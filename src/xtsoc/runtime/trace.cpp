@@ -68,46 +68,34 @@ std::string Trace::to_string() const {
   return os.str();
 }
 
-void Trace::save_state(snap::Writer& w) const {
-  w.boolean(enabled_);
-  w.u64(events_.size());
-  for (const TraceEvent& e : events_) {
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.u64(e.tick);
-    save_handle(w, e.subject);
-    save_handle(w, e.peer);
-    w.u32(e.event.value());
-    w.u32(e.from_state.value());
-    w.u32(e.to_state.value());
-    w.u32(e.attr.value());
-    w.boolean(e.value.has_value());
-    if (e.value) save_value(w, *e.value);
-    w.u64(e.args.size());
-    for (const Value& v : e.args) save_value(w, v);
-    w.str(e.text);
-  }
-}
-
-void Trace::load_state(snap::Reader& r) {
-  enabled_ = r.boolean();
-  events_.clear();
+template <class Io, class Self>
+void Trace::layout(Io& io, Self& self) {
+  const auto value = [&](auto& v) { value_layout(io, v); };
+  io.boolean(self.enabled_);
   // Smallest encodings: an event is kind, tick, two handles, four ids, the
   // value flag, the arg count and the text length; a value is its tag.
-  events_.resize(r.count(1 + 8 + 12 + 12 + 16 + 1 + 8 + 8));
-  for (TraceEvent& e : events_) {
-    e.kind = static_cast<TraceKind>(r.u8());
-    e.tick = r.u64();
-    e.subject = load_handle(r);
-    e.peer = load_handle(r);
-    e.event = EventId(r.u32());
-    e.from_state = StateId(r.u32());
-    e.to_state = StateId(r.u32());
-    e.attr = AttributeId(r.u32());
-    if (r.boolean()) e.value = load_value(r);
-    e.args.resize(r.count(1));
-    for (Value& v : e.args) v = load_value(r);
-    e.text = r.str();
-  }
+  io.seq(self.events_, 1 + 8 + 12 + 12 + 16 + 1 + 8 + 8, [&](auto& e) {
+    io.u8(e.kind);
+    io.u64(e.tick);
+    handle_layout(io, e.subject);
+    handle_layout(io, e.peer);
+    io.u32(e.event);
+    io.u32(e.from_state);
+    io.u32(e.to_state);
+    io.u32(e.attr);
+    bool has_value = e.value.has_value();
+    io.boolean(has_value);
+    if constexpr (Io::kLoading) {
+      if (has_value) e.value.emplace();
+    }
+    if (has_value) value(*e.value);
+    io.seq(e.args, 1, value);
+    io.str(e.text);
+  });
 }
+
+void Trace::save_state(snap::Writer& w) const { layout(w, *this); }
+
+void Trace::load_state(snap::Reader& r) { layout(r, *this); }
 
 }  // namespace xtsoc::runtime

@@ -77,6 +77,10 @@ public:
   void load_state(snap::Reader& r);
 
 private:
+  /// The checkpoint layout behind save_state and load_state (snap/io.hpp).
+  template <class Io, class Self>
+  static void layout(Io& io, Self& self);
+
   std::vector<TraceEvent> events_;
   bool enabled_ = true;
 };

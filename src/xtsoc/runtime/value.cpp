@@ -150,71 +150,59 @@ bool fit_to_type(xtuml::DataType type, Value& v) {
   return false;
 }
 
-void save_handle(snap::Writer& w, const InstanceHandle& h) {
-  w.u32(h.cls.value());
-  w.u32(h.index);
-  w.u32(h.generation);
+template <class Io, class H>
+void handle_layout(Io& io, H& h) {
+  io.u32(h.cls);
+  io.u32(h.index);
+  io.u32(h.generation);
 }
 
-InstanceHandle load_handle(snap::Reader& r) {
-  InstanceHandle h;
-  h.cls = ClassId(r.u32());
-  h.index = r.u32();
-  h.generation = r.u32();
-  return h;
+template void handle_layout(snap::Writer&, const InstanceHandle&);
+template void handle_layout(snap::Reader&, InstanceHandle&);
+
+namespace {
+
+/// Make `v` hold the default of alternative `tag`.
+template <std::size_t... I>
+void emplace_alternative(Value& v, std::size_t tag,
+                         std::index_sequence<I...>) {
+  ((tag == I ? (void)v.emplace<I>() : (void)0), ...);
 }
 
-void save_value(snap::Writer& w, const Value& v) {
-  w.u8(static_cast<std::uint8_t>(v.index()));
-  switch (v.index()) {
-    case 0:
-      break;
-    case 1:
-      w.boolean(std::get<bool>(v));
-      break;
-    case 2:
-      w.i64(std::get<std::int64_t>(v));
-      break;
-    case 3:
-      w.f64(std::get<double>(v));
-      break;
-    case 4:
-      w.str(std::get<std::string>(v));
-      break;
-    case 5:
-      save_handle(w, std::get<InstanceHandle>(v));
-      break;
-    case 6: {
-      const InstanceSet& set = std::get<InstanceSet>(v);
-      w.u64(set.size());
-      for (const InstanceHandle& h : set) save_handle(w, h);
-      break;
-    }
-  }
-}
+}  // namespace
 
-Value load_value(snap::Reader& r) {
-  switch (r.u8()) {
-    case 0:
-      return Value{};
-    case 1:
-      return Value(r.boolean());
-    case 2:
-      return Value(r.i64());
-    case 3:
-      return Value(r.f64());
-    case 4:
-      return Value(r.str());
-    case 5:
-      return Value(load_handle(r));
-    case 6: {
-      InstanceSet set(r.count(12));
-      for (InstanceHandle& h : set) h = load_handle(r);
-      return Value(std::move(set));
-    }
-    default:
+template <class Io, class V>
+void value_layout(Io& io, V& v) {
+  auto tag = static_cast<std::uint8_t>(v.index());
+  io.u8(tag);
+  if constexpr (Io::kLoading) {
+    constexpr std::size_t kAlternatives = std::variant_size_v<Value>;
+    if (tag >= kAlternatives) {
       throw snap::SnapError("unknown Value variant tag in snapshot");
+    }
+    emplace_alternative(v, tag, std::make_index_sequence<kAlternatives>{});
   }
+  std::visit(
+      [&](auto& x) {
+        using T = std::remove_cvref_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          io.boolean(x);
+        } else if constexpr (std::is_same_v<T, std::int64_t>) {
+          io.i64(x);
+        } else if constexpr (std::is_same_v<T, double>) {
+          io.f64(x);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          io.str(x);
+        } else if constexpr (std::is_same_v<T, InstanceHandle>) {
+          handle_layout(io, x);
+        } else if constexpr (std::is_same_v<T, InstanceSet>) {
+          io.seq(x, 12, [&](auto& h) { handle_layout(io, h); });
+        }
+      },
+      v);
 }
+
+template void value_layout(snap::Writer&, const Value&);
+template void value_layout(snap::Reader&, Value&);
 
 }  // namespace xtsoc::runtime

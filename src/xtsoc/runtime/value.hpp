@@ -82,9 +82,11 @@ bool fit_to_type(xtuml::DataType type, Value& v);
 // Values appear in every serialized runtime structure (attributes, queued
 // signal payloads, trace events), so the byte encoding lives here, next to
 // the type: a one-byte variant tag followed by the alternative's payload.
-void save_handle(snap::Writer& w, const InstanceHandle& h);
-InstanceHandle load_handle(snap::Reader& r);
-void save_value(snap::Writer& w, const Value& v);
-Value load_value(snap::Reader& r);
+// Io is snap::Writer with a const operand or snap::Reader with a mutable
+// one (snap/io.hpp; instantiated in value.cpp).
+template <class Io, class H>
+void handle_layout(Io& io, H& h);
+template <class Io, class V>
+void value_layout(Io& io, V& v);
 
 }  // namespace xtsoc::runtime

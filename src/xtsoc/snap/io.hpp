@@ -9,6 +9,32 @@
 // sits ABOVE those libraries and stitches their sections together
 // (snapshot.hpp).
 //
+// The two classes share one field vocabulary, so each checkpointed
+// structure states its byte layout exactly once, in a layout template
+// `template <class Io, class Self> void layout(Io& io, Self& self)` that
+// save_state instantiates with (Writer, const T) and load_state with
+// (Reader, T). Every call names a field by reference: Writer encodes it,
+// Reader assigns it.
+//
+//   u8/u32/u64/i64(field)  a scalar at that width; int, enum and id fields
+//                          convert at the call
+//   f64, boolean           a double; a bool as one byte
+//   str, blob              a length-prefixed string / byte vector
+//   seq(c, min, elem)      a u64 count, then elem(e) for each element
+//   map(m, min, entry)     a u64 count, then entry(key, value) per entry
+//   count(n, min)          a bare u64 count for containers seq cannot fill
+//   expect(v, message)     a shape guard: Writer writes v, Reader throws
+//                          SnapError(message) unless it reads back v
+//   state(part)            part.save_state(w) / part.load_state(r)
+//
+// `min` is the shortest encoding of one element: Reader refuses a count
+// whose elements could not fit in the bytes left (Reader::count). It is
+// spelled out at each call, never derived from a default element, whose
+// encoding may be longer than the shortest legal one. Checks and derived
+// state that only a load needs sit in the layout under
+// `if constexpr (Io::kLoading)`; with a const Self the writer cannot
+// change the structure it saves.
+//
 // Every read is bounds-checked and every section close is length-checked;
 // a truncated or over-long snapshot surfaces as SnapError, never as a
 // silent misparse. Encoding is explicit little-endian, so snapshots are
@@ -20,6 +46,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace xtsoc::snap {
@@ -31,39 +59,110 @@ public:
   explicit SnapError(const std::string& what) : std::runtime_error(what) {}
 };
 
+namespace detail {
+
+/// A field as its encoded integer: ids by value(), the rest by cast.
+template <class W, class T>
+W to_wire(const T& v) {
+  if constexpr (requires { v.value(); }) {
+    return static_cast<W>(v.value());
+  } else {
+    return static_cast<W>(v);
+  }
+}
+
+template <class T, class W>
+T from_wire(W w) {
+  if constexpr (requires(T t) { t.value(); }) {
+    return T(static_cast<decltype(std::declval<T>().value())>(w));
+  } else {
+    return static_cast<T>(w);
+  }
+}
+
+/// The message of a failed expect: a string, or a callable given the value
+/// read.
+template <class Msg, class T>
+std::string message(Msg&& what, const T& found) {
+  if constexpr (std::is_invocable_v<Msg, T>) {
+    return what(found);
+  } else {
+    return std::string(what);
+  }
+}
+
+}  // namespace detail
+
 class Writer {
 public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  static constexpr bool kLoading = false;
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  template <class T>
+  void u8(const T& v) {
+    put(detail::to_wire<std::uint8_t>(v), 1);
   }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  template <class T>
+  void u32(const T& v) {
+    put(detail::to_wire<std::uint32_t>(v), 4);
   }
-
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  template <class T>
+  void u64(const T& v) {
+    put(detail::to_wire<std::uint64_t>(v), 8);
+  }
+  template <class T>
+  void i64(const T& v) {
+    put(static_cast<std::uint64_t>(detail::to_wire<std::int64_t>(v)), 8);
+  }
 
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
+    put(bits, 8);
   }
 
-  void boolean(bool v) { u8(v ? 1 : 0); }
+  void boolean(bool v) { put(v ? 1 : 0, 1); }
 
   void str(std::string_view s) {
     u64(s.size());
     bytes(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
 
+  void blob(const std::vector<std::uint8_t>& v) {
+    u64(v.size());
+    bytes(v.data(), v.size());
+  }
+
+  /// Raw bytes, no length prefix.
   void bytes(const std::uint8_t* p, std::size_t n) {
     buf_.insert(buf_.end(), p, p + n);
+  }
+
+  template <class T, class Msg>
+  void expect(const T& v, Msg&&) {
+    static_assert(std::is_unsigned_v<T>, "expect takes an unsigned width");
+    put(v, sizeof(T));
+  }
+
+  std::size_t count(std::size_t n, std::size_t /*min_bytes*/) {
+    u64(n);
+    return n;
+  }
+
+  template <class C, class F>
+  void seq(const C& c, std::size_t /*min_bytes*/, F&& elem) {
+    u64(c.size());
+    for (const auto& e : c) elem(e);
+  }
+
+  template <class M, class F>
+  void map(const M& m, std::size_t /*min_bytes*/, F&& entry) {
+    u64(m.size());
+    for (const auto& [k, v] : m) entry(k, v);
+  }
+
+  template <class T>
+  void state(const T& part) {
+    part.save_state(*this);
   }
 
   /// Open a tagged, length-prefixed section. Sections nest; the length is
@@ -90,60 +189,108 @@ public:
   std::size_t size() const { return buf_.size(); }
 
 private:
+  void put(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
   std::vector<std::size_t> patch_;
 };
 
 class Reader {
 public:
+  static constexpr bool kLoading = true;
+
   Reader(const std::uint8_t* data, std::size_t n) : p_(data), n_(n) {}
   explicit Reader(const std::vector<std::uint8_t>& buf)
       : Reader(buf.data(), buf.size()) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return p_[pos_++];
+  template <class T>
+  void u8(T& v) {
+    v = detail::from_wire<T>(static_cast<std::uint8_t>(get(1)));
+  }
+  template <class T>
+  void u32(T& v) {
+    v = detail::from_wire<T>(static_cast<std::uint32_t>(get(4)));
+  }
+  template <class T>
+  void u64(T& v) {
+    v = detail::from_wire<T>(get(8));
+  }
+  template <class T>
+  void i64(T& v) {
+    v = detail::from_wire<T>(static_cast<std::int64_t>(get(8)));
   }
 
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(p_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(p_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-  double f64() {
-    std::uint64_t bits = u64();
-    double v;
+  void f64(double& v) {
+    const std::uint64_t bits = get(8);
     std::memcpy(&v, &bits, sizeof v);
-    return v;
   }
 
-  bool boolean() { return u8() != 0; }
+  void boolean(bool& v) { v = get(1) != 0; }
+
+  void str(std::string& s) {
+    const std::uint64_t len = get(8);
+    need(len);
+    s.assign(reinterpret_cast<const char*>(p_ + pos_),
+             static_cast<std::size_t>(len));
+    pos_ += static_cast<std::size_t>(len);
+  }
+
+  void blob(std::vector<std::uint8_t>& v) {
+    const std::size_t len = count(1);
+    v.assign(p_ + pos_, p_ + pos_ + len);
+    pos_ += len;
+  }
+
+  template <class T, class Msg>
+  void expect(const T& v, Msg&& what) {
+    static_assert(std::is_unsigned_v<T>, "expect takes an unsigned width");
+    const T found = static_cast<T>(get(sizeof(T)));
+    if (found != v) throw SnapError(detail::message(what, found));
+  }
+
+  std::size_t count(std::size_t /*n*/, std::size_t min_bytes) {
+    return count(min_bytes);
+  }
+
+  template <class C, class F>
+  void seq(C& c, std::size_t min_bytes, F&& elem) {
+    const std::size_t n = count(min_bytes);
+    c.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      typename C::value_type e{};
+      elem(e);
+      c.insert(c.end(), std::move(e));
+    }
+  }
+
+  /// Entries are emplaced, so a repeated key keeps its first value.
+  template <class M, class F>
+  void map(M& m, std::size_t min_bytes, F&& entry) {
+    const std::size_t n = count(min_bytes);
+    m.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      typename M::key_type k{};
+      typename M::mapped_type v{};
+      entry(k, v);
+      m.emplace(std::move(k), std::move(v));
+    }
+  }
+
+  template <class T>
+  void state(T& part) {
+    part.load_state(*this);
+  }
 
   /// Read an element count, refusing one whose elements (each at least
   /// `min_bytes` >= 1 long) could not fit in the unread bytes. Loaders
   /// size their containers from this, so a hostile count fails here
   /// instead of in a multi-terabyte allocation.
   std::size_t count(std::size_t min_bytes) {
-    const std::uint64_t n = u64();
+    const std::uint64_t n = get(8);
     if (n > remaining() / min_bytes) {
       throw SnapError("snapshot count " + std::to_string(n) + " at offset " +
                       std::to_string(pos_ - 8) + " exceeds the " +
@@ -152,19 +299,10 @@ public:
     return static_cast<std::size_t>(n);
   }
 
-  std::string str() {
-    const std::uint64_t len = u64();
-    need(len);
-    std::string s(reinterpret_cast<const char*>(p_ + pos_),
-                  static_cast<std::size_t>(len));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
-  }
-
   /// Open the next section and return its tag.
   std::uint32_t begin_section() {
-    const std::uint32_t tag = u32();
-    const std::uint64_t len = u64();
+    const auto tag = static_cast<std::uint32_t>(get(4));
+    const std::uint64_t len = get(8);
     need(len);
     ends_.push_back(pos_ + static_cast<std::size_t>(len));
     return tag;
@@ -211,6 +349,17 @@ private:
                       " bytes at offset " + std::to_string(pos_) +
                       ", have " + std::to_string(n_ - pos_));
     }
+  }
+
+  /// The next `width` bytes as a little-endian integer.
+  std::uint64_t get(std::size_t width) {
+    need(width);
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      v |= static_cast<std::uint64_t>(p_[pos_ + i]) << (8 * i);
+    }
+    pos_ += width;
+    return v;
   }
 
   const std::uint8_t* p_;

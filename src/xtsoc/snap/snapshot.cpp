@@ -21,8 +21,8 @@ std::string system_digest(const cosim::CoSimulation& cs) {
   return cs.system().interface().digest(cs.system().domain());
 }
 
-/// Verify magic, version and trailing CRC; returns a Reader positioned at
-/// the first section with the CRC trailer excluded from its range.
+/// Verify the trailing CRC; returns a Reader positioned at the magic with
+/// the CRC trailer excluded from its range.
 Reader open_checked(const std::uint8_t* data, std::size_t size) {
   // magic + version + CRC is the absolute minimum plausible file.
   if (size < 12) {
@@ -38,29 +38,65 @@ Reader open_checked(const std::uint8_t* data, std::size_t size) {
   if (fault::crc32(data, body) != stored) {
     throw SnapError("snapshot CRC mismatch (truncated or corrupted file)");
   }
-  Reader r(data, body);
-  if (r.u32() != kMagic) {
-    throw SnapError("not a snapshot file (bad magic)");
-  }
-  const std::uint32_t version = r.u32();
-  if (version != kSnapVersion) {
-    throw SnapError("unsupported snapshot version " + std::to_string(version) +
-                    " (this build reads version " +
-                    std::to_string(kSnapVersion) + ")");
-  }
-  return r;
+  return Reader(data, body);
+}
+
+/// Magic, version and the 'H' section.
+template <class Io, class Info>
+void header_layout(Io& io, Info& info) {
+  io.expect(kMagic, "not a snapshot file (bad magic)");
+  io.expect(kSnapVersion, [](std::uint32_t version) {
+    return "unsupported snapshot version " + std::to_string(version) +
+           " (this build reads version " + std::to_string(kSnapVersion) + ")";
+  });
+  io.begin_section(kTagHeader);
+  io.str(info.digest);
+  io.u64(info.cycle);
+  io.boolean(info.has_fault_streams);
+  io.boolean(info.has_obs_counters);
+  io.end_section();
 }
 
 SnapshotInfo read_header(Reader& r) {
   SnapshotInfo info;
   info.version = kSnapVersion;
-  r.begin_section(kTagHeader);
-  info.digest = r.str();
-  info.cycle = r.u64();
-  info.has_fault_streams = r.boolean();
-  info.has_obs_counters = r.boolean();
-  r.end_section();
+  header_layout(r, info);
   return info;
+}
+
+/// A section the header lists as `present`. A reader skips it when it has
+/// no `part` to load it into.
+template <class Io, class Part, class F>
+void optional_section(Io& io, std::uint32_t tag, bool present, Part* part,
+                      F&& body) {
+  if (!present) return;
+  io.begin_section(tag);
+  if constexpr (Io::kLoading) {
+    if (part == nullptr) {
+      io.skip_section();
+      return;
+    }
+  }
+  body(*part);
+  io.end_section();
+}
+
+/// Every section after the header, in file order.
+template <class Io, class Cs, class Plan, class Obs>
+void sections_layout(Io& io, Cs& cs, Plan* plan, Obs* obs,
+                     const SnapshotInfo& info) {
+  io.begin_section(kTagCosim);
+  io.state(cs);
+  io.end_section();
+  optional_section(io, kTagFault, info.has_fault_streams, plan,
+                   [&](auto& p) { io.state(p); });
+  optional_section(io, kTagObs, info.has_obs_counters, obs, [&](auto& o) {
+    if constexpr (Io::kLoading) {
+      o.load_counters(io);
+    } else {
+      o.save_counters(io);
+    }
+  });
 }
 
 }  // namespace
@@ -68,31 +104,15 @@ SnapshotInfo read_header(Reader& r) {
 std::vector<std::uint8_t> save(const cosim::CoSimulation& cs,
                                const fault::Plan* plan,
                                const obs::Registry* obs) {
+  SnapshotInfo info;
+  info.version = kSnapVersion;
+  info.digest = system_digest(cs);
+  info.cycle = cs.cycles();
+  info.has_fault_streams = plan != nullptr;
+  info.has_obs_counters = obs != nullptr;
   Writer w;
-  w.u32(kMagic);
-  w.u32(kSnapVersion);
-
-  w.begin_section(kTagHeader);
-  w.str(system_digest(cs));
-  w.u64(cs.cycles());
-  w.boolean(plan != nullptr);
-  w.boolean(obs != nullptr);
-  w.end_section();
-
-  w.begin_section(kTagCosim);
-  cs.save_state(w);
-  w.end_section();
-
-  if (plan != nullptr) {
-    w.begin_section(kTagFault);
-    plan->save_state(w);
-    w.end_section();
-  }
-  if (obs != nullptr) {
-    w.begin_section(kTagObs);
-    obs->save_counters(w);
-    w.end_section();
-  }
+  header_layout(w, std::as_const(info));
+  sections_layout(w, cs, plan, obs, info);
 
   std::vector<std::uint8_t> out = w.take();
   const std::uint32_t crc = fault::crc32(out.data(), out.size());
@@ -114,29 +134,7 @@ SnapshotInfo restore(cosim::CoSimulation& cs, const std::uint8_t* data,
         "snapshot was saved from a different system (interface digest " +
         info.digest + ", this elaboration has " + expected + ")");
   }
-
-  r.begin_section(kTagCosim);
-  cs.load_state(r);
-  r.end_section();
-
-  if (info.has_fault_streams) {
-    r.begin_section(kTagFault);
-    if (plan != nullptr && opts.load_fault_streams) {
-      plan->load_state(r);
-      r.end_section();
-    } else {
-      r.skip_section();
-    }
-  }
-  if (info.has_obs_counters) {
-    r.begin_section(kTagObs);
-    if (obs != nullptr) {
-      obs->load_counters(r);
-      r.end_section();
-    } else {
-      r.skip_section();
-    }
-  }
+  sections_layout(r, cs, opts.load_fault_streams ? plan : nullptr, obs, info);
   if (!r.at_end()) {
     throw SnapError("snapshot has trailing bytes after the last section");
   }

@@ -154,6 +154,37 @@ TEST(Database, LiveCountMatchesPoolScan) {
   EXPECT_EQ(restored.live_count(), 3u);
 }
 
+TEST(SnapReject, ForgedDatabaseFreeSlot) {
+  Domain d = make_db_domain();
+  Database db(d);
+  db.create(d.find_class_id("Dog"));
+  db.destroy(db.create(d.find_class_id("Dog")));
+  snap::Writer w;
+  db.save_state(w);
+  // Dog's free list holds slot 1. Its entry sits before Owner's empty free
+  // list and the two empty link lists (three u64 counts and the link-list
+  // count). The next create reuses the slot it names.
+  const std::size_t at = w.size() - 4 - 4 * 8;
+  ASSERT_EQ(w.data()[at], 1);
+  for (const std::uint8_t forged : {0, 2}) {
+    std::vector<std::uint8_t> bytes = w.data();
+    bytes[at] = forged;
+    Database restored(d);
+    snap::Reader r(bytes);
+    try {
+      restored.load_state(r);
+      FAIL() << "forged free slot " << int{forged} << " not rejected";
+    } catch (const snap::SnapError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "database snapshot frees slot " + std::to_string(forged) +
+                    " of class 0: not one of its 2 slots, live, or listed "
+                    "twice"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Database, RelateAndSelect) {
   Domain d = make_db_domain();
   Database db(d);

@@ -810,6 +810,68 @@ TEST(SnapReject, ForgedRouterCredits) {
   }
 }
 
+TEST(SnapReject, ForgedRouterRoundRobin) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  const IdleRouterSnapshot s = idle_router_snapshot(fx);
+  ASSERT_GE(s.tile, 0);
+  // After five empty FIFOs and five credit counters. Arbitration starts
+  // its scan at the pointer, so -1 would read in_[-1].
+  const std::size_t rr_at = s.at + 5 * 8 + 5 * 4;
+  for (const std::uint32_t forged : {5u, 0xffffffffu}) {
+    std::vector<std::uint8_t> bytes = s.bytes;
+    put_u32(bytes, rr_at + 4 * noc::kEast, forged);
+    expect_bytes_refused(fx, bytes,
+                         "snapshot holds round-robin pointer " +
+                             std::to_string(forged) +
+                             " for east, outside [0, 5)");
+  }
+}
+
+TEST(SnapReject, ForgedRouterCreditsWithoutLink) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  const IdleRouterSnapshot s = idle_router_snapshot(fx);
+  ASSERT_GE(s.tile, 0);
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  // The ejection port and every mesh edge of a 2x2 router have no link;
+  // a flit routed to one would index links_[-1].
+  std::vector<noc::Port> linkless = {noc::kLocal};
+  for (noc::Port p : {noc::kNorth, noc::kEast, noc::kSouth, noc::kWest}) {
+    if (cs.fabric().topology().neighbors(s.tile, p) < 0) linkless.push_back(p);
+  }
+  ASSERT_EQ(linkless.size(), 3u);
+  for (noc::Port p : linkless) {
+    std::vector<std::uint8_t> bytes = s.bytes;
+    put_u32(bytes, s.at + 5 * 8 + 4 * static_cast<std::size_t>(p), 1);
+    expect_bytes_refused(fx, bytes,
+                         "snapshot holds 1 credits toward " +
+                             std::string(noc::to_string(p)) +
+                             ", which has no link");
+  }
+}
+
+TEST(SnapReject, ForgedFlitCoordinates) {
+  MappedFixture fx(make_ring_domain(), ring_marks());
+  const IdleRouterSnapshot s = idle_router_snapshot(fx);
+  ASSERT_GE(s.tile, 0);
+  // One flit in the local FIFO, bound for or coming from a tile past the
+  // 2x2 mesh; the fabric indexes its NICs by these coordinates.
+  for (const bool bad_dst : {true, false}) {
+    noc::Flit f;
+    f.dst_x = bad_dst ? 7 : 1;
+    f.src_y = bad_dst ? 0 : 2;
+    Writer flit;
+    noc::save_flit(flit, f);
+    std::vector<std::uint8_t> bytes = s.bytes;
+    bytes[s.at] = 1;
+    bytes.insert(bytes.begin() + static_cast<long>(s.at + 8),
+                 flit.data().begin(), flit.data().end());
+    expect_bytes_refused(fx, bytes,
+                         std::string("fabric snapshot holds a flit from ") +
+                             (bad_dst ? "(0,0) to (7,0)" : "(0,2) to (1,0)") +
+                             ", outside the 2x2 network");
+  }
+}
+
 TEST(SnapReject, ForgedMemoryStoreBufferCount) {
   MappedFixture fx(make_ring_domain(), ring_mem_marks());
   CoSimulation cs(*fx.system, CoSimConfig{});
@@ -968,8 +1030,9 @@ TEST(SnapReject, ForgedKernelClockSchedule) {
 //
 // Seeded byte mutations of a valid checkpoint, each with its CRC
 // recomputed so the mutation reaches the section decoders. Every mutated
-// file must be refused with SnapError, or restore and render report():
-// nothing may crash, hang or escape with another exception.
+// file must be refused with SnapError, or restore, render report() and
+// run on: nothing may crash, hang or escape the restore with another
+// exception.
 
 /// Two hardware workers on tiles 1 and 2 of a 2x2 mesh whose tile 3 is the
 /// DRAM edge. They pass a job back and forth across the mesh forever, and
@@ -1007,18 +1070,27 @@ marks::MarkSet mem_pair_marks() {
   return m;
 }
 
+/// Create W0 and W1, pair them and start one job at W0 (and, with
+/// `both`, a second one at W1). Returns W0 and W1.
+std::pair<runtime::InstanceHandle, runtime::InstanceHandle> boot_mem_pair(
+    CoSimulation& cs, bool both = false) {
+  const runtime::InstanceHandle w0 = cs.create("W0");
+  const runtime::InstanceHandle w1 = cs.create("W1");
+  // peer is the second declared attribute (sum, peer).
+  cs.executor_of(w0.cls).database().set_attr(w0, AttributeId(1), Value(w1));
+  cs.executor_of(w1.cls).database().set_attr(w1, AttributeId(1), Value(w0));
+  cs.inject(w0, "job", {Value(std::int64_t{0})});
+  if (both) cs.inject(w1, "job", {Value(std::int64_t{2})});
+  return {w0, w1};
+}
+
 TEST(SnapFuzz, MutatedCheckpointsAreRefusedOrRestored) {
   MappedFixture fx(make_mem_pair_domain(), mem_pair_marks());
   std::vector<std::uint8_t> valid;
   {
     CoSimulation cs(*fx.system, CoSimConfig{});
     ASSERT_NE(cs.mem_system(), nullptr);
-    const runtime::InstanceHandle w0 = cs.create("W0");
-    const runtime::InstanceHandle w1 = cs.create("W1");
-    // peer is the second declared attribute (sum, peer).
-    cs.executor_of(w0.cls).database().set_attr(w0, AttributeId(1), Value(w1));
-    cs.executor_of(w1.cls).database().set_attr(w1, AttributeId(1), Value(w0));
-    cs.inject(w0, "job", {Value(std::int64_t{0})});
+    boot_mem_pair(cs);
     cs.run_cycles(150);
     ASSERT_GT(cs.mem_system()->stats().stores, 0u);
     valid = save(cs);
@@ -1059,12 +1131,58 @@ TEST(SnapFuzz, MutatedCheckpointsAreRefusedOrRestored) {
       continue;
     }
     EXPECT_FALSE(cs.report().to_json(2).empty()) << "seed " << seed;
+    // What restores must also run. A std::exception from the model or the
+    // interconnect is a refusal; a crash, a sanitizer report or a hang is
+    // a loader defect.
+    try {
+      cs.run_cycles(20);
+      cs.create("W0");
+    } catch (const std::exception&) {
+    }
     ++restored;
   }
   // Both outcomes occur: the mutations reach decoders that refuse them and
   // payload bytes that decode to some other valid state.
   EXPECT_GT(refused, 0);
   EXPECT_GT(restored, 0);
+}
+
+std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+// Found by SnapFuzz: reads assume every settled version of the value store
+// was visible when the checkpoint was taken.
+TEST(SnapReject, ForgedMemoryVersionVisibility) {
+  MappedFixture fx(make_mem_pair_domain(), mem_pair_marks());
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_mem_pair(cs);
+  cs.run_cycles(150);
+  const std::vector<std::uint8_t> bytes = save(cs);
+  Writer mem;
+  cs.mem_system()->save_state(mem);
+  // Skip the domain count and each domain's tile, sequence number, store
+  // buffer (32 bytes a store) and accesses (17 bytes each).
+  std::size_t at = locate(bytes, mem.data());
+  const std::uint64_t domains = get_u64(bytes, at);
+  at += 8;
+  for (std::uint64_t d = 0; d < domains; ++d) {
+    at += 8 + 8;
+    at += 8 + 32 * get_u64(bytes, at);
+    at += 8 + 17 * get_u64(bytes, at);
+  }
+  ASSERT_GT(get_u64(bytes, at), 0u);
+  // The first cell: its address, version count and value, then the cycle
+  // the version became visible.
+  const std::size_t vis_at = at + 8 + 8 + 8 + 8;
+  expect_forgery_refused(fx, bytes, vis_at, 151,
+                         "visible at cycle 151, after the checkpoint's "
+                         "cycle 150",
+                         nullptr, nullptr);
 }
 
 // --- golden pins ---------------------------------------------------------------
@@ -1091,13 +1209,8 @@ std::uint64_t pin_saves(CoSimulation& cs, std::uint64_t step, int saves,
 TEST(SnapGolden, MemoryHierarchyMidRun) {
   MappedFixture fx(make_mem_pair_domain(), mem_pair_marks());
   CoSimulation cs(*fx.system, CoSimConfig{});
-  const runtime::InstanceHandle w0 = cs.create("W0");
-  const runtime::InstanceHandle w1 = cs.create("W1");
-  cs.executor_of(w0.cls).database().set_attr(w0, AttributeId(1), Value(w1));
-  cs.executor_of(w1.cls).database().set_attr(w1, AttributeId(1), Value(w0));
   // Two jobs chase each other, so both tiles contend for the shared lines.
-  cs.inject(w0, "job", {Value(std::int64_t{0})});
-  cs.inject(w1, "job", {Value(std::int64_t{2})});
+  boot_mem_pair(cs, true);
   std::string all;
   int busy = 0;
   for (int i = 0; i < 40; ++i) {
