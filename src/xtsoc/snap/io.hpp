@@ -260,6 +260,7 @@ public:
   void seq(C& c, std::size_t min_bytes, F&& elem) {
     const std::size_t n = count(min_bytes);
     c.clear();
+    if constexpr (requires { c.reserve(n); }) c.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       typename C::value_type e{};
       elem(e);

@@ -11,7 +11,8 @@
 //                first; readable without touching the state payload
 //                (inspect()).
 //   'C' cosim  : CoSimulation::save_state — kernel, interconnect,
-//                channels, domain executors, cycle counter.
+//                channel buffers, each domain's executor, outbox and
+//                inbox, cycle counter, memory hierarchy.
 //   'F' fault  : fault::Plan RNG stream positions (present only when a
 //                plan was attached at save time).
 //   'O' obs    : obs::Registry counters (present only when a registry was
