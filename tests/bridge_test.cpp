@@ -275,6 +275,52 @@ TEST(SnapReject, ForgedBridgeForwardCount) {
   }
 }
 
+// The carry backoff shifts by a forward's attempt count, so a restored
+// count must stay a valid shift.
+TEST(SnapReject, ForgedBridgeForwardAttempts) {
+  TwoDomains s;
+  fault::FaultSpec spec;
+  spec.seed = 5;
+  spec.bus_error = 0.5;
+  fault::Plan plan(spec);
+  SystemExecutor sys(s.def, {}, &plan);
+  auto& app = sys.domain("App");
+  auto& dev = sys.domain("Device");
+  auto proxy = app.create("HeaterProxy");
+  auto thermo = app.create_with("Thermostat", {{"heater", Value(proxy)}});
+  auto app_proxy = dev.create("AppProxy");
+  auto heater = dev.create_with("Heater", {{"client", Value(app_proxy)}});
+  sys.bind(proxy, "App", heater, "Device");
+  sys.bind(app_proxy, "Device", thermo, "App");
+  app.inject(thermo, "too_cold", {Value(std::int64_t{1})});
+  EXPECT_THROW(sys.run_all(1), ModelError);
+  ASSERT_GT(sys.retried_forward_count(), 0u);  // so it is still pending
+
+  snap::Writer w;
+  sys.save_state(w);
+  // The last forward ends with its attempt count and backoff round, before
+  // the three trailing counters.
+  const std::size_t at = w.size() - 3 * 8 - 8 - 8;
+  for (const std::int64_t forged : {std::int64_t{-1}, std::int64_t{64}}) {
+    std::vector<std::uint8_t> bytes = w.data();
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<std::uint8_t>(
+          static_cast<std::uint64_t>(forged) >> (8 * i));
+    }
+    snap::Reader r(bytes);
+    try {
+      sys.load_state(r);
+      FAIL() << "forged attempt count " << forged << " not rejected";
+    } catch (const snap::SnapError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "bridge snapshot forward has made " +
+                    std::to_string(forged) + " carry attempts"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // The bridge's checkpoint bytes with forwards pending mid-backoff, pinned
 // by FNV-1a. A changed pin means the checkpoint layout changed: bump
 // kSnapVersion and re-pin.

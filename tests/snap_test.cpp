@@ -1155,33 +1155,80 @@ std::uint64_t get_u64(const std::vector<std::uint8_t>& bytes, std::size_t at) {
   return v;
 }
 
+/// The mem-pair workload after 150 cycles, with the offsets of its memory
+/// section's parts.
+struct MemSnapshot {
+  std::vector<std::uint8_t> bytes;
+  std::size_t at = 0;      ///< the domain count
+  std::size_t cells = 0;   ///< the value store's address count
+  std::size_t caches = 0;  ///< the cache count
+};
+
+MemSnapshot mem_snapshot(MappedFixture& fx) {
+  CoSimulation cs(*fx.system, CoSimConfig{});
+  boot_mem_pair(cs);
+  cs.run_cycles(150);
+  MemSnapshot m;
+  m.bytes = save(cs);
+  Writer mem;
+  cs.mem_system()->save_state(mem);
+  m.at = locate(m.bytes, mem.data());
+  // Each domain: its tile, sequence number, store buffer (32 bytes a
+  // store) and accesses (17 bytes each).
+  std::size_t at = m.at + 8;
+  for (std::uint64_t d = get_u64(m.bytes, m.at); d > 0; --d) {
+    at += 8 + 8;
+    at += 8 + 32 * get_u64(m.bytes, at);
+    at += 8 + 17 * get_u64(m.bytes, at);
+  }
+  m.cells = at;
+  // Each address: the address and its versions (32 bytes each).
+  at += 8;
+  for (std::uint64_t c = get_u64(m.bytes, m.cells); c > 0; --c) {
+    at += 8;
+    at += 8 + 32 * get_u64(m.bytes, at);
+  }
+  m.caches = at;
+  return m;
+}
+
 // Found by SnapFuzz: reads assume every settled version of the value store
 // was visible when the checkpoint was taken.
 TEST(SnapReject, ForgedMemoryVersionVisibility) {
   MappedFixture fx(make_mem_pair_domain(), mem_pair_marks());
-  CoSimulation cs(*fx.system, CoSimConfig{});
-  boot_mem_pair(cs);
-  cs.run_cycles(150);
-  const std::vector<std::uint8_t> bytes = save(cs);
-  Writer mem;
-  cs.mem_system()->save_state(mem);
-  // Skip the domain count and each domain's tile, sequence number, store
-  // buffer (32 bytes a store) and accesses (17 bytes each).
-  std::size_t at = locate(bytes, mem.data());
-  const std::uint64_t domains = get_u64(bytes, at);
-  at += 8;
-  for (std::uint64_t d = 0; d < domains; ++d) {
-    at += 8 + 8;
-    at += 8 + 32 * get_u64(bytes, at);
-    at += 8 + 17 * get_u64(bytes, at);
-  }
-  ASSERT_GT(get_u64(bytes, at), 0u);
-  // The first cell: its address, version count and value, then the cycle
-  // the version became visible.
-  const std::size_t vis_at = at + 8 + 8 + 8 + 8;
-  expect_forgery_refused(fx, bytes, vis_at, 151,
+  const MemSnapshot m = mem_snapshot(fx);
+  ASSERT_GT(get_u64(m.bytes, m.cells), 0u);
+  // The first address: the address, its version count and value, then the
+  // cycle the version became visible.
+  expect_forgery_refused(fx, m.bytes, m.cells + 8 + 8 + 8 + 8, 151,
                          "visible at cycle 151, after the checkpoint's "
                          "cycle 150",
+                         nullptr, nullptr);
+}
+
+TEST(SnapReject, ForgedMemoryDomainTile) {
+  MappedFixture fx(make_mem_pair_domain(), mem_pair_marks());
+  const MemSnapshot m = mem_snapshot(fx);
+  // The first domain's tile; a tile with no cache indexes an empty one.
+  expect_forgery_refused(fx, m.bytes, m.at + 8, 2,
+                         "memory snapshot domain tile mismatch", nullptr,
+                         nullptr);
+}
+
+TEST(SnapReject, ForgedMemoryMissWay) {
+  MappedFixture fx(make_mem_pair_domain(), mem_pair_marks());
+  const MemSnapshot m = mem_snapshot(fx);
+  // The first cache: its tile, LRU tick and lines (17 bytes each), then
+  // the MSHR's valid flag, line, want, write flag, issue cycle and way.
+  const std::size_t lines_at = m.caches + 8 + 8 + 8;
+  const std::uint64_t lines = get_u64(m.bytes, lines_at);
+  ASSERT_GT(lines, 0u);
+  const std::size_t way_at = lines_at + 8 + 17 * lines + 1 + 8 + 1 + 1 + 8;
+  expect_forgery_refused(fx, m.bytes, way_at, lines,
+                         "lines with its miss in way " +
+                             std::to_string(lines) +
+                             ", the configuration has " +
+                             std::to_string(lines),
                          nullptr, nullptr);
 }
 
