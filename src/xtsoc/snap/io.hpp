@@ -22,13 +22,14 @@
 //   str, blob              a length-prefixed string / byte vector
 //   seq(c, min, elem)      a u64 count, then elem(e) for each element
 //   map(m, min, entry)     a u64 count, then entry(key, value) per entry
-//   count(n, min)          a bare u64 count for containers seq cannot fill
+//   count(n, min)          a bare u64 count for containers seq cannot
+//                          fill: Writer writes n, Reader returns its count
 //   expect(v, message)     a shape guard: Writer writes v, Reader throws
 //                          SnapError(message) unless it reads back v
 //   state(part)            part.save_state(w) / part.load_state(r)
 //
 // `min` is the shortest encoding of one element: Reader refuses a count
-// whose elements could not fit in the bytes left (Reader::count). It is
+// whose elements could not fit in the bytes left. It is
 // spelled out at each call, never derived from a default element, whose
 // encoding may be longer than the shortest legal one. Checks and derived
 // state that only a load needs sit in the layout under
@@ -286,20 +287,6 @@ public:
     part.load_state(*this);
   }
 
-  /// Read an element count, refusing one whose elements (each at least
-  /// `min_bytes` >= 1 long) could not fit in the unread bytes. Loaders
-  /// size their containers from this, so a hostile count fails here
-  /// instead of in a multi-terabyte allocation.
-  std::size_t count(std::size_t min_bytes) {
-    const std::uint64_t n = get(8);
-    if (n > remaining() / min_bytes) {
-      throw SnapError("snapshot count " + std::to_string(n) + " at offset " +
-                      std::to_string(pos_ - 8) + " exceeds the " +
-                      std::to_string(remaining()) + " bytes left");
-    }
-    return static_cast<std::size_t>(n);
-  }
-
   /// Open the next section and return its tag.
   std::uint32_t begin_section() {
     const auto tag = static_cast<std::uint32_t>(get(4));
@@ -344,6 +331,20 @@ public:
   std::size_t position() const { return pos_; }
 
 private:
+  /// Read an element count, refusing one whose elements (each at least
+  /// `min_bytes` >= 1 long) could not fit in the unread bytes. Loaders
+  /// size their containers from this, so a hostile count fails here
+  /// instead of in a multi-terabyte allocation.
+  std::size_t count(std::size_t min_bytes) {
+    const std::uint64_t n = get(8);
+    if (n > remaining() / min_bytes) {
+      throw SnapError("snapshot count " + std::to_string(n) + " at offset " +
+                      std::to_string(pos_ - 8) + " exceeds the " +
+                      std::to_string(remaining()) + " bytes left");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   void need(std::uint64_t n) const {
     if (n > n_ - pos_) {
       throw SnapError("truncated snapshot: need " + std::to_string(n) +
