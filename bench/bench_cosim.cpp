@@ -353,9 +353,10 @@ void emit_json() {
   }
   {
     // Observability residue. With no registry every probe is a dead null
-    // test; with a registry attached but tracing off, counters count and
-    // spans skip. The CI benchmarks job gates obs_disabled_overhead_pct
-    // <= 2; bench/overhead.hpp explains how the probe stays below that.
+    // test; with a registry attached but tracing off, each span checks one
+    // relaxed atomic and skips. The CI benchmarks job gates
+    // obs_disabled_overhead_pct <= 2; bench/overhead.hpp explains how the
+    // probe stays below that.
     constexpr int kNodes = 4 * 4 - 1;
     auto variant = [](bool attach, bool trace) {
       return bench::OverheadVariant{[attach, trace] {

@@ -187,16 +187,14 @@ runtime::InstanceHandle CoSimulation::create(std::string_view class_name) {
     throw runtime::ModelError("unknown class '" + std::string(class_name) + "'");
   }
   runtime::Executor& owner = executor_of(cls);
-  // Hardware instance pools are finite: the maxInstances mark is the FSM
-  // bank capacity the VHDL is generated with, so the executable mapping
-  // enforces it too.
-  if (sys_->partition().is_hardware(cls)) {
-    const int cap = sys_->mapping_of(cls).max_instances;
-    if (owner.database().live_count(cls) >= static_cast<std::size_t>(cap)) {
-      throw runtime::ModelError(
-          "hardware pool of '" + std::string(class_name) + "' is full (" +
-          std::to_string(cap) + " instances; raise the maxInstances mark)");
-    }
+  // Instance pools are finite: the maxInstances mark sizes the FSM bank the
+  // VHDL is generated with and the pool the C is generated with, so the
+  // executable mapping enforces it for every class, with the C's wording.
+  const int cap = sys_->mapping_of(cls).max_instances;
+  if (owner.database().live_count(cls) >= static_cast<std::size_t>(cap)) {
+    throw runtime::ModelError(
+        "pool of '" + std::string(class_name) + "' is full (" +
+        std::to_string(cap) + " instances; raise the maxInstances mark)");
   }
   return owner.create(cls);
 }
@@ -204,7 +202,7 @@ runtime::InstanceHandle CoSimulation::create(std::string_view class_name) {
 runtime::InstanceHandle CoSimulation::create_with(
     std::string_view class_name,
     const std::vector<std::pair<std::string, runtime::Value>>& attrs) {
-  // Route through create() so the hardware pool-capacity check applies.
+  // Route through create() so the pool-capacity check applies.
   runtime::InstanceHandle h = create(class_name);
   runtime::Database& db = executor_of(h.cls).database();
   const xtuml::ClassDef& def = sys_->domain().cls(h.cls);

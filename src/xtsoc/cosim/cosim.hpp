@@ -82,6 +82,7 @@
 #include "xtsoc/cosim/swdomain.hpp"
 #include "xtsoc/mem/mem.hpp"
 #include "xtsoc/noc/fabric.hpp"
+#include "xtsoc/obs/snapshot.hpp"
 
 namespace xtsoc::hwsim {
 class WorkerPool;
@@ -229,8 +230,8 @@ public:
 
   /// One structured stats report covering the whole co-simulation: run
   /// shape, kernel SimStats, interconnect (Bus or Fabric) stats, per-domain
-  /// executor stats, plus obs counters when a registry is attached. This is
-  /// THE serialization path for cosim stats — see cosim/report.hpp.
+  /// executor stats. This is THE serialization path for cosim stats — see
+  /// cosim/report.hpp.
   obs::Snapshot report() const;
 
   // --- checkpointing ---------------------------------------------------------
@@ -241,8 +242,9 @@ public:
   /// restore re-elaborates a CoSimulation from the same MappedSystem —
   /// with ANY threads/window configuration — and calls load_state, after
   /// which traces, VCD, stats and report() are byte-identical to the
-  /// uninterrupted run. The attached fault plan and obs registry are
-  /// external and serialized by the snap snapshot layer.
+  /// uninterrupted run. The attached fault plan is external and
+  /// serialized by the snap snapshot layer; the obs registry holds no
+  /// simulation state.
   void save_state(snap::Writer& w) const;
   void load_state(snap::Reader& r);
 

@@ -21,16 +21,12 @@ HwDomain::HwDomain(const mapping::MappedSystem& sys, hwsim::Simulator& sim,
             ClassId dst = m.target.cls;
             outbox_.stage(dst, encode_message(sys_->interface(), m), cycle_,
                           extra);
-            OBS_COUNT(c_frames_out_);
             exec_.recycle_args(std::move(m.args));
           }) {
   if (config.obs != nullptr) {
     obs_ = config.obs;
     obs_track_ = config.obs_track.is_valid() ? config.obs_track
                                              : obs_->track("executor");
-    const std::string& tn = obs_->track_name(obs_track_);
-    c_frames_in_ = obs_->counter(tn + ".frames_in");
-    c_frames_out_ = obs_->counter(tn + ".frames_out");
   }
   for (ClassId cls : owned_) owned_mask_[cls.value()] = 1;
   divider_.resize(sys.domain().class_count(), 1);
@@ -95,7 +91,6 @@ void HwDomain::step_cycle(std::size_t k) {
     runtime::EventMessage m = decode_frame(sys_->interface(), f);
     m.deliver_at = exec_.now();
     exec_.deliver_remote(std::move(m));
-    OBS_COUNT(c_frames_in_);
   });
 
   // One signal per instance per clock: parallel FSMs, each consuming at

@@ -191,8 +191,6 @@ private:
   // shared with this domain's executor, e.g. "executor/hw0").
   obs::Registry* obs_ = nullptr;
   obs::TrackId obs_track_;
-  obs::Counter* c_frames_in_ = nullptr;
-  obs::Counter* c_frames_out_ = nullptr;
 
   /// Wire writes staged per edge; [k] holds edge k's writes.
   std::vector<std::vector<hwsim::WireWrite>> edge_writes_;

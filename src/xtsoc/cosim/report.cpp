@@ -152,14 +152,6 @@ obs::Snapshot CoSimulation::report() const {
     classes.push_back(std::move(k));
   }
 
-  // Registry counters ride along when an observability registry is attached
-  // — the same name-sorted object Registry::snapshot() would emit.
-  if (obs_ != nullptr) {
-    JsonValue& cs = snap["counters"];
-    cs = JsonValue::object();
-    for (const auto& [name, value] : obs_->counters()) cs[name] = value;
-  }
-
   // Like faults below, the engines section exists only when the caller
   // recorded an engine request, so default runs keep byte-identical
   // reports — which is what lets the jit-vs-walker parity grid compare

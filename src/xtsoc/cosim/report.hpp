@@ -11,12 +11,12 @@
 //     "interconnect": to_json(BusStats) | to_json(FabricStats),
 //     "domains":      [ { name, dispatches, ops, queue_high_water }, ... ],
 //     "classes":      [ { name, domain, dispatches, ops, live }, ... ],
-//     "counters":     { ... }           // only when a Registry is attached
 //   }
 //
 // Every consumer (xtsocc --obs=snapshot, the repartition advisor below, the
 // tests) reads this document; nothing serializes a stats struct by hand
-// anymore.
+// anymore. Each count lives once, in its subsystem's stats: an attached
+// obs::Registry records spans only and changes no byte of the report.
 #pragma once
 
 #include "xtsoc/cosim/bus.hpp"

@@ -18,17 +18,8 @@ SwDomain::SwDomain(const mapping::MappedSystem& sys, Channel& channel,
             // phase B, in the serial order.
             outbox_.stage(dst, encode_message(sys_->interface(), m), cycle_,
                           extra);
-            OBS_COUNT(c_frames_out_);
             exec_.recycle_args(std::move(m.args));
           }) {
-  if (config.obs != nullptr) {
-    obs_ = config.obs;
-    obs_track_ = config.obs_track.is_valid() ? config.obs_track
-                                             : obs_->track("executor");
-    const std::string& tn = obs_->track_name(obs_track_);
-    c_frames_in_ = obs_->counter(tn + ".frames_in");
-    c_frames_out_ = obs_->counter(tn + ".frames_out");
-  }
 }
 
 void SwDomain::latch_cycle(std::uint64_t cycle) {
@@ -38,7 +29,6 @@ void SwDomain::latch_cycle(std::uint64_t cycle) {
     runtime::EventMessage m = decode_frame(sys_->interface(), f);
     m.deliver_at = exec_.now();
     exec_.deliver_remote(std::move(m));
-    OBS_COUNT(c_frames_in_);
   });
 }
 

@@ -85,13 +85,6 @@ private:
 
   std::vector<Frame> inbox_;
   Outbox outbox_;
-
-  // Observability (null members when no registry is attached; the track is
-  // shared with this domain's executor, "executor/sw").
-  obs::Registry* obs_ = nullptr;
-  obs::TrackId obs_track_;
-  obs::Counter* c_frames_in_ = nullptr;
-  obs::Counter* c_frames_out_ = nullptr;
 };
 
 }  // namespace xtsoc::cosim

@@ -12,8 +12,6 @@ constexpr std::uint64_t kHalfPeriod = 1;
 Simulator::Simulator(obs::Registry* obs) : obs_(obs) {
   if (obs_ != nullptr) {
     obs_track_ = obs_->track("kernel");
-    c_delta_cycles_ = obs_->counter("kernel.delta_cycles");
-    c_activations_ = obs_->counter("kernel.process_activations");
   }
 }
 
@@ -80,8 +78,6 @@ void Simulator::edge(std::span<const std::vector<WireWrite>* const> staged) {
   if (domains_ > 0) {
     ++stats_.delta_cycles;
     stats_.process_activations += domains_;
-    OBS_COUNT(c_delta_cycles_);
-    OBS_COUNT_N(c_activations_, domains_);
   }
   for (const std::vector<WireWrite>* batch : staged) {
     for (const WireWrite& ww : *batch) commit(state(ww.w), ww.value);

@@ -133,8 +133,6 @@ private:
   // Observability (null members when no registry is attached).
   obs::Registry* obs_ = nullptr;
   obs::TrackId obs_track_;
-  obs::Counter* c_delta_cycles_ = nullptr;
-  obs::Counter* c_activations_ = nullptr;
 };
 
 }  // namespace xtsoc::hwsim

@@ -21,7 +21,7 @@ struct ClassMapping {
   ClassId cls;
   marks::Target target = marks::Target::kSoftware;
   int clock_domain = 0;    ///< hardware classes: which clock drives the FSM
-  int max_instances = 64;  ///< hardware classes: instance pool capacity
+  int max_instances = 64;  ///< instance pool capacity (C pool, VHDL bank)
   int int_width = 32;      ///< wire width of int fields
 };
 

@@ -34,7 +34,7 @@ const char* to_string(Target t);
 /// their own) but validation warns about likely typos of these.
 inline constexpr const char* kIsHardware = "isHardware";    // bool, class
 inline constexpr const char* kClockDomain = "clockDomain";  // int, class
-inline constexpr const char* kMaxInstances = "maxInstances";// int, class (hw pool size)
+inline constexpr const char* kMaxInstances = "maxInstances";// int, class (pool size)
 inline constexpr const char* kBusLatency = "busLatency";    // int, domain
 inline constexpr const char* kIntWidth = "intWidth";        // int, class (wire bits)
 

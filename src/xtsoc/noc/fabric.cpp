@@ -24,10 +24,6 @@ void LatencyHistogram::add(std::uint64_t latency) {
 Fabric::Fabric(FabricConfig config) : config_(config), obs_(config.obs) {
   if (obs_ != nullptr) {
     obs_track_ = obs_->track("noc");
-    c_frames_sent_ = obs_->counter("noc.frames_sent");
-    c_frames_delivered_ = obs_->counter("noc.frames_delivered");
-    c_flits_injected_ = obs_->counter("noc.flits_injected");
-    c_credit_stalls_ = obs_->counter("noc.credit_stalls");
   }
   if (config_.width < 1 || config_.height < 1) {
     throw FabricError("mesh dimensions must be at least 1x1");
@@ -153,7 +149,6 @@ void Fabric::send_frame(int src, int dst, std::uint32_t opcode,
   Nic& nic = nics_[static_cast<std::size_t>(src)];
   ++frames_sent_;
   payload_bytes_ += payload.size();
-  OBS_COUNT(c_frames_sent_);
 
   PendingTx tx;
   tx.dst = dst;
@@ -264,7 +259,6 @@ void Fabric::complete_frame(int tile, int src_tile, std::uint32_t frame_id,
   d.due_cycle = std::max(cycle, min_due);
   latency_.add(cycle - send_cycle);
   ++frames_delivered_;
-  OBS_COUNT(c_frames_delivered_);
   if (obs_ != nullptr && obs_->tracing()) {
     obs_->record_instant(obs_track_, "deliver", obs_->now_ns(), cycle);
   }
@@ -438,7 +432,6 @@ void Fabric::tick(std::uint64_t cycle) {
     if (nic.tx.empty()) sending_nics_.erase(t);
     --nic.inject_credits;
     ++flits_injected_;
-    OBS_COUNT(c_flits_injected_);
   });
 
   // 3. Route and arbitrate. Decisions read only cycle-start state (own
@@ -477,7 +470,6 @@ void Fabric::tick(std::uint64_t cycle) {
       }
       if (r.credits(out) <= 0) {  // backpressure: stall, keep order
         ++r.stats().credit_stalls;
-        OBS_COUNT(c_credit_stalls_);
         continue;
       }
       const int next = neighbor_of(t, out);

@@ -329,10 +329,6 @@ private:
   // Observability (null members when no registry is attached).
   obs::Registry* obs_ = nullptr;
   obs::TrackId obs_track_;
-  obs::Counter* c_frames_sent_ = nullptr;
-  obs::Counter* c_frames_delivered_ = nullptr;
-  obs::Counter* c_flits_injected_ = nullptr;
-  obs::Counter* c_credit_stalls_ = nullptr;
   std::size_t last_in_flight_ = 0;  ///< last sampled in-flight flit count
 };
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "xtsoc/snap/io.hpp"
+#include "xtsoc/obs/json.hpp"
 
 namespace xtsoc::obs {
 
@@ -28,44 +28,6 @@ std::size_t Registry::track_count() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return tracks_.size();
 }
-
-Counter* Registry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& c : counters_) {
-    if (c->name() == name) return c.get();
-  }
-  counters_.push_back(std::make_unique<Counter>(std::string(name)));
-  return counters_.back().get();
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> Registry::counters() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out.reserve(counters_.size());
-    for (const auto& c : counters_) out.emplace_back(c->name(), c->value());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-template <class Io, class Self>
-void Registry::layout(Io& io, Self& self) {
-  // A counter is a length-prefixed name and its value, name-sorted.
-  std::vector<std::pair<std::string, std::uint64_t>> all;
-  if constexpr (!Io::kLoading) all = self.counters();
-  io.seq(all, 8 + 8, [&](auto& c) {
-    io.str(c.first);
-    io.u64(c.second);
-  });
-  if constexpr (Io::kLoading) {
-    for (const auto& [name, value] : all) self.counter(name)->set(value);
-  }
-}
-
-void Registry::save_counters(snap::Writer& w) const { layout(w, *this); }
-
-void Registry::load_counters(snap::Reader& r) { layout(r, *this); }
 
 std::uint64_t Registry::now_ns() const {
   return static_cast<std::uint64_t>(
@@ -126,43 +88,6 @@ std::size_t Registry::event_count() const {
 void Registry::set_event_capacity(std::size_t cap) {
   std::lock_guard<std::mutex> lock(mutex_);
   event_capacity_ = cap;
-}
-
-void Registry::add_section(std::string name, std::function<JsonValue()> fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (Section& s : sections_) {
-    if (s.name == name) {
-      s.fn = std::move(fn);
-      return;
-    }
-  }
-  sections_.push_back({std::move(name), std::move(fn)});
-}
-
-void Registry::remove_section(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sections_.erase(
-      std::remove_if(sections_.begin(), sections_.end(),
-                     [&](const Section& s) { return s.name == name; }),
-      sections_.end());
-}
-
-Snapshot Registry::snapshot() const {
-  // Copy the section list out first: section adapters call back into
-  // subsystems which may themselves query this registry.
-  std::vector<Section> sections;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    sections = sections_;
-  }
-  Snapshot snap;
-  for (const Section& s : sections) {
-    snap[s.name] = s.fn ? s.fn() : JsonValue();
-  }
-  JsonValue& cs = snap["counters"];
-  cs = JsonValue::object();
-  for (const auto& [name, value] : counters()) cs[name] = value;
-  return snap;
 }
 
 namespace {

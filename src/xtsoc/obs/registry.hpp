@@ -1,25 +1,20 @@
-// obs::Registry — the one observability surface of the toolchain.
+// obs::Registry — the span recorder of the toolchain.
 //
-// A Registry owns three kinds of instrument:
-//
-//   * counters  — named monotonic uint64s (atomic adds; safe from the
-//     parallel phase-A workers and the kernel's worker pool);
-//   * spans     — wall-clock duration events on named tracks, recorded via
-//     the RAII ScopedSpan / OBS_SPAN macro, exported as Chrome trace-event
-//     JSON (chrome://tracing, Perfetto) for timeline inspection;
-//   * snapshot sections — named adapters that render a subsystem's stats
-//     struct (SimStats, BusStats, FabricStats, ...) as a JsonValue when a
-//     Snapshot is taken, so every stats report serializes through one path.
+// A Registry records where wall-clock time goes: spans, instants and value
+// series on named tracks, exported as Chrome trace-event JSON
+// (chrome://tracing, Perfetto) for timeline inspection. It holds no
+// counts: every count lives once, in its subsystem's stats (SimStats,
+// FabricStats, the executors' counters), and reaches users through
+// CoSimulation::report().
 //
 // Cost model (this is instrumentation for a determinism-obsessed
 // simulator, so the contract is strict):
 //
 //   * registry absent (the default — every config's `obs` pointer is
 //     null): instrumented code performs one null-pointer test per probe
-//     and touches nothing else. Simulation output is byte-identical to an
-//     uninstrumented build; bench_cosim gates the residue at <= 2%.
-//   * registry attached, tracing off: counters count (atomic adds), spans
-//     check one relaxed atomic and skip.
+//     and touches nothing else; bench_cosim gates the residue at <= 2%.
+//   * registry attached, tracing off: spans check one relaxed atomic and
+//     skip.
 //   * tracing on: spans take a steady_clock sample on entry/exit and
 //     append to a bounded in-memory buffer (drops are counted, never
 //     blocking). Timestamps are wall-clock, so the timeline shows where
@@ -27,31 +22,19 @@
 //     event argument.
 //
 // Instrumentation NEVER changes simulation behaviour: probes only read
-// simulation state. Traces, VCD, and stats stay byte-identical whether a
-// registry is attached or not (tested in obs_test.cpp).
-//
-// Compile-time kill switch: building with -DXTSOC_OBS_OFF turns the
-// OBS_* macros into nothing.
+// simulation state. Traces, VCD, stats, report() and checkpoints stay
+// byte-identical whether a registry is attached or not, tracing on or off
+// (tested in obs_test.cpp).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include "xtsoc/obs/json.hpp"
-#include "xtsoc/obs/snapshot.hpp"
-
-namespace xtsoc::snap {
-class Writer;
-class Reader;
-}  // namespace xtsoc::snap
 
 namespace xtsoc::obs {
 
@@ -60,28 +43,6 @@ namespace xtsoc::obs {
 struct TrackId {
   std::uint32_t value = 0;
   bool is_valid() const { return value != 0; }
-};
-
-/// One named monotonic counter. Addresses are stable for the lifetime of
-/// the owning Registry, so instrumented code holds a `Counter*` and pays
-/// exactly one null test + one relaxed atomic add per increment.
-class Counter {
-public:
-  explicit Counter(std::string name) : name_(std::move(name)) {}
-  void add(std::uint64_t delta = 1) noexcept {
-    v_.fetch_add(delta, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  /// Overwrite the count. Checkpoint restore only — instrumented code must
-  /// stick to add() so concurrent increments never lose updates.
-  void set(std::uint64_t v) noexcept {
-    v_.store(v, std::memory_order_relaxed);
-  }
-  const std::string& name() const { return name_; }
-
-private:
-  std::string name_;
-  std::atomic<std::uint64_t> v_{0};
 };
 
 class Registry {
@@ -98,13 +59,6 @@ public:
   TrackId track(std::string_view name);
   const std::string& track_name(TrackId t) const;
   std::size_t track_count() const;
-
-  /// Find-or-create a counter. The returned pointer stays valid for the
-  /// registry's lifetime. Setup-time only, like track().
-  Counter* counter(std::string_view name);
-  /// All counters as (name, value), sorted by name — the stable order every
-  /// report uses.
-  std::vector<std::pair<std::string, std::uint64_t>> counters() const;
 
   // --- tracing ----------------------------------------------------------------
 
@@ -136,26 +90,6 @@ public:
   /// are counted in dropped_events() and discarded.
   void set_event_capacity(std::size_t cap);
 
-  // --- snapshot sections -------------------------------------------------------
-
-  /// Register a named snapshot section; `fn` runs at snapshot() time.
-  /// Re-registering a name replaces the previous adapter.
-  void add_section(std::string name, std::function<JsonValue()> fn);
-  void remove_section(std::string_view name);
-
-  /// Assemble a Snapshot: every registered section (registration order),
-  /// then a "counters" object (name-sorted).
-  Snapshot snapshot() const;
-
-  // --- checkpointing -----------------------------------------------------------
-
-  /// Serialize every counter as (name, value), name-sorted. Tracks, trace
-  /// events and sections are observation-side state and not checkpointed.
-  void save_counters(snap::Writer& w) const;
-  /// Restore counter values; names not present yet are created, so the
-  /// restored report shows the same counter set as the uninterrupted run.
-  void load_counters(snap::Reader& r);
-
   // --- export ------------------------------------------------------------------
 
   /// The collected trace as Chrome trace-event JSON: one "thread" per
@@ -166,11 +100,6 @@ public:
   void write_chrome_trace(std::ostream& os) const;
 
 private:
-  /// The checkpoint layout behind save_counters and load_counters
-  /// (snap/io.hpp).
-  template <class Io, class Self>
-  static void layout(Io& io, Self& self);
-
   struct Event {
     TrackId track;
     char phase;  // 'X', 'i', 'C'
@@ -180,11 +109,6 @@ private:
     std::uint64_t cycle = kNoCycle;
     double value = 0.0;  // 'C' only
   };
-  struct Section {
-    std::string name;
-    std::function<JsonValue()> fn;
-  };
-
   void push_event(Event e);
 
   std::chrono::steady_clock::time_point epoch_;
@@ -192,11 +116,9 @@ private:
   std::atomic<std::uint64_t> dropped_{0};
 
   mutable std::mutex mutex_;
-  std::vector<std::string> tracks_;                 // [TrackId - 1]
-  std::vector<std::unique_ptr<Counter>> counters_;  // stable addresses
+  std::vector<std::string> tracks_;  // [TrackId - 1]
   std::vector<Event> events_;
   std::size_t event_capacity_ = std::size_t{1} << 20;
-  std::vector<Section> sections_;
 };
 
 /// RAII span: times the enclosing scope onto a track. Inactive (and
@@ -238,9 +160,7 @@ private:
   std::uint64_t cycle_ = Registry::kNoCycle;
 };
 
-// The probe macros. `reg` is an obs::Registry* (may be null), `counter` an
-// obs::Counter* (may be null). With -DXTSOC_OBS_OFF they expand to nothing.
-#if !defined(XTSOC_OBS_OFF)
+// The probe macros. `reg` is an obs::Registry* (may be null).
 #define XTSOC_OBS_CONCAT2(a, b) a##b
 #define XTSOC_OBS_CONCAT(a, b) XTSOC_OBS_CONCAT2(a, b)
 /// Time the enclosing scope as a span named `name` on `track`.
@@ -251,28 +171,5 @@ private:
 #define OBS_SPAN_AT(reg, track, name, cycle) \
   ::xtsoc::obs::ScopedSpan XTSOC_OBS_CONCAT(obs_span_, __COUNTER__)(  \
       (reg), (track), (name), (cycle))
-/// Increment a counter by 1 / by n.
-#define OBS_COUNT(counter)                    \
-  do {                                        \
-    if ((counter) != nullptr) (counter)->add(); \
-  } while (0)
-#define OBS_COUNT_N(counter, n)                  \
-  do {                                           \
-    if ((counter) != nullptr) (counter)->add(n); \
-  } while (0)
-#else
-#define OBS_SPAN(reg, track, name) \
-  do {                             \
-  } while (0)
-#define OBS_SPAN_AT(reg, track, name, cycle) \
-  do {                                       \
-  } while (0)
-#define OBS_COUNT(counter) \
-  do {                     \
-  } while (0)
-#define OBS_COUNT_N(counter, n) \
-  do {                          \
-  } while (0)
-#endif
 
 }  // namespace xtsoc::obs

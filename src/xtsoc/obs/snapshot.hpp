@@ -1,9 +1,9 @@
-// obs::Snapshot — a point-in-time stats report assembled from every
-// section registered with a Registry (sim stats, interconnect stats,
-// per-domain executor stats, raw counters). The Snapshot is the single
-// serialization path for stats: subsystems contribute JsonValue adapters,
-// and everything downstream (xtsocc --obs=snapshot, CoSimulation::report(),
-// tests) consumes this one document instead of N bespoke printers.
+// obs::Snapshot — a point-in-time stats report: one JSON document whose
+// sections (sim stats, interconnect stats, per-domain executor stats, ...)
+// come from each subsystem's JsonValue adapter. CoSimulation::report() and
+// fault::CampaignResult::to_snapshot() build it, and everything downstream
+// (xtsocc --obs=snapshot, the repartition advisor, tests) consumes this one
+// document instead of N bespoke printers.
 #pragma once
 
 #include <ostream>

@@ -30,9 +30,6 @@ Executor::Executor(const oal::CompiledDomain& compiled, ExecutorConfig config)
   if (obs_ != nullptr) {
     obs_track_ = config_.obs_track.is_valid() ? config_.obs_track
                                               : obs_->track("executor");
-    const std::string& tn = obs_->track_name(obs_track_);
-    c_dispatches_ = obs_->counter(tn + ".dispatches");
-    c_emits_ = obs_->counter(tn + ".emits");
   }
 }
 
@@ -147,7 +144,6 @@ void Executor::emit(const InstanceHandle& sender, const InstanceHandle& target,
   m.args = std::move(args);
   m.deliver_at = now_ + delay;
   m.seq = seq_++;
-  OBS_COUNT(c_emits_);
 
   if (trace_.enabled()) {
     TraceEvent te;
@@ -332,18 +328,15 @@ void Executor::dispatch(EventMessage m) {
   db_.set_state(m.target, t->to);
   ++dispatches_;
   ++dispatches_by_class_[m.target.cls.value()];
-  OBS_COUNT(c_dispatches_);
 
   // Span over the whole run-to-completion block (transition + action).
   // The "Class.event" label is only assembled once tracing is known to be
   // on, keeping the disabled path to a pointer test.
   obs::ScopedSpan obs_span;
-#if !defined(XTSOC_OBS_OFF)
   if (obs_ != nullptr && obs_->tracing()) {
     obs_span.begin(obs_, obs_track_, def.name + "." + def.event(m.event).name,
                    now_);
   }
-#endif
 
   if (trace_.enabled()) {
     TraceEvent te;

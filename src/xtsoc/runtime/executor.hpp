@@ -292,8 +292,6 @@ private:
   // Observability (null members when no registry is attached).
   obs::Registry* obs_ = nullptr;
   obs::TrackId obs_track_;
-  obs::Counter* c_dispatches_ = nullptr;
-  obs::Counter* c_emits_ = nullptr;
 };
 
 }  // namespace xtsoc::runtime

@@ -82,37 +82,43 @@ void optional_section(Io& io, std::uint32_t tag, bool present, Part* part,
 }
 
 /// Every section after the header, in file order.
-template <class Io, class Cs, class Plan, class Obs>
-void sections_layout(Io& io, Cs& cs, Plan* plan, Obs* obs,
-                     const SnapshotInfo& info) {
+template <class Io, class Cs, class Plan>
+void sections_layout(Io& io, Cs& cs, Plan* plan, const SnapshotInfo& info) {
   io.begin_section(kTagCosim);
   io.state(cs);
   io.end_section();
   optional_section(io, kTagFault, info.has_fault_streams, plan,
                    [&](auto& p) { io.state(p); });
-  optional_section(io, kTagObs, info.has_obs_counters, obs, [&](auto& o) {
-    if constexpr (Io::kLoading) {
-      o.load_counters(io);
-    } else {
-      o.save_counters(io);
+  if constexpr (Io::kLoading) {
+    // Older builds checkpointed obs counters here; nothing reads them now.
+    if (info.has_obs_counters) {
+      io.begin_section(kTagObs);
+      io.skip_section();
     }
-  });
+  }
+}
+
+/// A span named `name` on the "snap" track when `obs` is tracing.
+void begin_span(obs::ScopedSpan& span, obs::Registry* obs, const char* name) {
+  if (obs != nullptr && obs->tracing()) {
+    span.begin(obs, obs->track("snap"), name);
+  }
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> save(const cosim::CoSimulation& cs,
-                               const fault::Plan* plan,
-                               const obs::Registry* obs) {
+                               const fault::Plan* plan, obs::Registry* obs) {
+  obs::ScopedSpan span;
+  begin_span(span, obs, "save");
   SnapshotInfo info;
   info.version = kSnapVersion;
   info.digest = system_digest(cs);
   info.cycle = cs.cycles();
   info.has_fault_streams = plan != nullptr;
-  info.has_obs_counters = obs != nullptr;
   Writer w;
   header_layout(w, std::as_const(info));
-  sections_layout(w, cs, plan, obs, info);
+  sections_layout(w, cs, plan, info);
 
   std::vector<std::uint8_t> out = w.take();
   const std::uint32_t crc = fault::crc32(out.data(), out.size());
@@ -125,6 +131,8 @@ std::vector<std::uint8_t> save(const cosim::CoSimulation& cs,
 SnapshotInfo restore(cosim::CoSimulation& cs, const std::uint8_t* data,
                      std::size_t size, fault::Plan* plan, obs::Registry* obs,
                      RestoreOptions opts) {
+  obs::ScopedSpan span;
+  begin_span(span, obs, "restore");
   Reader r = open_checked(data, size);
   const SnapshotInfo info = read_header(r);
 
@@ -134,7 +142,7 @@ SnapshotInfo restore(cosim::CoSimulation& cs, const std::uint8_t* data,
         "snapshot was saved from a different system (interface digest " +
         info.digest + ", this elaboration has " + expected + ")");
   }
-  sections_layout(r, cs, opts.load_fault_streams ? plan : nullptr, obs, info);
+  sections_layout(r, cs, opts.load_fault_streams ? plan : nullptr, info);
   if (!r.at_end()) {
     throw SnapError("snapshot has trailing bytes after the last section");
   }

@@ -15,8 +15,9 @@
 //                inbox, cycle counter, memory hierarchy.
 //   'F' fault  : fault::Plan RNG stream positions (present only when a
 //                plan was attached at save time).
-//   'O' obs    : obs::Registry counters (present only when a registry was
-//                attached at save time).
+//   'O' obs    : obs counters, written only by older builds (header flag
+//                has_obs_counters); restore() skips it, save() never
+//                writes it.
 //
 // The structure of the simulation (netlist, partition, topology) is NOT in
 // the file: restore() re-elaborates a CoSimulation from the same
@@ -66,6 +67,8 @@ struct SnapshotInfo {
   std::string digest;            ///< interface digest of the saved system
   std::uint64_t cycle = 0;       ///< co-simulation cycle at save time
   bool has_fault_streams = false;
+  /// Set only in files from older builds, which appended an 'O' section of
+  /// obs counters; restore() skips that section.
   bool has_obs_counters = false;
 };
 
@@ -77,17 +80,19 @@ struct RestoreOptions {
   bool load_fault_streams = true;
 };
 
-/// Serialize `cs` into a snapshot byte buffer. `plan` / `obs` add the 'F' /
-/// 'O' sections when non-null; pass whatever the run had attached. Call
-/// between run calls.
+/// Serialize `cs` into a snapshot byte buffer. `plan` adds the 'F' section
+/// when non-null; pass whatever the run had attached. When `obs` is tracing,
+/// the save is recorded as a span on its "snap" track; the bytes never
+/// depend on `obs`. Call between run calls.
 std::vector<std::uint8_t> save(const cosim::CoSimulation& cs,
                                const fault::Plan* plan = nullptr,
-                               const obs::Registry* obs = nullptr);
+                               obs::Registry* obs = nullptr);
 
 /// Validate magic, version, CRC and interface digest, then load the state
-/// into `cs` (freshly elaborated from the same MappedSystem). `plan` and
-/// `obs` receive the 'F' / 'O' sections when present and non-null; a null
-/// argument skips the section. Throws SnapError on any mismatch.
+/// into `cs` (freshly elaborated from the same MappedSystem). `plan`
+/// receives the 'F' section when present and non-null; a null `plan` skips
+/// it. When `obs` is tracing, the restore is recorded as a span on its
+/// "snap" track. Throws SnapError on any mismatch.
 SnapshotInfo restore(cosim::CoSimulation& cs, const std::uint8_t* data,
                      std::size_t size, fault::Plan* plan = nullptr,
                      obs::Registry* obs = nullptr, RestoreOptions opts = {});

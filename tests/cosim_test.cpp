@@ -309,8 +309,32 @@ TEST(CoSim, HardwarePoolCapacityEnforced) {
   cosim.create("Consumer");
   cosim.create("Consumer");
   EXPECT_THROW(cosim.create("Consumer"), runtime::ModelError);
-  // Software classes are heap-backed: no such cap.
+  // Each class has a pool of its own (Producer's is the default 64).
   for (int i = 0; i < 10; ++i) cosim.create("Producer");
+}
+
+TEST(CoSim, SoftwarePoolCapacityEnforced) {
+  // The emitted C sizes every class's pool by maxInstances and aborts when
+  // it is full, so the co-simulation refuses the same create, in the same
+  // words.
+  xtuml::DomainBuilder b("Ctl");
+  b.cls("Controller").attr("mode", xtuml::DataType::kInt);
+  marks::MarkSet m;
+  m.set_class_mark("Controller", marks::kMaxInstances,
+                   ScalarValue(std::int64_t{1}));
+  MappedFixture fx(b.take(), std::move(m));
+  ASSERT_FALSE(fx.system->partition().is_hardware(
+      fx.domain->find_class_id("Controller")));
+  CoSimulation cosim(*fx.system);
+  cosim.create("Controller");
+  try {
+    cosim.create("Controller");
+    FAIL() << "a second Controller fit a pool of one";
+  } catch (const runtime::ModelError& e) {
+    EXPECT_STREQ(e.what(),
+                 "pool of 'Controller' is full (1 instances; raise the "
+                 "maxInstances mark)");
+  }
 }
 
 TEST(CoSim, HardwareActionCanSpawnIntoOwnPool) {

@@ -1,13 +1,12 @@
 // xtsoc::obs — the observability layer.
 //
 // Two halves. The unit half covers the JSON machinery (JsonWriter,
-// JsonValue) and the Registry (counters, tracks, spans, snapshot sections,
-// Chrome trace export). The integration half runs real co-simulations and
-// checks the layer's central contract: attaching a registry — even with
-// tracing on — leaves every observable simulation byte (executor traces,
-// VCD, cycle counts, SimStats) identical to a run with no registry, at
-// every thread count and window size; and when enabled, the counters and
-// spans describe the run truthfully.
+// JsonValue) and the Registry (tracks, spans, Chrome trace export). The
+// integration half runs real co-simulations and checks the layer's central
+// contract: attaching a registry — even with tracing on — leaves every
+// observable byte (executor traces, VCD, cycle counts, report(), the
+// checkpoint) identical to a run with no registry, at every thread count
+// and window size; and when enabled, the spans describe the run.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,6 +18,7 @@
 #include "xtsoc/obs/json.hpp"
 #include "xtsoc/obs/registry.hpp"
 #include "xtsoc/obs/snapshot.hpp"
+#include "xtsoc/snap/snapshot.hpp"
 
 namespace xtsoc::obs {
 namespace {
@@ -92,24 +92,6 @@ TEST(JsonValue, NestedDumpMatchesWriter) {
 
 // --- Registry -----------------------------------------------------------------
 
-TEST(Registry, CountersFindOrCreateWithStableAddresses) {
-  Registry reg;
-  Counter* a = reg.counter("x.total");
-  Counter* again = reg.counter("x.total");
-  EXPECT_EQ(a, again);
-  a->add();
-  a->add(41);
-  Counter* b = reg.counter("a.first");
-  b->add(7);
-  auto all = reg.counters();
-  ASSERT_EQ(all.size(), 2u);
-  // Name-sorted, independent of creation order.
-  EXPECT_EQ(all[0].first, "a.first");
-  EXPECT_EQ(all[0].second, 7u);
-  EXPECT_EQ(all[1].first, "x.total");
-  EXPECT_EQ(all[1].second, 42u);
-}
-
 TEST(Registry, TracksFindOrCreate) {
   Registry reg;
   TrackId t1 = reg.track("kernel");
@@ -173,21 +155,6 @@ TEST(Registry, ChromeTraceNamesEveryTrackEvenWithoutEvents) {
   EXPECT_NE(j.find("\"ts\":1,"), std::string::npos);
 }
 
-TEST(Registry, SnapshotAssemblesSectionsThenCounters) {
-  Registry reg;
-  reg.counter("hits")->add(3);
-  reg.add_section("sim", [] {
-    JsonValue v = JsonValue::object();
-    v["delta_cycles"] = 12;
-    return v;
-  });
-  Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.at("sim").at("delta_cycles").as_int(), 12);
-  EXPECT_EQ(snap.at("counters").at("hits").as_uint(), 3u);
-  reg.remove_section("sim");
-  EXPECT_EQ(reg.snapshot().find("sim"), nullptr);
-}
-
 }  // namespace
 }  // namespace xtsoc::obs
 
@@ -201,7 +168,6 @@ using runtime::Value;
 using testing::MappedFixture;
 using testing::Observed;
 using testing::Recorder;
-using testing::expect_and_cut_section;
 using testing::expect_identical;
 using testing::fanout_mesh_marks;
 using testing::make_fanout_domain;
@@ -216,8 +182,22 @@ marks::MarkSet hw_consumer_marks(int bus_latency) {
   return m;
 }
 
-/// Every observable byte of one pipeline run (see observe.hpp).
-Observed run_pipeline(int threads, int window, obs::Registry* reg) {
+/// Every observable byte of one pipeline run (see observe.hpp), and the
+/// checkpoint saved at its end.
+struct PipelineRun {
+  Observed observed;
+  std::vector<std::uint8_t> checkpoint;
+};
+
+/// A registry attached to the run (and passed to snap::save) must change
+/// none of these bytes.
+void expect_same_run(const PipelineRun& a, const PipelineRun& b,
+                     const std::string& what) {
+  expect_identical(a.observed, b.observed, what);
+  EXPECT_TRUE(a.checkpoint == b.checkpoint) << what << ": checkpoint differs";
+}
+
+PipelineRun run_pipeline(int threads, int window, obs::Registry* reg) {
   MappedFixture fx(make_pipeline_domain(), hw_consumer_marks(4));
   CoSimConfig cfg;
   cfg.threads = threads;
@@ -231,43 +211,32 @@ Observed run_pipeline(int threads, int window, obs::Registry* reg) {
     cosim.inject(producer, "kick", {}, static_cast<std::uint64_t>(i));
     cosim.run(2000);
   }
-  return rec.take();
-}
-
-/// An attached registry adds the report's "counters" section: every
-/// registry counter. Everything else must equal the bare run byte for byte.
-void expect_same_but_counters(const Observed& bare, Observed counted,
-                              const obs::Registry& reg,
-                              const std::string& what) {
-  SCOPED_TRACE(what);
-  obs::JsonValue counters = obs::JsonValue::object();
-  for (const auto& [name, value] : reg.counters()) counters[name] = value;
-  EXPECT_GT(counters.size(), 0u);
-  expect_and_cut_section(counted, "counters", counters);
-  expect_identical(bare, counted, what);
+  return {rec.take(), snap::save(cosim, nullptr, reg)};
 }
 
 // The central contract: a registry — absent, attached, or attached with
 // tracing on — never perturbs simulation output, at any thread count.
 TEST(ObsCosim, RegistryNeverPerturbsSimulationAcrossThreadCounts) {
-  Observed baseline = run_pipeline(1, 0, nullptr);
-  ASSERT_FALSE(baseline.hw_traces.empty());
+  const PipelineRun baseline = run_pipeline(1, 0, nullptr);
+  ASSERT_FALSE(baseline.observed.hw_traces.empty());
   for (int threads : {1, 2, 8}) {
     const std::string at = "threads=" + std::to_string(threads);
-    expect_identical(run_pipeline(threads, 0, nullptr), baseline,
-                     "no registry, " + at);
+    expect_same_run(run_pipeline(threads, 0, nullptr), baseline,
+                    "no registry, " + at);
 
     obs::Registry quiet;
-    Observed counted = run_pipeline(threads, 0, &quiet);
-    expect_same_but_counters(baseline, counted, quiet,
-                             "registry attached, " + at);
+    expect_same_run(run_pipeline(threads, 0, &quiet), baseline,
+                    "registry attached, " + at);
+    EXPECT_EQ(quiet.event_count(), 0u);
 
     obs::Registry tracing;
     tracing.enable_tracing();
-    Observed traced = run_pipeline(threads, 0, &tracing);
-    expect_same_but_counters(baseline, traced, tracing, "tracing on, " + at);
+    expect_same_run(run_pipeline(threads, 0, &tracing), baseline,
+                    "tracing on, " + at);
     EXPECT_GT(tracing.event_count(), 0u);
-    expect_identical(traced, counted, "tracing on vs off, " + at);
+    // The checkpoint is the one span on the "snap" track.
+    EXPECT_NE(tracing.chrome_trace().find("\"name\":\"save\""),
+              std::string::npos);
   }
 }
 
@@ -276,47 +245,16 @@ TEST(ObsCosim, RegistryNeverPerturbsSimulationAcrossWindowSizes) {
   // window sizes are not comparable to each other — the contract under test
   // is registry vs no-registry at the SAME window size.
   for (int window : {1, 2, 4}) {
-    Observed baseline = run_pipeline(2, window, nullptr);
-    obs::Registry reg;
-    reg.enable_tracing();
-    expect_same_but_counters(baseline, run_pipeline(2, window, &reg), reg,
-                             "window=" + std::to_string(window));
+    const std::string at = "window=" + std::to_string(window);
+    const PipelineRun baseline = run_pipeline(2, window, nullptr);
+    obs::Registry quiet;
+    expect_same_run(run_pipeline(2, window, &quiet), baseline,
+                    "registry attached, " + at);
+    obs::Registry tracing;
+    tracing.enable_tracing();
+    expect_same_run(run_pipeline(2, window, &tracing), baseline,
+                    "tracing on, " + at);
   }
-}
-
-TEST(ObsCosim, CounterTotalsMatchExecutorAndKernelStats) {
-  obs::Registry reg;
-  MappedFixture fx(make_pipeline_domain(), hw_consumer_marks(2));
-  CoSimConfig cfg;
-  cfg.obs = &reg;
-  CoSimulation cosim(*fx.system, cfg);
-  auto consumer = cosim.create("Consumer");
-  auto producer = cosim.create_with("Producer", {{"sink", Value(consumer)}});
-  for (int i = 0; i < 3; ++i) {
-    cosim.inject(producer, "kick");
-    cosim.run(2000);
-  }
-  auto counters = reg.counters();
-  auto value = [&](const std::string& name) -> std::uint64_t {
-    for (const auto& [n, v] : counters) {
-      if (n == name) return v;
-    }
-    ADD_FAILURE() << "missing counter " << name;
-    return 0;
-  };
-  EXPECT_EQ(value("executor/sw.dispatches"),
-            cosim.sw_executor().dispatch_count());
-  EXPECT_EQ(value("executor/hw0.dispatches"),
-            cosim.hw_executor().dispatch_count());
-  EXPECT_EQ(value("kernel.delta_cycles"),
-            cosim.hw_sim().stats().delta_cycles);
-  EXPECT_EQ(value("kernel.process_activations"),
-            cosim.hw_sim().stats().process_activations);
-  // The pipeline crossed the boundary both ways.
-  EXPECT_GT(value("executor/hw0.frames_in"), 0u);
-  EXPECT_GT(value("executor/hw0.frames_out"), 0u);
-  EXPECT_GT(value("executor/sw.frames_in"), 0u);
-  EXPECT_GT(value("executor/sw.frames_out"), 0u);
 }
 
 TEST(ObsCosim, MeshRunProducesAllTracksAndNocCounters) {
@@ -338,19 +276,7 @@ TEST(ObsCosim, MeshRunProducesAllTracksAndNocCounters) {
         << track;
   }
   EXPECT_GE(reg.track_count(), 4u);
-
-  auto counters = reg.counters();
-  auto value = [&](const std::string& name) -> std::uint64_t {
-    for (const auto& [n, v] : counters) {
-      if (n == name) return v;
-    }
-    return 0;
-  };
-  const noc::FabricStats stats = cosim.fabric().stats();
-  EXPECT_EQ(value("noc.frames_sent"), stats.frames_sent);
-  EXPECT_EQ(value("noc.frames_delivered"), stats.frames_delivered);
-  EXPECT_EQ(value("noc.flits_injected"), stats.flits_injected);
-  EXPECT_GT(stats.frames_delivered, 0u);
+  EXPECT_GT(cosim.fabric().stats().frames_delivered, 0u);
 
   // Span nesting: per-window spans on the master track with phase B
   // inside them, kernel settles inside phase B; all present in the
@@ -361,7 +287,7 @@ TEST(ObsCosim, MeshRunProducesAllTracksAndNocCounters) {
 }
 
 TEST(ObsCosim, ReportCoversRunSimInterconnectAndDomains) {
-  // Bus mode, no registry: report works without obs and omits counters.
+  // Bus mode, no registry: report works without obs.
   MappedFixture fx(make_pipeline_domain(), hw_consumer_marks(2));
   CoSimulation cosim(*fx.system, {});
   auto consumer = cosim.create("Consumer");
@@ -405,8 +331,6 @@ TEST(ObsCosim, ReportOnMeshIncludesFabricSectionAndCounters) {
   EXPECT_EQ(snap.at("interconnect").at("routers").size(), 4u);
   EXPECT_GT(snap.at("interconnect").at("frames_delivered").as_uint(), 0u);
   ASSERT_EQ(snap.at("domains").size(), 4u);  // hw0..hw2 + sw
-  // Counters ride along because a registry is attached.
-  EXPECT_GT(snap.at("counters").at("noc.frames_delivered").as_uint(), 0u);
 }
 
 TEST(ObsCosim, ReportAgreesWithComponentStats) {

@@ -117,10 +117,10 @@ inline void expect_same_text(const char* name, const std::string& a,
                 << "\n  a: " << line_at(a) << "\n  b: " << line_at(b);
 }
 
-/// A run that attached an optional component (a fault plan adds "faults",
-/// an obs registry "counters") ends its report with that component's
-/// section. Check the section renders exactly as `want`, then cut it, so
-/// the rest of the run compares with one that did not attach it.
+/// A run that attached an optional component (a fault plan adds "faults")
+/// ends its report with that component's section. Check the section
+/// renders exactly as `want`, then cut it, so the rest of the run compares
+/// with one that did not attach it.
 inline void expect_and_cut_section(Observed& o, const std::string& name,
                                    const obs::JsonValue& want) {
   const std::size_t at = o.report.rfind(",\n  \"" + name + "\": ");

@@ -10,7 +10,8 @@
 //     serial run byte for byte;
 //   * fault::Plan RNG positions ride the snapshot ('F' section): a faulty
 //     run resumes mid-stream, not from a reseeded stream;
-//   * obs counters ride the snapshot ('O' section);
+//   * an obs registry adds no byte to a checkpoint, and the 'O' section of
+//     obs counters that older builds wrote is skipped on restore;
 //   * rejection: truncated files, bit flips (CRC), version bumps, wrong
 //     magic, digest mismatches (a different MappedSystem), forged
 //     element counts and a forged kernel shape or clock schedule all throw
@@ -379,53 +380,77 @@ TEST(SnapGrid, FaultStreamsActuallyMatter) {
               ta.report != tb.report);
 }
 
-// --- obs counters --------------------------------------------------------------
+// --- sections a reader skips ----------------------------------------------------
 
-TEST(SnapObs, CountersRideTheSnapshot) {
-  MappedFixture fx(make_ring_domain(), ring_marks());
-  obs::Registry reg_a;
-  CoSimConfig cfg;
-  cfg.obs = &reg_a;
-  CoSimulation a(*fx.system, cfg);
-  boot_ring(a);
-  a.run_cycles(kSaveAt);
-  const std::vector<std::uint8_t> bytes = save(a, nullptr, &reg_a);
-
-  obs::Registry reg_b;
-  CoSimConfig cfg_b;
-  cfg_b.obs = &reg_b;
-  CoSimulation b(*fx.system, cfg_b);
-  const SnapshotInfo info =
-      restore(b, bytes.data(), bytes.size(), nullptr, &reg_b);
-  EXPECT_TRUE(info.has_obs_counters);
-  EXPECT_EQ(reg_a.counters(), reg_b.counters());
-  EXPECT_FALSE(reg_b.counters().empty());
-
-  // And the continued runs agree counter for counter.
-  a.run_cycles(kContinue);
-  b.run_cycles(kContinue);
-  EXPECT_EQ(reg_a.counters(), reg_b.counters());
+/// Recompute the trailing CRC after a deliberate patch, so the test hits
+/// the check it aims at instead of stopping at the CRC.
+void refresh_crc(std::vector<std::uint8_t>* bytes) {
+  const std::uint32_t crc = fault::crc32(bytes->data(), bytes->size() - 4);
+  for (int i = 0; i < 4; ++i) {
+    (*bytes)[bytes->size() - 4 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(crc >> (8 * i));
+  }
 }
 
-// A snapshot with sections the reader does not want (no plan, no registry
-// attached at restore time) still restores: unwanted sections are skipped.
+/// `bytes` as an older build that checkpointed obs counters wrote it: the
+/// header's has_obs_counters flag set and an 'O' section holding one
+/// counter after the others, built field by field with Writer.
+std::vector<std::uint8_t> with_obs_section(
+    const std::vector<std::uint8_t>& bytes) {
+  const SnapshotInfo info = inspect(bytes.data(), bytes.size());
+  Writer w;
+  w.u32(std::uint32_t{0x504e5358});  // "XSNP"
+  w.u32(kSnapVersion);
+  w.begin_section('H');
+  w.str(info.digest);
+  w.u64(info.cycle);
+  w.boolean(info.has_fault_streams);
+  w.boolean(true);
+  w.end_section();
+  // Only the flag, the header's last byte, differs from `bytes`.
+  const std::size_t header = w.size();
+  EXPECT_TRUE(std::equal(w.data().begin(), w.data().end() - 1, bytes.begin()));
+  EXPECT_EQ(bytes[header - 1], 0u);
+  w.bytes(bytes.data() + header, bytes.size() - 4 - header);
+  w.begin_section('O');
+  w.u64(std::uint64_t{1});
+  w.str("noc.frames_sent");
+  w.u64(std::uint64_t{42});
+  w.end_section();
+  std::vector<std::uint8_t> out = w.take();
+  out.resize(out.size() + 4);
+  refresh_crc(&out);
+  return out;
+}
+
+// A snapshot with sections the reader does not want still restores:
+// unwanted sections are skipped. That covers the 'F' section when no plan
+// is attached at restore time, and always the 'O' section older builds
+// wrote.
 TEST(SnapObs, UnwantedSectionsAreSkipped) {
   MappedFixture fx(make_ring_domain(), ring_marks());
-  obs::Registry reg;
   fault::Plan plan(noisy_spec());
   CoSimConfig cfg;
-  cfg.obs = &reg;
   cfg.fault = &plan;
   CoSimulation a(*fx.system, cfg);
   boot_ring(a);
   a.run_cycles(100);
-  const std::vector<std::uint8_t> bytes = save(a, &plan, &reg);
+  const std::vector<std::uint8_t> bytes = with_obs_section(save(a, &plan));
 
   CoSimulation b(*fx.system, CoSimConfig{});
   const SnapshotInfo info = restore(b, bytes.data(), bytes.size());
   EXPECT_TRUE(info.has_fault_streams);
   EXPECT_TRUE(info.has_obs_counters);
   EXPECT_EQ(b.cycles(), 100u);
+
+  // With the plan attached, the restored run continues as the saved one.
+  fault::Plan plan_c(noisy_spec());
+  CoSimConfig cfg_c;
+  cfg_c.fault = &plan_c;
+  CoSimulation c(*fx.system, cfg_c);
+  restore(c, bytes.data(), bytes.size(), &plan_c);
+  expect_identical(run_tail(a, kContinue), run_tail(c, kContinue),
+                   "restored from a file with an 'O' section");
 }
 
 // --- rejection -----------------------------------------------------------------
@@ -436,16 +461,6 @@ std::vector<std::uint8_t> make_snapshot(MappedFixture& fx,
   boot_ring(cs);
   cs.run_cycles(cycles);
   return save(cs);
-}
-
-/// Recompute the trailing CRC after a deliberate patch, so the test hits
-/// the check it aims at instead of stopping at the CRC.
-void refresh_crc(std::vector<std::uint8_t>* bytes) {
-  const std::uint32_t crc = fault::crc32(bytes->data(), bytes->size() - 4);
-  for (int i = 0; i < 4; ++i) {
-    (*bytes)[bytes->size() - 4 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(crc >> (8 * i));
-  }
 }
 
 TEST(SnapReject, TruncatedFile) {
@@ -566,15 +581,14 @@ std::size_t locate(const std::vector<std::uint8_t>& bytes,
 /// message must contain `want`.
 void expect_forgery_refused(MappedFixture& fx, std::vector<std::uint8_t> bytes,
                             std::size_t at, std::uint64_t forged,
-                            const std::string& want, fault::Plan* plan,
-                            obs::Registry* reg) {
+                            const std::string& want, fault::Plan* plan) {
   for (std::size_t i = 0; i < 8; ++i) {
     bytes[at + i] = static_cast<std::uint8_t>(forged >> (8 * i));
   }
   refresh_crc(&bytes);
   CoSimulation cs(*fx.system, CoSimConfig{});
   try {
-    restore(cs, bytes.data(), bytes.size(), plan, reg);
+    restore(cs, bytes.data(), bytes.size(), plan);
     FAIL() << "forgery not rejected: " << want;
   } catch (const SnapError& e) {
     EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
@@ -585,14 +599,13 @@ void expect_forgery_refused(MappedFixture& fx, std::vector<std::uint8_t> bytes,
 /// Overwrite the u64 count at `at` with 2^40 and restore: the refusal must
 /// be Reader::count's, for that offset.
 void expect_count_refused(MappedFixture& fx, std::vector<std::uint8_t> bytes,
-                          std::size_t at, fault::Plan* plan = nullptr,
-                          obs::Registry* reg = nullptr) {
+                          std::size_t at, fault::Plan* plan = nullptr) {
   const std::uint64_t forged = std::uint64_t{1} << 40;
   expect_forgery_refused(fx, std::move(bytes), at, forged,
                          "snapshot count " + std::to_string(forged) +
                              " at offset " + std::to_string(at) +
                              " exceeds the ",
-                         plan, reg);
+                         plan);
 }
 
 /// The ring over the bus: Node1 in hardware, Node0 and Node2 in software,
@@ -651,8 +664,7 @@ void expect_sent_mark_refused(MappedFixture& fx,
                           bytes.begin() + static_cast<long>(count_at + 16),
                           [](std::uint8_t b) { return b == 0; }));
   expect_forgery_refused(fx, bytes, count_at + 8, 1,
-                         "outbox snapshot marks 1 of 0 frames sent", nullptr,
-                         nullptr);
+                         "outbox snapshot marks 1 of 0 frames sent", nullptr);
 }
 
 TEST(SnapReject, ForgedSwDomainOutboxSentMark) {
@@ -886,23 +898,6 @@ TEST(SnapReject, ForgedMemoryStoreBufferCount) {
   expect_count_refused(fx, bytes, locate(bytes, mem.data()) + 8 + 8 + 8);
 }
 
-TEST(SnapReject, ForgedObsCounterCount) {
-  MappedFixture fx(make_ring_domain(), ring_marks());
-  obs::Registry reg;
-  CoSimConfig cfg;
-  cfg.obs = &reg;
-  CoSimulation cs(*fx.system, cfg);
-  boot_ring(cs);
-  cs.run_cycles(100);
-  const std::vector<std::uint8_t> bytes = save(cs, nullptr, &reg);
-  // The counter count opens the registry's section.
-  Writer counters;
-  reg.save_counters(counters);
-  obs::Registry fresh;
-  expect_count_refused(fx, bytes, locate(bytes, counters.data()), nullptr,
-                       &fresh);
-}
-
 TEST(SnapReject, ForgedExecutorQueueCount) {
   MappedFixture fx(make_ring_domain(), ring_marks());
   CoSimulation cs(*fx.system, CoSimConfig{});
@@ -998,7 +993,7 @@ TEST(SnapReject, ForgedKernelWireCount) {
   expect_forgery_refused(fx, k.bytes, k.at, k.wires + 1,
                          "kernel snapshot has " + std::to_string(k.wires + 1) +
                              " wires, netlist has " + std::to_string(k.wires),
-                         nullptr, nullptr);
+                         nullptr);
 }
 
 TEST(SnapReject, ForgedKernelWireWidth) {
@@ -1013,8 +1008,7 @@ TEST(SnapReject, ForgedKernelClockPeriod) {
   MappedFixture fx(make_ring_domain(), ring_marks());
   const KernelSnapshot k = kernel_snapshot(fx);
   expect_forgery_refused(fx, k.bytes, k.clock_at() + 8, 2,
-                         "kernel snapshot clock period mismatch", nullptr,
-                         nullptr);
+                         "kernel snapshot clock period mismatch", nullptr);
 }
 
 TEST(SnapReject, ForgedKernelClockSchedule) {
@@ -1023,7 +1017,7 @@ TEST(SnapReject, ForgedKernelClockSchedule) {
   // After 100 edges the time is 199 and the next toggle 200.
   expect_forgery_refused(fx, k.bytes, k.clock_at() + 16, 201,
                          "kernel snapshot clock schedule is inconsistent",
-                         nullptr, nullptr);
+                         nullptr);
 }
 
 // --- fuzzing the reader --------------------------------------------------------
@@ -1203,7 +1197,7 @@ TEST(SnapReject, ForgedMemoryVersionVisibility) {
   expect_forgery_refused(fx, m.bytes, m.cells + 8 + 8 + 8 + 8, 151,
                          "visible at cycle 151, after the checkpoint's "
                          "cycle 150",
-                         nullptr, nullptr);
+                         nullptr);
 }
 
 TEST(SnapReject, ForgedMemoryDomainTile) {
@@ -1211,8 +1205,7 @@ TEST(SnapReject, ForgedMemoryDomainTile) {
   const MemSnapshot m = mem_snapshot(fx);
   // The first domain's tile; a tile with no cache indexes an empty one.
   expect_forgery_refused(fx, m.bytes, m.at + 8, 2,
-                         "memory snapshot domain tile mismatch", nullptr,
-                         nullptr);
+                         "memory snapshot domain tile mismatch", nullptr);
 }
 
 TEST(SnapReject, ForgedMemoryMissWay) {
@@ -1229,7 +1222,7 @@ TEST(SnapReject, ForgedMemoryMissWay) {
                              std::to_string(lines) +
                              ", the configuration has " +
                              std::to_string(lines),
-                         nullptr, nullptr);
+                         nullptr);
 }
 
 // --- golden pins ---------------------------------------------------------------
@@ -1242,12 +1235,11 @@ TEST(SnapReject, ForgedMemoryMissWay) {
 // bump kSnapVersion and re-pin.
 
 std::uint64_t pin_saves(CoSimulation& cs, std::uint64_t step, int saves,
-                        const fault::Plan* plan = nullptr,
-                        const obs::Registry* reg = nullptr) {
+                        const fault::Plan* plan = nullptr) {
   std::string all;
   for (int i = 0; i < saves; ++i) {
     cs.run_cycles(step);
-    const std::vector<std::uint8_t> b = save(cs, plan, reg);
+    const std::vector<std::uint8_t> b = save(cs, plan);
     all.append(b.begin(), b.end());
   }
   return testing::fnv1a(all);
@@ -1327,15 +1319,33 @@ TEST(SnapGolden, AdaptiveMeshPins) {
   EXPECT_EQ(testing::fnv1a(all), 0x94c23157af9367deull);
 }
 
-TEST(SnapGolden, ObsSection) {
+// A registry records spans only: attached to the run and passed to save,
+// tracing off or on, it adds no byte to the checkpoint.
+TEST(SnapGolden, RegistryAttachedSavesSameBytes) {
   MappedFixture fx(make_ring_domain(), ring_marks());
-  obs::Registry reg;
-  CoSimConfig cfg;
-  cfg.obs = &reg;
-  CoSimulation cs(*fx.system, cfg);
-  boot_ring(cs);
-  EXPECT_EQ(pin_saves(cs, 50, 4, nullptr, &reg), 0x26e842d9d0a1f6b8ull);
-  EXPECT_FALSE(reg.counters().empty());
+  for (bool tracing : {false, true}) {
+    SCOPED_TRACE(tracing ? "tracing on" : "tracing off");
+    CoSimulation bare(*fx.system, CoSimConfig{});
+    obs::Registry reg;
+    reg.enable_tracing(tracing);
+    CoSimConfig cfg;
+    cfg.obs = &reg;
+    CoSimulation cs(*fx.system, cfg);
+    boot_ring(bare);
+    boot_ring(cs);
+    std::string all;
+    for (int i = 0; i < 4; ++i) {
+      bare.run_cycles(50);
+      cs.run_cycles(50);
+      const std::vector<std::uint8_t> b = save(cs, nullptr, &reg);
+      EXPECT_TRUE(b == save(bare)) << "save " << i;
+      all.append(b.begin(), b.end());
+    }
+    EXPECT_EQ(testing::fnv1a(all), 0x3167d5c90f3aaa7aull);
+    EXPECT_EQ(reg.chrome_trace().find("\"name\":\"save\"") !=
+                  std::string::npos,
+              tracing);
+  }
 }
 
 TEST(SnapInspect, HeaderWithoutACosim) {

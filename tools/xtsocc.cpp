@@ -39,7 +39,6 @@
 //                         noc       NoC statistics table (--on-cosim, mesh)
 //                         snapshot  full cosim stats report as JSON
 //                                   (--on-cosim; see docs/FORMAT.md)
-//                         counters  obs counter totals (--on-cosim)
 //                         none      print nothing (excludes all others)
 //       --obs-trace FILE  record a Chrome trace-event / Perfetto JSON of
 //                       the cosim run to FILE (--on-cosim; load in
@@ -121,7 +120,6 @@ struct Options {
   bool obs_summary = false;
   bool obs_noc = false;
   bool obs_snapshot = false;
-  bool obs_counters = false;
   std::string obs_trace_path;
 
   // --faults / --campaign family (fault injection; docs/FAULTS.md).
@@ -152,7 +150,7 @@ void usage(std::FILE* to) {
                "[--faults FILE [--campaign N [--campaign-out FILE]]]\n"
                "              [--checkpoint-out FILE] [--restore FILE] "
                "[--run-cycles N]]\n"
-               "       --obs sections: summary,noc,snapshot,counters,none "
+               "       --obs sections: summary,noc,snapshot,none "
                "(default: summary)\n");
 }
 
@@ -169,14 +167,12 @@ bool parse_obs_list(const std::string& list, Options* opt) {
       opt->obs_noc = true;
     } else if (tok == "snapshot") {
       opt->obs_snapshot = true;
-    } else if (tok == "counters") {
-      opt->obs_counters = true;
     } else if (tok == "none") {
       opt->obs_none = true;
     } else {
       std::fprintf(stderr,
                    "xtsocc: unknown --obs section '%s' (expected "
-                   "summary, noc, snapshot, counters or none)\n",
+                   "summary, noc, snapshot or none)\n",
                    tok.c_str());
       return false;
     }
@@ -392,14 +388,13 @@ bool validate_options(Options* opt) {
     return fail("--check contradicts --simulate (--check stops after "
                 "compile + map)");
   }
-  if (opt->obs_none && (opt->obs_summary || opt->obs_noc ||
-                        opt->obs_snapshot || opt->obs_counters)) {
+  if (opt->obs_none &&
+      (opt->obs_summary || opt->obs_noc || opt->obs_snapshot)) {
     return fail("--obs=none excludes every other --obs section");
   }
   if (!opt->on_cosim) {
     if (opt->obs_noc) return fail("--obs=noc requires --on-cosim");
     if (opt->obs_snapshot) return fail("--obs=snapshot requires --on-cosim");
-    if (opt->obs_counters) return fail("--obs=counters requires --on-cosim");
     if (!opt->obs_trace_path.empty()) {
       return fail("--obs-trace requires --on-cosim");
     }
@@ -461,7 +456,7 @@ bool validate_options(Options* opt) {
     if (!opt->restore_path.empty()) {
       return fail("--restore contradicts --campaign");
     }
-    if (opt->obs_noc || opt->obs_snapshot || opt->obs_counters) {
+    if (opt->obs_noc || opt->obs_snapshot) {
       return fail("--obs sections other than summary/none contradict "
                   "--campaign (per-run reports vs. an N-run campaign)");
     }
@@ -483,8 +478,7 @@ bool read_file(const std::string& path, std::string* out) {
 }
 
 /// Print the requested --obs sections for a finished co-simulation.
-void emit_obs_reports(const cosim::CoSimulation& cs, const Options& opt,
-                      const obs::Registry* reg) {
+void emit_obs_reports(const cosim::CoSimulation& cs, const Options& opt) {
   if (opt.obs_noc) {
     if (!cs.has_fabric()) {
       std::printf(
@@ -496,12 +490,6 @@ void emit_obs_reports(const cosim::CoSimulation& cs, const Options& opt,
   }
   if (opt.obs_snapshot) {
     std::printf("%s\n", cs.report().to_json(2).c_str());
-  }
-  if (opt.obs_counters && reg != nullptr) {
-    for (const auto& [name, value] : reg->counters()) {
-      std::printf("%-40s %12llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
-    }
   }
 }
 
@@ -544,13 +532,13 @@ int main(int argc, char** argv) {
   if (opt.check_only) return 0;
 
   if (!opt.simulate_path.empty() || opt.on_cosim) {
-    // The registry exists only when something will read it; tracing is
-    // armed only for --obs-trace. With neither, cfg.obs stays null and
-    // every probe in the stack is a dead null-check.
+    // The registry records spans only, so it exists only for --obs-trace.
+    // Without it cfg.obs stays null and every probe in the stack is a dead
+    // null-check.
     std::unique_ptr<obs::Registry> reg;
-    if (!opt.obs_trace_path.empty() || opt.obs_snapshot || opt.obs_counters) {
+    if (!opt.obs_trace_path.empty()) {
       reg = std::make_unique<obs::Registry>();
-      if (!opt.obs_trace_path.empty()) reg->enable_tracing(true);
+      reg->enable_tracing(true);
     }
     cosim::CoSimConfig cfg;
     cfg.threads = opt.threads;
@@ -709,7 +697,7 @@ int main(int argc, char** argv) {
         r = core::run_stimulus_cosim(
             *project, script, out, cfg,
             [&](const cosim::CoSimulation& cs) {
-              emit_obs_reports(cs, opt, reg.get());
+              emit_obs_reports(cs, opt);
               if (!opt.checkpoint_out_path.empty()) {
                 snap::write_file(opt.checkpoint_out_path,
                                  snap::save(cs, cfg.fault, reg.get()));
@@ -726,7 +714,7 @@ int main(int argc, char** argv) {
     } else {
       // --on-cosim without --simulate: a stimulus-free bring-up run of
       // --run-cycles cycles (default 64) so the observability surfaces
-      // (--obs-trace, --obs=snapshot/counters) have a real run to
+      // (--obs-trace, --obs=snapshot) have a real run to
       // describe. --restore loads a snapshot into the fresh elaboration
       // first and the run continues from its saved cycle.
       auto cs = project->make_cosim(cfg);
@@ -749,7 +737,7 @@ int main(int argc, char** argv) {
                   "interconnect=%s\n",
                   static_cast<unsigned long long>(cs->cycles()), opt.threads,
                   cs->window(), cs->has_fabric() ? "noc" : "bus");
-      emit_obs_reports(*cs, opt, reg.get());
+      emit_obs_reports(*cs, opt);
       if (!opt.checkpoint_out_path.empty()) {
         try {
           snap::write_file(opt.checkpoint_out_path,
