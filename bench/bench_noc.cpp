@@ -11,6 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_json.hpp"
 #include "xtsoc/noc/fabric.hpp"
@@ -257,8 +259,69 @@ void BM_NocFlitWidth(benchmark::State& state) {
 }
 BENCHMARK(BM_NocFlitWidth)->Arg(1)->Arg(4)->Arg(16)->ArgNames({"flit_bytes"});
 
+/// The phase-B spine's fabric on its own: an 8x8 mesh with 4-cycle links
+/// and 32-byte flits (perfbench `mesh_coherent`'s platform), fed seeded
+/// uniform traffic at about 3 frames a cycle. As on the co-simulation's
+/// spine, only the tiles the fabric lists as ready are popped. One sample
+/// is the wall time of the run divided by the flits injected; the traffic
+/// is drawn before the clock starts.
+constexpr int kSpineCycles = 4000;
+
+double spine_ns_per_flit(const noc::TraceReplay& traffic) {
+  noc::FabricConfig cfg;
+  cfg.width = 8;
+  cfg.height = 8;
+  cfg.link_latency = 4;
+  cfg.flit_payload_bytes = 32;
+  noc::Fabric fabric(cfg);
+  noc::TraceReplay replay = traffic;
+  std::vector<noc::Delivery> due;
+  bench::Timer t;
+  for (std::uint64_t cycle = 0; cycle < kSpineCycles;) {
+    replay.tick(fabric, cycle);
+    fabric.tick(++cycle);
+    for (int tile : fabric.ready_tiles()) {
+      due = fabric.pop_due(tile, cycle);
+    }
+    fabric.clear_ready_tiles();
+  }
+  const double ns = t.seconds() * 1e9;
+  return ns / static_cast<double>(fabric.stats().flits_injected);
+}
+
+noc::TraceReplay spine_traffic() {
+  noc::FabricConfig cfg;
+  cfg.width = 8;
+  cfg.height = 8;
+  noc::Fabric scratch(cfg);
+  noc::TrafficSpec spec;
+  spec.pattern = noc::TrafficPattern::kUniform;
+  spec.seed = 7;
+  spec.offered_load = 3.0 / 64;
+  spec.payload_bytes = 16;
+  spec.record = true;
+  noc::TrafficGen gen(spec, scratch.topology());
+  for (std::uint64_t cycle = 0; cycle < kSpineCycles; ++cycle) {
+    gen.tick(scratch, cycle);
+  }
+  return noc::TraceReplay(gen.trace());
+}
+
 void emit_json() {
   bench::JsonReport report("noc");
+  {
+    const noc::TraceReplay traffic = spine_traffic();
+    (void)spine_ns_per_flit(traffic);  // warm-up
+    std::vector<double> samples;
+    for (int i = 0; i < 21; ++i) samples.push_back(spine_ns_per_flit(traffic));
+    const bench::Spread s = bench::spread(samples);
+    const std::string config =
+        "mesh=8x8,link_latency=4,flit_bytes=32,pattern=uniform,"
+        "frames_per_cycle=3,payload=16B,cycles=" +
+        std::to_string(kSpineCycles);
+    report.add("fabric_ns_per_flit", s.median, "ns/flit", config);
+    report.add("fabric_ns_per_flit_noise_pct", s.noise_pct, "%", config);
+  }
   bench::Timer t;
   std::uint64_t frames = 0;
   std::uint64_t cycles = 0;

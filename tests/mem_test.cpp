@@ -786,6 +786,120 @@ TEST(MemCosim, NoMemoryMarksWorldIsPinned) {
       << "fingerprint: " << std::hex << fnv1a(all);
 }
 
+// --- a cached coherent mesh is pinned -----------------------------------------
+
+/// A 4x4 mesh with the DRAM tile at 5 and fourteen hardware nodes on the
+/// other tiles but 0. Each node owns one token and passes it on to node
+/// (i + 3) % 14 on every dispatch. A dispatch reads one line of a 12-line
+/// private working set (the cache holds 8) and writes it every second time.
+/// Every eighth time it reads a line its group of four shares, and every
+/// 32nd time it writes that line too. This is a smaller
+/// `mesh_coherent`: misses, evictions, writebacks, sharing and
+/// invalidation all cross a fabric with 4-cycle links and 32-byte flits.
+constexpr int kCohNodes = 14;
+
+std::unique_ptr<xtuml::Domain> make_coherent_mesh_domain() {
+  xtuml::DomainBuilder b("CoherentMesh");
+  for (int i = 0; i < kCohNodes; ++i) b.cls("N" + std::to_string(i));
+  for (int i = 0; i < kCohNodes; ++i) {
+    b.edit("N" + std::to_string(i))
+        .attr("acc", DataType::kInt)
+        .attr("cur", DataType::kInt)
+        .attr("base", DataType::kInt)
+        .attr("shared", DataType::kInt)
+        .ref_attr("peer", "N" + std::to_string((i + 3) % kCohNodes))
+        .event("tok", {{"v", DataType::kInt}})
+        .state("Work",
+               "n = self.cur;\n"
+               "a = self.base + ((n / 4) % 12) * 32;\n"
+               "x = mem.read(a);\n"
+               "if (n % 2 == 0)\n"
+               "  mem.write(a, (x + param.v) % 65537);\n"
+               "end if;\n"
+               "y = 0;\n"
+               "if (n % 8 == 0)\n"
+               "  y = mem.read(self.shared);\n"
+               "  if (n % 32 == 0)\n"
+               "    mem.write(self.shared, (y + 1) % 65537);\n"
+               "  end if;\n"
+               "end if;\n"
+               "self.cur = n + 1;\n"
+               "self.acc = (self.acc * 31 + x + y) % 65537;\n"
+               "generate tok(v: self.acc) to self.peer;")
+        .transition("Work", "tok", "Work");
+  }
+  return b.take();
+}
+
+marks::MarkSet coherent_mesh_marks() {
+  marks::MarkSet m;
+  int tile = 1;
+  for (int i = 0; i < kCohNodes; ++i, ++tile) {
+    if (tile == 5) ++tile;
+    const std::string cls = "N" + std::to_string(i);
+    m.mark_hardware(cls);
+    m.set_class_mark(cls, marks::kTileX, ScalarValue(std::int64_t{tile % 4}));
+    m.set_class_mark(cls, marks::kTileY, ScalarValue(std::int64_t{tile / 4}));
+  }
+  m.set_domain_mark(marks::kMeshWidth, ScalarValue(std::int64_t{4}));
+  m.set_domain_mark(marks::kMeshHeight, ScalarValue(std::int64_t{4}));
+  m.set_domain_mark(marks::kLinkLatency, ScalarValue(std::int64_t{4}));
+  m.set_domain_mark(marks::kFlitBytes, ScalarValue(std::int64_t{32}));
+  m.set_domain_mark(marks::kDramTile, ScalarValue(std::int64_t{5}));
+  m.set_domain_mark(marks::kCacheSets, ScalarValue(std::int64_t{4}));
+  m.set_domain_mark(marks::kCacheWays, ScalarValue(std::int64_t{2}));
+  m.set_domain_mark(marks::kCacheLineBytes, ScalarValue(std::int64_t{32}));
+  return m;
+}
+
+TEST(MemCosim, CachedMeshIsPinned) {
+  // Golden fingerprints of the report and of the checkpoint after 2,000
+  // cycles, equal at every threads x window setting. If either moves, the
+  // memory timing layer or the fabric under it changed what it computes.
+  MappedFixture fx(make_coherent_mesh_domain(), coherent_mesh_marks());
+  for (int threads : {1, 3}) {
+    for (int window : {1, 0}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " window=" + std::to_string(window));
+      CoSimConfig cfg;
+      cfg.threads = threads;
+      cfg.window = window;
+      CoSimulation cs(*fx.system, cfg);
+      ASSERT_NE(cs.mem_system(), nullptr);
+      std::vector<InstanceHandle> h;
+      for (int i = 0; i < kCohNodes; ++i) {
+        h.push_back(cs.create_with(
+            "N" + std::to_string(i),
+            {{"acc", Value(std::int64_t{i * 97 + 5})},
+             {"base", Value(std::int64_t{4096} * (i + 1))},
+             {"shared", Value(std::int64_t{1 << 20} + 64 * (i / 4))}}));
+      }
+      for (int i = 0; i < kCohNodes; ++i) {
+        const auto u = static_cast<std::size_t>(i);
+        const auto* peer =
+            fx.domain->cls(h[u].cls).find_attribute("peer");
+        cs.executor_of(h[u].cls).database().set_attr(
+            h[u], peer->id, Value(h[(u + 3) % kCohNodes]));
+        cs.inject(h[u], "tok", {Value(std::int64_t{i + 1})});
+      }
+      cs.run_cycles(2000);
+      const MemStats& st = cs.mem_system()->stats();
+      EXPECT_GT(st.evictions, 0u);
+      EXPECT_GT(st.invalidations, 0u);
+      obs::Snapshot report = cs.report();
+      report["run"]["threads"] = nullptr;
+      report["run"]["window"] = nullptr;
+      const std::vector<std::uint8_t> bytes = snap::save(cs);
+      const std::uint64_t report_hash = fnv1a(report.to_json());
+      const std::uint64_t state_hash =
+          fnv1a(std::string(bytes.begin(), bytes.end()));
+      EXPECT_EQ(report_hash, 0x61c1f0419c71eec5ull)
+          << "report: " << std::hex << report_hash;
+      EXPECT_EQ(state_hash, 0xa4fa981f560b8468ull) << "checkpoint: " << std::hex << state_hash;
+    }
+  }
+}
+
 // --- TrafficGen memory pattern -------------------------------------------------
 
 struct TrafficOutcome {

@@ -828,11 +828,17 @@ struct GoldenResult {
   std::uint64_t pop_hash = 0;
   std::uint64_t table_hash = 0;
   FabricFaultStats faults;
+  /// The fabric's checkpoint at the end of the offer phase, mid-flight:
+  /// router FIFOs, NIC egress queues and link-borne flits all hold flits.
+  std::uint64_t state_hash = 0;
 };
 
-GoldenResult run_golden(fault::Plan* plan) {
-  FabricConfig cfg = small_mesh(4, 4);
-  cfg.fault = plan;
+/// The deliveries at `t` due by `cycle`: the one pop the golden runs make.
+std::vector<Delivery> pop_golden(Fabric& fab, int t, std::uint64_t cycle) {
+  return fab.pop_due(t, cycle);
+}
+
+GoldenResult run_golden(const FabricConfig& cfg) {
   Fabric fab(cfg);
   std::uint64_t cycle = 0;
   for (int c = 0; c < 16; ++c) {
@@ -851,11 +857,15 @@ GoldenResult run_golden(fault::Plan* plan) {
     fab.tick(++cycle);
   }
   GoldenResult g;
+  snap::Writer mid;
+  fab.save_state(mid);
+  g.state_hash =
+      fnv1a(std::string(mid.data().begin(), mid.data().end()));
   g.pop_hash = 1469598103934665603ull;
   for (int guard = 0; guard < 2000 && !fab.idle(); ++guard) {
     fab.tick(++cycle);
     for (int t = 0; t < 16; ++t) {
-      for (const Delivery& d : fab.pop_due(t, cycle)) {
+      for (const Delivery& d : pop_golden(fab, t, cycle)) {
         ++g.popped;
         std::string key = std::to_string(t) + ":" +
                           std::to_string(d.src_tile) + ":" +
@@ -872,6 +882,12 @@ GoldenResult run_golden(fault::Plan* plan) {
   g.table_hash = fnv1a(fab.stats().to_table());
   g.faults = fab.fault_stats();
   return g;
+}
+
+GoldenResult run_golden(fault::Plan* plan) {
+  FabricConfig cfg = small_mesh(4, 4);
+  cfg.fault = plan;
+  return run_golden(cfg);
 }
 
 TEST(Golden, DefaultMeshXYByteIdentical) {
@@ -919,6 +935,113 @@ TEST(Golden, FaultyMeshXYByteIdentical) {
   EXPECT_EQ(g.faults.acks_delivered, 188u);
   EXPECT_EQ(g.faults.frames_lost, 0u);
   EXPECT_EQ(g.faults.tainted_delivered, 0u);
+}
+
+// The same transpose workload on every other shape and policy, at the
+// default 4-byte and a 32-byte link, and under the resilient NIC wherever
+// the configuration is legal (adaptive routing refuses NoC faults). A
+// torus under this load can close a credit cycle and never drain (see
+// topology.hpp); the run then stops at its guard, and the pin covers that
+// too. Each pin is stats, delivery order and payloads, the printed table,
+// the mid-flight checkpoint bytes and the fault counters.
+
+struct GoldenPin {
+  std::uint64_t cycles, delivered, flits, popped;
+  std::uint64_t pop_hash, table_hash, state_hash, fault_hash;
+};
+
+void expect_golden(TopologyKind kind, int width, int height,
+                   RoutePolicy routing, int flit_bytes, bool faulty,
+                   const GoldenPin& want) {
+  SCOPED_TRACE(std::string(to_string(kind)) + " " + to_string(routing) +
+               " flitBytes=" + std::to_string(flit_bytes) +
+               (faulty ? " faulty" : " fault-free"));
+  FabricConfig cfg = small_mesh(width, height);
+  cfg.topology = kind;
+  cfg.routing = routing;
+  cfg.flit_payload_bytes = flit_bytes;
+  fault::FaultSpec spec;
+  spec.seed = 7;
+  spec.flit_drop = 0.02;
+  spec.flit_corrupt = 0.01;
+  spec.link_down = 0.005;
+  fault::Plan plan(spec);
+  if (faulty) cfg.fault = &plan;
+  const GoldenResult g = run_golden(cfg);
+  const GoldenPin got{g.stats.cycles,
+                      g.stats.frames_delivered,
+                      g.stats.flits_injected,
+                      g.popped,
+                      g.pop_hash,
+                      g.table_hash,
+                      g.state_hash,
+                      fnv1a(cosim::to_json(g.faults).dump())};
+  EXPECT_EQ(g.stats.frames_sent, 192u);
+  EXPECT_EQ(g.popped, g.stats.frames_delivered);
+  EXPECT_TRUE(std::tie(got.cycles, got.delivered, got.flits, got.popped,
+                       got.pop_hash, got.table_hash, got.state_hash,
+                       got.fault_hash) ==
+              std::tie(want.cycles, want.delivered, want.flits, want.popped,
+                       want.pop_hash, want.table_hash, want.state_hash,
+                       want.fault_hash))
+      << std::hex << "got {" << std::dec << got.cycles << ", "
+      << got.delivered << ", " << got.flits << ", " << got.popped << std::hex
+      << ", 0x" << got.pop_hash << "ull, 0x" << got.table_hash << "ull, 0x"
+      << got.state_hash << "ull, 0x" << got.fault_hash << "ull}";
+}
+
+TEST(Golden, MeshXYWideFlitsByteIdentical) {
+  expect_golden(TopologyKind::kMesh, 4, 4, RoutePolicy::kXY, 32, false,
+                {52, 192, 192, 192, 0x3d8fa9e9aa42bbe0ull, 0x16a2d883d7c134a7ull, 0xef6e2b912973351bull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kMesh, 4, 4, RoutePolicy::kXY, 32, true,
+                {668, 192, 225, 192, 0x81cdddb3415790ceull, 0xb9b5b62cf99224b1ull, 0x75020fd81f4d7b73ull, 0xc38ff9458a73d120ull});
+}
+
+TEST(Golden, MeshYXByteIdentical) {
+  expect_golden(TopologyKind::kMesh, 4, 4, RoutePolicy::kYX, 4, false,
+                {112, 192, 413, 192, 0x19bc6235088f0cull, 0x95b58730e3d53653ull, 0xacf5fca4ef7be89eull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kMesh, 4, 4, RoutePolicy::kYX, 4, true,
+                {2016, 191, 655, 191, 0x45e0427a5a2eec5full, 0x3ba3d539a3409cf8ull, 0x5a2e190adea75b1ull, 0x3a081fc174f0f53bull});
+  expect_golden(TopologyKind::kMesh, 4, 4, RoutePolicy::kYX, 32, false,
+                {52, 192, 192, 192, 0x86c1eb258784f9f0ull, 0x1a324602adfd3804ull, 0x831d34c3ad98beaeull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kMesh, 4, 4, RoutePolicy::kYX, 32, true,
+                {1298, 192, 252, 192, 0xc22216535fcdeb9aull, 0xd9c0254d25013bd2ull, 0x8fe855bc527626f3ull, 0x5f83aefc677a9bd1ull});
+}
+
+TEST(Golden, MeshAdaptiveByteIdentical) {
+  expect_golden(TopologyKind::kMesh, 4, 4, RoutePolicy::kAdaptive, 4, false,
+                {61, 192, 413, 192, 0xbef2e314972dbbfeull, 0xf51071aa009af8adull, 0x2db85e6be04f14bull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kMesh, 4, 4, RoutePolicy::kAdaptive, 32, false,
+                {28, 192, 192, 192, 0xfa0bbd850cb18830ull, 0xbdc2e837ff2c293bull, 0xe1864c635f006d7cull, 0x52fbea98c23d0a3dull});
+}
+
+TEST(Golden, TorusXYByteIdentical) {
+  expect_golden(TopologyKind::kTorus, 4, 4, RoutePolicy::kXY, 4, false,
+                {74, 192, 413, 192, 0xc95603556fac5aa4ull, 0x6dbeb118a759a758ull, 0x28b153a0e6339d57ull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kTorus, 4, 4, RoutePolicy::kXY, 4, true,
+                {2016, 192, 561, 192, 0x221cd30fac14652eull, 0x3028c7bd541d4e35ull, 0x51907bb8fae8e272ull, 0x2de7d301de4d847full});
+  expect_golden(TopologyKind::kTorus, 4, 4, RoutePolicy::kXY, 32, false,
+                {35, 192, 192, 192, 0x15c092a28f5b9928ull, 0x498f2535e0704cddull, 0x8b73fd45264c7b2dull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kTorus, 4, 4, RoutePolicy::kXY, 32, true,
+                {275, 192, 216, 192, 0x985807643788fb5eull, 0x707e04459002f7eaull, 0x9daaedd5904d487cull, 0xfb904e73d9e4165bull});
+}
+
+TEST(Golden, TorusAdaptiveByteIdentical) {
+  expect_golden(TopologyKind::kTorus, 4, 4, RoutePolicy::kAdaptive, 4, false,
+                {52, 192, 413, 192, 0x854d7b5df65ea552ull, 0xfb469a7ef1a01711ull, 0x2a92d563f6835fa4ull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kTorus, 4, 4, RoutePolicy::kAdaptive, 32, false,
+                {30, 192, 192, 192, 0xb94c424ad4cdb368ull, 0x69666288d802d1f5ull, 0x2234158e5c891124ull, 0x52fbea98c23d0a3dull});
+}
+
+TEST(Golden, Ring16ByteIdentical) {
+  expect_golden(TopologyKind::kRing, 16, 1, RoutePolicy::kXY, 4, false,
+                {2016, 67, 322, 67, 0x10f5277b3c6b170full, 0xcba6ee607eacd7a2ull, 0x9df7cd3cf1b9379ull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kRing, 16, 1, RoutePolicy::kXY, 4, true,
+                {2016, 188, 789, 188, 0x4ec3007a381ceb95ull, 0x844aae554c3a4ce2ull, 0x5d3bd6865dca26ecull, 0x9c9da17b0921176cull});
+  expect_golden(TopologyKind::kRing, 16, 1, RoutePolicy::kXY, 32, false,
+                {49, 192, 192, 192, 0x2cbc212588c03ab4ull, 0x53546782634ebb5dull, 0xbae441df91268686ull, 0x52fbea98c23d0a3dull});
+  expect_golden(TopologyKind::kRing, 16, 1, RoutePolicy::kXY, 32, true,
+                {1475, 192, 266, 192, 0xd4b949bbfb8163a6ull, 0x37943395f89fad96ull, 0xa5b5cc7b00a003d6ull, 0x2bd7d5e4521fbcc1ull});
 }
 
 }  // namespace
