@@ -57,7 +57,9 @@ MemRun pump_workload(int sets, int rounds, int working_lines) {
     fabric.tick(cycle);
     std::vector<mem::System::Incoming> delivered;
     for (int t : tiles) {
-      for (noc::Delivery& d : fabric.pop_due(t, cycle)) {
+      std::vector<noc::Delivery> due;
+      fabric.pop_due(t, cycle, due);
+      for (noc::Delivery& d : due) {
         if (!mem::wire::is_coherence(d.opcode)) continue;
         delivered.push_back(
             mem::System::Incoming{t, d.opcode, std::move(d.payload)});

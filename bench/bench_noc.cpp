@@ -49,9 +49,11 @@ NocRun pump_frames(int width, int height, int frames_per_tile,
       fabric.send_frame(t, dst, static_cast<std::uint32_t>(i), payload, cycle);
     }
   }
+  std::vector<noc::Delivery> due;
   while (!fabric.idle() && cycle < 10'000'000) {
     fabric.tick(++cycle);
-    for (int t = 0; t < tiles; ++t) (void)fabric.pop_due(t, cycle);
+    for (int t = 0; t < tiles; ++t) fabric.pop_due(t, cycle, due);
+    due.clear();
   }
 
   noc::FabricStats stats = fabric.stats();
@@ -91,15 +93,18 @@ SweepPoint run_sweep(noc::TopologyKind topology, noc::RoutePolicy routing,
 
   const int tiles = width * height;
   std::uint64_t cycle = 0;
+  std::vector<noc::Delivery> due;
   for (int c = 0; c < inject_cycles; ++c) {
     gen.tick(fabric, cycle);
     fabric.tick(++cycle);
-    for (int t = 0; t < tiles; ++t) (void)fabric.pop_due(t, cycle);
+    for (int t = 0; t < tiles; ++t) fabric.pop_due(t, cycle, due);
+    due.clear();
   }
   while (!fabric.idle() && cycle < static_cast<std::uint64_t>(inject_cycles) +
                                        100'000) {
     fabric.tick(++cycle);
-    for (int t = 0; t < tiles; ++t) (void)fabric.pop_due(t, cycle);
+    for (int t = 0; t < tiles; ++t) fabric.pop_due(t, cycle, due);
+    due.clear();
   }
 
   noc::FabricStats stats = fabric.stats();
@@ -248,9 +253,11 @@ void BM_NocFlitWidth(benchmark::State& state) {
     for (int i = 0; i < 32; ++i) {
       fabric.send_frame(0, 3, static_cast<std::uint32_t>(i), payload, cycle);
     }
+    std::vector<noc::Delivery> due;
     while (!fabric.idle() && cycle < 1'000'000) {
       fabric.tick(++cycle);
-      (void)fabric.pop_due(3, cycle);
+      fabric.pop_due(3, cycle, due);
+      due.clear();
     }
     frames += fabric.stats().frames_delivered;
   }
@@ -280,10 +287,9 @@ double spine_ns_per_flit(const noc::TraceReplay& traffic) {
   for (std::uint64_t cycle = 0; cycle < kSpineCycles;) {
     replay.tick(fabric, cycle);
     fabric.tick(++cycle);
-    for (int tile : fabric.ready_tiles()) {
-      due = fabric.pop_due(tile, cycle);
-    }
+    for (int tile : fabric.ready_tiles()) fabric.pop_due(tile, cycle, due);
     fabric.clear_ready_tiles();
+    due.clear();
   }
   const double ns = t.seconds() * 1e9;
   return ns / static_cast<double>(fabric.stats().flits_injected);

@@ -68,14 +68,6 @@ void Bus::push_to_sw(Frame f, std::uint64_t current_cycle,
   to_sw_.push_back(std::move(f));
 }
 
-std::vector<Frame> Bus::pop_due_to_hw(std::uint64_t cycle) {
-  return take_due(to_hw_, cycle);
-}
-
-std::vector<Frame> Bus::pop_due_to_sw(std::uint64_t cycle) {
-  return take_due(to_sw_, cycle);
-}
-
 template <class Io, class F>
 void frame_layout(Io& io, F& f) {
   io.u32(f.opcode);

@@ -76,13 +76,12 @@ void deliver_due(std::vector<Frame>& frames, std::uint64_t cycle,
   frames.resize(kept);
 }
 
-/// deliver_due into a fresh vector: the frames due at or before `cycle`,
-/// in order. A queue with nothing due costs one scan and no allocation.
-inline std::vector<Frame> take_due(std::vector<Frame>& frames,
-                                   std::uint64_t cycle) {
-  std::vector<Frame> due;
-  deliver_due(frames, cycle, [&due](Frame& f) { due.push_back(std::move(f)); });
-  return due;
+/// deliver_due onto the end of `out`: the frames due at or before
+/// `cycle`, in order. The caller owns `out`, so a reused buffer makes the
+/// hand-over allocation-free.
+inline void take_due(std::vector<Frame>& frames, std::uint64_t cycle,
+                     std::vector<Frame>& out) {
+  deliver_due(frames, cycle, [&out](Frame& f) { out.push_back(std::move(f)); });
 }
 
 struct BusStats {
@@ -119,9 +118,14 @@ public:
   void push_to_sw(Frame f, std::uint64_t current_cycle,
                   std::uint64_t extra_delay = 0);
 
-  /// Remove and return every frame due at or before `cycle`, in order.
-  std::vector<Frame> pop_due_to_hw(std::uint64_t cycle);
-  std::vector<Frame> pop_due_to_sw(std::uint64_t cycle);
+  /// Move every frame due at or before `cycle` onto the end of `out`, in
+  /// order.
+  void pop_due_to_hw(std::uint64_t cycle, std::vector<Frame>& out) {
+    take_due(to_hw_, cycle, out);
+  }
+  void pop_due_to_sw(std::uint64_t cycle, std::vector<Frame>& out) {
+    take_due(to_sw_, cycle, out);
+  }
 
   bool empty() const { return to_hw_.empty() && to_sw_.empty(); }
   int latency() const { return latency_; }

@@ -19,6 +19,7 @@
 
 #include "xtsoc/cosim/bus.hpp"
 #include "xtsoc/mapping/modelcompiler.hpp"
+#include "xtsoc/mem/mem.hpp"
 #include "xtsoc/mem/wire.hpp"
 #include "xtsoc/noc/fabric.hpp"
 #include "xtsoc/snap/io.hpp"
@@ -35,8 +36,9 @@ public:
   virtual void send(ClassId dst, Frame f, std::uint64_t current_cycle,
                     std::uint64_t extra_delay) = 0;
 
-  /// Remove and return every frame due at or before `cycle`, in order.
-  virtual std::vector<Frame> receive(std::uint64_t cycle) = 0;
+  /// Move every frame due at or before `cycle` onto the end of `out`, in
+  /// order. The caller owns `out` (a domain passes its inbox).
+  virtual void receive(std::uint64_t cycle, std::vector<Frame>& out) = 0;
 
   /// True when the channel buffers no undelivered frames of its own — the
   /// interconnect behind it may still hold traffic (the master checks Bus /
@@ -122,9 +124,12 @@ public:
     }
   }
 
-  std::vector<Frame> receive(std::uint64_t cycle) override {
-    return side_ == Side::kHardware ? bus_->pop_due_to_hw(cycle)
-                                    : bus_->pop_due_to_sw(cycle);
+  void receive(std::uint64_t cycle, std::vector<Frame>& out) override {
+    if (side_ == Side::kHardware) {
+      bus_->pop_due_to_hw(cycle, out);
+    } else {
+      bus_->pop_due_to_sw(cycle, out);
+    }
   }
 
   bool idle() const override { return true; }  // all state lives in the Bus
@@ -168,16 +173,19 @@ public:
   }
 
   /// Every signal frame drained from the NIC and due at or before `cycle`.
-  std::vector<Frame> receive(std::uint64_t cycle) override {
-    return take_due(pending_, cycle);
+  void receive(std::uint64_t cycle, std::vector<Frame>& out) override {
+    take_due(pending_, cycle, out);
   }
 
-  /// Remove and return every coherence (xtsoc::mem wire-format) frame due
-  /// at or before `cycle`. Coherence traffic shares the NIC but must not
-  /// enter the signal inbox — the mem::System consumes it on the serial
-  /// spine instead.
-  std::vector<Frame> take_coherence(std::uint64_t cycle) {
-    return take_due(coh_pending_, cycle);
+  /// Move every coherence (xtsoc::mem wire-format) frame due at or before
+  /// `cycle` onto the end of `out`, addressed to this tile. Coherence
+  /// traffic shares the NIC but must not enter the signal inbox — the
+  /// mem::System consumes it on the serial spine instead.
+  void take_coherence(std::uint64_t cycle,
+                      std::vector<mem::System::Incoming>& out) {
+    deliver_due(coh_pending_, cycle, [&](Frame& f) {
+      out.push_back({tile_, f.opcode, std::move(f.payload)});
+    });
   }
 
   /// Drain everything the NIC has reassembled (stats were recorded at
@@ -185,7 +193,9 @@ public:
   /// cycle, and demux by opcode: coherence frames go to the coherence
   /// queue, everything else (signals) to the signal queue.
   void drain_nic() {
-    for (noc::Delivery& d : fabric_->pop_due(tile_, kDrainAll)) {
+    drained_.clear();
+    fabric_->pop_due(tile_, kDrainAll, drained_);
+    for (noc::Delivery& d : drained_) {
       std::uint64_t due = d.due_cycle;
       if (d.arrive_cycle + egress_latency_ > due) {
         due = d.arrive_cycle + egress_latency_;
@@ -221,6 +231,7 @@ private:
   std::uint64_t egress_latency_;
   std::vector<Frame> pending_;      ///< reassembled signals, still in egress
   std::vector<Frame> coh_pending_;  ///< reassembled coherence frames
+  std::vector<noc::Delivery> drained_;  ///< drain_nic scratch, reused
 };
 
 }  // namespace xtsoc::cosim

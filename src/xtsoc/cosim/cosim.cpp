@@ -244,9 +244,7 @@ void CoSimulation::mem_tick(std::uint64_t cycle) {
   mem_delivered_.clear();
   coherence_held_.for_each([&](std::size_t c) {
     FabricChannel& fc = *fabric_channels_[c];
-    for (Frame& f : fc.take_coherence(cycle)) {
-      mem_delivered_.push_back({fc.tile(), f.opcode, std::move(f.payload)});
-    }
+    fc.take_coherence(cycle, mem_delivered_);
     if (!fc.has_coherence()) coherence_held_.erase(c);
   });
   mem_->tick(cycle, mem_delivered_);

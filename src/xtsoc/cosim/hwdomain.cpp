@@ -131,9 +131,7 @@ void HwDomain::step_cycle(std::size_t k) {
 }
 
 void HwDomain::fill_inbox(std::uint64_t through_cycle) {
-  for (Frame& f : channel_->receive(through_cycle)) {
-    inbox_.push_back(std::move(f));
-  }
+  channel_->receive(through_cycle, inbox_);
 }
 
 void HwDomain::run_window(std::uint64_t n) {

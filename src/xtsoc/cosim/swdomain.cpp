@@ -46,9 +46,7 @@ void SwDomain::run_cycle(std::uint64_t cycle, int steps, std::uint64_t ops) {
 }
 
 void SwDomain::fill_inbox(std::uint64_t through_cycle) {
-  for (Frame& f : channel_->receive(through_cycle)) {
-    inbox_.push_back(std::move(f));
-  }
+  channel_->receive(through_cycle, inbox_);
 }
 
 template <class Io, class Self>

@@ -32,9 +32,13 @@ int System::add_domain(int tile, const runtime::Executor* exec) {
   d.exec = exec;
   domains_.push_back(std::move(d));
   ports_.push_back(std::make_unique<Port>(this, tag, exec));
-  tag_of_tile_[tile] = tag;
   // Every executor tile owns a (possibly degenerate) private cache.
-  TileCache& c = caches_[tile];
+  if (static_cast<std::size_t>(tile) >= caches_.size()) {
+    caches_.resize(static_cast<std::size_t>(tile) + 1);
+  }
+  auto at = std::lower_bound(cache_tiles_.begin(), cache_tiles_.end(), tile);
+  if (at == cache_tiles_.end() || *at != tile) cache_tiles_.insert(at, tile);
+  TileCache& c = caches_[static_cast<std::size_t>(tile)];
   if (cached()) {
     c.lines.assign(static_cast<std::size_t>(config_.sets) *
                        static_cast<std::size_t>(config_.ways),
@@ -49,7 +53,7 @@ runtime::MemoryPort* System::port(int tag) {
 
 // --- functional layer --------------------------------------------------------
 
-std::int64_t System::read(int tag, std::uint64_t cycle, std::int64_t addr) {
+std::int64_t System::load(int tag, std::uint64_t cycle, std::int64_t addr) {
   Domain& d = domains_.at(static_cast<std::size_t>(tag));
   d.accesses.push_back(AccessRec{cycle, addr, 0});
   // Own buffered stores win (store-to-load forwarding).
@@ -70,7 +74,7 @@ std::int64_t System::read(int tag, std::uint64_t cycle, std::int64_t addr) {
   return cell.settled.value;
 }
 
-void System::write(int tag, std::uint64_t cycle, std::int64_t addr,
+void System::store(int tag, std::uint64_t cycle, std::int64_t addr,
                    std::int64_t value) {
   Domain& d = domains_.at(static_cast<std::size_t>(tag));
   d.accesses.push_back(AccessRec{cycle, addr, 1});
@@ -79,6 +83,7 @@ void System::write(int tag, std::uint64_t cycle, std::int64_t addr,
 }
 
 void System::append_visible(std::uint64_t horizon) {
+  sweep_ = true;
   // Every in-flight version became visible at or before the previous
   // horizon, so every read from now on sees it: only the newest one per
   // address can still be returned.
@@ -203,7 +208,7 @@ int System::pick_victim(int tile, TileCache& c, std::int64_t line,
 
 void System::process_access(int tile, const AccessRec& rec,
                             std::uint64_t cycle) {
-  TileCache& c = caches_[tile];
+  TileCache& c = caches_[static_cast<std::size_t>(tile)];
   std::int64_t line = line_of(rec.addr);
   int way = cached() ? find_way(c, line) : -1;
   if (way >= 0) {
@@ -239,7 +244,7 @@ void System::process_access(int tile, const AccessRec& rec,
 }
 
 void System::drain_blocked(int tile, std::uint64_t cycle) {
-  TileCache& c = caches_[tile];
+  TileCache& c = caches_[static_cast<std::size_t>(tile)];
   while (!c.mshr.valid && !c.blocked.empty()) {
     AccessRec rec = c.blocked.front();
     c.blocked.pop_front();
@@ -249,7 +254,7 @@ void System::drain_blocked(int tile, std::uint64_t cycle) {
 
 void System::cache_handle(int tile, const wire::Decoded& msg,
                           std::uint64_t cycle) {
-  TileCache& c = caches_[tile];
+  TileCache& c = caches_[static_cast<std::size_t>(tile)];
   switch (msg.type) {
   case wire::kData: {
     if (!c.mshr.valid || c.mshr.line != msg.line) return;  // stale
@@ -435,19 +440,30 @@ void System::tick(std::uint64_t cycle, const std::vector<Incoming>& delivered) {
     cache_handle(in.dst_tile, wire::decode(in.payload), cycle);
   }
   // 2. The directory tile has no executor, so the directory is its NIC.
-  for (noc::Delivery& del : fabric_->pop_due(config_.dram_tile, cycle)) {
+  dir_due_.clear();
+  fabric_->pop_due(config_.dram_tile, cycle, dir_due_);
+  for (const noc::Delivery& del : dir_due_) {
     if (!wire::is_coherence(del.opcode)) continue;
     dir_handle(wire::decode(del.payload), cycle);
   }
   // 3. Consume access records stamped at or before `cycle`, merged across
   // domains in (stamp, tag, issue order) — the same serial order at any
-  // threads x window setting. One pass finds the domains with a due record
-  // (ascending tags); the merge then looks only at those, the earliest
-  // stamp winning and ties going to the lowest tag.
+  // threads x window setting. The domains holding records are listed in
+  // ascending tags; after a serial point that may have added records, one
+  // pass over every domain relists them. The merge looks only at the
+  // listed domains with a due record, the earliest stamp winning and ties
+  // going to the lowest tag.
+  if (sweep_) {
+    sweep_ = false;
+    holding_.clear();
+    for (std::size_t t = 0; t < domains_.size(); ++t) {
+      if (!domains_[t].accesses.empty()) holding_.push_back(t);
+    }
+  }
+  if (holding_.empty()) return;
   due_tags_.clear();
-  for (std::size_t t = 0; t < domains_.size(); ++t) {
-    const auto& q = domains_[t].accesses;
-    if (!q.empty() && q.front().cycle <= cycle) due_tags_.push_back(t);
+  for (std::size_t t : holding_) {
+    if (domains_[t].accesses.front().cycle <= cycle) due_tags_.push_back(t);
   }
   while (!due_tags_.empty()) {
     std::size_t best = 0;
@@ -470,10 +486,13 @@ void System::tick(std::uint64_t cycle, const std::vector<Incoming>& delivered) {
     }
     process_access(d.tile, rec, cycle);
   }
+  std::erase_if(holding_,
+                [&](std::size_t t) { return domains_[t].accesses.empty(); });
 }
 
 bool System::idle() const {
-  for (const auto& [tile, c] : caches_) {
+  for (int tile : cache_tiles_) {
+    const TileCache& c = caches_[static_cast<std::size_t>(tile)];
     if (c.mshr.valid || !c.blocked.empty()) return false;
   }
   for (const auto& [line, d] : dir_) {
@@ -552,8 +571,20 @@ void System::layout(Io& io, Self& self) {
       self.cached() ? static_cast<std::size_t>(self.config_.sets) *
                           static_cast<std::size_t>(self.config_.ways)
                     : 0;
-  io.map(self.caches_, kCacheBytes, [&](auto& tile, auto& c) {
-    io.u64(tile);
+  // The caches in ascending tile order. They are construction-owned, one
+  // per domain tile: a snapshot must name exactly those tiles.
+  const std::size_t caches = io.count(self.cache_tiles_.size(), kCacheBytes);
+  if constexpr (kLoading) {
+    if (caches != self.cache_tiles_.size()) {
+      throw snap::SnapError("memory snapshot holds " + std::to_string(caches) +
+                            " caches, the world has " +
+                            std::to_string(self.cache_tiles_.size()));
+    }
+  }
+  for (const int tile : self.cache_tiles_) {
+    auto& c = self.caches_[static_cast<std::size_t>(tile)];
+    io.expect(static_cast<std::uint64_t>(tile),
+              "memory snapshot cache tile mismatch");
     io.u64(c.lru_tick);
     io.seq(c.lines, kLineBytes, [&](auto& cl) {
       io.i64(cl.line);
@@ -576,14 +607,6 @@ void System::layout(Io& io, Self& self) {
             " holds " + std::to_string(c.lines.size()) +
             " lines with its miss in way " + std::to_string(c.mshr.way) +
             ", the configuration has " + std::to_string(lines));
-      }
-    }
-  });
-  if constexpr (kLoading) {
-    for (const auto& d : self.domains_) {
-      if (self.caches_.count(d.tile) == 0) {
-        throw snap::SnapError("memory snapshot has no cache for tile " +
-                              std::to_string(d.tile));
       }
     }
   }
@@ -628,6 +651,9 @@ void System::check_restored(std::uint64_t cycle) const {
   }
 }
 
-void System::load_state(snap::Reader& r) { layout(r, *this); }
+void System::load_state(snap::Reader& r) {
+  layout(r, *this);
+  sweep_ = true;
+}
 
 }  // namespace xtsoc::mem

@@ -67,6 +67,7 @@
 
 namespace xtsoc::noc {
 class Fabric;
+struct Delivery;
 }
 namespace xtsoc::snap {
 class Writer;
@@ -135,19 +136,29 @@ public:
   /// in-flight versions, then the settled value; unwritten addresses read
   /// 0). Requires `cycle` >= the horizon of the append_visible call before
   /// the latest one (see the contract above). Also records the access for
-  /// the timing layer. Touches only domain-local state plus the read-only
-  /// value store, so parallel window phases may call it concurrently from
-  /// distinct tags.
-  std::int64_t read(int tag, std::uint64_t cycle, std::int64_t addr);
+  /// the timing layer. A direct call is a serial one: the next tick() looks
+  /// for its record. The executors' ports record the same way but touch
+  /// only domain-local state plus the read-only value store, so parallel
+  /// window phases may use them concurrently from distinct tags.
+  std::int64_t read(int tag, std::uint64_t cycle, std::int64_t addr) {
+    sweep_ = true;
+    return load(tag, cycle, addr);
+  }
 
-  /// Buffer a store; it becomes globally visible at cycle + L.
+  /// Buffer a store; it becomes globally visible at cycle + L. Serial, as
+  /// read() is.
   void write(int tag, std::uint64_t cycle, std::int64_t addr,
-             std::int64_t value);
+             std::int64_t value) {
+    sweep_ = true;
+    store(tag, cycle, addr, value);
+  }
 
   /// Serial point: fold the in-flight versions into the settled values,
   /// then move every buffered store with visibility <= horizon in flight,
   /// ordered by (visibility, tag, sequence). Call with the last cycle
-  /// about to be simulated before the next serial point.
+  /// about to be simulated before the next serial point. The ports record
+  /// accesses only between such points, so the first tick() after one
+  /// looks for the domains that recorded any.
   void append_visible(std::uint64_t horizon);
 
   // --- timing layer ----------------------------------------------------------
@@ -225,10 +236,10 @@ private:
     Port(System* sys, int tag, const runtime::Executor* exec)
         : sys_(sys), tag_(tag), exec_(exec) {}
     std::int64_t read(std::int64_t addr) override {
-      return sys_->read(tag_, exec_->now(), addr);
+      return sys_->load(tag_, exec_->now(), addr);
     }
     void write(std::int64_t addr, std::int64_t value) override {
-      sys_->write(tag_, exec_->now(), addr, value);
+      sys_->store(tag_, exec_->now(), addr, value);
     }
 
   private:
@@ -286,6 +297,11 @@ private:
     std::uint64_t busy_until = 0;
   };
 
+  /// read() and write() without the serial sweep request: the ports'
+  /// domain-local path.
+  std::int64_t load(int tag, std::uint64_t cycle, std::int64_t addr);
+  void store(int tag, std::uint64_t cycle, std::int64_t addr,
+             std::int64_t value);
   std::int64_t line_of(std::int64_t addr) const;
   void send(int src, int dst, wire::Msg type, std::uint8_t aux,
             std::int64_t line, bool data_sized, std::uint64_t cycle,
@@ -310,15 +326,26 @@ private:
   int line_shift_ = 6;
 
   std::vector<Domain> domains_;              // by tag
-  std::vector<std::size_t> due_tags_;        // tick() scratch
   std::vector<std::unique_ptr<Port>> ports_; // by tag
+  /// The domains that may hold access records, ascending tags: every
+  /// domain with a record is listed. tick() reads and prunes it, and
+  /// rebuilds it with one pass over every domain only when `sweep_` says
+  /// records may have been added since (a serial read() or write(), an
+  /// append_visible, a restore). Written on the serial spine only.
+  std::vector<std::size_t> holding_;
+  bool sweep_ = false;
+  std::vector<std::size_t> due_tags_;        // tick() scratch
+  /// The directory NIC's deliveries for one tick. Reused scratch.
+  std::vector<noc::Delivery> dir_due_;
   /// append_visible's (tag, store) batch. Reused scratch.
   std::vector<std::pair<int, StoreRec>> visible_batch_;
-  std::map<int, int> tag_of_tile_;
 
   std::map<std::int64_t, Cell> cells_;                ///< addr -> value
   std::vector<Cell*> in_flight_;                      ///< cells in flight
-  std::map<int, TileCache> caches_;                   ///< tile -> cache
+  /// Private caches indexed by tile (entries at tiles without a domain
+  /// stay empty and unused), and the tiles that have one, ascending.
+  std::vector<TileCache> caches_;
+  std::vector<int> cache_tiles_;
   std::map<std::int64_t, DirLine> dir_;               ///< line -> directory
   DramBank banks_[8];
   MemStats stats_;

@@ -60,7 +60,8 @@ Fabric::Fabric(FabricConfig config) : config_(config), obs_(config.obs) {
           "paths");
     }
   }
-  topo_ = make_topology(config_.topology, config_.width, config_.height);
+  topo_ = std::make_unique<Topology>(config_.topology, config_.width,
+                                     config_.height);
 
   const int n = tiles();
   routers_.reserve(static_cast<std::size_t>(n));
@@ -101,8 +102,6 @@ Fabric::Fabric(FabricConfig config) : config_(config), obs_(config.obs) {
   sending_nics_.resize(static_cast<std::size_t>(n));
 }
 
-int Fabric::hop_distance(int a, int b) const { return topo_->min_hops(a, b); }
-
 std::uint64_t Fabric::retry_deadline(std::uint64_t cycle, int hops,
                                      std::size_t nflits, std::size_t backlog,
                                      int attempts) const {
@@ -121,10 +120,6 @@ std::uint64_t Fabric::retry_deadline(std::uint64_t cycle, int hops,
               nflits + backlog) +
       64;
   return cycle + (base << (attempts > 6 ? 6 : attempts));
-}
-
-int Fabric::neighbor_of(int tile, Port dir) const {
-  return topo_->neighbors(tile, dir);
 }
 
 void Fabric::check_tile(int tile, const char* what) const {
@@ -159,7 +154,7 @@ void Fabric::send_frame(int src, int dst, std::uint32_t opcode,
 
   if (!fault_armed_) {
     // Fault-free path: one attempt, no transport header, fire and forget.
-    enqueue_attempt(src, dst, tx, RouteMode::kPrimary);
+    enqueue_attempt(src, dst, tx, RouteMode::kPrimary, false);
     return;
   }
 
@@ -172,13 +167,13 @@ void Fabric::send_frame(int src, int dst, std::uint32_t opcode,
       tx.payload.empty() ? 1 : (tx.payload.size() + chunk - 1) / chunk;
   tx.deadline = retry_deadline(current_cycle, hop_distance(src, dst), nflits,
                                nic.tx.size(), 0);
-  enqueue_attempt(src, dst, tx, RouteMode::kPrimary);
+  enqueue_attempt(src, dst, tx, RouteMode::kPrimary, true);
   nic.retry_at.emplace(tx.deadline, tx.frame_id);
   nic.pending.emplace(tx.frame_id, std::move(tx));
 }
 
-void Fabric::enqueue_attempt(int src, int dst, const PendingTx& tx,
-                             RouteMode route_mode) {
+void Fabric::enqueue_attempt(int src, int dst, PendingTx& tx,
+                             RouteMode route_mode, bool keep_payload) {
   Nic& nic = nics_[static_cast<std::size_t>(src)];
   const std::size_t chunk =
       static_cast<std::size_t>(config_.flit_payload_bytes);
@@ -212,12 +207,14 @@ void Fabric::enqueue_attempt(int src, int dst, const PendingTx& tx,
     }
     const std::size_t off = i * chunk;
     const std::size_t len = std::min(chunk, tx.payload.size() - off);
-    if (!tx.payload.empty()) {
+    if (nflits == 1 && !keep_payload) {
+      f.payload = std::move(tx.payload);
+    } else if (!tx.payload.empty()) {
       f.payload.assign(
           tx.payload.begin() + static_cast<std::ptrdiff_t>(off),
           tx.payload.begin() + static_cast<std::ptrdiff_t>(off + len));
     }
-    nic.tx.push_back(std::move(f));
+    nic.tx.push(std::move(f));
   }
   sending_nics_.insert(static_cast<std::size_t>(src));
 }
@@ -384,7 +381,7 @@ void Fabric::fault_cycle(std::uint64_t cycle) {
       tx.deadline = retry_deadline(cycle, hop_distance(t, tx.dst), nflits,
                                    nic.tx.size(), tx.attempts);
       nic.retry_at.emplace(tx.deadline, frame_id);
-      enqueue_attempt(t, tx.dst, tx, mode);
+      enqueue_attempt(t, tx.dst, tx, mode, true);
       ++tx.attempts;
     }
   }
@@ -428,7 +425,7 @@ void Fabric::tick(std::uint64_t cycle) {
     if (nic.inject_credits <= 0) return;
     routers_[t].accept(kLocal, std::move(nic.tx.front()));
     busy_routers_.insert(t);
-    nic.tx.pop_front();
+    nic.tx.pop();
     if (nic.tx.empty()) sending_nics_.erase(t);
     --nic.inject_credits;
     ++flits_injected_;
@@ -555,25 +552,24 @@ void Fabric::tick(std::uint64_t cycle) {
   }
 }
 
-std::vector<Delivery> Fabric::pop_due(int tile, std::uint64_t cycle) {
+void Fabric::pop_due(int tile, std::uint64_t cycle,
+                     std::vector<Delivery>& out) {
   check_tile(tile, "pop_due");
   Nic& nic = nics_[static_cast<std::size_t>(tile)];
-  std::vector<Delivery> due;
-  if (nic.ready.empty()) return due;  // the common case: nothing arrived
+  if (nic.ready.empty()) return;  // the common case: nothing arrived
   // Deliveries may carry heterogeneous generate-delays, so scan everything
   // but keep the survivors' relative order (same contract as Bus::pop_due),
   // compacting them in place.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < nic.ready.size(); ++i) {
     if (nic.ready[i].due_cycle <= cycle) {
-      due.push_back(std::move(nic.ready[i]));
+      out.push_back(std::move(nic.ready[i]));
     } else {
       if (kept != i) nic.ready[kept] = std::move(nic.ready[i]);
       ++kept;
     }
   }
   nic.ready.resize(kept);
-  return due;
 }
 
 bool Fabric::idle() const {
@@ -724,7 +720,17 @@ void Fabric::layout(Io& io, Self& self) {
     if constexpr (kLoading) check_restored_flit(f, *self.topo_);
   };
   for (auto& n : self.nics_) {
-    io.seq(n.tx, kFlitBytes, flit);
+    const std::size_t queued = io.count(n.tx.size(), kFlitBytes);
+    if constexpr (kLoading) n.tx.clear();
+    for (std::size_t i = 0; i < queued; ++i) {
+      if constexpr (kLoading) {
+        Flit f;
+        flit(f);
+        n.tx.push(std::move(f));
+      } else {
+        flit(n.tx.at(i));
+      }
+    }
     io.u32(n.inject_credits);
     if constexpr (kLoading) {
       const auto credits = static_cast<std::uint32_t>(n.inject_credits);

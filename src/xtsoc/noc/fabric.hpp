@@ -20,7 +20,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <set>
@@ -164,9 +163,10 @@ public:
   /// Advance the whole network by one cycle (cycle number `cycle`).
   void tick(std::uint64_t cycle);
 
-  /// Remove and return every completed frame at `tile` due at or before
-  /// `cycle`, in arrival order.
-  std::vector<Delivery> pop_due(int tile, std::uint64_t cycle);
+  /// Move every completed frame at `tile` due at or before `cycle` onto
+  /// the end of `out`, in arrival order. The caller owns `out` and can
+  /// reuse it, so a steady stream of deliveries allocates nothing here.
+  void pop_due(int tile, std::uint64_t cycle, std::vector<Delivery>& out);
 
   /// Tiles where a frame completed since the last clear_ready_tiles(), each
   /// listed once, in completion order. A consumer that pops these NICs
@@ -220,8 +220,37 @@ private:
     int attempts = 1;
   };
 
+  /// NIC egress: the segmented flits awaiting injection, in order. A
+  /// vector and a head index: a pop moves the head, the storage is reused
+  /// once the queue drains, and the popped prefix is compacted away when
+  /// it is the larger half, so a NIC that never drains stays bounded.
+  struct Egress {
+    std::vector<Flit> flits;
+    std::size_t head = 0;
+
+    bool empty() const { return head == flits.size(); }
+    std::size_t size() const { return flits.size() - head; }
+    Flit& front() { return flits[head]; }
+    const Flit& at(std::size_t i) const { return flits[head + i]; }
+    void push(Flit f) { flits.push_back(std::move(f)); }
+    void pop() {
+      if (++head == flits.size()) {
+        flits.clear();
+        head = 0;
+      } else if (head >= 32 && 2 * head >= flits.size()) {
+        flits.erase(flits.begin(),
+                    flits.begin() + static_cast<std::ptrdiff_t>(head));
+        head = 0;
+      }
+    }
+    void clear() {
+      flits.clear();
+      head = 0;
+    }
+  };
+
   struct Nic {
-    std::deque<Flit> tx;    ///< segmented flits awaiting injection
+    Egress tx;              ///< segmented flits awaiting injection
     int inject_credits = 0; ///< free slots in the router's local input FIFO
     /// In-progress reassemblies, keyed by (source tile, attempt seq).
     std::map<std::pair<int, std::uint32_t>, Reassembly> partial;
@@ -265,14 +294,18 @@ private:
   };
 
   /// The topology's neighbors(): -1 where no link exists.
-  int neighbor_of(int tile, Port dir) const;
+  int neighbor_of(int tile, Port dir) const {
+    return topo_->neighbors(tile, dir);
+  }
   void eject(int tile, Flit flit, std::uint64_t cycle);
   void check_tile(int tile, const char* what) const;
 
   // --- fault machinery (no-ops unless a plan with NoC rates is attached) ---
-  /// Segment one transmission attempt of a frame into link flits.
-  void enqueue_attempt(int src, int dst, const PendingTx& tx,
-                       RouteMode route_mode);
+  /// Segment one transmission attempt of a frame into link flits. With
+  /// `keep_payload` false (a fault-free send: no retransmission will need
+  /// it) a single-flit frame hands its payload to the flit, uncopied.
+  void enqueue_attempt(int src, int dst, PendingTx& tx, RouteMode route_mode,
+                       bool keep_payload);
   /// A completed reassembly: CRC check, dedup, ack, then delivery.
   void complete_frame(int tile, int src_tile, std::uint32_t frame_id,
                       std::uint32_t crc, bool tainted, std::uint32_t opcode,
@@ -282,7 +315,7 @@ private:
   /// Acks, retry deadlines, and link-outage draws for this cycle.
   void fault_cycle(std::uint64_t cycle);
   /// The topology's min_hops() (both dimension orders tie).
-  int hop_distance(int a, int b) const;
+  int hop_distance(int a, int b) const { return topo_->min_hops(a, b); }
   /// Retry deadline: generous round-trip bound including the current
   /// injection backlog, doubled per attempt — tight enough to recover,
   /// loose enough that an undisturbed frame never retries spuriously.

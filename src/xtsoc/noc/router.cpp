@@ -43,18 +43,17 @@ Port opposite(Port p) {
 }
 
 Port Router::route(const Flit& f) const {
-  const int dst =
-      topo_->index(static_cast<int>(f.dst_x), static_cast<int>(f.dst_y));
+  const Port xs = topo_->x_step(x_, f.dst_x);
+  const Port ys = topo_->y_step(y_, f.dst_y);
   if (policy_ == RoutePolicy::kAdaptive) {
-    // Minimal-adaptive: both dimension orders lead to minimal paths, so ask
-    // the topology for each order's next port and take the one with more
-    // credit downstream — the frame sidesteps the backpressured dimension.
+    // Minimal-adaptive: both dimension orders lead to minimal paths, so
+    // take each order's next port and pick the one with more credit
+    // downstream — the frame sidesteps the backpressured dimension.
     // Ties go to the XY port, so an uncongested adaptive fabric routes
     // exactly like an XY one. The choice is made on the head flit and
     // pinned until the tail passes (frame_forwarded), keeping every flit of
     // a frame on one path — reassembly's in-order requirement.
-    const Port px =
-        topo_->route(RoutePolicy::kXY, tile_, dst, RouteMode::kPrimary);
+    const Port px = xs != kLocal ? xs : ys;
     if (px == kLocal) return kLocal;
     if (f.kind == FlitKind::kBody || f.kind == FlitKind::kTail) {
       auto it = adaptive_port_.find(frame_key(f));
@@ -62,8 +61,7 @@ Port Router::route(const Flit& f) const {
       // No pin: the head ejected here or was a single-flit attempt that
       // left no state — fall through and decide like a head would.
     }
-    const Port py =
-        topo_->route(RoutePolicy::kYX, tile_, dst, RouteMode::kPrimary);
+    const Port py = ys != kLocal ? ys : xs;
     Port chosen = px;
     if (py != px) chosen = credits_[py] > credits_[px] ? py : px;
     // Pin multi-flit frames so the body/tail follow; repeated speculative
@@ -85,7 +83,8 @@ Port Router::route(const Flit& f) const {
   // deadlock folklore lives; the resilient NIC's retry deadline bounds any
   // such episode — a stuck attempt is re-sent or reported lost, never
   // waited on forever.
-  return topo_->route(policy_, tile_, dst, f.route_mode);
+  if (Topology::x_first(policy_, f.route_mode)) return xs != kLocal ? xs : ys;
+  return ys != kLocal ? ys : xs;
 }
 
 void Router::accept(Port p, Flit f) {
@@ -96,20 +95,13 @@ void Router::accept(Port p, Flit f) {
                       ": a flit arrived without a credit");
   }
   const Port out = policy_ == RoutePolicy::kAdaptive ? kLocal : route(f);
+  // A flit entering an empty FIFO is its new head.
+  if (q.empty()) wants_[out] |= static_cast<std::uint8_t>(1u << p);
   q.push(BufferedFlit{std::move(f), out});
   ++buffered_;
 }
 
-unsigned Router::requested_outputs() const {
-  if (policy_ == RoutePolicy::kAdaptive) return (1u << kPortCount) - 1;
-  unsigned mask = 0;
-  for (const FlitFifo& q : in_) {
-    if (!q.empty()) mask |= 1u << q.front().route;
-  }
-  return mask;
-}
-
-int Router::arbitrate(Port out, unsigned served_mask) const {
+int Router::arbitrate_adaptive(Port out, unsigned served_mask) const {
   for (int i = 0; i < kPortCount; ++i) {
     int p = rr_[out] + i;
     if (p >= kPortCount) p -= kPortCount;
@@ -118,10 +110,7 @@ int Router::arbitrate(Port out, unsigned served_mask) const {
     if (q.empty()) continue;
     // The adaptive query may pin a route, so it is made here, in the
     // round-robin order the policy's outcome depends on.
-    const Port want = policy_ == RoutePolicy::kAdaptive
-                          ? route(q.front().flit)
-                          : q.front().route;
-    if (want == out) return p;
+    if (route(q.front().flit) == out) return p;
   }
   return -1;
 }
@@ -153,7 +142,11 @@ void Router::layout(Io& io, Self& self) {
     return "router (" + std::to_string(self.x_) + "," +
            std::to_string(self.y_) + ") snapshot holds ";
   };
-  if constexpr (kLoading) self.buffered_ = 0;
+  if constexpr (kLoading) {
+    // accept() rebuilds the buffer count and the request masks.
+    self.buffered_ = 0;
+    self.wants_.fill(0);
+  }
   for (int p = 0; p < kPortCount; ++p) {
     const auto port = static_cast<Port>(p);
     auto& q = self.in_[p];

@@ -15,7 +15,11 @@
 //     counter lives in the upstream router, so a full buffer stalls the
 //     sender instead of dropping flits;
 //   * arbitration between input ports competing for one output is
-//     round-robin, which keeps the network deterministic AND starvation-free;
+//     round-robin, which keeps the network deterministic AND starvation-free.
+//     Under XY and YX the router keeps, per output, the bit mask of the
+//     inputs whose head flit routes there (accept and take update it), so
+//     the requested outputs are the non-zero masks and a round-robin pick
+//     is one rotate and a count of trailing zeros;
 //   * routing is dimension-ordered (correct one coordinate, then the other,
 //     then eject), so flits of one (source, destination) pair never reorder
 //     — the property frame reassembly relies on. Under XY and YX (and a
@@ -33,6 +37,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 
@@ -83,6 +88,7 @@ public:
     in_.fill(FlitFifo(static_cast<std::size_t>(fifo_depth)));
     credits_.fill(0);
     rr_.fill(0);
+    wants_.fill(0);
   }
 
   int x() const { return x_; }
@@ -109,8 +115,11 @@ public:
   void accept(Port p, Flit f);
   /// Remove and return the head flit of input `p`.
   Flit take(Port p) {
-    Flit f = std::move(in_[p].front().flit);
-    in_[p].pop();
+    FlitFifo& q = in_[p];
+    wants_[q.front().route] &= static_cast<std::uint8_t>(~(1u << p));
+    Flit f = std::move(q.front().flit);
+    q.pop();
+    if (!q.empty()) wants_[q.front().route] |= static_cast<std::uint8_t>(1u << p);
     --buffered_;
     return f;
   }
@@ -119,7 +128,14 @@ public:
   /// Output ports requested by the input heads at the start of a visit, as
   /// a bit mask: the ports arbitrate() can find a winner for. Under the
   /// adaptive policy every port, since its decision waits for the query.
-  unsigned requested_outputs() const;
+  unsigned requested_outputs() const {
+    if (policy_ == RoutePolicy::kAdaptive) return (1u << kPortCount) - 1;
+    unsigned mask = 0;
+    for (int out = 0; out < kPortCount; ++out) {
+      mask |= static_cast<unsigned>(wants_[out] != 0) << out;
+    }
+    return mask;
+  }
 
   // --- credits toward each downstream neighbour --------------------------------
   int credits(Port p) const { return credits_[p]; }
@@ -132,7 +148,20 @@ public:
   /// winner. Ports whose bit is set in `served_mask` already forwarded a
   /// flit this cycle (one flit per input per cycle) and are skipped.
   /// Returns -1 if no eligible input's head flit routes to `out`.
-  int arbitrate(Port out, unsigned served_mask = 0) const;
+  int arbitrate(Port out, unsigned served_mask = 0) const {
+    if (policy_ == RoutePolicy::kAdaptive) {
+      return arbitrate_adaptive(out, served_mask);
+    }
+    // The eligible requesters, rotated so bit 0 is input rr_[out]: the
+    // lowest set bit is the first one round-robin order reaches.
+    const unsigned m = wants_[out] & ~served_mask & ((1u << kPortCount) - 1);
+    if (m == 0) return -1;
+    const int rr = rr_[out];
+    const unsigned rotated =
+        ((m >> rr) | (m << (kPortCount - rr))) & ((1u << kPortCount) - 1);
+    const int p = rr + std::countr_zero(rotated);
+    return p >= kPortCount ? p - kPortCount : p;
+  }
   void advance_rr(Port out, int winner) {
     rr_[out] = (winner + 1) % kPortCount;
   }
@@ -162,6 +191,10 @@ private:
            static_cast<std::uint64_t>(f.seq);
   }
 
+  /// The adaptive policy's arbitration: each head's route query is made
+  /// in round-robin order, the order its outcome depends on.
+  int arbitrate_adaptive(Port out, unsigned served_mask) const;
+
   int x_, y_;
   int depth_;
   const Topology* topo_;  ///< owned by the Fabric, outlives every router
@@ -171,6 +204,9 @@ private:
   std::size_t buffered_ = 0;  ///< flits in all input FIFOs
   std::array<int, kPortCount> credits_;  ///< free slots downstream of each output
   std::array<int, kPortCount> rr_;       ///< next input to consider per output
+  /// Per output: the inputs whose head flit routes there, one bit each
+  /// (dimension order only; derived from the FIFOs, so never saved).
+  std::array<std::uint8_t, kPortCount> wants_;
   /// Adaptive policy only: output port pinned for each frame whose head
   /// this router has routed but whose tail has not yet passed. Mutable
   /// because the pin is established inside the (speculative, repeated)

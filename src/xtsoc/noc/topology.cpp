@@ -48,177 +48,87 @@ std::optional<RoutePolicy> routing_from_string(std::string_view s) {
 
 namespace {
 
-/// Whether the effective dimension order corrects X before Y. kAdaptive
-/// resolves to its deterministic XY core here; the Router layers the
-/// credit-based choice on top.
-bool x_first(RoutePolicy policy, RouteMode mode) {
-  const bool xf = policy != RoutePolicy::kYX;
-  return mode == RouteMode::kFallback ? !xf : xf;
-}
-
-class MeshTopology final : public Topology {
-public:
-  MeshTopology(int width, int height)
-      : Topology(TopologyKind::kMesh, width, height) {}
-
-  int neighbors(int tile, Port dir) const override {
-    int x = x_of(tile), y = y_of(tile);
-    switch (dir) {
-      case kNorth: y -= 1; break;
-      case kSouth: y += 1; break;
-      case kEast: x += 1; break;
-      case kWest: x -= 1; break;
-      default: return -1;
-    }
-    if (x < 0 || x >= width() || y < 0 || y >= height()) return -1;
-    return index(x, y);
-  }
-
-  Port route(RoutePolicy policy, int src, int dst,
-             RouteMode mode) const override {
-    const int x = x_of(src), y = y_of(src);
-    const int dx = x_of(dst), dy = y_of(dst);
-    if (x_first(policy, mode)) {
-      if (dx > x) return kEast;
-      if (dx < x) return kWest;
-      if (dy > y) return kSouth;  // y grows downward (row-major tiles)
-      if (dy < y) return kNorth;
-      return kLocal;
-    }
-    if (dy > y) return kSouth;
-    if (dy < y) return kNorth;
-    if (dx > x) return kEast;
-    if (dx < x) return kWest;
-    return kLocal;
-  }
-
-  int min_hops(int a, int b) const override {
-    const int ax = x_of(a), ay = y_of(a);
-    const int bx = x_of(b), by = y_of(b);
-    return (ax > bx ? ax - bx : bx - ax) + (ay > by ? ay - by : by - ay);
-  }
-
-  int link_count() const override {
-    // Two directed links per adjacent pair.
-    return 2 * ((width() - 1) * height() + width() * (height() - 1));
-  }
-};
-
-/// Shared by torus and ring: one wrapped dimension of size `n`. Distance
-/// forward (toward kEast / kSouth) from `from` to `to`; the minimal
-/// direction is forward when fwd*2 <= n (ties wrap forward, keeping the
-/// decision deterministic).
+/// Distance forward (toward kEast / kSouth) from `from` to `to` in a
+/// wrapped dimension of size `n`. The minimal direction is forward when
+/// fwd*2 <= n (ties wrap forward, keeping the decision deterministic).
 int wrap_fwd(int from, int to, int n) { return (to - from + n) % n; }
 
-class TorusTopology final : public Topology {
-public:
-  TorusTopology(int width, int height)
-      : Topology(TopologyKind::kTorus, width, height) {}
-
-  int neighbors(int tile, Port dir) const override {
-    const int x = x_of(tile), y = y_of(tile);
-    switch (dir) {
-      case kNorth:
-        return height() < 2 ? -1 : index(x, (y - 1 + height()) % height());
-      case kSouth:
-        return height() < 2 ? -1 : index(x, (y + 1) % height());
-      case kEast:
-        return width() < 2 ? -1 : index((x + 1) % width(), y);
-      case kWest:
-        return width() < 2 ? -1 : index((x - 1 + width()) % width(), y);
-      default:
-        return -1;
+/// Fill one dimension's step and distance tables, [from * n + to]. An
+/// unwrapped dimension steps toward the target (`up` when it lies at a
+/// larger coordinate, `down` otherwise); a wrapped one takes the shorter
+/// way round, ties forward (`up`).
+void fill_dimension(int n, bool wrapped, Port up, Port down,
+                    std::vector<std::uint8_t>& step,
+                    std::vector<std::uint8_t>& dist) {
+  step.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
+              kLocal);
+  dist.assign(step.size(), 0);
+  for (int from = 0; from < n; ++from) {
+    for (int to = 0; to < n; ++to) {
+      const std::size_t at = static_cast<std::size_t>(from * n + to);
+      if (from == to) continue;
+      if (wrapped) {
+        const int fwd = wrap_fwd(from, to, n);
+        step[at] = 2 * fwd <= n ? up : down;
+        dist[at] = static_cast<std::uint8_t>(std::min(fwd, n - fwd));
+      } else {
+        step[at] = to > from ? up : down;
+        dist[at] = static_cast<std::uint8_t>(to > from ? to - from : from - to);
+      }
     }
   }
-
-  Port route(RoutePolicy policy, int src, int dst,
-             RouteMode mode) const override {
-    const Port xs = x_step(x_of(src), x_of(dst));
-    const Port ys = y_step(y_of(src), y_of(dst));
-    if (x_first(policy, mode)) {
-      if (xs != kLocal) return xs;
-      return ys;
-    }
-    if (ys != kLocal) return ys;
-    return xs;
-  }
-
-  int min_hops(int a, int b) const override {
-    const int fx = wrap_fwd(x_of(a), x_of(b), width());
-    const int fy = wrap_fwd(y_of(a), y_of(b), height());
-    return std::min(fx, width() - fx) + std::min(fy, height() - fy);
-  }
-
-  int link_count() const override {
-    return (width() > 1 ? 2 * tiles() : 0) + (height() > 1 ? 2 * tiles() : 0);
-  }
-
-private:
-  Port x_step(int x, int dx) const {
-    const int fwd = wrap_fwd(x, dx, width());
-    if (fwd == 0) return kLocal;
-    return 2 * fwd <= width() ? kEast : kWest;
-  }
-  Port y_step(int y, int dy) const {
-    const int fwd = wrap_fwd(y, dy, height());
-    if (fwd == 0) return kLocal;
-    return 2 * fwd <= height() ? kSouth : kNorth;
-  }
-};
-
-class RingTopology final : public Topology {
-public:
-  explicit RingTopology(int width)
-      : Topology(TopologyKind::kRing, width, /*height=*/1) {}
-
-  int neighbors(int tile, Port dir) const override {
-    const int x = x_of(tile);
-    switch (dir) {
-      case kEast: return width() < 2 ? -1 : index((x + 1) % width(), 0);
-      case kWest:
-        return width() < 2 ? -1 : index((x - 1 + width()) % width(), 0);
-      default: return -1;  // one row: no vertical links
-    }
-  }
-
-  Port route(RoutePolicy, int src, int dst, RouteMode) const override {
-    // One dimension: policy and fallback order are indistinguishable (a
-    // retransmission retraces the ring, there is no second path).
-    const int fwd = wrap_fwd(x_of(src), x_of(dst), width());
-    if (fwd == 0) return kLocal;
-    return 2 * fwd <= width() ? kEast : kWest;
-  }
-
-  int min_hops(int a, int b) const override {
-    const int fwd = wrap_fwd(x_of(a), x_of(b), width());
-    return std::min(fwd, width() - fwd);
-  }
-
-  int link_count() const override { return width() > 1 ? 2 * width() : 0; }
-};
+}
 
 }  // namespace
 
-std::unique_ptr<Topology> make_topology(TopologyKind kind, int width,
-                                        int height) {
-  switch (kind) {
-    case TopologyKind::kMesh:
-      return std::make_unique<MeshTopology>(width, height);
-    case TopologyKind::kTorus:
-      if (width < 2 || height < 2) {
-        throw std::invalid_argument(
-            "torus needs both dimensions >= 2 (got " + std::to_string(width) +
-            "x" + std::to_string(height) + ")");
-      }
-      return std::make_unique<TorusTopology>(width, height);
-    case TopologyKind::kRing:
-      if (height != 1) {
-        throw std::invalid_argument("ring topology is one row (got height " +
-                                    std::to_string(height) + ")");
-      }
-      return std::make_unique<RingTopology>(width);
+Topology::Topology(TopologyKind kind, int width, int height)
+    : kind_(kind), width_(width), height_(height) {
+  if (kind == TopologyKind::kTorus && (width < 2 || height < 2)) {
+    throw std::invalid_argument("torus needs both dimensions >= 2 (got " +
+                                std::to_string(width) + "x" +
+                                std::to_string(height) + ")");
   }
-  throw std::invalid_argument("unknown topology kind");
+  if (kind == TopologyKind::kRing && height != 1) {
+    throw std::invalid_argument("ring topology is one row (got height " +
+                                std::to_string(height) + ")");
+  }
+  if (width < 1 || height < 1 || width > 256 || height > 256) {
+    throw std::invalid_argument("topology dimensions " + std::to_string(width) +
+                                "x" + std::to_string(height) +
+                                " outside [1, 256]");
+  }
+  const bool wrapped = kind != TopologyKind::kMesh;
+  fill_dimension(width, wrapped, kEast, kWest, x_step_, x_dist_);
+  fill_dimension(height, wrapped, kSouth, kNorth, y_step_, y_dist_);
+
+  const int n = tiles();
+  tile_x_.resize(static_cast<std::size_t>(n));
+  tile_y_.resize(static_cast<std::size_t>(n));
+  neighbor_.assign(static_cast<std::size_t>(n) * kPortCount, -1);
+  for (int t = 0; t < n; ++t) {
+    const int x = t % width, y = t / width;
+    tile_x_[static_cast<std::size_t>(t)] = static_cast<std::uint8_t>(x);
+    tile_y_[static_cast<std::size_t>(t)] = static_cast<std::uint8_t>(y);
+    int* out = &neighbor_[static_cast<std::size_t>(t) * kPortCount];
+    // A wrapped dimension of size 1 would link a tile to itself: no link.
+    // The ring is one wrapped row, so it has no vertical links at all.
+    if (wrapped) {
+      if (width > 1) {
+        out[kEast] = index((x + 1) % width, y);
+        out[kWest] = index((x - 1 + width) % width, y);
+      }
+      if (height > 1) {
+        out[kSouth] = index(x, (y + 1) % height);
+        out[kNorth] = index(x, (y - 1 + height) % height);
+      }
+    } else {
+      if (x + 1 < width) out[kEast] = index(x + 1, y);
+      if (x > 0) out[kWest] = index(x - 1, y);
+      if (y + 1 < height) out[kSouth] = index(x, y + 1);
+      if (y > 0) out[kNorth] = index(x, y - 1);
+    }
+    for (int p = kNorth; p < kPortCount; ++p) links_ += out[p] >= 0 ? 1 : 0;
+  }
 }
 
 }  // namespace xtsoc::noc

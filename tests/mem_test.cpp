@@ -333,7 +333,9 @@ struct MesiRig {
     fabric.tick(cycle);
     std::vector<System::Incoming> delivered;
     for (int tile : {0, 1}) {
-      for (noc::Delivery& d : fabric.pop_due(tile, cycle)) {
+      std::vector<noc::Delivery> due;
+      fabric.pop_due(tile, cycle, due);
+      for (noc::Delivery& d : due) {
         if (!wire::is_coherence(d.opcode)) continue;
         delivered.push_back(
             System::Incoming{tile, d.opcode, std::move(d.payload)});
@@ -938,7 +940,9 @@ TrafficOutcome run_memory_traffic(double write_fraction) {
     fabric.tick(cycle);
     std::vector<System::Incoming> delivered;
     for (int tile : {0, 1, 2}) {
-      for (noc::Delivery& d : fabric.pop_due(tile, cycle)) {
+      std::vector<noc::Delivery> due;
+      fabric.pop_due(tile, cycle, due);
+      for (noc::Delivery& d : due) {
         if (!wire::is_coherence(d.opcode)) continue;
         delivered.push_back(
             System::Incoming{tile, d.opcode, std::move(d.payload)});
