@@ -329,6 +329,11 @@ void CoSimulation::run_window(std::uint64_t w) {
     }
   });
   phase_a_span.finish();
+  // The memory timing replay looks only at the domains that ran (their
+  // memory tags are their domain indices, see the constructor).
+  if (mem_) {
+    for (std::size_t d : jobs_) mem_->note_active(static_cast<int>(d));
+  }
   phase_seconds_.phase_a += lap();
   OBS_SPAN_AT(obs_, obs_track_, "phaseB", base + 1);
 

@@ -82,8 +82,13 @@ void System::store(int tag, std::uint64_t cycle, std::int64_t addr,
       StoreRec{addr, value, cycle + config_.lookahead, d.seq++});
 }
 
+void System::note_active(int tag) {
+  const auto t = static_cast<std::size_t>(tag);
+  auto at = std::lower_bound(holding_.begin(), holding_.end(), t);
+  if (at == holding_.end() || *at != t) holding_.insert(at, t);
+}
+
 void System::append_visible(std::uint64_t horizon) {
-  sweep_ = true;
   // Every in-flight version became visible at or before the previous
   // horizon, so every read from now on sees it: only the newest one per
   // address can still be returned.
@@ -448,8 +453,8 @@ void System::tick(std::uint64_t cycle, const std::vector<Incoming>& delivered) {
   }
   // 3. Consume access records stamped at or before `cycle`, merged across
   // domains in (stamp, tag, issue order) — the same serial order at any
-  // threads x window setting. The domains holding records are listed in
-  // ascending tags; after a serial point that may have added records, one
+  // threads x window setting. The domains that may hold records are listed
+  // in ascending tags (note_active); after a direct read() or write(), one
   // pass over every domain relists them. The merge looks only at the
   // listed domains with a due record, the earliest stamp winning and ties
   // going to the lowest tag.
@@ -463,7 +468,8 @@ void System::tick(std::uint64_t cycle, const std::vector<Incoming>& delivered) {
   if (holding_.empty()) return;
   due_tags_.clear();
   for (std::size_t t : holding_) {
-    if (domains_[t].accesses.front().cycle <= cycle) due_tags_.push_back(t);
+    const auto& q = domains_[t].accesses;
+    if (!q.empty() && q.front().cycle <= cycle) due_tags_.push_back(t);
   }
   while (!due_tags_.empty()) {
     std::size_t best = 0;

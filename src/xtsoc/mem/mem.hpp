@@ -139,7 +139,8 @@ public:
   /// the timing layer. A direct call is a serial one: the next tick() looks
   /// for its record. The executors' ports record the same way but touch
   /// only domain-local state plus the read-only value store, so parallel
-  /// window phases may use them concurrently from distinct tags.
+  /// window phases may use them concurrently from distinct tags (and the
+  /// caller notes the domains that ran, see note_active).
   std::int64_t read(int tag, std::uint64_t cycle, std::int64_t addr) {
     sweep_ = true;
     return load(tag, cycle, addr);
@@ -156,10 +157,16 @@ public:
   /// Serial point: fold the in-flight versions into the settled values,
   /// then move every buffered store with visibility <= horizon in flight,
   /// ordered by (visibility, tag, sequence). Call with the last cycle
-  /// about to be simulated before the next serial point. The ports record
-  /// accesses only between such points, so the first tick() after one
-  /// looks for the domains that recorded any.
+  /// about to be simulated before the next serial point.
   void append_visible(std::uint64_t horizon);
+
+  /// Serial point: domain `tag`'s executor ran, so its port may have
+  /// recorded accesses since the last tick(). The timing replay looks only
+  /// at the domains noted here, or by a direct read() or write(), and at
+  /// those still holding records, so a run pays for the domains that ran,
+  /// not for every domain. A caller that drives executors with ports
+  /// attached must note each one before the next tick().
+  void note_active(int tag);
 
   // --- timing layer ----------------------------------------------------------
 
@@ -328,10 +335,10 @@ private:
   std::vector<Domain> domains_;              // by tag
   std::vector<std::unique_ptr<Port>> ports_; // by tag
   /// The domains that may hold access records, ascending tags: every
-  /// domain with a record is listed. tick() reads and prunes it, and
-  /// rebuilds it with one pass over every domain only when `sweep_` says
-  /// records may have been added since (a serial read() or write(), an
-  /// append_visible, a restore). Written on the serial spine only.
+  /// domain with a record is listed. note_active() adds to it, tick()
+  /// reads and prunes it, and tick() rebuilds it with one pass over every
+  /// domain only when `sweep_` says a direct read() or write(), or a
+  /// restore, may have added records. Written on the serial spine only.
   std::vector<std::size_t> holding_;
   bool sweep_ = false;
   std::vector<std::size_t> due_tags_;        // tick() scratch

@@ -69,7 +69,8 @@ Fabric::Fabric(FabricConfig config) : config_(config), obs_(config.obs) {
   link_index_.assign(static_cast<std::size_t>(n) * kPortCount, -1);
   for (int t = 0; t < n; ++t) {
     routers_.emplace_back(t % config_.width, t / config_.width,
-                          config_.fifo_depth, topo_.get(), t, config_.routing);
+                          config_.fifo_depth, topo_.get(), t, config_.routing,
+                          &pool_);
     nics_[static_cast<std::size_t>(t)].inject_credits = config_.fifo_depth;
   }
   for (int t = 0; t < n; ++t) {
@@ -410,9 +411,8 @@ void Fabric::tick(std::uint64_t cycle) {
 
   // 1. Link arrivals land in their reserved input-FIFO slots.
   while (!in_flight_.empty() && in_flight_.front().cycle <= cycle) {
-    Arrival& a = in_flight_.front();
-    routers_[static_cast<std::size_t>(a.router)].accept(a.port,
-                                                        std::move(a.flit));
+    const Arrival& a = in_flight_.front();
+    routers_[static_cast<std::size_t>(a.router)].accept(a.port, a.flit);
     busy_routers_.insert(static_cast<std::size_t>(a.router));
     in_flight_.pop();
   }
@@ -423,7 +423,7 @@ void Fabric::tick(std::uint64_t cycle) {
   sending_nics_.for_each([this](std::size_t t) {
     Nic& nic = nics_[t];
     if (nic.inject_credits <= 0) return;
-    routers_[t].accept(kLocal, std::move(nic.tx.front()));
+    routers_[t].accept(kLocal, pool_.put(std::move(nic.tx.front())));
     busy_routers_.insert(t);
     nic.tx.pop();
     if (nic.tx.empty()) sending_nics_.erase(t);
@@ -457,12 +457,12 @@ void Fabric::tick(std::uint64_t cycle) {
       const int winner = r.arbitrate(out, served);
       if (winner < 0) continue;
       if (out == kLocal) {
-        Flit f = r.take(static_cast<Port>(winner));
+        const FlitRef f = r.take(static_cast<Port>(winner));
         r.advance_rr(out, winner);
         served |= 1u << winner;
         ++r.stats().flits_ejected;
         returns.push_back({t, static_cast<Port>(winner)});
-        eject(t, std::move(f), cycle);
+        eject(t, pool_.take(f), cycle);
         continue;
       }
       if (r.credits(out) <= 0) {  // backpressure: stall, keep order
@@ -482,7 +482,7 @@ void Fabric::tick(std::uint64_t cycle) {
           // books stay balanced. Any reassembly of this attempt at the
           // destination is purged; stragglers become counted orphans and
           // the source's retry deadline takes it from here.
-          Flit f = r.take(static_cast<Port>(winner));
+          const Flit f = pool_.take(r.take(static_cast<Port>(winner)));
           r.advance_rr(out, winner);
           served |= 1u << winner;
           returns.push_back({t, static_cast<Port>(winner)});
@@ -502,7 +502,7 @@ void Fabric::tick(std::uint64_t cycle) {
       }
       // Dimension-order routing on validated destinations never picks a
       // port without a link (the topology returned it as productive).
-      Flit f = r.take(static_cast<Port>(winner));
+      const FlitRef f = r.take(static_cast<Port>(winner));
       r.frame_forwarded(f);  // retires the adaptive pin on the tail
       r.take_credit(out);
       r.advance_rr(out, winner);
@@ -510,15 +510,16 @@ void Fabric::tick(std::uint64_t cycle) {
       ++r.stats().flits_routed;
       ++links_[static_cast<std::size_t>(li)].flits;
       returns.push_back({t, static_cast<Port>(winner)});
-      if (fault_armed_ && !f.payload.empty() &&
+      if (fault_armed_ && !pool_[f].payload.empty() &&
           fault_->flit_corrupt(static_cast<std::uint32_t>(li), cycle)) {
         // Flip one payload bit; headers are modeled as ECC-protected. The
         // taint flag is simulation metadata proving the CRC catches this.
+        Flit& hit = pool_[f];
         const std::uint32_t bit = fault_->pick(
             static_cast<std::uint32_t>(li),
-            static_cast<std::uint32_t>(f.payload.size() * 8));
-        f.payload[bit >> 3] ^= static_cast<std::uint8_t>(1u << (bit & 7));
-        f.tainted = true;
+            static_cast<std::uint32_t>(hit.payload.size() * 8));
+        hit.payload[bit >> 3] ^= static_cast<std::uint8_t>(1u << (bit & 7));
+        hit.tainted = true;
         ++fstats_.flits_corrupted;
       }
       if (in_flight_.full()) {
@@ -526,7 +527,7 @@ void Fabric::tick(std::uint64_t cycle) {
       }
       in_flight_.push(
           Arrival{cycle + static_cast<std::uint64_t>(config_.link_latency),
-                  next, opposite(out), std::move(f)});
+                  next, opposite(out), f});
     }
     if (r.buffers_empty()) busy_routers_.erase(ti);
   });
@@ -691,6 +692,8 @@ template <class Io, class Self>
 void Fabric::layout(Io& io, Self& self) {
   constexpr bool kLoading = Io::kLoading;
   const FabricConfig& cfg = self.config_;
+  // The routers and links below refill the pool as they load.
+  if constexpr (kLoading) self.pool_.clear();
   // Structural shape guard (snapshot v2): the topology kind and routing
   // policy a checkpoint was taken under. Restoring into a fabric of a
   // different shape would misread every buffered route decision.
@@ -817,7 +820,13 @@ void Fabric::layout(Io& io, Self& self) {
             ", which has no such link");
       }
     }
-    flit(a.flit);
+    if constexpr (kLoading) {
+      Flit f;
+      flit(f);
+      a.flit = self.pool_.put(std::move(f));
+    } else {
+      flit(self.pool_[a.flit]);
+    }
   };
   for (std::size_t i = 0; i < on_links; ++i) {
     if constexpr (kLoading) {

@@ -146,6 +146,9 @@ struct FabricFaultStats {
 class Fabric {
 public:
   explicit Fabric(FabricConfig config);
+  // Routers keep pointers into the fabric (its topology and flit pool).
+  Fabric(const Fabric&) = delete;
+  Fabric& operator=(const Fabric&) = delete;
 
   int width() const { return config_.width; }
   int height() const { return config_.height; }
@@ -290,7 +293,7 @@ private:
     std::uint64_t cycle = 0;
     int router = 0;
     Port port = kLocal;
-    Flit flit;
+    FlitRef flit;
   };
 
   /// The topology's neighbors(): -1 where no link exists.
@@ -325,6 +328,8 @@ private:
 
   FabricConfig config_;
   std::unique_ptr<Topology> topo_;
+  /// Every flit inside the network; router FIFOs and links hold handles.
+  FlitPool pool_;
   std::vector<Router> routers_;
   std::vector<Nic> nics_;
   /// Flits on the links, in send order (= due order: every link has the

@@ -57,6 +57,12 @@ const char* to_string(RouteMode m);
 
 struct Flit {
   FlitKind kind = FlitKind::kHeadTail;
+  /// Route this attempt primary or fallback (retransmission detour).
+  RouteMode route_mode = RouteMode::kPrimary;
+  /// Simulation-only taint: set when an injected fault flipped a payload
+  /// bit. Real hardware has no such flag — it exists to *verify* the CRC
+  /// catches what the injector did (a tainted frame must never deliver).
+  bool tainted = false;
   // Routing header (meaningful on every flit: the mesh routes flits, not
   // frames — two frames may interleave on a link, reassembly is keyed by
   // (source, seq)).
@@ -74,8 +80,6 @@ struct Flit {
   // reassembly stays per-attempt while dedup and acks are per-frame.
   std::uint32_t frame_id = 0;
   std::uint32_t crc = 0;          ///< CRC-32 over the whole frame payload
-  /// Route this attempt primary or fallback (retransmission detour).
-  RouteMode route_mode = RouteMode::kPrimary;
 
   /// This flit's payload chunk (at most the configured link width).
   std::vector<std::uint8_t> payload;
@@ -83,10 +87,6 @@ struct Flit {
   // Bookkeeping carried alongside the wire bits (simulation metadata).
   std::uint64_t send_cycle = 0;  ///< cycle the frame entered the source NIC
   std::uint64_t min_due = 0;     ///< earliest delivery (generate-delay)
-  /// Simulation-only taint: set when an injected fault flipped a payload
-  /// bit. Real hardware has no such flag — it exists to *verify* the CRC
-  /// catches what the injector did (a tainted frame must never deliver).
-  bool tainted = false;
 
   bool opens_frame() const {
     return kind == FlitKind::kHead || kind == FlitKind::kHeadTail;
@@ -94,6 +94,51 @@ struct Flit {
   bool closes_frame() const {
     return kind == FlitKind::kTail || kind == FlitKind::kHeadTail;
   }
+};
+
+/// A flit while it is inside the network (router FIFOs and links): its
+/// slot in the fabric's FlitPool plus the routing header a router reads,
+/// so a hop moves eight bytes and dimension-order routing never touches
+/// the flit itself.
+struct FlitRef {
+  std::uint32_t slot = 0;
+  std::uint8_t dst_x = 0, dst_y = 0;
+  RouteMode route_mode = RouteMode::kPrimary;
+};
+
+/// The flits inside the network, by slot. A flit takes a slot when the NIC
+/// injects it and frees it when it is ejected or dropped, and a freed slot
+/// is reused first. Which slot a flit holds is invisible outside the
+/// fabric: checkpoints save flits by content.
+class FlitPool {
+public:
+  FlitRef put(Flit f) {
+    FlitRef out{0, f.dst_x, f.dst_y, f.route_mode};
+    if (free_.empty()) {
+      out.slot = static_cast<std::uint32_t>(flits_.size());
+      flits_.push_back(std::move(f));
+    } else {
+      out.slot = free_.back();
+      free_.pop_back();
+      flits_[out.slot] = std::move(f);
+    }
+    return out;
+  }
+  Flit& operator[](const FlitRef& r) { return flits_[r.slot]; }
+  const Flit& operator[](const FlitRef& r) const { return flits_[r.slot]; }
+  /// Move the flit out and free its slot.
+  Flit take(const FlitRef& r) {
+    free_.push_back(r.slot);
+    return std::move(flits_[r.slot]);
+  }
+  void clear() {
+    flits_.clear();
+    free_.clear();
+  }
+
+private:
+  std::vector<Flit> flits_;
+  std::vector<std::uint32_t> free_;
 };
 
 /// The flit's checkpoint layout (snap/io.hpp): Io is snap::Writer with a

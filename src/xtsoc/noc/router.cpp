@@ -32,19 +32,12 @@ const char* to_string(Port p) {
   }
 }
 
-Port opposite(Port p) {
-  switch (p) {
-    case kNorth: return kSouth;
-    case kSouth: return kNorth;
-    case kEast: return kWest;
-    case kWest: return kEast;
-    default: return kLocal;
-  }
+Port Router::dimension_order(int dst_x, int dst_y, RouteMode mode) const {
+  return topo_->route_at(x_, y_, dst_x, dst_y,
+                         Topology::x_first(policy_, mode));
 }
 
 Port Router::route(const Flit& f) const {
-  const Port xs = topo_->x_step(x_, f.dst_x);
-  const Port ys = topo_->y_step(y_, f.dst_y);
   if (policy_ == RoutePolicy::kAdaptive) {
     // Minimal-adaptive: both dimension orders lead to minimal paths, so
     // take each order's next port and pick the one with more credit
@@ -53,7 +46,7 @@ Port Router::route(const Flit& f) const {
     // exactly like an XY one. The choice is made on the head flit and
     // pinned until the tail passes (frame_forwarded), keeping every flit of
     // a frame on one path — reassembly's in-order requirement.
-    const Port px = xs != kLocal ? xs : ys;
+    const Port px = topo_->route_at(x_, y_, f.dst_x, f.dst_y, true);
     if (px == kLocal) return kLocal;
     if (f.kind == FlitKind::kBody || f.kind == FlitKind::kTail) {
       auto it = adaptive_port_.find(frame_key(f));
@@ -61,7 +54,7 @@ Port Router::route(const Flit& f) const {
       // No pin: the head ejected here or was a single-flit attempt that
       // left no state — fall through and decide like a head would.
     }
-    const Port py = ys != kLocal ? ys : xs;
+    const Port py = topo_->route_at(x_, y_, f.dst_x, f.dst_y, false);
     Port chosen = px;
     if (py != px) chosen = credits_[py] > credits_[px] ? py : px;
     // Pin multi-flit frames so the body/tail follow; repeated speculative
@@ -83,21 +76,22 @@ Port Router::route(const Flit& f) const {
   // deadlock folklore lives; the resilient NIC's retry deadline bounds any
   // such episode — a stuck attempt is re-sent or reported lost, never
   // waited on forever.
-  if (Topology::x_first(policy_, f.route_mode)) return xs != kLocal ? xs : ys;
-  return ys != kLocal ? ys : xs;
+  return dimension_order(f.dst_x, f.dst_y, f.route_mode);
 }
 
-void Router::accept(Port p, Flit f) {
+void Router::accept(Port p, const FlitRef& f) {
   FlitFifo& q = in_[p];
   if (q.full()) {
     throw FabricError("input FIFO overflow at router (" + std::to_string(x_) +
                       "," + std::to_string(y_) + ") port " + to_string(p) +
                       ": a flit arrived without a credit");
   }
-  const Port out = policy_ == RoutePolicy::kAdaptive ? kLocal : route(f);
+  const Port out = policy_ == RoutePolicy::kAdaptive
+                       ? kLocal
+                       : dimension_order(f.dst_x, f.dst_y, f.route_mode);
   // A flit entering an empty FIFO is its new head.
   if (q.empty()) wants_[out] |= static_cast<std::uint8_t>(1u << p);
-  q.push(BufferedFlit{std::move(f), out});
+  q.push(BufferedFlit{f, out});
   ++buffered_;
 }
 
@@ -110,7 +104,7 @@ int Router::arbitrate_adaptive(Port out, unsigned served_mask) const {
     if (q.empty()) continue;
     // The adaptive query may pin a route, so it is made here, in the
     // round-robin order the policy's outcome depends on.
-    if (route(q.front().flit) == out) return p;
+    if (route((*pool_)[q.front().flit]) == out) return p;
   }
   return -1;
 }
@@ -165,9 +159,10 @@ void Router::layout(Io& io, Self& self) {
         Flit f;
         flit_layout(io, f);
         check_restored_flit(f, *self.topo_);
-        self.accept(port, std::move(f));
+        self.accept(port, self.pool_->put(std::move(f)));
       } else {
-        flit_layout(io, q.at(i).flit);
+        const FlitPool& pool = *self.pool_;
+        flit_layout(io, pool[q.at(i).flit]);
       }
     }
   }

@@ -55,7 +55,15 @@ const char* to_string(Port p);
 
 /// The port on the neighbouring router that a flit sent out of `p` arrives
 /// on (east link feeds the neighbour's west port, and so on).
-Port opposite(Port p);
+inline Port opposite(Port p) {
+  switch (p) {
+    case kNorth: return kSouth;
+    case kSouth: return kNorth;
+    case kEast: return kWest;
+    case kWest: return kEast;
+    default: return kLocal;
+  }
+}
 
 struct RouterStats {
   std::uint64_t flits_routed = 0;     ///< flits forwarded through this router
@@ -68,7 +76,7 @@ struct RouterStats {
 /// when it arrived (unused under the adaptive policy, which decides at
 /// arbitration time).
 struct BufferedFlit {
-  Flit flit;
+  FlitRef flit;
   Port route = kLocal;
 };
 
@@ -81,10 +89,12 @@ void check_restored_flit(const Flit& f, const Topology& topo);
 
 class Router {
 public:
+  /// `pool` holds the flits the FIFOs refer to; like `topo` it is owned by
+  /// the fabric and outlives the router.
   Router(int x, int y, int fifo_depth, const Topology* topo, int tile,
-         RoutePolicy policy)
+         RoutePolicy policy, FlitPool* pool)
       : x_(x), y_(y), depth_(fifo_depth), topo_(topo), tile_(tile),
-        policy_(policy) {
+        policy_(policy), pool_(pool) {
     in_.fill(FlitFifo(static_cast<std::size_t>(fifo_depth)));
     credits_.fill(0);
     rr_.fill(0);
@@ -102,24 +112,28 @@ public:
 
   /// Fabric calls this as it forwards `f` out of this router, so the
   /// adaptive policy can retire its pinned route when the tail passes.
-  void frame_forwarded(const Flit& f) {
-    if (policy_ == RoutePolicy::kAdaptive && f.kind == FlitKind::kTail) {
-      adaptive_port_.erase(frame_key(f));
+  void frame_forwarded(const FlitRef& f) {
+    if (policy_ == RoutePolicy::kAdaptive &&
+        (*pool_)[f].kind == FlitKind::kTail) {
+      adaptive_port_.erase(frame_key((*pool_)[f]));
     }
   }
 
   // --- buffers (Fabric moves flits between routers) ---------------------------
-  /// Buffer `f` at input `p`. Under dimension order its output port is
-  /// routed here, once. Throws FabricError when the FIFO is full: credits
-  /// make that impossible, so it means the credit books are corrupt.
-  void accept(Port p, Flit f);
-  /// Remove and return the head flit of input `p`.
-  Flit take(Port p) {
+  /// Buffer the pooled flit `f` at input `p`. Under dimension order its
+  /// output port is routed here, once, from the handle's header. Throws
+  /// FabricError when the FIFO is full: credits make that impossible, so it
+  /// means the credit books are corrupt.
+  void accept(Port p, const FlitRef& f);
+  /// Remove and return the head flit of input `p` (it stays in the pool).
+  FlitRef take(Port p) {
     FlitFifo& q = in_[p];
     wants_[q.front().route] &= static_cast<std::uint8_t>(~(1u << p));
-    Flit f = std::move(q.front().flit);
+    const FlitRef f = q.front().flit;
     q.pop();
-    if (!q.empty()) wants_[q.front().route] |= static_cast<std::uint8_t>(1u << p);
+    if (!q.empty()) {
+      wants_[q.front().route] |= static_cast<std::uint8_t>(1u << p);
+    }
     --buffered_;
     return f;
   }
@@ -191,6 +205,9 @@ private:
            static_cast<std::uint64_t>(f.seq);
   }
 
+  /// The next hop toward (dst_x, dst_y) in the policy's dimension order
+  /// (flipped for a fallback-mode attempt).
+  Port dimension_order(int dst_x, int dst_y, RouteMode mode) const;
   /// The adaptive policy's arbitration: each head's route query is made
   /// in round-robin order, the order its outcome depends on.
   int arbitrate_adaptive(Port out, unsigned served_mask) const;
@@ -200,6 +217,7 @@ private:
   const Topology* topo_;  ///< owned by the Fabric, outlives every router
   int tile_;
   RoutePolicy policy_;
+  FlitPool* pool_;  ///< owned by the Fabric, outlives every router
   std::array<FlitFifo, kPortCount> in_;
   std::size_t buffered_ = 0;  ///< flits in all input FIFOs
   std::array<int, kPortCount> credits_;  ///< free slots downstream of each output

@@ -86,7 +86,7 @@ TEST(Fabric, RejectsSelfSendAndBadTiles) {
 
 TEST(Router, XYRoutesXFirst) {
   const Topology topo(TopologyKind::kMesh, 4, 4);
-  Router r(1, 1, 4, &topo, topo.index(1, 1), RoutePolicy::kXY);
+  Router r(1, 1, 4, &topo, topo.index(1, 1), RoutePolicy::kXY, nullptr);
   Flit f;
   f.dst_x = 3;
   f.dst_y = 0;
@@ -651,7 +651,8 @@ TEST(Router, MaskArbitrationMatchesScan) {
     const ShapeRules ref{kind, 4, 4};
     const int tile = below(16);
     const int depth = 1 + below(4);
-    Router r(tile % 4, tile / 4, depth, &topo, tile, policy);
+    FlitPool pool;
+    Router r(tile % 4, tile / 4, depth, &topo, tile, policy, &pool);
     std::array<std::deque<Port>, kPortCount> heads;  // routes, FIFO order
     std::array<int, kPortCount> rr{};
     auto compare = [&](const Router& router) {
@@ -682,12 +683,12 @@ TEST(Router, MaskArbitrationMatchesScan) {
         f.dst_y = static_cast<std::uint8_t>(dst / 4);
         f.route_mode = below(3) == 0 ? RouteMode::kFallback
                                      : RouteMode::kPrimary;
-        r.accept(static_cast<Port>(p), f);
+        r.accept(static_cast<Port>(p), pool.put(f));
         heads[p].push_back(ref.route(policy, tile, dst, f.route_mode));
       } else if (op < 6) {  // an input's head moves on
         const int p = below(kPortCount);
         if (heads[p].empty()) continue;
-        (void)r.take(static_cast<Port>(p));
+        (void)pool.take(r.take(static_cast<Port>(p)));
         heads[p].pop_front();
       } else if (op < 7) {  // a round-robin pointer moves
         const int out = below(kPortCount);
@@ -697,7 +698,9 @@ TEST(Router, MaskArbitrationMatchesScan) {
       } else {  // a checkpoint round trip rebuilds the masks
         snap::Writer w;
         r.save_state(w);
-        Router restored(tile % 4, tile / 4, depth, &topo, tile, policy);
+        FlitPool restored_pool;
+        Router restored(tile % 4, tile / 4, depth, &topo, tile, policy,
+                        &restored_pool);
         snap::Reader rd(w.data());
         restored.load_state(rd);
         compare(restored);
