@@ -53,6 +53,14 @@
 //     credit flow and fault injection with model traffic. A dropped
 //     coherence frame can starve the timing pipeline — counters stop
 //     moving — but can never change a loaded value.
+//
+//     The replay costs what is active. Caches are a vector indexed by
+//     tile. tick() merges only the domains listed as possibly holding
+//     records: the cosim notes each domain that ran a window
+//     (note_active), a direct read() or write() asks for one pass over
+//     every domain, and a domain leaves the list once its records are
+//     consumed. The list is written on the serial spine only, and the
+//     merge order stays (stamp, tag, issue order).
 #pragma once
 
 #include <cstdint>
