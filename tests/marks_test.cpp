@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "xtsoc/marks/marks.hpp"
 #include "xtsoc/xtuml/builder.hpp"
 
@@ -631,6 +634,306 @@ TEST(Validate, DramTileMustBeUnoccupied) {
   EXPECT_FALSE(sw.validate(d, sink));
   EXPECT_NE(sink.to_string().find("marks.dram.tile_clash"), std::string::npos);
   EXPECT_NE(sink.to_string().find("software tile"), std::string::npos);
+}
+
+
+// --- diagnostics pin -------------------------------------------------------------
+
+// Every diagnostic validate can emit, on a corpus of mark sets: each case
+// pins the sorted `severity [code] message` lines, so a rewrite of the
+// validator that changes a code, a message or a count shows up here.
+struct PinCase {
+  const char* name;
+  const char* marks;
+  std::vector<std::string> want;
+};
+
+std::vector<std::string> diagnostic_lines(const char* text) {
+  DiagnosticSink sink;
+  MarkSet m = MarkSet::from_text(text, sink);
+  EXPECT_TRUE(sink.all().empty()) << sink.to_string();
+  m.validate(make_domain(), sink);
+  std::vector<std::string> lines;
+  for (const Diagnostic& d : sink.all()) lines.push_back(d.to_string());
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+const PinCase kPinCorpus[] = {
+    {"unknown class", "Nope.isHardware = true\n", {
+      "error [marks.unknown_class] mark on unknown class 'Nope'"}},
+    {"scope",
+     "domain.isHardware = true\nCompressor.busLatency = 1\ndomain.tileX = 1\n"
+     "Compressor.topology = \"torus\"\nCompressor.faultRate.flitDrop = 0.1\n",
+     {
+      "error [marks.scope] busLatency is a domain mark, not class",
+      "error [marks.scope] faultRate.flitDrop is a domain mark, not"
+      " class",
+      "error [marks.scope] isHardware is a class mark, not domain",
+      "error [marks.scope] tileX is a class mark, not domain",
+      "error [marks.scope] topology is a domain mark, not class"}},
+    {"type",
+     "Compressor.isHardware = 1\nCompressor.clockDomain = true\n"
+     "domain.meshWidth = \"2\"\ndomain.routing = 1\n"
+     "domain.faultRate.busError = \"high\"\n",
+     {
+      "error [marks.type] Compressor.clockDomain must be an int",
+      "error [marks.type] Compressor.isHardware must be a bool",
+      "error [marks.type] domain.faultRate.busError must be a number",
+      "error [marks.type] domain.meshWidth must be an int",
+      "error [marks.type] domain.routing must be a string"}},
+    {"retired",
+     "Compressor.busId = 1\nController.priority = 2\n"
+     "domain.memTraffic.writeFraction = 0.2\n",
+     {
+      "warning [marks.retired] mark key 'busId' is retired: it"
+      " selects no mapping rule and is ignored",
+      "warning [marks.retired] mark key 'memTraffic.writeFraction'"
+      " is retired: it selects no mapping rule and is ignored",
+      "warning [marks.retired] mark key 'priority' is retired: it"
+      " selects no mapping rule and is ignored"}},
+    {"near miss",
+     "Compressor.ishardware = true\ndomain.meshwidth = 2\n"
+     "Compressor.tile_x = 1\n",
+     {
+      "warning [marks.near_miss] mark key 'ishardware' looks like a"
+      " misspelled standard mark",
+      "warning [marks.near_miss] mark key 'meshwidth' looks like a"
+      " misspelled standard mark",
+      "warning [marks.near_miss] mark key 'tile_x' looks like a"
+      " misspelled standard mark"}},
+    {"unknown key", "Compressor.customVendorHint = 9\n", {}},
+    {"int width", "Compressor.intWidth = 65\nController.intWidth = 0\n", {
+      "error [marks.int_width] Compressor.intWidth must be in [1, 64]",
+      "error [marks.int_width] Controller.intWidth must be in [1, 64]"}},
+    {"bus latency", "domain.busLatency = -1\n", {
+      "error [marks.bus_latency] domain.busLatency must be >= 0 (got"
+      " -1); a bus cannot deliver into the past"}},
+    {"link latency", "domain.linkLatency = 0\n", {
+      "error [marks.link_latency] domain.linkLatency must be >= 1"
+      " (got 0); every mesh hop takes at least one cycle"}},
+    {"fault ranges",
+     "domain.faultSeed = -1\ndomain.faultWindow = -5\n"
+     "domain.faultWindow.start = -2\ndomain.faultRate.flitDrop = 1.5\n"
+     "domain.faultRate.flitCorrupt = -0.1\ndomain.faultRate.linkDown = 2\n"
+     "domain.faultRate.busError = 1\n",
+     {
+      "error [marks.fault_range] domain.faultRate.flitCorrupt is a"
+      " probability and must be in [0, 1]",
+      "error [marks.fault_range] domain.faultRate.flitDrop is a"
+      " probability and must be in [0, 1]",
+      "error [marks.fault_range] domain.faultRate.linkDown is a"
+      " probability and must be in [0, 1]",
+      "error [marks.fault_range] domain.faultSeed must be >= 0 (got"
+      " -1)",
+      "error [marks.fault_range] domain.faultWindow must be >= 0"
+      " (got -5)",
+      "error [marks.fault_range] domain.faultWindow.start must be >="
+      " 0 (got -2)"}},
+    {"fault window order",
+     "domain.faultWindow = 10\ndomain.faultWindow.start = 10\n", {
+      "error [marks.fault_range] domain.faultWindow.start (10) is"
+      " after domain.faultWindow (10); the window is empty"}},
+    {"tile pair", "Compressor.isHardware = true\nCompressor.tileX = 1\n", {
+      "error [marks.tile_missing] class 'Compressor' is isHardware"
+      " but has no tileX/tileY; every hardware class needs a tile"
+      " once any class is placed on the mesh",
+      "error [marks.tile_pair] class 'Compressor' has tileX without"
+      " tileY; a placement needs both coordinates"}},
+    {"negative tile",
+     "Compressor.isHardware = true\nCompressor.tileX = -1\n"
+     "Compressor.tileY = 0\n",
+     {
+      "error [marks.tile_range] class 'Compressor' is placed at"
+      " negative tile (-1,0)"}},
+    {"tile outside explicit mesh",
+     "Compressor.isHardware = true\nCompressor.tileX = 2\n"
+     "Compressor.tileY = 0\ndomain.meshWidth = 2\ndomain.meshHeight = 2\n",
+     {
+      "error [marks.tile_range] class 'Compressor' is placed at tile"
+      " (2,0), outside the 2x2 mesh"}},
+    {"tile on software class", "Controller.tileX = 1\nController.tileY = 0\n",
+     {
+      "warning [marks.tile_sw] class 'Controller' has tile marks but"
+      " is not isHardware; software classes live on the software"
+      " tile and the placement is ignored"}},
+    {"tile typed wrong", "Compressor.tileX = true\nCompressor.tileY = 0\n",
+     {
+      "error [marks.type] Compressor.tileX must be an int"}},
+    {"mesh width too large",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 0\ndomain.meshWidth = 65\n",
+     {
+      "error [marks.mesh_dims] meshWidth/meshHeight must be in [1,"
+      " 64]"}},
+    {"placement box too large",
+     "Compressor.isHardware = true\nCompressor.tileX = 70\n"
+     "Compressor.tileY = 0\n",
+     {
+      "error [marks.mesh_dims] meshWidth/meshHeight must be in [1,"
+      " 64]"}},
+    {"tile clash",
+     "Compressor.isHardware = true\nCompressor.tileX = 0\n"
+     "Compressor.tileY = 0\ndomain.meshWidth = 2\n",
+     {
+      "error [marks.tile_clash] class 'Compressor' is placed on tile"
+      " (0,0), which is the software tile"}},
+    {"tile missing",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 0\nController.isHardware = true\n",
+     {
+      "error [marks.tile_missing] class 'Controller' is isHardware"
+      " but has no tileX/tileY; every hardware class needs a tile"
+      " once any class is placed on the mesh"}},
+    {"software tile outside the placement box",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 0\ndomain.swTileX = 2\n",
+     {
+      "error [marks.tile_range] software tile (2,0) is outside the"
+      " 2x1 mesh"}},
+    {"negative software tile",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 0\ndomain.swTileX = -1\n",
+     {
+      "error [marks.tile_range] software tile (-1,0) is outside the"
+      " 2x1 mesh"}},
+    {"topology value", "domain.topology = \"hypercube\"\n", {
+      "error [marks.topology] domain.topology must be \"mesh\","
+      " \"torus\" or \"ring\" (got \"hypercube\")"}},
+    {"routing value", "domain.routing = \"odd-even\"\n", {
+      "error [marks.routing] domain.routing must be \"xy\", \"yx\" or"
+      " \"adaptive\" (got \"odd-even\")"}},
+    {"ring needs one row",
+     "domain.meshWidth = 2\ndomain.meshHeight = 2\ndomain.topology = \"ring\"\n",
+     {
+      "error [marks.topology] ring topology is one row, but the mesh"
+      " is 2x2; set meshHeight = 1 or use torus"}},
+    {"torus of one row",
+     "domain.meshWidth = 4\ndomain.meshHeight = 1\n"
+     "domain.topology = \"torus\"\n",
+     {
+      "error [marks.topology] torus wraparound needs both dimensions"
+      " >= 2, but the mesh is 4x1; a single wrapped row is a ring"}},
+    {"torus from the placement box",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 0\ndomain.topology = \"torus\"\n",
+     {
+      "error [marks.topology] torus wraparound needs both dimensions"
+      " >= 2, but the mesh is 2x1; a single wrapped row is a ring"}},
+    {"adaptive with noc faults",
+     "domain.routing = \"adaptive\"\ndomain.faultRate.flitDrop = 0.01\n"
+     "domain.faultRate.linkDown = 0.5\n",
+     {
+      "error [marks.routing] domain.routing = \"adaptive\" cannot be"
+      " combined with domain.faultRate.flitDrop > 0: the fault"
+      " retransmit path alternates dimension orders, which adaptive"
+      " routing replaces"}},
+    {"adaptive with zero and bus faults",
+     "domain.routing = \"adaptive\"\ndomain.faultRate.flitDrop = 0.0\n"
+     "domain.faultRate.busError = 0.5\n",
+     {}},
+    {"cache without dram", "domain.cache.sets = 8\n", {
+      "error [marks.dram.missing_tile] cache.*/dram.* marks need"
+      " domain.dram.tile; without a DRAM edge tile there is no"
+      " memory hierarchy to configure"}},
+    {"dram without mesh", "domain.dram.tile = 1\n", {
+      "error [marks.dram.requires_mesh] domain.dram.tile needs a"
+      " mesh-mapped domain (tileX/tileY placements); coherence"
+      " messages are fabric frames"}},
+    {"cache geometry",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 1\ndomain.dram.tile = 1\ndomain.cache.sets = 48\n"
+     "domain.cache.ways = 0\ndomain.cache.lineBytes = -64\n"
+     "domain.cache.hitLatency = 0\n",
+     {
+      "error [marks.cache.pow2] domain.cache.lineBytes must be a"
+      " positive power of two (got -64); cache indexing is bit-sliced",
+      "error [marks.cache.pow2] domain.cache.sets must be a positive"
+      " power of two (got 48); cache indexing is bit-sliced",
+      "error [marks.cache.pow2] domain.cache.ways must be a positive"
+      " power of two (got 0); cache indexing is bit-sliced",
+      "error [marks.cache.range] domain.cache.hitLatency must be >="
+      " 1 (got 0); even a hit takes a cycle"}},
+    {"dram timing",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 1\ndomain.dram.tile = 1\ndomain.dram.tRCD = 0\n"
+     "domain.dram.tCAS = -1\ndomain.dram.tRP = 0\n",
+     {
+      "error [marks.dram.range] domain.dram.tCAS must be >= 1 (got"
+      " -1)",
+      "error [marks.dram.range] domain.dram.tRCD must be >= 1 (got 0)",
+      "error [marks.dram.range] domain.dram.tRP must be >= 1 (got 0)"}},
+    {"dram tile outside",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 1\ndomain.dram.tile = 4\n",
+     {
+      "error [marks.dram.tile] domain.dram.tile 4 is outside the 2x2"
+      " mesh"}},
+    {"negative dram tile",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 1\ndomain.dram.tile = -1\n",
+     {
+      "error [marks.dram.tile] domain.dram.tile -1 is outside the"
+      " 2x2 mesh"}},
+    {"dram on the software tile",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 1\ndomain.dram.tile = 0\n",
+     {
+      "error [marks.dram.tile_clash] domain.dram.tile 0 is the"
+      " software tile; the DRAM edge needs an unoccupied tile (its"
+      " NIC is the directory)"}},
+    {"dram on a class tile",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 1\ndomain.dram.tile = 3\n",
+     {
+      "error [marks.dram.tile_clash] domain.dram.tile 3 collides"
+      " with class 'Compressor'; the DRAM edge needs an unoccupied"
+      " tile"}},
+    {"every key in range",
+     "Compressor.isHardware = true\nCompressor.clockDomain = 2\n"
+     "Compressor.maxInstances = 8\nCompressor.intWidth = 16\n"
+     "Compressor.tileX = 1\nCompressor.tileY = 1\nController.clockDomain = 0\n"
+     "domain.busLatency = 0\ndomain.meshWidth = 3\ndomain.meshHeight = 2\n"
+     "domain.swTileX = 0\ndomain.swTileY = 1\ndomain.linkLatency = 2\n"
+     "domain.flitBytes = 8\ndomain.fifoDepth = 1\n"
+     "domain.topology = \"torus\"\ndomain.routing = \"yx\"\n"
+     "domain.faultSeed = 0\ndomain.faultWindow = 100\n"
+     "domain.faultWindow.start = 10\ndomain.faultRate.flitDrop = 0.1\n"
+     "domain.faultRate.flitCorrupt = 0\ndomain.faultRate.linkDown = 1\n"
+     "domain.faultRate.busError = 0.5\ndomain.dram.tile = 2\n"
+     "domain.dram.tRCD = 1\ndomain.dram.tCAS = 1\ndomain.dram.tRP = 1\n"
+     "domain.cache.sets = 1\ndomain.cache.ways = 1\n"
+     "domain.cache.lineBytes = 64\ndomain.cache.hitLatency = 1\n",
+     {}},
+    {"router buffers and link width",
+     "Compressor.isHardware = true\nCompressor.tileX = 1\n"
+     "Compressor.tileY = 0\ndomain.fifoDepth = 0\ndomain.flitBytes = -2\n",
+     {}},
+    {"instance pool", "Compressor.maxInstances = -1\n", {}},
+};
+
+TEST(ValidatePin, EveryDiagnosticIsPinned) {
+  std::set<std::string> codes;
+  for (const PinCase& c : kPinCorpus) {
+    DiagnosticSink sink;
+    MarkSet::from_text(c.marks, sink).validate(make_domain(), sink);
+    for (const Diagnostic& d : sink.all()) codes.insert(d.code);
+    EXPECT_EQ(diagnostic_lines(c.marks), c.want) << c.name;
+  }
+  const std::set<std::string> every = {
+      "marks.unknown_class",     "marks.scope",
+      "marks.type",              "marks.retired",
+      "marks.near_miss",         "marks.int_width",
+      "marks.bus_latency",       "marks.link_latency",
+      "marks.fault_range",       "marks.tile_pair",
+      "marks.tile_range",        "marks.tile_sw",
+      "marks.mesh_dims",         "marks.tile_clash",
+      "marks.tile_missing",      "marks.topology",
+      "marks.routing",           "marks.dram.missing_tile",
+      "marks.dram.requires_mesh", "marks.cache.pow2",
+      "marks.cache.range",       "marks.dram.range",
+      "marks.dram.tile",         "marks.dram.tile_clash"};
+  EXPECT_EQ(codes, every);
 }
 
 }  // namespace
