@@ -124,4 +124,19 @@ std::size_t count_lines(std::string_view text) {
   return n;
 }
 
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t basis) {
+  std::uint64_t h = basis;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string fnv1a_hex(std::string_view bytes) {
+  std::ostringstream os;
+  os << std::hex << fnv1a(bytes);
+  return os.str();
+}
+
 }  // namespace xtsoc

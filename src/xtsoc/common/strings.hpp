@@ -1,6 +1,7 @@
 // Small string helpers shared across the toolchain.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,5 +35,16 @@ std::string dedent(std::string_view text);
 
 /// Number of newline-terminated lines in `text` (a trailing partial line counts).
 std::size_t count_lines(std::string_view text);
+
+/// The standard 64-bit FNV offset basis.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a of `bytes` from the start value `basis`: the one
+/// fingerprint of text and bytes (interface digests, jit content digests,
+/// test pins).
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t basis = kFnv1aBasis);
+
+/// fnv1a(bytes) in lower-case hex, without leading zeros.
+std::string fnv1a_hex(std::string_view bytes);
 
 }  // namespace xtsoc

@@ -1,41 +1,22 @@
 #include "xtsoc/fault/fault.hpp"
 
-#include <algorithm>
-#include <variant>
-
 #include "xtsoc/common/rng.hpp"
 #include "xtsoc/snap/io.hpp"
 
 namespace xtsoc::fault {
 
-namespace {
-
-double read_rate(const marks::MarkSet& marks, const char* key) {
-  auto v = marks.domain_mark(key);
-  if (!v) return 0.0;
-  double rate = 0.0;
-  if (std::holds_alternative<double>(*v)) {
-    rate = std::get<double>(*v);
-  } else if (std::holds_alternative<std::int64_t>(*v)) {
-    rate = static_cast<double>(std::get<std::int64_t>(*v));
-  }
-  return std::clamp(rate, 0.0, 1.0);
-}
-
-}  // namespace
-
 FaultSpec FaultSpec::from_marks(const marks::MarkSet& marks) {
+  auto count = [&](const char* key) {
+    return static_cast<std::uint64_t>(marks.domain_mark_int(key));
+  };
   FaultSpec s;
-  std::int64_t seed = marks.domain_mark_int(kFaultSeed, 1);
-  s.seed = seed < 0 ? 1 : static_cast<std::uint64_t>(seed);
-  std::int64_t window = marks.domain_mark_int(kFaultWindow, 0);
-  s.window = window < 0 ? 0 : static_cast<std::uint64_t>(window);
-  std::int64_t start = marks.domain_mark_int(kFaultWindowStart, 0);
-  s.window_start = start < 0 ? 0 : static_cast<std::uint64_t>(start);
-  s.flit_drop = read_rate(marks, kFaultRateFlitDrop);
-  s.flit_corrupt = read_rate(marks, kFaultRateFlitCorrupt);
-  s.link_down = read_rate(marks, kFaultRateLinkDown);
-  s.bus_error = read_rate(marks, kFaultRateBusError);
+  s.seed = count(marks::kFaultSeed);
+  s.window = count(marks::kFaultWindow);
+  s.window_start = count(marks::kFaultWindowStart);
+  s.flit_drop = marks.domain_mark_number(marks::kFaultRateFlitDrop);
+  s.flit_corrupt = marks.domain_mark_number(marks::kFaultRateFlitCorrupt);
+  s.link_down = marks.domain_mark_number(marks::kFaultRateLinkDown);
+  s.bus_error = marks.domain_mark_number(marks::kFaultRateBusError);
   return s;
 }
 

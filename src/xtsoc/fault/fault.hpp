@@ -32,44 +32,40 @@ class Reader;
 
 namespace xtsoc::fault {
 
-/// Mark keys (domain scope; the canonical definitions live with the other
-/// platform keys in marks.hpp, where marks::validate checks them). Rates
-/// are per-decision-point probabilities in [0, 1]: flitDrop/flitCorrupt
-/// per flit per link traversal, linkDown per link per cycle, busError per
-/// bus transfer attempt.
-inline constexpr const char* kFaultSeed = marks::kFaultSeed;
-inline constexpr const char* kFaultWindow = marks::kFaultWindow;
-inline constexpr const char* kFaultWindowStart = marks::kFaultWindowStart;
-inline constexpr const char* kFaultRateFlitDrop = marks::kFaultRateFlitDrop;
-inline constexpr const char* kFaultRateFlitCorrupt =
-    marks::kFaultRateFlitCorrupt;
-inline constexpr const char* kFaultRateLinkDown = marks::kFaultRateLinkDown;
-inline constexpr const char* kFaultRateBusError = marks::kFaultRateBusError;
+/// Every key FaultSpec::from_marks reads (domain scope; declared with the
+/// other platform marks in marks.hpp). Rates are per-decision-point
+/// probabilities: flitDrop/flitCorrupt per flit per link traversal,
+/// linkDown per link per cycle, busError per bus transfer attempt.
+inline constexpr const char* kKeys[] = {
+    marks::kFaultSeed,           marks::kFaultWindow,
+    marks::kFaultWindowStart,    marks::kFaultRateFlitDrop,
+    marks::kFaultRateFlitCorrupt, marks::kFaultRateLinkDown,
+    marks::kFaultRateBusError};
 
 /// The raw fault scenario, as read from the marks.
 struct FaultSpec {
-  std::uint64_t seed = 1;      ///< faultSeed: the single reproducibility root
-  double flit_drop = 0.0;      ///< faultRate.flitDrop
-  double flit_corrupt = 0.0;   ///< faultRate.flitCorrupt
-  double link_down = 0.0;      ///< faultRate.linkDown
-  double bus_error = 0.0;      ///< faultRate.busError
+  /// faultSeed: the single reproducibility root
+  std::uint64_t seed = marks::default_of(marks::kFaultSeed);
+  double flit_drop = marks::default_of(marks::kFaultRateFlitDrop);
+  double flit_corrupt = marks::default_of(marks::kFaultRateFlitCorrupt);
+  double link_down = marks::default_of(marks::kFaultRateLinkDown);
+  double bus_error = marks::default_of(marks::kFaultRateBusError);
   /// faultWindow: inject only during cycles (window_start, window];
   /// window 0 = no upper bound.
-  std::uint64_t window = 0;
+  std::uint64_t window = marks::default_of(marks::kFaultWindow);
   /// faultWindow.start: no faults during the first `window_start` cycles
-  /// (default 0 = from the beginning). The bound is exclusive — cycles are
+  /// (by default from the beginning). The bound is exclusive — cycles are
   /// 1-indexed, so a start of N masks exactly cycles 1..N — which is what
   /// makes warm-start campaigns exact: a checkpoint taken after
   /// `window_start` cycles has consulted no stream at all, so restoring
   /// and attaching a fresh per-seed Plan replays the cold run.
-  std::uint64_t window_start = 0;
+  std::uint64_t window_start = marks::default_of(marks::kFaultWindowStart);
   /// Transmission attempts a resilient transport makes before reporting a
   /// message as dropped (never a hang). Code-settable, not a mark.
   int retry_budget = 4;
 
   /// Read the fault marks out of `marks` (missing keys keep defaults).
-  /// Values outside their range are rejected by marks::validate; this
-  /// reader clamps defensively rather than re-diagnosing.
+  /// Ranges are marks::validate's job; this reader does not re-check them.
   static FaultSpec from_marks(const marks::MarkSet& marks);
 
   /// True when any rate is positive — a zero-rate spec injects nothing.

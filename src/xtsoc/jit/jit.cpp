@@ -2,13 +2,12 @@
 
 #include <unistd.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "xtsoc/common/strings.hpp"
 #include "xtsoc/jit/emit.hpp"
 
 namespace xtsoc::jit {
@@ -51,18 +50,6 @@ std::string quoted(const std::string& path) { return "'" + path + "'"; }
 
 }  // namespace
 
-std::string content_digest(const std::string& text) {
-  // FNV-1a, the same construction InterfaceSpec::digest uses.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  std::ostringstream os;
-  os << std::hex << h;
-  return os.str();
-}
-
 std::string default_cache_dir() {
   const std::string xdg = env_or_empty("XDG_CACHE_HOME");
   if (!xdg.empty()) return xdg + "/xtsoc/jit";
@@ -92,7 +79,7 @@ JitResult compile(const oal::CompiledDomain& dom, const JitOptions& opts) {
     // Generate with the placeholder digest, hash, then substitute.
     std::string src = emit_module_source(dom, kDigestPlaceholder);
     res.digest =
-        content_digest(src + "\n|" + compiler + "|" + flags + "|v" +
+        fnv1a_hex(src + "\n|" + compiler + "|" + flags + "|v" +
                        std::to_string(XTSOC_JIT_ABI_VERSION));
     const std::size_t at = src.rfind(kDigestPlaceholder);
     if (at != std::string::npos) {

@@ -53,9 +53,6 @@ std::string default_cache_dir();
 /// The compiler command compile() would use for `opts`.
 std::string resolve_compiler(const JitOptions& opts);
 
-/// FNV-1a 64-bit content digest, hex-formatted (the snap/mapping idiom).
-std::string content_digest(const std::string& text);
-
 /// Lower, compile (or load from cache) and validate `dom`. Never throws.
 JitResult compile(const oal::CompiledDomain& dom, const JitOptions& opts = {});
 

@@ -3,6 +3,7 @@
 #include <bit>
 #include <sstream>
 
+#include "xtsoc/common/strings.hpp"
 #include "xtsoc/mapping/classrefs.hpp"
 
 namespace xtsoc::mapping {
@@ -51,15 +52,7 @@ std::string InterfaceSpec::canonical_text(const xtuml::Domain& domain) const {
 }
 
 std::string InterfaceSpec::digest(const xtuml::Domain& domain) const {
-  std::string text = canonical_text(domain);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  std::ostringstream os;
-  os << std::hex << h;
-  return os.str();
+  return fnv1a_hex(canonical_text(domain));
 }
 
 namespace {
@@ -108,8 +101,8 @@ InterfaceSpec synthesize_interface(const oal::CompiledDomain& compiled,
 
   std::uint32_t next_opcode = 0;
   for (const auto& c : domain.classes()) {
-    const int int_width = static_cast<int>(
-        marks.class_mark_int(c.name, marks::kIntWidth, 32));
+    const int int_width =
+        static_cast<int>(marks.class_mark_int(c.name, marks::kIntWidth));
     for (const auto& ev : c.events) {
       if (!boundary[c.id.value()][ev.id.value()]) continue;
 

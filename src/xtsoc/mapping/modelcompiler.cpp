@@ -24,16 +24,15 @@ std::unique_ptr<MappedSystem> map_system(const oal::CompiledDomain& compiled,
     m.cls = c.id;
     m.target = partition.target_of(c.id);
     m.clock_domain =
-        static_cast<int>(marks.class_mark_int(c.name, marks::kClockDomain, 0));
-    m.max_instances = static_cast<int>(
-        marks.class_mark_int(c.name, marks::kMaxInstances, 64));
+        static_cast<int>(marks.class_mark_int(c.name, marks::kClockDomain));
+    m.max_instances =
+        static_cast<int>(marks.class_mark_int(c.name, marks::kMaxInstances));
     m.int_width =
-        static_cast<int>(marks.class_mark_int(c.name, marks::kIntWidth, 32));
+        static_cast<int>(marks.class_mark_int(c.name, marks::kIntWidth));
     maps.push_back(m);
   }
 
-  int bus_latency =
-      static_cast<int>(marks.domain_mark_int(marks::kBusLatency, 4));
+  int bus_latency = static_cast<int>(marks.domain_mark_int(marks::kBusLatency));
 
   return std::make_unique<MappedSystem>(compiled, std::move(partition),
                                         std::move(interface), std::move(maps),

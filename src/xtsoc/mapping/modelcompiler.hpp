@@ -20,9 +20,11 @@ namespace xtsoc::mapping {
 struct ClassMapping {
   ClassId cls;
   marks::Target target = marks::Target::kSoftware;
-  int clock_domain = 0;    ///< hardware classes: which clock drives the FSM
-  int max_instances = 64;  ///< instance pool capacity (C pool, VHDL bank)
-  int int_width = 32;      ///< wire width of int fields
+  /// hardware classes: which clock drives the FSM
+  int clock_domain = mark_default(marks::kClockDomain);
+  /// instance pool capacity (C pool, VHDL bank)
+  int max_instances = mark_default(marks::kMaxInstances);
+  int int_width = mark_default(marks::kIntWidth);  ///< wire width of int fields
 };
 
 class MappedSystem {

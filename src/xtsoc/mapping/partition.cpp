@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <variant>
 
 #include "xtsoc/mapping/classrefs.hpp"
 #include "xtsoc/noc/topology.hpp"
@@ -23,52 +22,33 @@ Partition Partition::from_marks(const xtuml::Domain& domain,
     }
   }
 
-  // Mesh placement: enabled by the presence of any tileX/tileY mark.
-  // Dimensions default to the bounding box of the placement (plus the
-  // software tile); marks::validate has already rejected inconsistent or
-  // out-of-range placements.
-  std::int64_t max_x = 0, max_y = 0;
-  bool any_tiles = false;
-  for (const auto& c : domain.classes()) {
-    auto tx = marks.class_mark(c.name, marks::kTileX);
-    auto ty = marks.class_mark(c.name, marks::kTileY);
-    if (!tx && !ty) continue;
-    any_tiles = true;
-    max_x = std::max(max_x, marks.class_mark_int(c.name, marks::kTileX, 0));
-    max_y = std::max(max_y, marks.class_mark_int(c.name, marks::kTileY, 0));
-  }
+  // Mesh placement: enabled by the presence of any tileX/tileY mark, with
+  // the shape marks::validate has already checked.
+  const marks::MeshShape shape = marks.mesh_shape();
   p.tile_by_class_.resize(domain.class_count(), 0);
-  if (!any_tiles) return p;
+  if (!shape.placed) return p;
 
+  auto int_mark = [&](const char* key) {
+    return static_cast<int>(marks.domain_mark_int(key));
+  };
   MeshSpec& m = p.mesh_;
   m.enabled = true;
-  m.sw_x = static_cast<int>(marks.domain_mark_int(marks::kSwTileX, 0));
-  m.sw_y = static_cast<int>(marks.domain_mark_int(marks::kSwTileY, 0));
-  m.width = static_cast<int>(marks.domain_mark_int(
-      marks::kMeshWidth, std::max(max_x, std::int64_t{m.sw_x}) + 1));
-  m.height = static_cast<int>(marks.domain_mark_int(
-      marks::kMeshHeight, std::max(max_y, std::int64_t{m.sw_y}) + 1));
-  m.link_latency =
-      static_cast<int>(marks.domain_mark_int(marks::kLinkLatency, 1));
-  m.flit_bytes = static_cast<int>(marks.domain_mark_int(marks::kFlitBytes, 4));
-  m.fifo_depth = static_cast<int>(marks.domain_mark_int(marks::kFifoDepth, 4));
-  if (auto v = marks.domain_mark(marks::kTopology);
-      v && std::holds_alternative<std::string>(*v)) {
-    if (auto k = noc::topology_from_string(std::get<std::string>(*v))) {
-      m.topology = *k;
-    }
-  }
-  if (auto v = marks.domain_mark(marks::kRouting);
-      v && std::holds_alternative<std::string>(*v)) {
-    if (auto r = noc::routing_from_string(std::get<std::string>(*v))) {
-      m.routing = *r;
-    }
-  }
+  m.width = static_cast<int>(shape.width);
+  m.height = static_cast<int>(shape.height);
+  m.sw_x = static_cast<int>(shape.sw_x);
+  m.sw_y = static_cast<int>(shape.sw_y);
+  m.link_latency = int_mark(marks::kLinkLatency);
+  m.flit_bytes = int_mark(marks::kFlitBytes);
+  m.fifo_depth = int_mark(marks::kFifoDepth);
+  m.topology = noc::topology_from_string(marks.domain_mark_string(marks::kTopology))
+                   .value_or(m.topology);
+  m.routing = noc::routing_from_string(marks.domain_mark_string(marks::kRouting))
+                  .value_or(m.routing);
   for (const auto& c : domain.classes()) {
     if (p.by_class_[c.id.value()] == marks::Target::kHardware) {
       p.tile_by_class_[c.id.value()] = m.index(
-          static_cast<int>(marks.class_mark_int(c.name, marks::kTileX, 0)),
-          static_cast<int>(marks.class_mark_int(c.name, marks::kTileY, 0)));
+          static_cast<int>(marks.class_mark_int(c.name, marks::kTileX)),
+          static_cast<int>(marks.class_mark_int(c.name, marks::kTileY)));
     } else {
       p.tile_by_class_[c.id.value()] = m.sw_tile();
     }
@@ -81,16 +61,14 @@ Partition Partition::from_marks(const xtuml::Domain& domain,
   if (marks.domain_mark(marks::kDramTile)) {
     MemSpec& mem = p.mem_;
     mem.enabled = true;
-    mem.dram_tile = static_cast<int>(marks.domain_mark_int(marks::kDramTile, 0));
-    mem.sets = static_cast<int>(marks.domain_mark_int(marks::kCacheSets, 0));
-    mem.ways = static_cast<int>(marks.domain_mark_int(marks::kCacheWays, 2));
-    mem.line_bytes =
-        static_cast<int>(marks.domain_mark_int(marks::kCacheLineBytes, 64));
-    mem.hit_latency =
-        static_cast<int>(marks.domain_mark_int(marks::kCacheHitLatency, 1));
-    mem.t_rcd = static_cast<int>(marks.domain_mark_int(marks::kDramTRcd, 2));
-    mem.t_cas = static_cast<int>(marks.domain_mark_int(marks::kDramTCas, 2));
-    mem.t_rp = static_cast<int>(marks.domain_mark_int(marks::kDramTRp, 2));
+    mem.dram_tile = int_mark(marks::kDramTile);
+    mem.sets = int_mark(marks::kCacheSets);
+    mem.ways = int_mark(marks::kCacheWays);
+    mem.line_bytes = int_mark(marks::kCacheLineBytes);
+    mem.hit_latency = int_mark(marks::kCacheHitLatency);
+    mem.t_rcd = int_mark(marks::kDramTRcd);
+    mem.t_cas = int_mark(marks::kDramTCas);
+    mem.t_rp = int_mark(marks::kDramTRp);
   }
   return p;
 }

@@ -11,6 +11,12 @@
 
 namespace xtsoc::mapping {
 
+/// Declared default of the int mark `key`, for the mark-mirroring fields
+/// below (the marks table is the one place defaults are written).
+constexpr int mark_default(const char* key) {
+  return static_cast<int>(marks::default_of(key));
+}
+
 /// Mesh interconnect geometry, derived from the domain-scope NoC marks.
 /// Disabled (the legacy point-to-point bus) unless at least one class
 /// carries tileX/tileY placement marks.
@@ -18,15 +24,17 @@ struct MeshSpec {
   bool enabled = false;
   int width = 1;
   int height = 1;
-  /// Network shape and routing policy (`topology`/`routing` marks; the
-  /// strings are parsed leniently here — marks::validate rejects unknown
-  /// values, this derivation just falls back to the defaults).
+  /// Network shape and routing policy (`topology`/`routing` marks;
+  /// marks::validate rejects unknown values).
   noc::TopologyKind topology = noc::TopologyKind::kMesh;
   noc::RoutePolicy routing = noc::RoutePolicy::kXY;
   int sw_x = 0, sw_y = 0;  ///< tile the software partition's CPU sits on
-  int link_latency = 1;    ///< cycles per router-to-router hop
-  int flit_bytes = 4;      ///< link width: payload bytes per flit
-  int fifo_depth = 4;      ///< router input-buffer depth (= credits)
+  /// cycles per router-to-router hop
+  int link_latency = mark_default(marks::kLinkLatency);
+  /// link width: payload bytes per flit
+  int flit_bytes = mark_default(marks::kFlitBytes);
+  /// router input-buffer depth (= credits)
+  int fifo_depth = mark_default(marks::kFifoDepth);
 
   int tiles() const { return width * height; }
   int index(int x, int y) const { return y * width + x; }
@@ -39,14 +47,14 @@ struct MeshSpec {
 /// mark was given: the hierarchy runs uncached against the DRAM edge.
 struct MemSpec {
   bool enabled = false;
-  int dram_tile = 0;
-  int sets = 0;
-  int ways = 2;
-  int line_bytes = 64;
-  int hit_latency = 1;
-  int t_rcd = 2;
-  int t_cas = 2;
-  int t_rp = 2;
+  int dram_tile = mark_default(marks::kDramTile);
+  int sets = mark_default(marks::kCacheSets);
+  int ways = mark_default(marks::kCacheWays);
+  int line_bytes = mark_default(marks::kCacheLineBytes);
+  int hit_latency = mark_default(marks::kCacheHitLatency);
+  int t_rcd = mark_default(marks::kDramTRcd);
+  int t_cas = mark_default(marks::kDramTCas);
+  int t_rp = mark_default(marks::kDramTRp);
 };
 
 class Partition {

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "xtsoc/common/strings.hpp"
 
@@ -20,9 +21,115 @@ constexpr const char* kDomainScope = "";
 const char* const kRetiredKeys[] = {"busId", "priority",
                                     "memTraffic.writeFraction"};
 
-bool is_fault_rate_key(std::string_view key) {
-  return key == kFaultRateFlitDrop || key == kFaultRateFlitCorrupt ||
-         key == kFaultRateLinkDown || key == kFaultRateBusError;
+bool has_kind(const xtuml::ScalarValue& v, Kind kind) {
+  switch (kind) {
+    case Kind::kBool:
+      return std::holds_alternative<bool>(v);
+    case Kind::kInt:
+      return std::holds_alternative<std::int64_t>(v);
+    case Kind::kNumber:
+      return std::holds_alternative<double>(v) ||
+             std::holds_alternative<std::int64_t>(v);
+    case Kind::kString:
+      return std::holds_alternative<std::string>(v);
+  }
+  return false;
+}
+
+const char* kind_name(Kind kind) {
+  switch (kind) {
+    case Kind::kBool:
+      return "a bool";
+    case Kind::kInt:
+      return "an int";
+    case Kind::kNumber:
+      return "a number";
+    case Kind::kString:
+      return "a string";
+  }
+  return "?";
+}
+
+double as_number(const xtuml::ScalarValue& v) {
+  return std::holds_alternative<double>(v)
+             ? std::get<double>(v)
+             : static_cast<double>(std::get<std::int64_t>(v));
+}
+
+std::optional<std::int64_t> int_of(const std::optional<xtuml::ScalarValue>& v) {
+  if (!v || !std::holds_alternative<std::int64_t>(*v)) return std::nullopt;
+  return std::get<std::int64_t>(*v);
+}
+
+/// What follows the mark's name in the diagnostic when `v` (typed right)
+/// is outside `spec`'s declared range; nullopt when it is inside, or when
+/// the range depends on other marks.
+std::optional<std::string> broken_rule(const MarkSpec& spec,
+                                       const xtuml::ScalarValue& v) {
+  if (spec.code == nullptr) return std::nullopt;
+  const std::string got = " (got " + xtuml::scalar_to_string(v) + ")";
+  const std::string why =
+      spec.reason != nullptr ? std::string("; ") + spec.reason : "";
+  if (spec.kind == Kind::kString) {
+    const std::vector<std::string> choices = split(spec.choices, '|');
+    if (std::find(choices.begin(), choices.end(), std::get<std::string>(v)) !=
+        choices.end()) {
+      return std::nullopt;
+    }
+    std::string list;
+    for (std::size_t i = 0; i < choices.size(); ++i) {
+      if (i > 0) list += i + 1 == choices.size() ? " or " : ", ";
+      list += '"' + choices[i] + '"';
+    }
+    return " must be " + list + got + why;
+  }
+  if (spec.pow2) {
+    const std::int64_t n = std::get<std::int64_t>(v);
+    if (n > 0 && (n & (n - 1)) == 0) return std::nullopt;
+    return " must be a positive power of two" + got + why;
+  }
+  const double x = as_number(v);
+  if (x >= static_cast<double>(spec.min) &&
+      x <= static_cast<double>(spec.max)) {
+    return std::nullopt;
+  }
+  if (spec.max == kNoMax) {
+    return " must be >= " + std::to_string(spec.min) + got + why;
+  }
+  return (spec.reason != nullptr ? std::string(" is ") + spec.reason + " and"
+                                 : std::string()) +
+         " must be in [" + std::to_string(spec.min) + ", " +
+         std::to_string(spec.max) + "]";
+}
+
+/// Retired keys, and case/underscore near-misses of standard ones, warn;
+/// any other key is a mapping's own and passes silently.
+void check_nonstandard_key(const std::string& key, DiagnosticSink& sink) {
+  if (std::find(std::begin(kRetiredKeys), std::end(kRetiredKeys), key) !=
+      std::end(kRetiredKeys)) {
+    sink.warning("marks.retired", "mark key '" + key +
+                                      "' is retired: it selects no mapping "
+                                      "rule and is ignored");
+    return;
+  }
+  auto fold = [](std::string_view k) {
+    std::string out;
+    for (char ch : k) {
+      if (ch == '_') continue;
+      out.push_back(
+          static_cast<char>(std::tolower(static_cast<unsigned char>(ch))));
+    }
+    return out;
+  };
+  const std::string folded = fold(key);
+  for (const MarkSpec& spec : kStandardMarks) {
+    if (fold(spec.key) == folded) {
+      sink.warning("marks.near_miss", "mark key '" + key +
+                                          "' looks like a misspelled "
+                                          "standard mark");
+      return;
+    }
+  }
 }
 }  // namespace
 
@@ -59,6 +166,10 @@ void MarkSet::clear_class_mark(std::string_view class_name,
   if (it->second.empty()) marks_.erase(it);
 }
 
+void MarkSet::clear_domain_mark(std::string_view key) {
+  clear_class_mark(kDomainScope, key);
+}
+
 void MarkSet::mark_hardware(std::string_view class_name, bool is_hw) {
   set_class_mark(class_name, kIsHardware, xtuml::ScalarValue(is_hw));
 }
@@ -78,16 +189,57 @@ std::optional<xtuml::ScalarValue> MarkSet::domain_mark(
 }
 
 std::int64_t MarkSet::class_mark_int(std::string_view class_name,
-                                     std::string_view key,
-                                     std::int64_t fallback) const {
-  auto v = class_mark(class_name, key);
-  if (!v || !std::holds_alternative<std::int64_t>(*v)) return fallback;
-  return std::get<std::int64_t>(*v);
+                                     std::string_view key) const {
+  if (auto v = int_of(class_mark(class_name, key))) return *v;
+  const MarkSpec* spec = find_standard(key);
+  return spec != nullptr ? spec->fallback : 0;
 }
 
-std::int64_t MarkSet::domain_mark_int(std::string_view key,
-                                      std::int64_t fallback) const {
-  return class_mark_int(kDomainScope, key, fallback);
+std::int64_t MarkSet::domain_mark_int(std::string_view key) const {
+  return class_mark_int(kDomainScope, key);
+}
+
+double MarkSet::domain_mark_number(std::string_view key) const {
+  auto v = domain_mark(key);
+  if (v && has_kind(*v, Kind::kNumber)) return as_number(*v);
+  const MarkSpec* spec = find_standard(key);
+  return spec != nullptr ? static_cast<double>(spec->fallback) : 0.0;
+}
+
+std::string MarkSet::domain_mark_string(std::string_view key) const {
+  auto v = domain_mark(key);
+  if (v && std::holds_alternative<std::string>(*v)) {
+    return std::get<std::string>(*v);
+  }
+  const MarkSpec* spec = find_standard(key);
+  if (spec == nullptr || spec->choices == nullptr) return {};
+  return split(spec->choices, '|').front();
+}
+
+std::optional<std::pair<std::int64_t, std::int64_t>> MarkSet::placement(
+    std::string_view class_name) const {
+  auto x = int_of(class_mark(class_name, kTileX));
+  auto y = int_of(class_mark(class_name, kTileY));
+  if (!x || !y) return std::nullopt;
+  return std::pair{*x, *y};
+}
+
+MeshShape MarkSet::mesh_shape() const {
+  MeshShape m;
+  std::int64_t max_x = 0, max_y = 0;
+  for (const auto& [element, kv] : marks_) {
+    if (element.empty()) continue;
+    m.placed |= kv.contains(kTileX) || kv.contains(kTileY);
+    if (auto t = placement(element)) {
+      max_x = std::max(max_x, t->first);
+      max_y = std::max(max_y, t->second);
+    }
+  }
+  m.width = int_of(domain_mark(kMeshWidth)).value_or(max_x + 1);
+  m.height = int_of(domain_mark(kMeshHeight)).value_or(max_y + 1);
+  m.sw_x = domain_mark_int(kSwTileX);
+  m.sw_y = domain_mark_int(kSwTileY);
+  return m;
 }
 
 Target MarkSet::target_of(std::string_view class_name) const {
@@ -131,6 +283,7 @@ MarkDiff MarkSet::diff(const MarkSet& before, const MarkSet& after) {
 bool MarkSet::validate(const xtuml::Domain& domain,
                        DiagnosticSink& sink) const {
   const std::size_t before = sink.error_count();
+  // Each mark on its own: scope, type and range, as kStandardMarks declares.
   for (const auto& [element, kv] : marks_) {
     const bool domain_scope = element.empty();
     if (!domain_scope && domain.find_class(element) == nullptr) {
@@ -139,271 +292,103 @@ bool MarkSet::validate(const xtuml::Domain& domain,
       continue;
     }
     for (const auto& [key, value] : kv) {
-      if (key == kIsHardware) {
-        if (domain_scope) {
-          sink.error("marks.scope", "isHardware is a class mark, not domain");
-        } else if (!std::holds_alternative<bool>(value)) {
-          sink.error("marks.type", element + ".isHardware must be a bool");
-        }
-      } else if (key == kClockDomain || key == kMaxInstances ||
-                 key == kIntWidth || key == kTileX || key == kTileY) {
-        if (domain_scope) {
-          sink.error("marks.scope",
-                     std::string(key) + " is a class mark, not domain");
-        } else if (!std::holds_alternative<std::int64_t>(value)) {
-          sink.error("marks.type", element + "." + key + " must be an int");
-        }
-      } else if (key == kBusLatency || key == kMeshWidth ||
-                 key == kMeshHeight || key == kSwTileX || key == kSwTileY ||
-                 key == kLinkLatency || key == kFlitBytes ||
-                 key == kFifoDepth || key == kFaultSeed ||
-                 key == kFaultWindow || key == kFaultWindowStart ||
-                 key == kDramTile || key == kDramTRcd || key == kDramTCas ||
-                 key == kDramTRp || key == kCacheSets || key == kCacheWays ||
-                 key == kCacheLineBytes || key == kCacheHitLatency) {
-        if (!domain_scope) {
-          sink.error("marks.scope",
-                     std::string(key) + " is a domain mark, not class");
-        } else if (!std::holds_alternative<std::int64_t>(value)) {
-          sink.error("marks.type",
-                     "domain." + std::string(key) + " must be an int");
-        }
-      } else if (key == kTopology || key == kRouting) {
-        if (!domain_scope) {
-          sink.error("marks.scope",
-                     std::string(key) + " is a domain mark, not class");
-        } else if (!std::holds_alternative<std::string>(value)) {
-          sink.error("marks.type",
-                     "domain." + std::string(key) + " must be a string");
-        }
-      } else if (is_fault_rate_key(key)) {
-        // Rates read naturally as reals but 0 and 1 parse as ints; accept
-        // both so "faultRate.flitDrop = 0" round-trips.
-        if (!domain_scope) {
-          sink.error("marks.scope",
-                     std::string(key) + " is a domain mark, not class");
-        } else if (!std::holds_alternative<double>(value) &&
-                   !std::holds_alternative<std::int64_t>(value)) {
-          sink.error("marks.type",
-                     "domain." + std::string(key) + " must be a number");
-        }
-      } else if (std::find(std::begin(kRetiredKeys), std::end(kRetiredKeys),
-                           key) != std::end(kRetiredKeys)) {
-        sink.warning("marks.retired",
-                     "mark key '" + key + "' is retired: it selects no "
-                     "mapping rule and is ignored");
-      } else {
-        // Unknown key: allowed, but warn on case/underscore near-misses.
-        auto normalize = [](std::string_view k) {
-          std::string out;
-          for (char ch : k) {
-            if (ch == '_') continue;
-            out.push_back(
-                static_cast<char>(std::tolower(static_cast<unsigned char>(ch))));
-          }
-          return out;
-        };
-        std::string lower = normalize(key);
-        auto near = [&](const char* std_key) {
-          return lower == normalize(std_key) && key != std_key;
-        };
-        bool near_miss = false;
-        for (const char* k : kStandardClassKeys) near_miss |= near(k);
-        for (const char* k : kStandardDomainKeys) near_miss |= near(k);
-        if (near_miss) {
-          sink.warning("marks.near_miss",
-                       "mark key '" + key + "' looks like a misspelled "
-                       "standard mark");
-        }
-      }
-    }
-  }
-  // A positive intWidth must fit the 64-bit abstract integer.
-  for (const auto& [element, kv] : marks_) {
-    auto it = kv.find(kIntWidth);
-    if (it != kv.end() && std::holds_alternative<std::int64_t>(it->second)) {
-      std::int64_t w = std::get<std::int64_t>(it->second);
-      if (w < 1 || w > 64) {
-        sink.error("marks.int_width",
-                   element + ".intWidth must be in [1, 64]");
+      const MarkSpec* spec = find_standard(key);
+      const std::string mark =
+          (domain_scope ? std::string("domain") : element) + "." + key;
+      if (spec == nullptr) {
+        check_nonstandard_key(key, sink);
+      } else if ((spec->scope == Scope::kDomain) != domain_scope) {
+        sink.error("marks.scope", key + (domain_scope
+                                             ? " is a class mark, not domain"
+                                             : " is a domain mark, not class"));
+      } else if (!has_kind(value, spec->kind)) {
+        sink.error("marks.type", mark + " must be " + kind_name(spec->kind));
+      } else if (auto rule = broken_rule(*spec, value)) {
+        sink.error(spec->code, mark + *rule);
       }
     }
   }
 
-  // Interconnect latency marks are lookahead sources for the windowed
-  // co-simulation scheduler (and wait counts in the generated VHDL), so
-  // nonsensical values are rejected here rather than surfacing as a stuck
-  // or time-traveling interconnect later. busLatency 0 is legal — it
-  // clamps the scheduler to one-cycle windows — but negative is not;
-  // linkLatency is a physical per-hop traversal time and must be >= 1.
-  for (const auto& [element, kv] : marks_) {
-    if (auto it = kv.find(kBusLatency);
-        it != kv.end() && std::holds_alternative<std::int64_t>(it->second) &&
-        std::get<std::int64_t>(it->second) < 0) {
-      sink.error("marks.bus_latency",
-                 "domain.busLatency must be >= 0 (got " +
-                     std::to_string(std::get<std::int64_t>(it->second)) +
-                     "); a bus cannot deliver into the past");
-    }
-    if (auto it = kv.find(kLinkLatency);
-        it != kv.end() && std::holds_alternative<std::int64_t>(it->second) &&
-        std::get<std::int64_t>(it->second) < 1) {
-      sink.error("marks.link_latency",
-                 "domain.linkLatency must be >= 1 (got " +
-                     std::to_string(std::get<std::int64_t>(it->second)) +
-                     "); every mesh hop takes at least one cycle");
+  // An inverted fault window would silently disarm every fault.
+  {
+    auto end = int_of(domain_mark(kFaultWindow));
+    auto start = int_of(domain_mark(kFaultWindowStart));
+    if (end && start && *end > 0 && *start >= *end) {
+      sink.error("marks.fault_range",
+                 "domain.faultWindow.start (" + std::to_string(*start) +
+                     ") is after domain.faultWindow (" + std::to_string(*end) +
+                     "); the window is empty");
     }
   }
 
-  // Fault marks describe a reproducible failure scenario; out-of-range
-  // values would make a campaign either meaningless (a probability above 1)
-  // or irreproducible (a negative seed truncated who-knows-how), so they
-  // are rejected here, at the same gate as every other platform mark.
-  for (const auto& [element, kv] : marks_) {
-    if (!element.empty()) continue;  // scope errors reported above
-    for (const char* key : {kFaultSeed, kFaultWindow, kFaultWindowStart}) {
-      if (auto it = kv.find(key);
-          it != kv.end() && std::holds_alternative<std::int64_t>(it->second) &&
-          std::get<std::int64_t>(it->second) < 0) {
-        sink.error("marks.fault_range",
-                   "domain." + std::string(key) + " must be >= 0 (got " +
-                       std::to_string(std::get<std::int64_t>(it->second)) +
-                       ")");
-      }
-    }
-    for (const char* key :
-         {kFaultRateFlitDrop, kFaultRateFlitCorrupt, kFaultRateLinkDown,
-          kFaultRateBusError}) {
-      auto it = kv.find(key);
-      if (it == kv.end()) continue;
-      double rate = 0.0;
-      if (std::holds_alternative<double>(it->second)) {
-        rate = std::get<double>(it->second);
-      } else if (std::holds_alternative<std::int64_t>(it->second)) {
-        rate = static_cast<double>(std::get<std::int64_t>(it->second));
-      } else {
-        continue;  // typed wrong; reported above
-      }
-      if (rate < 0.0 || rate > 1.0) {
-        sink.error("marks.fault_range",
-                   "domain." + std::string(key) +
-                       " is a probability and must be in [0, 1]");
-      }
-    }
-    // An inverted window would silently disarm every fault — reject it.
-    auto wit = kv.find(kFaultWindow);
-    auto sit = kv.find(kFaultWindowStart);
-    if (wit != kv.end() && sit != kv.end() &&
-        std::holds_alternative<std::int64_t>(wit->second) &&
-        std::holds_alternative<std::int64_t>(sit->second)) {
-      std::int64_t end = std::get<std::int64_t>(wit->second);
-      std::int64_t start = std::get<std::int64_t>(sit->second);
-      if (end > 0 && start >= end) {
-        sink.error("marks.fault_range",
-                   "domain.faultWindow.start (" + std::to_string(start) +
-                       ") is after domain.faultWindow (" +
-                       std::to_string(end) + "); the window is empty");
-      }
-    }
-  }
-
-  // NoC placement rules. Any tileX/tileY mark switches the mapping to the
-  // mesh interconnect, so the placement must describe a buildable mesh.
-  bool any_tiles = false;
-  std::int64_t max_x = 0, max_y = 0;
+  // NoC placement. Any tileX/tileY mark switches the mapping to the mesh
+  // interconnect, so the placement must describe a buildable mesh.
   for (const auto& [element, kv] : marks_) {
     if (element.empty()) continue;
-    auto tx = kv.find(kTileX);
-    auto ty = kv.find(kTileY);
-    const bool has_x = tx != kv.end();
-    const bool has_y = ty != kv.end();
-    if (!has_x && !has_y) continue;
-    any_tiles = true;
+    const bool has_x = kv.contains(kTileX);
+    const bool has_y = kv.contains(kTileY);
     if (has_x != has_y) {
       sink.error("marks.tile_pair",
                  "class '" + element + "' has " +
                      (has_x ? "tileX without tileY" : "tileY without tileX") +
                      "; a placement needs both coordinates");
-      continue;
     }
-    if (!std::holds_alternative<std::int64_t>(tx->second) ||
-        !std::holds_alternative<std::int64_t>(ty->second)) {
-      continue;  // typed wrong; reported above
-    }
-    std::int64_t x = std::get<std::int64_t>(tx->second);
-    std::int64_t y = std::get<std::int64_t>(ty->second);
-    if (x < 0 || y < 0) {
+    auto t = placement(element);
+    if (!t) continue;  // unplaced, or typed wrong (reported above)
+    if (t->first < 0 || t->second < 0) {
       sink.error("marks.tile_range", "class '" + element +
                                          "' is placed at negative tile (" +
-                                         std::to_string(x) + "," +
-                                         std::to_string(y) + ")");
+                                         std::to_string(t->first) + "," +
+                                         std::to_string(t->second) + ")");
     }
-    if (x > max_x) max_x = x;
-    if (y > max_y) max_y = y;
-    auto hw = kv.find(kIsHardware);
-    const bool is_hw = hw != kv.end() &&
-                       std::holds_alternative<bool>(hw->second) &&
-                       std::get<bool>(hw->second);
-    if (!is_hw) {
+    if (!is_hardware(element)) {
       sink.warning("marks.tile_sw",
                    "class '" + element + "' has tile marks but is not "
                    "isHardware; software classes live on the software tile "
                    "and the placement is ignored");
     }
   }
-  if (any_tiles) {
-    std::int64_t mesh_w = domain_mark_int(kMeshWidth, max_x + 1);
-    std::int64_t mesh_h = domain_mark_int(kMeshHeight, max_y + 1);
-    std::int64_t sw_x = domain_mark_int(kSwTileX, 0);
-    std::int64_t sw_y = domain_mark_int(kSwTileY, 0);
-    if (mesh_w < 1 || mesh_h < 1 || mesh_w > 64 || mesh_h > 64) {
-      sink.error("marks.mesh_dims", "meshWidth/meshHeight must be in [1, 64]");
+  const MeshShape mesh = mesh_shape();
+  const std::string mesh_name =
+      std::to_string(mesh.width) + "x" + std::to_string(mesh.height);
+  if (mesh.placed) {
+    const MarkSpec& dims = *find_standard(kMeshWidth);
+    auto in_mesh = [&](std::int64_t x, std::int64_t y) {
+      return x >= 0 && x < mesh.width && y >= 0 && y < mesh.height;
+    };
+    if (mesh.width < dims.min || mesh.height < dims.min ||
+        mesh.width > dims.max || mesh.height > dims.max) {
+      sink.error("marks.mesh_dims", "meshWidth/meshHeight must be in [" +
+                                        std::to_string(dims.min) + ", " +
+                                        std::to_string(dims.max) + "]");
     } else {
-      auto in_mesh = [&](std::int64_t x, std::int64_t y) {
-        return x >= 0 && x < mesh_w && y >= 0 && y < mesh_h;
-      };
-      if (!in_mesh(sw_x, sw_y)) {
+      if (!in_mesh(mesh.sw_x, mesh.sw_y)) {
         sink.error("marks.tile_range",
-                   "software tile (" + std::to_string(sw_x) + "," +
-                       std::to_string(sw_y) + ") is outside the " +
-                       std::to_string(mesh_w) + "x" + std::to_string(mesh_h) +
-                       " mesh");
+                   "software tile (" + std::to_string(mesh.sw_x) + "," +
+                       std::to_string(mesh.sw_y) + ") is outside the " +
+                       mesh_name + " mesh");
       }
       for (const auto& [element, kv] : marks_) {
-        if (element.empty()) continue;
-        auto tx = kv.find(kTileX);
-        auto ty = kv.find(kTileY);
-        if (tx == kv.end() || ty == kv.end() ||
-            !std::holds_alternative<std::int64_t>(tx->second) ||
-            !std::holds_alternative<std::int64_t>(ty->second)) {
-          continue;
-        }
-        std::int64_t x = std::get<std::int64_t>(tx->second);
-        std::int64_t y = std::get<std::int64_t>(ty->second);
-        if (x < 0 || y < 0) continue;  // already reported
-        if (!in_mesh(x, y)) {
-          sink.error("marks.tile_range",
-                     "class '" + element + "' is placed at tile (" +
-                         std::to_string(x) + "," + std::to_string(y) +
-                         "), outside the " + std::to_string(mesh_w) + "x" +
-                         std::to_string(mesh_h) + " mesh");
-        } else if (x == sw_x && y == sw_y) {
-          sink.error("marks.tile_clash",
-                     "class '" + element + "' is placed on tile (" +
-                         std::to_string(x) + "," + std::to_string(y) +
-                         "), which is the software tile");
+        auto t = element.empty() ? std::nullopt : placement(element);
+        if (!t || t->first < 0 || t->second < 0) continue;
+        const std::string at = "(" + std::to_string(t->first) + "," +
+                               std::to_string(t->second) + ")";
+        if (!in_mesh(t->first, t->second)) {
+          sink.error("marks.tile_range", "class '" + element +
+                                             "' is placed at tile " + at +
+                                             ", outside the " + mesh_name +
+                                             " mesh");
+        } else if (t->first == mesh.sw_x && t->second == mesh.sw_y) {
+          sink.error("marks.tile_clash", "class '" + element +
+                                             "' is placed on tile " + at +
+                                             ", which is the software tile");
         }
       }
     }
-    // Placement must be total: every hardware class needs a tile once the
-    // mesh is in play (an unplaced FSM bank has no router to sit behind).
+    // Placement must be total: an unplaced FSM bank has no router.
     for (const auto& [element, kv] : marks_) {
-      if (element.empty()) continue;
-      auto hw = kv.find(kIsHardware);
-      const bool is_hw = hw != kv.end() &&
-                         std::holds_alternative<bool>(hw->second) &&
-                         std::get<bool>(hw->second);
-      if (is_hw && (!kv.contains(kTileX) || !kv.contains(kTileY))) {
+      if (!element.empty() && is_hardware(element) &&
+          (!kv.contains(kTileX) || !kv.contains(kTileY))) {
         sink.error("marks.tile_missing",
                    "class '" + element + "' is isHardware but has no "
                    "tileX/tileY; every hardware class needs a tile once any "
@@ -412,158 +397,72 @@ bool MarkSet::validate(const xtuml::Domain& domain,
     }
   }
 
-  // Topology and routing marks: legal values, and shapes that can actually
-  // be wired. The platform is a marks decision, so an impossible platform
-  // is a marks error — caught here, not as a FabricError at elaboration.
-  {
-    auto str_mark = [&](const char* key) -> std::optional<std::string> {
-      auto v = domain_mark(key);
-      if (!v || !std::holds_alternative<std::string>(*v)) return std::nullopt;
-      return std::get<std::string>(*v);
-    };
-    const auto topo = str_mark(kTopology);
-    const auto routing = str_mark(kRouting);
-    if (topo && *topo != "mesh" && *topo != "torus" && *topo != "ring") {
+  // Shapes that can actually be wired, judged on the mesh shape above once
+  // the mesh is described at all.
+  const std::string topo = domain_mark_string(kTopology);
+  if (mesh.placed || domain_mark(kMeshWidth) || domain_mark(kMeshHeight)) {
+    if (topo == "ring" && mesh.height > 1) {
+      sink.error("marks.topology", "ring topology is one row, but the mesh is " +
+                                       mesh_name +
+                                       "; set meshHeight = 1 or use torus");
+    }
+    if (topo == "torus" && (mesh.width < 2 || mesh.height < 2)) {
       sink.error("marks.topology",
-                 "domain.topology must be \"mesh\", \"torus\" or \"ring\" "
-                 "(got \"" + *topo + "\")");
+                 "torus wraparound needs both dimensions >= 2, but the mesh "
+                 "is " + mesh_name + "; a single wrapped row is a ring");
     }
-    if (routing && *routing != "xy" && *routing != "yx" &&
-        *routing != "adaptive") {
-      sink.error("marks.routing",
-                 "domain.routing must be \"xy\", \"yx\" or \"adaptive\" "
-                 "(got \"" + *routing + "\")");
-    }
-    // Shape compatibility, judged against the same effective dimensions the
-    // partition derives (explicit meshWidth/meshHeight, else the placement
-    // bounding box). Only meaningful once the mesh is described at all.
-    const bool mesh_described = any_tiles || domain_mark(kMeshWidth) ||
-                                domain_mark(kMeshHeight);
-    if (mesh_described) {
-      const std::int64_t mesh_w =
-          domain_mark_int(kMeshWidth, any_tiles ? max_x + 1 : 1);
-      const std::int64_t mesh_h =
-          domain_mark_int(kMeshHeight, any_tiles ? max_y + 1 : 1);
-      if (topo && *topo == "ring" && mesh_h > 1) {
-        sink.error("marks.topology",
-                   "ring topology is one row, but the mesh is " +
-                       std::to_string(mesh_w) + "x" + std::to_string(mesh_h) +
-                       "; set meshHeight = 1 or use torus");
-      }
-      if (topo && *topo == "torus" && (mesh_w < 2 || mesh_h < 2)) {
-        sink.error("marks.topology",
-                   "torus wraparound needs both dimensions >= 2, but the "
-                   "mesh is " + std::to_string(mesh_w) + "x" +
-                       std::to_string(mesh_h) +
-                       "; a single wrapped row is a ring");
-      }
-    }
-    // Adaptive routing picks ports by live credit, so the retransmit
-    // detour's primary/fallback dimension orders do not exist under it.
-    if (routing && *routing == "adaptive") {
-      for (const char* key :
-           {kFaultRateFlitDrop, kFaultRateFlitCorrupt, kFaultRateLinkDown}) {
-        auto v = domain_mark(key);
-        if (!v) continue;
-        double rate = 0.0;
-        if (std::holds_alternative<double>(*v)) {
-          rate = std::get<double>(*v);
-        } else if (std::holds_alternative<std::int64_t>(*v)) {
-          rate = static_cast<double>(std::get<std::int64_t>(*v));
-        }
-        if (rate > 0.0) {
-          sink.error("marks.routing",
-                     "domain.routing = \"adaptive\" cannot be combined with "
-                     "domain." + std::string(key) +
-                         " > 0: the fault retransmit path alternates "
-                         "dimension orders, which adaptive routing replaces");
-          break;
-        }
+  }
+  // Adaptive routing picks ports by live credit, so the retransmit detour's
+  // primary/fallback dimension orders do not exist under it.
+  if (domain_mark_string(kRouting) == "adaptive") {
+    for (const char* key :
+         {kFaultRateFlitDrop, kFaultRateFlitCorrupt, kFaultRateLinkDown}) {
+      if (domain_mark_number(key) > 0.0) {
+        sink.error("marks.routing",
+                   "domain.routing = \"adaptive\" cannot be combined with "
+                   "domain." + std::string(key) +
+                       " > 0: the fault retransmit path alternates "
+                       "dimension orders, which adaptive routing replaces");
+        break;
       }
     }
   }
 
-  // Memory-hierarchy marks. The DRAM edge is a fabric endpoint, so it needs
-  // a mesh, a tile inside it, and no executor already on that tile; cache
-  // indexing is bit-sliced, so the geometry must be powers of two. All of
-  // this is a platform decision — rejected here, with the other marks.
-  {
-    auto int_mark = [&](const char* key) -> std::optional<std::int64_t> {
-      auto v = domain_mark(key);
-      if (!v || !std::holds_alternative<std::int64_t>(*v)) return std::nullopt;
-      return std::get<std::int64_t>(*v);
-    };
-    const bool has_dram = domain_mark(kDramTile).has_value();
-    const bool any_mem_mark =
-        has_dram || domain_mark(kDramTRcd) || domain_mark(kDramTCas) ||
-        domain_mark(kDramTRp) || domain_mark(kCacheSets) ||
-        domain_mark(kCacheWays) || domain_mark(kCacheLineBytes) ||
-        domain_mark(kCacheHitLatency);
-    if (any_mem_mark && !has_dram) {
-      sink.error("marks.dram.missing_tile",
-                 "cache.*/dram.* marks need domain.dram.tile; without a DRAM "
-                 "edge tile there is no memory hierarchy to configure");
-    }
-    if (has_dram && !any_tiles) {
-      sink.error("marks.dram.requires_mesh",
-                 "domain.dram.tile needs a mesh-mapped domain (tileX/tileY "
-                 "placements); coherence messages are fabric frames");
-    }
-    auto pow2 = [](std::int64_t v) { return v > 0 && (v & (v - 1)) == 0; };
-    for (const char* key : {kCacheSets, kCacheWays, kCacheLineBytes}) {
-      if (auto v = int_mark(key); v && !pow2(*v)) {
-        sink.error("marks.cache.pow2",
-                   "domain." + std::string(key) +
-                       " must be a positive power of two (got " +
-                       std::to_string(*v) + "); cache indexing is bit-sliced");
+  // The DRAM edge is a fabric endpoint: it needs a mesh, a tile inside it,
+  // and no executor already on that tile.
+  const bool has_dram = domain_mark(kDramTile).has_value();
+  bool any_mem_mark = false;
+  for (const char* key : {kDramTRcd, kDramTCas, kDramTRp, kCacheSets,
+                          kCacheWays, kCacheLineBytes, kCacheHitLatency}) {
+    any_mem_mark |= domain_mark(key).has_value();
+  }
+  if (any_mem_mark && !has_dram) {
+    sink.error("marks.dram.missing_tile",
+               "cache.*/dram.* marks need domain.dram.tile; without a DRAM "
+               "edge tile there is no memory hierarchy to configure");
+  }
+  if (has_dram && !mesh.placed) {
+    sink.error("marks.dram.requires_mesh",
+               "domain.dram.tile needs a mesh-mapped domain (tileX/tileY "
+               "placements); coherence messages are fabric frames");
+  }
+  if (auto dt = int_of(domain_mark(kDramTile)); dt && mesh.placed) {
+    const std::string tile = "domain.dram.tile " + std::to_string(*dt);
+    if (*dt < 0 || *dt >= mesh.width * mesh.height) {
+      sink.error("marks.dram.tile",
+                 tile + " is outside the " + mesh_name + " mesh");
+    } else {
+      if (*dt == mesh.sw_y * mesh.width + mesh.sw_x) {
+        sink.error("marks.dram.tile_clash",
+                   tile + " is the software tile; the DRAM edge needs an "
+                          "unoccupied tile (its NIC is the directory)");
       }
-    }
-    if (auto v = int_mark(kCacheHitLatency); v && *v < 1) {
-      sink.error("marks.cache.range",
-                 "domain.cache.hitLatency must be >= 1 (got " +
-                     std::to_string(*v) + "); even a hit takes a cycle");
-    }
-    for (const char* key : {kDramTRcd, kDramTCas, kDramTRp}) {
-      if (auto v = int_mark(key); v && *v < 1) {
-        sink.error("marks.dram.range",
-                   "domain." + std::string(key) + " must be >= 1 (got " +
-                       std::to_string(*v) + ")");
-      }
-    }
-    if (auto dt = int_mark(kDramTile); dt && any_tiles) {
-      const std::int64_t mesh_w = domain_mark_int(kMeshWidth, max_x + 1);
-      const std::int64_t mesh_h = domain_mark_int(kMeshHeight, max_y + 1);
-      if (*dt < 0 || *dt >= mesh_w * mesh_h) {
-        sink.error("marks.dram.tile",
-                   "domain.dram.tile " + std::to_string(*dt) +
-                       " is outside the " + std::to_string(mesh_w) + "x" +
-                       std::to_string(mesh_h) + " mesh");
-      } else {
-        const std::int64_t sw_tile =
-            domain_mark_int(kSwTileY, 0) * mesh_w + domain_mark_int(kSwTileX, 0);
-        if (*dt == sw_tile) {
+      for (const auto& [element, kv] : marks_) {
+        auto t = element.empty() ? std::nullopt : placement(element);
+        if (t && t->second * mesh.width + t->first == *dt) {
           sink.error("marks.dram.tile_clash",
-                     "domain.dram.tile " + std::to_string(*dt) +
-                         " is the software tile; the DRAM edge needs an "
-                         "unoccupied tile (its NIC is the directory)");
-        }
-        for (const auto& [element, kv] : marks_) {
-          if (element.empty()) continue;
-          auto tx = kv.find(kTileX);
-          auto ty = kv.find(kTileY);
-          if (tx == kv.end() || ty == kv.end() ||
-              !std::holds_alternative<std::int64_t>(tx->second) ||
-              !std::holds_alternative<std::int64_t>(ty->second)) {
-            continue;
-          }
-          std::int64_t tile = std::get<std::int64_t>(ty->second) * mesh_w +
-                              std::get<std::int64_t>(tx->second);
-          if (tile == *dt) {
-            sink.error("marks.dram.tile_clash",
-                       "domain.dram.tile " + std::to_string(*dt) +
-                           " collides with class '" + element +
-                           "'; the DRAM edge needs an unoccupied tile");
-          }
+                     tile + " collides with class '" + element +
+                         "'; the DRAM edge needs an unoccupied tile");
         }
       }
     }

@@ -420,8 +420,9 @@ TEST(MarkAudit, EveryStandardMarkSelectsARule) {
   std::set<std::string> probed;
   for (const MarkProbe& m : probes) probed.insert(m.key);
   std::set<std::string> standard;
-  for (const char* k : marks::kStandardClassKeys) standard.insert(k);
-  for (const char* k : marks::kStandardDomainKeys) standard.insert(k);
+  for (const marks::MarkSpec& spec : marks::kStandardMarks) {
+    standard.insert(spec.key);
+  }
   EXPECT_EQ(probed, standard);
 
   auto parse = [&](const std::string& base) {

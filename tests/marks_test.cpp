@@ -50,20 +50,20 @@ TEST(MarkSet, ClassAndDomainScopesSeparate) {
   MarkSet m;
   m.set_domain_mark(kBusLatency, ScalarValue(std::int64_t{7}));
   m.set_class_mark("A", kClockDomain, ScalarValue(std::int64_t{2}));
-  EXPECT_EQ(m.domain_mark_int(kBusLatency, 0), 7);
-  EXPECT_EQ(m.class_mark_int("A", kClockDomain, 0), 2);
+  EXPECT_EQ(m.domain_mark_int(kBusLatency), 7);
+  EXPECT_EQ(m.class_mark_int("A", kClockDomain), 2);
   EXPECT_FALSE(m.class_mark("A", kBusLatency).has_value());
   EXPECT_FALSE(m.domain_mark(kClockDomain).has_value());
 }
 
 TEST(MarkSet, IntFallbacks) {
   MarkSet m;
-  EXPECT_EQ(m.class_mark_int("A", kIntWidth, 32), 32);
+  EXPECT_EQ(m.class_mark_int("A", kIntWidth), 32);
   m.set_class_mark("A", kIntWidth, ScalarValue(std::int64_t{16}));
-  EXPECT_EQ(m.class_mark_int("A", kIntWidth, 32), 16);
+  EXPECT_EQ(m.class_mark_int("A", kIntWidth), 16);
   // wrong type -> fallback
   m.set_class_mark("B", kIntWidth, ScalarValue(true));
-  EXPECT_EQ(m.class_mark_int("B", kIntWidth, 32), 32);
+  EXPECT_EQ(m.class_mark_int("B", kIntWidth), 32);
 }
 
 TEST(MarkSet, ClearMark) {
@@ -135,7 +135,7 @@ TEST(MarkSet, FromTextParsesKindsAndComments) {
       sink);
   EXPECT_FALSE(sink.has_errors()) << sink.to_string();
   EXPECT_TRUE(m.is_hardware("Compressor"));
-  EXPECT_EQ(m.domain_mark_int(kBusLatency, 0), 12);
+  EXPECT_EQ(m.domain_mark_int(kBusLatency), 12);
   EXPECT_EQ(std::get<std::string>(*m.class_mark("Compressor", "label")),
             "fast path");
   EXPECT_DOUBLE_EQ(std::get<double>(*m.class_mark("Compressor", "gain")), 1.5);
@@ -908,8 +908,17 @@ const PinCase kPinCorpus[] = {
     {"router buffers and link width",
      "Compressor.isHardware = true\nCompressor.tileX = 1\n"
      "Compressor.tileY = 0\ndomain.fifoDepth = 0\ndomain.flitBytes = -2\n",
-     {}},
-    {"instance pool", "Compressor.maxInstances = -1\n", {}},
+     {
+      "error [marks.fifo_depth] domain.fifoDepth must be >= 1 (got 0);"
+      " a router buffer holds at least one flit",
+      "error [marks.flit_bytes] domain.flitBytes must be >= 1 (got -2);"
+      " a flit carries at least one byte"}},
+    {"instance pool", "Compressor.maxInstances = -1\n", {
+      "error [marks.max_instances] Compressor.maxInstances must be >= 1"
+      " (got -1); it sizes the instance pool"}},
+    {"clock divider", "Compressor.clockDomain = -1\n", {
+      "error [marks.clock_domain] Compressor.clockDomain must be >= 0"
+      " (got -1); it divides the hardware clock"}},
 };
 
 TEST(ValidatePin, EveryDiagnosticIsPinned) {
@@ -932,7 +941,9 @@ TEST(ValidatePin, EveryDiagnosticIsPinned) {
       "marks.routing",           "marks.dram.missing_tile",
       "marks.dram.requires_mesh", "marks.cache.pow2",
       "marks.cache.range",       "marks.dram.range",
-      "marks.dram.tile",         "marks.dram.tile_clash"};
+      "marks.dram.tile",         "marks.dram.tile_clash",
+      "marks.fifo_depth",        "marks.flit_bytes",
+      "marks.max_instances",     "marks.clock_domain"};
   EXPECT_EQ(codes, every);
 }
 

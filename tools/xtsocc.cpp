@@ -576,7 +576,10 @@ int main(int argc, char** argv) {
 
     // --faults: the fault marks file reuses the .marks syntax and the
     // central validator, so a typo'd key or an out-of-range rate gets the
-    // same diagnostics as -m (it may in fact BE the -m file).
+    // same diagnostics as -m (it may in fact BE the -m file). The run takes
+    // only the fault keys from it, onto the -m platform, so the rules that
+    // span both (adaptive routing against NoC fault rates) are checked on
+    // that combination too.
     fault::FaultSpec fault_spec;
     std::unique_ptr<fault::Plan> fault_plan;
     if (!opt.faults_path.empty()) {
@@ -588,7 +591,24 @@ int main(int argc, char** argv) {
       }
       DiagnosticSink fsink;
       marks::MarkSet fmarks = marks::MarkSet::from_text(faults_text, fsink);
-      fmarks.validate(project->domain(), fsink);
+      if (fmarks.validate(project->domain(), fsink)) {
+        marks::MarkSet platform = project->marks();
+        for (const char* key : fault::kKeys) {
+          if (auto v = fmarks.domain_mark(key)) {
+            platform.set_domain_mark(key, *v);
+          } else {
+            platform.clear_domain_mark(key);
+          }
+        }
+        DiagnosticSink psink;
+        if (!platform.validate(project->domain(), psink)) {
+          for (const auto& d : psink.all()) {
+            if (d.severity == Severity::kError) {
+              fsink.error(d.code, d.message, d.loc);
+            }
+          }
+        }
+      }
       if (fsink.has_errors()) {
         std::fprintf(stderr, "%s", fsink.to_string().c_str());
         std::fprintf(stderr, "xtsocc: faults '%s' rejected\n",
