@@ -40,10 +40,12 @@ Partition Partition::from_marks(const xtuml::Domain& domain,
   m.link_latency = int_mark(marks::kLinkLatency);
   m.flit_bytes = int_mark(marks::kFlitBytes);
   m.fifo_depth = int_mark(marks::kFifoDepth);
-  m.topology = noc::topology_from_string(marks.domain_mark_string(marks::kTopology))
-                   .value_or(m.topology);
-  m.routing = noc::routing_from_string(marks.domain_mark_string(marks::kRouting))
-                  .value_or(m.routing);
+  m.topology =
+      noc::topology_from_string(marks.domain_mark_string(marks::kTopology))
+          .value_or(m.topology);
+  m.routing =
+      noc::routing_from_string(marks.domain_mark_string(marks::kRouting))
+          .value_or(m.routing);
   for (const auto& c : domain.classes()) {
     if (p.by_class_[c.id.value()] == marks::Target::kHardware) {
       p.tile_by_class_[c.id.value()] = m.index(

@@ -21,34 +21,13 @@ constexpr const char* kDomainScope = "";
 const char* const kRetiredKeys[] = {"busId", "priority",
                                     "memTraffic.writeFraction"};
 
+// Kind follows ScalarValue's alternatives: bool, int, real, string.
 bool has_kind(const xtuml::ScalarValue& v, Kind kind) {
-  switch (kind) {
-    case Kind::kBool:
-      return std::holds_alternative<bool>(v);
-    case Kind::kInt:
-      return std::holds_alternative<std::int64_t>(v);
-    case Kind::kNumber:
-      return std::holds_alternative<double>(v) ||
-             std::holds_alternative<std::int64_t>(v);
-    case Kind::kString:
-      return std::holds_alternative<std::string>(v);
-  }
-  return false;
+  return v.index() == static_cast<std::size_t>(kind) ||
+         (kind == Kind::kNumber && std::holds_alternative<std::int64_t>(v));
 }
 
-const char* kind_name(Kind kind) {
-  switch (kind) {
-    case Kind::kBool:
-      return "a bool";
-    case Kind::kInt:
-      return "an int";
-    case Kind::kNumber:
-      return "a number";
-    case Kind::kString:
-      return "a string";
-  }
-  return "?";
-}
+const char* const kKindNames[] = {"a bool", "an int", "a number", "a string"};
 
 double as_number(const xtuml::ScalarValue& v) {
   return std::holds_alternative<double>(v)
@@ -302,7 +281,8 @@ bool MarkSet::validate(const xtuml::Domain& domain,
                                              ? " is a class mark, not domain"
                                              : " is a domain mark, not class"));
       } else if (!has_kind(value, spec->kind)) {
-        sink.error("marks.type", mark + " must be " + kind_name(spec->kind));
+        sink.error("marks.type", mark + " must be " +
+                                   kKindNames[static_cast<int>(spec->kind)]);
       } else if (auto rule = broken_rule(*spec, value)) {
         sink.error(spec->code, mark + *rule);
       }

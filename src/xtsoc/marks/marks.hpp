@@ -70,8 +70,9 @@ inline constexpr const char* kCacheLineBytes = "cache.lineBytes";
 inline constexpr const char* kCacheHitLatency = "cache.hitLatency";
 
 enum class Scope : std::uint8_t { kClass, kDomain };
-/// Value type of a standard mark. A number is a real, or an int read as one
-/// (so "faultRate.flitDrop = 0" round-trips).
+/// Value type of a standard mark, in xtuml::ScalarValue's alternative
+/// order. A number is a real, or an int read as one (so
+/// "faultRate.flitDrop = 0" round-trips).
 enum class Kind : std::uint8_t { kBool, kInt, kNumber, kString };
 
 inline constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();

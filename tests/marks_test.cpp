@@ -637,6 +637,92 @@ TEST(Validate, DramTileMustBeUnoccupied) {
 }
 
 
+// --- ranges the fabric and the instance pool rely on -----------------------------
+
+TEST(Validate, RouterBuffersAndFlitsHoldSomething) {
+  // The same bounds noc::Fabric enforces, caught here as marks errors.
+  Domain d = make_domain();
+  for (const char* key : {kFifoDepth, kFlitBytes}) {
+    for (std::int64_t v : {0, -2}) {
+      MarkSet m = placed("Compressor", 1, 0);
+      m.set_domain_mark(key, ScalarValue(v));
+      DiagnosticSink sink;
+      EXPECT_FALSE(m.validate(d, sink)) << key << " = " << v;
+      EXPECT_NE(sink.to_string().find(std::string("domain.") + key),
+                std::string::npos)
+          << sink.to_string();
+    }
+    MarkSet ok = placed("Compressor", 1, 0);
+    ok.set_domain_mark(key, ScalarValue(std::int64_t{1}));
+    DiagnosticSink sink;
+    EXPECT_TRUE(ok.validate(d, sink)) << sink.to_string();
+  }
+}
+
+TEST(Validate, InstancePoolHoldsAnInstance) {
+  Domain d = make_domain();
+  MarkSet m;
+  m.set_class_mark("Compressor", kMaxInstances, ScalarValue(std::int64_t{0}));
+  DiagnosticSink sink;
+  EXPECT_FALSE(m.validate(d, sink));
+  EXPECT_NE(sink.to_string().find("[marks.max_instances]"), std::string::npos);
+
+  MarkSet ok;
+  ok.set_class_mark("Compressor", kMaxInstances, ScalarValue(std::int64_t{1}));
+  sink.clear();
+  EXPECT_TRUE(ok.validate(d, sink)) << sink.to_string();
+}
+
+TEST(Validate, ClockDividerIsNotNegative) {
+  // 0 and 1 both mean full rate; N >= 2 divides the hardware clock.
+  Domain d = make_domain();
+  MarkSet m;
+  m.set_class_mark("Compressor", kClockDomain, ScalarValue(std::int64_t{-1}));
+  DiagnosticSink sink;
+  EXPECT_FALSE(m.validate(d, sink));
+  EXPECT_NE(sink.to_string().find("[marks.clock_domain]"), std::string::npos);
+
+  MarkSet ok;
+  ok.set_class_mark("Compressor", kClockDomain, ScalarValue(std::int64_t{0}));
+  sink.clear();
+  EXPECT_TRUE(ok.validate(d, sink)) << sink.to_string();
+}
+
+TEST(MarkSet, ReadersTakeDefaultsFromTheTable) {
+  MarkSet m;
+  for (const MarkSpec& spec : kStandardMarks) {
+    if (spec.kind == Kind::kInt && spec.scope == Scope::kClass) {
+      EXPECT_EQ(m.class_mark_int("A", spec.key), spec.fallback) << spec.key;
+    } else if (spec.kind == Kind::kInt) {
+      EXPECT_EQ(m.domain_mark_int(spec.key), spec.fallback) << spec.key;
+    } else if (spec.kind == Kind::kNumber) {
+      EXPECT_EQ(m.domain_mark_number(spec.key), spec.fallback) << spec.key;
+    }
+  }
+  EXPECT_EQ(m.domain_mark_string(kTopology), "mesh");
+  EXPECT_EQ(m.domain_mark_string(kRouting), "xy");
+  // An int written where a number is declared reads as that number.
+  m.set_domain_mark(kFaultRateLinkDown, ScalarValue(std::int64_t{1}));
+  EXPECT_EQ(m.domain_mark_number(kFaultRateLinkDown), 1.0);
+}
+
+TEST(MarkSet, MeshShapeIsTheBoundingBoxUnlessGiven) {
+  MarkSet m = placed("Compressor", 2, 1);
+  m.set_class_mark("Controller", kTileX, ScalarValue(std::int64_t{0}));
+  m.set_class_mark("Controller", kTileY, ScalarValue(std::int64_t{3}));
+  MeshShape s = m.mesh_shape();
+  EXPECT_TRUE(s.placed);
+  EXPECT_EQ(s.width, 3);
+  EXPECT_EQ(s.height, 4);
+  // The software tile does not grow the box: outside it, validate rejects.
+  m.set_domain_mark(kSwTileX, ScalarValue(std::int64_t{5}));
+  EXPECT_EQ(m.mesh_shape().width, 3);
+  m.set_domain_mark(kMeshWidth, ScalarValue(std::int64_t{8}));
+  EXPECT_EQ(m.mesh_shape().width, 8);
+  EXPECT_EQ(m.mesh_shape().sw_x, 5);
+  EXPECT_FALSE(MarkSet{}.mesh_shape().placed);
+}
+
 // --- diagnostics pin -------------------------------------------------------------
 
 // Every diagnostic validate can emit, on a corpus of mark sets: each case

@@ -15,12 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <optional>
 #include <sstream>
 
 #include "xtsoc/common/rng.hpp"
+#include "xtsoc/common/strings.hpp"
 #include "xtsoc/core/project.hpp"
 #include "xtsoc/core/stimulus.hpp"
+#include "xtsoc/fault/fault.hpp"
 #include "xtsoc/noc/traffic.hpp"
 #include "xtsoc/oal/parser.hpp"
 #include "xtsoc/oal/printer.hpp"
@@ -281,6 +284,112 @@ TEST_P(ParserFuzz, MarksParserNeverCrashes) {
     (void)m;
   }
 }
+
+// --- marks fuzz: what validate accepts elaborates and runs ---------------------
+
+/// C0 -> C1 -> ... forwarding chain of `n` int-only classes.
+std::unique_ptr<xtuml::Domain> chain_domain(int n) {
+  xtuml::DomainBuilder b("Fz");
+  for (int i = 0; i < n; ++i) b.cls("C" + std::to_string(i));
+  for (int i = 0; i < n; ++i) {
+    auto cb = b.edit("C" + std::to_string(i));
+    cb.attr("a", DataType::kInt);
+    std::string action = "self.a = self.a + param.v;\n";
+    if (i + 1 < n) {
+      cb.ref_attr("next", "C" + std::to_string(i + 1));
+      action += "generate msg(v: param.v + 1) to self.next;\n";
+    }
+    cb.event("msg", {{"v", DataType::kInt}});
+    cb.state("S0", action);
+    cb.transition("S0", "msg", "S0");
+  }
+  return b.take();
+}
+
+/// A value for `spec` around its declared bounds: min - 1, min, a typical
+/// value, max + 1 where there is a max, or a value of the wrong type.
+xtuml::ScalarValue fuzz_value(const marks::MarkSpec& spec, Rng& rng) {
+  using xtuml::ScalarValue;
+  const ScalarValue wrong_type(std::string("x"));
+  switch (spec.kind) {
+    case marks::Kind::kBool:
+      return rng.chance(0.8) ? ScalarValue(rng.chance(0.7))
+                             : ScalarValue(std::int64_t{1});
+    case marks::Kind::kString: {
+      const auto choices = split(spec.choices, '|');
+      if (rng.chance(0.8)) return ScalarValue(choices[rng.below(choices.size())]);
+      return rng.chance(0.5) ? ScalarValue(std::string("bogus"))
+                             : ScalarValue(std::int64_t{1});
+    }
+    case marks::Kind::kInt:
+    case marks::Kind::kNumber:
+      break;
+  }
+  // Mostly in range, so that most cases reach elaboration.
+  const bool number = spec.kind == marks::Kind::kNumber;
+  const std::uint64_t pick = rng.below(10);
+  if (pick == 0) return ScalarValue(spec.min - 1);
+  if (pick == 1) return wrong_type;
+  if (pick == 2 && spec.max != marks::kNoMax) return ScalarValue(spec.max + 1);
+  if (pick < 5) return ScalarValue(spec.min);
+  if (number) return ScalarValue(0.05 * static_cast<double>(rng.below(4)));
+  if (spec.pow2) return ScalarValue(std::int64_t{1} << rng.below(4));
+  return ScalarValue(spec.min + static_cast<std::int64_t>(rng.below(4)));
+}
+
+class MarksFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MarksFuzz, AcceptedMarksElaborateAndRun) {
+  Rng rng(GetParam() * 31 + 5);
+  const std::size_t n_specs = std::size(marks::kStandardMarks);
+  int accepted = 0;
+  for (int round = 0; round < 2000; ++round) {
+    const int n_classes = static_cast<int>(rng.range(2, 3));
+    marks::MarkSet m;
+    if (rng.chance(0.5)) {  // start from a mesh, so the NoC marks matter
+      m.mark_hardware("C1");
+      m.set_class_mark("C1", marks::kTileX, xtuml::ScalarValue(std::int64_t{1}));
+      m.set_class_mark("C1", marks::kTileY, xtuml::ScalarValue(std::int64_t{0}));
+    }
+    const int n_keys = static_cast<int>(rng.range(1, 8));
+    for (int k = 0; k < n_keys; ++k) {
+      const marks::MarkSpec& spec = marks::kStandardMarks[rng.below(n_specs)];
+      const xtuml::ScalarValue v = fuzz_value(spec, rng);
+      if (spec.scope == marks::Scope::kDomain) {
+        m.set_domain_mark(spec.key, v);
+      } else {
+        m.set_class_mark("C" + std::to_string(rng.below(n_classes)), spec.key,
+                         v);
+      }
+    }
+    DiagnosticSink sink;
+    auto project = core::Project::from_domain(chain_domain(n_classes), m, sink);
+    if (project == nullptr) continue;
+    ++accepted;
+    try {
+      // The fault marks arm a plan, as when the file is also --faults.
+      fault::Plan plan(fault::FaultSpec::from_marks(project->marks()));
+      cosim::CoSimConfig cfg;
+      cfg.fault = &plan;
+      auto cs = project->make_cosim(cfg);
+      runtime::InstanceHandle next;
+      for (int i = n_classes - 1; i >= 0; --i) {
+        const std::string cls = "C" + std::to_string(i);
+        next = i + 1 < n_classes ? cs->create_with(cls, {{"next", Value(next)}})
+                                 : cs->create(cls);
+      }
+      cs->inject(next, "msg", {Value(std::int64_t{1})});
+      cs->run_cycles(20);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "accepted marks failed to run: " << e.what() << "\n"
+                    << m.to_text();
+    }
+  }
+  EXPECT_GT(accepted, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MarksFuzz,
+                         ::testing::Range<std::uint64_t>(1, 9));
 
 /// A two-class model whose runs always quiesce: A.go(k) adds k and sends
 /// hit to its peer B, which only counts.
