@@ -209,9 +209,9 @@ MeshShape MarkSet::mesh_shape() const {
   for (const auto& [element, kv] : marks_) {
     if (element.empty()) continue;
     m.placed |= kv.contains(kTileX) || kv.contains(kTileY);
-    if (auto t = placement(element)) {
-      max_x = std::max(max_x, t->first);
-      max_y = std::max(max_y, t->second);
+    if (auto t = placement(element)) {  // capped: the +1 below cannot wrap
+      max_x = std::max(max_x, std::min(t->first, kNoMax - 1));
+      max_y = std::max(max_y, std::min(t->second, kNoMax - 1));
     }
   }
   m.width = int_of(domain_mark(kMeshWidth)).value_or(max_x + 1);
@@ -331,13 +331,14 @@ bool MarkSet::validate(const xtuml::Domain& domain,
   const MeshShape mesh = mesh_shape();
   const std::string mesh_name =
       std::to_string(mesh.width) + "x" + std::to_string(mesh.height);
+  const MarkSpec& dims = *find_standard(kMeshWidth);
+  const bool dims_ok = mesh.width >= dims.min && mesh.height >= dims.min &&
+                       mesh.width <= dims.max && mesh.height <= dims.max;
   if (mesh.placed) {
-    const MarkSpec& dims = *find_standard(kMeshWidth);
     auto in_mesh = [&](std::int64_t x, std::int64_t y) {
       return x >= 0 && x < mesh.width && y >= 0 && y < mesh.height;
     };
-    if (mesh.width < dims.min || mesh.height < dims.min ||
-        mesh.width > dims.max || mesh.height > dims.max) {
+    if (!dims_ok) {
       sink.error("marks.mesh_dims", "meshWidth/meshHeight must be in [" +
                                         std::to_string(dims.min) + ", " +
                                         std::to_string(dims.max) + "]");
@@ -426,7 +427,8 @@ bool MarkSet::validate(const xtuml::Domain& domain,
                "domain.dram.tile needs a mesh-mapped domain (tileX/tileY "
                "placements); coherence messages are fabric frames");
   }
-  if (auto dt = int_of(domain_mark(kDramTile)); dt && mesh.placed) {
+  const auto dt = int_of(domain_mark(kDramTile));
+  if (dt && mesh.placed && dims_ok) {
     const std::string tile = "domain.dram.tile " + std::to_string(*dt);
     if (*dt < 0 || *dt >= mesh.width * mesh.height) {
       sink.error("marks.dram.tile",

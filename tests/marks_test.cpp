@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "xtsoc/marks/marks.hpp"
@@ -686,6 +687,26 @@ TEST(Validate, ClockDividerIsNotNegative) {
   ok.set_class_mark("Compressor", kClockDomain, ScalarValue(std::int64_t{0}));
   sink.clear();
   EXPECT_TRUE(ok.validate(d, sink)) << sink.to_string();
+}
+
+TEST(Validate, WildMeshSizesAreRejectedWithoutOverflow) {
+  // Coordinates and sizes come from a file: the mesh arithmetic must not
+  // overflow on them (the sanitizer build runs this).
+  Domain d = make_domain();
+  const std::int64_t huge = std::numeric_limits<std::int64_t>::max();
+  MarkSet m = placed("Compressor", huge, huge);
+  m.set_domain_mark(kDramTile, ScalarValue(std::int64_t{1}));
+  DiagnosticSink sink;
+  EXPECT_FALSE(m.validate(d, sink));
+  EXPECT_NE(sink.to_string().find("[marks.mesh_dims]"), std::string::npos);
+
+  MarkSet wide = placed("Compressor", 1, 0);
+  wide.set_domain_mark(kMeshWidth, ScalarValue(std::int64_t{1} << 40));
+  wide.set_domain_mark(kMeshHeight, ScalarValue(std::int64_t{1} << 40));
+  wide.set_domain_mark(kDramTile, ScalarValue(std::int64_t{1}));
+  sink.clear();
+  EXPECT_FALSE(wide.validate(d, sink));
+  EXPECT_NE(sink.to_string().find("[marks.mesh_dims]"), std::string::npos);
 }
 
 TEST(MarkSet, ReadersTakeDefaultsFromTheTable) {
