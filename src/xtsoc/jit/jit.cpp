@@ -80,7 +80,7 @@ JitResult compile(const oal::CompiledDomain& dom, const JitOptions& opts) {
     std::string src = emit_module_source(dom, kDigestPlaceholder);
     res.digest =
         fnv1a_hex(src + "\n|" + compiler + "|" + flags + "|v" +
-                       std::to_string(XTSOC_JIT_ABI_VERSION));
+                  std::to_string(XTSOC_JIT_ABI_VERSION));
     const std::size_t at = src.rfind(kDigestPlaceholder);
     if (at != std::string::npos) {
       src.replace(at, std::string(kDigestPlaceholder).size(), res.digest);

@@ -383,9 +383,9 @@ bool MarkSet::validate(const xtuml::Domain& domain,
   const std::string topo = domain_mark_string(kTopology);
   if (mesh.placed || domain_mark(kMeshWidth) || domain_mark(kMeshHeight)) {
     if (topo == "ring" && mesh.height > 1) {
-      sink.error("marks.topology", "ring topology is one row, but the mesh is " +
-                                       mesh_name +
-                                       "; set meshHeight = 1 or use torus");
+      sink.error("marks.topology",
+                 "ring topology is one row, but the mesh is " + mesh_name +
+                     "; set meshHeight = 1 or use torus");
     }
     if (topo == "torus" && (mesh.width < 2 || mesh.height < 2)) {
       sink.error("marks.topology",

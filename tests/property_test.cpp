@@ -285,7 +285,7 @@ TEST_P(ParserFuzz, MarksParserNeverCrashes) {
   }
 }
 
-// --- marks fuzz: what validate accepts elaborates and runs ---------------------
+// --- marks fuzz: what validate accepts elaborates and runs ----------------
 
 /// C0 -> C1 -> ... forwarding chain of `n` int-only classes.
 std::unique_ptr<xtuml::Domain> chain_domain(int n) {
@@ -317,7 +317,9 @@ xtuml::ScalarValue fuzz_value(const marks::MarkSpec& spec, Rng& rng) {
                              : ScalarValue(std::int64_t{1});
     case marks::Kind::kString: {
       const auto choices = split(spec.choices, '|');
-      if (rng.chance(0.8)) return ScalarValue(choices[rng.below(choices.size())]);
+      if (rng.chance(0.8)) {
+        return ScalarValue(choices[rng.below(choices.size())]);
+      }
       return rng.chance(0.5) ? ScalarValue(std::string("bogus"))
                              : ScalarValue(std::int64_t{1});
     }
@@ -348,8 +350,10 @@ TEST_P(MarksFuzz, AcceptedMarksElaborateAndRun) {
     marks::MarkSet m;
     if (rng.chance(0.5)) {  // start from a mesh, so the NoC marks matter
       m.mark_hardware("C1");
-      m.set_class_mark("C1", marks::kTileX, xtuml::ScalarValue(std::int64_t{1}));
-      m.set_class_mark("C1", marks::kTileY, xtuml::ScalarValue(std::int64_t{0}));
+      auto tile = [](std::int64_t v) { return xtuml::ScalarValue(v); };
+      m.set_class_mark("C1", marks::kTileX, tile(1));
+      m.set_class_mark("C1", marks::kTileY, tile(0));
+
     }
     const int n_keys = static_cast<int>(rng.range(1, 8));
     for (int k = 0; k < n_keys; ++k) {
