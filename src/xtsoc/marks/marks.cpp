@@ -40,15 +40,40 @@ std::optional<std::int64_t> int_of(const std::optional<xtuml::ScalarValue>& v) {
   return std::get<std::int64_t>(*v);
 }
 
+/// One element's marks, by key.
+using ElementMarks = std::map<std::string, xtuml::ScalarValue>;
+
+std::optional<std::int64_t> int_at(const ElementMarks& kv, const char* key) {
+  auto it = kv.find(key);
+  if (it == kv.end()) return std::nullopt;
+  return int_of(it->second);
+}
+
+/// (tileX, tileY) when both are present and typed right.
+std::optional<std::pair<std::int64_t, std::int64_t>> placement(
+    const ElementMarks& kv) {
+  auto x = int_at(kv, kTileX);
+  auto y = int_at(kv, kTileY);
+  if (!x || !y) return std::nullopt;
+  return std::pair{*x, *y};
+}
+
+bool marked_hardware(const ElementMarks& kv) {
+  auto it = kv.find(kIsHardware);
+  return it != kv.end() && std::holds_alternative<bool>(it->second) &&
+         std::get<bool>(it->second);
+}
+
 /// What follows the mark's name in the diagnostic when `v` (typed right)
 /// is outside `spec`'s declared range; nullopt when it is inside, or when
 /// the range depends on other marks.
 std::optional<std::string> broken_rule(const MarkSpec& spec,
                                        const xtuml::ScalarValue& v) {
   if (spec.code == nullptr) return std::nullopt;
-  const std::string got = " (got " + xtuml::scalar_to_string(v) + ")";
-  const std::string why =
-      spec.reason != nullptr ? std::string("; ") + spec.reason : "";
+  auto got_and_why = [&] {
+    return " (got " + xtuml::scalar_to_string(v) + ")" +
+           (spec.reason != nullptr ? std::string("; ") + spec.reason : "");
+  };
   if (spec.kind == Kind::kString) {
     const std::vector<std::string> choices = split(spec.choices, '|');
     if (std::find(choices.begin(), choices.end(), std::get<std::string>(v)) !=
@@ -60,12 +85,12 @@ std::optional<std::string> broken_rule(const MarkSpec& spec,
       if (i > 0) list += i + 1 == choices.size() ? " or " : ", ";
       list += '"' + choices[i] + '"';
     }
-    return " must be " + list + got + why;
+    return " must be " + list + got_and_why();
   }
   if (spec.pow2) {
     const std::int64_t n = std::get<std::int64_t>(v);
     if (n > 0 && (n & (n - 1)) == 0) return std::nullopt;
-    return " must be a positive power of two" + got + why;
+    return " must be a positive power of two" + got_and_why();
   }
   const double x = as_number(v);
   if (x >= static_cast<double>(spec.min) &&
@@ -73,7 +98,7 @@ std::optional<std::string> broken_rule(const MarkSpec& spec,
     return std::nullopt;
   }
   if (spec.max == kNoMax) {
-    return " must be >= " + std::to_string(spec.min) + got + why;
+    return " must be >= " + std::to_string(spec.min) + got_and_why();
   }
   return (spec.reason != nullptr ? std::string(" is ") + spec.reason + " and"
                                  : std::string()) +
@@ -195,21 +220,13 @@ std::string MarkSet::domain_mark_string(std::string_view key) const {
   return split(spec->choices, '|').front();
 }
 
-std::optional<std::pair<std::int64_t, std::int64_t>> MarkSet::placement(
-    std::string_view class_name) const {
-  auto x = int_of(class_mark(class_name, kTileX));
-  auto y = int_of(class_mark(class_name, kTileY));
-  if (!x || !y) return std::nullopt;
-  return std::pair{*x, *y};
-}
-
 MeshShape MarkSet::mesh_shape() const {
   MeshShape m;
   std::int64_t max_x = 0, max_y = 0;
   for (const auto& [element, kv] : marks_) {
     if (element.empty()) continue;
     m.placed |= kv.contains(kTileX) || kv.contains(kTileY);
-    if (auto t = placement(element)) {  // capped: the +1 below cannot wrap
+    if (auto t = placement(kv)) {  // capped: the +1 below cannot wrap
       max_x = std::max(max_x, std::min(t->first, kNoMax - 1));
       max_y = std::max(max_y, std::min(t->second, kNoMax - 1));
     }
@@ -272,8 +289,9 @@ bool MarkSet::validate(const xtuml::Domain& domain,
     }
     for (const auto& [key, value] : kv) {
       const MarkSpec* spec = find_standard(key);
-      const std::string mark =
-          (domain_scope ? std::string("domain") : element) + "." + key;
+      auto mark = [&] {
+        return (domain_scope ? std::string("domain") : element) + "." + key;
+      };
       if (spec == nullptr) {
         check_nonstandard_key(key, sink);
       } else if ((spec->scope == Scope::kDomain) != domain_scope) {
@@ -281,10 +299,10 @@ bool MarkSet::validate(const xtuml::Domain& domain,
                                              ? " is a class mark, not domain"
                                              : " is a domain mark, not class"));
       } else if (!has_kind(value, spec->kind)) {
-        sink.error("marks.type", mark + " must be " +
+        sink.error("marks.type", mark() + " must be " +
                                    kKindNames[static_cast<int>(spec->kind)]);
       } else if (auto rule = broken_rule(*spec, value)) {
-        sink.error(spec->code, mark + *rule);
+        sink.error(spec->code, mark() + *rule);
       }
     }
   }
@@ -313,7 +331,7 @@ bool MarkSet::validate(const xtuml::Domain& domain,
                      (has_x ? "tileX without tileY" : "tileY without tileX") +
                      "; a placement needs both coordinates");
     }
-    auto t = placement(element);
+    auto t = placement(kv);
     if (!t) continue;  // unplaced, or typed wrong (reported above)
     if (t->first < 0 || t->second < 0) {
       sink.error("marks.tile_range", "class '" + element +
@@ -321,7 +339,7 @@ bool MarkSet::validate(const xtuml::Domain& domain,
                                          std::to_string(t->first) + "," +
                                          std::to_string(t->second) + ")");
     }
-    if (!is_hardware(element)) {
+    if (!marked_hardware(kv)) {
       sink.warning("marks.tile_sw",
                    "class '" + element + "' has tile marks but is not "
                    "isHardware; software classes live on the software tile "
@@ -350,7 +368,7 @@ bool MarkSet::validate(const xtuml::Domain& domain,
                        mesh_name + " mesh");
       }
       for (const auto& [element, kv] : marks_) {
-        auto t = element.empty() ? std::nullopt : placement(element);
+        auto t = element.empty() ? std::nullopt : placement(kv);
         if (!t || t->first < 0 || t->second < 0) continue;
         const std::string at = "(" + std::to_string(t->first) + "," +
                                std::to_string(t->second) + ")";
@@ -368,7 +386,7 @@ bool MarkSet::validate(const xtuml::Domain& domain,
     }
     // Placement must be total: an unplaced FSM bank has no router.
     for (const auto& [element, kv] : marks_) {
-      if (!element.empty() && is_hardware(element) &&
+      if (!element.empty() && marked_hardware(kv) &&
           (!kv.contains(kTileX) || !kv.contains(kTileY))) {
         sink.error("marks.tile_missing",
                    "class '" + element + "' is isHardware but has no "
@@ -440,7 +458,7 @@ bool MarkSet::validate(const xtuml::Domain& domain,
                           "unoccupied tile (its NIC is the directory)");
       }
       for (const auto& [element, kv] : marks_) {
-        auto t = element.empty() ? std::nullopt : placement(element);
+        auto t = element.empty() ? std::nullopt : placement(kv);
         if (t && t->second * mesh.width + t->first == *dt) {
           sink.error("marks.dram.tile_clash",
                      tile + " collides with class '" + element +

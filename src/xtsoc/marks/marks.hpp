@@ -20,7 +20,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "xtsoc/common/diagnostics.hpp"
@@ -80,7 +79,7 @@ inline constexpr std::int64_t kNoMax = std::numeric_limits<std::int64_t>::max();
 /// Everything the compiler knows about one standard mark. validate() checks
 /// scope, type and range from it; the readers take defaults from it.
 struct MarkSpec {
-  const char* key;
+  std::string_view key;
   Scope scope;
   Kind kind;
   std::int64_t fallback = 0;  ///< value of an absent bool/int/number mark
@@ -268,10 +267,6 @@ public:
   friend bool operator==(const MarkSet&, const MarkSet&) = default;
 
 private:
-  /// `class_name`'s (tileX, tileY) when both are present and typed right.
-  std::optional<std::pair<std::int64_t, std::int64_t>> placement(
-      std::string_view class_name) const;
-
   // map<element, map<key, value>>; element "" = domain scope. Ordered maps
   // keep to_text() and diff() deterministic.
   std::string name_;

@@ -421,7 +421,7 @@ TEST(MarkAudit, EveryStandardMarkSelectsARule) {
   for (const MarkProbe& m : probes) probed.insert(m.key);
   std::set<std::string> standard;
   for (const marks::MarkSpec& spec : marks::kStandardMarks) {
-    standard.insert(spec.key);
+    standard.emplace(spec.key);
   }
   EXPECT_EQ(probed, standard);
 
