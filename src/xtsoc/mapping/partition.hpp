@@ -13,7 +13,7 @@ namespace xtsoc::mapping {
 
 /// Declared default of the int mark `key`, for the mark-mirroring fields
 /// below (the marks table is the one place defaults are written).
-constexpr int mark_default(const char* key) {
+consteval int mark_default(const char* key) {
   return static_cast<int>(marks::default_of(key));
 }
 

@@ -88,10 +88,12 @@ struct MarkSpec {
   bool pow2 = false;          ///< int: also a power of two
   /// String: the allowed values, '|'-separated; the first is the default.
   const char* choices = nullptr;
-  /// Diagnostic code for a value outside the range, and why the range is
-  /// what it is. nullptr when the legal range depends on other marks (the
-  /// mesh) and is checked with them.
+  /// Diagnostic code for a value outside the range. nullptr when there is
+  /// no range, or when it depends on other marks (the mesh) and validate()
+  /// checks it with them.
   const char* code = nullptr;
+  /// Why the range is what it is: "...must be >= 1 (got 0); <reason>", or
+  /// for a bounded range "... is <reason> and must be in [0, 1]".
   const char* reason = nullptr;
 };
 
@@ -178,8 +180,9 @@ constexpr const MarkSpec* find_standard(std::string_view key) {
   return nullptr;
 }
 
-/// Declared default of standard mark `key` (for structs that mirror marks).
-constexpr std::int64_t default_of(std::string_view key) {
+/// Declared default of standard mark `key`, at compile time (for the
+/// structs that mirror marks).
+consteval std::int64_t default_of(std::string_view key) {
   return find_standard(key)->fallback;
 }
 
