@@ -239,11 +239,9 @@ MeshShape MarkSet::mesh_shape() const {
 }
 
 Target MarkSet::target_of(std::string_view class_name) const {
-  auto v = class_mark(class_name, kIsHardware);
-  if (v && std::holds_alternative<bool>(*v) && std::get<bool>(*v)) {
-    return Target::kHardware;
-  }
-  return Target::kSoftware;
+  auto it = marks_.find(class_name);
+  return it != marks_.end() && marked_hardware(it->second) ? Target::kHardware
+                                                           : Target::kSoftware;
 }
 
 std::size_t MarkSet::mark_count() const {
