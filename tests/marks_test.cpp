@@ -744,7 +744,7 @@ TEST(MarkSet, MeshShapeIsTheBoundingBoxUnlessGiven) {
   EXPECT_FALSE(MarkSet{}.mesh_shape().placed);
 }
 
-// --- diagnostics pin --------------------------------------------------------
+// --- diagnostics pin -------------------------------------------------------------
 
 // Every diagnostic validate can emit, on a corpus of mark sets: each case
 // pins the sorted `severity [code] message` lines, so a rewrite of the
@@ -911,8 +911,7 @@ const PinCase kPinCorpus[] = {
       "error [marks.routing] domain.routing must be \"xy\", \"yx\" or"
       " \"adaptive\" (got \"odd-even\")"}},
     {"ring needs one row",
-     "domain.meshWidth = 2\ndomain.meshHeight = 2\n"
-     "domain.topology = \"ring\"\n",
+     "domain.meshWidth = 2\ndomain.meshHeight = 2\ndomain.topology = \"ring\"\n",
      {
       "error [marks.topology] ring topology is one row, but the mesh"
       " is 2x2; set meshHeight = 1 or use torus"}},
